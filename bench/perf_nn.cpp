@@ -15,17 +15,20 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/perf_json.h"
 #include "math/matrix.h"
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"
+#include "nn/conv1d.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "oracles/conv1d_reference.h"
 #include "runtime/thread_pool.h"
 
 namespace {
@@ -191,12 +194,25 @@ BENCHMARK(BM_ParallelAutoencoderInfer)
     ->Arg(static_cast<std::int64_t>(soteria::runtime::hardware_threads()))
     ->UseRealTime();
 
+/// Best-of-3 GFLOP/s of `run` for `flops` floating-point operations.
+template <typename Run>
+double best_gflops(double flops, Run&& run) {
+  double best = 0.0;
+  for (std::size_t rep = 0; rep < 3; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    const std::chrono::duration<double> delta =
+        std::chrono::steady_clock::now() - start;
+    best = std::max(best, flops / delta.count() * 1e-9);
+  }
+  return best;
+}
+
 /// Hand-timed GEMM GFLOP/s for the blocked kernel and the preserved
-/// naive reference, recorded in the "perf_nn" section of
-/// BENCH_perf.json so kernel regressions show up independently of the
-/// end-to-end sweeps.
-void emit_gemm_gflops() {
-  std::map<std::string, double> json_values;
+/// naive reference, added to the "perf_nn" section of BENCH_perf.json
+/// so kernel regressions show up independently of the end-to-end
+/// sweeps.
+void emit_gemm_gflops(std::map<std::string, double>& json_values) {
   std::string report = "-- GEMM GFLOP/s (blocked vs reference) --\n";
   for (const std::size_t n : {256U, 512U}) {
     math::Rng rng(7);
@@ -207,16 +223,8 @@ void emit_gemm_gflops() {
     const double flops = 2.0 * static_cast<double>(n) * n * n;
 
     const auto time_gflops = [&](auto&& kernel) {
-      // Enough iterations to cross ~100ms of work.
-      double best = 0.0;
-      for (std::size_t rep = 0; rep < 3; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(kernel(a, b));
-        const std::chrono::duration<double> delta =
-            std::chrono::steady_clock::now() - start;
-        best = std::max(best, flops / delta.count() * 1e-9);
-      }
-      return best;
+      return best_gflops(flops,
+                         [&] { benchmark::DoNotOptimize(kernel(a, b)); });
     };
     const double blocked = time_gflops(
         [](const math::Matrix& x, const math::Matrix& y) {
@@ -243,10 +251,81 @@ void emit_gemm_gflops() {
         reference > 0.0 ? blocked / reference : 0.0;
   }
   std::printf("\n%s", report.c_str());
-  if (soteria::bench::update_perf_json("BENCH_perf.json", "perf_nn",
-                                       json_values)) {
-    std::printf("GEMM GFLOP/s recorded in BENCH_perf.json\n");
-  }
+}
+
+/// Conv1d backward GFLOP/s, SIMD kernel vs the scalar oracle, at the
+/// product CNN's inner convolution (16 filters over 16 channels, length
+/// 500, kernel 3, batch 64). Returns false when the two disagree in any
+/// bit of grad-input, weight-grad or bias-grad.
+bool emit_conv_backward_gflops(std::map<std::string, double>& json_values) {
+  constexpr std::size_t kRows = 64;
+  constexpr std::size_t kChannels = 16;
+  constexpr std::size_t kLength = 500;
+  constexpr std::size_t kFilters = 16;
+  constexpr std::size_t kKernel = 3;
+  constexpr std::size_t kOutLen = kLength - kKernel + 1;
+  math::Rng rng(9);
+  math::Matrix in(kRows, kChannels * kLength);
+  math::Matrix grad_out(kRows, kFilters * kOutLen);
+  math::Matrix weights(kFilters, kChannels * kKernel);
+  in.fill_normal(rng, 0.0F, 1.0F);
+  grad_out.fill_normal(rng, 0.0F, 1.0F);
+  weights.fill_normal(rng, 0.0F, 1.0F);
+
+  struct Grads {
+    std::vector<float> in, weights, bias;
+  };
+  const auto fresh = [] {
+    return Grads{std::vector<float>(kRows * kChannels * kLength, 0.0F),
+                 std::vector<float>(kFilters * kChannels * kKernel, 0.0F),
+                 std::vector<float>(kFilters, 0.0F)};
+  };
+  const auto kernel = [&](Grads& g) {
+    nn::conv1d_backward_into(in.data().data(), grad_out.data().data(),
+                             weights.data().data(), g.in.data(),
+                             g.weights.data(), g.bias.data(), kRows,
+                             kChannels, kLength, kFilters, kKernel);
+  };
+  const auto oracle = [&](Grads& g) {
+    oracles::conv1d_backward_reference(
+        in.data().data(), grad_out.data().data(), weights.data().data(),
+        g.in.data(), g.weights.data(), g.bias.data(), kRows, kChannels,
+        kLength, kFilters, kKernel);
+  };
+
+  Grads fast = fresh();
+  Grads slow = fresh();
+  kernel(fast);
+  oracle(slow);
+  const bool identical = fast.in == slow.in &&
+                         fast.weights == slow.weights &&
+                         fast.bias == slow.bias;
+
+  // Grad-input and weight-grad: one multiply and one add per
+  // (row, filter, channel, tap, position) each.
+  const double flops = 4.0 * kRows * kFilters * kChannels * kKernel * kOutLen;
+  Grads scratch = fresh();
+  const double simd = best_gflops(flops, [&] {
+    kernel(scratch);
+    benchmark::DoNotOptimize(scratch.weights.data());
+    benchmark::ClobberMemory();
+  });
+  const double reference = best_gflops(flops, [&] {
+    std::fill(scratch.in.begin(), scratch.in.end(), 0.0F);
+    oracle(scratch);
+    benchmark::DoNotOptimize(scratch.weights.data());
+    benchmark::ClobberMemory();
+  });
+  std::printf(
+      "\n-- Conv1d backward GFLOP/s (16x500, 16 filters, k=3, batch 64) --\n"
+      "SIMD %6.2f GFLOP/s  reference %6.2f GFLOP/s  %4.1fx  %s\n",
+      simd, reference, reference > 0.0 ? simd / reference : 0.0,
+      identical ? "bit-identical" : "MISMATCH");
+  json_values["conv1d_backward_gflops"] = simd;
+  json_values["conv1d_backward_reference_gflops"] = reference;
+  json_values["conv1d_backward_speedup"] =
+      reference > 0.0 ? simd / reference : 0.0;
+  return identical;
 }
 
 /// Trains a small autoencoder and CNN with metrics on and exports the
@@ -307,7 +386,20 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  emit_gemm_gflops();
+  std::map<std::string, double> json_values;
+  emit_gemm_gflops(json_values);
+  const bool conv_identical = emit_conv_backward_gflops(json_values);
+  json_values["hardware_threads"] =
+      static_cast<double>(runtime::hardware_threads());
+  if (soteria::bench::update_perf_json("BENCH_perf.json", "perf_nn",
+                                       json_values)) {
+    std::printf("kernel GFLOP/s recorded in BENCH_perf.json\n");
+  }
   emit_stage_breakdown();
+  if (!conv_identical) {
+    std::fprintf(stderr,
+                 "perf_nn: Conv1d backward kernel differs from the oracle\n");
+    return 1;
+  }
   return 0;
 }

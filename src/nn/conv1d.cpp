@@ -1,7 +1,10 @@
 #include "nn/conv1d.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 namespace soteria::nn {
 
@@ -107,35 +110,166 @@ void conv1d_infer_into(const float* in, float* out, const float* weights,
   }
 }
 
-void conv1d_infer_reference_into(const float* in, float* out,
-                                 const float* weights, const float* bias,
-                                 std::size_t rows, std::size_t in_channels,
-                                 std::size_t in_length,
-                                 std::size_t out_channels,
-                                 std::size_t kernel) noexcept {
-  const std::size_t out_len = in_length - kernel + 1;
-  const std::size_t w_cols = in_channels * kernel;
+namespace {
+
+// The backward kernels work in lanes of one 64-byte vector: the
+// compiler lowers each lane op to the target's widest float add or mul
+// (one AVX-512 instruction, two AVX ones, four SSE ones). A lane op
+// rounds each lane on its own, so per element the arithmetic is the
+// scalar loop's.
+constexpr std::size_t kLanes = 16;
+using Lanes = float __attribute__((vector_size(kLanes * sizeof(float))));
+
+// Vectors travel through references: passing one by value would make
+// its calling convention depend on the target ISA.
+void load(Lanes& v, const float* p) noexcept { std::memcpy(&v, p, sizeof v); }
+void store(float* p, const Lanes& v) noexcept { std::memcpy(p, &v, sizeof v); }
+
+struct BackwardShape {
+  std::size_t in_channels;
+  std::size_t in_length;
+  std::size_t out_channels;
+  std::size_t kernel;
+  std::size_t out_len;  // in_length - kernel + 1
+  std::size_t w_cols;   // in_channels * kernel
+};
+
+// grad_in[c][j] = sum over (o ascending, k ascending) of
+// g[o][j - k] * w[o][c][k], skipping taps with j - k outside the output.
+// Used where some tap falls outside (the first kernel-1 and last
+// kernel-1 positions) and for the interior's sub-vector tail.
+float grad_input_scalar(const float* go_row, const float* weights,
+                        const BackwardShape& s, std::size_t c,
+                        std::size_t j) noexcept {
+  float acc = 0.0F;
+  for (std::size_t o = 0; o < s.out_channels; ++o) {
+    const float* go = go_row + o * s.out_len;
+    const float* wc = weights + o * s.w_cols + c * s.kernel;
+    for (std::size_t k = 0; k < s.kernel; ++k) {
+      if (j >= k && j - k < s.out_len) acc += go[j - k] * wc[k];
+    }
+  }
+  return acc;
+}
+
+// N*kLanes consecutive interior positions from j (every tap in range):
+// N vector accumulators, the same (o, k) order as grad_input_scalar.
+template <std::size_t N>
+void grad_input_tile(const float* go_row, const float* weights,
+                     const BackwardShape& s, std::size_t c, std::size_t j,
+                     float* gi_chan) noexcept {
+  Lanes acc[N] = {};
+  for (std::size_t o = 0; o < s.out_channels; ++o) {
+    const float* go = go_row + o * s.out_len + j;
+    const float* wc = weights + o * s.w_cols + c * s.kernel;
+    for (std::size_t k = 0; k < s.kernel; ++k) {
+      const float wk = wc[k];
+      for (std::size_t v = 0; v < N; ++v) {
+        Lanes g;
+        load(g, go - k + v * kLanes);
+        acc[v] += g * wk;
+      }
+    }
+  }
+  for (std::size_t v = 0; v < N; ++v) store(gi_chan + j + v * kLanes, acc[v]);
+}
+
+void grad_input_row(const float* go_row, const float* weights,
+                    const BackwardShape& s, float* gi_row) noexcept {
+  constexpr std::size_t kTile = 8;
+  // Interior positions [kernel-1, out_len) see every tap.
+  const std::size_t lo = std::min(s.kernel - 1, s.out_len);
+  const std::size_t hi = s.out_len;
+  for (std::size_t c = 0; c < s.in_channels; ++c) {
+    float* gi_chan = gi_row + c * s.in_length;
+    for (std::size_t j = 0; j < lo; ++j) {
+      gi_chan[j] = grad_input_scalar(go_row, weights, s, c, j);
+    }
+    std::size_t j = lo;
+    for (; j + kTile * kLanes <= hi; j += kTile * kLanes) {
+      grad_input_tile<kTile>(go_row, weights, s, c, j, gi_chan);
+    }
+    for (; j + kLanes <= hi; j += kLanes) {
+      grad_input_tile<1>(go_row, weights, s, c, j, gi_chan);
+    }
+    for (; j < s.in_length; ++j) {
+      gi_chan[j] = grad_input_scalar(go_row, weights, s, c, j);
+    }
+  }
+}
+
+// N weight-gradient chains, pairs p .. p+N-1 (pair p = channel
+// p / kernel, tap p % kernel), for the output-channel lanes [ob,
+// ob + kLanes). Each chain sums g[o][t] * in[c][t + k] in t order from
+// zero and is then added to weight_grad, as in the reference.
+template <std::size_t N>
+void weight_grad_chains(const float* in_row, const float* gt,
+                        std::size_t o_pad, std::size_t ob,
+                        const BackwardShape& s, std::size_t p,
+                        float* weight_grad) noexcept {
+  const float* src[N];
+  for (std::size_t i = 0; i < N; ++i) {
+    src[i] = in_row + ((p + i) / s.kernel) * s.in_length + (p + i) % s.kernel;
+  }
+  Lanes acc[N] = {};
+  for (std::size_t t = 0; t < s.out_len; ++t) {
+    Lanes g;
+    load(g, gt + t * o_pad + ob);
+    for (std::size_t i = 0; i < N; ++i) acc[i] += g * src[i][t];
+  }
+  const std::size_t lanes = std::min(kLanes, s.out_channels - ob);
+  for (std::size_t i = 0; i < N; ++i) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      weight_grad[(ob + l) * s.w_cols + p + i] += acc[i][l];
+    }
+  }
+}
+
+}  // namespace
+
+void conv1d_backward_into(const float* in, const float* grad_out,
+                          const float* weights, float* grad_in,
+                          float* weight_grad, float* bias_grad,
+                          std::size_t rows, std::size_t in_channels,
+                          std::size_t in_length, std::size_t out_channels,
+                          std::size_t kernel) {
+  const BackwardShape s{in_channels, in_length, out_channels, kernel,
+                        in_length - kernel + 1, in_channels * kernel};
   const std::size_t in_cols = in_channels * in_length;
-  const std::size_t out_cols = out_channels * out_len;
+  const std::size_t out_cols = out_channels * s.out_len;
+  // Time-major copy of one row of grad_out, output channels padded to
+  // whole lanes with zeros (the padding lanes' sums are discarded).
+  const std::size_t o_pad = (out_channels + kLanes - 1) / kLanes * kLanes;
+  std::vector<float> gt(s.out_len * o_pad, 0.0F);
   for (std::size_t r = 0; r < rows; ++r) {
     const float* in_row = in + r * in_cols;
-    float* out_row = out + r * out_cols;
+    const float* go_row = grad_out + r * out_cols;
+    grad_input_row(go_row, weights, s, grad_in + r * in_cols);
+
     for (std::size_t o = 0; o < out_channels; ++o) {
-      const float* w = weights + o * w_cols;
-      const float b = bias[o];
-      float* out_chan = out_row + o * out_len;
-      for (std::size_t t = 0; t < out_len; ++t) out_chan[t] = b;
-      for (std::size_t c = 0; c < in_channels; ++c) {
-        const float* in_chan = in_row + c * in_length;
-        const float* wc = w + c * kernel;
-        for (std::size_t k = 0; k < kernel; ++k) {
-          const float wk = wc[k];
-          if (wk == 0.0F) continue;
-          const float* shifted = in_chan + k;
-          for (std::size_t t = 0; t < out_len; ++t) {
-            out_chan[t] += wk * shifted[t];
-          }
-        }
+      for (std::size_t t = 0; t < s.out_len; ++t) {
+        gt[t * o_pad + o] = go_row[o * s.out_len + t];
+      }
+    }
+    for (std::size_t ob = 0; ob < o_pad; ob += kLanes) {
+      Lanes bias_acc = {};
+      for (std::size_t t = 0; t < s.out_len; ++t) {
+        Lanes g;
+        load(g, gt.data() + t * o_pad + ob);
+        bias_acc += g;
+      }
+      const std::size_t lanes = std::min(kLanes, out_channels - ob);
+      for (std::size_t l = 0; l < lanes; ++l) bias_grad[ob + l] += bias_acc[l];
+
+      // Eight chains in flight hide the add latency. The remainder (the
+      // first layer's single channel has only `kernel` pairs) runs one
+      // chain at a time.
+      std::size_t p = 0;
+      for (; p + 8 <= s.w_cols; p += 8) {
+        weight_grad_chains<8>(in_row, gt.data(), o_pad, ob, s, p, weight_grad);
+      }
+      for (; p < s.w_cols; ++p) {
+        weight_grad_chains<1>(in_row, gt.data(), o_pad, ob, s, p, weight_grad);
       }
     }
   }
@@ -156,46 +290,18 @@ math::Matrix Conv1d::infer(const math::Matrix& input) const {
 }
 
 math::Matrix Conv1d::backward(const math::Matrix& grad_output) {
-  const std::size_t out_len = out_length();
   if (grad_output.rows() != cached_input_.rows() ||
-      grad_output.cols() != out_channels_ * out_len) {
+      grad_output.cols() != out_channels_ * out_length()) {
     throw std::invalid_argument("Conv1d::backward: gradient shape " +
                                 grad_output.shape_string() +
                                 " incompatible with cached batch");
   }
-  math::Matrix grad_input(cached_input_.rows(), cached_input_.cols(), 0.0F);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const float* in_row =
-        cached_input_.data().data() + r * cached_input_.cols();
-    const float* go_row = grad_output.data().data() + r * grad_output.cols();
-    float* gi_row = grad_input.data().data() + r * grad_input.cols();
-    for (std::size_t o = 0; o < out_channels_; ++o) {
-      const float* go_chan = go_row + o * out_len;
-      float* wg = weight_grad_.data().data() + o * weight_grad_.cols();
-      const float* w = weights_.data().data() + o * weights_.cols();
-      float bias_acc = 0.0F;
-      for (std::size_t t = 0; t < out_len; ++t) bias_acc += go_chan[t];
-      bias_grad_(0, o) += bias_acc;
-      for (std::size_t c = 0; c < in_channels_; ++c) {
-        const float* in_chan = in_row + c * in_length_;
-        float* gi_chan = gi_row + c * in_length_;
-        float* wgc = wg + c * kernel_;
-        const float* wc = w + c * kernel_;
-        for (std::size_t k = 0; k < kernel_; ++k) {
-          const float* shifted_in = in_chan + k;
-          float* shifted_gi = gi_chan + k;
-          const float wk = wc[k];
-          float wgrad_acc = 0.0F;
-          for (std::size_t t = 0; t < out_len; ++t) {
-            const float g = go_chan[t];
-            wgrad_acc += g * shifted_in[t];
-            shifted_gi[t] += g * wk;
-          }
-          wgc[k] += wgrad_acc;
-        }
-      }
-    }
-  }
+  math::Matrix grad_input(cached_input_.rows(), cached_input_.cols());
+  conv1d_backward_into(cached_input_.data().data(),
+                       grad_output.data().data(), weights_.data().data(),
+                       grad_input.data().data(), weight_grad_.data().data(),
+                       bias_grad_.data().data(), grad_output.rows(),
+                       in_channels_, in_length_, out_channels_, kernel_);
   return grad_input;
 }
 

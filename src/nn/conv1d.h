@@ -20,20 +20,31 @@ namespace soteria::nn {
 /// output element accumulates bias first, then channel/tap products in
 /// ascending (channel, tap) order. Processes output channels in pairs
 /// so each input-channel load feeds two accumulator streams;
-/// bit-identical to conv1d_infer_reference_into for finite inputs.
+/// bit-identical to the one-channel-at-a-time reference loop
+/// (tests/oracles) for finite inputs.
 void conv1d_infer_into(const float* in, float* out, const float* weights,
                        const float* bias, std::size_t rows,
                        std::size_t in_channels, std::size_t in_length,
                        std::size_t out_channels, std::size_t kernel) noexcept;
 
-/// The original one-channel-at-a-time loop, preserved verbatim as the
-/// test oracle for the paired kernel (tests/infer).
-void conv1d_infer_reference_into(const float* in, float* out,
-                                 const float* weights, const float* bias,
-                                 std::size_t rows, std::size_t in_channels,
-                                 std::size_t in_length,
-                                 std::size_t out_channels,
-                                 std::size_t kernel) noexcept;
+/// Conv1d's backward kernel on raw buffers (shapes as in
+/// conv1d_infer_into; `grad_out` has the layout of `out`). Overwrites
+/// `grad_in` and accumulates into `weight_grad` and `bias_grad`. Every
+/// output float adds the same terms in the same order as the scalar
+/// reference loop (tests/oracles): grad-input over output channels,
+/// then taps, ascending; each row's weight and bias gradient as one
+/// chain in time order, added to the accumulators row by row. The work
+/// runs in fixed-width lanes of independent chains (grad-input across
+/// positions, weight/bias gradients across output channels), so the
+/// result is bit-identical to the reference whenever the compiler does
+/// not contract mul+add into FMA (the library builds with
+/// -ffp-contract=off).
+void conv1d_backward_into(const float* in, const float* grad_out,
+                          const float* weights, float* grad_in,
+                          float* weight_grad, float* bias_grad,
+                          std::size_t rows, std::size_t in_channels,
+                          std::size_t in_length, std::size_t out_channels,
+                          std::size_t kernel);
 
 class Conv1d : public Layer {
  public:

@@ -144,20 +144,32 @@ SoteriaSystem SoteriaSystem::train(
         });
   }();
 
-  // 3. Train the detector on clean pooled vectors only.
+  // 3-4. Train the two classifier CNNs, and the detector on clean
+  //      pooled vectors only, concurrently when there are two threads.
+  //      The two share no state and draw from their own RNG forks, so
+  //      the trained bytes are the same at any thread count. The
+  //      classifiers are job 0, which the calling thread almost always
+  //      claims: their allocations then stay in its malloc arena instead
+  //      of being retained by a short-lived worker's (+8% peak RSS on
+  //      scan-large the other way round).
+  const math::Matrix detector_fit = pack_rows(detector_rows);
+  const math::Matrix detector_calibration = pack_rows(calibration_rows);
+  const LabeledVectors dbl{pack_rows(dbl_rows), std::move(dbl_labels)};
+  const LabeledVectors lbl{pack_rows(lbl_rows), std::move(lbl_labels)};
   math::Rng detector_rng = rng.fork(3);
-  system.detector_ = AeDetector::train(
-      pack_rows(detector_rows), pack_rows(calibration_rows),
-      config.autoencoder, config.detector_training, config.detector_alpha,
-      config.detector_learning_rate, detector_rng);
-
-  // 4. Train the two classifier CNNs.
-  LabeledVectors dbl{pack_rows(dbl_rows), std::move(dbl_labels)};
-  LabeledVectors lbl{pack_rows(lbl_rows), std::move(lbl_labels)};
   math::Rng classifier_rng = rng.fork(4);
-  system.classifier_ = FamilyClassifier::train(
-      dbl, lbl, config.cnn, config.classifier_training,
-      config.classifier_learning_rate, classifier_rng);
+  runtime::parallel_for(threads, 2, [&](std::size_t job) {
+    if (job == 0) {
+      system.classifier_ = FamilyClassifier::train(
+          dbl, lbl, config.cnn, config.classifier_training,
+          config.classifier_learning_rate, classifier_rng);
+    } else {
+      system.detector_ = AeDetector::train(
+          detector_fit, detector_calibration, config.autoencoder,
+          config.detector_training, config.detector_alpha,
+          config.detector_learning_rate, detector_rng);
+    }
+  });
 
   // 5. Attach the persistent feature store (when configured) so
   //    analyze_batch on this freshly trained system is warm-capable

@@ -2,6 +2,8 @@
 // generated firmware of every family profile.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <set>
 
 #include "cfg/extractor.h"
@@ -12,10 +14,17 @@
 namespace soteria::cfg {
 namespace {
 
+// gtest names each instantiation after a byte dump of its parameter,
+// so the bytes between `family` and `seed` are an explicit zeroed
+// member rather than compiler padding: uninitialised padding leaks
+// stack addresses into the test names and makes them differ per run.
 struct Case {
+  Case(dataset::Family f, std::uint64_t s) : family(f), seed(s) {}
   dataset::Family family;
+  std::array<std::uint8_t, 7> zero_fill{};
   std::uint64_t seed;
 };
+static_assert(sizeof(Case) == 16, "Case must have no implicit padding");
 
 class ExtractionProperties : public ::testing::TestWithParam<Case> {};
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 
 #include "dataset/generator.h"
 #include "graph/properties.h"
@@ -13,12 +16,21 @@
 namespace soteria::dataset {
 namespace {
 
+// gtest names each instantiation after a byte dump of its parameter,
+// so the bytes after `family` are an explicit zeroed member rather
+// than compiler padding: uninitialised padding leaks stack addresses
+// into the test names and makes them differ per run.
 struct FamilyBounds {
+  FamilyBounds(Family f, double lo, double hi, std::size_t max)
+      : family(f), min_median(lo), max_median(hi), hard_max(max) {}
   Family family;
+  std::array<std::uint8_t, 7> zero_fill{};
   double min_median;
   double max_median;
   std::size_t hard_max;
 };
+static_assert(sizeof(FamilyBounds) == 32,
+              "FamilyBounds must have no implicit padding");
 
 class CorpusStats : public ::testing::TestWithParam<FamilyBounds> {};
 

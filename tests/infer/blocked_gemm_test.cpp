@@ -13,6 +13,7 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/conv1d.h"
+#include "oracles/conv1d_reference.h"
 
 namespace soteria::math {
 namespace {
@@ -102,11 +103,11 @@ TEST(DirectConv1dTest, MatchesReferenceBitwise) {
                           weights.data().data(), bias.data().data(), s.rows,
                           s.in_channels, s.in_length, s.out_channels,
                           s.kernel);
-    nn::conv1d_infer_reference_into(in.data().data(), oracle.data(),
-                                    weights.data().data(),
-                                    bias.data().data(), s.rows,
-                                    s.in_channels, s.in_length,
-                                    s.out_channels, s.kernel);
+    oracles::conv1d_infer_reference_into(in.data().data(), oracle.data(),
+                                         weights.data().data(),
+                                         bias.data().data(), s.rows,
+                                         s.in_channels, s.in_length,
+                                         s.out_channels, s.kernel);
     ASSERT_EQ(0, std::memcmp(fast.data(), oracle.data(),
                              fast.size() * sizeof(float)))
         << s.out_channels << " channels, kernel " << s.kernel;

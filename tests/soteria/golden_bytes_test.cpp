@@ -1,11 +1,13 @@
 // Golden-bytes regression: training from a fixed seed must produce a
-// byte-stable model file — across independent runs, across thread
-// counts, and across a save -> load -> save round trip. Any
-// nondeterminism smuggled into the pipeline (iteration-order-dependent
-// accumulation, shared RNG streams, uninitialized padding in the
-// writers) shows up here as a byte diff.
+// byte-stable model file — equal to a committed hash, across
+// independent runs, across thread counts, and across a save -> load ->
+// save round trip. Any nondeterminism smuggled into the pipeline
+// (iteration-order-dependent accumulation, shared RNG streams,
+// uninitialized padding in the writers) shows up here as a byte diff,
+// and so does any kernel change that reorders a float accumulation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -21,6 +23,22 @@ std::string save_bytes(const SoteriaSystem& system) {
   system.save(out);
   return out.str();
 }
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// FNV-1a-64 of train_tiny(1)'s save() bytes. The value was computed
+// with the scalar reference training kernels, so it pins the SIMD
+// kernels to their accumulation order. The library builds with
+// -ffp-contract=off (src/CMakeLists.txt), so the value is the same in
+// Release, ASan and TSan builds.
+constexpr std::uint64_t kTinyModelHash = 0xcd48f4baee2aa499ULL;
 
 SoteriaSystem train_tiny(std::size_t num_threads) {
   dataset::DatasetConfig data_config;
@@ -45,6 +63,11 @@ struct GoldenBytesFixture : public ::testing::Test {
 };
 
 std::string* GoldenBytesFixture::bytes = nullptr;
+
+TEST_F(GoldenBytesFixture, SaveMatchesCommittedHash) {
+  EXPECT_EQ(fnv1a64(*bytes), kTinyModelHash)
+      << "trained model bytes differ from the committed golden hash";
+}
 
 TEST_F(GoldenBytesFixture, SaveIsByteStableAcrossRunsAndThreadCounts) {
   // Second training run at a different thread count: same seed, same

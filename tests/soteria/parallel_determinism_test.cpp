@@ -74,6 +74,24 @@ TEST_F(ParallelDeterminismFixture, TrainedSystemsSerializeIdentically) {
   EXPECT_EQ(serial_stream.str(), parallel_stream.str());
 }
 
+TEST_F(ParallelDeterminismFixture, TrainIsByteIdenticalAtOneTwoFourThreads) {
+  // Two threads is where the detector and the classifier CNNs train
+  // concurrently, one per runner; 1 runs them in turn, 4 leaves runners
+  // idle. All three must save the same bytes.
+  SoteriaConfig config = tiny_config();
+  config.seed = 29;
+  config.num_threads = 2;
+  const auto two = SoteriaSystem::train(data->train, config);
+  std::stringstream serial_stream;
+  std::stringstream two_stream;
+  std::stringstream four_stream;
+  serial->save(serial_stream);
+  two.save(two_stream);
+  parallel->save(four_stream);
+  EXPECT_EQ(serial_stream.str(), two_stream.str());
+  EXPECT_EQ(serial_stream.str(), four_stream.str());
+}
+
 TEST_F(ParallelDeterminismFixture, FitIsThreadCountInvariant) {
   std::vector<cfg::Cfg> corpus;
   for (const auto& s : data->train) corpus.push_back(s.cfg);
