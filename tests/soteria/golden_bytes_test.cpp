@@ -7,9 +7,12 @@
 // and so does any kernel change that reorders a float accumulation.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "dataset/generator.h"
 #include "soteria/presets.h"
@@ -40,6 +43,63 @@ std::uint64_t fnv1a64(const std::string& bytes) {
 // Release, ASan and TSan builds.
 constexpr std::uint64_t kTinyModelHash = 0xcd48f4baee2aa499ULL;
 
+// Verdicts of train_tiny(1) on golden_cfgs() (the first kGoldenSamples
+// test samples of a fixed corpus), sample i analyzed with
+// Rng(33).child(i), and the
+// FNV-1a-64 of those samples' extract() floats (walk rows, then pooled
+// rows, DBL before LBL). Computed at the commit before the fused
+// extractor and compiled nets became the only analysis path, so they
+// pin that change to the behaviour it replaced.
+struct GoldenVerdict {
+  bool adversarial;
+  dataset::Family predicted;
+  std::uint64_t error_bits;  ///< bit pattern of reconstruction_error
+};
+constexpr std::size_t kGoldenSamples = 8;
+constexpr std::array<GoldenVerdict, kGoldenSamples> kGoldenVerdicts = {{
+    {false, dataset::Family::kGafgyt, 0x3ff3ce0dd68ddf94ULL},
+    {false, dataset::Family::kGafgyt, 0x3ff3907ff090c823ULL},
+    {true, dataset::Family::kGafgyt, 0x3ff4cf4417d20032ULL},
+    {true, dataset::Family::kGafgyt, 0x3ffbab6ecc8dbd53ULL},
+    {false, dataset::Family::kGafgyt, 0x3ff3e31358564d70ULL},
+    {false, dataset::Family::kGafgyt, 0x3ff118eb30fb905eULL},
+    {true, dataset::Family::kGafgyt, 0x3ff6f66661b1bab1ULL},
+    {false, dataset::Family::kGafgyt, 0x3ff15b9e60d75089ULL},
+}};
+constexpr std::uint64_t kGoldenFeatureHash = 0x4aa0e5dcc780c017ULL;
+
+std::vector<cfg::Cfg> golden_cfgs() {
+  dataset::DatasetConfig data_config;
+  data_config.scale = 0.008;
+  math::Rng rng(32);
+  const auto data = dataset::generate_dataset(data_config, rng);
+  std::vector<cfg::Cfg> cfgs;
+  for (std::size_t i = 0; i < kGoldenSamples; ++i) {
+    cfgs.push_back(data.test.at(i).cfg);
+  }
+  return cfgs;
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+void expect_golden_verdicts(const SoteriaSystem& system) {
+  const auto verdicts = system.analyze_batch(golden_cfgs(), math::Rng(33));
+  ASSERT_EQ(verdicts.size(), kGoldenSamples);
+  for (std::size_t i = 0; i < kGoldenSamples; ++i) {
+    EXPECT_EQ(verdicts[i].adversarial, kGoldenVerdicts[i].adversarial)
+        << "sample " << i;
+    EXPECT_EQ(verdicts[i].predicted, kGoldenVerdicts[i].predicted)
+        << "sample " << i;
+    EXPECT_EQ(bits_of(verdicts[i].reconstruction_error),
+              kGoldenVerdicts[i].error_bits)
+        << "sample " << i;
+  }
+}
+
 SoteriaSystem train_tiny(std::size_t num_threads) {
   dataset::DatasetConfig data_config;
   data_config.scale = 0.008;
@@ -53,20 +113,48 @@ SoteriaSystem train_tiny(std::size_t num_threads) {
 
 struct GoldenBytesFixture : public ::testing::Test {
   static void SetUpTestSuite() {
-    bytes = new std::string(save_bytes(train_tiny(1)));
+    system = new SoteriaSystem(train_tiny(1));
+    bytes = new std::string(save_bytes(*system));
   }
   static void TearDownTestSuite() {
     delete bytes;
+    delete system;
     bytes = nullptr;
+    system = nullptr;
   }
+  static SoteriaSystem* system;
   static std::string* bytes;
 };
 
+SoteriaSystem* GoldenBytesFixture::system = nullptr;
 std::string* GoldenBytesFixture::bytes = nullptr;
 
 TEST_F(GoldenBytesFixture, SaveMatchesCommittedHash) {
   EXPECT_EQ(fnv1a64(*bytes), kTinyModelHash)
       << "trained model bytes differ from the committed golden hash";
+}
+
+TEST_F(GoldenBytesFixture, VerdictsMatchCommittedGoldens) {
+  expect_golden_verdicts(*system);
+}
+
+TEST_F(GoldenBytesFixture, ExtractMatchesCommittedHash) {
+  const auto cfgs = golden_cfgs();
+  std::string floats;
+  const auto append = [&floats](const std::vector<float>& row) {
+    floats.append(reinterpret_cast<const char*>(row.data()),
+                  row.size() * sizeof(float));
+  };
+  const math::Rng base(33);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    math::Rng rng = base.child(i);
+    const auto features = system->extract(cfgs[i], rng);
+    for (const auto& row : features.dbl) append(row);
+    for (const auto& row : features.lbl) append(row);
+    append(features.pooled_dbl);
+    append(features.pooled_lbl);
+  }
+  EXPECT_EQ(fnv1a64(floats), kGoldenFeatureHash);
 }
 
 TEST_F(GoldenBytesFixture, SaveIsByteStableAcrossRunsAndThreadCounts) {
@@ -109,6 +197,10 @@ TEST_F(GoldenBytesFixture, LoadedModelScoresMatchOriginalBytes) {
                    verdict_b.reconstruction_error);
   EXPECT_EQ(verdict_a.adversarial, verdict_b.adversarial);
   EXPECT_EQ(verdict_a.predicted, verdict_b.predicted);
+
+  // A loaded system scores the golden samples exactly like the
+  // original: the nets are compiled on load, not only after train.
+  expect_golden_verdicts(a);
 }
 
 }  // namespace
