@@ -9,9 +9,11 @@
 // can be created).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "common/perf_json.h"
 #include "dataset/generator.h"
@@ -19,6 +21,7 @@
 #include "graph/generators.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "oracles/feature_reference.h"
 #include "runtime/thread_pool.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
@@ -60,7 +63,10 @@ void BM_RandomWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomWalk)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_GramCounting(benchmark::State& state) {
+// Map-based gram counting of one sample's walks: the rolling
+// count_grams (library) vs the per-window pack_gram oracle.
+template <typename Count>
+void gram_counting(benchmark::State& state, Count&& count) {
   const auto cfg = make_cfg(128);
   const auto labels = cfg::label_nodes(cfg, cfg::LabelingMethod::kDensity);
   math::Rng rng(3);
@@ -68,20 +74,44 @@ void BM_GramCounting(benchmark::State& state) {
       features::labeled_walks(cfg, labels, features::WalkConfig{}, rng);
   const std::vector<std::size_t> sizes{1, 2, 3, 4};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(features::count_grams(walks, sizes));
+    features::GramCounts counts;
+    for (const auto& walk : walks) count(walk, sizes, counts);
+    benchmark::DoNotOptimize(counts);
   }
 }
+
+void BM_GramCounting(benchmark::State& state) {
+  gram_counting(state, [](const auto& walk, const auto& sizes, auto& counts) {
+    features::count_grams(walk, sizes, counts);
+  });
+}
 BENCHMARK(BM_GramCounting);
+
+void BM_GramCountingReference(benchmark::State& state) {
+  gram_counting(state, [](const auto& walk, const auto& sizes, auto& counts) {
+    oracles::count_grams_reference(walk, sizes, counts);
+  });
+}
+BENCHMARK(BM_GramCountingReference);
 
 void BM_TfidfVector(benchmark::State& state) {
   auto pipeline = make_pipeline(24);
   const auto cfg = make_cfg(96);
+  const auto labels = cfg::label_nodes(cfg, cfg::LabelingMethod::kDensity);
   math::Rng rng(4);
-  const auto counts = pipeline.gram_counts(
-      cfg, cfg::LabelingMethod::kDensity, rng);
+  const auto walks =
+      features::labeled_walks(cfg, labels, pipeline.config().walk, rng);
+  const auto& vocab = pipeline.dbl_vocabulary();
+  std::vector<std::uint32_t> counts(vocab.size(), 0);
+  std::uint64_t total = 0;
+  for (const auto& walk : walks) {
+    total += features::count_into_vocab(walk, pipeline.config().gram_sizes,
+                                        vocab.table(), counts);
+  }
+  std::vector<float> out(vocab.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        pipeline.dbl_vocabulary().tfidf_vector(counts));
+    vocab.tfidf_into(counts, total, out);
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_TfidfVector);

@@ -1,22 +1,27 @@
-// perf_infer — before/after sweep of the compiled inference hot path.
+// perf_infer — the fused extraction against its map-based oracle, and
+// per-sample analyze_batch latency.
 //
-// Two measurements, both against the preserved reference code:
+// Three measurements:
 //
-//   * n-gram stage: per-walk TF-IDF production via the original
-//     unordered_map counting (count_grams_reference + map tfidf_into)
-//     versus the fused count_into_vocab -> dense tfidf_into path the
-//     frozen model compiles (DirectGramTable lookup), on identical
-//     walks. Outputs are checked bitwise before timing.
-//   * end-to-end: SoteriaSystem::analyze_batch through the interpreted
-//     layer objects versus the frozen fused model, at 1/2/4 threads,
-//     with exact verdict identity asserted per thread count.
+//   * n-gram stage: per-walk TF-IDF production via the map-based
+//     oracle (oracles::count_grams_reference + oracles::tfidf_reference)
+//     versus the library's count_into_vocab -> dense tfidf_into over
+//     the vocabulary's DirectGramTable, on identical walks. Outputs are
+//     checked bitwise before timing.
+//   * extraction: FeaturePipeline::extract versus
+//     oracles::extract_reference (labeled_walks + count_grams_reference
+//     + reference TF-IDF) on the same CFGs and walk seeds, labelings
+//     served from the warmed cache for both. Bundles are checked
+//     bitwise.
+//   * analyze_batch: per-sample milliseconds at 1, 2 and 4 threads,
+//     with the verdicts checked identical across thread counts.
 //
 // The sweep fails (non-zero exit) if any identity check fails, if the
-// n-gram fast path is under 3x, or if the frozen model is under 2x
-// end-to-end at one thread. Results go to stdout,
-// bench_results/perf_infer.txt, and the "perf_infer" section of the
-// repo-root BENCH_perf.json (read-merge-write, other sections
-// preserved). Scale/seed follow SOTERIA_SCALE / SOTERIA_SEED.
+// n-gram fast path is under 3x its oracle, or if extraction is under
+// 2x its oracle. Results go to stdout, bench_results/perf_infer.txt,
+// and the "perf_infer" section of the repo-root BENCH_perf.json
+// (read-merge-write, other sections preserved). Scale/seed follow
+// SOTERIA_SCALE / SOTERIA_SEED.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -29,13 +34,15 @@
 #include <vector>
 
 #include "cfg/labeling.h"
+#include "cfg/labeling_cache.h"
 #include "common/perf_json.h"
 #include "dataset/generator.h"
 #include "features/ngram.h"
 #include "features/random_walk.h"
 #include "features/vocabulary.h"
 #include "math/rng.h"
-#include "soteria/frozen.h"
+#include "oracles/feature_reference.h"
+#include "runtime/thread_pool.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 
@@ -43,12 +50,33 @@ namespace soteria {
 namespace {
 
 constexpr double kRequiredNgramSpeedup = 3.0;
-constexpr double kRequiredFrozenSpeedup = 2.0;
+constexpr double kRequiredExtractSpeedup = 2.0;
 
 double elapsed_ms(std::chrono::steady_clock::time_point start) {
   const std::chrono::duration<double, std::milli> delta =
       std::chrono::steady_clock::now() - start;
   return delta.count();
+}
+
+bool same_floats(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool same_rows(const std::vector<std::vector<float>>& a,
+               const std::vector<std::vector<float>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_floats(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool same_features(const features::SampleFeatures& a,
+                   const features::SampleFeatures& b) {
+  return same_rows(a.dbl, b.dbl) && same_rows(a.lbl, b.lbl) &&
+         same_floats(a.pooled_dbl, b.pooled_dbl) &&
+         same_floats(a.pooled_lbl, b.pooled_lbl);
 }
 
 bool verdicts_identical(const std::vector<core::Verdict>& a,
@@ -64,36 +92,29 @@ bool verdicts_identical(const std::vector<core::Verdict>& a,
   return true;
 }
 
-struct NgramResult {
+struct Comparison {
   double reference_ms = 0.0;
-  double flat_ms = 0.0;
+  double fast_ms = 0.0;
   double speedup = 0.0;
   bool identical = false;
 };
 
 /// Times per-walk TF-IDF production (counting + weighting) over the
-/// same walk set through the map-based reference and the fused dense
+/// same walk set through the map-based oracle and the library's dense
 /// path. The walks come from real labeled CFGs so gram distributions
 /// match what inference sees.
-NgramResult run_ngram_stage(const core::SoteriaSystem& model,
-                            const std::vector<cfg::Cfg>& cfgs,
-                            std::uint64_t seed) {
+Comparison run_ngram_stage(const core::SoteriaSystem& model,
+                           const std::vector<cfg::Cfg>& cfgs,
+                           std::uint64_t seed) {
   const auto& pipeline = model.pipeline();
   const auto& config = pipeline.config();
 
   struct WalkSet {
     const features::Vocabulary* vocab;
-    features::DirectGramTable table;
     std::vector<std::vector<cfg::Label>> walks;
   };
-  WalkSet sets[2] = {{&pipeline.dbl_vocabulary(), {}, {}},
-                     {&pipeline.lbl_vocabulary(), {}, {}}};
-  // The after-side resolves keys through the same freeze-time direct
-  // table the frozen model compiles, not the vocabulary's compact
-  // perfect hash.
-  for (auto& set : sets) {
-    set.table = features::DirectGramTable::build(set.vocab->grams());
-  }
+  WalkSet sets[2] = {{&pipeline.dbl_vocabulary(), {}},
+                     {&pipeline.lbl_vocabulary(), {}}};
 
   math::Rng walk_rng(seed + 17);
   for (const auto& cfg : cfgs) {
@@ -106,30 +127,32 @@ NgramResult run_ngram_stage(const core::SoteriaSystem& model,
     for (auto& walk : lbl) sets[1].walks.push_back(std::move(walk));
   }
 
-  // Identity first: both paths must produce the same bytes per walk.
-  bool identical = true;
+  const auto reference = [&config](const features::Vocabulary& vocab,
+                                   const std::vector<cfg::Label>& walk) {
+    features::GramCounts counts;
+    oracles::count_grams_reference(walk, config.gram_sizes, counts);
+    return oracles::tfidf_reference(vocab, counts, config.l2_normalize);
+  };
   std::vector<std::uint32_t> dense;
-  std::vector<float> out_reference;
-  std::vector<float> out_flat;
+  std::vector<float> out;
+  const auto fast = [&config, &dense, &out](
+                        const features::Vocabulary& vocab,
+                        const std::vector<cfg::Label>& walk) {
+    dense.assign(vocab.size(), 0);
+    out.resize(vocab.size());
+    const std::uint64_t windows = features::count_into_vocab(
+        walk, config.gram_sizes, vocab.table(), dense);
+    vocab.tfidf_into(dense, windows, out, config.l2_normalize);
+  };
+
+  // Identity first: both paths must produce the same bytes per walk.
+  Comparison result;
+  result.identical = true;
   for (const auto& set : sets) {
-    const std::size_t dim = set.vocab->size();
-    dense.assign(dim, 0);
-    out_reference.assign(dim, 0.0F);
-    out_flat.assign(dim, 0.0F);
     for (const auto& walk : set.walks) {
-      features::GramCounts counts;
-      features::count_grams_reference(walk, config.gram_sizes, counts);
-      set.vocab->tfidf_into(counts, out_reference, config.l2_normalize);
-
-      std::fill(dense.begin(), dense.end(), 0U);
-      const std::uint64_t windows = features::count_into_vocab(
-          walk, config.gram_sizes, set.table, dense);
-      set.vocab->tfidf_into(dense, windows, out_flat, config.l2_normalize);
-
-      if (std::memcmp(out_reference.data(), out_flat.data(),
-                      dim * sizeof(float)) != 0) {
-        identical = false;
-      }
+      fast(*set.vocab, walk);
+      result.identical =
+          result.identical && same_floats(reference(*set.vocab, walk), out);
     }
   }
 
@@ -137,91 +160,86 @@ NgramResult run_ngram_stage(const core::SoteriaSystem& model,
   // the work observable.
   constexpr std::size_t kReps = 5;
   double checksum = 0.0;
-
   const auto reference_start = std::chrono::steady_clock::now();
   for (std::size_t rep = 0; rep < kReps; ++rep) {
     for (const auto& set : sets) {
-      out_reference.assign(set.vocab->size(), 0.0F);
       for (const auto& walk : set.walks) {
-        features::GramCounts counts;
-        features::count_grams_reference(walk, config.gram_sizes, counts);
-        set.vocab->tfidf_into(counts, out_reference, config.l2_normalize);
-        checksum += out_reference.empty() ? 0.0 : out_reference[0];
+        const auto row = reference(*set.vocab, walk);
+        checksum += row.empty() ? 0.0 : row[0];
       }
     }
   }
-  const double reference_ms = elapsed_ms(reference_start);
+  result.reference_ms = elapsed_ms(reference_start);
 
-  const auto flat_start = std::chrono::steady_clock::now();
+  const auto fast_start = std::chrono::steady_clock::now();
   for (std::size_t rep = 0; rep < kReps; ++rep) {
     for (const auto& set : sets) {
-      dense.assign(set.vocab->size(), 0);
-      out_flat.assign(set.vocab->size(), 0.0F);
       for (const auto& walk : set.walks) {
-        std::fill(dense.begin(), dense.end(), 0U);
-        const std::uint64_t windows = features::count_into_vocab(
-            walk, config.gram_sizes, set.table, dense);
-        set.vocab->tfidf_into(dense, windows, out_flat,
-                              config.l2_normalize);
-        checksum += out_flat.empty() ? 0.0 : out_flat[0];
+        fast(*set.vocab, walk);
+        checksum += out.empty() ? 0.0 : out[0];
       }
     }
   }
-  const double flat_ms = elapsed_ms(flat_start);
-
-  NgramResult result;
-  result.reference_ms = reference_ms;
-  result.flat_ms = flat_ms;
-  result.speedup = flat_ms > 0.0 ? reference_ms / flat_ms : 0.0;
-  result.identical = identical && checksum == checksum;  // keep checksum live
+  result.fast_ms = elapsed_ms(fast_start);
+  result.speedup =
+      result.fast_ms > 0.0 ? result.reference_ms / result.fast_ms : 0.0;
+  result.identical = result.identical && checksum == checksum;  // keep live
   return result;
 }
 
-struct EndToEndResult {
-  std::size_t threads = 0;
-  double interpreted_ms = 0.0;
-  double frozen_ms = 0.0;
-  double speedup = 0.0;
-  bool identical = false;
-};
-
-EndToEndResult run_end_to_end(const core::SoteriaSystem& model,
-                              const std::vector<cfg::Cfg>& cfgs,
-                              std::size_t threads) {
-  const math::Rng rng(911);
-  constexpr std::size_t kReps = 3;
-
-  core::AnalyzeOptions interpreted_options;
-  interpreted_options.num_threads = threads;
-  interpreted_options.use_frozen = false;
-
-  core::AnalyzeOptions frozen_options = interpreted_options;
-  frozen_options.use_frozen = true;
-
-  EndToEndResult result;
-  result.threads = threads;
-  result.interpreted_ms = 1e300;
-  result.frozen_ms = 1e300;
-  result.identical = true;
-
-  std::vector<core::Verdict> interpreted;
-  std::vector<core::Verdict> frozen;
-  for (std::size_t rep = 0; rep < kReps; ++rep) {
-    const auto interpreted_start = std::chrono::steady_clock::now();
-    interpreted = model.analyze_batch(cfgs, rng, interpreted_options);
-    result.interpreted_ms =
-        std::min(result.interpreted_ms, elapsed_ms(interpreted_start));
-
-    const auto frozen_start = std::chrono::steady_clock::now();
-    frozen = model.analyze_batch(cfgs, rng, frozen_options);
-    result.frozen_ms = std::min(result.frozen_ms, elapsed_ms(frozen_start));
-
-    result.identical =
-        result.identical && verdicts_identical(interpreted, frozen);
+/// Times whole-sample extraction: FeaturePipeline::extract against the
+/// oracle extraction, sample i drawing from Rng(seed).child(i) on both
+/// sides. Labelings come from the pipeline's cache, warmed before
+/// timing, so both sides time walks, counting and TF-IDF only.
+Comparison run_extract_stage(const core::SoteriaSystem& model,
+                             const std::vector<cfg::Cfg>& cfgs,
+                             std::uint64_t seed) {
+  const auto& pipeline = model.pipeline();
+  const auto& cache = pipeline.labeling_cache();
+  if (cache) {
+    for (const auto& cfg : cfgs) {
+      (void)cache->labels(cfg, pipeline.config().labeling);
+    }
   }
-  result.speedup = result.frozen_ms > 0.0
-                       ? result.interpreted_ms / result.frozen_ms
-                       : 0.0;
+  const math::Rng base(seed + 29);
+
+  Comparison result;
+  result.identical = true;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    math::Rng fast_rng = base.child(i);
+    math::Rng oracle_rng = base.child(i);
+    result.identical =
+        result.identical &&
+        same_features(pipeline.extract(cfgs[i], fast_rng),
+                      oracles::extract_reference(pipeline, cfgs[i],
+                                                 oracle_rng)) &&
+        fast_rng.engine()() == oracle_rng.engine()();
+  }
+
+  // Best of several alternating repetitions per side.
+  constexpr std::size_t kReps = 3;
+  double checksum = 0.0;
+  result.reference_ms = 1e300;
+  result.fast_ms = 1e300;
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      math::Rng rng = base.child(i);
+      checksum +=
+          oracles::extract_reference(pipeline, cfgs[i], rng).pooled_dbl[0];
+    }
+    result.reference_ms = std::min(result.reference_ms, elapsed_ms(start));
+
+    start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      math::Rng rng = base.child(i);
+      checksum += pipeline.extract(cfgs[i], rng).pooled_dbl[0];
+    }
+    result.fast_ms = std::min(result.fast_ms, elapsed_ms(start));
+  }
+  result.speedup =
+      result.fast_ms > 0.0 ? result.reference_ms / result.fast_ms : 0.0;
+  result.identical = result.identical && checksum == checksum;  // keep live
   return result;
 }
 
@@ -237,8 +255,7 @@ int run() {
   math::Rng rng(seed);
   const auto data = dataset::generate_dataset(data_config, rng);
   const auto config = core::tiny_config();
-  auto model = core::SoteriaSystem::train(data.train, config);
-  model.freeze();
+  const auto model = core::SoteriaSystem::train(data.train, config);
 
   std::vector<cfg::Cfg> base;
   base.reserve(data.test.size());
@@ -248,71 +265,78 @@ int run() {
 
   std::string report;
   std::map<std::string, double> json_values;
+  char line[200];
+  const auto emit = [&report, &line] {
+    report += line;
+    std::printf("%s", line);
+  };
 
   const auto ngram = run_ngram_stage(model, base, seed);
-  char line[200];
   std::snprintf(line, sizeof(line),
                 "ngrams   reference %8.1f ms   flat %8.1f ms   %5.1fx%s\n",
-                ngram.reference_ms, ngram.flat_ms, ngram.speedup,
+                ngram.reference_ms, ngram.fast_ms, ngram.speedup,
                 ngram.identical ? "" : "  IDENTITY-VIOLATION");
-  report += line;
-  std::printf("%s", line);
+  emit();
   json_values["ngrams_reference_ms"] = ngram.reference_ms;
-  json_values["ngrams_flat_ms"] = ngram.flat_ms;
+  json_values["ngrams_flat_ms"] = ngram.fast_ms;
   json_values["ngrams_speedup"] = ngram.speedup;
 
+  const auto extract = run_extract_stage(model, base, seed);
+  std::snprintf(line, sizeof(line),
+                "extract  reference %8.1f ms   fused %7.1f ms   %5.1fx%s\n",
+                extract.reference_ms, extract.fast_ms, extract.speedup,
+                extract.identical ? "" : "  IDENTITY-VIOLATION");
+  emit();
+  json_values["extract_reference_ms"] = extract.reference_ms;
+  json_values["extract_fused_ms"] = extract.fast_ms;
+  json_values["extract_speedup"] = extract.speedup;
+
   // Batch corpus: the test set repeated so each timed run is long
-  // enough to measure; every index still draws its own walk RNG.
+  // enough to measure; every index still draws its own walk RNG. One
+  // untimed pass warms the shared labeling cache.
   std::vector<cfg::Cfg> cfgs;
   cfgs.reserve(base.size() * 4);
   for (std::size_t m = 0; m < 4; ++m) {
     cfgs.insert(cfgs.end(), base.begin(), base.end());
   }
+  const math::Rng batch_rng(911);
+  core::AnalyzeOptions options;
+  options.num_threads = 1;
+  const auto serial = model.analyze_batch(cfgs, batch_rng, options);
 
-  // One untimed interpreted pass warms the shared labeling cache so
-  // neither timed path pays the one-off labeling cost.
-  {
-    core::AnalyzeOptions warm;
-    warm.num_threads = 1;
-    warm.use_frozen = false;
-    (void)model.analyze_batch(cfgs, math::Rng(911), warm);
-  }
-
-  bool all_identical = ngram.identical;
-  double frozen_speedup_t1 = 0.0;
+  bool all_identical = ngram.identical && extract.identical;
+  constexpr std::size_t kReps = 3;
   for (const std::size_t threads : {1U, 2U, 4U}) {
-    const auto e2e = run_end_to_end(model, cfgs, threads);
-    all_identical = all_identical && e2e.identical;
-    if (threads == 1) frozen_speedup_t1 = e2e.speedup;
-
+    options.num_threads = threads;
+    double best_ms = 1e300;
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto verdicts = model.analyze_batch(cfgs, batch_rng, options);
+      best_ms = std::min(best_ms, elapsed_ms(start));
+      all_identical = all_identical && verdicts_identical(verdicts, serial);
+    }
+    const double per_sample_ms = best_ms / static_cast<double>(cfgs.size());
     std::snprintf(line, sizeof(line),
-                  "batch t%zu interpreted %6.1f ms   frozen %6.1f ms   "
-                  "%5.1fx%s\n",
-                  e2e.threads, e2e.interpreted_ms, e2e.frozen_ms,
-                  e2e.speedup, e2e.identical ? "" : "  IDENTITY-VIOLATION");
-    report += line;
-    std::printf("%s", line);
-
-    char key[40];
-    std::snprintf(key, sizeof(key), "t%zu", e2e.threads);
-    json_values[std::string("interpreted_") + key + "_ms"] =
-        e2e.interpreted_ms;
-    json_values[std::string("frozen_") + key + "_ms"] = e2e.frozen_ms;
-    json_values[std::string("frozen_speedup_") + key] = e2e.speedup;
+                  "batch t%zu %7.1f ms   %.4f ms/sample\n", threads, best_ms,
+                  per_sample_ms);
+    emit();
+    json_values["analyze_batch_t" + std::to_string(threads) +
+                "_ms_per_sample"] = per_sample_ms;
   }
+  json_values["hardware_threads"] =
+      static_cast<double>(runtime::hardware_threads());
   json_values["bit_identical"] = all_identical ? 1.0 : 0.0;
 
   const bool pass = all_identical &&
                     ngram.speedup >= kRequiredNgramSpeedup &&
-                    frozen_speedup_t1 >= kRequiredFrozenSpeedup;
+                    extract.speedup >= kRequiredExtractSpeedup;
   std::snprintf(line, sizeof(line),
                 "bit_identical=%s  ngrams=%.1fx (required %.0fx)  "
-                "frozen_t1=%.1fx (required %.0fx)\n",
+                "extract=%.1fx (required %.0fx)\n",
                 all_identical ? "yes" : "NO", ngram.speedup,
-                kRequiredNgramSpeedup, frozen_speedup_t1,
-                kRequiredFrozenSpeedup);
-  report += line;
-  std::printf("%s", line);
+                kRequiredNgramSpeedup, extract.speedup,
+                kRequiredExtractSpeedup);
+  emit();
 
   std::error_code ec;
   std::filesystem::create_directories("bench_results", ec);

@@ -29,6 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "oracles/conv1d_reference.h"
+#include "oracles/matmul_reference.h"
 #include "runtime/thread_pool.h"
 
 namespace {
@@ -61,7 +62,7 @@ void BM_MatmulReference(benchmark::State& state) {
   a.fill_normal(rng, 0.0F, 1.0F);
   b.fill_normal(rng, 0.0F, 1.0F);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(math::matmul_reference(a, b));
+    benchmark::DoNotOptimize(oracles::matmul_reference(a, b));
   }
   state.counters["GFLOPS"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 2.0 * n * n * n * 1e-9,
@@ -232,7 +233,7 @@ void emit_gemm_gflops(std::map<std::string, double>& json_values) {
         });
     const double reference = time_gflops(
         [](const math::Matrix& x, const math::Matrix& y) {
-          return math::matmul_reference(x, y);
+          return oracles::matmul_reference(x, y);
         });
 
     char line[120];

@@ -161,8 +161,6 @@ MatrixReport run_matrix(const core::SoteriaSystem& base,
 
   // One defense variant per spec, cloned through the system's own
   // (bit-exact) serialization so the caller's system is never mutated.
-  // A frozen base is re-frozen per variant — the snapshot bakes in the
-  // threshold the alpha change re-derives.
   std::vector<core::SoteriaSystem> variants;
   variants.reserve(defenses.size());
   for (const DefenseSpec& spec : defenses) {
@@ -170,7 +168,6 @@ MatrixReport run_matrix(const core::SoteriaSystem& base,
     base.save(buffer);
     core::SoteriaSystem variant = core::SoteriaSystem::load(buffer);
     variant.detector().set_alpha(spec.alpha);
-    if (base.frozen() != nullptr) variant.freeze();
     variants.push_back(std::move(variant));
   }
 

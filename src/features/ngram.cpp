@@ -106,24 +106,10 @@ void roll_walk(std::span<const cfg::Label> walk,
   }
 }
 
-void count_grams_prevalidated(std::span<const cfg::Label> walk,
-                              std::span<const std::size_t> sizes,
-                              GramCounts& counts) {
-  validate_walk(walk, sizes);
-  roll_walk(walk, sizes, [&counts](GramKey key, std::uint32_t mult) {
-    counts[key] += mult;
-  });
-}
-
 /// Probe hash decorrelated from the raw key bits (which are highly
 /// structured: small labels in fixed fields).
 inline std::size_t probe_hash(GramKey key) noexcept {
   return static_cast<std::size_t>(math::split_mix64(key));
-}
-
-/// CHD family hash: bucket/slot assignment keyed by a salt.
-inline std::uint64_t salted_hash(GramKey key, std::uint64_t salt) noexcept {
-  return math::split_mix64(key ^ math::split_mix64(salt));
 }
 
 }  // namespace
@@ -164,29 +150,10 @@ std::size_t gram_length(GramKey key) noexcept {
 void count_grams(std::span<const cfg::Label> walk,
                  std::span<const std::size_t> sizes, GramCounts& counts) {
   validate_sizes(sizes);
-  count_grams_prevalidated(walk, sizes, counts);
-}
-
-GramCounts count_grams(const std::vector<std::vector<cfg::Label>>& walks,
-                       std::span<const std::size_t> sizes) {
-  validate_sizes(sizes);
-  GramCounts counts;
-  for (const auto& walk : walks) {
-    count_grams_prevalidated(walk, sizes, counts);
-  }
-  return counts;
-}
-
-void count_grams_reference(std::span<const cfg::Label> walk,
-                           std::span<const std::size_t> sizes,
-                           GramCounts& counts) {
-  for (std::size_t n : sizes) {
-    if (n == 0 || n > kMaxGramLength) throw_bad_size(n);
-    if (walk.size() < n) continue;
-    for (std::size_t i = 0; i + n <= walk.size(); ++i) {
-      counts[pack_gram(walk.subspan(i, n))] += 1;
-    }
-  }
+  validate_walk(walk, sizes);
+  roll_walk(walk, sizes, [&counts](GramKey key, std::uint32_t mult) {
+    counts[key] += mult;
+  });
 }
 
 std::uint64_t total_occurrences(const GramCounts& counts) {
@@ -281,119 +248,6 @@ GramCounts FlatGramCounter::to_counts() const {
 }
 
 // ---------------------------------------------------------------------------
-// PerfectGramHash
-
-PerfectGramHash PerfectGramHash::build(std::span<const GramKey> keys) {
-  PerfectGramHash hash;
-  const std::size_t n = keys.size();
-  if (n == 0) return hash;
-
-  // Duplicates must be rejected before the seed search: two copies of
-  // a key share every hash, so no displacement can ever separate them
-  // and the retry loop below would never terminate.
-  {
-    std::vector<GramKey> sorted(keys.begin(), keys.end());
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
-      throw std::invalid_argument("PerfectGramHash: duplicate keys");
-    }
-  }
-
-  // Roughly one bucket per 4 keys; displacement search handles the
-  // collisions inside each bucket.
-  const std::size_t bucket_count = (n + 3) / 4;
-
-  for (std::uint64_t global_seed = 0x5eed;; ++global_seed) {
-    std::vector<std::vector<std::uint32_t>> buckets(bucket_count);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (keys[i] == 0) {
-        throw std::invalid_argument("PerfectGramHash: key 0 is reserved");
-      }
-      buckets[salted_hash(keys[i], global_seed) % bucket_count].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-
-    // Largest buckets first: they have the fewest displacement options.
-    std::vector<std::uint32_t> order(bucket_count);
-    for (std::size_t b = 0; b < bucket_count; ++b) {
-      order[b] = static_cast<std::uint32_t>(b);
-    }
-    std::sort(order.begin(), order.end(),
-              [&buckets](std::uint32_t a, std::uint32_t b) {
-                return buckets[a].size() > buckets[b].size();
-              });
-
-    std::vector<std::uint32_t> seeds(bucket_count, 0);
-    std::vector<GramKey> slot_key(n, 0);
-    std::vector<std::uint32_t> slot_index(n, 0);
-    bool ok = true;
-
-    std::vector<std::size_t> placed;
-    placed.reserve(kMaxGramLength);
-    for (std::uint32_t b : order) {
-      const auto& bucket = buckets[b];
-      if (bucket.empty()) break;  // sorted: the rest are empty too
-      bool bucket_ok = false;
-      for (std::uint32_t d = 1; d < (1U << 16); ++d) {
-        placed.clear();
-        bool fits = true;
-        for (std::uint32_t idx : bucket) {
-          const std::size_t slot =
-              salted_hash(keys[idx], global_seed + d) % n;
-          if (slot_key[slot] != 0) {
-            fits = false;
-            break;
-          }
-          bool dup = false;
-          for (std::size_t p : placed) dup |= p == slot;
-          if (dup) {
-            fits = false;
-            break;
-          }
-          placed.push_back(slot);
-        }
-        if (!fits) continue;
-        for (std::size_t k = 0; k < bucket.size(); ++k) {
-          slot_key[placed[k]] = keys[bucket[k]];
-          slot_index[placed[k]] = bucket[k];
-        }
-        seeds[b] = d;
-        bucket_ok = true;
-        break;
-      }
-      if (!bucket_ok) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;  // retry with a fresh global seed
-
-    // A left-over zero verification key would mean a duplicate input
-    // key silently stole a slot.
-    std::size_t filled = 0;
-    for (GramKey k : slot_key) filled += k != 0;
-    if (filled != n) {
-      throw std::invalid_argument("PerfectGramHash: duplicate keys");
-    }
-
-    hash.seeds_ = std::move(seeds);
-    hash.slot_key_ = std::move(slot_key);
-    hash.slot_index_ = std::move(slot_index);
-    hash.global_seed_ = global_seed;
-    return hash;
-  }
-}
-
-std::size_t PerfectGramHash::lookup(GramKey key) const noexcept {
-  const std::size_t n = slot_key_.size();
-  if (n == 0) return npos;
-  const std::size_t bucket = salted_hash(key, global_seed_) % seeds_.size();
-  const std::uint32_t d = seeds_[bucket];
-  const std::size_t slot = salted_hash(key, global_seed_ + d) % n;
-  return slot_key_[slot] == key ? slot_index_[slot] : npos;
-}
-
-// ---------------------------------------------------------------------------
 // DirectGramTable
 
 DirectGramTable DirectGramTable::build(std::span<const GramKey> keys) {
@@ -432,41 +286,20 @@ DirectGramTable DirectGramTable::build(std::span<const GramKey> keys) {
   return table;
 }
 
-namespace {
-
-/// Shared body of the two count_into_vocab overloads; `Index` is any
-/// structure with lookup(key) -> index-or-npos over the vocabulary.
-template <typename Index>
-std::uint64_t count_into_vocab_impl(std::span<const cfg::Label> walk,
-                                    std::span<const std::size_t> sizes,
-                                    const Index& index,
-                                    std::span<std::uint32_t> counts) {
-  validate_sizes(sizes);
-  validate_walk(walk, sizes);
-  std::uint64_t windows = 0;
-  roll_walk(walk, sizes,
-            [&index, counts, &windows](GramKey key, std::uint32_t mult) {
-              windows += mult;
-              const std::size_t idx = index.lookup(key);
-              if (idx != Index::npos) counts[idx] += mult;
-            });
-  return windows;
-}
-
-}  // namespace
-
-std::uint64_t count_into_vocab(std::span<const cfg::Label> walk,
-                               std::span<const std::size_t> sizes,
-                               const PerfectGramHash& hash,
-                               std::span<std::uint32_t> counts) {
-  return count_into_vocab_impl(walk, sizes, hash, counts);
-}
-
 std::uint64_t count_into_vocab(std::span<const cfg::Label> walk,
                                std::span<const std::size_t> sizes,
                                const DirectGramTable& table,
                                std::span<std::uint32_t> counts) {
-  return count_into_vocab_impl(walk, sizes, table, counts);
+  validate_sizes(sizes);
+  validate_walk(walk, sizes);
+  std::uint64_t windows = 0;
+  roll_walk(walk, sizes,
+            [&table, counts, &windows](GramKey key, std::uint32_t mult) {
+              windows += mult;
+              const std::size_t idx = table.lookup(key);
+              if (idx != DirectGramTable::npos) counts[idx] += mult;
+            });
+  return windows;
 }
 
 }  // namespace soteria::features

@@ -5,18 +5,19 @@
 // counting allocation-free in the hot loop and makes vocabulary lookup a
 // single hash probe.
 //
-// The counting hot path comes in three tiers, fastest first:
-//   - count_into_vocab: rolling packed-key update resolved through a
-//     minimal perfect hash over a fitted vocabulary, accumulating
-//     directly into a dense TF vector (no intermediate map at all);
-//   - FlatGramCounter: the same rolling update feeding an
-//     open-addressing table with power-of-two capacity and linear
-//     probing, reusable across walks (training, where the vocabulary
-//     does not exist yet);
-//   - count_grams: the std::unordered_map API kept for callers that
-//     want a plain map, now also driven by the rolling update.
-// count_grams_reference preserves the original per-window
-// pack_gram + unordered_map implementation as the test oracle.
+// Counting comes in three forms, all driven by one rolling packed-key
+// update:
+//   - count_into_vocab: resolves each window through a fitted
+//     vocabulary's DirectGramTable and accumulates straight into a
+//     dense TF vector (no intermediate map) — every extraction after
+//     fit;
+//   - FlatGramCounter: an open-addressing table with power-of-two
+//     capacity and linear probing, reusable across walks (fit, where
+//     the vocabulary does not exist yet);
+//   - count_grams: the std::unordered_map API for callers that want a
+//     plain map.
+// The per-window pack_gram + map oracle lives with the tests
+// (tests/oracles/feature_reference.h).
 #pragma once
 
 #include <cstdint>
@@ -71,19 +72,6 @@ inline constexpr std::uint64_t kGramLengthShift =
 /// the window loop; the loop itself is one shift+or+mask per step.
 void count_grams(std::span<const cfg::Label> walk,
                  std::span<const std::size_t> sizes, GramCounts& counts);
-
-/// Convenience: counts over many walks into a fresh map. `sizes` is
-/// validated once, not per walk.
-[[nodiscard]] GramCounts count_grams(
-    const std::vector<std::vector<cfg::Label>>& walks,
-    std::span<const std::size_t> sizes);
-
-/// The original per-window pack_gram + map implementation, preserved
-/// verbatim as the oracle for the rolling-update paths (tests/infer)
-/// and as the before-side of bench/perf_infer.
-void count_grams_reference(std::span<const cfg::Label> walk,
-                           std::span<const std::size_t> sizes,
-                           GramCounts& counts);
 
 /// Total number of gram occurrences recorded in `counts`.
 [[nodiscard]] std::uint64_t total_occurrences(const GramCounts& counts);
@@ -144,42 +132,12 @@ class FlatGramCounter {
   std::uint64_t total_ = 0;
 };
 
-/// Minimal perfect hash over a fixed set of distinct packed gram keys
-/// (CHD-style: bucket displacement search). lookup verifies the stored
-/// key, so keys outside the build set reliably return npos. Built once
-/// per fitted vocabulary (~top_k keys), then every in-vocabulary query
-/// is two hashes + one compare, with no chains and no resizing.
-class PerfectGramHash {
- public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  PerfectGramHash() = default;
-
-  /// Builds over `keys` (distinct, non-zero). The i-th key maps to
-  /// index i. Throws std::invalid_argument on duplicates.
-  [[nodiscard]] static PerfectGramHash build(std::span<const GramKey> keys);
-
-  /// Index of `key` in the build set, or npos if absent.
-  [[nodiscard]] std::size_t lookup(GramKey key) const noexcept;
-
-  /// Number of keys in the build set.
-  [[nodiscard]] std::size_t size() const noexcept { return slot_key_.size(); }
-
- private:
-  std::vector<std::uint32_t> seeds_;        // per-bucket displacement
-  std::vector<GramKey> slot_key_;           // verification keys
-  std::vector<std::uint32_t> slot_index_;   // slot -> build-set index
-  std::uint64_t global_seed_ = 0;
-};
-
-/// Direct-mapped vocabulary lookup for the frozen inference path: a
-/// 4x-oversized power-of-two open-addressing table over the selected
-/// grams. Trades ~4x the memory of the minimal perfect hash for a
-/// lookup that is one multiply-xorshift hash, one mask, and (at ~25%
-/// load) almost always a single probe — roughly a third of the CHD
-/// lookup's work, which dominates the fused walk+count loop. Built at
-/// freeze time from Vocabulary::grams(); the Vocabulary itself keeps
-/// the compact perfect hash for general use and serialization.
+/// Direct-mapped vocabulary lookup: a 4x-oversized power-of-two
+/// open-addressing table over the selected grams. A lookup is one
+/// multiply-xorshift hash, one mask, and (at ~25% load) almost always
+/// a single probe, which keeps the per-window cost of the fused
+/// walk+count loop low. Built by Vocabulary at fit and load time from
+/// Vocabulary::grams(); never serialized.
 class DirectGramTable {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -214,21 +172,13 @@ class DirectGramTable {
   std::size_t size_ = 0;
 };
 
-/// Fused counting for the inference hot path: counts all grams of each
-/// size over `walk` with the rolling update, resolves each key through
-/// `hash`, and accumulates in-vocabulary hits directly into the dense
-/// `counts` vector (counts.size() must equal hash.size()). Returns the
-/// total number of windows — which equals total_occurrences of the
-/// full (unfiltered) gram map, since every window yields exactly one
-/// gram. Same validation contract as count_grams.
-std::uint64_t count_into_vocab(std::span<const cfg::Label> walk,
-                               std::span<const std::size_t> sizes,
-                               const PerfectGramHash& hash,
-                               std::span<std::uint32_t> counts);
-
-/// As above, resolving keys through a DirectGramTable built over the
-/// same grams (index order matches, so the dense counts are identical
-/// to the perfect-hash overload's).
+/// Fused counting for extraction: counts all grams of each size over
+/// `walk` with the rolling update, resolves each key through `table`,
+/// and accumulates in-vocabulary hits directly into the dense `counts`
+/// vector (counts.size() must equal table.size()). Returns the total
+/// number of windows — which equals total_occurrences of the full
+/// (unfiltered) gram map, since every window yields exactly one gram.
+/// Same validation contract as count_grams.
 std::uint64_t count_into_vocab(std::span<const cfg::Label> walk,
                                std::span<const std::size_t> sizes,
                                const DirectGramTable& table,

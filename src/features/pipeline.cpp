@@ -1,5 +1,6 @@
 #include "features/pipeline.h"
 
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -83,10 +84,8 @@ GramCounts FeaturePipeline::gram_counts_for_labels(
     const cfg::Cfg& cfg, const std::vector<cfg::Label>& labels,
     math::Rng& rng) const {
   const auto walks = labeled_walks(cfg, labels, config_.walk, rng);
-  // Counting goes through the open-addressing counter (integer
-  // accumulation, so the resulting map is identical to the reference);
-  // fit() has no fitted vocabulary yet, so the dense count_into_vocab
-  // path is not available here.
+  // fit() has no vocabulary yet, so counting goes through the
+  // open-addressing counter rather than the dense count_into_vocab.
   FlatGramCounter counter(1024);
   for (const auto& walk : walks) {
     counter.count_walk(walk, config_.gram_sizes);
@@ -158,72 +157,73 @@ FeaturePipeline FeaturePipeline::fit(
   return pipeline;
 }
 
+namespace {
+
+/// Grow-only per-thread scratch for extract(): one walk's labels and
+/// one labeling's dense gram counts.
+struct ExtractScratch {
+  std::vector<cfg::Label> walk;
+  std::vector<std::uint32_t> counts;  ///< walks x vocabulary size
+  std::vector<std::uint64_t> totals;  ///< per-walk window totals
+  std::vector<std::uint32_t> pooled;  ///< all walks' counts summed
+};
+
+}  // namespace
+
 SampleFeatures FeaturePipeline::extract(const cfg::Cfg& cfg,
                                         math::Rng& rng) const {
   const obs::Span span("pipeline.extract");
-  SampleFeatures features;
   const auto labelings = labelings_for(cfg);
+  // One adjacency view serves both labelings and all walks.
+  const UndirectedView view(cfg);
+  const std::size_t steps = walk_steps(config_.walk, cfg.node_count());
+  const std::size_t walks = config_.walk.walks_per_labeling;
+  thread_local ExtractScratch scratch;
 
-  const auto dbl_walks =
-      labeled_walks(cfg, labelings.dbl, config_.walk, rng);
-  const auto lbl_walks =
-      labeled_walks(cfg, labelings.lbl, config_.walk, rng);
-
-  // Staged so the gram-counting and vectorisation costs show up as
-  // separate spans in the timing tree. Counting uses the rolling
-  // packed-key update into the general map representation — the same
-  // intermediate the training path and gram_counts() produce. The
-  // vocabulary-fused dense counting (count_into_vocab straight into TF
-  // rows, no map at all) is deliberately left to the frozen model
-  // (soteria/frozen.*): it requires a baked per-vocabulary lookup
-  // structure, which is exactly what freezing is for. The map and
-  // dense TF-IDF overloads are bit-identical, so both paths produce
-  // the same vectors.
-  const std::size_t dbl_dim = dbl_vocab_.size();
-  const std::size_t lbl_dim = lbl_vocab_.size();
-  std::vector<GramCounts> dbl_maps(dbl_walks.size());
-  std::vector<GramCounts> lbl_maps(lbl_walks.size());
-  GramCounts dbl_pooled;
-  GramCounts lbl_pooled;
-  {
-    const obs::Span ngram_span("features.ngrams");
-    // Reserve once per map: a walk yields several hundred distinct
-    // grams, and letting unordered_map grow through its default
-    // rehash ladder costs more than the counting itself.
-    dbl_pooled.reserve(4096);
-    lbl_pooled.reserve(4096);
-    for (std::size_t w = 0; w < dbl_walks.size(); ++w) {
-      dbl_maps[w].reserve(2048);
-      count_grams(dbl_walks[w], config_.gram_sizes, dbl_maps[w]);
-      for (const auto& [key, count] : dbl_maps[w]) dbl_pooled[key] += count;
+  // Walks + counting + TF-IDF for one labeling. Each walk is counted
+  // straight into its dense row as it is drawn; counting draws no
+  // randomness, so `rng` advances exactly as if all walks were drawn
+  // first.
+  const auto run_labeling = [&](const std::vector<cfg::Label>& labels,
+                                const Vocabulary& vocab,
+                                std::vector<std::vector<float>>& rows,
+                                std::vector<float>& pooled_row) {
+    const std::size_t dim = vocab.size();
+    obs::registry().counter_add("soteria.features.walks", walks);
+    obs::registry().counter_add("soteria.features.walk_steps", walks * steps);
+    scratch.counts.assign(walks * dim, 0);
+    scratch.totals.assign(walks, 0);
+    scratch.pooled.assign(dim, 0);
+    std::uint64_t pooled_total = 0;
+    {
+      // Walks are fused into counting, so this span covers both.
+      const obs::Span ngram_span("features.ngrams");
+      for (std::size_t w = 0; w < walks; ++w) {
+        random_walk_labels(view, labels, steps, rng, scratch.walk);
+        const std::span<std::uint32_t> row(scratch.counts.data() + w * dim,
+                                           dim);
+        scratch.totals[w] = count_into_vocab(scratch.walk, config_.gram_sizes,
+                                             vocab.table(), row);
+        pooled_total += scratch.totals[w];
+        for (std::size_t i = 0; i < dim; ++i) scratch.pooled[i] += row[i];
+      }
     }
-    for (std::size_t w = 0; w < lbl_walks.size(); ++w) {
-      lbl_maps[w].reserve(2048);
-      count_grams(lbl_walks[w], config_.gram_sizes, lbl_maps[w]);
-      for (const auto& [key, count] : lbl_maps[w]) lbl_pooled[key] += count;
-    }
-  }
-  {
     const obs::Span tfidf_span("features.tfidf");
-    features.dbl.resize(dbl_walks.size());
-    for (std::size_t w = 0; w < dbl_walks.size(); ++w) {
-      features.dbl[w].resize(dbl_dim);
-      dbl_vocab_.tfidf_into(dbl_maps[w], features.dbl[w],
-                            config_.l2_normalize);
+    rows.assign(walks, std::vector<float>(dim));
+    for (std::size_t w = 0; w < walks; ++w) {
+      vocab.tfidf_into(
+          std::span<const std::uint32_t>(scratch.counts.data() + w * dim, dim),
+          scratch.totals[w], rows[w], config_.l2_normalize);
     }
-    features.lbl.resize(lbl_walks.size());
-    for (std::size_t w = 0; w < lbl_walks.size(); ++w) {
-      features.lbl[w].resize(lbl_dim);
-      lbl_vocab_.tfidf_into(lbl_maps[w], features.lbl[w],
-                            config_.l2_normalize);
-    }
-    features.pooled_dbl.resize(dbl_dim);
-    dbl_vocab_.tfidf_into(dbl_pooled, features.pooled_dbl,
-                          config_.l2_normalize);
-    features.pooled_lbl.resize(lbl_dim);
-    lbl_vocab_.tfidf_into(lbl_pooled, features.pooled_lbl,
-                          config_.l2_normalize);
-  }
+    pooled_row.resize(dim);
+    vocab.tfidf_into(scratch.pooled, pooled_total, pooled_row,
+                     config_.l2_normalize);
+  };
+
+  // DBL walks first, then LBL: the order the walk stream is drawn in.
+  SampleFeatures features;
+  run_labeling(labelings.dbl, dbl_vocab_, features.dbl, features.pooled_dbl);
+  run_labeling(labelings.lbl, lbl_vocab_, features.lbl, features.pooled_lbl);
   return features;
 }
 

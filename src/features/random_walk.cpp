@@ -45,6 +45,32 @@ std::vector<graph::NodeId> random_walk_nodes(const UndirectedView& view,
   return trace;
 }
 
+void random_walk_labels(const UndirectedView& view,
+                        const std::vector<cfg::Label>& labels,
+                        std::size_t steps, math::Rng& rng,
+                        std::vector<cfg::Label>& out) {
+  out.clear();
+  out.reserve(steps + 1);
+  graph::NodeId current = view.entry();
+  for (std::size_t i = 0;; ++i) {
+    if (current >= labels.size()) {
+      throw std::out_of_range(
+          "random_walk_labels: node id beyond label table");
+    }
+    out.push_back(labels[current]);
+    if (i == steps) return;
+    const auto& nbrs = view.neighbors(current);
+    if (!nbrs.empty()) {
+      current = nbrs[rng.index(nbrs.size())];
+    }
+  }
+}
+
+std::size_t walk_steps(const WalkConfig& config, std::size_t node_count) {
+  return static_cast<std::size_t>(std::llround(
+      config.length_multiplier * static_cast<double>(node_count)));
+}
+
 std::vector<cfg::Label> apply_labels(
     const std::vector<graph::NodeId>& nodes,
     const std::vector<cfg::Label>& labels) {
@@ -65,16 +91,14 @@ std::vector<std::vector<cfg::Label>> labeled_walks(
   validate(config);
   const obs::Span span("features.walks");
   const UndirectedView view(cfg);
-  const auto steps = static_cast<std::size_t>(std::llround(
-      config.length_multiplier * static_cast<double>(cfg.node_count())));
+  const std::size_t steps = walk_steps(config, cfg.node_count());
   obs::registry().counter_add("soteria.features.walks",
                               config.walks_per_labeling);
   obs::registry().counter_add("soteria.features.walk_steps",
                               config.walks_per_labeling * steps);
-  std::vector<std::vector<cfg::Label>> walks;
-  walks.reserve(config.walks_per_labeling);
-  for (std::size_t w = 0; w < config.walks_per_labeling; ++w) {
-    walks.push_back(apply_labels(random_walk_nodes(view, steps, rng), labels));
+  std::vector<std::vector<cfg::Label>> walks(config.walks_per_labeling);
+  for (auto& walk : walks) {
+    random_walk_labels(view, labels, steps, rng, walk);
   }
   return walks;
 }

@@ -57,6 +57,20 @@ void validate(const WalkConfig& config);
 [[nodiscard]] std::vector<graph::NodeId> random_walk_nodes(
     const UndirectedView& view, std::size_t steps, math::Rng& rng);
 
+/// Steps per walk over a CFG of `node_count` blocks:
+/// length_multiplier * |V|, rounded to nearest.
+[[nodiscard]] std::size_t walk_steps(const WalkConfig& config,
+                                     std::size_t node_count);
+
+/// One random walk of `steps` steps from the entry, written to `out`
+/// (overwritten) as the labels of the steps+1 visited nodes. Draws from
+/// `rng` exactly like random_walk_nodes and fails like apply_labels
+/// (std::out_of_range) when a visited node has no label.
+void random_walk_labels(const UndirectedView& view,
+                        const std::vector<cfg::Label>& labels,
+                        std::size_t steps, math::Rng& rng,
+                        std::vector<cfg::Label>& out);
+
 /// Maps a node sequence through a label assignment.
 [[nodiscard]] std::vector<cfg::Label> apply_labels(
     const std::vector<graph::NodeId>& nodes,

@@ -11,27 +11,12 @@
 
 namespace soteria::features {
 
-namespace {
-
-/// Shared L2 pass: both tfidf_into overloads normalize the same way so
-/// their outputs stay bit-identical.
-void l2_normalize_in_place(std::span<float> vec) {
-  float norm_sq = 0.0F;
-  for (float x : vec) norm_sq += x * x;
-  if (norm_sq > 0.0F) {
-    const float inv = 1.0F / std::sqrt(norm_sq);
-    for (float& x : vec) x *= inv;
-  }
-}
-
-}  // namespace
-
 void Vocabulary::finalize_tables() {
   idf_f_.resize(idf_.size());
   for (std::size_t i = 0; i < idf_.size(); ++i) {
     idf_f_[i] = static_cast<float>(idf_[i]);
   }
-  hash_ = PerfectGramHash::build(grams_);
+  table_ = DirectGramTable::build(grams_);
 }
 
 Vocabulary Vocabulary::build(const std::vector<GramCounts>& corpus,
@@ -79,32 +64,9 @@ Vocabulary Vocabulary::build(const std::vector<GramCounts>& corpus,
 }
 
 std::optional<std::size_t> Vocabulary::index_of(GramKey key) const {
-  const std::size_t idx = hash_.lookup(key);
-  if (idx == PerfectGramHash::npos) return std::nullopt;
+  const std::size_t idx = table_.lookup(key);
+  if (idx == DirectGramTable::npos) return std::nullopt;
   return idx;
-}
-
-std::vector<float> Vocabulary::tfidf_vector(const GramCounts& counts,
-                                            bool l2_normalize) const {
-  std::vector<float> vec(grams_.size(), 0.0F);
-  tfidf_into(counts, vec, l2_normalize);
-  return vec;
-}
-
-void Vocabulary::tfidf_into(const GramCounts& counts, std::span<float> out,
-                            bool l2_normalize) const {
-  std::fill(out.begin(), out.end(), 0.0F);
-  const std::uint64_t total = total_occurrences(counts);
-  if (total == 0) return;
-  // Each selected slot is written at most once (map keys are
-  // distinct), so iteration order cannot change the result.
-  const float inv_total = 1.0F / static_cast<float>(total);
-  for (const auto& [key, count] : counts) {
-    const std::size_t idx = hash_.lookup(key);
-    if (idx == PerfectGramHash::npos) continue;
-    out[idx] = (static_cast<float>(count) * inv_total) * idf_f_[idx];
-  }
-  if (l2_normalize) l2_normalize_in_place(out);
 }
 
 void Vocabulary::tfidf_into(std::span<const std::uint32_t> counts_by_index,
@@ -118,7 +80,13 @@ void Vocabulary::tfidf_into(std::span<const std::uint32_t> counts_by_index,
     if (count == 0) continue;
     out[i] = (static_cast<float>(count) * inv_total) * idf_f_[i];
   }
-  if (l2_normalize) l2_normalize_in_place(out);
+  if (!l2_normalize) return;
+  float norm_sq = 0.0F;
+  for (float x : out) norm_sq += x * x;
+  if (norm_sq > 0.0F) {
+    const float inv = 1.0F / std::sqrt(norm_sq);
+    for (float& x : out) x *= inv;
+  }
 }
 
 void Vocabulary::save(std::ostream& out) const {

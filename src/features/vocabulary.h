@@ -5,11 +5,10 @@
 // weights counts with TF-IDF, so a sample's feature vector is
 // tf(g, sample) * idf(g, corpus) over the selected grams.
 //
-// Lookup is a minimal perfect hash over the selected grams (built at
-// fit/load time), and the TF-IDF arithmetic stays in float throughout —
-// both the map-based and the dense `tfidf_into` overloads perform the
-// identical per-slot operations, so the interpreted and frozen paths
-// produce bit-identical vectors.
+// Lookup is a DirectGramTable over the selected grams (built at
+// fit/load time, never serialized). Extraction counts each walk into a
+// dense per-gram row through that table, and `tfidf_into` weights the
+// row in float throughout.
 #pragma once
 
 #include <cstddef>
@@ -57,29 +56,21 @@ class Vocabulary {
     return idf_;
   }
 
-  /// The minimal perfect hash over the selected grams; shared with
+  /// The lookup table over the selected grams; shared with
   /// count_into_vocab so counting can accumulate straight into the
   /// dense TF vector.
-  [[nodiscard]] const PerfectGramHash& hash() const noexcept { return hash_; }
+  [[nodiscard]] const DirectGramTable& table() const noexcept {
+    return table_;
+  }
 
-  /// TF-IDF feature vector for one bag of gram counts. Dimension ==
-  /// size(). Unselected grams are ignored. With `l2_normalize` the
-  /// vector is scaled to unit norm; without it, term frequencies stay
-  /// relative to the sample's total gram count, so the in-vocabulary
-  /// mass fraction (which structural attacks shift) remains visible.
-  [[nodiscard]] std::vector<float> tfidf_vector(
-      const GramCounts& counts, bool l2_normalize = true) const;
-
-  /// Writes the TF-IDF vector for `counts` into `out` (size() floats),
-  /// overwriting it. Bit-identical to tfidf_vector.
-  void tfidf_into(const GramCounts& counts, std::span<float> out,
-                  bool l2_normalize = true) const;
-
-  /// Dense-input overload for the fast path: `counts_by_index` holds
-  /// per-selected-gram counts (index order, size() entries) and
-  /// `total_occurrences` the full window total including
-  /// out-of-vocabulary grams (as returned by count_into_vocab).
-  /// Bit-identical to the map overload on equivalent inputs.
+  /// Writes the TF-IDF vector into `out` (size() floats), overwriting
+  /// it. `counts_by_index` holds per-selected-gram counts (index order,
+  /// size() entries) and `total_occurrences` the full window total
+  /// including out-of-vocabulary grams (as returned by
+  /// count_into_vocab). With `l2_normalize` the vector is scaled to
+  /// unit norm; without it, term frequencies stay relative to the
+  /// sample's total gram count, so the in-vocabulary mass fraction
+  /// (which structural attacks shift) remains visible.
   void tfidf_into(std::span<const std::uint32_t> counts_by_index,
                   std::uint64_t total_occurrences, std::span<float> out,
                   bool l2_normalize = true) const;
@@ -89,7 +80,8 @@ class Vocabulary {
   Vocabulary() = default;
 
   /// Binary (de)serialization. `load` throws core::Error{kCorruptModel}
-  /// on a corrupt or truncated stream.
+  /// on a corrupt or truncated stream, including duplicate or zero gram
+  /// keys.
   void save(std::ostream& out) const;
   [[nodiscard]] static Vocabulary load(std::istream& in);
 
@@ -100,7 +92,7 @@ class Vocabulary {
   std::vector<std::uint64_t> frequencies_;
   std::vector<double> idf_;
   std::vector<float> idf_f_;  // idf_ narrowed once, not per gram per sample
-  PerfectGramHash hash_;
+  DirectGramTable table_;
 };
 
 }  // namespace soteria::features

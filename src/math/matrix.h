@@ -101,10 +101,10 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// C = A * B. Cache-blocked, row-unrolled kernel; bit-identical to
-/// matmul_reference for finite inputs (each output cell accumulates its
-/// k-products in the same ascending order, and both kernels share the
-/// same inner-statement shape so the compiler contracts them alike).
+/// C = A * B. Cache-blocked, row-unrolled kernel; bit-identical to the
+/// naive i-k-j oracle (tests/oracles) for finite inputs (each output
+/// cell accumulates its k-products in the same ascending order, and
+/// both kernels share the same inner-statement shape).
 /// Throws on inner-dimension mismatch.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
@@ -113,13 +113,13 @@ class Matrix {
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
 
 /// C = A^T * B without materializing the transpose. Blocked like
-/// matmul; bit-identical to matmul_at_reference for finite inputs.
+/// matmul; bit-identical to the naive k-i-j oracle for finite inputs.
 [[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
 
 /// Raw-pointer kernel behind matmul: writes the m x n product of
 /// row-major `a` (m x k) and `b` (k x n) into `c`, overwriting it.
 /// No aliasing between `c` and the inputs. Shared with nn::FrozenNet so
-/// the frozen path runs the exact same arithmetic on preallocated
+/// compiled inference runs the exact same arithmetic on preallocated
 /// scratch.
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) noexcept;
@@ -128,13 +128,6 @@ void matmul_into(const float* a, const float* b, float* c, std::size_t m,
 /// writes A^T * B (m x n) into `c`, overwriting it.
 void matmul_at_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) noexcept;
-
-/// The original naive i-k-j / k-i-j kernels, preserved verbatim as the
-/// oracle the blocked kernels are tested bit-identical against
-/// (tests/infer) and as the before-side of the bench/perf_nn GFLOP/s
-/// stage.
-[[nodiscard]] Matrix matmul_reference(const Matrix& a, const Matrix& b);
-[[nodiscard]] Matrix matmul_at_reference(const Matrix& a, const Matrix& b);
 
 /// y = M * x for a vector x (length == cols).
 [[nodiscard]] std::vector<float> matvec(const Matrix& m,

@@ -33,7 +33,7 @@ math::Matrix Dense::infer(const math::Matrix& input) const {
   }
   // Straight into the blocked GEMM kernel (shared with nn::FrozenNet),
   // then the bias broadcast — bias is added after the full k-sum, an
-  // order the frozen path replicates exactly.
+  // order FrozenNet replicates exactly.
   math::Matrix out(input.rows(), out_dim_, 0.0F);
   math::matmul_into(input.data().data(), weights_.data().data(),
                     out.data().data(), input.rows(), in_dim_, out_dim_);

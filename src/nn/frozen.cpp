@@ -30,10 +30,8 @@ FrozenNet FrozenNet::compile(const Sequential& model, std::size_t input_dim) {
     op.out_width = out_width;
     if (const auto* dense = dynamic_cast<const Dense*>(layer.get())) {
       op.kind = OpKind::kDense;
-      const auto w = dense->weights().data();
-      op.weights.assign(w.begin(), w.end());
-      const auto b = dense->bias().data();
-      op.bias.assign(b.begin(), b.end());
+      op.weights = &dense->weights();
+      op.bias = &dense->bias();
     } else if (dynamic_cast<const Relu*>(layer.get()) != nullptr) {
       op.kind = OpKind::kRelu;
     } else if (dynamic_cast<const Sigmoid*>(layer.get()) != nullptr) {
@@ -44,10 +42,8 @@ FrozenNet FrozenNet::compile(const Sequential& model, std::size_t input_dim) {
       op.in_length = conv->in_length();
       op.out_channels = conv->out_channels();
       op.kernel = conv->kernel();
-      const auto w = conv->weights().data();
-      op.weights.assign(w.begin(), w.end());
-      const auto b = conv->bias().data();
-      op.bias.assign(b.begin(), b.end());
+      op.weights = &conv->weights();
+      op.bias = &conv->bias();
     } else if (const auto* pool =
                    dynamic_cast<const MaxPool1d*>(layer.get())) {
       op.kind = OpKind::kMaxPool1d;
@@ -122,6 +118,22 @@ void maxpool_into(const float* in, float* out, std::size_t rows,
 
 }  // namespace
 
+math::Matrix FrozenNet::infer(const math::Matrix& input) const {
+  if (!compiled()) {
+    throw std::logic_error("FrozenNet::infer: not compiled");
+  }
+  if (input.cols() != input_dim_) {
+    throw std::invalid_argument("FrozenNet::infer: input width " +
+                                std::to_string(input.cols()) + " != " +
+                                std::to_string(input_dim_));
+  }
+  math::Matrix out(input.rows(), output_dim_);
+  if (input.rows() == 0) return out;
+  thread_local Scratch scratch;
+  infer_into(input.data().data(), input.rows(), out.data().data(), scratch);
+  return out;
+}
+
 void FrozenNet::infer_into(const float* in, std::size_t rows, float* out,
                            Scratch& scratch) const {
   reserve_scratch(scratch, rows);
@@ -131,16 +143,17 @@ void FrozenNet::infer_into(const float* in, std::size_t rows, float* out,
   for (std::size_t idx = 0; idx < ops_.size(); ++idx) {
     const Op& op = ops_[idx];
     float* dst = idx + 1 == ops_.size() ? out : ping;
+    const float* weights = op.weights ? op.weights->data().data() : nullptr;
+    const float* bias = op.bias ? op.bias->data().data() : nullptr;
     switch (op.kind) {
       case OpKind::kDense:
-        math::matmul_into(cur, op.weights.data(), dst, rows, op.in_width,
-                          op.out_width);
+        math::matmul_into(cur, weights, dst, rows, op.in_width, op.out_width);
         // Bias broadcast after the full k-sum, exactly like
         // Dense::infer's add_row_vector.
         for (std::size_t r = 0; r < rows; ++r) {
           float* row = dst + r * op.out_width;
           for (std::size_t c = 0; c < op.out_width; ++c) {
-            row[c] += op.bias[c];
+            row[c] += bias[c];
           }
         }
         break;
@@ -151,9 +164,8 @@ void FrozenNet::infer_into(const float* in, std::size_t rows, float* out,
         sigmoid_into(cur, dst, rows * op.out_width);
         break;
       case OpKind::kConv1d:
-        conv1d_infer_into(cur, dst, op.weights.data(), op.bias.data(), rows,
-                          op.in_channels, op.in_length, op.out_channels,
-                          op.kernel);
+        conv1d_infer_into(cur, dst, weights, bias, rows, op.in_channels,
+                          op.in_length, op.out_channels, op.kernel);
         break;
       case OpKind::kMaxPool1d:
         maxpool_into(cur, dst, rows, op.in_channels, op.in_length, op.window);

@@ -89,7 +89,13 @@ FamilyClassifier FamilyClassifier::train(const LabeledVectors& dbl,
   classifier.lbl_model_ =
       train_one(lbl, config, training, learning_rate, rng,
                 classifier.lbl_report_, classifier.lbl_arch_);
+  classifier.compile_nets();
   return classifier;
+}
+
+void FamilyClassifier::compile_nets() {
+  dbl_net_ = nn::FrozenNet::compile(dbl_model_, dbl_arch_.input_length);
+  lbl_net_ = nn::FrozenNet::compile(lbl_model_, lbl_arch_.input_length);
 }
 
 void FamilyClassifier::save(std::ostream& out) const {
@@ -108,17 +114,17 @@ FamilyClassifier FamilyClassifier::load(std::istream& in) {
   classifier.lbl_model_ = nn::build_cnn(classifier.lbl_arch_, scratch);
   classifier.dbl_model_.load_parameters(in);
   classifier.lbl_model_.load_parameters(in);
+  classifier.compile_nets();
   return classifier;
 }
 
 void FamilyClassifier::accumulate(
-    const nn::Sequential& model,
+    const nn::FrozenNet& net,
     const std::vector<std::vector<float>>& vectors,
     std::vector<std::size_t>& votes,
     std::vector<double>& probability_mass) const {
   if (vectors.empty()) return;
-  const math::Matrix batch = pack_rows(vectors);
-  const math::Matrix probs = nn::softmax(model.infer(batch));
+  const math::Matrix probs = nn::softmax(net.infer(pack_rows(vectors)));
   for (std::size_t r = 0; r < probs.rows(); ++r) {
     const auto row = probs.row(r);
     const auto best = static_cast<std::size_t>(
@@ -134,8 +140,8 @@ std::vector<std::size_t> FamilyClassifier::vote_counts(
     const features::SampleFeatures& features) const {
   std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
   std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_model_, features.dbl, votes, mass);
-  accumulate(lbl_model_, features.lbl, votes, mass);
+  accumulate(dbl_net_, features.dbl, votes, mass);
+  accumulate(lbl_net_, features.lbl, votes, mass);
   return votes;
 }
 
@@ -175,8 +181,8 @@ dataset::Family FamilyClassifier::predict(
   const obs::Span span("classifier.predict");
   std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
   std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_model_, features.dbl, votes, mass);
-  accumulate(lbl_model_, features.lbl, votes, mass);
+  accumulate(dbl_net_, features.dbl, votes, mass);
+  accumulate(lbl_net_, features.lbl, votes, mass);
   obs::registry().counter_add("soteria.classifier.predictions");
   obs::registry().record("soteria.classifier.vote_margin",
                          static_cast<double>(vote_margin(votes)));
@@ -187,7 +193,7 @@ dataset::Family FamilyClassifier::predict_dbl_only(
     const features::SampleFeatures& features) const {
   std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
   std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_model_, features.dbl, votes, mass);
+  accumulate(dbl_net_, features.dbl, votes, mass);
   return vote_winner(votes, mass);
 }
 
@@ -195,18 +201,18 @@ dataset::Family FamilyClassifier::predict_lbl_only(
     const features::SampleFeatures& features) const {
   std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
   std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(lbl_model_, features.lbl, votes, mass);
+  accumulate(lbl_net_, features.lbl, votes, mass);
   return vote_winner(votes, mass);
 }
 
 std::vector<std::size_t> FamilyClassifier::predict_dbl(
     const math::Matrix& vectors) const {
-  return nn::argmax_rows(dbl_model_.infer(vectors));
+  return nn::argmax_rows(dbl_net_.infer(vectors));
 }
 
 std::vector<std::size_t> FamilyClassifier::predict_lbl(
     const math::Matrix& vectors) const {
-  return nn::argmax_rows(lbl_model_.infer(vectors));
+  return nn::argmax_rows(lbl_net_.infer(vectors));
 }
 
 }  // namespace soteria::core

@@ -1,7 +1,9 @@
 // Family classifier (paper Section III-C, Figs. 6-7): two CNNs — one
 // over DBL feature vectors, one over LBL — with majority voting across
 // all per-walk vectors. The class with the most argmax votes wins; vote
-// ties are broken by summed softmax probability.
+// ties are broken by summed softmax probability. Both CNNs are compiled
+// into nn::FrozenNets at the end of train() and load(); every
+// prediction runs through them.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +16,7 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/cnn.h"
+#include "nn/frozen.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 
@@ -38,8 +41,7 @@ class FamilyClassifier {
                                 double learning_rate, math::Rng& rng);
 
   /// Majority-vote prediction over a sample's full feature bundle.
-  /// Const and safe for concurrent callers (uses the models'
-  /// thread-safe inference path).
+  /// Const and safe for concurrent callers.
   [[nodiscard]] dataset::Family predict(
       const features::SampleFeatures& features) const;
 
@@ -66,11 +68,9 @@ class FamilyClassifier {
   [[nodiscard]] const nn::TrainReport& lbl_report() const noexcept {
     return lbl_report_;
   }
-  [[nodiscard]] nn::Sequential& dbl_model() noexcept { return dbl_model_; }
   [[nodiscard]] const nn::Sequential& dbl_model() const noexcept {
     return dbl_model_;
   }
-  [[nodiscard]] nn::Sequential& lbl_model() noexcept { return lbl_model_; }
   [[nodiscard]] const nn::Sequential& lbl_model() const noexcept {
     return lbl_model_;
   }
@@ -85,9 +85,12 @@ class FamilyClassifier {
   FamilyClassifier() = default;
 
  private:
-  /// Accumulates votes and probability mass from one model over a set
-  /// of vectors.
-  void accumulate(const nn::Sequential& model,
+  /// Compiles both models into dbl_net_/lbl_net_ (end of train/load).
+  void compile_nets();
+
+  /// Accumulates votes and probability mass from one compiled model
+  /// over a set of vectors.
+  void accumulate(const nn::FrozenNet& net,
                   const std::vector<std::vector<float>>& vectors,
                   std::vector<std::size_t>& votes,
                   std::vector<double>& probability_mass) const;
@@ -96,6 +99,8 @@ class FamilyClassifier {
   nn::CnnConfig lbl_arch_;
   nn::Sequential dbl_model_;
   nn::Sequential lbl_model_;
+  nn::FrozenNet dbl_net_;  ///< dbl_model_ compiled; points at its layers
+  nn::FrozenNet lbl_net_;
   nn::TrainReport dbl_report_;
   nn::TrainReport lbl_report_;
 };

@@ -103,17 +103,6 @@ struct SoteriaConfig {
   /// is set; 0 = unbounded. Eviction is least-recently-used.
   std::size_t feature_store_capacity = 4096;
 
-  /// Route analysis through the frozen fused extract+predict model
-  /// (soteria/frozen.h). train() compiles the snapshot when this is
-  /// set; on a loaded or assembled system call
-  /// SoteriaSystem::freeze() once. Purely a speed knob: verdicts are
-  /// bit-identical to the interpreted path. Like num_threads, not
-  /// persisted by save() — it describes how to run the model, not the
-  /// model. After mutating the live components (e.g.
-  /// detector().set_alpha()) call freeze() again; the snapshot does
-  /// not track them.
-  bool use_frozen = false;
-
   /// Enable the process-wide observability registry (obs/metrics.h)
   /// before training starts: stage timings, counters, and value
   /// distributions accumulate for later export. Off by default; when

@@ -45,9 +45,10 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
   detector.report_ = nn::train_regression(detector.model_, clean_features,
                                           clean_features, optimizer,
                                           training, rng);
+  const std::size_t dim = clean_features.cols();
+  detector.net_ = nn::FrozenNet::compile(detector.model_, dim);
 
   // Calibration split A: per-dimension residual statistics.
-  const std::size_t dim = clean_features.cols();
   const std::size_t half = calibration_features.rows() / 2;
   const math::Matrix part_a = nn::gather_rows(
       calibration_features, [&] {
@@ -55,7 +56,7 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
         for (std::size_t i = 0; i < half; ++i) idx[i] = i;
         return idx;
       }());
-  const math::Matrix reconstructed_a = detector.model_.infer(part_a);
+  const math::Matrix reconstructed_a = detector.net_.infer(part_a);
   detector.residual_mean_.assign(dim, 0.0);
   detector.residual_stddev_.assign(dim, 0.0);
   for (std::size_t r = 0; r < part_a.rows(); ++r) {
@@ -112,7 +113,7 @@ std::vector<double> AeDetector::scores(
     throw std::invalid_argument("AeDetector::scores: width mismatch");
   }
   const obs::Span span("detector.score");
-  const math::Matrix reconstructed = model_.infer(features);
+  const math::Matrix reconstructed = net_.infer(features);
   std::vector<double> out(features.rows(), 0.0);
   for (std::size_t r = 0; r < features.rows(); ++r) {
     double acc = 0.0;
@@ -130,8 +131,7 @@ std::vector<double> AeDetector::scores(
 
 std::vector<double> AeDetector::reconstruction_errors(
     const math::Matrix& features) const {
-  const math::Matrix reconstructed = model_.infer(features);
-  return nn::row_rmse(reconstructed, features);
+  return nn::row_rmse(net_.infer(features), features);
 }
 
 double AeDetector::sample_error(
@@ -190,6 +190,8 @@ AeDetector AeDetector::load(std::istream& in) {
     throw std::runtime_error(
         "AeDetector::load: residual statistics size mismatch");
   }
+  detector.net_ =
+      nn::FrozenNet::compile(detector.model_, detector.arch_.input_dim);
   return detector;
 }
 

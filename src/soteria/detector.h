@@ -11,6 +11,10 @@
 // is calibrated on the *other* half of the split (fresh walks, unseen
 // samples), keeping the whole procedure blind to the test set and to
 // any adversarial data — the paper's operational requirement.
+//
+// The autoencoder is compiled into an nn::FrozenNet at the end of
+// train() and load(); every scoring call runs through it, and the
+// threshold is read live, so set_alpha() takes effect immediately.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +25,7 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/autoencoder.h"
+#include "nn/frozen.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 
@@ -43,8 +48,7 @@ class AeDetector {
                           double learning_rate, math::Rng& rng);
 
   /// Standardized-residual score for every row of `features`.
-  /// Const and safe for concurrent callers (uses the model's
-  /// thread-safe inference path).
+  /// Const and safe for concurrent callers.
   [[nodiscard]] std::vector<double> scores(const math::Matrix& features)
       const;
 
@@ -64,8 +68,6 @@ class AeDetector {
       const;
 
   /// Per-dimension residual standardization tables (calibration A).
-  /// FrozenModel::compile snapshots these alongside the autoencoder
-  /// weights.
   [[nodiscard]] const std::vector<double>& residual_mean() const noexcept {
     return residual_mean_;
   }
@@ -89,8 +91,7 @@ class AeDetector {
     return report_;
   }
 
-  /// The underlying model (for persistence).
-  [[nodiscard]] nn::Sequential& model() noexcept { return model_; }
+  /// The underlying model; scoring runs through its compiled form.
   [[nodiscard]] const nn::Sequential& model() const noexcept {
     return model_;
   }
@@ -108,6 +109,7 @@ class AeDetector {
  private:
   nn::AutoencoderConfig arch_;  ///< architecture actually built
   nn::Sequential model_;
+  nn::FrozenNet net_;  ///< model_ compiled; points at model_'s layers
   nn::TrainReport report_;
   std::vector<double> residual_mean_;    ///< per-dimension, calibration A
   std::vector<double> residual_stddev_;  ///< per-dimension, calibration A

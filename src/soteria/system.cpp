@@ -9,7 +9,6 @@
 #include "io/binary_io.h"
 #include "loader/elf.h"
 #include "obs/trace.h"
-#include "soteria/frozen.h"
 #include "store/feature_store.h"
 
 namespace soteria::core {
@@ -180,16 +179,7 @@ SoteriaSystem SoteriaSystem::train(
             config.feature_store_dir, config.feature_store_capacity}));
   }
 
-  // 6. Compile the frozen fused model when the config routes analysis
-  //    through it. Runtime state like the store and the cache: not
-  //    persisted, rebuilt on demand via freeze().
-  if (config.use_frozen) system.freeze();
-
   return system;
-}
-
-void SoteriaSystem::freeze() {
-  frozen_ = FrozenModel::compile(pipeline_, detector_, classifier_);
 }
 
 features::SampleFeatures SoteriaSystem::extract(const cfg::Cfg& cfg,
@@ -199,9 +189,6 @@ features::SampleFeatures SoteriaSystem::extract(const cfg::Cfg& cfg,
 
 Verdict SoteriaSystem::analyze_features(
     const features::SampleFeatures& features) const {
-  if (route_frozen(AnalyzeOptions{})) {
-    return frozen_->analyze_features(features);
-  }
   Verdict verdict;
   verdict.reconstruction_error =
       detector_.sample_error(pooled_matrix(features));
@@ -230,9 +217,6 @@ FeatureScores SoteriaSystem::score_features(
 
 Verdict SoteriaSystem::analyze(const cfg::Cfg& cfg, math::Rng& rng) const {
   const obs::Span span("soteria.analyze");
-  if (route_frozen(AnalyzeOptions{})) {
-    return frozen_->analyze(cfg, rng, pipeline_.labeling_cache().get());
-  }
   return analyze_features(extract(cfg, rng));
 }
 
@@ -241,15 +225,6 @@ Verdict SoteriaSystem::analyze(const cfg::Cfg& cfg,
                                const AnalyzeOptions& options) const {
   if (options.collect_metrics) obs::set_enabled(true);
   const obs::Span span("soteria.analyze");
-  if (route_frozen(options)) {
-    // Resolve the store exactly like extract_stored: per-call override
-    // first, then the pipeline's installed store.
-    store::FeatureStore* store = options.feature_store
-                                     ? options.feature_store.get()
-                                     : pipeline_.feature_store().get();
-    return frozen_->analyze_stored(cfg, fresh_rng,
-                                   pipeline_.labeling_cache().get(), store);
-  }
   return analyze_features(pipeline_.extract_stored(
       cfg, fresh_rng, options.feature_store.get()));
 }
@@ -298,20 +273,6 @@ std::vector<Verdict> SoteriaSystem::analyze_batch(
       options.num_threads.value_or(config_.num_threads);
   const auto deadline = options.deadline;
   const obs::Span span("soteria.analyze_batch");
-  if (route_frozen(options)) {
-    cfg::LabelingCache* cache = pipeline_.labeling_cache().get();
-    store::FeatureStore* store = options.feature_store
-                                     ? options.feature_store.get()
-                                     : pipeline_.feature_store().get();
-    return runtime::parallel_map(
-        threads, cfgs.size(), [&](std::size_t i) {
-          if (deadline && std::chrono::steady_clock::now() >= *deadline) {
-            throw Error(ErrorCode::kDeadlineExceeded,
-                        "SoteriaSystem::analyze_batch: deadline exceeded");
-          }
-          return frozen_->analyze_stored(*cfgs[i], rngs[i], cache, store);
-        });
-  }
   return runtime::parallel_map(
       threads, cfgs.size(), [&](std::size_t i) {
         if (deadline && std::chrono::steady_clock::now() >= *deadline) {

@@ -20,8 +20,6 @@
 
 namespace soteria::core {
 
-class FrozenModel;
-
 /// The verdict for one analyzed sample.
 struct Verdict {
   /// True if the detector flagged the sample; flagged samples are not
@@ -58,12 +56,6 @@ struct AnalyzeOptions {
   /// but yield bit-identical verdicts: entries are keyed by (CFG
   /// content, pipeline fingerprint, per-sample walk seed).
   std::shared_ptr<store::FeatureStore> feature_store;
-
-  /// Route this call through the frozen fused model when the system
-  /// has one (see SoteriaSystem::freeze). nullopt defers to
-  /// `config().use_frozen`; either way the flag is a no-op until
-  /// freeze() has run. Verdicts are bit-identical on both paths.
-  std::optional<bool> use_frozen;
 
   /// Front end used by analyze_image to decode the binary: a name from
   /// the built-in registry ("toy", "x86_64"), or empty / "auto" (the
@@ -181,22 +173,6 @@ class SoteriaSystem {
     return config_;
   }
 
-  /// Compiles (or refreshes) the frozen fused extract+predict snapshot
-  /// of the current pipeline/detector/classifier. Analysis uses it
-  /// when `config().use_frozen` (or AnalyzeOptions::use_frozen) says
-  /// so; train() calls this automatically under that flag. Call again
-  /// after mutating components (e.g. detector().set_alpha()) — the
-  /// snapshot is immutable and does not track them. Throws
-  /// std::invalid_argument on an untrained system.
-  void freeze();
-
-  /// The current snapshot; null until freeze() has run. Immutable and
-  /// safe to share across threads.
-  [[nodiscard]] const std::shared_ptr<const FrozenModel>& frozen()
-      const noexcept {
-    return frozen_;
-  }
-
   /// Binary (de)serialization of the whole trained system (config,
   /// vocabularies, detector, classifier). `load` throws
   /// Error{kCorruptModel} (a std::runtime_error) on a corrupt stream.
@@ -213,19 +189,10 @@ class SoteriaSystem {
   SoteriaSystem() = default;
 
  private:
-  /// True when this call should take the frozen path.
-  [[nodiscard]] bool route_frozen(const AnalyzeOptions& options) const {
-    return options.use_frozen.value_or(config_.use_frozen) &&
-           frozen_ != nullptr;
-  }
-
   SoteriaConfig config_;
   features::FeaturePipeline pipeline_;
   AeDetector detector_;
   FamilyClassifier classifier_;
-  /// Compiled snapshot (freeze()); shared so copies of the system stay
-  /// cheap and a mid-analysis re-freeze never invalidates readers.
-  std::shared_ptr<const FrozenModel> frozen_;
 };
 
 /// Packs a sample's combined per-walk vectors into a matrix (one row

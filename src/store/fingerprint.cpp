@@ -15,9 +15,11 @@ namespace {
 /// vectors — so stores written by an older scheme miss instead of
 /// serving bundles the current build would not reproduce bit-for-bit.
 ///   v1: original double-precision TF-IDF accumulation.
-///   v2: TF-IDF arithmetic moved to float throughout
-///       (Vocabulary::tfidf_into); persisted v1 bundles differ in the
-///       low mantissa bits, so they must not hit.
+///   v2: TF-IDF arithmetic moved to float throughout (then a
+///       map-based Vocabulary::tfidf_into; today's dense overload over
+///       count_into_vocab rows does the same float operations, so v2
+///       bundles still hit); persisted v1 bundles differ in the low
+///       mantissa bits, so they must not hit.
 ///   v3: serialized pipeline blob grew the front-end name
 ///       (PipelineConfig::frontend) — CFGs now come from pluggable
 ///       decoders, and entries keyed under the v2 layout predate that

@@ -77,10 +77,11 @@ TEST(CountGrams, ValidatesSizes) {
   EXPECT_THROW(count_grams(walk, huge, counts), std::invalid_argument);
 }
 
-TEST(CountGrams, MultiWalkOverloadPools) {
+TEST(CountGrams, AccumulatesAcrossWalks) {
   const std::vector<std::vector<cfg::Label>> walks{{1, 2}, {1, 2}};
   const std::vector<std::size_t> sizes{2};
-  const auto counts = count_grams(walks, sizes);
+  GramCounts counts;
+  for (const auto& walk : walks) count_grams(walk, sizes, counts);
   EXPECT_EQ(counts.at(pack_gram(std::vector<cfg::Label>{1, 2})), 2U);
 }
 

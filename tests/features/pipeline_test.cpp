@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "graph/generators.h"
+#include "oracles/feature_reference.h"
 
 namespace soteria::features {
 namespace {
@@ -66,6 +67,34 @@ TEST(Pipeline, ExtractShapesMatchConfig) {
   EXPECT_EQ(features.pooled_combined().size(),
             pipeline.combined_dimension());
   EXPECT_EQ(features.combined(0).size(), pipeline.combined_dimension());
+}
+
+TEST(Pipeline, ExtractMatchesMapOracleBitwise) {
+  // The fused walk -> dense count -> TF-IDF extraction against the
+  // map-based oracle, over repeated gram sizes, unigrams and both
+  // normalization modes: same vectors to the bit, same rng draws.
+  math::Rng rng(9);
+  const auto corpus = small_corpus(10, rng);
+  PipelineConfig with_repeats = tiny_config();
+  with_repeats.gram_sizes = {1, 2, 2, 4};
+  PipelineConfig unnormalized = tiny_config();
+  unnormalized.l2_normalize = false;
+  for (const PipelineConfig& config :
+       {tiny_config(), with_repeats, unnormalized}) {
+    const auto pipeline = FeaturePipeline::fit(corpus, config, rng);
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      math::Rng fused_rng = rng.child(i);
+      math::Rng oracle_rng = rng.child(i);
+      const auto fused = pipeline.extract(corpus[i], fused_rng);
+      const auto oracle =
+          oracles::extract_reference(pipeline, corpus[i], oracle_rng);
+      EXPECT_EQ(fused.dbl, oracle.dbl) << "sample " << i;
+      EXPECT_EQ(fused.lbl, oracle.lbl) << "sample " << i;
+      EXPECT_EQ(fused.pooled_dbl, oracle.pooled_dbl) << "sample " << i;
+      EXPECT_EQ(fused.pooled_lbl, oracle.pooled_lbl) << "sample " << i;
+      EXPECT_EQ(fused_rng.engine()(), oracle_rng.engine()());
+    }
+  }
 }
 
 TEST(Pipeline, CombinedConcatenatesInOrder) {

@@ -104,12 +104,31 @@ TEST(ApplyLabels, MapsThrough) {
   const std::vector<cfg::Label> labels{5, 6, 7};
   const auto mapped = apply_labels(nodes, labels);
   EXPECT_EQ(mapped, (std::vector<cfg::Label>{5, 7, 6}));
+
+  // random_walk_labels is the fused form: the node walk mapped through
+  // the table, with the same rng draws.
+  const UndirectedView view(diamond_cfg());
+  const std::vector<cfg::Label> diamond_labels{5, 6, 7, 8};
+  math::Rng node_rng(6);
+  math::Rng label_rng(6);
+  std::vector<cfg::Label> walk{99};
+  random_walk_labels(view, diamond_labels, 12, label_rng, walk);
+  const auto nodes_walk = random_walk_nodes(view, 12, node_rng);
+  EXPECT_EQ(walk, apply_labels(nodes_walk, diamond_labels));
+  EXPECT_EQ(node_rng.engine()(), label_rng.engine()());
 }
 
 TEST(ApplyLabels, ThrowsOnShortTable) {
   const std::vector<graph::NodeId> nodes{0, 9};
   const std::vector<cfg::Label> labels{1, 2};
   EXPECT_THROW((void)apply_labels(nodes, labels), std::out_of_range);
+  // Only the entry has a label; the first step leaves it.
+  const std::vector<cfg::Label> entry_only{1};
+  math::Rng rng(7);
+  std::vector<cfg::Label> walk;
+  EXPECT_THROW(random_walk_labels(UndirectedView(diamond_cfg()), entry_only,
+                                  8, rng, walk),
+               std::out_of_range);
 }
 
 TEST(LabeledWalks, ShapeMatchesConfig) {

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+
+#include "io/binary_io.h"
+#include "oracles/feature_reference.h"
+#include "soteria/error.h"
 
 namespace soteria::features {
 namespace {
@@ -16,6 +21,23 @@ GramCounts make_counts(
     counts[pack_gram(labels)] = count;
   }
   return counts;
+}
+
+/// Vocabulary::tfidf_into over the dense row of `counts` (placed by
+/// index_of; the total spans all grams), checked bitwise against the
+/// map-based oracle.
+std::vector<float> tfidf(const Vocabulary& vocab, const GramCounts& counts,
+                         bool l2_normalize = true) {
+  std::vector<std::uint32_t> dense(vocab.size(), 0);
+  for (const auto& [key, count] : counts) {
+    if (const auto idx = vocab.index_of(key)) dense[*idx] = count;
+  }
+  std::vector<float> out(vocab.size());
+  vocab.tfidf_into(dense, total_occurrences(counts), out, l2_normalize);
+  const auto oracle = oracles::tfidf_reference(vocab, counts, l2_normalize);
+  EXPECT_EQ(0, std::memcmp(out.data(), oracle.data(),
+                           out.size() * sizeof(float)));
+  return out;
 }
 
 TEST(Vocabulary, SelectsTopKByTotalFrequency) {
@@ -76,7 +98,7 @@ TEST(Vocabulary, TfidfVectorIsUnitNorm) {
   std::vector<GramCounts> corpus{
       make_counts({{{1, 2}, 5}, {{2, 3}, 3}, {{3, 4}, 2}})};
   const auto vocab = Vocabulary::build(corpus, 3);
-  const auto vec = vocab.tfidf_vector(corpus[0]);
+  const auto vec = tfidf(vocab, corpus[0]);
   ASSERT_EQ(vec.size(), 3U);
   double norm = 0.0;
   for (float x : vec) norm += static_cast<double>(x) * x;
@@ -88,7 +110,7 @@ TEST(Vocabulary, TfidfWithoutNormalizationKeepsMassFraction) {
   const auto vocab = Vocabulary::build(corpus, 1);
   // Sample where the vocab gram is only half the mass.
   const auto sample = make_counts({{{1, 2}, 2}, {{7, 7}, 2}});
-  const auto vec = vocab.tfidf_vector(sample, /*l2_normalize=*/false);
+  const auto vec = tfidf(vocab, sample, /*l2_normalize=*/false);
   // tf = 2/4, idf = ln(2/2)+1 = 1.
   EXPECT_NEAR(vec[0], 0.5F, 1e-6);
 }
@@ -96,7 +118,7 @@ TEST(Vocabulary, TfidfWithoutNormalizationKeepsMassFraction) {
 TEST(Vocabulary, TfidfOfEmptyCountsIsZero) {
   std::vector<GramCounts> corpus{make_counts({{{1, 2}, 1}})};
   const auto vocab = Vocabulary::build(corpus, 1);
-  const auto vec = vocab.tfidf_vector(GramCounts{});
+  const auto vec = tfidf(vocab, GramCounts{});
   EXPECT_FLOAT_EQ(vec[0], 0.0F);
 }
 
@@ -105,8 +127,8 @@ TEST(Vocabulary, UnknownGramsAreIgnoredButCountInTotal) {
   const auto vocab = Vocabulary::build(corpus, 1);
   const auto with_noise = make_counts({{{1, 2}, 4}, {{8, 8}, 4}});
   const auto clean = make_counts({{{1, 2}, 4}});
-  const auto v_noise = vocab.tfidf_vector(with_noise, false);
-  const auto v_clean = vocab.tfidf_vector(clean, false);
+  const auto v_noise = tfidf(vocab, with_noise, false);
+  const auto v_clean = tfidf(vocab, clean, false);
   EXPECT_LT(v_noise[0], v_clean[0]);  // diluted term frequency
 }
 
@@ -120,13 +142,36 @@ TEST(Vocabulary, SaveLoadRoundTrips) {
   EXPECT_EQ(loaded.grams(), vocab.grams());
   EXPECT_EQ(loaded.frequencies(), vocab.frequencies());
   EXPECT_EQ(loaded.idf(), vocab.idf());
-  EXPECT_EQ(loaded.tfidf_vector(corpus[0]), vocab.tfidf_vector(corpus[0]));
+  EXPECT_EQ(tfidf(loaded, corpus[0]), tfidf(vocab, corpus[0]));
+  for (const GramKey key : vocab.grams()) {
+    EXPECT_EQ(loaded.index_of(key), vocab.index_of(key));
+  }
 }
 
 TEST(Vocabulary, LoadRejectsTruncatedStream) {
   std::stringstream stream;
   stream.write("junk", 4);
   EXPECT_THROW((void)Vocabulary::load(stream), std::runtime_error);
+}
+
+TEST(Vocabulary, LoadRejectsDuplicateOrZeroGramKeys) {
+  // Duplicate or zero keys cannot come out of build(), only out of a
+  // corrupt stream; the lookup table refuses them and load() reports
+  // a corrupt model.
+  const GramKey key = pack_gram(std::vector<cfg::Label>{1, 2});
+  for (const std::vector<GramKey>& grams :
+       {std::vector<GramKey>{key, key}, std::vector<GramKey>{key, 0}}) {
+    std::stringstream stream;
+    io::write_vector(stream, grams);
+    io::write_vector(stream, std::vector<std::uint64_t>(grams.size(), 1));
+    io::write_vector(stream, std::vector<double>(grams.size(), 1.0));
+    try {
+      (void)Vocabulary::load(stream);
+      ADD_FAILURE() << "load accepted keys " << grams[0] << ", " << grams[1];
+    } catch (const core::Error& error) {
+      EXPECT_EQ(error.code(), core::ErrorCode::kCorruptModel);
+    }
+  }
 }
 
 }  // namespace

@@ -127,20 +127,6 @@ TEST_F(FrontendE2E, MalformedImagesAreTypedErrors) {
   }
 }
 
-TEST_F(FrontendE2E, FrozenPathBitIdentical) {
-  system->freeze();
-  const auto& sample = binary_sample();
-  AnalyzeOptions interpreted;
-  interpreted.use_frozen = false;
-  AnalyzeOptions frozen;
-  frozen.use_frozen = true;
-  const Verdict a =
-      system->analyze_image(sample.binary, math::Rng(77), interpreted);
-  const Verdict b =
-      system->analyze_image(sample.binary, math::Rng(77), frozen);
-  expect_same_verdict(a, b);
-}
-
 TEST_F(FrontendE2E, TrainedSystemRecordsFrontend) {
   EXPECT_EQ(system->config().pipeline.frontend, "toy");
   std::stringstream stream;

@@ -14,9 +14,13 @@
 #include "math/rng.h"
 #include "nn/conv1d.h"
 #include "oracles/conv1d_reference.h"
+#include "oracles/matmul_reference.h"
 
 namespace soteria::math {
 namespace {
+
+using oracles::matmul_at_reference;
+using oracles::matmul_reference;
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng,
                      bool sprinkle_zeros = false) {

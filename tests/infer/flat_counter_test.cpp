@@ -1,8 +1,8 @@
 // Bit-level contracts of the gram-counting fast paths: the rolling
 // packed-key update (count_grams, FlatGramCounter) must agree exactly
-// with the preserved per-window reference implementation, and
-// count_into_vocab must match the map path filtered through the
-// vocabulary, window totals included. Counting is pure integer
+// with the per-window oracle (tests/oracles), and count_into_vocab
+// must match the oracle's map filtered through the vocabulary's
+// DirectGramTable, window totals included. Counting is pure integer
 // arithmetic, so every comparison here is exact equality.
 #include <gtest/gtest.h>
 
@@ -12,9 +12,12 @@
 
 #include "features/ngram.h"
 #include "math/rng.h"
+#include "oracles/feature_reference.h"
 
 namespace soteria::features {
 namespace {
+
+using oracles::count_grams_reference;
 
 /// Random walk of `length` labels drawn from [0, max_label].
 std::vector<cfg::Label> random_walk(std::size_t length, cfg::Label max_label,
@@ -101,27 +104,20 @@ TEST(CountIntoVocabTest, DuplicateSizesDoubleCountLikeReference) {
   }
   std::vector<GramKey> vocab;
   for (const auto& [key, count] : vocab_pool) vocab.push_back(key);
-  const auto hash = PerfectGramHash::build(vocab);
   const auto table = DirectGramTable::build(vocab);
 
   for (std::size_t trial = 0; trial < 10; ++trial) {
     const auto walk = random_walk(10 + rng.index(40), 12, rng);
     const GramCounts full = reference_counts(walk, sizes);
 
-    std::vector<std::uint32_t> dense_hash(vocab.size(), 0);
-    std::vector<std::uint32_t> dense_table(vocab.size(), 0);
-    const std::uint64_t windows_hash =
-        count_into_vocab(walk, sizes, hash, dense_hash);
-    const std::uint64_t windows_table =
-        count_into_vocab(walk, sizes, table, dense_table);
+    std::vector<std::uint32_t> dense(vocab.size(), 0);
+    const std::uint64_t windows = count_into_vocab(walk, sizes, table, dense);
 
-    EXPECT_EQ(windows_hash, total_occurrences(full)) << "trial " << trial;
-    EXPECT_EQ(windows_table, windows_hash);
-    EXPECT_EQ(dense_table, dense_hash);
+    EXPECT_EQ(windows, total_occurrences(full)) << "trial " << trial;
     for (std::size_t i = 0; i < vocab.size(); ++i) {
       const auto it = full.find(vocab[i]);
       const std::uint32_t expected = it == full.end() ? 0 : it->second;
-      EXPECT_EQ(dense_hash[i], expected)
+      EXPECT_EQ(dense[i], expected)
           << "trial " << trial << " gram " << gram_to_string(vocab[i]);
     }
   }
@@ -163,7 +159,7 @@ TEST(FlatGramCounterTest, AccumulatesLikeReferenceAcrossWalks) {
   EXPECT_EQ(counter.to_counts(), reference_counts(walk, sizes));
 }
 
-TEST(PerfectGramHashTest, BijectiveOverBuildSetAndMissesOutside) {
+TEST(DirectGramTableTest, BijectiveOverBuildSetAndMissesOutside) {
   math::Rng rng(303);
   const std::vector<std::size_t> sizes = {2, 3, 4};
   // Distinct keys from real walks, so lengths and label mixes vary.
@@ -176,10 +172,10 @@ TEST(PerfectGramHashTest, BijectiveOverBuildSetAndMissesOutside) {
   for (const auto& [key, count] : pool) keys.push_back(key);
   ASSERT_GE(keys.size(), 50U);
 
-  const auto hash = PerfectGramHash::build(keys);
-  EXPECT_EQ(hash.size(), keys.size());
+  const auto table = DirectGramTable::build(keys);
+  EXPECT_EQ(table.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(hash.lookup(keys[i]), i) << gram_to_string(keys[i]);
+    EXPECT_EQ(table.lookup(keys[i]), i) << gram_to_string(keys[i]);
   }
   // Probing with keys outside the build set must miss, never alias.
   std::size_t miss_probes = 0;
@@ -188,17 +184,20 @@ TEST(PerfectGramHashTest, BijectiveOverBuildSetAndMissesOutside) {
     const GramKey key = pack_gram(walk);
     if (pool.contains(key)) continue;
     ++miss_probes;
-    EXPECT_EQ(hash.lookup(key), PerfectGramHash::npos);
+    EXPECT_EQ(table.lookup(key), DirectGramTable::npos);
   }
   EXPECT_GT(miss_probes, 0U);
 }
 
-TEST(PerfectGramHashTest, DuplicateKeysThrow) {
+TEST(DirectGramTableTest, DuplicateOrZeroKeysThrow) {
   const std::vector<cfg::Label> pair = {1, 2};
   const std::vector<cfg::Label> single = {3};
-  const std::vector<GramKey> keys = {pack_gram(pair), pack_gram(single),
-                                     pack_gram(pair)};
-  EXPECT_THROW((void)PerfectGramHash::build(keys), std::invalid_argument);
+  const std::vector<GramKey> duplicate = {pack_gram(pair), pack_gram(single),
+                                          pack_gram(pair)};
+  EXPECT_THROW((void)DirectGramTable::build(duplicate),
+               std::invalid_argument);
+  const std::vector<GramKey> zero = {pack_gram(pair), 0};
+  EXPECT_THROW((void)DirectGramTable::build(zero), std::invalid_argument);
 }
 
 TEST(CountIntoVocabTest, MatchesFilteredMapAndWindowTotal) {
@@ -211,14 +210,13 @@ TEST(CountIntoVocabTest, MatchesFilteredMapAndWindowTotal) {
   }
   std::vector<GramKey> vocab;
   for (const auto& [key, count] : vocab_pool) vocab.push_back(key);
-  const auto hash = PerfectGramHash::build(vocab);
+  const auto table = DirectGramTable::build(vocab);
 
   for (std::size_t trial = 0; trial < 25; ++trial) {
     // Wider label range than the vocabulary pool: some grams miss.
     const auto walk = random_walk(rng.index(50), 20, rng);
     std::vector<std::uint32_t> dense(vocab.size(), 0);
-    const std::uint64_t windows =
-        count_into_vocab(walk, sizes, hash, dense);
+    const std::uint64_t windows = count_into_vocab(walk, sizes, table, dense);
 
     const GramCounts full = reference_counts(walk, sizes);
     EXPECT_EQ(windows, total_occurrences(full)) << "trial " << trial;

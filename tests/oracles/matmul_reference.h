@@ -1,0 +1,21 @@
+// Naive GEMM loops kept as test oracles for the blocked kernels
+// (math::matmul, math::matmul_at) and as the before-side of the
+// bench/perf_nn GFLOP/s stage. Each output cell accumulates its
+// k-products in ascending order, which the blocked kernels must keep.
+#pragma once
+
+#include "math/matrix.h"
+
+namespace soteria::oracles {
+
+/// C = A * B with the i-k-j loop order, skipping zero A entries.
+/// Throws std::invalid_argument on an inner-dimension mismatch.
+[[nodiscard]] math::Matrix matmul_reference(const math::Matrix& a,
+                                            const math::Matrix& b);
+
+/// C = A^T * B with the k-i-j loop order, skipping zero A entries.
+/// Throws std::invalid_argument on an inner-dimension mismatch.
+[[nodiscard]] math::Matrix matmul_at_reference(const math::Matrix& a,
+                                               const math::Matrix& b);
+
+}  // namespace soteria::oracles

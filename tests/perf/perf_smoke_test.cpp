@@ -205,12 +205,12 @@ TEST(PerfSmoke, RecordedGraphSweepHasExactAndApproxKeys) {
 
 TEST(PerfSmoke, RecordedInferSweepHasSpeedupFloorsAndIdentity) {
   // When a BENCH_perf.json is reachable, its perf_infer section must
-  // carry the compiled-inference sweep shape: distinct interpreted_*
-  // and frozen_* timings per thread count (the two paths must never
-  // alias), the n-gram before/after pair, and the gates the bench
-  // enforces — bit identity, n-grams >= 3x, frozen >= 2x at one
-  // thread. The bench exits non-zero otherwise, so a recorded document
-  // must always carry passing values.
+  // carry the sweep shape: the n-gram and whole-extraction oracle vs
+  // library pairs, per-sample analyze_batch latency at 1/2/4 threads
+  // with the host's thread count, and the gates the bench enforces —
+  // bit identity, n-grams >= 3x, extraction >= 2x. The bench exits
+  // non-zero otherwise, so a recorded document must always carry
+  // passing values.
   std::string contents;
   for (const char* candidate :
        {"BENCH_perf.json", "../BENCH_perf.json", "../../BENCH_perf.json"}) {
@@ -234,9 +234,10 @@ TEST(PerfSmoke, RecordedInferSweepHasSpeedupFloorsAndIdentity) {
   }
   const auto& section = it->second.as_object();
   for (const char* key :
-       {"ngrams_reference_ms", "ngrams_flat_ms", "interpreted_t1_ms",
-        "interpreted_t2_ms", "interpreted_t4_ms", "frozen_t1_ms",
-        "frozen_t2_ms", "frozen_t4_ms"}) {
+       {"ngrams_reference_ms", "ngrams_flat_ms", "extract_reference_ms",
+        "extract_fused_ms", "analyze_batch_t1_ms_per_sample",
+        "analyze_batch_t2_ms_per_sample", "analyze_batch_t4_ms_per_sample",
+        "hardware_threads"}) {
     ASSERT_TRUE(section.count(key)) << key;
     EXPECT_GT(section.at(key).as_number(), 0.0) << key;
   }
@@ -244,8 +245,8 @@ TEST(PerfSmoke, RecordedInferSweepHasSpeedupFloorsAndIdentity) {
   EXPECT_EQ(section.at("bit_identical").as_number(), 1.0);
   ASSERT_TRUE(section.count("ngrams_speedup"));
   EXPECT_GE(section.at("ngrams_speedup").as_number(), 3.0);
-  ASSERT_TRUE(section.count("frozen_speedup_t1"));
-  EXPECT_GE(section.at("frozen_speedup_t1").as_number(), 2.0);
+  ASSERT_TRUE(section.count("extract_speedup"));
+  EXPECT_GE(section.at("extract_speedup").as_number(), 2.0);
 }
 
 }  // namespace
