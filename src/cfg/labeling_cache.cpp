@@ -1,6 +1,7 @@
 #include "cfg/labeling_cache.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -17,6 +18,15 @@ void fnv_mix(std::uint64_t& h, std::uint64_t value) noexcept {
     h ^= (value >> (8 * byte)) & 0xffULL;
     h *= kFnvPrime;
   }
+}
+
+/// Labels are ranks below the node count, which fits 32 bits here.
+std::vector<std::uint32_t> narrow(const std::vector<Label>& labels) {
+  std::vector<std::uint32_t> out(labels.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    out[i] = static_cast<std::uint32_t>(labels[i]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -61,14 +71,21 @@ std::uint64_t LabelingCache::content_hash(const Cfg& cfg,
 
 LabelingCache::Key LabelingCache::make_key(const Cfg& cfg,
                                            const LabelingOptions& options) {
+  const auto& g = cfg.graph();
   Key key;
-  key.entry = cfg.entry();
-  key.nodes = cfg.node_count();
-  key.edges = cfg.graph().edges();
-  if (approximate_labeling(options, key.nodes)) {
+  key.entry = static_cast<std::uint32_t>(cfg.entry());
+  key.nodes = static_cast<std::uint32_t>(cfg.node_count());
+  key.edges.reserve(2 * g.edge_count());
+  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+    for (const graph::NodeId v : g.successors(u)) {
+      key.edges.push_back(static_cast<std::uint32_t>(u));
+      key.edges.push_back(static_cast<std::uint32_t>(v));
+    }
+  }
+  if (approximate_labeling(options, cfg.node_count())) {
     key.mode.approximate = true;
     key.mode.pivots =
-        graph::resolved_pivot_count(key.nodes, options.approx);
+        graph::resolved_pivot_count(cfg.node_count(), options.approx);
     key.mode.seed = options.approx.seed;
   }
   return key;
@@ -82,6 +99,9 @@ NodeLabelings LabelingCache::labels(const Cfg& cfg,
                                     const LabelingOptions& options) {
   if (cfg.node_count() == 0) {
     throw std::invalid_argument("LabelingCache::labels: empty CFG");
+  }
+  if (cfg.node_count() > std::numeric_limits<std::uint32_t>::max()) {
+    return label_both(cfg, options);  // too wide for a compact entry
   }
   Key key = make_key(cfg, options);
   // Exact-mode lookups hash exactly as before the mode existed;
@@ -102,7 +122,8 @@ NodeLabelings LabelingCache::labels(const Cfg& cfg,
           lru_.splice(lru_.begin(), lru_, it);
           ++stats_.hits;
           obs::registry().counter_add("soteria.cache.labeling.hits");
-          return it->labelings;
+          return NodeLabelings{{it->dbl.begin(), it->dbl.end()},
+                               {it->lbl.begin(), it->lbl.end()}};
         }
       }
     }
@@ -122,7 +143,8 @@ NodeLabelings LabelingCache::labels(const Cfg& cfg,
       if (it->key == key) return labelings;
     }
   }
-  lru_.push_front(Entry{hash, std::move(key), labelings});
+  lru_.push_front(Entry{hash, std::move(key), narrow(labelings.dbl),
+                        narrow(labelings.lbl)});
   buckets_[hash].push_back(lru_.begin());
   while (lru_.size() > capacity_) {
     const auto victim = std::prev(lru_.end());

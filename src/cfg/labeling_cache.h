@@ -3,12 +3,12 @@
 // Labeling is a pure function of CFG content, yet the training flow
 // (`pipeline.fit` -> training `extract` -> `calibrate`) and repeated
 // batch analysis re-derive the same labelings for the same CFGs — and
-// labeling is the dominant extraction cost (centrality is O(V*E) per
-// graph). `LabelingCache` memoizes `label_both` keyed by a 64-bit
-// content hash of the CFG (entry + node count + edge list) plus the
-// effective centrality mode (exact, or sampled-pivot with its resolved
-// pivot count and seed), so exact and approximate labelings of the
-// same CFG never alias.
+// labeling is a large extraction cost (exact centrality sweeps every
+// source of every biconnected block). `LabelingCache` memoizes
+// `label_both` keyed by a 64-bit content hash of the CFG (entry + node
+// count + edge list) plus the effective centrality mode (exact, or
+// sampled-pivot with its resolved pivot count and seed), so exact and
+// approximate labelings of the same CFG never alias.
 //
 // Correctness under collisions: every entry stores the full canonical
 // key alongside the hash and verifies it on lookup, so two CFGs that
@@ -17,6 +17,11 @@
 // Because labeling is deterministic, cached results are bit-identical
 // to uncached computation — the cache changes *when* work happens,
 // never *what* is computed.
+//
+// Footprint: entries hold node ids and labels as 32-bit values (half
+// the bytes of the public size_t form) and widen them on a hit. CFGs
+// whose node count does not fit 32 bits are labeled directly and never
+// cached.
 //
 // Thread safety: one mutex guards the LRU structure; the labeling
 // itself is computed outside the lock, so concurrent misses on
@@ -31,7 +36,6 @@
 #include <mutex>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cfg/cfg.h"
@@ -116,9 +120,10 @@ class LabelingCache {
   /// Canonical CFG content plus the effective centrality mode; compared
   /// on lookup so hash collisions are detected instead of served.
   struct Key {
-    graph::NodeId entry = 0;
-    std::size_t nodes = 0;
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
+    std::uint32_t entry = 0;
+    std::uint32_t nodes = 0;
+    /// The edge list in DiGraph::edges() order, flattened to u, v, ...
+    std::vector<std::uint32_t> edges;
     Mode mode;
 
     bool operator==(const Key& other) const = default;
@@ -127,7 +132,8 @@ class LabelingCache {
   struct Entry {
     std::uint64_t hash = 0;
     Key key;
-    NodeLabelings labelings;
+    std::vector<std::uint32_t> dbl;
+    std::vector<std::uint32_t> lbl;
   };
 
   [[nodiscard]] static Key make_key(const Cfg& cfg,

@@ -7,30 +7,40 @@
 // connected from its entry, so the undirected view gives every node a
 // finite closeness and makes the tie-break total.
 //
-// Exact path: the graph is snapshotted once into a CSR (flat offsets +
-// neighbor array) of the undirected view, and a single Brandes sweep
-// per source yields *both* metrics — the BFS distances Brandes already
-// computes are exactly what closeness needs, so the second all-sources
-// sweep of the naive formulation disappears. All per-source scratch
-// (sigma, dependency, distance, visit order) lives in flat reusable
-// buffers; there are no per-node predecessor lists (predecessors are
-// recovered from the CSR row by the distance condition during the
-// reverse sweep). The parallel variant distributes *dynamic chunks* of
-// sources over `runtime::ThreadPool` runners; each runner accumulates
-// into its own per-thread partial buffers (claimed once per region via
-// `parallel_for_slots`) which merge exactly once at the end — no
-// per-chunk allocation, no merge contention.
+// Exact path, composed per biconnected block (Brandes 2001; the same
+// decomposition as Puzis et al. 2012 and Sariyuce et al. 2013). Every
+// shortest path between two vertices of one block stays inside it, and
+// a path between blocks crosses the cut vertices that join them, so
+// exact betweenness and closeness compose block by block at a cost of
+// sum |B| * |E_B| instead of n * m. Firmware CFGs attach each function
+// body to the rest only through its entry block, so they split into
+// many small blocks. An iterative Hopcroft-Tarjan pass (self-loops
+// dropped) splits the undirected view into blocks, each with a local
+// CSR, and roots every component's block-cut tree. For every (block B,
+// vertex x of B) three integer aggregates describe the region hanging
+// off x away from B: the shortest paths into x from it (x counts 1),
+// its size, and its distance sum to x. A post-order BFS per block and
+// the sweeps themselves, run level by level from the roots, fill them
+// in. One Brandes sweep per (block, source) over the block CSR then
+// weights each target by its region: the dependencies count the
+// through-paths of B's vertices, and the sweep's region sums give the
+// pair-path normalizer and both closeness sums. A cut vertex also
+// carries the paths that enter it through one block and leave through
+// another. The sweep kernel is one: the whole-graph CSR with unit
+// weights is the approximate path's sweep.
 //
-// Approximate path (opt-in, for real-firmware-scale graphs): Brandes
-// sweeps run only from a sample of r pivot sources, and both metrics
-// are estimated from those sweeps — betweenness as the ratio of
-// pivot-accumulated through-paths to pivot-accumulated pair paths
-// (the n/r scale factors cancel), closeness per node from the pivot
-// distances the sweeps produce anyway (undirected BFS distances are
-// symmetric). The pivot count follows the Hoeffding/union-bound form
-// of the Riondato-style additive-error guarantee: r >= ln(2n/delta) /
-// (2 epsilon^2) pivots bound the normalized-betweenness error by
-// epsilon for every node simultaneously with probability 1 - delta.
+// Approximate path (opt-in, for large graphs that one giant block
+// spans, where exact still costs a sweep per node over the whole
+// graph): Brandes sweeps run only from a sample of r pivot sources,
+// and both metrics are estimated from those sweeps — betweenness as
+// the ratio of pivot-accumulated through-paths to pivot-accumulated
+// pair paths (the n/r scale factors cancel), closeness per node from
+// the pivot distances the sweeps produce anyway (undirected BFS
+// distances are symmetric). The pivot count follows the
+// Hoeffding/union-bound form of the Riondato-style additive-error
+// guarantee: r >= ln(2n/delta) / (2 epsilon^2) pivots bound the
+// normalized-betweenness error by epsilon for every node
+// simultaneously with probability 1 - delta.
 // Pivots are drawn from a fixed-seed generator hashed through
 // *structural node signatures* (Weisfeiler-Leman-style refinement of
 // degrees over the undirected view), so the sample is a deterministic
@@ -39,15 +49,21 @@
 // the signatures separate the nodes — the property the labeling
 // permutation suite relies on.
 //
-// Determinism: every accumulator (path counts, dependency counts, pair
-// totals, distance sums) holds nonnegative integers exactly
-// representable in doubles until the final normalizing divisions, so
-// sums are associative-exact: any scheduling of sources or pivots onto
-// threads merges to bit-identical results at every thread count, and
-// identical to the serial sweep. The naive two-sweep reference lives on
-// as `tests/graph/naive_centrality.h` with a property test pinning
-// exact agreement; `tests/graph/rank_stability_test.cpp` pins the
-// approximate path's rank-level agreement.
+// Parallelism and determinism: both paths cut their sources into
+// fixed-size chunks (a function of the source count alone) that
+// runtime::ThreadPool runners claim dynamically; each chunk accumulates
+// into its own partial, and partials fold into the totals in chunk
+// order, serially exactly as in parallel. So results are bit-identical
+// at every thread count, always — including graphs whose path counts
+// pass 2^53, where the sums round. Every accumulator (path counts,
+// dependency counts, pair totals, distance sums) holds integers until
+// the final normalizing divisions, so while path totals stay below 2^53
+// the sums are exact and the exact path equals the naive whole-graph
+// formulation bit for bit; beyond that only thread invariance holds.
+// The naive two-sweep reference lives on as
+// `tests/graph/naive_centrality.h` with property tests pinning exact
+// agreement; `tests/graph/rank_stability_test.cpp` pins the approximate
+// path's rank-level agreement.
 #pragma once
 
 #include <cstddef>
@@ -113,7 +129,8 @@ void validate(const ApproxCentralityOptions& options);
 /// Per-call knobs of centrality_scores / centrality_factor.
 struct CentralityOptions {
   /// Worker threads, runtime convention (0 = all hardware threads,
-  /// 1 = serial). Results are bit-identical at any setting.
+  /// 1 = serial). Results are bit-identical at any setting, even where
+  /// path counts pass 2^53.
   std::size_t num_threads = 1;
 
   /// Run the sampled-pivot approximation instead of the exact sweep.
@@ -124,8 +141,9 @@ struct CentralityOptions {
 };
 
 /// Fused computation of betweenness and closeness over the undirected
-/// view — exact all-sources Brandes, or the sampled-pivot estimate when
-/// `options.approximate` (see the header comment for both designs).
+/// view — exact (composed per biconnected block), or the sampled-pivot
+/// estimate when `options.approximate` (see the header comment for both
+/// designs).
 [[nodiscard]] CentralityScores centrality_scores(
     const DiGraph& g, const CentralityOptions& options);
 

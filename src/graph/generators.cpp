@@ -56,6 +56,18 @@ DiGraph complete_digraph(std::size_t n) {
   return g;
 }
 
+DiGraph diamond_chain(std::size_t count) {
+  DiGraph g(3 * count + 1);
+  for (NodeId d = 0; d < count; ++d) {
+    const NodeId head = 3 * d;
+    g.add_edge(head, head + 1);
+    g.add_edge(head, head + 2);
+    g.add_edge(head + 1, head + 3);
+    g.add_edge(head + 2, head + 3);
+  }
+  return g;
+}
+
 DiGraph scale_free_digraph(std::size_t n, std::size_t edges_per_node,
                            math::Rng& rng) {
   if (n == 0) throw std::invalid_argument("scale-free graph: n must be > 0");

@@ -32,6 +32,12 @@ namespace soteria::graph {
 /// loops).
 [[nodiscard]] DiGraph complete_digraph(std::size_t n);
 
+/// `count` if/else diamonds in a row (3 * count + 1 nodes): each
+/// diamond is a 4-cycle in the undirected view, joined to the next at a
+/// cut vertex, and node 0 reaches node 3 * count along 2^count shortest
+/// paths — the shape that drives path counts past 2^53.
+[[nodiscard]] DiGraph diamond_chain(std::size_t count);
+
 /// Barabasi-Albert-style scale-free digraph: nodes arrive one at a
 /// time and wire up to `edges_per_node` out-edges to earlier nodes
 /// drawn proportionally to current degree (preferential attachment),

@@ -60,6 +60,20 @@ TEST(LabelingCache, ServedLabelingsMatchLabelBoth) {
   }
 }
 
+TEST(LabelingCache, CompactHitOnFirmwareSizedCfgMatchesLabelBoth) {
+  // Entries store ids and labels as 32-bit values; a hit widens them
+  // back to exactly what label_both computes.
+  math::Rng rng(3000);
+  const Cfg cfg(graph::firmware_like_cfg(3000, rng), 0);
+  LabelingCache cache(2);
+  (void)cache.labels(cfg);
+  const auto hit = cache.labels(cfg);
+  EXPECT_EQ(cache.stats().hits, 1U);
+  const auto expected = label_both(cfg);
+  EXPECT_EQ(hit.dbl, expected.dbl);
+  EXPECT_EQ(hit.lbl, expected.lbl);
+}
+
 TEST(LabelingCache, HitMissAccounting) {
   LabelingCache cache(8);
   const Cfg a = random_cfg(1);

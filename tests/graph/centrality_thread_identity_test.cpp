@@ -1,14 +1,16 @@
-// Thread-count bit-identity regression tests for the repaired parallel
-// Brandes path (per-slot partial accumulators over dynamic source
-// chunks, merged once per region — src/graph/centrality.cpp).
+// Thread-count bit-identity regression tests for the parallel Brandes
+// paths (per-chunk partials over fixed source chunks, folded in chunk
+// order — src/graph/centrality.cpp).
 //
 // The contract: at every thread count the parallel sweep is
-// bit-identical to the serial sweep, which the fused property suite
-// already pins against the preserved naive oracle. This file runs in
-// the `concurrency` ctest binary so TSan exercises the slotted merge
-// itself (tests/graph/naive_centrality.h stays the single source of
-// expected values; do not relax EXPECT_EQ to a tolerance — integer
-// accumulators make bitwise equality the specification).
+// bit-identical to the serial sweep — always, including where path
+// counts leave the exact integer range of a double — and below 2^53
+// the fused property suite pins it against the preserved naive oracle.
+// This file runs in the `concurrency` ctest binary so TSan exercises
+// the chunked merge itself (tests/graph/naive_centrality.h stays the
+// single source of expected values; do not relax EXPECT_EQ to a
+// tolerance — the fixed reduction order makes bitwise equality the
+// specification).
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -81,6 +83,29 @@ TEST(CentralityThreadIdentity, CentralityFactorMatchesAtEveryThreadCount) {
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(centrality_factor(g, threads), expected);
+  }
+}
+
+TEST(CentralityThreadIdentity, DeterministicBeyondExactIntegerRange) {
+  // 60 if/else diamonds in a row (181 nodes): 2^60 end-to-end paths, so
+  // the accumulators round and only a thread-count-independent
+  // reduction order keeps the results identical.
+  const DiGraph g = diamond_chain(60);
+  CentralityOptions approx;
+  approx.approximate = true;
+  approx.approx.pivot_count = g.node_count() / 2;
+  const auto exact_serial = centrality_scores(g, 1);
+  approx.num_threads = 1;
+  const auto approx_serial = centrality_scores(g, approx);
+  for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto exact = centrality_scores(g, threads);
+    EXPECT_EQ(exact.betweenness, exact_serial.betweenness);
+    EXPECT_EQ(exact.closeness, exact_serial.closeness);
+    approx.num_threads = threads;
+    const auto sampled = centrality_scores(g, approx);
+    EXPECT_EQ(sampled.betweenness, approx_serial.betweenness);
+    EXPECT_EQ(sampled.closeness, approx_serial.closeness);
   }
 }
 

@@ -155,8 +155,10 @@ TEST(PerfSmoke, RecordedServeSweepHasTheNewSchema) {
 TEST(PerfSmoke, RecordedGraphSweepHasExactAndApproxKeys) {
   // When a BENCH_perf.json is reachable, its perf_graph section must
   // carry the exact-vs-approximate sweep shape: distinct "exact.*" and
-  // "approx.*" timing keys (the two paths must never alias), the
-  // recorded pivot counts, and the n=10,000 speedup ratio the bench
+  // "approx.*" timing keys (the two paths must never alias) for the
+  // firmware-shaped graphs and for the scale-free gate graph, the
+  // recorded pivot counts, the firmware approx/exact ratios (recorded,
+  // not gated), and the scale-free n=10,000 speedup ratio the bench
   // gates on. Stale "centrality.*" keys from the pre-approximation
   // sweep mean the bench and its consumers have drifted apart.
   std::string contents;
@@ -184,19 +186,24 @@ TEST(PerfSmoke, RecordedGraphSweepHasExactAndApproxKeys) {
   for (const char* key :
        {"exact.n1000.t1.ms", "exact.n10000.t1.ms", "exact.n10000.t8.ms",
         "exact.n50000.t1.ms", "approx.n10000.t1.ms", "approx.n10000.t8.ms",
-        "approx.n50000.t1.ms"}) {
+        "approx.n50000.t1.ms", "scale_free.exact.n10000.t1.ms",
+        "scale_free.approx.n10000.t1.ms",
+        "approx.n10000.speedup_over_exact_t1",
+        "approx.n50000.speedup_over_exact_t1"}) {
     ASSERT_TRUE(section.count(key)) << key;
     EXPECT_GT(section.at(key).as_number(), 0.0) << key;
   }
-  for (const char* key : {"approx.n10000.pivots", "approx.n50000.pivots"}) {
+  for (const char* key : {"approx.n10000.pivots", "approx.n50000.pivots",
+                          "scale_free.approx.n10000.pivots"}) {
     ASSERT_TRUE(section.count(key)) << key;
     EXPECT_GE(section.at(key).as_number(), 1.0) << key;
   }
-  // The bench exits non-zero below 5x; a recorded document must
-  // therefore always carry a passing ratio.
-  ASSERT_TRUE(section.count("approx.n10000.speedup_over_exact_t1"));
-  EXPECT_GE(section.at("approx.n10000.speedup_over_exact_t1").as_number(),
-            5.0);
+  // The bench exits non-zero below 5x on the scale-free graph; a
+  // recorded document must therefore always carry a passing ratio.
+  ASSERT_TRUE(section.count("scale_free.approx.n10000.speedup_over_exact_t1"));
+  EXPECT_GE(
+      section.at("scale_free.approx.n10000.speedup_over_exact_t1").as_number(),
+      5.0);
   // The rewrite replaced the section wholesale: no stale keys.
   for (const auto& [key, value] : section) {
     EXPECT_NE(key.rfind("centrality.", 0), 0U) << "stale key " << key;
