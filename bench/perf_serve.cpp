@@ -1,15 +1,15 @@
-// perf_serve — throughput / latency sweep of the sharded, micro-batched
-// serving stack across worker counts, shard counts, and micro-batch
-// bounds. Each combination replays the tiny test corpus several times
-// through a fresh ShardedService (yield-retry on backpressure, exactly
-// what a well-behaved client does) over one shared persistent feature
-// store: request ids restart with each fresh service, so every timed
+// perf_serve — throughput / latency sweep of the micro-batched serving
+// stack across worker counts and micro-batch bounds. Each combination
+// replays the tiny test corpus 30 times, each through a fresh
+// AnalysisService (yield-retry on backpressure, exactly what a
+// well-behaved client does) over one shared persistent feature store:
+// request ids restart with each fresh service, so every timed
 // repetition replays the same (content, fingerprint, walk-seed) keys
 // and the store serves features warm — the steady-state a long-lived
 // service converges to. One untimed cold repetition populates the
 // store first.
 //
-// Reported per combination (keys `w{W}_s{S}_b{B}_*`):
+// Reported per combination (keys `w{W}_b{B}_*`):
 //
 //   * throughput_rps    — completed requests per wall-clock second
 //   * e2e_p50_ms        — median submit-to-verdict latency
@@ -43,7 +43,7 @@
 #include "common/perf_json.h"
 #include "dataset/generator.h"
 #include "obs/metrics.h"
-#include "serve/sharded_service.h"
+#include "serve/service.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 #include "store/feature_store.h"
@@ -53,7 +53,6 @@ namespace {
 
 struct Combo {
   std::size_t workers;
-  std::size_t shards;
   std::size_t batch;
 };
 
@@ -73,14 +72,13 @@ double replay_once(const std::shared_ptr<const core::SoteriaSystem>& model,
                    const std::vector<std::shared_ptr<const cfg::Cfg>>& corpus,
                    const std::shared_ptr<store::FeatureStore>& store,
                    const Combo& combo) {
-  serve::ShardedServiceConfig config;
-  config.num_shards = combo.shards;
+  serve::ServiceConfig config;
   config.seed = 17;
-  config.shard.num_threads = combo.workers;
-  config.shard.max_batch = combo.batch;
-  config.shard.queue_depth = 256;
-  config.shard.feature_store = store;
-  serve::ShardedService service(model, config);
+  config.num_threads = combo.workers;
+  config.max_batch = combo.batch;
+  config.queue_depth = 256;
+  config.feature_store = store;
+  serve::AnalysisService service(model, config);
 
   std::vector<std::future<core::Verdict>> verdicts;
   verdicts.reserve(corpus.size());
@@ -92,8 +90,8 @@ double replay_once(const std::shared_ptr<const core::SoteriaSystem>& model,
         verdicts.push_back(std::move(ticket.verdict));
         break;
       }
-      // Backpressure: the target shard's queue is at capacity; yield
-      // until a worker frees a slot.
+      // Backpressure: the queue is at capacity; yield until a worker
+      // frees a slot.
       std::this_thread::yield();
     }
   }
@@ -177,26 +175,26 @@ int run() {
   auto store = std::make_shared<store::FeatureStore>(
       store::StoreConfig{store_dir});
 
-  // Worker sweep at fixed shards/batch, shard sweep at fixed workers,
-  // batch sweep at fixed workers/shards. (4,1,16) anchors all three.
-  const std::vector<Combo> combos = {
-      {1, 1, 16}, {2, 1, 16}, {4, 1, 16}, {8, 1, 16},  // workers
-      {2, 2, 16}, {2, 4, 16},                          // shards (with 2,1,16)
-      {4, 1, 1},  {4, 1, 4},                           // batch (with 4,1,16)
-  };
+  // Every worker count at every micro-batch bound.
+  std::vector<Combo> combos;
+  for (const std::size_t workers : {1U, 2U, 4U, 8U}) {
+    for (const std::size_t batch : {1U, 4U, 8U, 16U}) {
+      combos.push_back({workers, batch});
+    }
+  }
 
   std::string report =
-      "workers  shards  batch  requests  throughput_rps  e2e_p50_ms  "
+      "workers  batch  requests  throughput_rps  e2e_p50_ms  "
       "e2e_p99_ms  qwait_p50_ms  qwait_p99_ms\n";
   std::map<std::string, double> json_values;
   json_values["hardware_threads"] = static_cast<double>(hardware);
   for (const auto& combo : combos) {
-    const auto result = run_combo(model, corpus, store, combo, 3);
+    const auto result = run_combo(model, corpus, store, combo, 30);
     char line[192];
     std::snprintf(line, sizeof(line),
-                  "%7zu  %6zu  %5zu  %8zu  %14.1f  %10.3f  %10.3f  "
+                  "%7zu  %5zu  %8zu  %14.1f  %10.3f  %10.3f  "
                   "%12.3f  %12.3f\n",
-                  combo.workers, combo.shards, combo.batch, result.requests,
+                  combo.workers, combo.batch, result.requests,
                   result.throughput_rps, result.e2e_p50_ms,
                   result.e2e_p99_ms, result.queue_wait_p50_ms,
                   result.queue_wait_p99_ms);
@@ -204,8 +202,8 @@ int run() {
     std::printf("%s", line);
 
     char key_buffer[48];
-    std::snprintf(key_buffer, sizeof(key_buffer), "w%zu_s%zu_b%zu_",
-                  combo.workers, combo.shards, combo.batch);
+    std::snprintf(key_buffer, sizeof(key_buffer), "w%zu_b%zu_",
+                  combo.workers, combo.batch);
     const std::string key(key_buffer);
     json_values[key + "throughput_rps"] = result.throughput_rps;
     json_values[key + "e2e_p50_ms"] = result.e2e_p50_ms;

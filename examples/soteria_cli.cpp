@@ -21,16 +21,14 @@
 //       Write a fresh test corpus as raw firmware binaries into <dir>
 //       and print one path per line (pipe into `serve`).
 //   soteria_cli serve <model-path> [--queue-depth N] [--threads T]
-//                     [--shards K] [--batch B] [--seed S]
+//                     [--batch B] [--seed S]
 //                     [--swap-model <path>] [--store <dir>]
 //       Run the async analysis service: read firmware binary paths from
 //       stdin (one per line), stream one JSON verdict per line to
-//       stdout in submission order. --shards runs K consistent-hash
-//       replicas (requests route by binary content hash); --batch
-//       bounds the per-worker micro-batch. Verdicts are bit-identical
-//       at every setting. The control line `!swap <path>` hot-swaps
-//       the model on every shard, as does SIGHUP when --swap-model is
-//       given.
+//       stdout in submission order. --batch bounds the per-worker
+//       micro-batch. Verdicts are bit-identical at every setting. The
+//       control line `!swap <path>` hot-swaps the model, as does
+//       SIGHUP when --swap-model is given.
 //   soteria_cli store <stats|compact|verify|clear> <dir> [capacity]
 //       Maintain a persistent feature store directory: print stats,
 //       evict down to [capacity] entries, re-validate every entry
@@ -75,7 +73,6 @@
 #include <utility>
 
 #include "serve/service.h"
-#include "serve/sharded_service.h"
 #endif
 
 namespace {
@@ -97,7 +94,7 @@ int usage() {
                " [--format toy|elf]\n"
 #ifdef SOTERIA_HAVE_SERVE
                "       soteria_cli serve   <model-path> [--queue-depth N]"
-               " [--threads T] [--shards K] [--batch B] [--seed S]"
+               " [--threads T] [--batch B] [--seed S]"
                " [--swap-model <path>] [--store <dir>]"
                " [--format auto|toy|elf] [--arch <name>]\n"
 #endif
@@ -499,8 +496,7 @@ void print_outcome(PendingRequest& pending) {
 }
 
 int cmd_serve(const char* model_path, int argc, char** argv) {
-  serve::ShardedServiceConfig config;
-  config.num_shards = 1;
+  serve::ServiceConfig config;
   std::string swap_path;
   std::string format = "auto";
   std::string arch;
@@ -514,19 +510,17 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
       return argv[++i];
     };
     if (const char* v = flag_value("--queue-depth")) {
-      config.shard.queue_depth = std::strtoull(v, nullptr, 10);
+      config.queue_depth = std::strtoull(v, nullptr, 10);
     } else if (const char* v = flag_value("--threads")) {
-      config.shard.num_threads = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value("--shards")) {
-      config.num_shards = std::strtoull(v, nullptr, 10);
+      config.num_threads = std::strtoull(v, nullptr, 10);
     } else if (const char* v = flag_value("--batch")) {
-      config.shard.max_batch = std::strtoull(v, nullptr, 10);
+      config.max_batch = std::strtoull(v, nullptr, 10);
     } else if (const char* v = flag_value("--seed")) {
       config.seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = flag_value("--swap-model")) {
       swap_path = v;
     } else if (const char* v = flag_value("--store")) {
-      config.shard.feature_store = std::make_shared<store::FeatureStore>(
+      config.feature_store = std::make_shared<store::FeatureStore>(
           store::StoreConfig{std::string(v)});
     } else if (const char* v = flag_value("--format")) {
       format = v;
@@ -540,14 +534,12 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
 
   auto model = std::make_shared<const core::SoteriaSystem>(
       core::SoteriaSystem::load_file(model_path));
-  serve::ShardedService service(std::move(model), config);
+  serve::AnalysisService service(std::move(model), config);
   std::fprintf(stderr,
-               "serving %s: %zu shard(s) x %zu workers, queue depth %zu, "
-               "micro-batch %zu (paths on stdin, `!swap <path>` to "
-               "hot-swap)\n",
-               model_path, service.shard_count(),
-               service.shard(0).worker_count(), config.shard.queue_depth,
-               config.shard.max_batch);
+               "serving %s: %zu workers, queue depth %zu, micro-batch %zu "
+               "(paths on stdin, `!swap <path>` to hot-swap)\n",
+               model_path, service.worker_count(), config.queue_depth,
+               config.max_batch);
   if (!swap_path.empty()) std::signal(SIGHUP, handle_sighup);
 
   std::deque<PendingRequest> pending;
@@ -589,9 +581,9 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
 
     cfg::Cfg cfg;
     try {
-      // Container + decoder resolution per file: a sharded directory
-      // of raw toy binaries and ELF-wrapped ones serves uniformly
-      // under --format auto.
+      // Container + decoder resolution per file: a directory of raw
+      // toy binaries and ELF-wrapped ones serves uniformly under
+      // --format auto.
       const auto bytes = read_binary_file(line);
       cfg = decode_binary(bytes, format, arch);
     } catch (const core::Error& e) {
@@ -638,7 +630,7 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
     pending.pop_front();
   }
   service.shutdown(serve::ShutdownPolicy::kDrain);
-  const auto stats = service.stats().total;
+  const auto stats = service.stats();
   std::fprintf(stderr,
                "served: %llu accepted, %llu completed, %llu rejected, "
                "%llu expired, %llu failed, %llu swaps\n",

@@ -88,11 +88,10 @@ class LabelingCache {
 
   /// Default content hash: FNV-1a over entry, node count, and the edge
   /// list in DiGraph::edges() order. Deliberately *shape-addressed*:
-  /// two binaries whose decoders produce identical CFGs hash equal,
-  /// which is what shard routing (serve/sharded_service.h) wants —
-  /// same shape, same shard, same warm labeling cache. Decoder
-  /// identity is kept out of feature-store keys separately, via the
-  /// frontend name hashed into the pipeline fingerprint.
+  /// two binaries whose decoders produce identical CFGs hash equal and
+  /// share one labeling entry. Decoder identity is kept out of
+  /// feature-store keys separately, via the frontend name hashed into
+  /// the pipeline fingerprint.
   [[nodiscard]] static std::uint64_t content_hash(const Cfg& cfg);
 
   /// Content hash further keyed by the producing front end's name

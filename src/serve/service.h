@@ -13,8 +13,7 @@
 //    request i is analyzed with `Rng(config.seed).child(i)` — exactly
 //    the per-index split analyze_batch uses — so the verdict stream is
 //    bit-identical to a serial `analyze_batch` over the same CFGs in
-//    submission order, at any worker count, shard count (see
-//    ShardedService), or micro-batch size.
+//    submission order, at any worker count or micro-batch size.
 //  * Micro-batching. A worker drains up to `max_batch` queued requests
 //    in one queue-lock hold and analyzes them as one
 //    `SoteriaSystem::analyze_batch` call, so the per-request cost of
@@ -78,8 +77,7 @@ enum class ShutdownPolicy {
   kCancel,  ///< fail queued requests with Error{kCancelled}
 };
 
-/// Result of a submission attempt — shared by AnalysisService and the
-/// ShardedService front door. `verdict` is valid only when
+/// Result of a submission attempt. `verdict` is valid only when
 /// `accepted()`; it yields the Verdict or rethrows the request's
 /// failure (Error{kDeadlineExceeded}, Error{kCancelled}, or whatever
 /// inference threw).
@@ -177,9 +175,10 @@ class AnalysisService {
   [[nodiscard]] Ticket submit(std::shared_ptr<const cfg::Cfg> cfg,
                               std::chrono::steady_clock::time_point deadline);
 
-  /// Front-door entry: submission under a caller-allocated request id
-  /// (walks are drawn from Rng(seed).child(id)). ShardedService uses
-  /// this to keep ids dense *across* shards; a service must not mix
+  /// Submission under a caller-allocated request id (walks are drawn
+  /// from Rng(seed).child(id)), for callers that choose the ids — e.g.
+  /// a load generator replaying a corpus under repeating ids, so every
+  /// replay hits the same feature-store keys. A service must not mix
   /// keyed and plain submissions (ids could collide and the dense-id
   /// invariant would belong to nobody). Admission control, stats, and
   /// deadlines behave exactly like submit().

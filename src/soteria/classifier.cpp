@@ -120,44 +120,33 @@ FamilyClassifier FamilyClassifier::load(std::istream& in) {
 
 void FamilyClassifier::accumulate(
     const nn::FrozenNet& net,
-    const std::vector<std::vector<float>>& vectors,
-    std::vector<std::size_t>& votes,
-    std::vector<double>& probability_mass) const {
+    const std::vector<std::vector<float>>& vectors, VoteTally& tally) {
   if (vectors.empty()) return;
   const math::Matrix probs = nn::softmax(net.infer(pack_rows(vectors)));
   for (std::size_t r = 0; r < probs.rows(); ++r) {
     const auto row = probs.row(r);
     const auto best = static_cast<std::size_t>(
         std::max_element(row.begin(), row.end()) - row.begin());
-    ++votes[best];
+    ++tally.votes[best];
     for (std::size_t c = 0; c < row.size(); ++c) {
-      probability_mass[c] += row[c];
+      tally.probability_mass[c] += row[c];
     }
   }
 }
 
-std::vector<std::size_t> FamilyClassifier::vote_counts(
-    const features::SampleFeatures& features) const {
-  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
-  std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_net_, features.dbl, votes, mass);
-  accumulate(lbl_net_, features.lbl, votes, mass);
-  return votes;
-}
-
-namespace {
-
-dataset::Family vote_winner(const std::vector<std::size_t>& votes,
-                            const std::vector<double>& mass) {
+dataset::Family VoteTally::winner() const {
   std::size_t best = 0;
   for (std::size_t c = 1; c < votes.size(); ++c) {
     if (votes[c] > votes[best] ||
-        (votes[c] == votes[best] && mass[c] > mass[best])) {
+        (votes[c] == votes[best] &&
+         probability_mass[c] > probability_mass[best])) {
       best = c;
     }
   }
   return dataset::family_from_index(best);
 }
+
+namespace {
 
 /// Winner votes minus runner-up votes: 0 means a mass-broken tie.
 std::size_t vote_margin(const std::vector<std::size_t>& votes) {
@@ -176,33 +165,36 @@ std::size_t vote_margin(const std::vector<std::size_t>& votes) {
 
 }  // namespace
 
+VoteTally FamilyClassifier::tally(
+    const features::SampleFeatures& features) const {
+  VoteTally tally;
+  accumulate(dbl_net_, features.dbl, tally);
+  accumulate(lbl_net_, features.lbl, tally);
+  return tally;
+}
+
 dataset::Family FamilyClassifier::predict(
     const features::SampleFeatures& features) const {
   const obs::Span span("classifier.predict");
-  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
-  std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_net_, features.dbl, votes, mass);
-  accumulate(lbl_net_, features.lbl, votes, mass);
+  const VoteTally tallied = tally(features);
   obs::registry().counter_add("soteria.classifier.predictions");
   obs::registry().record("soteria.classifier.vote_margin",
-                         static_cast<double>(vote_margin(votes)));
-  return vote_winner(votes, mass);
+                         static_cast<double>(vote_margin(tallied.votes)));
+  return tallied.winner();
 }
 
 dataset::Family FamilyClassifier::predict_dbl_only(
     const features::SampleFeatures& features) const {
-  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
-  std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_net_, features.dbl, votes, mass);
-  return vote_winner(votes, mass);
+  VoteTally tally;
+  accumulate(dbl_net_, features.dbl, tally);
+  return tally.winner();
 }
 
 dataset::Family FamilyClassifier::predict_lbl_only(
     const features::SampleFeatures& features) const {
-  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
-  std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(lbl_net_, features.lbl, votes, mass);
-  return vote_winner(votes, mass);
+  VoteTally tally;
+  accumulate(lbl_net_, features.lbl, tally);
+  return tally.winner();
 }
 
 std::vector<std::size_t> FamilyClassifier::predict_dbl(

@@ -29,6 +29,19 @@ struct LabeledVectors {
   std::vector<std::size_t> labels;   ///< n class indices
 };
 
+/// Majority-vote tally over a sample's per-walk vectors, per class in
+/// Family label order.
+struct VoteTally {
+  std::vector<std::size_t> votes =
+      std::vector<std::size_t>(dataset::kFamilyCount, 0);
+  /// Summed softmax probability per class (the vote tie-break).
+  std::vector<double> probability_mass =
+      std::vector<double>(dataset::kFamilyCount, 0.0);
+
+  /// The class with the most votes; ties go to the larger mass.
+  [[nodiscard]] dataset::Family winner() const;
+};
+
 class FamilyClassifier {
  public:
   /// Trains both CNNs. `config.input_length` is overridden per model by
@@ -40,13 +53,16 @@ class FamilyClassifier {
                                 const nn::TrainConfig& training,
                                 double learning_rate, math::Rng& rng);
 
-  /// Majority-vote prediction over a sample's full feature bundle.
-  /// Const and safe for concurrent callers.
+  /// Majority-vote prediction over a sample's full feature bundle:
+  /// `tally(features).winner()`, recorded in the observability
+  /// registry. Const and safe for concurrent callers.
   [[nodiscard]] dataset::Family predict(
       const features::SampleFeatures& features) const;
 
-  /// Vote tally per class for diagnostics (same order as Family).
-  [[nodiscard]] std::vector<std::size_t> vote_counts(
+  /// Runs both CNNs once over every DBL and LBL vector and tallies
+  /// votes and probability mass. Const and safe for concurrent
+  /// callers; does not touch the observability registry.
+  [[nodiscard]] VoteTally tally(
       const features::SampleFeatures& features) const;
 
   /// Single-model batch predictions (rows = per-walk vectors).
@@ -90,10 +106,9 @@ class FamilyClassifier {
 
   /// Accumulates votes and probability mass from one compiled model
   /// over a set of vectors.
-  void accumulate(const nn::FrozenNet& net,
-                  const std::vector<std::vector<float>>& vectors,
-                  std::vector<std::size_t>& votes,
-                  std::vector<double>& probability_mass) const;
+  static void accumulate(const nn::FrozenNet& net,
+                         const std::vector<std::vector<float>>& vectors,
+                         VoteTally& tally);
 
   nn::CnnConfig dbl_arch_;  ///< architectures actually built
   nn::CnnConfig lbl_arch_;

@@ -37,10 +37,10 @@ void validate(const SoteriaConfig& config) {
     throw std::invalid_argument("SoteriaConfig: num_threads exceeds " +
                                 std::to_string(runtime::kMaxThreads));
   }
-  if (!config.frontend.empty() &&
-      frontend::FrontendRegistry::builtin().find(config.frontend) == nullptr) {
+  if (frontend::FrontendRegistry::builtin().find(config.pipeline.frontend) ==
+      nullptr) {
     throw std::invalid_argument("SoteriaConfig: unknown frontend \"" +
-                                config.frontend + "\"");
+                                config.pipeline.frontend + "\"");
   }
 }
 

@@ -63,25 +63,6 @@ struct SoteriaConfig {
   /// it describes the machine, not the model.
   std::size_t num_threads = 0;
 
-  /// Node count at or above which CFG labeling switches from exact to
-  /// sampled-pivot approximate centrality (graph/centrality.h); 0 (the
-  /// default) keeps labeling exact at any size. A non-zero value is
-  /// copied into `pipeline.labeling.approx_centrality_threshold` by
-  /// train() (like the architecture dims overridden at training time)
-  /// and travels with the saved model from then on; tune it to just
-  /// above the largest CFG whose exact labeling latency is acceptable
-  /// — the estimate's additive error is bounded by
-  /// `pipeline.labeling.approx` (epsilon/delta or explicit pivots).
-  std::size_t approx_centrality_threshold = 0;
-
-  /// Name of the binary front end whose CFGs this system is trained on
-  /// ("toy", "x86_64"; see frontend/frontend.h). Empty (the default)
-  /// defers to `pipeline.frontend`. A non-empty value is copied into
-  /// `pipeline.frontend` by train() (like approx_centrality_threshold)
-  /// and travels with the saved model from then on, keying the feature
-  /// store by decoder via the pipeline fingerprint.
-  std::string frontend;
-
   /// Capacity (entries) of the shared DBL/LBL labeling cache installed
   /// on the feature pipeline; 0 disables caching. Labeling is a pure
   /// function of CFG content, so the cache only removes re-derivation

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "cfg/labeling_cache.h"
 #include "frontend/frontend.h"
@@ -46,18 +47,6 @@ SoteriaSystem SoteriaSystem::train(
 
   SoteriaSystem system;
   system.config_ = config;
-  // The top-level threshold knob is a training-time override of the
-  // pipeline's labeling options (the persisted source of truth), like
-  // the architecture dims below.
-  if (config.approx_centrality_threshold != 0) {
-    system.config_.pipeline.labeling.approx_centrality_threshold =
-        config.approx_centrality_threshold;
-  }
-  // Same override pattern for the decoder identity: the pipeline's copy
-  // is the persisted source of truth (and feeds the fingerprint).
-  if (!config.frontend.empty()) {
-    system.config_.pipeline.frontend = config.frontend;
-  }
   math::Rng rng(config.seed);
   const std::size_t threads = runtime::resolve_threads(config.num_threads);
 
@@ -210,8 +199,9 @@ FeatureScores SoteriaSystem::score_features(
   scores.detector_score = detector_.sample_error(pooled_matrix(features));
   scores.threshold = detector_.threshold();
   scores.adversarial = scores.detector_score > scores.threshold;
-  scores.votes = classifier_.vote_counts(features);
-  scores.predicted = classifier_.predict(features);
+  VoteTally tally = classifier_.tally(features);
+  scores.predicted = tally.winner();
+  scores.votes = std::move(tally.votes);
   return scores;
 }
 
@@ -315,9 +305,6 @@ SoteriaSystem SoteriaSystem::load(std::istream& in) try {
   system.config_.seed = io::read_scalar<std::uint64_t>(in);
   system.pipeline_ = features::FeaturePipeline::load(in);
   system.config_.pipeline = system.pipeline_.config();
-  system.config_.approx_centrality_threshold =
-      system.config_.pipeline.labeling.approx_centrality_threshold;
-  system.config_.frontend = system.config_.pipeline.frontend;
   // Runtime-only state is not persisted; re-create the labeling cache
   // at the default capacity so batch analysis on a loaded model keeps
   // the cross-call memoization.

@@ -117,15 +117,12 @@ class SoteriaSystem {
                                       const math::Rng& fresh_rng,
                                       const AnalyzeOptions& options = {}) const;
 
-  /// Runs detector + classifier on pre-extracted features. Safe for
-  /// concurrent callers.
-  [[nodiscard]] Verdict analyze_features(
-      const features::SampleFeatures& features) const;
-
   /// Detector score, threshold, and full vote tally for one feature
-  /// bundle (see FeatureScores). Safe for concurrent callers; does not
-  /// touch the observability registry (attackers probing the system
-  /// should not inflate its own analysis counters).
+  /// bundle (see FeatureScores), each CNN run once. Agrees with the
+  /// Verdict analyze() gives for the same bundle. Safe for concurrent
+  /// callers. Records no analysis or classifier metrics (attackers
+  /// probing the system should not inflate its own analysis counters);
+  /// only the detector's `detector.score` span and score histogram.
   [[nodiscard]] FeatureScores score_features(
       const features::SampleFeatures& features) const;
 
@@ -189,6 +186,11 @@ class SoteriaSystem {
   SoteriaSystem() = default;
 
  private:
+  /// Runs detector + classifier on pre-extracted features and records
+  /// the verdict in the observability registry.
+  [[nodiscard]] Verdict analyze_features(
+      const features::SampleFeatures& features) const;
+
   SoteriaConfig config_;
   features::FeaturePipeline pipeline_;
   AeDetector detector_;

@@ -82,6 +82,7 @@ class Cursor {
     if (!read(size) || size > kMaxVectorDimension) return false;
     if ((end_ - offset_) / sizeof(float) < size) return false;
     values.resize(size);
+    if (size == 0) return true;  // empty vector: data() may be null
     std::memcpy(values.data(), bytes_.data() + offset_,
                 static_cast<std::size_t>(size) * sizeof(float));
     offset_ += static_cast<std::size_t>(size) * sizeof(float);

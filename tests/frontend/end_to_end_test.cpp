@@ -133,7 +133,6 @@ TEST_F(FrontendE2E, TrainedSystemRecordsFrontend) {
   system->save(stream);
   const auto loaded = SoteriaSystem::load(stream);
   EXPECT_EQ(loaded.config().pipeline.frontend, "toy");
-  EXPECT_EQ(loaded.config().frontend, "toy");  // mirrored by load()
   EXPECT_EQ(loaded.pipeline().fingerprint(),
             system->pipeline().fingerprint());
 }
@@ -200,7 +199,7 @@ TEST(FrontendFingerprint, EmptyFrontendNameIsInvalid) {
   EXPECT_THROW(features::validate(config), std::invalid_argument);
 
   SoteriaConfig system_config = tiny_config();
-  system_config.frontend = "sparc";
+  system_config.pipeline.frontend = "sparc";
   EXPECT_THROW(validate(system_config), std::invalid_argument);
 }
 

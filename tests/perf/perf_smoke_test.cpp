@@ -87,7 +87,7 @@ TEST(PerfSmoke, HistogramQuantilesAreOrderedAndBounded) {
   EXPECT_GE(p50, histogram.min);
 }
 
-/// The keys perf_serve records per (workers, shards, batch) combination.
+/// The keys perf_serve records per (workers, batch) combination.
 const char* const kServeMetrics[] = {
     "throughput_rps", "e2e_p50_ms", "e2e_p99_ms", "queue_wait_p50_ms",
     "queue_wait_p99_ms"};
@@ -98,7 +98,7 @@ TEST(PerfSmoke, ServeSweepJsonSchemaParses) {
   std::ostringstream doc;
   doc << "{\n  \"perf_serve\": {\n    \"hardware_threads\": 8";
   for (const char* metric : kServeMetrics) {
-    doc << ",\n    \"w4_s2_b16_" << metric << "\": 1.5";
+    doc << ",\n    \"w1_b16_" << metric << "\": 1.5";
   }
   doc << "\n  }\n}\n";
 
@@ -106,7 +106,7 @@ TEST(PerfSmoke, ServeSweepJsonSchemaParses) {
   const auto& section = parsed.as_object().at("perf_serve").as_object();
   EXPECT_EQ(section.at("hardware_threads").as_number(), 8.0);
   for (const char* metric : kServeMetrics) {
-    const auto& value = section.at("w4_s2_b16_" + std::string(metric));
+    const auto& value = section.at("w1_b16_" + std::string(metric));
     ASSERT_EQ(value.type(), obs::json::Value::Type::kNumber) << metric;
     EXPECT_EQ(value.as_number(), 1.5) << metric;
   }
@@ -115,8 +115,8 @@ TEST(PerfSmoke, ServeSweepJsonSchemaParses) {
 TEST(PerfSmoke, RecordedServeSweepHasTheNewSchema) {
   // When a BENCH_perf.json is reachable (running from the build tree
   // or the repo root), its perf_serve section must carry the sweep's
-  // current key shape — stale t*_q* keys from the old sweep mean the
-  // bench and its consumers have drifted apart.
+  // current key shape — stale t*_q* or w*_s*_b* (shard) keys from the
+  // old sweeps mean the bench and its consumers have drifted apart.
   std::string contents;
   for (const char* candidate :
        {"BENCH_perf.json", "../BENCH_perf.json", "../../BENCH_perf.json"}) {
@@ -142,13 +142,14 @@ TEST(PerfSmoke, RecordedServeSweepHasTheNewSchema) {
   ASSERT_TRUE(section.count("hardware_threads"));
   EXPECT_GE(section.at("hardware_threads").as_number(), 1.0);
   for (const char* metric : kServeMetrics) {
-    const std::string key = "w1_s1_b16_" + std::string(metric);
+    const std::string key = "w1_b16_" + std::string(metric);
     ASSERT_TRUE(section.count(key)) << key;
     EXPECT_GE(section.at(key).as_number(), 0.0) << key;
   }
   // The rewrite replaced the section wholesale: no stale keys.
   for (const auto& [key, value] : section) {
     EXPECT_NE(key.rfind("t1_q", 0), 0U) << "stale key " << key;
+    EXPECT_EQ(key.find("_s"), std::string::npos) << "stale key " << key;
   }
 }
 

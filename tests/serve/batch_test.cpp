@@ -1,11 +1,10 @@
 // Micro-batch boundary properties: the places where batching could
 // corrupt the service contract if it were wired naively. Deadline
 // expiry of a request already drained into a batch, shutdown landing
-// between drain and execute (both policies), a hot swap landing in the
-// same window (no torn batches), and per-shard backpressure at exact
-// capacity. The config.batch_hook test seam makes each race
-// deterministic: it runs after the batch is drained and the model
-// pinned, before inference starts. Carries the `serve` ctest label;
+// between drain and execute (both policies), and a hot swap landing in
+// the same window (no torn batches). The config.batch_hook test seam
+// makes each race deterministic: it runs after the batch is drained and
+// the model pinned, before inference starts. Carries the `serve` ctest label;
 // the sanitize builds run it under TSan.
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 
 #include "dataset/generator.h"
 #include "serve/service.h"
-#include "serve/sharded_service.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 
@@ -268,58 +266,6 @@ TEST_F(BatchFixture, DrainShutdownMidBatchFinishesEverything) {
   EXPECT_EQ(stats.cancelled, 0U);
   // max_batch 2 over 5 requests needs at least ceil(5/2) = 3 drains.
   EXPECT_GE(stats.batches, 3U);
-}
-
-TEST_F(BatchFixture, PerShardBackpressureIsIndependent) {
-  // Two shards, tiny queues, paused workers. Hammering ONE shard with
-  // the same (hot) binary must fill exactly that shard's queue to
-  // kQueueFull while the other shard still accepts — backpressure is a
-  // per-shard property, not a global one.
-  ShardedServiceConfig config;
-  config.num_shards = 2;
-  config.shard.queue_depth = 2;
-  config.shard.num_threads = 1;
-  ShardedService service(*model_a, config);
-  service.pause();
-
-  const auto hot = std::make_shared<const cfg::Cfg>(sample(0));
-  const std::size_t hot_shard = service.shard_for(*hot);
-
-  // Find a sample routing to the OTHER shard (the corpus is diverse
-  // enough that one exists within a handful of tries).
-  std::shared_ptr<const cfg::Cfg> cold;
-  for (std::size_t i = 1; i < data->test.size(); ++i) {
-    auto candidate = std::make_shared<const cfg::Cfg>(sample(i));
-    if (service.shard_for(*candidate) != hot_shard) {
-      cold = std::move(candidate);
-      break;
-    }
-  }
-  ASSERT_NE(cold, nullptr) << "corpus routes entirely to one shard";
-
-  std::vector<ShardedService::Ticket> accepted;
-  for (int i = 0; i < 2; ++i) {
-    auto ticket = service.submit(hot);
-    ASSERT_TRUE(ticket.accepted()) << i;
-    accepted.push_back(std::move(ticket));
-  }
-  auto rejected = service.submit(hot);
-  EXPECT_EQ(rejected.status, ErrorCode::kQueueFull);
-
-  // The other shard is unaffected by its neighbor's full queue...
-  auto other = service.submit(cold);
-  ASSERT_TRUE(other.accepted());
-  // ...and the rejected submission did not burn an id: accepted ids
-  // stay dense across the reject.
-  EXPECT_EQ(other.id, 2U);
-  accepted.push_back(std::move(other));
-
-  EXPECT_EQ(service.shard(hot_shard).stats().queue_depth, 2U);
-  EXPECT_EQ(service.stats().total.rejected, 1U);
-
-  service.resume();
-  for (auto& ticket : accepted) EXPECT_NO_THROW((void)ticket.verdict.get());
-  EXPECT_EQ(service.stats().total.completed, 3U);
 }
 
 }  // namespace

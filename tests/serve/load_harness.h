@@ -1,19 +1,17 @@
-// Deterministic load-generator harness for the serving tests and the
-// perf_serve bench: seeded arrival patterns over a fixed CFG corpus,
-// submitted through either service front door, with the resulting
-// verdict stream checked bit-exactly against a serial analyze_batch.
+// Deterministic load-generator harness for the serving tests: seeded
+// arrival patterns over a fixed CFG corpus, submitted through the
+// AnalysisService, with the resulting verdict stream checked
+// bit-exactly against a serial analyze_batch.
 //
 // The harness is header-only and allocation-light on purpose: the same
-// code drives the 36-combination bit-identity sweep in
-// load_harness_test.cpp and (by inclusion) any future soak test, so a
-// behavior difference between "test traffic" and "bench traffic" can't
-// creep in.
+// code drives the 12-combination bit-identity sweep in
+// load_harness_test.cpp and (by inclusion) any future soak test.
 //
 // Determinism: every pattern is a pure function of (seed, corpus size,
 // request count). Submission happens from ONE thread in pattern order,
-// with yield-retry on per-shard backpressure, so the accepted sequence
-// — and therefore the dense request ids — is exactly the pattern
-// order regardless of worker count, shard count, or micro-batch size.
+// with yield-retry on backpressure, so the accepted sequence — and
+// therefore the dense request ids — is exactly the pattern order
+// regardless of worker count or micro-batch size.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +22,7 @@
 
 #include "cfg/cfg.h"
 #include "math/rng.h"
+#include "serve/service.h"
 #include "soteria/error.h"
 
 namespace soteria::serve::testing {
@@ -31,17 +30,16 @@ namespace soteria::serve::testing {
 /// Seeded arrival patterns: which corpus entry each request presents.
 enum class ArrivalPattern {
   /// Every request draws uniformly at random from the corpus — the
-  /// steady-state storm where all shards and caches stay warm.
+  /// steady-state storm where the caches stay warm.
   kUniformStorm,
   /// Requests arrive in runs of the same binary (burst length drawn
-  /// from [1, 8]) — stresses micro-batch packing and the per-shard
-  /// labeling/feature caches with repeated keys.
+  /// from [1, 8]) — stresses micro-batch packing and the labeling and
+  /// feature caches with repeated keys.
   kBursty,
   /// 80% of requests hammer one "hot" binary with the rest uniform —
-  /// adversarially skewed shard keys: one shard absorbs most of the
-  /// load while the others idle, the worst case for a consistent-hash
-  /// front door.
-  kSkewedShardKey,
+  /// adversarially skewed keys: most micro-batches carry the same
+  /// binary several times over.
+  kSkewedHotKey,
 };
 
 /// The corpus indices requests present, in submission order. Pure
@@ -69,7 +67,7 @@ inline std::vector<std::size_t> arrival_indices(ArrivalPattern pattern,
         }
       }
       break;
-    case ArrivalPattern::kSkewedShardKey: {
+    case ArrivalPattern::kSkewedHotKey: {
       const std::size_t hot = rng.index(corpus_size);
       for (std::size_t i = 0; i < requests; ++i) {
         const bool hammer = rng.index(10) < 8;  // 80% hot key
@@ -82,17 +80,15 @@ inline std::vector<std::size_t> arrival_indices(ArrivalPattern pattern,
 }
 
 /// Submits `indices` through `service` from the calling thread in
-/// order, spinning (yield) through per-shard kQueueFull backpressure so
-/// every request is eventually accepted and the accepted order equals
-/// the arrival order. Works for AnalysisService and ShardedService —
-/// anything with `Ticket submit(std::shared_ptr<const cfg::Cfg>)`.
-/// Returns one accepted ticket per request, in submission order.
-template <typename Service>
-std::vector<typename Service::Ticket> submit_all(
-    Service& service,
+/// order, spinning (yield) through kQueueFull backpressure so every
+/// request is eventually accepted and the accepted order equals the
+/// arrival order. Returns one accepted ticket per request, in
+/// submission order.
+inline std::vector<Ticket> submit_all(
+    AnalysisService& service,
     const std::vector<std::shared_ptr<const cfg::Cfg>>& corpus,
     const std::vector<std::size_t>& indices) {
-  std::vector<typename Service::Ticket> tickets;
+  std::vector<Ticket> tickets;
   tickets.reserve(indices.size());
   for (const std::size_t index : indices) {
     for (;;) {

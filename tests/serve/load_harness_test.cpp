@@ -1,11 +1,11 @@
 // Deterministic load sweep: every seeded arrival pattern (uniform
-// storm, bursty, adversarially skewed shard keys) replayed through the
-// sharded, micro-batched serving stack at {1,2,4,8} workers x {1,2,4}
-// shards x {1,4,16} max_batch, and every verdict stream compared
-// bit-exactly against one serial analyze_batch over the same arrivals.
-// This is the determinism contract's enforcement arm: if batching,
-// sharding, or worker scheduling ever leaks into the math, one of the
-// 36 combinations diverges and names the culprit. Carries the `serve`
+// storm, bursty, adversarially skewed hot key) replayed through the
+// micro-batched AnalysisService at {1,2,4,8} workers x {1,4,16}
+// max_batch, and every verdict stream compared bit-exactly against one
+// serial analyze_batch over the same arrivals. This is the determinism
+// contract's enforcement arm: if batching or worker scheduling ever
+// leaks into the math, one of the 12 combinations diverges and names
+// the culprit. Carries the `serve`
 // ctest label; the sanitize builds run it under TSan.
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "dataset/generator.h"
 #include "load_harness.h"
 #include "serve/service.h"
-#include "serve/sharded_service.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 #include "store/feature_store.h"
@@ -54,7 +53,7 @@ struct LoadSweepFixture : public ::testing::Test {
 
     // One persistent store shared by every combination: repeated
     // (content, fingerprint, walk-seed) keys hit instead of re-walking,
-    // which keeps the 36-combination sweep fast — and doubles as a
+    // which keeps the 12-combination sweep fast — and doubles as a
     // check that verdicts stay bit-identical with the store in play.
     store_dir = new std::filesystem::path(
         std::filesystem::temp_directory_path() / "soteria_load_sweep_store");
@@ -105,42 +104,38 @@ struct LoadSweepFixture : public ::testing::Test {
     ASSERT_EQ(expected.size(), kRequests);
 
     for (const std::size_t workers : {1U, 2U, 4U, 8U}) {
-      for (const std::size_t shards : {1U, 2U, 4U}) {
-        for (const std::size_t batch : {1U, 4U, 16U}) {
-          SCOPED_TRACE("workers=" + std::to_string(workers) +
-                       " shards=" + std::to_string(shards) +
-                       " batch=" + std::to_string(batch));
-          ShardedServiceConfig config;
-          config.num_shards = shards;
-          config.seed = kSweepSeed;
-          config.shard.num_threads = workers;
-          config.shard.max_batch = batch;
-          config.shard.feature_store = *store;
-          ShardedService service(*model, config);
+      for (const std::size_t batch : {1U, 4U, 16U}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " batch=" + std::to_string(batch));
+        ServiceConfig config;
+        config.seed = kSweepSeed;
+        config.num_threads = workers;
+        config.max_batch = batch;
+        config.feature_store = *store;
+        AnalysisService service(*model, config);
 
-          auto tickets = submit_all(service, *corpus, indices);
-          ASSERT_EQ(tickets.size(), kRequests);
-          // Ids are dense and global across shards, in arrival order.
-          for (std::size_t i = 0; i < tickets.size(); ++i) {
-            ASSERT_EQ(tickets[i].id, i);
-          }
-          for (std::size_t i = 0; i < tickets.size(); ++i) {
-            const auto verdict = tickets[i].verdict.get();
-            EXPECT_EQ(verdict.adversarial, expected[i].adversarial)
-                << "request " << i;
-            EXPECT_EQ(verdict.predicted, expected[i].predicted)
-                << "request " << i;
-            EXPECT_EQ(verdict.reconstruction_error,
-                      expected[i].reconstruction_error)
-                << "request " << i;
-          }
-
-          const auto stats = service.stats();
-          EXPECT_EQ(stats.total.accepted, kRequests);
-          EXPECT_EQ(stats.total.completed, kRequests);
-          EXPECT_EQ(stats.total.failed, 0U);
-          EXPECT_GE(stats.total.batches, 1U);
+        auto tickets = submit_all(service, *corpus, indices);
+        ASSERT_EQ(tickets.size(), kRequests);
+        // Ids are dense, in arrival order.
+        for (std::size_t i = 0; i < tickets.size(); ++i) {
+          ASSERT_EQ(tickets[i].id, i);
         }
+        for (std::size_t i = 0; i < tickets.size(); ++i) {
+          const auto verdict = tickets[i].verdict.get();
+          EXPECT_EQ(verdict.adversarial, expected[i].adversarial)
+              << "request " << i;
+          EXPECT_EQ(verdict.predicted, expected[i].predicted)
+              << "request " << i;
+          EXPECT_EQ(verdict.reconstruction_error,
+                    expected[i].reconstruction_error)
+              << "request " << i;
+        }
+
+        const auto stats = service.stats();
+        EXPECT_EQ(stats.accepted, kRequests);
+        EXPECT_EQ(stats.completed, kRequests);
+        EXPECT_EQ(stats.failed, 0U);
+        EXPECT_GE(stats.batches, 1U);
       }
     }
   }
@@ -168,7 +163,7 @@ TEST_F(LoadSweepFixture, ArrivalPatternsAreSeededAndPure) {
 
   // The skewed pattern really is skewed: its hot key dominates.
   const auto skew =
-      arrival_indices(ArrivalPattern::kSkewedShardKey, 7, 200, 9);
+      arrival_indices(ArrivalPattern::kSkewedHotKey, 7, 200, 9);
   std::vector<std::size_t> counts(7, 0);
   for (const std::size_t index : skew) ++counts[index];
   EXPECT_GE(*std::max_element(counts.begin(), counts.end()), 120U);
@@ -183,7 +178,7 @@ TEST_F(LoadSweepFixture, BurstyArrivalsBitIdenticalAcrossAllCombinations) {
 }
 
 TEST_F(LoadSweepFixture, SkewedShardKeysBitIdenticalAcrossAllCombinations) {
-  run_sweep(ArrivalPattern::kSkewedShardKey, 103);
+  run_sweep(ArrivalPattern::kSkewedHotKey, 103);
 }
 
 }  // namespace

@@ -190,6 +190,12 @@ TEST_F(ServiceFixture, BackpressureRejectsAtExactCapacity) {
   service.resume();
   for (auto& ticket : accepted) EXPECT_NO_THROW((void)ticket.verdict.get());
   EXPECT_EQ(service.stats().completed, 3U);
+
+  // The rejected submission did not burn an id: accepted ids stay dense.
+  auto next = service.submit(cfgs[0]);
+  ASSERT_TRUE(next.accepted());
+  EXPECT_EQ(next.id, 3U);
+  EXPECT_NO_THROW((void)next.verdict.get());
 }
 
 TEST_F(ServiceFixture, QueuedRequestExpiresBeforeWastingAWorker) {

@@ -88,10 +88,11 @@ TEST(FamilyClassifier, LearnsSyntheticClasses) {
 TEST(FamilyClassifier, VoteCountsSumToAllVectors) {
   auto classifier = trained_classifier();
   const auto features = features_for_class(1, 77);
-  const auto votes = classifier.vote_counts(features);
+  const auto tally = classifier.tally(features);
   std::size_t total = 0;
-  for (std::size_t v : votes) total += v;
+  for (std::size_t v : tally.votes) total += v;
   EXPECT_EQ(total, features.dbl.size() + features.lbl.size());
+  EXPECT_EQ(tally.winner(), classifier.predict(features));
 }
 
 TEST(FamilyClassifier, SingleLabelingPredictionsWork) {

@@ -157,6 +157,33 @@ TEST_F(GoldenBytesFixture, ExtractMatchesCommittedHash) {
   EXPECT_EQ(fnv1a64(floats), kGoldenFeatureHash);
 }
 
+TEST_F(GoldenBytesFixture, ScoreFeaturesAgreesWithAnalyze) {
+  // The attackers' oracle view of a bundle (one pass of each CNN) must
+  // say what a verdict says about the same walks.
+  const auto cfgs = golden_cfgs();
+  const math::Rng base(33);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    math::Rng extract_rng = base.child(i);
+    const auto features = system->extract(cfgs[i], extract_rng);
+    const auto scores = system->score_features(features);
+    math::Rng analyze_rng = base.child(i);
+    const auto verdict = system->analyze(cfgs[i], analyze_rng);
+
+    EXPECT_EQ(bits_of(scores.detector_score),
+              bits_of(verdict.reconstruction_error))
+        << "sample " << i;
+    EXPECT_EQ(bits_of(scores.detector_score), kGoldenVerdicts[i].error_bits)
+        << "sample " << i;
+    EXPECT_EQ(scores.threshold, system->detector().threshold());
+    EXPECT_EQ(scores.adversarial, verdict.adversarial) << "sample " << i;
+    EXPECT_EQ(scores.predicted, verdict.predicted) << "sample " << i;
+    std::size_t total = 0;
+    for (const std::size_t v : scores.votes) total += v;
+    EXPECT_EQ(total, features.dbl.size() + features.lbl.size())
+        << "sample " << i;
+  }
+}
+
 TEST_F(GoldenBytesFixture, SaveIsByteStableAcrossRunsAndThreadCounts) {
   // Second training run at a different thread count: same seed, same
   // corpus, so the serialized model must be bit-identical.
