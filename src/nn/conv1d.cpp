@@ -37,86 +37,12 @@ math::Matrix Conv1d::forward(const math::Matrix& input, bool /*training*/) {
   return infer(input);
 }
 
-void conv1d_infer_into(const float* in, float* out, const float* weights,
-                       const float* bias, std::size_t rows,
-                       std::size_t in_channels, std::size_t in_length,
-                       std::size_t out_channels, std::size_t kernel) noexcept {
-  const std::size_t out_len = in_length - kernel + 1;
-  const std::size_t w_cols = in_channels * kernel;
-  const std::size_t in_cols = in_channels * in_length;
-  const std::size_t out_cols = out_channels * out_len;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* in_row = in + r * in_cols;
-    float* out_row = out + r * out_cols;
-    std::size_t o = 0;
-    // Output channels in pairs: each shifted input-channel load feeds
-    // two accumulator streams. Per output element the accumulation
-    // order (bias first, then ascending channel/tap) and the zero-tap
-    // skip are exactly the reference's, so results are bit-identical.
-    for (; o + 2 <= out_channels; o += 2) {
-      const float* wa = weights + (o + 0) * w_cols;
-      const float* wb = weights + (o + 1) * w_cols;
-      float* out_a = out_row + (o + 0) * out_len;
-      float* out_b = out_row + (o + 1) * out_len;
-      const float ba = bias[o + 0];
-      const float bb = bias[o + 1];
-      for (std::size_t t = 0; t < out_len; ++t) {
-        out_a[t] = ba;
-        out_b[t] = bb;
-      }
-      for (std::size_t c = 0; c < in_channels; ++c) {
-        const float* in_chan = in_row + c * in_length;
-        const float* wac = wa + c * kernel;
-        const float* wbc = wb + c * kernel;
-        for (std::size_t k = 0; k < kernel; ++k) {
-          const float wka = wac[k];
-          const float wkb = wbc[k];
-          const float* shifted = in_chan + k;
-          if (wka != 0.0F && wkb != 0.0F) {
-            for (std::size_t t = 0; t < out_len; ++t) {
-              out_a[t] += wka * shifted[t];
-              out_b[t] += wkb * shifted[t];
-            }
-          } else if (wka != 0.0F) {
-            for (std::size_t t = 0; t < out_len; ++t) {
-              out_a[t] += wka * shifted[t];
-            }
-          } else if (wkb != 0.0F) {
-            for (std::size_t t = 0; t < out_len; ++t) {
-              out_b[t] += wkb * shifted[t];
-            }
-          }
-        }
-      }
-    }
-    for (; o < out_channels; ++o) {
-      const float* w = weights + o * w_cols;
-      const float b = bias[o];
-      float* out_chan = out_row + o * out_len;
-      for (std::size_t t = 0; t < out_len; ++t) out_chan[t] = b;
-      for (std::size_t c = 0; c < in_channels; ++c) {
-        const float* in_chan = in_row + c * in_length;
-        const float* wc = w + c * kernel;
-        for (std::size_t k = 0; k < kernel; ++k) {
-          const float wk = wc[k];
-          if (wk == 0.0F) continue;
-          const float* shifted = in_chan + k;
-          for (std::size_t t = 0; t < out_len; ++t) {
-            out_chan[t] += wk * shifted[t];
-          }
-        }
-      }
-    }
-  }
-}
-
 namespace {
 
-// The backward kernels work in lanes of one 64-byte vector: the
-// compiler lowers each lane op to the target's widest float add or mul
-// (one AVX-512 instruction, two AVX ones, four SSE ones). A lane op
-// rounds each lane on its own, so per element the arithmetic is the
-// scalar loop's.
+// Both kernels work in lanes of one 64-byte vector: the compiler lowers
+// each lane op to the target's widest float add or mul (one AVX-512
+// instruction, two AVX ones, four SSE ones). A lane op rounds each lane
+// on its own, so per element the arithmetic is the scalar loop's.
 constexpr std::size_t kLanes = 16;
 using Lanes = float __attribute__((vector_size(kLanes * sizeof(float))));
 
@@ -124,6 +50,147 @@ using Lanes = float __attribute__((vector_size(kLanes * sizeof(float))));
 // its calling convention depend on the target ISA.
 void load(Lanes& v, const float* p) noexcept { std::memcpy(&v, p, sizeof v); }
 void store(float* p, const Lanes& v) noexcept { std::memcpy(p, &v, sizeof v); }
+
+// Every lane set to `x` itself: `Lanes{} + x` would turn a -0.0f bias
+// into +0.0f.
+void splat(Lanes& v, float x) noexcept {
+  for (std::size_t l = 0; l < kLanes; ++l) v[l] = x;
+}
+
+struct ForwardShape {
+  std::size_t in_channels;
+  std::size_t in_length;
+  std::size_t kernel;
+  std::size_t out_len;  // in_length - kernel + 1
+  std::size_t w_cols;   // in_channels * kernel
+};
+
+// Output channels [o, o + O) at the N*kLanes positions from t, held in
+// O*N vector accumulators across every (channel, tap) pair and stored
+// once. Per output element: bias, then channels ascending, then taps
+// ascending, skipping zero taps -- the reference's order. kAllNonzero
+// (no weight of the O channels is zero, as in any trained net) drops
+// the per-tap zero tests, so every pair runs branch-free.
+template <std::size_t O, std::size_t N, bool kAllNonzero>
+void forward_tile(const float* in_row, const float* weights,
+                  const float* bias, const ForwardShape& s, std::size_t o,
+                  std::size_t t, float* out_row) noexcept {
+  Lanes acc[O][N];
+  for (std::size_t i = 0; i < O; ++i) {
+    Lanes b;
+    splat(b, bias[o + i]);
+    for (std::size_t v = 0; v < N; ++v) acc[i][v] = b;
+  }
+  for (std::size_t c = 0; c < s.in_channels; ++c) {
+    const float* in_chan = in_row + c * s.in_length + t;
+    const float* wc = weights + o * s.w_cols + c * s.kernel;
+    for (std::size_t k = 0; k < s.kernel; ++k) {
+      const float* shifted = in_chan + k;
+      if constexpr (kAllNonzero) {
+        for (std::size_t v = 0; v < N; ++v) {
+          Lanes x;
+          load(x, shifted + v * kLanes);
+          for (std::size_t i = 0; i < O; ++i) {
+            acc[i][v] += x * wc[i * s.w_cols + k];
+          }
+        }
+      } else {
+        for (std::size_t i = 0; i < O; ++i) {
+          const float w = wc[i * s.w_cols + k];
+          if (w == 0.0F) continue;
+          for (std::size_t v = 0; v < N; ++v) {
+            Lanes x;
+            load(x, shifted + v * kLanes);
+            acc[i][v] += x * w;
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t i = 0; i < O; ++i) {
+    float* out_chan = out_row + (o + i) * s.out_len + t;
+    for (std::size_t v = 0; v < N; ++v) store(out_chan + v * kLanes, acc[i][v]);
+  }
+}
+
+// Every position of output channels [o, o + O) of one row, out_len >=
+// kLanes: full 6-vector tiles, then single vectors, then one vector
+// that ends at out_len and overlaps the previous one (its recomputed
+// elements come out with the same bits).
+template <std::size_t O, bool kAllNonzero>
+void forward_positions(const float* in_row, const float* weights,
+                       const float* bias, const ForwardShape& s,
+                       std::size_t o, float* out_row) noexcept {
+  constexpr std::size_t kTile = 6;
+  std::size_t t = 0;
+  for (; t + kTile * kLanes <= s.out_len; t += kTile * kLanes) {
+    forward_tile<O, kTile, kAllNonzero>(in_row, weights, bias, s, o, t,
+                                        out_row);
+  }
+  for (; t + kLanes <= s.out_len; t += kLanes) {
+    forward_tile<O, 1, kAllNonzero>(in_row, weights, bias, s, o, t, out_row);
+  }
+  if (t < s.out_len) {
+    forward_tile<O, 1, kAllNonzero>(in_row, weights, bias, s, o,
+                                    s.out_len - kLanes, out_row);
+  }
+}
+
+// Output channels [o, o + O) of one row. Rows shorter than one vector
+// run per element in the same order.
+template <std::size_t O>
+void forward_channels(const float* in_row, const float* weights,
+                      const float* bias, const ForwardShape& s,
+                      std::size_t o, float* out_row) noexcept {
+  if (s.out_len < kLanes) {
+    for (std::size_t i = o; i < o + O; ++i) {
+      const float* w = weights + i * s.w_cols;
+      for (std::size_t t = 0; t < s.out_len; ++t) {
+        float acc = bias[i];
+        for (std::size_t c = 0; c < s.in_channels; ++c) {
+          const float* shifted = in_row + c * s.in_length + t;
+          for (std::size_t k = 0; k < s.kernel; ++k) {
+            const float wk = w[c * s.kernel + k];
+            if (wk != 0.0F) acc += wk * shifted[k];
+          }
+        }
+        out_row[i * s.out_len + t] = acc;
+      }
+    }
+    return;
+  }
+  const float* w = weights + o * s.w_cols;
+  if (std::all_of(w, w + O * s.w_cols, [](float x) { return x != 0.0F; })) {
+    forward_positions<O, true>(in_row, weights, bias, s, o, out_row);
+  } else {
+    forward_positions<O, false>(in_row, weights, bias, s, o, out_row);
+  }
+}
+
+}  // namespace
+
+void conv1d_infer_into(const float* in, float* out, const float* weights,
+                       const float* bias, std::size_t rows,
+                       std::size_t in_channels, std::size_t in_length,
+                       std::size_t out_channels, std::size_t kernel) noexcept {
+  const ForwardShape s{in_channels, in_length, kernel,
+                       in_length - kernel + 1, in_channels * kernel};
+  const std::size_t in_cols = in_channels * in_length;
+  const std::size_t out_cols = out_channels * s.out_len;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* in_row = in + r * in_cols;
+    float* out_row = out + r * out_cols;
+    std::size_t o = 0;
+    for (; o + 4 <= out_channels; o += 4) {
+      forward_channels<4>(in_row, weights, bias, s, o, out_row);
+    }
+    for (; o < out_channels; ++o) {
+      forward_channels<1>(in_row, weights, bias, s, o, out_row);
+    }
+  }
+}
+
+namespace {
 
 struct BackwardShape {
   std::size_t in_channels;

@@ -13,15 +13,18 @@
 
 namespace soteria::nn {
 
-/// Raw direct-convolution kernel shared by Conv1d::infer and
+/// Raw direct-convolution kernel shared by Conv1d::forward/infer and
 /// nn::FrozenNet. `in` is rows x (in_channels*in_length) channel-major,
 /// `out` rows x (out_channels*(in_length-kernel+1)), `weights`
 /// out_channels x (in_channels*kernel), `bias` out_channels. Each
-/// output element accumulates bias first, then channel/tap products in
-/// ascending (channel, tap) order. Processes output channels in pairs
-/// so each input-channel load feeds two accumulator streams;
-/// bit-identical to the one-channel-at-a-time reference loop
-/// (tests/oracles) for finite inputs.
+/// output element starts from its bias and adds the nonzero-tap
+/// products w*x in ascending (channel, tap) order; zero taps are
+/// skipped. The work runs in register tiles of 4 output channels x 6
+/// vectors of 16 positions, held across every (channel, tap) pair and
+/// stored once; a group of 4 channels without a zero weight (any
+/// trained net) runs without per-tap tests. The result is bit-identical
+/// to the one-channel-at-a-time reference loop (tests/oracles), signed
+/// zeros and infinities included.
 void conv1d_infer_into(const float* in, float* out, const float* weights,
                        const float* bias, std::size_t rows,
                        std::size_t in_channels, std::size_t in_length,

@@ -1,13 +1,16 @@
 // Bitwise-identity contracts of the blocked kernels: the cache-blocked
-// GEMM (matmul / matmul_at) and the direct conv1d kernel must produce
-// exactly the bytes of the preserved naive references for finite
-// inputs, because every per-output accumulation runs the same
-// statement over k in the same ascending order. Shapes deliberately
-// straddle the block (256) and row-unroll (4) boundaries.
+// GEMM (matmul / matmul_at) and the register-tiled conv1d kernel must
+// produce exactly the bytes of the preserved naive references, because
+// every per-output accumulation runs the same statements in the same
+// order. GEMM shapes straddle the block (256) and row-unroll (4)
+// boundaries; conv shapes cover every edge of the 4-channel x 96-position
+// tiling, and signed zeros and infinities.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "math/matrix.h"
@@ -85,36 +88,161 @@ TEST(BlockedGemmTest, ZeroMatricesStayPositiveZero) {
   }
 }
 
+struct ConvShape {
+  std::size_t rows, in_channels, in_length, out_channels, kernel;
+};
+
+// Runs the kernel and the oracle on the same buffers and compares every
+// output byte.
+void expect_conv_matches_reference(const ConvShape& s,
+                                   const std::vector<float>& in,
+                                   const std::vector<float>& weights,
+                                   const std::vector<float>& bias) {
+  const std::size_t out_len = s.in_length - s.kernel + 1;
+  std::vector<float> fast(s.rows * s.out_channels * out_len, -1.0F);
+  std::vector<float> oracle(fast.size(), -2.0F);
+  nn::conv1d_infer_into(in.data(), fast.data(), weights.data(), bias.data(),
+                        s.rows, s.in_channels, s.in_length, s.out_channels,
+                        s.kernel);
+  oracles::conv1d_infer_reference_into(in.data(), oracle.data(),
+                                       weights.data(), bias.data(), s.rows,
+                                       s.in_channels, s.in_length,
+                                       s.out_channels, s.kernel);
+  ASSERT_EQ(0, std::memcmp(fast.data(), oracle.data(),
+                           fast.size() * sizeof(float)))
+      << "rows " << s.rows << ", in " << s.in_channels << "x" << s.in_length
+      << ", out " << s.out_channels << ", kernel " << s.kernel;
+}
+
+// With exact-zero taps a group of output channels skips them one by
+// one; without any (as in a trained net) it runs branch-free.
+void expect_random_conv_matches_reference(const ConvShape& s, Rng& rng,
+                                          bool zero_taps) {
+  const Matrix in = random_matrix(s.rows, s.in_channels * s.in_length, rng);
+  const Matrix weights =
+      random_matrix(s.out_channels, s.in_channels * s.kernel, rng, zero_taps);
+  const Matrix bias = random_matrix(1, s.out_channels, rng);
+  const auto copy = [](const Matrix& m) {
+    return std::vector<float>(m.data().begin(), m.data().end());
+  };
+  expect_conv_matches_reference(s, copy(in), copy(weights), copy(bias));
+}
+
 TEST(DirectConv1dTest, MatchesReferenceBitwise) {
   Rng rng(53);
-  struct Shape {
-    std::size_t rows, in_channels, in_length, out_channels, kernel;
+  // The shape grid of Conv1dBackwardTest: output channels 16, 17, 5 and
+  // 46 (whole 4-channel tiles and 1-3 left over), kernels 1..5, lengths
+  // with a single output position and with 21 and 147 interior ones;
+  // each channel count with and without zero taps.
+  const std::size_t grid_out_channels[] = {16, 17, 5, 46};
+  std::size_t next = 0;
+  for (const std::size_t in_channels : {1U, 2U, 16U, 46U, 47U}) {
+    for (const std::size_t kernel : {1U, 2U, 3U, 5U}) {
+      for (const std::size_t rows : {1U, 3U, 64U}) {
+        for (const std::size_t interior : {0U, 21U, 147U}) {
+          if (rows == 64 && interior == 21) continue;
+          const std::size_t length =
+              interior == 0 ? kernel : interior + 2 * (kernel - 1);
+          const bool zero_taps = next / 4 % 2 == 0;
+          expect_random_conv_matches_reference(
+              {rows, in_channels, length, grid_out_channels[next++ % 4],
+               kernel},
+              rng, zero_taps);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+
+  // The product CNN's four convolutions (16 filters, kernel 3) at one
+  // row and at one walk set's ten.
+  for (const std::size_t rows : {1U, 10U}) {
+    for (const auto& [in_channels, in_length] :
+         {std::pair<std::size_t, std::size_t>{1, 500},
+          {16, 498},
+          {16, 248},
+          {16, 246}}) {
+      for (const bool zero_taps : {false, true}) {
+        expect_random_conv_matches_reference(
+            {rows, in_channels, in_length, 16, 3}, rng, zero_taps);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+
+  // Output lengths below one 16-wide vector (per-element path), and
+  // lengths leaving every remainder 0-15 mod 16 after one and three
+  // single vectors, after a full 96-wide tile plus a vector, and after
+  // two full tiles. Output-channel counts 1..9 cover 4-channel tiles
+  // with 0-3 channels left over.
+  std::size_t out_channels = 1;
+  const auto next_out_channels = [&] {
+    out_channels = out_channels % 9 + 1;
+    return out_channels;
   };
-  // Odd and even output-channel counts (pairing tail), kernels 1..5,
-  // single- and multi-channel inputs.
-  const Shape shapes[] = {{1, 1, 8, 1, 3},  {2, 1, 30, 4, 3},
-                          {3, 2, 20, 5, 3}, {4, 3, 16, 7, 1},
-                          {2, 4, 25, 6, 5}, {5, 2, 12, 2, 4}};
-  for (const auto& s : shapes) {
-    const std::size_t out_len = s.in_length - s.kernel + 1;
-    Matrix in = random_matrix(s.rows, s.in_channels * s.in_length, rng);
-    Matrix weights =
-        random_matrix(s.out_channels, s.in_channels * s.kernel, rng, true);
-    Matrix bias = random_matrix(1, s.out_channels, rng);
-    std::vector<float> fast(s.rows * s.out_channels * out_len, -1.0F);
-    std::vector<float> oracle(fast.size(), -2.0F);
-    nn::conv1d_infer_into(in.data().data(), fast.data(),
-                          weights.data().data(), bias.data().data(), s.rows,
-                          s.in_channels, s.in_length, s.out_channels,
-                          s.kernel);
-    oracles::conv1d_infer_reference_into(in.data().data(), oracle.data(),
-                                         weights.data().data(),
-                                         bias.data().data(), s.rows,
-                                         s.in_channels, s.in_length,
-                                         s.out_channels, s.kernel);
-    ASSERT_EQ(0, std::memcmp(fast.data(), oracle.data(),
-                             fast.size() * sizeof(float)))
-        << s.out_channels << " channels, kernel " << s.kernel;
+  for (std::size_t out_len = 1; out_len < 16; ++out_len) {
+    for (const std::size_t kernel : {1U, 3U}) {
+      expect_random_conv_matches_reference(
+          {2, 3, out_len + kernel - 1, next_out_channels(), kernel}, rng,
+          kernel == 1);
+      if (HasFatalFailure()) return;
+    }
+  }
+  for (std::size_t rem = 0; rem < 16; ++rem) {
+    for (const std::size_t base : {16U, 48U, 112U, 192U}) {
+      for (const std::size_t kernel : {1U, 3U}) {
+        for (const bool zero_taps : {false, true}) {
+          expect_random_conv_matches_reference(
+              {2, 2, base + rem + kernel - 1, next_out_channels(), kernel},
+              rng, zero_taps);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+
+  // Signed zeros and infinities: a -0.0f bias must come out as -0.0f
+  // where nothing is added to it (an all-zero filter, or only zero
+  // taps), +/-0 inputs flip the sign of zero sums, and +/-inf inputs
+  // are never multiplied by a skipped zero tap (which would give NaN).
+  // Without zero taps every group runs branch-free, from the same
+  // -0.0f biases.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0F, -0.0F, inf, -inf};
+  for (const std::size_t out_len : {5U, 16U, 37U, 131U}) {
+    for (const bool zero_taps : {true, false}) {
+      const ConvShape s{3, 4, out_len + 2, 7, 3};
+      std::vector<float> in(s.rows * s.in_channels * s.in_length);
+      for (float& x : in) {
+        // Mostly signed zeros, so many sums stay exactly zero.
+        const std::size_t pick = rng.index(12);
+        x = pick < 8 ? specials[pick % 2]
+            : pick < 9 ? specials[2 + rng.index(2)]
+                       : static_cast<float>(rng.uniform(-2.0, 2.0));
+      }
+      std::vector<float> weights(s.out_channels * s.in_channels * s.kernel);
+      for (std::size_t o = 0; o < s.out_channels; ++o) {
+        for (std::size_t j = 0; j < s.in_channels * s.kernel; ++j) {
+          float& w = weights[o * s.in_channels * s.kernel + j];
+          const bool zero_channel = j / s.kernel == 2;  // input channel 2
+          const bool zero_filter = o == 3;  // bias -0.0f
+          if (zero_taps &&
+              (zero_channel || zero_filter || rng.index(3) == 0)) {
+            w = rng.index(2) == 0 ? 0.0F : -0.0F;
+          } else {
+            w = static_cast<float>(rng.uniform(-2.0, 2.0));
+          }
+        }
+      }
+      std::vector<float> bias(s.out_channels);
+      for (std::size_t o = 0; o < s.out_channels; ++o) {
+        bias[o] = o % 3 == 0 ? -0.0F
+                  : o % 3 == 1 ? 0.0F
+                               : static_cast<float>(rng.uniform(-2.0, 2.0));
+      }
+      expect_conv_matches_reference(s, in, weights, bias);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 
