@@ -1,20 +1,28 @@
 // Micro-benchmarks for the feature substrate: random walks, n-gram
-// counting, TF-IDF vectorization, and full per-sample extraction — plus
-// a thread-count sweep of the parallel batch engine over a corpus.
+// counting, TF-IDF vectorization, and full per-sample extraction (the
+// automaton FeaturePipeline::extract next to the map-based
+// oracles::extract_reference, on random DAGs and on a 2,000-block
+// firmware CFG) — plus a thread-count sweep of the parallel batch
+// engine over a corpus.
 //
-// After the google-benchmark suites, main() runs a tiny end-to-end
-// train + analyze_batch with the observability registry enabled and
-// prints the per-stage timing breakdown (also written to
+// Before the suites, main() checks extract against extract_reference
+// bit for bit on every CFG the extraction benchmarks time and exits 1
+// on any difference. After them, it runs a tiny end-to-end train +
+// analyze_batch with the observability registry enabled and prints the
+// per-stage timing breakdown (also written to
 // bench_results/perf_features_stages.txt when that directory exists or
 // can be created).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <vector>
 
+#include "cfg/labeling_cache.h"
 #include "common/perf_json.h"
 #include "dataset/generator.h"
 #include "features/pipeline.h"
@@ -102,12 +110,16 @@ void BM_TfidfVector(benchmark::State& state) {
   const auto walks =
       features::labeled_walks(cfg, labels, pipeline.config().walk, rng);
   const auto& vocab = pipeline.dbl_vocabulary();
-  std::vector<std::uint32_t> counts(vocab.size(), 0);
-  std::uint64_t total = 0;
+  features::GramCounts pooled;
   for (const auto& walk : walks) {
-    total += features::count_into_vocab(walk, pipeline.config().gram_sizes,
-                                        vocab.table(), counts);
+    oracles::count_grams_reference(walk, pipeline.config().gram_sizes,
+                                   pooled);
   }
+  std::vector<std::uint32_t> counts(vocab.size(), 0);
+  for (const auto& [key, count] : pooled) {
+    if (const auto idx = vocab.index_of(key)) counts[*idx] = count;
+  }
+  const std::uint64_t total = features::total_occurrences(pooled);
   std::vector<float> out(vocab.size());
   for (auto _ : state) {
     vocab.tfidf_into(counts, total, out);
@@ -116,15 +128,93 @@ void BM_TfidfVector(benchmark::State& state) {
 }
 BENCHMARK(BM_TfidfVector);
 
-void BM_FullExtraction(benchmark::State& state) {
+/// The CFG an extraction benchmark times: a random DAG of `n` blocks,
+/// or with `firmware` a firmware_like_cfg of `n` blocks.
+cfg::Cfg extraction_cfg(std::size_t n, bool firmware) {
+  if (!firmware) return make_cfg(n);
+  math::Rng rng(43);
+  return cfg::Cfg(graph::firmware_like_cfg(n, rng), 0);
+}
+
+/// Whole-sample extraction through `extract(pipeline, cfg, rng)`;
+/// state.range(0) is the block count, state.range(1) = 1 selects the
+/// firmware shape. Labelings are cached and warmed, so walks,
+/// counting and TF-IDF are what is timed.
+template <typename Extract>
+void full_extraction(benchmark::State& state, Extract&& extract) {
   auto pipeline = make_pipeline(24);
-  const auto cfg = make_cfg(static_cast<std::size_t>(state.range(0)));
+  pipeline.set_labeling_cache(std::make_shared<cfg::LabelingCache>(4));
+  const auto cfg = extraction_cfg(static_cast<std::size_t>(state.range(0)),
+                                  state.range(1) != 0);
+  (void)pipeline.labeling_cache()->labels(cfg, pipeline.config().labeling);
   math::Rng rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline.extract(cfg, rng));
+    benchmark::DoNotOptimize(extract(pipeline, cfg, rng));
   }
+  const auto& walk = pipeline.config().walk;
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * 2 * walk.walks_per_labeling *
+      features::walk_steps(walk, cfg.node_count())));
 }
-BENCHMARK(BM_FullExtraction)->Arg(32)->Arg(128)->Arg(512);
+
+void BM_FullExtraction(benchmark::State& state) {
+  full_extraction(state, [](const auto& pipeline, const auto& cfg,
+                            auto& rng) { return pipeline.extract(cfg, rng); });
+}
+
+void BM_FullExtractionReference(benchmark::State& state) {
+  full_extraction(state, [](const auto& pipeline, const auto& cfg,
+                            auto& rng) {
+    return oracles::extract_reference(pipeline, cfg, rng);
+  });
+}
+
+// Random DAGs of 32/128/512 blocks, then the 2,000-block firmware CFG
+// (items/s = walk steps/s, both labelings).
+const std::vector<std::vector<std::int64_t>> kExtractionArgs = {
+    {32, 0}, {128, 0}, {512, 0}, {2000, 1}};
+void extraction_args(benchmark::internal::Benchmark* bench) {
+  for (const auto& args : kExtractionArgs) bench->Args(args);
+}
+BENCHMARK(BM_FullExtraction)->Apply(extraction_args);
+BENCHMARK(BM_FullExtractionReference)->Apply(extraction_args);
+
+/// extract vs extract_reference, bit for bit (rows, pooled rows and
+/// rng state), on every CFG BM_FullExtraction times.
+bool extraction_matches_oracle() {
+  const auto pipeline = make_pipeline(24);
+  bool same = true;
+  for (const auto& args : kExtractionArgs) {
+    const auto cfg = extraction_cfg(static_cast<std::size_t>(args[0]),
+                                    args[1] != 0);
+    math::Rng fast_rng(5);
+    math::Rng oracle_rng(5);
+    const auto fast = pipeline.extract(cfg, fast_rng);
+    const auto oracle = oracles::extract_reference(pipeline, cfg, oracle_rng);
+    const auto bytes = [](const std::vector<float>& a,
+                          const std::vector<float>& b) {
+      return a.size() == b.size() &&
+             (a.empty() ||
+              std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+    };
+    bool cfg_same = fast.dbl.size() == oracle.dbl.size() &&
+                    fast.lbl.size() == oracle.lbl.size() &&
+                    bytes(fast.pooled_dbl, oracle.pooled_dbl) &&
+                    bytes(fast.pooled_lbl, oracle.pooled_lbl) &&
+                    fast_rng.engine()() == oracle_rng.engine()();
+    for (std::size_t w = 0; cfg_same && w < fast.dbl.size(); ++w) {
+      cfg_same = bytes(fast.dbl[w], oracle.dbl[w]) &&
+                 bytes(fast.lbl[w], oracle.lbl[w]);
+    }
+    if (!cfg_same) {
+      std::printf("IDENTITY-VIOLATION: extract differs from "
+                  "extract_reference on the %lld-block CFG\n",
+                  static_cast<long long>(args[0]));
+    }
+    same = same && cfg_same;
+  }
+  return same;
+}
 
 // Thread sweep: the same 32-sample corpus extraction that dominates
 // SoteriaSystem::train, run through runtime::parallel_map at 1/2/4/N
@@ -206,9 +296,12 @@ void emit_stage_breakdown() {
   } else {
     std::printf("bench_results/ not writable; breakdown not persisted\n");
   }
-  // Machine-readable stage means (ms per span path) for trend tracking.
-  if (bench::update_perf_json("BENCH_perf.json", "perf_features",
-                              bench::stage_means_ms(snapshot))) {
+  // Machine-readable stage means (ms per span path) for trend tracking,
+  // with the host's thread count as provenance.
+  auto values = bench::stage_means_ms(snapshot);
+  values["hardware_threads"] =
+      static_cast<double>(runtime::hardware_threads());
+  if (bench::update_perf_json("BENCH_perf.json", "perf_features", values)) {
     std::printf("stage means recorded in BENCH_perf.json\n");
   }
 }
@@ -218,6 +311,7 @@ void emit_stage_breakdown() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (!extraction_matches_oracle()) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   emit_stage_breakdown();

@@ -1,18 +1,22 @@
-// perf_infer — the fused extraction against its map-based oracle, and
-// per-sample analyze_batch latency.
+// perf_infer — the automaton extraction against its map-based oracle,
+// and per-sample analyze_batch latency.
 //
-// Three measurements:
+// Four measurements:
 //
 //   * n-gram stage: per-walk TF-IDF production via the map-based
 //     oracle (oracles::count_grams_reference + oracles::tfidf_reference)
-//     versus the library's count_into_vocab -> dense tfidf_into over
-//     the vocabulary's DirectGramTable, on identical walks. Outputs are
-//     checked bitwise before timing.
+//     versus each label trace run through the vocabulary's
+//     GramAutomaton -> spread -> dense tfidf_into, on identical walks
+//     (the "flat" keys). Outputs are checked bitwise before timing.
 //   * extraction: FeaturePipeline::extract versus
 //     oracles::extract_reference (labeled_walks + count_grams_reference
 //     + reference TF-IDF) on the same CFGs and walk seeds, labelings
 //     served from the warmed cache for both. Bundles are checked
 //     bitwise.
+//   * firmware row: the same comparison on one 2,000-block
+//     firmware_like_cfg under the product pipeline config
+//     (cpu_scaled_config: top-500, sizes {1,2,3,4}, 10 walks of 5|V|),
+//     reporting extract ms and ns per walk step (both labelings).
 //   * analyze_batch: per-sample milliseconds at 1, 2 and 4 threads,
 //     with the verdicts checked identical across thread counts.
 //
@@ -30,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,7 +42,9 @@
 #include "cfg/labeling_cache.h"
 #include "common/perf_json.h"
 #include "dataset/generator.h"
+#include "graph/generators.h"
 #include "features/ngram.h"
+#include "features/pipeline.h"
 #include "features/random_walk.h"
 #include "features/vocabulary.h"
 #include "math/rng.h"
@@ -51,6 +58,11 @@ namespace {
 
 constexpr double kRequiredNgramSpeedup = 3.0;
 constexpr double kRequiredExtractSpeedup = 2.0;
+#ifdef NDEBUG
+constexpr const char* kBuildKind = "optimized (NDEBUG)";
+#else
+constexpr const char* kBuildKind = "debug (assertions on)";
+#endif
 
 double elapsed_ms(std::chrono::steady_clock::time_point start) {
   const std::chrono::duration<double, std::milli> delta =
@@ -133,16 +145,26 @@ Comparison run_ngram_stage(const core::SoteriaSystem& model,
     oracles::count_grams_reference(walk, config.gram_sizes, counts);
     return oracles::tfidf_reference(vocab, counts, config.l2_normalize);
   };
+  const features::GramMultiplicity multiplicity =
+      features::gram_multiplicity(config.gram_sizes);
+  std::vector<std::uint32_t> visits;
   std::vector<std::uint32_t> dense;
   std::vector<float> out;
-  const auto fast = [&config, &dense, &out](
-                        const features::Vocabulary& vocab,
+  const auto fast = [&](const features::Vocabulary& vocab,
                         const std::vector<cfg::Label>& walk) {
+    const features::GramAutomaton& automaton = vocab.automaton();
+    visits.assign(automaton.state_count(), 0);
+    std::uint32_t state = features::GramAutomaton::kRoot;
+    for (const cfg::Label label : walk) {
+      state = automaton.next(state, automaton.symbol(label));
+      ++visits[state];
+    }
     dense.assign(vocab.size(), 0);
+    automaton.spread(visits, multiplicity, dense);
     out.resize(vocab.size());
-    const std::uint64_t windows = features::count_into_vocab(
-        walk, config.gram_sizes, vocab.table(), dense);
-    vocab.tfidf_into(dense, windows, out, config.l2_normalize);
+    vocab.tfidf_into(dense,
+                     features::window_count(walk.size(), config.gram_sizes),
+                     out, config.l2_normalize);
   };
 
   // Identity first: both paths must produce the same bytes per walk.
@@ -243,6 +265,58 @@ Comparison run_extract_stage(const core::SoteriaSystem& model,
   return result;
 }
 
+struct FirmwareRow {
+  std::size_t steps = 0;  ///< walk steps per extract, both labelings
+  double reference_ms = 0.0;
+  double extract_ms = 0.0;
+  bool identical = false;
+};
+
+/// One 2,000-block firmware CFG through a product-config pipeline
+/// fitted on `training`: best-of-5 extract ms against the oracle's,
+/// labelings cached for both.
+FirmwareRow run_firmware_row(const std::vector<cfg::Cfg>& training,
+                             std::uint64_t seed) {
+  math::Rng fit_rng(seed + 41);
+  auto pipeline = features::FeaturePipeline::fit(
+      training, core::cpu_scaled_config().pipeline, fit_rng);
+  pipeline.set_labeling_cache(std::make_shared<cfg::LabelingCache>(4));
+  math::Rng graph_rng(seed + 43);
+  const cfg::Cfg firmware(graph::firmware_like_cfg(2000, graph_rng), 0);
+  (void)pipeline.labeling_cache()->labels(firmware,
+                                          pipeline.config().labeling);
+  const math::Rng base(seed + 47);
+
+  FirmwareRow row;
+  const auto& walk = pipeline.config().walk;
+  row.steps = 2 * walk.walks_per_labeling *
+              features::walk_steps(walk, firmware.node_count());
+  math::Rng fast_rng = base;
+  math::Rng oracle_rng = base;
+  row.identical =
+      same_features(pipeline.extract(firmware, fast_rng),
+                    oracles::extract_reference(pipeline, firmware,
+                                               oracle_rng)) &&
+      fast_rng.engine()() == oracle_rng.engine()();
+
+  double checksum = 0.0;
+  row.reference_ms = 1e300;
+  row.extract_ms = 1e300;
+  for (std::size_t rep = 0; rep < 5; ++rep) {
+    math::Rng rng = base;
+    auto start = std::chrono::steady_clock::now();
+    checksum += oracles::extract_reference(pipeline, firmware, rng)
+                    .pooled_dbl[0];
+    row.reference_ms = std::min(row.reference_ms, elapsed_ms(start));
+    rng = base;
+    start = std::chrono::steady_clock::now();
+    checksum += pipeline.extract(firmware, rng).pooled_dbl[0];
+    row.extract_ms = std::min(row.extract_ms, elapsed_ms(start));
+  }
+  row.identical = row.identical && checksum == checksum;  // keep live
+  return row;
+}
+
 int run() {
   const char* scale_env = std::getenv("SOTERIA_SCALE");
   const char* seed_env = std::getenv("SOTERIA_SEED");
@@ -270,10 +344,17 @@ int run() {
     report += line;
     std::printf("%s", line);
   };
+  std::snprintf(line, sizeof(line),
+                "provenance: g++ %s, %s build, %zu hardware threads, "
+                "scale %.3f, seed %llu\n",
+                __VERSION__, kBuildKind, runtime::hardware_threads(), scale,
+                static_cast<unsigned long long>(seed));
+  emit();
 
   const auto ngram = run_ngram_stage(model, base, seed);
   std::snprintf(line, sizeof(line),
-                "ngrams   reference %8.1f ms   flat %8.1f ms   %5.1fx%s\n",
+                "ngrams   reference %8.1f ms   automaton %6.1f ms   "
+                "%5.1fx%s\n",
                 ngram.reference_ms, ngram.fast_ms, ngram.speedup,
                 ngram.identical ? "" : "  IDENTITY-VIOLATION");
   emit();
@@ -283,13 +364,30 @@ int run() {
 
   const auto extract = run_extract_stage(model, base, seed);
   std::snprintf(line, sizeof(line),
-                "extract  reference %8.1f ms   fused %7.1f ms   %5.1fx%s\n",
+                "extract  reference %8.1f ms   automaton %6.1f ms   "
+                "%5.1fx%s\n",
                 extract.reference_ms, extract.fast_ms, extract.speedup,
                 extract.identical ? "" : "  IDENTITY-VIOLATION");
   emit();
   json_values["extract_reference_ms"] = extract.reference_ms;
   json_values["extract_fused_ms"] = extract.fast_ms;
   json_values["extract_speedup"] = extract.speedup;
+
+  std::vector<cfg::Cfg> training;
+  training.reserve(data.train.size());
+  for (const auto& sample : data.train) training.push_back(sample.cfg);
+  const auto firmware = run_firmware_row(training, seed);
+  const double ns_per_step =
+      firmware.extract_ms * 1e6 / static_cast<double>(firmware.steps);
+  std::snprintf(line, sizeof(line),
+                "firmware 2000 blocks   reference %8.2f ms   extract %6.2f ms"
+                "   %5.2f ns/step%s\n",
+                firmware.reference_ms, firmware.extract_ms, ns_per_step,
+                firmware.identical ? "" : "  IDENTITY-VIOLATION");
+  emit();
+  json_values["firmware2000_reference_ms"] = firmware.reference_ms;
+  json_values["firmware2000_extract_ms"] = firmware.extract_ms;
+  json_values["firmware2000_ns_per_step"] = ns_per_step;
 
   // Batch corpus: the test set repeated so each timed run is long
   // enough to measure; every index still draws its own walk RNG. One
@@ -304,7 +402,8 @@ int run() {
   options.num_threads = 1;
   const auto serial = model.analyze_batch(cfgs, batch_rng, options);
 
-  bool all_identical = ngram.identical && extract.identical;
+  bool all_identical =
+      ngram.identical && extract.identical && firmware.identical;
   constexpr std::size_t kReps = 3;
   for (const std::size_t threads : {1U, 2U, 4U}) {
     options.num_threads = threads;

@@ -1,6 +1,7 @@
 #include "features/ngram.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,12 +21,6 @@ namespace {
 [[noreturn]] void throw_bad_label(cfg::Label label) {
   throw std::invalid_argument("count_grams: label " + std::to_string(label) +
                               " exceeds kMaxGramLabel");
-}
-
-void validate_sizes(std::span<const std::size_t> sizes) {
-  for (std::size_t n : sizes) {
-    if (n == 0 || n > kMaxGramLength) throw_bad_size(n);
-  }
 }
 
 /// Validates walk labels when at least one size produces windows.
@@ -69,39 +64,26 @@ struct RollingKey {
   }
 };
 
-/// Drives the rolling update over one walk, invoking `emit(key, mult)`
-/// once per window position. Inputs must already be validated.
-///
-/// `sizes` may be arbitrarily long and may repeat a size — the
-/// reference counts each repeat as its own pass over the walk. Folding
-/// repeats into a per-size multiplicity keeps the state bounded by the
-/// kMaxGramLength distinct valid sizes (so the fixed arrays can never
-/// overflow) while emitting the same totals: integer accumulation is
-/// order-independent, so `emit(key, m)` equals m separate passes.
+/// Drives the rolling update over one walk, invoking `emit(key, m)`
+/// once per window position of each size n with m = multiplicity[n]
+/// > 0. A repeated size is one pass emitting its repeat count: integer
+/// accumulation is order-independent, so that equals m separate
+/// passes, and the state stays bounded by kMaxGramLength sizes. Inputs
+/// must already be validated.
 template <typename Emit>
 void roll_walk(std::span<const cfg::Label> walk,
-               std::span<const std::size_t> sizes, Emit&& emit) {
+               const GramMultiplicity& multiplicity, Emit&& emit) {
   RollingKey rolling[kMaxGramLength];
-  std::uint32_t multiplicity[kMaxGramLength];
   std::size_t active = 0;
-  for (std::size_t n : sizes) {
-    if (walk.size() < n) continue;
-    std::size_t s = 0;
-    while (s < active && rolling[s].length != n) ++s;
-    if (s == active) {
-      rolling[active].init(n);
-      multiplicity[active] = 0;
-      ++active;
-    }
-    ++multiplicity[s];
+  for (std::size_t n = 1; n <= kMaxGramLength; ++n) {
+    if (multiplicity[n] > 0 && walk.size() >= n) rolling[active++].init(n);
   }
-  if (active == 0) return;
   for (std::size_t p = 0; p < walk.size(); ++p) {
     const auto label = static_cast<std::uint64_t>(walk[p]);
     for (std::size_t s = 0; s < active; ++s) {
       RollingKey& r = rolling[s];
       r.roll(label);
-      if (p + 1 >= r.length) emit(r.key, multiplicity[s]);
+      if (p + 1 >= r.length) emit(r.key, multiplicity[r.length]);
     }
   }
 }
@@ -149,9 +131,9 @@ std::size_t gram_length(GramKey key) noexcept {
 
 void count_grams(std::span<const cfg::Label> walk,
                  std::span<const std::size_t> sizes, GramCounts& counts) {
-  validate_sizes(sizes);
+  const GramMultiplicity multiplicity = gram_multiplicity(sizes);
   validate_walk(walk, sizes);
-  roll_walk(walk, sizes, [&counts](GramKey key, std::uint32_t mult) {
+  roll_walk(walk, multiplicity, [&counts](GramKey key, std::uint32_t mult) {
     counts[key] += mult;
   });
 }
@@ -230,9 +212,9 @@ void FlatGramCounter::add(GramKey key, std::uint32_t count) {
 
 void FlatGramCounter::count_walk(std::span<const cfg::Label> walk,
                                  std::span<const std::size_t> sizes) {
-  validate_sizes(sizes);
+  const GramMultiplicity multiplicity = gram_multiplicity(sizes);
   validate_walk(walk, sizes);
-  roll_walk(walk, sizes,
+  roll_walk(walk, multiplicity,
             [this](GramKey key, std::uint32_t mult) { add(key, mult); });
 }
 
@@ -247,59 +229,180 @@ GramCounts FlatGramCounter::to_counts() const {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// DirectGramTable
-
-DirectGramTable DirectGramTable::build(std::span<const GramKey> keys) {
-  DirectGramTable table;
-  if (keys.empty()) return table;
-
-  // ~25% load: next power of two >= 4 * n. Most counting-loop lookups
-  // are out-of-vocabulary probes that must run to an empty slot, so
-  // load factor matters more than table residency — but past 4x the
-  // extra slots only add cache misses. Measured sweet spot on the
-  // paper-default 500-gram vocabulary (2048 slots, 24 KiB).
-  std::size_t capacity = 64;
-  while (capacity < keys.size() * 4) capacity <<= 1;
-  table.slot_key_.assign(capacity, 0);
-  table.slot_index_.assign(capacity, 0);
-  table.mask_ = capacity - 1;
-  table.size_ = keys.size();
-
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const GramKey key = keys[i];
-    if (key == 0) {
-      throw std::invalid_argument("DirectGramTable: key 0 is reserved");
-    }
-    std::uint64_t h = key * 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 29;
-    std::size_t slot = static_cast<std::size_t>(h) & table.mask_;
-    while (table.slot_key_[slot] != 0) {
-      if (table.slot_key_[slot] == key) {
-        throw std::invalid_argument("DirectGramTable: duplicate keys");
-      }
-      slot = (slot + 1) & table.mask_;
-    }
-    table.slot_key_[slot] = key;
-    table.slot_index_[slot] = static_cast<std::uint32_t>(i);
+GramMultiplicity gram_multiplicity(std::span<const std::size_t> sizes) {
+  GramMultiplicity multiplicity{};
+  for (std::size_t n : sizes) {
+    if (n == 0 || n > kMaxGramLength) throw_bad_size(n);
+    ++multiplicity[n];
   }
-  return table;
+  return multiplicity;
 }
 
-std::uint64_t count_into_vocab(std::span<const cfg::Label> walk,
-                               std::span<const std::size_t> sizes,
-                               const DirectGramTable& table,
-                               std::span<std::uint32_t> counts) {
-  validate_sizes(sizes);
-  validate_walk(walk, sizes);
+std::uint64_t window_count(std::size_t trace_length,
+                           std::span<const std::size_t> sizes) {
   std::uint64_t windows = 0;
-  roll_walk(walk, sizes,
-            [&table, counts, &windows](GramKey key, std::uint32_t mult) {
-              windows += mult;
-              const std::size_t idx = table.lookup(key);
-              if (idx != DirectGramTable::npos) counts[idx] += mult;
-            });
+  for (std::size_t n : sizes) {
+    if (trace_length >= n) windows += trace_length - n + 1;
+  }
   return windows;
+}
+
+// ---------------------------------------------------------------------------
+// GramAutomaton
+
+namespace {
+
+constexpr std::uint32_t kNoState = std::numeric_limits<std::uint32_t>::max();
+
+/// The key of the first `n` labels of `key`: its low n label fields
+/// under a length-n tag.
+GramKey prefix_key(GramKey key, std::size_t n) noexcept {
+  return (static_cast<std::uint64_t>(n) << kGramLengthShift) |
+         (key & ((1ULL << (kGramLabelBits * n)) - 1));
+}
+
+/// A packed gram: length in [1, kMaxGramLength], no bits outside its
+/// label fields.
+bool is_valid_key(GramKey key) noexcept {
+  const std::size_t n = gram_length(key);
+  return n >= 1 && n <= kMaxGramLength && prefix_key(key, n) == key;
+}
+
+cfg::Label label_at(GramKey key, std::size_t i) noexcept {
+  return static_cast<cfg::Label>((key >> (kGramLabelBits * i)) &
+                                 kGramLabelMask);
+}
+
+}  // namespace
+
+GramAutomaton::GramAutomaton()
+    : delta_(1, kRoot), row_(1, 0), fail_(1, kRoot), bfs_order_(1, kRoot),
+      state_gram_(1, kNoState) {}
+
+GramAutomaton GramAutomaton::build(std::span<const GramKey> grams) {
+  GramAutomaton a;
+  // Symbols go in label order, so the tables depend on the gram set
+  // only. Trie states are the root plus the distinct gram prefixes,
+  // and only the root and the proper prefixes have trie children;
+  // counting both first sizes every table in one allocation.
+  std::vector<cfg::Label> labels;
+  std::vector<GramKey> prefixes;
+  std::vector<GramKey> proper_prefixes;
+  for (GramKey key : grams) {
+    if (!is_valid_key(key)) {
+      throw std::invalid_argument("GramAutomaton: invalid gram key " +
+                                  std::to_string(key));
+    }
+    const std::size_t n = gram_length(key);
+    for (std::size_t i = 0; i < n; ++i) {
+      labels.push_back(label_at(key, i));
+      prefixes.push_back(prefix_key(key, i + 1));
+      if (i + 1 < n) proper_prefixes.push_back(prefix_key(key, i + 1));
+    }
+  }
+  const auto distinct = [](auto& values) {
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    return values.size();
+  };
+  const std::size_t width = distinct(labels) + 1;
+  a.symbol_of_label_.assign(labels.empty() ? 0 : labels.back() + 1, 0);
+  for (std::size_t s = 0; s < labels.size(); ++s) {
+    a.symbol_of_label_[labels[s]] = static_cast<std::uint32_t>(s + 1);
+  }
+  const std::size_t states = 1 + distinct(prefixes);
+  const std::size_t rows = 1 + distinct(proper_prefixes);
+
+  // The trie. A state gets a transition row when it gains its first
+  // child; kNoState marks a missing edge until the failure pass.
+  a.delta_.assign(rows * width, kNoState);
+  a.row_.assign(states, kNoState);
+  a.row_[kRoot] = 0;
+  a.state_gram_.assign(states, kNoState);
+  a.gram_state_.reserve(grams.size());
+  a.gram_length_.reserve(grams.size());
+  std::uint32_t created = 1;
+  std::uint32_t rows_used = 1;
+  for (std::size_t g = 0; g < grams.size(); ++g) {
+    const std::size_t n = gram_length(grams[g]);
+    std::uint32_t state = kRoot;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (a.row_[state] == kNoState) {
+        a.row_[state] = static_cast<std::uint32_t>(width * rows_used++);
+      }
+      const std::size_t edge = a.row_[state] + a.symbol(label_at(grams[g], i));
+      if (a.delta_[edge] == kNoState) a.delta_[edge] = created++;
+      state = a.delta_[edge];
+    }
+    if (a.state_gram_[state] != kNoState) {
+      throw std::invalid_argument("GramAutomaton: duplicate gram key " +
+                                  gram_to_string(grams[g]));
+    }
+    a.state_gram_[state] = static_cast<std::uint32_t>(g);
+    a.gram_state_.push_back(state);
+    a.gram_length_.push_back(static_cast<std::uint32_t>(n));
+  }
+
+  // Breadth-first failure links; each missing edge takes its failure
+  // state's transition, completing the trie into a DFA. A state
+  // without children moves exactly like its failure state, so it
+  // shares that state's row (already final: failure states are
+  // shallower, hence earlier in the breadth-first order).
+  a.fail_.assign(states, kRoot);
+  a.bfs_order_.reserve(states);
+  a.bfs_order_.assign(1, kRoot);
+  for (std::size_t head = 0; head < a.bfs_order_.size(); ++head) {
+    const std::uint32_t state = a.bfs_order_[head];
+    if (a.row_[state] == kNoState) {
+      a.row_[state] = a.row_[a.fail_[state]];
+      continue;
+    }
+    const std::size_t row = a.row_[state];
+    const std::size_t fail_row = a.row_[a.fail_[state]];
+    for (std::size_t sym = 0; sym < width; ++sym) {
+      const std::uint32_t child = a.delta_[row + sym];
+      const std::uint32_t fallback =
+          state == kRoot ? kRoot : a.delta_[fail_row + sym];
+      if (child == kNoState) {
+        a.delta_[row + sym] = fallback;
+        continue;
+      }
+      a.fail_[child] = fallback;
+      a.bfs_order_.push_back(child);
+    }
+  }
+  return a;
+}
+
+std::size_t GramAutomaton::find(GramKey key) const noexcept {
+  if (!is_valid_key(key)) return npos;
+  const std::size_t n = gram_length(key);
+  std::uint32_t state = kRoot;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t sym = symbol(label_at(key, i));
+    if (sym == 0) return npos;
+    state = next(state, sym);
+  }
+  // The DFA ends on the longest suffix of the key that is a trie path:
+  // the key itself exactly when that state holds a gram of its length.
+  const std::uint32_t gram = state_gram_[state];
+  if (gram == kNoState || gram_length_[gram] != n) return npos;
+  return gram;
+}
+
+void GramAutomaton::spread(std::span<std::uint32_t> visits,
+                           const GramMultiplicity& multiplicity,
+                           std::span<std::uint32_t> counts) const noexcept {
+  // Deeper states first: a state's failure state is strictly shallower,
+  // so each state has its whole failure subtree summed when it passes
+  // the total on.
+  for (std::size_t i = bfs_order_.size(); i-- > 1;) {
+    const std::uint32_t state = bfs_order_[i];
+    visits[fail_[state]] += visits[state];
+  }
+  for (std::size_t g = 0; g < gram_state_.size(); ++g) {
+    counts[g] += visits[gram_state_[g]] * multiplicity[gram_length_[g]];
+  }
 }
 
 }  // namespace soteria::features

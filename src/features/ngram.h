@@ -1,25 +1,26 @@
 // n-gram extraction over random-walk label traces.
 //
-// Grams of length 2, 3 and 4 (paper default) are packed into a single
-// 64-bit key: 4 x 14-bit labels + a length tag. Packing keeps gram
-// counting allocation-free in the hot loop and makes vocabulary lookup a
-// single hash probe.
+// Grams of length 1 to 4 (paper default {2, 3, 4}) are packed into a
+// single 64-bit key: 4 x 14-bit labels + a length tag. Packed keys are
+// the gram identity everywhere a gram is stored: vocabulary files,
+// fit's corpus counts, and the Table V analysis.
 //
-// Counting comes in three forms, all driven by one rolling packed-key
-// update:
-//   - count_into_vocab: resolves each window through a fitted
-//     vocabulary's DirectGramTable and accumulates straight into a
-//     dense TF vector (no intermediate map) — every extraction after
-//     fit;
-//   - FlatGramCounter: an open-addressing table with power-of-two
-//     capacity and linear probing, reusable across walks (fit, where
-//     the vocabulary does not exist yet);
-//   - count_grams: the std::unordered_map API for callers that want a
-//     plain map.
+// Counting comes in two forms:
+//   - fit (no vocabulary yet) rolls packed keys over label traces:
+//     FlatGramCounter, an open-addressing table with power-of-two
+//     capacity and linear probing reusable across walks, or
+//     count_grams for callers that want a std::unordered_map. Both
+//     throw for a label above kMaxGramLabel.
+//   - every extraction after fit runs a GramAutomaton over the fitted
+//     vocabulary: one DFA transition per walk step, whatever the gram
+//     sizes, and no label limit (labels outside the vocabulary are one
+//     out-of-vocabulary symbol). FeaturePipeline::extract drives it
+//     straight from the undirected view, without a label trace.
 // The per-window pack_gram + map oracle lives with the tests
 // (tests/oracles/feature_reference.h).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -132,56 +133,93 @@ class FlatGramCounter {
   std::uint64_t total_ = 0;
 };
 
-/// Direct-mapped vocabulary lookup: a 4x-oversized power-of-two
-/// open-addressing table over the selected grams. A lookup is one
-/// multiply-xorshift hash, one mask, and (at ~25% load) almost always
-/// a single probe, which keeps the per-window cost of the fused
-/// walk+count loop low. Built by Vocabulary at fit and load time from
-/// Vocabulary::grams(); never serialized.
-class DirectGramTable {
+/// Occurrences of each gram length in a `sizes` list: entry n is how
+/// many times n appears (a repeated size counts each window once per
+/// repeat; a length absent from `sizes` gets 0). Throws
+/// std::invalid_argument for a size of 0 or > kMaxGramLength.
+using GramMultiplicity = std::array<std::uint32_t, kMaxGramLength + 1>;
+[[nodiscard]] GramMultiplicity gram_multiplicity(
+    std::span<const std::size_t> sizes);
+
+/// Windows of every size in `sizes` over a trace of `trace_length`
+/// labels: sum over n of max(0, trace_length - n + 1). This is the
+/// TF denominator, and it counts out-of-vocabulary windows too.
+[[nodiscard]] std::uint64_t window_count(std::size_t trace_length,
+                                         std::span<const std::size_t> sizes);
+
+/// Aho-Corasick automaton over a fixed gram set (a fitted vocabulary),
+/// completed into a DFA. Built by Vocabulary at fit and load
+/// time from Vocabulary::grams(); never serialized.
+///
+/// Every label that occurs in some gram maps to a dense symbol >= 1;
+/// every other label (any value, including those above kMaxGramLabel)
+/// maps to symbol 0, which no gram contains. Feeding a trace one
+/// symbol at a time through next() keeps the state equal to the
+/// longest suffix of the trace that is a prefix of some gram, so gram
+/// g ends at a position exactly when the state there has g as a
+/// suffix. A counter therefore only records one visit per position
+/// (`++visits[state]`) and spread() turns the visits into per-gram
+/// occurrence counts afterwards: each state's visits flow up its
+/// failure links, and gram g's count is the total reaching its state.
+///
+/// The DFA stores a transition row (one entry per symbol) only for
+/// states with trie children; every other state moves like its failure
+/// state and shares that row. Under sizes {1,2,3,4} a top-k
+/// vocabulary is close to prefix-closed (every occurrence of a gram
+/// contains an occurrence of its prefix), so a product top-500
+/// vocabulary has ~500 states but only ~100 rows of ~200 symbols.
+class GramAutomaton {
  public:
+  static constexpr std::uint32_t kRoot = 0;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  DirectGramTable() = default;
+  /// The empty automaton: only the root, no grams.
+  GramAutomaton();
 
-  /// Builds over `keys` (distinct, non-zero). The i-th key maps to
-  /// index i. Throws std::invalid_argument on duplicates or key 0.
-  [[nodiscard]] static DirectGramTable build(std::span<const GramKey> keys);
+  /// Builds over `grams` (gram i gets index i). Throws
+  /// std::invalid_argument for a key that is not a valid packed gram
+  /// (0, a length outside [1, kMaxGramLength], or bits outside its
+  /// label fields) or for duplicate keys.
+  [[nodiscard]] static GramAutomaton build(std::span<const GramKey> grams);
 
-  /// Index of `key` in the build set, or npos if absent.
-  [[nodiscard]] std::size_t lookup(GramKey key) const noexcept {
-    if (slot_key_.empty()) return npos;
-    std::uint64_t h = key * 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 29;
-    std::size_t slot = static_cast<std::size_t>(h) & mask_;
-    while (true) {
-      const GramKey stored = slot_key_[slot];
-      if (stored == key) return slot_index_[slot];
-      if (stored == 0) return npos;
-      slot = (slot + 1) & mask_;
-    }
+  /// Symbol of `label`: >= 1 if some gram contains it, else 0.
+  [[nodiscard]] std::uint32_t symbol(cfg::Label label) const noexcept {
+    return label < symbol_of_label_.size() ? symbol_of_label_[label] : 0;
   }
 
-  /// Number of keys in the build set.
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// State after reading `symbol` in `state`.
+  [[nodiscard]] std::uint32_t next(std::uint32_t state,
+                                   std::uint32_t symbol) const noexcept {
+    return delta_[row_[state] + symbol];
+  }
+
+  [[nodiscard]] std::size_t state_count() const noexcept {
+    return fail_.size();
+  }
+
+  /// Index of `key` in the build set, or npos if absent.
+  [[nodiscard]] std::size_t find(GramKey key) const noexcept;
+
+  /// Adds each gram's occurrences to `counts` (one entry per build
+  /// gram): visits[s] is how many trace positions ended in state s
+  /// (state_count() entries, consumed: overwritten with failure-tree
+  /// sums), and gram i's occurrences are weighted by
+  /// multiplicity[length of gram i].
+  void spread(std::span<std::uint32_t> visits,
+              const GramMultiplicity& multiplicity,
+              std::span<std::uint32_t> counts) const noexcept;
 
  private:
-  std::vector<GramKey> slot_key_;          // 0 = empty slot
-  std::vector<std::uint32_t> slot_index_;  // slot -> build-set index
-  std::size_t mask_ = 0;                   // capacity - 1 (power of two)
-  std::size_t size_ = 0;
+  std::vector<std::uint32_t> symbol_of_label_;  // label -> symbol
+  // Transition rows, one per state with trie children (symbol count
+  // entries each); a childless state shares its failure state's row.
+  std::vector<std::uint32_t> delta_;
+  std::vector<std::uint32_t> row_;         // state -> offset of its row
+  std::vector<std::uint32_t> fail_;        // state -> failure state
+  std::vector<std::uint32_t> bfs_order_;   // states, breadth-first
+  std::vector<std::uint32_t> gram_state_;  // gram index -> its state
+  std::vector<std::uint32_t> gram_length_; // gram index -> length
+  std::vector<std::uint32_t> state_gram_;  // state -> gram index or ~0
 };
-
-/// Fused counting for extraction: counts all grams of each size over
-/// `walk` with the rolling update, resolves each key through `table`,
-/// and accumulates in-vocabulary hits directly into the dense `counts`
-/// vector (counts.size() must equal table.size()). Returns the total
-/// number of windows — which equals total_occurrences of the full
-/// (unfiltered) gram map, since every window yields exactly one gram.
-/// Same validation contract as count_grams.
-std::uint64_t count_into_vocab(std::span<const cfg::Label> walk,
-                               std::span<const std::size_t> sizes,
-                               const DirectGramTable& table,
-                               std::span<std::uint32_t> counts);
 
 }  // namespace soteria::features

@@ -2,12 +2,14 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "cfg/labeling_cache.h"
 #include "io/binary_io.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
+#include "soteria/error.h"
 #include "store/feature_store.h"
 
 namespace soteria::features {
@@ -85,7 +87,7 @@ GramCounts FeaturePipeline::gram_counts_for_labels(
     math::Rng& rng) const {
   const auto walks = labeled_walks(cfg, labels, config_.walk, rng);
   // fit() has no vocabulary yet, so counting goes through the
-  // open-addressing counter rather than the dense count_into_vocab.
+  // open-addressing counter rather than a vocabulary automaton.
   FlatGramCounter counter(1024);
   for (const auto& walk : walks) {
     counter.count_walk(walk, config_.gram_sizes);
@@ -103,6 +105,29 @@ GramCounts FeaturePipeline::gram_counts(const cfg::Cfg& cfg,
                                     : labelings.lbl,
                                 rng);
 }
+
+namespace {
+
+/// Fit counts grams as packed keys, which hold labels up to
+/// kMaxGramLabel (CFGs of up to 16,384 blocks); checked before any
+/// walk so an oversized training CFG fails fast and typed. Extraction
+/// after fit has no such limit.
+void require_packable_labels(const cfg::NodeLabelings& labelings,
+                             std::size_t sample) {
+  for (const auto* labels : {&labelings.dbl, &labelings.lbl}) {
+    for (cfg::Label label : *labels) {
+      if (label <= kMaxGramLabel) continue;
+      throw core::Error(
+          core::ErrorCode::kOutOfRange,
+          "FeaturePipeline::fit: training CFG " + std::to_string(sample) +
+              " has label " + std::to_string(label) +
+              ", above the packed-gram limit " +
+              std::to_string(kMaxGramLabel));
+    }
+  }
+}
+
+}  // namespace
 
 FeaturePipeline FeaturePipeline::fit(
     std::span<const cfg::Cfg> training, const PipelineConfig& config,
@@ -132,6 +157,7 @@ FeaturePipeline FeaturePipeline::fit(
         math::Rng dbl_rng = rng.child(2 * i);
         math::Rng lbl_rng = rng.child(2 * i + 1);
         const auto labelings = pipeline.labelings_for(training[i]);
+        require_packable_labels(labelings, i);
         LabelingCounts sample;
         sample.dbl = pipeline.gram_counts_for_labels(
             training[i], labelings.dbl, dbl_rng);
@@ -159,13 +185,16 @@ FeaturePipeline FeaturePipeline::fit(
 
 namespace {
 
-/// Grow-only per-thread scratch for extract(): one walk's labels and
-/// one labeling's dense gram counts.
+/// Grow-only per-thread scratch for extract(): one labeling's node
+/// symbols, one walk's automaton visits, and that labeling's dense gram
+/// counts. The CSR view is built per call instead: kept here, its
+/// grow-only arrays raised the benchmark's scan-cold peak RSS by ~5 MB
+/// on a 4-thread Xeon VM (median of 5 paired runs; ~1.5 MB per call).
 struct ExtractScratch {
-  std::vector<cfg::Label> walk;
-  std::vector<std::uint32_t> counts;  ///< walks x vocabulary size
-  std::vector<std::uint64_t> totals;  ///< per-walk window totals
-  std::vector<std::uint32_t> pooled;  ///< all walks' counts summed
+  std::vector<std::uint32_t> symbols;  ///< node -> automaton symbol
+  std::vector<std::uint32_t> visits;   ///< automaton state -> visits
+  std::vector<std::uint32_t> counts;   ///< walks x vocabulary size
+  std::vector<std::uint32_t> pooled;   ///< all walks' counts summed
 };
 
 }  // namespace
@@ -174,37 +203,59 @@ SampleFeatures FeaturePipeline::extract(const cfg::Cfg& cfg,
                                         math::Rng& rng) const {
   const obs::Span span("pipeline.extract");
   const auto labelings = labelings_for(cfg);
+  thread_local ExtractScratch scratch;
   // One adjacency view serves both labelings and all walks.
   const UndirectedView view(cfg);
-  const std::size_t steps = walk_steps(config_.walk, cfg.node_count());
+  const std::size_t nodes = cfg.node_count();
+  const std::size_t steps = walk_steps(config_.walk, nodes);
   const std::size_t walks = config_.walk.walks_per_labeling;
-  thread_local ExtractScratch scratch;
+  const GramMultiplicity multiplicity = gram_multiplicity(config_.gram_sizes);
+  // Every walk visits steps + 1 nodes, so every walk has this many
+  // windows.
+  const std::uint64_t windows = window_count(steps + 1, config_.gram_sizes);
 
-  // Walks + counting + TF-IDF for one labeling. Each walk is counted
-  // straight into its dense row as it is drawn; counting draws no
-  // randomness, so `rng` advances exactly as if all walks were drawn
-  // first.
+  // Walks + counting + TF-IDF for one labeling. Each walk step draws
+  // the next node, then moves the automaton on that node's symbol;
+  // counting draws no randomness, so `rng` advances exactly as the
+  // walk alone would.
   const auto run_labeling = [&](const std::vector<cfg::Label>& labels,
                                 const Vocabulary& vocab,
                                 std::vector<std::vector<float>>& rows,
                                 std::vector<float>& pooled_row) {
+    if (labels.size() != nodes) {
+      throw std::logic_error("FeaturePipeline::extract: labeling size " +
+                             std::to_string(labels.size()) + " for " +
+                             std::to_string(nodes) + " nodes");
+    }
+    const GramAutomaton& automaton = vocab.automaton();
     const std::size_t dim = vocab.size();
     obs::registry().counter_add("soteria.features.walks", walks);
     obs::registry().counter_add("soteria.features.walk_steps", walks * steps);
+    scratch.symbols.resize(nodes);
+    for (std::size_t v = 0; v < nodes; ++v) {
+      scratch.symbols[v] = automaton.symbol(labels[v]);
+    }
     scratch.counts.assign(walks * dim, 0);
-    scratch.totals.assign(walks, 0);
     scratch.pooled.assign(dim, 0);
-    std::uint64_t pooled_total = 0;
     {
       // Walks are fused into counting, so this span covers both.
       const obs::Span ngram_span("features.ngrams");
+      const std::uint32_t* symbols = scratch.symbols.data();
       for (std::size_t w = 0; w < walks; ++w) {
-        random_walk_labels(view, labels, steps, rng, scratch.walk);
+        scratch.visits.assign(automaton.state_count(), 0);
+        std::uint32_t* visits = scratch.visits.data();
+        graph::NodeId node = view.entry();
+        std::uint32_t state =
+            automaton.next(GramAutomaton::kRoot, symbols[node]);
+        ++visits[state];
+        for (std::size_t i = 0; i < steps; ++i) {
+          node = view.step(node, rng);
+          state = automaton.next(state, symbols[node]);
+          ++visits[state];
+        }
         const std::span<std::uint32_t> row(scratch.counts.data() + w * dim,
                                            dim);
-        scratch.totals[w] = count_into_vocab(scratch.walk, config_.gram_sizes,
-                                             vocab.table(), row);
-        pooled_total += scratch.totals[w];
+        automaton.spread(scratch.visits, multiplicity, row);
         for (std::size_t i = 0; i < dim; ++i) scratch.pooled[i] += row[i];
       }
     }
@@ -213,10 +264,10 @@ SampleFeatures FeaturePipeline::extract(const cfg::Cfg& cfg,
     for (std::size_t w = 0; w < walks; ++w) {
       vocab.tfidf_into(
           std::span<const std::uint32_t>(scratch.counts.data() + w * dim, dim),
-          scratch.totals[w], rows[w], config_.l2_normalize);
+          windows, rows[w], config_.l2_normalize);
     }
     pooled_row.resize(dim);
-    vocab.tfidf_into(scratch.pooled, pooled_total, pooled_row,
+    vocab.tfidf_into(scratch.pooled, windows * walks, pooled_row,
                      config_.l2_normalize);
   };
 

@@ -100,16 +100,21 @@ class FeaturePipeline {
   /// A non-null `labeling_cache` is installed on the returned pipeline
   /// and already warmed by fitting, so the training extraction that
   /// typically follows reuses the fit labelings. Throws on empty
-  /// corpus or bad config.
+  /// corpus or bad config, and core::Error{kOutOfRange} for a training
+  /// CFG with a label above kMaxGramLabel (fit counts packed keys; in
+  /// practice a CFG above 16,384 blocks), before any walk is drawn.
   static FeaturePipeline fit(
       std::span<const cfg::Cfg> training, const PipelineConfig& config,
       math::Rng& rng, std::size_t num_threads = 1,
       std::shared_ptr<cfg::LabelingCache> labeling_cache = nullptr);
 
-  /// Extracts the full feature bundle for one CFG. Each call draws
-  /// fresh walks from `rng` — this is Soteria's randomization property:
-  /// two extractions of the same sample yield different (but similarly
-  /// distributed) vectors.
+  /// Extracts the full feature bundle for one CFG of any size. Each
+  /// call draws fresh walks from `rng` — this is Soteria's
+  /// randomization property: two extractions of the same sample yield
+  /// different (but similarly distributed) vectors. Walks run over a
+  /// CSR view straight through each vocabulary's GramAutomaton; the
+  /// bundle is bit-identical to looking every window up in the
+  /// vocabulary one by one.
   [[nodiscard]] SampleFeatures extract(const cfg::Cfg& cfg,
                                        math::Rng& rng) const;
 

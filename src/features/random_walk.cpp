@@ -1,5 +1,6 @@
 #include "features/random_walk.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,10 +12,28 @@ UndirectedView::UndirectedView(const cfg::Cfg& cfg) : entry_(cfg.entry()) {
   if (cfg.node_count() == 0) {
     throw std::invalid_argument("UndirectedView: empty CFG");
   }
-  adjacency_.resize(cfg.node_count());
-  for (graph::NodeId v = 0; v < cfg.node_count(); ++v) {
-    adjacency_[v] = cfg.graph().undirected_neighbors(v);
+  const graph::DiGraph& g = cfg.graph();
+  const std::size_t n = cfg.node_count();
+  std::size_t capacity = 0;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    capacity += g.successors(v).size() + g.predecessors(v).size();
   }
+  offsets_.resize(n + 1);
+  neighbors_.resize(capacity);
+  // Each row is written in place (successors, then predecessors),
+  // sorted and deduplicated: DiGraph::undirected_neighbors without
+  // its per-node vector.
+  std::size_t end = 0;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    offsets_[v] = end;
+    const auto row = neighbors_.begin() + static_cast<std::ptrdiff_t>(end);
+    auto tail = std::copy(g.successors(v).begin(), g.successors(v).end(), row);
+    tail = std::copy(g.predecessors(v).begin(), g.predecessors(v).end(), tail);
+    std::sort(row, tail);
+    end = static_cast<std::size_t>(std::unique(row, tail) - neighbors_.begin());
+  }
+  offsets_[n] = end;
+  neighbors_.resize(end);
 }
 
 void validate(const WalkConfig& config) {
@@ -36,34 +55,10 @@ std::vector<graph::NodeId> random_walk_nodes(const UndirectedView& view,
   graph::NodeId current = view.entry();
   trace.push_back(current);
   for (std::size_t i = 0; i < steps; ++i) {
-    const auto& nbrs = view.neighbors(current);
-    if (!nbrs.empty()) {
-      current = nbrs[rng.index(nbrs.size())];
-    }
+    current = view.step(current, rng);
     trace.push_back(current);
   }
   return trace;
-}
-
-void random_walk_labels(const UndirectedView& view,
-                        const std::vector<cfg::Label>& labels,
-                        std::size_t steps, math::Rng& rng,
-                        std::vector<cfg::Label>& out) {
-  out.clear();
-  out.reserve(steps + 1);
-  graph::NodeId current = view.entry();
-  for (std::size_t i = 0;; ++i) {
-    if (current >= labels.size()) {
-      throw std::out_of_range(
-          "random_walk_labels: node id beyond label table");
-    }
-    out.push_back(labels[current]);
-    if (i == steps) return;
-    const auto& nbrs = view.neighbors(current);
-    if (!nbrs.empty()) {
-      current = nbrs[rng.index(nbrs.size())];
-    }
-  }
 }
 
 std::size_t walk_steps(const WalkConfig& config, std::size_t node_count) {
@@ -98,7 +93,7 @@ std::vector<std::vector<cfg::Label>> labeled_walks(
                               config.walks_per_labeling * steps);
   std::vector<std::vector<cfg::Label>> walks(config.walks_per_labeling);
   for (auto& walk : walks) {
-    random_walk_labels(view, labels, steps, rng, walk);
+    walk = apply_labels(random_walk_nodes(view, steps, rng), labels);
   }
   return walks;
 }

@@ -16,7 +16,7 @@ void Vocabulary::finalize_tables() {
   for (std::size_t i = 0; i < idf_.size(); ++i) {
     idf_f_[i] = static_cast<float>(idf_[i]);
   }
-  table_ = DirectGramTable::build(grams_);
+  automaton_ = GramAutomaton::build(grams_);
 }
 
 Vocabulary Vocabulary::build(const std::vector<GramCounts>& corpus,
@@ -64,8 +64,8 @@ Vocabulary Vocabulary::build(const std::vector<GramCounts>& corpus,
 }
 
 std::optional<std::size_t> Vocabulary::index_of(GramKey key) const {
-  const std::size_t idx = table_.lookup(key);
-  if (idx == DirectGramTable::npos) return std::nullopt;
+  const std::size_t idx = automaton_.find(key);
+  if (idx == GramAutomaton::npos) return std::nullopt;
   return idx;
 }
 
@@ -108,7 +108,8 @@ Vocabulary Vocabulary::load(std::istream& in) {
   try {
     vocab.finalize_tables();
   } catch (const std::invalid_argument& error) {
-    // Duplicate or zero gram keys can only come from a corrupt stream.
+    // Duplicate or invalid gram keys can only come from a corrupt
+    // stream.
     throw core::Error(core::ErrorCode::kCorruptModel,
                       std::string("Vocabulary::load: ") + error.what());
   }

@@ -5,10 +5,10 @@
 // weights counts with TF-IDF, so a sample's feature vector is
 // tf(g, sample) * idf(g, corpus) over the selected grams.
 //
-// Lookup is a DirectGramTable over the selected grams (built at
-// fit/load time, never serialized). Extraction counts each walk into a
-// dense per-gram row through that table, and `tfidf_into` weights the
-// row in float throughout.
+// The selected grams are compiled into a GramAutomaton at fit and load
+// time (never serialized); it is the one lookup structure, serving both
+// index_of and extraction, which runs each walk through it into a
+// dense per-gram row. `tfidf_into` weights the row in float throughout.
 #pragma once
 
 #include <cstddef>
@@ -56,21 +56,20 @@ class Vocabulary {
     return idf_;
   }
 
-  /// The lookup table over the selected grams; shared with
-  /// count_into_vocab so counting can accumulate straight into the
-  /// dense TF vector.
-  [[nodiscard]] const DirectGramTable& table() const noexcept {
-    return table_;
+  /// The automaton over the selected grams (gram i = feature index
+  /// i); extraction runs walks through it straight into dense TF rows.
+  [[nodiscard]] const GramAutomaton& automaton() const noexcept {
+    return automaton_;
   }
 
   /// Writes the TF-IDF vector into `out` (size() floats), overwriting
   /// it. `counts_by_index` holds per-selected-gram counts (index order,
   /// size() entries) and `total_occurrences` the full window total
-  /// including out-of-vocabulary grams (as returned by
-  /// count_into_vocab). With `l2_normalize` the vector is scaled to
-  /// unit norm; without it, term frequencies stay relative to the
-  /// sample's total gram count, so the in-vocabulary mass fraction
-  /// (which structural attacks shift) remains visible.
+  /// including out-of-vocabulary grams (window_count of the trace).
+  /// With `l2_normalize` the vector is scaled to unit norm; without
+  /// it, term frequencies stay relative to the sample's total gram
+  /// count, so the in-vocabulary mass fraction (which structural
+  /// attacks shift) remains visible.
   void tfidf_into(std::span<const std::uint32_t> counts_by_index,
                   std::uint64_t total_occurrences, std::span<float> out,
                   bool l2_normalize = true) const;
@@ -80,8 +79,8 @@ class Vocabulary {
   Vocabulary() = default;
 
   /// Binary (de)serialization. `load` throws core::Error{kCorruptModel}
-  /// on a corrupt or truncated stream, including duplicate or zero gram
-  /// keys.
+  /// on a corrupt or truncated stream, including duplicate or invalid
+  /// gram keys.
   void save(std::ostream& out) const;
   [[nodiscard]] static Vocabulary load(std::istream& in);
 
@@ -92,7 +91,7 @@ class Vocabulary {
   std::vector<std::uint64_t> frequencies_;
   std::vector<double> idf_;
   std::vector<float> idf_f_;  // idf_ narrowed once, not per gram per sample
-  DirectGramTable table_;
+  GramAutomaton automaton_;
 };
 
 }  // namespace soteria::features

@@ -17,8 +17,9 @@ namespace {
 ///   v1: original double-precision TF-IDF accumulation.
 ///   v2: TF-IDF arithmetic moved to float throughout (then a
 ///       map-based Vocabulary::tfidf_into; today's dense overload over
-///       count_into_vocab rows does the same float operations, so v2
-///       bundles still hit); persisted v1 bundles differ in the low
+///       rows counted through the vocabulary's GramAutomaton sees the
+///       same counts and totals and does the same float operations, so
+///       v2 bundles still hit); persisted v1 bundles differ in the low
 ///       mantissa bits, so they must not hit.
 ///   v3: serialized pipeline blob grew the front-end name
 ///       (PipelineConfig::frontend) — CFGs now come from pluggable

@@ -7,6 +7,7 @@
 
 #include "graph/generators.h"
 #include "oracles/feature_reference.h"
+#include "soteria/error.h"
 
 namespace soteria::features {
 namespace {
@@ -47,6 +48,27 @@ TEST(Pipeline, FitRequiresCorpus) {
   math::Rng rng(1);
   EXPECT_THROW((void)FeaturePipeline::fit({}, tiny_config(), rng),
                std::invalid_argument);
+}
+
+TEST(Pipeline, FitRejectsLabelsPastGramLimitTyped) {
+  // Labels run to |V| - 1, and fit's packed keys hold 14-bit labels:
+  // a training chain of 16,385 blocks fails fit with a typed error,
+  // whichever thread counts it.
+  math::Rng rng(3);
+  graph::DiGraph chain(kMaxGramLabel + 2);
+  for (graph::NodeId v = 0; v + 1 < chain.node_count(); ++v) {
+    chain.add_edge(v, v + 1);
+  }
+  auto corpus = small_corpus(3, rng);
+  corpus.emplace_back(std::move(chain), 0);
+  for (const std::size_t threads : {1U, 2U}) {
+    try {
+      (void)FeaturePipeline::fit(corpus, tiny_config(), rng, threads);
+      ADD_FAILURE() << "fit accepted a label past kMaxGramLabel";
+    } catch (const core::Error& error) {
+      EXPECT_EQ(error.code(), core::ErrorCode::kOutOfRange) << error.what();
+    }
+  }
 }
 
 TEST(Pipeline, ExtractShapesMatchConfig) {

@@ -28,6 +28,27 @@ TEST(UndirectedView, BuildsSymmetricAdjacency) {
   EXPECT_EQ(n3.size(), 2U);  // sees 1 and 2 despite edge direction
 }
 
+TEST(UndirectedView, RowsMatchUndirectedNeighbors) {
+  // Every CSR row equals DiGraph::undirected_neighbors, self-loops and
+  // 2-cycles included: rows are deduplicated in place, so a row that
+  // shrinks must not leave stale entries for the next.
+  math::Rng rng(11);
+  for (const std::size_t n : {60U, 200U, 1U, 9U}) {
+    graph::DiGraph g = graph::firmware_like_cfg(n, rng);
+    g.add_edge(n - 1, n - 1);
+    if (n > 1) g.add_edge(1, 0);
+    const cfg::Cfg cfg(std::move(g), 0);
+    const UndirectedView view(cfg);
+    ASSERT_EQ(view.node_count(), n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const auto row = view.neighbors(v);
+      EXPECT_EQ(std::vector<graph::NodeId>(row.begin(), row.end()),
+                cfg.graph().undirected_neighbors(v))
+          << "n " << n << " node " << v;
+    }
+  }
+}
+
 TEST(UndirectedView, EmptyCfgThrows) {
   EXPECT_THROW(UndirectedView(cfg::Cfg{}), std::invalid_argument);
 }
@@ -105,16 +126,20 @@ TEST(ApplyLabels, MapsThrough) {
   const auto mapped = apply_labels(nodes, labels);
   EXPECT_EQ(mapped, (std::vector<cfg::Label>{5, 7, 6}));
 
-  // random_walk_labels is the fused form: the node walk mapped through
-  // the table, with the same rng draws.
+  // labeled_walks is the node walk mapped through the table, with the
+  // same rng draws.
   const UndirectedView view(diamond_cfg());
   const std::vector<cfg::Label> diamond_labels{5, 6, 7, 8};
+  WalkConfig config;
+  config.walks_per_labeling = 1;
+  config.length_multiplier = 3.0;
   math::Rng node_rng(6);
   math::Rng label_rng(6);
-  std::vector<cfg::Label> walk{99};
-  random_walk_labels(view, diamond_labels, 12, label_rng, walk);
+  const auto walks =
+      labeled_walks(diamond_cfg(), diamond_labels, config, label_rng);
   const auto nodes_walk = random_walk_nodes(view, 12, node_rng);
-  EXPECT_EQ(walk, apply_labels(nodes_walk, diamond_labels));
+  ASSERT_EQ(walks.size(), 1U);
+  EXPECT_EQ(walks[0], apply_labels(nodes_walk, diamond_labels));
   EXPECT_EQ(node_rng.engine()(), label_rng.engine()());
 }
 
@@ -125,9 +150,8 @@ TEST(ApplyLabels, ThrowsOnShortTable) {
   // Only the entry has a label; the first step leaves it.
   const std::vector<cfg::Label> entry_only{1};
   math::Rng rng(7);
-  std::vector<cfg::Label> walk;
-  EXPECT_THROW(random_walk_labels(UndirectedView(diamond_cfg()), entry_only,
-                                  8, rng, walk),
+  EXPECT_THROW((void)labeled_walks(diamond_cfg(), entry_only, WalkConfig{},
+                                   rng),
                std::out_of_range);
 }
 

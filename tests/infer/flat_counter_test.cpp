@@ -1,12 +1,14 @@
 // Bit-level contracts of the gram-counting fast paths: the rolling
 // packed-key update (count_grams, FlatGramCounter) must agree exactly
-// with the per-window oracle (tests/oracles), and count_into_vocab
-// must match the oracle's map filtered through the vocabulary's
-// DirectGramTable, window totals included. Counting is pure integer
-// arithmetic, so every comparison here is exact equality.
+// with the per-window oracle (tests/oracles), and a label trace run
+// through a GramAutomaton and spread must match the oracle's map
+// filtered to the automaton's grams, window totals included. Counting
+// is pure integer arithmetic, so every comparison here is exact
+// equality.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -28,6 +30,22 @@ std::vector<cfg::Label> random_walk(std::size_t length, cfg::Label max_label,
         rng.index(static_cast<std::size_t>(max_label) + 1));
   }
   return walk;
+}
+
+/// `walk` through `automaton` (one transition and one visit per
+/// label), spread into `counts`; returns the window total.
+std::uint64_t count_through(const GramAutomaton& automaton,
+                            const std::vector<cfg::Label>& walk,
+                            const std::vector<std::size_t>& sizes,
+                            std::vector<std::uint32_t>& counts) {
+  std::vector<std::uint32_t> visits(automaton.state_count(), 0);
+  std::uint32_t state = GramAutomaton::kRoot;
+  for (cfg::Label label : walk) {
+    state = automaton.next(state, automaton.symbol(label));
+    ++visits[state];
+  }
+  automaton.spread(visits, gram_multiplicity(sizes), counts);
+  return window_count(walk.size(), sizes);
 }
 
 GramCounts reference_counts(const std::vector<cfg::Label>& walk,
@@ -93,7 +111,7 @@ TEST(RollingCountTest, DuplicateSizesMatchReferenceWithoutOverflow) {
   }
 }
 
-TEST(CountIntoVocabTest, DuplicateSizesDoubleCountLikeReference) {
+TEST(GramAutomatonTest, DuplicateSizesDoubleCountLikeReference) {
   math::Rng rng(606);
   const std::vector<std::size_t> sizes = {3, 2, 3, 3, 2, 4, 2};
   ASSERT_GT(sizes.size(), kMaxGramLength);
@@ -104,14 +122,14 @@ TEST(CountIntoVocabTest, DuplicateSizesDoubleCountLikeReference) {
   }
   std::vector<GramKey> vocab;
   for (const auto& [key, count] : vocab_pool) vocab.push_back(key);
-  const auto table = DirectGramTable::build(vocab);
+  const auto automaton = GramAutomaton::build(vocab);
 
   for (std::size_t trial = 0; trial < 10; ++trial) {
     const auto walk = random_walk(10 + rng.index(40), 12, rng);
     const GramCounts full = reference_counts(walk, sizes);
 
     std::vector<std::uint32_t> dense(vocab.size(), 0);
-    const std::uint64_t windows = count_into_vocab(walk, sizes, table, dense);
+    const std::uint64_t windows = count_through(automaton, walk, sizes, dense);
 
     EXPECT_EQ(windows, total_occurrences(full)) << "trial " << trial;
     for (std::size_t i = 0; i < vocab.size(); ++i) {
@@ -159,7 +177,7 @@ TEST(FlatGramCounterTest, AccumulatesLikeReferenceAcrossWalks) {
   EXPECT_EQ(counter.to_counts(), reference_counts(walk, sizes));
 }
 
-TEST(DirectGramTableTest, BijectiveOverBuildSetAndMissesOutside) {
+TEST(GramAutomatonTest, FindIsBijectiveOverBuildSetAndMissesOutside) {
   math::Rng rng(303);
   const std::vector<std::size_t> sizes = {2, 3, 4};
   // Distinct keys from real walks, so lengths and label mixes vary.
@@ -172,35 +190,53 @@ TEST(DirectGramTableTest, BijectiveOverBuildSetAndMissesOutside) {
   for (const auto& [key, count] : pool) keys.push_back(key);
   ASSERT_GE(keys.size(), 50U);
 
-  const auto table = DirectGramTable::build(keys);
-  EXPECT_EQ(table.size(), keys.size());
+  const auto automaton = GramAutomaton::build(keys);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(table.lookup(keys[i]), i) << gram_to_string(keys[i]);
+    EXPECT_EQ(automaton.find(keys[i]), i) << gram_to_string(keys[i]);
   }
-  // Probing with keys outside the build set must miss, never alias.
+  // Probing with keys outside the build set must miss, never alias:
+  // random grams, every proper prefix and suffix of a build key (trie
+  // paths that end on no gram, or on a shorter one), and build keys
+  // with a stray bit outside their label fields.
   std::size_t miss_probes = 0;
-  for (std::size_t trial = 0; trial < 500; ++trial) {
-    const auto walk = random_walk(4, kMaxGramLabel, rng);
-    const GramKey key = pack_gram(walk);
-    if (pool.contains(key)) continue;
+  const auto expect_miss = [&](GramKey key) {
+    if (pool.contains(key)) return;
     ++miss_probes;
-    EXPECT_EQ(table.lookup(key), DirectGramTable::npos);
+    EXPECT_EQ(automaton.find(key), GramAutomaton::npos) << key;
+  };
+  for (std::size_t trial = 0; trial < 500; ++trial) {
+    expect_miss(pack_gram(random_walk(1 + rng.index(4), kMaxGramLabel, rng)));
   }
-  EXPECT_GT(miss_probes, 0U);
+  for (const GramKey key : keys) {
+    const auto labels = unpack_gram(key);
+    const std::span<const cfg::Label> all(labels);
+    for (std::size_t n = 1; n < labels.size(); ++n) {
+      expect_miss(pack_gram(all.first(n)));
+      expect_miss(pack_gram(all.last(n)));
+    }
+    expect_miss(key | (GramKey{1} << (kGramLengthShift - 1)));
+  }
+  EXPECT_GT(miss_probes, 500U);
 }
 
-TEST(DirectGramTableTest, DuplicateOrZeroKeysThrow) {
+TEST(GramAutomatonTest, DuplicateOrInvalidKeysThrow) {
   const std::vector<cfg::Label> pair = {1, 2};
   const std::vector<cfg::Label> single = {3};
   const std::vector<GramKey> duplicate = {pack_gram(pair), pack_gram(single),
                                           pack_gram(pair)};
-  EXPECT_THROW((void)DirectGramTable::build(duplicate),
-               std::invalid_argument);
-  const std::vector<GramKey> zero = {pack_gram(pair), 0};
-  EXPECT_THROW((void)DirectGramTable::build(zero), std::invalid_argument);
+  EXPECT_THROW((void)GramAutomaton::build(duplicate), std::invalid_argument);
+  // Zero, a length tag past kMaxGramLength, and a label bit outside a
+  // 2-gram's two fields.
+  for (const GramKey bad :
+       {GramKey{0}, GramKey{5} << kGramLengthShift,
+        pack_gram(pair) | (GramKey{1} << (2 * kGramLabelBits))}) {
+    const std::vector<GramKey> keys = {pack_gram(pair), bad};
+    EXPECT_THROW((void)GramAutomaton::build(keys), std::invalid_argument)
+        << bad;
+  }
 }
 
-TEST(CountIntoVocabTest, MatchesFilteredMapAndWindowTotal) {
+TEST(GramAutomatonTest, MatchesFilteredMapAndWindowTotal) {
   math::Rng rng(404);
   const std::vector<std::size_t> sizes = {2, 3, 4};
   // Vocabulary = the grams of a few "training" walks.
@@ -210,18 +246,56 @@ TEST(CountIntoVocabTest, MatchesFilteredMapAndWindowTotal) {
   }
   std::vector<GramKey> vocab;
   for (const auto& [key, count] : vocab_pool) vocab.push_back(key);
-  const auto table = DirectGramTable::build(vocab);
+  const auto automaton = GramAutomaton::build(vocab);
 
   for (std::size_t trial = 0; trial < 25; ++trial) {
     // Wider label range than the vocabulary pool: some grams miss.
     const auto walk = random_walk(rng.index(50), 20, rng);
     std::vector<std::uint32_t> dense(vocab.size(), 0);
-    const std::uint64_t windows = count_into_vocab(walk, sizes, table, dense);
+    const std::uint64_t windows = count_through(automaton, walk, sizes, dense);
 
     const GramCounts full = reference_counts(walk, sizes);
     EXPECT_EQ(windows, total_occurrences(full)) << "trial " << trial;
     for (std::size_t i = 0; i < vocab.size(); ++i) {
       const auto it = full.find(vocab[i]);
+      const std::uint32_t expected = it == full.end() ? 0 : it->second;
+      EXPECT_EQ(dense[i], expected)
+          << "trial " << trial << " gram " << gram_to_string(vocab[i]);
+    }
+  }
+}
+
+TEST(GramAutomatonTest, LabelsPastGramLimitCountAsOutOfVocabulary) {
+  math::Rng rng(707);
+  const std::vector<std::size_t> sizes = {1, 2, 3, 4};
+  GramCounts vocab_pool;
+  for (std::size_t w = 0; w < 6; ++w) {
+    count_grams_reference(random_walk(30, 8, rng), sizes, vocab_pool);
+  }
+  std::vector<GramKey> vocab;
+  for (const auto& [key, count] : vocab_pool) vocab.push_back(key);
+  const auto automaton = GramAutomaton::build(vocab);
+  EXPECT_EQ(automaton.symbol(kMaxGramLabel + 1), 0U);
+  EXPECT_EQ(automaton.symbol(~cfg::Label{0}), 0U);
+
+  for (std::size_t trial = 0; trial < 25; ++trial) {
+    // Labels 0..8 are in the vocabulary; the rest of each trace is
+    // unpackable (and different unpackable labels must not match each
+    // other through the shared out-of-vocabulary symbol).
+    auto walk = random_walk(rng.index(60), 12, rng);
+    for (auto& label : walk) {
+      if (label > 8) label += kMaxGramLabel;
+    }
+    std::vector<std::uint32_t> dense(vocab.size(), 0);
+    const std::uint64_t windows = count_through(automaton, walk, sizes, dense);
+
+    oracles::WideGramCounts full;
+    oracles::count_grams_wide(walk, sizes, full);
+    std::uint64_t total = 0;
+    for (const auto& [gram, count] : full) total += count;
+    EXPECT_EQ(windows, total) << "trial " << trial;
+    for (std::size_t i = 0; i < vocab.size(); ++i) {
+      const auto it = full.find(unpack_gram(vocab[i]));
       const std::uint32_t expected = it == full.end() ? 0 : it->second;
       EXPECT_EQ(dense[i], expected)
           << "trial " << trial << " gram " << gram_to_string(vocab[i]);

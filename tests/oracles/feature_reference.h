@@ -1,11 +1,16 @@
 // The map-based feature extraction that FeaturePipeline::extract's
-// fused walk -> dense count -> TF-IDF path replaced, kept as its oracle
-// (tests) and as the before-side of bench/perf_infer: every window is
-// packed with pack_gram into an unordered_map, and TF-IDF looks each
-// counted gram up in the vocabulary.
+// walk -> automaton -> dense count -> TF-IDF path replaced, kept as its
+// oracle (tests) and as the before-side of bench/perf_infer and
+// bench/perf_features: every window is packed with pack_gram into an
+// unordered_map, and TF-IDF looks each counted gram up in the
+// vocabulary. Packed keys stop at kMaxGramLabel, so a second, wide-key
+// oracle keys each window by its label tuple and covers CFGs whose
+// labels go past that limit.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -38,6 +43,30 @@ void count_grams_reference(std::span<const cfg::Label> walk,
 /// and every map weighted with tfidf_reference. Labels come from the
 /// pipeline's labeling cache when it has one.
 [[nodiscard]] features::SampleFeatures extract_reference(
+    const features::FeaturePipeline& pipeline, const cfg::Cfg& cfg,
+    math::Rng& rng);
+
+/// A gram as its label tuple: any label value, no packing.
+using WideGram = std::vector<cfg::Label>;
+using WideGramCounts = std::map<WideGram, std::uint32_t>;
+
+/// Counts every window of each size in `sizes` over `walk` into
+/// `counts`, keyed by label tuple. Throws std::invalid_argument for a
+/// size of 0.
+void count_grams_wide(std::span<const cfg::Label> walk,
+                      std::span<const std::size_t> sizes,
+                      WideGramCounts& counts);
+
+/// tfidf_reference over label tuples: the vocabulary's grams are
+/// unpacked into tuples and each counted tuple is looked up among
+/// them. The same float operations as tfidf_reference.
+[[nodiscard]] std::vector<float> tfidf_wide(const features::Vocabulary& vocab,
+                                            const WideGramCounts& counts,
+                                            bool l2_normalize = true);
+
+/// extract_reference with count_grams_wide + tfidf_wide: the same walks
+/// and `rng` draws, and no limit on label values.
+[[nodiscard]] features::SampleFeatures extract_reference_wide(
     const features::FeaturePipeline& pipeline, const cfg::Cfg& cfg,
     math::Rng& rng);
 
