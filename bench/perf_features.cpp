@@ -146,7 +146,7 @@ void full_extraction(benchmark::State& state, Extract&& extract) {
   pipeline.set_labeling_cache(std::make_shared<cfg::LabelingCache>(4));
   const auto cfg = extraction_cfg(static_cast<std::size_t>(state.range(0)),
                                   state.range(1) != 0);
-  (void)pipeline.labeling_cache()->labels(cfg, pipeline.config().labeling);
+  (void)pipeline.labeling_cache()->labels(cfg);
   math::Rng rng(5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(extract(pipeline, cfg, rng));

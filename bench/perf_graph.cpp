@@ -2,21 +2,16 @@
 // whole-graph properties, and CFG extraction across graph sizes.
 //
 // After the google-benchmark suites, main() runs the centrality
-// scaling sweep. Firmware-shaped CFGs split into many small biconnected
-// blocks, which the exact path decomposes: exact at n in {1000, 10000,
-// 50000} and the sampled-pivot approximate path at n in {10000, 50000},
-// each x threads {1,2,4,8}, are recorded timings with an ungated
-// approx-over-exact ratio. The approximation's >=5x speedup floor over
-// exact is gated on scale_free_digraph(10000, 2), one giant block, where
-// exact still costs a sweep per node over the whole graph. Every cell
-// re-checks the determinism contracts before its timing is trusted —
-// parallel runs bit-identical to t=1, and the approximate path
-// bit-stable under a repeated same-seed run. Any violation, or a
-// speedup below the floor, makes the process exit non-zero. The table
-// goes to stdout and bench_results/perf_centrality.txt; cell timings
-// land in the repo-root BENCH_perf.json (section "perf_graph") under
-// distinct "exact.*" and "approx.*" keys (prefixed "scale_free." for the
-// gate's graph) so the two paths never alias.
+// scaling sweep: exact centrality on firmware-shaped CFGs at n in
+// {1000, 10000, 50000}, each x threads {1,2,4,8}. Firmware CFGs split
+// into many small biconnected blocks, which the exact path composes
+// block by block. Every cell re-checks the determinism contract before
+// its timing is trusted: a parallel run must be bit-identical to t=1.
+// Any violation makes the process exit non-zero. The table, headed by a
+// provenance line (compiler, build kind, hardware threads), goes to
+// stdout and bench_results/perf_centrality.txt; cell timings land in
+// the repo-root BENCH_perf.json (section "perf_graph") under
+// "exact.n<N>.t<T>.ms" keys, with "hardware_threads".
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -38,6 +33,7 @@
 #include "graph/properties.h"
 #include "graph/traversal.h"
 #include "isa/codegen.h"
+#include "runtime/thread_pool.h"
 
 namespace {
 
@@ -129,60 +125,49 @@ graph::DiGraph make_firmware(std::size_t n) {
   return graph::firmware_like_cfg(n, rng);
 }
 
-/// Single-giant-block graph for the speedup gate (fixed seed).
-graph::DiGraph make_scale_free(std::size_t n) {
-  math::Rng rng(42);
-  return graph::scale_free_digraph(n, 2, rng);
-}
+#ifdef NDEBUG
+constexpr const char* kBuildKind = "optimized (NDEBUG)";
+#else
+constexpr const char* kBuildKind = "debug (assertions on)";
+#endif
 
-/// Exact-vs-approximate centrality scaling sweep; see the file header
-/// for the cell grid and the contracts each cell re-checks. Returns
-/// false if any determinism contract or the speedup floor is violated.
+/// Exact centrality scaling sweep; see the file header for the cell
+/// grid and the contract each cell re-checks. Returns false if any
+/// parallel cell differs from t=1.
 [[nodiscard]] bool run_centrality_sweep() {
   const std::vector<std::size_t> all_threads{1, 2, 4, 8};
-  constexpr double kMinSpeedup = 5.0;
 
   std::ostringstream table;
-  table << "== centrality scaling (ms per full graph) ==\n"
-        << "  graph       mode     nodes      edges  pivots        t=1"
+  char line[200];
+  std::snprintf(line, sizeof(line),
+                "provenance: g++ %s, %s build, %zu hardware threads\n",
+                __VERSION__, kBuildKind, runtime::hardware_threads());
+  table << line << "== exact centrality scaling (ms per full graph) ==\n"
+        << "  graph       nodes      edges        t=1"
         << "        t=2        t=4        t=8\n";
   std::map<std::string, double> json_values;
+  json_values["hardware_threads"] =
+      static_cast<double>(runtime::hardware_threads());
   bool ok = true;
 
-  const auto time_once = [](const graph::DiGraph& g,
-                            const graph::CentralityOptions& options,
-                            graph::CentralityScores& scores) {
-    const auto start = std::chrono::steady_clock::now();
-    scores = graph::centrality_scores(g, options);
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-  };
-
-  // Runs one (graph, mode, n) row over `threads`, re-checking the
-  // thread bit-identity contract on every cell and (in approximate
-  // mode) the same-seed bit-stability contract once per row. `key` is
-  // the JSON key prefix of the graph family ("" or "scale_free.").
-  // Returns the t=1 cell time.
-  const auto sweep_row = [&](const std::string& name, const std::string& key,
-                             const graph::DiGraph& g, bool approximate) {
-    const std::size_t n = g.node_count();
-    const std::string mode = approximate ? "approx" : "exact";
-    const std::string prefix = key + mode + ".n" + std::to_string(n);
+  for (const std::size_t n : {1000, 10000, 50000}) {
+    const auto g = make_firmware(n);
+    const std::string prefix = "exact.n" + std::to_string(n);
     // Fewer repetitions on the big graphs; the per-run time dwarfs
     // timer noise there.
-    const int reps = n >= 10000 ? 1 : (n >= 1000 ? 3 : 20);
+    const int reps = n >= 10000 ? 1 : 3;
 
     graph::CentralityScores reference;
-    std::vector<double> cell_ms;
+    std::string cells;
     for (const std::size_t t : all_threads) {
-      graph::CentralityOptions options;
-      options.num_threads = t;
-      options.approximate = approximate;
       graph::CentralityScores scores;
       double best_ms = 0.0;
       for (int rep = 0; rep < reps; ++rep) {
-        const double elapsed = time_once(g, options, scores);
+        const auto start = std::chrono::steady_clock::now();
+        scores = graph::centrality_scores(g, t);
+        const double elapsed = std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
         if (rep == 0 || elapsed < best_ms) best_ms = elapsed;
       }
       if (t == all_threads.front()) {
@@ -190,88 +175,16 @@ graph::DiGraph make_scale_free(std::size_t n) {
       } else if (scores.betweenness != reference.betweenness ||
                  scores.closeness != reference.closeness) {
         ok = false;
-        std::printf("DETERMINISM VIOLATION: %s %s n=%zu threads=%zu\n",
-                    name.c_str(), mode.c_str(), n, t);
+        std::printf("DETERMINISM VIOLATION: firmware n=%zu threads=%zu\n",
+                    n, t);
       }
-      cell_ms.push_back(best_ms);
       json_values[prefix + ".t" + std::to_string(t) + ".ms"] = best_ms;
+      std::snprintf(line, sizeof(line), " %10.3f", best_ms);
+      cells += line;
     }
-    if (approximate) {
-      // Same seed, fresh run: the sampled path must reproduce itself
-      // bit-for-bit (fixed pivot draw, fixed reduction order).
-      graph::CentralityOptions options;
-      options.num_threads = all_threads.front();
-      options.approximate = true;
-      graph::CentralityScores again;
-      (void)time_once(g, options, again);
-      if (again.betweenness != reference.betweenness ||
-          again.closeness != reference.closeness) {
-        ok = false;
-        std::printf("SEED STABILITY VIOLATION: %s approx n=%zu\n",
-                    name.c_str(), n);
-      }
-    }
-
-    const std::size_t pivots =
-        approximate
-            ? graph::resolved_pivot_count(n, graph::ApproxCentralityOptions{})
-            : 0;
-    if (approximate) {
-      json_values[prefix + ".pivots"] = static_cast<double>(pivots);
-    }
-    char row[200];
-    std::string cells;
-    for (const double ms : cell_ms) {
-      std::snprintf(row, sizeof(row), " %10.3f", ms);
-      cells += row;
-    }
-    std::snprintf(row, sizeof(row), "  %-10s  %-6s %7zu %10zu %7zu%s\n",
-                  name.c_str(), mode.c_str(), n, g.edge_count(), pivots,
-                  cells.c_str());
-    table << row;
-    return cell_ms.front();
-  };
-
-  // Records approx-over-exact at t=1 for one graph; returns it.
-  const auto record_speedup = [&](const std::string& key, std::size_t n,
-                                  double exact_ms, double approx_ms) {
-    const double speedup = approx_ms > 0.0 ? exact_ms / approx_ms : 0.0;
-    json_values[key + "approx.n" + std::to_string(n) +
-                ".speedup_over_exact_t1"] = speedup;
-    return speedup;
-  };
-
-  (void)sweep_row("firmware", "", make_firmware(1000), false);
-  std::string ratios;
-  for (const std::size_t n : {10000, 50000}) {
-    const auto g = make_firmware(n);
-    const double exact_ms = sweep_row("firmware", "", g, false);
-    const double approx_ms = sweep_row("firmware", "", g, true);
-    char line[120];
-    std::snprintf(line, sizeof(line),
-                  "  firmware approx speedup over exact at n=%zu (t=1):"
-                  " %.2fx (recorded, not gated)\n",
-                  n, record_speedup("", n, exact_ms, approx_ms));
-    ratios += line;
-  }
-  double speedup = 0.0;
-  {
-    const auto g = make_scale_free(10000);
-    const double exact_ms = sweep_row("scale_free", "scale_free.", g, false);
-    const double approx_ms = sweep_row("scale_free", "scale_free.", g, true);
-    speedup = record_speedup("scale_free.", 10000, exact_ms, approx_ms);
-  }
-  char line[120];
-  std::snprintf(line, sizeof(line),
-                "  scale_free approx speedup over exact at n=10000 (t=1):"
-                " %.2fx (floor %.1fx)\n",
-                speedup, kMinSpeedup);
-  table << ratios << line;
-  if (speedup < kMinSpeedup) {
-    ok = false;
-    std::printf("SPEEDUP FLOOR VIOLATION: %.2fx < %.1fx on scale_free"
-                " n=10000\n",
-                speedup, kMinSpeedup);
+    std::snprintf(line, sizeof(line), "  firmware %8zu %10zu%s\n", n,
+                  g.edge_count(), cells.c_str());
+    table << line;
   }
   table << (ok ? "  all determinism contracts held\n"
                : "  CONTRACT VIOLATIONS DETECTED (see stdout)\n");

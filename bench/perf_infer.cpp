@@ -130,7 +130,7 @@ Comparison run_ngram_stage(const core::SoteriaSystem& model,
 
   math::Rng walk_rng(seed + 17);
   for (const auto& cfg : cfgs) {
-    const auto labelings = cfg::label_both(cfg, config.labeling);
+    const auto labelings = cfg::label_both(cfg);
     auto dbl = features::labeled_walks(cfg, labelings.dbl, config.walk,
                                        walk_rng);
     auto lbl = features::labeled_walks(cfg, labelings.lbl, config.walk,
@@ -220,7 +220,7 @@ Comparison run_extract_stage(const core::SoteriaSystem& model,
   const auto& cache = pipeline.labeling_cache();
   if (cache) {
     for (const auto& cfg : cfgs) {
-      (void)cache->labels(cfg, pipeline.config().labeling);
+      (void)cache->labels(cfg);
     }
   }
   const math::Rng base(seed + 29);
@@ -283,8 +283,7 @@ FirmwareRow run_firmware_row(const std::vector<cfg::Cfg>& training,
   pipeline.set_labeling_cache(std::make_shared<cfg::LabelingCache>(4));
   math::Rng graph_rng(seed + 43);
   const cfg::Cfg firmware(graph::firmware_like_cfg(2000, graph_rng), 0);
-  (void)pipeline.labeling_cache()->labels(firmware,
-                                          pipeline.config().labeling);
+  (void)pipeline.labeling_cache()->labels(firmware);
   const math::Rng base(seed + 47);
 
   FirmwareRow row;

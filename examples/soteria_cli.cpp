@@ -39,13 +39,18 @@
 // bit-identical with the store on or off). Any command accepts
 // --metrics (human-readable per-stage breakdown on stdout after the
 // run) and/or --metrics-json (same data as one JSON document).
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "attack/attacker.h"
 #include "attack/registry.h"
@@ -60,20 +65,11 @@
 #include "loader/elf_writer.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "serve/service.h"
 #include "soteria/error.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 #include "store/feature_store.h"
-
-#ifdef SOTERIA_HAVE_SERVE
-#include <chrono>
-#include <csignal>
-#include <deque>
-#include <iostream>
-#include <utility>
-
-#include "serve/service.h"
-#endif
 
 namespace {
 
@@ -92,12 +88,10 @@ int usage() {
                " [--data-scale S] [--data-seed N]\n"
                "       soteria_cli corpus  <dir> [scale] [seed]"
                " [--format toy|elf]\n"
-#ifdef SOTERIA_HAVE_SERVE
                "       soteria_cli serve   <model-path> [--queue-depth N]"
                " [--threads T] [--batch B] [--seed S]"
                " [--swap-model <path>] [--store <dir>]"
                " [--format auto|toy|elf] [--arch <name>]\n"
-#endif
                "       soteria_cli store   <stats|compact|verify|clear>"
                " <dir> [capacity]\n"
                "options: --metrics        print per-stage metrics report\n"
@@ -424,8 +418,6 @@ int cmd_store(const char* action, const char* dir, std::size_t capacity) {
   return 2;
 }
 
-#ifdef SOTERIA_HAVE_SERVE
-
 volatile std::sig_atomic_t g_sighup = 0;
 
 void handle_sighup(int) { g_sighup = 1; }
@@ -643,8 +635,6 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
   return 0;
 }
 
-#endif  // SOTERIA_HAVE_SERVE
-
 int dispatch(int argc, char** argv) {
   if (argc < 3) return usage();
   const char* command = argv[1];
@@ -674,11 +664,9 @@ int dispatch(int argc, char** argv) {
       return is_corpus ? cmd_corpus(path, scale, seed, format)
                        : cmd_train(path, scale, seed);
     }
-#ifdef SOTERIA_HAVE_SERVE
     if (std::strcmp(command, "serve") == 0) {
       return cmd_serve(path, argc - 3, argv + 3);
     }
-#endif
     if (std::strcmp(command, "store") == 0) {
       if (argc < 4) return usage();
       const std::size_t capacity =

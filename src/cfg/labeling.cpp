@@ -6,7 +6,6 @@
 
 #include "graph/centrality.h"
 #include "graph/traversal.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace soteria::cfg {
@@ -15,36 +14,14 @@ const char* method_name(LabelingMethod method) noexcept {
   return method == LabelingMethod::kDensity ? "DBL" : "LBL";
 }
 
-void validate(const LabelingOptions& options) {
-  graph::validate(options.approx);
-}
-
-bool approximate_labeling(const LabelingOptions& options,
-                          std::size_t nodes) {
-  return options.approx_centrality_threshold != 0 &&
-         nodes >= options.approx_centrality_threshold &&
-         graph::resolved_pivot_count(nodes, options.approx) < nodes;
-}
-
 std::vector<NodeRank> node_ranks(const Cfg& cfg) {
-  return node_ranks(cfg, LabelingOptions{});
-}
-
-std::vector<NodeRank> node_ranks(const Cfg& cfg,
-                                 const LabelingOptions& options) {
   const auto& g = cfg.graph();
   const std::size_t n = g.node_count();
   std::vector<NodeRank> ranks(n);
   if (n == 0) return ranks;
   const obs::Span span("cfg.label.ranks");
 
-  graph::CentralityOptions centrality_options;
-  centrality_options.approximate = approximate_labeling(options, n);
-  centrality_options.approx = options.approx;
-  if (centrality_options.approximate) {
-    obs::registry().counter_add("soteria.centrality.approx");
-  }
-  const auto centrality = graph::centrality_scores(g, centrality_options);
+  const auto centrality = graph::centrality_scores(g);
   const auto levels = graph::node_levels(g, cfg.entry());
   const auto edge_count = static_cast<double>(g.edge_count());
   for (graph::NodeId v = 0; v < n; ++v) {
@@ -97,26 +74,17 @@ std::vector<Label> labels_from_ranks(const std::vector<NodeRank>& ranks,
 }
 
 std::vector<Label> label_nodes(const Cfg& cfg, LabelingMethod method) {
-  return label_nodes(cfg, method, LabelingOptions{});
-}
-
-std::vector<Label> label_nodes(const Cfg& cfg, LabelingMethod method,
-                               const LabelingOptions& options) {
   if (cfg.node_count() == 0)
     throw std::invalid_argument("label_nodes: empty CFG");
   const obs::Span span(method == LabelingMethod::kDensity ? "cfg.label.dbl"
                                                           : "cfg.label.lbl");
-  return labels_from_ranks(node_ranks(cfg, options), method);
+  return labels_from_ranks(node_ranks(cfg), method);
 }
 
-NodeLabelings label_both(const Cfg& cfg) {
-  return label_both(cfg, LabelingOptions{});
-}
-
-NodeLabelings label_both(const Cfg& cfg, const LabelingOptions& options) {
+NodeLabelings label_both(const Cfg& cfg, ExactLabeling) {
   if (cfg.node_count() == 0)
     throw std::invalid_argument("label_both: empty CFG");
-  const auto ranks = node_ranks(cfg, options);
+  const auto ranks = node_ranks(cfg);
   NodeLabelings labelings;
   {
     const obs::Span span("cfg.label.dbl");

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "cfg/cfg.h"
-#include "graph/centrality.h"
 
 namespace soteria::cfg {
 
@@ -40,43 +39,17 @@ struct NodeRank {
   std::size_t level = 0;  ///< 1-based; kUnreachable if not reachable
 };
 
-/// Knobs of the graph-analytics pass feeding both labelings. The
-/// default is the exact fused Brandes sweep on every CFG; setting
-/// `approx_centrality_threshold` switches CFGs at or above that many
-/// nodes to the sampled-pivot centrality estimate (graph/centrality.h)
-/// — same rank keys, bounded-error scores, a fraction of the cost.
-/// Part of PipelineConfig (persisted with the model), so two pipelines
-/// that label differently can never share cached or stored features.
-struct LabelingOptions {
-  /// Node count at or above which centrality is approximated;
-  /// 0 (default) = never, labeling stays exact at any size.
-  std::size_t approx_centrality_threshold = 0;
-
-  /// Approximation parameters used once the threshold trips.
-  graph::ApproxCentralityOptions approx;
-
-  [[nodiscard]] bool operator==(const LabelingOptions&) const = default;
-};
-
-/// Throws std::invalid_argument for invalid approximation parameters.
-void validate(const LabelingOptions& options);
-
-/// True when `options` put an n-node CFG on the approximate centrality
-/// path: the threshold is set, n reaches it, and the resolved pivot
-/// count is actually below n (a full pivot set is the exact sweep, so
-/// it is normalized to exact — cache keys rely on this).
-[[nodiscard]] bool approximate_labeling(const LabelingOptions& options,
-                                        std::size_t nodes);
+/// Labeling has no settings: centrality is always exact. This empty
+/// tag is the type of features::PipelineConfig::labeling, which
+/// label_both and LabelingCache::labels accept and ignore, so callers
+/// that pass a pipeline's labeling settings keep compiling.
+struct ExactLabeling {};
 
 /// Computes the ranking keys for every node of `cfg` in one fused
-/// graph-analytics pass (betweenness + closeness from a single Brandes
-/// sweep, levels from one BFS).
+/// graph-analytics pass (exact betweenness + closeness from one Brandes
+/// pass composed per biconnected block, graph/centrality.h; levels from
+/// one BFS).
 [[nodiscard]] std::vector<NodeRank> node_ranks(const Cfg& cfg);
-
-/// As above under explicit labeling options (exact or approximate
-/// centrality per `options` and the CFG's size).
-[[nodiscard]] std::vector<NodeRank> node_ranks(
-    const Cfg& cfg, const LabelingOptions& options);
 
 /// Orders nodes under `method` given precomputed ranking keys — the
 /// sort-only tail of label_nodes, so both labelings can share one
@@ -92,11 +65,6 @@ void validate(const LabelingOptions& options);
 [[nodiscard]] std::vector<Label> label_nodes(const Cfg& cfg,
                                              LabelingMethod method);
 
-/// As above under explicit labeling options.
-[[nodiscard]] std::vector<Label> label_nodes(const Cfg& cfg,
-                                             LabelingMethod method,
-                                             const LabelingOptions& options);
-
 /// Both labelings of one CFG.
 struct NodeLabelings {
   std::vector<Label> dbl;
@@ -107,11 +75,7 @@ struct NodeLabelings {
 /// computation — the graph analytics (centrality + levels) that
 /// dominate labeling cost run exactly once. Equivalent to calling
 /// label_nodes twice; throws std::invalid_argument for an empty CFG.
-[[nodiscard]] NodeLabelings label_both(const Cfg& cfg);
-
-/// As above under explicit labeling options.
-[[nodiscard]] NodeLabelings label_both(const Cfg& cfg,
-                                       const LabelingOptions& options);
+[[nodiscard]] NodeLabelings label_both(const Cfg& cfg, ExactLabeling = {});
 
 /// Inverse view: node id holding each label (result[label] = node).
 /// Throws std::invalid_argument if any label is out of range or

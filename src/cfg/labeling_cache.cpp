@@ -56,21 +56,7 @@ std::uint64_t LabelingCache::content_hash(const Cfg& cfg) {
   return h;
 }
 
-std::uint64_t LabelingCache::content_hash(const Cfg& cfg,
-                                          std::string_view frontend_tag) {
-  std::uint64_t h = content_hash(cfg);
-  // Length-prefixed so distinct tags can never produce the same byte
-  // stream, then the tag bytes themselves.
-  fnv_mix(h, static_cast<std::uint64_t>(frontend_tag.size()));
-  for (const char c : frontend_tag) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-LabelingCache::Key LabelingCache::make_key(const Cfg& cfg,
-                                           const LabelingOptions& options) {
+LabelingCache::Key LabelingCache::make_key(const Cfg& cfg) {
   const auto& g = cfg.graph();
   Key key;
   key.entry = static_cast<std::uint32_t>(cfg.entry());
@@ -82,37 +68,18 @@ LabelingCache::Key LabelingCache::make_key(const Cfg& cfg,
       key.edges.push_back(static_cast<std::uint32_t>(v));
     }
   }
-  if (approximate_labeling(options, cfg.node_count())) {
-    key.mode.approximate = true;
-    key.mode.pivots =
-        graph::resolved_pivot_count(cfg.node_count(), options.approx);
-    key.mode.seed = options.approx.seed;
-  }
   return key;
 }
 
-NodeLabelings LabelingCache::labels(const Cfg& cfg) {
-  return labels(cfg, LabelingOptions{});
-}
-
-NodeLabelings LabelingCache::labels(const Cfg& cfg,
-                                    const LabelingOptions& options) {
+NodeLabelings LabelingCache::labels(const Cfg& cfg, ExactLabeling) {
   if (cfg.node_count() == 0) {
     throw std::invalid_argument("LabelingCache::labels: empty CFG");
   }
   if (cfg.node_count() > std::numeric_limits<std::uint32_t>::max()) {
-    return label_both(cfg, options);  // too wide for a compact entry
+    return label_both(cfg);  // too wide for a compact entry
   }
-  Key key = make_key(cfg, options);
-  // Exact-mode lookups hash exactly as before the mode existed;
-  // approximate entries fold their mode in, so the two can only meet
-  // in a bucket via a (detected) collision.
-  std::uint64_t hash = hasher_(cfg);
-  if (key.mode.approximate) {
-    fnv_mix(hash, 0x617070726f78ULL);  // "approx" tag
-    fnv_mix(hash, static_cast<std::uint64_t>(key.mode.pivots));
-    fnv_mix(hash, key.mode.seed);
-  }
+  Key key = make_key(cfg);
+  const std::uint64_t hash = hasher_(cfg);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -133,7 +100,7 @@ NodeLabelings LabelingCache::labels(const Cfg& cfg,
 
   // Compute outside the lock: concurrent misses on distinct CFGs must
   // not serialize on the expensive graph analytics.
-  NodeLabelings labelings = label_both(cfg, options);
+  NodeLabelings labelings = label_both(cfg);
 
   std::lock_guard<std::mutex> lock(mutex_);
   // Another thread may have inserted the same CFG while we computed;

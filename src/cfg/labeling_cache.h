@@ -6,9 +6,7 @@
 // labeling is a large extraction cost (exact centrality sweeps every
 // source of every biconnected block). `LabelingCache` memoizes
 // `label_both` keyed by a 64-bit content hash of the CFG (entry + node
-// count + edge list) plus the effective centrality mode (exact, or
-// sampled-pivot with its resolved pivot count and seed), so exact and
-// approximate labelings of the same CFG never alias.
+// count + edge list).
 //
 // Correctness under collisions: every entry stores the full canonical
 // key alongside the hash and verifies it on lookup, so two CFGs that
@@ -34,7 +32,6 @@
 #include <functional>
 #include <list>
 #include <mutex>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -61,16 +58,7 @@ class LabelingCache {
   /// entry with identical content exists, computed via label_both and
   /// inserted otherwise. Throws std::invalid_argument for an empty CFG
   /// (nothing is cached in that case).
-  [[nodiscard]] NodeLabelings labels(const Cfg& cfg);
-
-  /// As above under explicit labeling options. The cache key covers the
-  /// *effective* centrality mode — exact, or approximate with its
-  /// resolved pivot count and seed — so exact and approximate labelings
-  /// of the same CFG content miss each other instead of aliasing.
-  /// Options that resolve to the exact sweep (threshold unset, CFG
-  /// below it, or a full pivot set) share entries with labels(cfg).
-  [[nodiscard]] NodeLabelings labels(const Cfg& cfg,
-                                     const LabelingOptions& options);
+  [[nodiscard]] NodeLabelings labels(const Cfg& cfg, ExactLabeling = {});
 
   /// Monotonic accounting since construction (or clear()).
   struct Stats {
@@ -94,36 +82,14 @@ class LabelingCache {
   /// the pipeline fingerprint.
   [[nodiscard]] static std::uint64_t content_hash(const Cfg& cfg);
 
-  /// Content hash further keyed by the producing front end's name
-  /// ("toy", "x86_64"). Use wherever CFGs from different decoders must
-  /// never alias even when their shapes coincide — distinct tags are
-  /// guaranteed to mix to distinct streams (pinned by the frontend
-  /// test suite).
-  [[nodiscard]] static std::uint64_t content_hash(
-      const Cfg& cfg, std::string_view frontend_tag);
-
  private:
-  /// The effective centrality mode of a labeling, normalized: exact
-  /// entries are all-zero regardless of which options requested them,
-  /// approximate entries carry the resolved pivot count and seed (the
-  /// two inputs that change the scores; epsilon/delta only matter
-  /// through the pivot count they resolve to).
-  struct Mode {
-    bool approximate = false;
-    std::size_t pivots = 0;
-    std::uint64_t seed = 0;
-
-    bool operator==(const Mode& other) const = default;
-  };
-
-  /// Canonical CFG content plus the effective centrality mode; compared
-  /// on lookup so hash collisions are detected instead of served.
+  /// Canonical CFG content; compared on lookup so hash collisions are
+  /// detected instead of served.
   struct Key {
     std::uint32_t entry = 0;
     std::uint32_t nodes = 0;
     /// The edge list in DiGraph::edges() order, flattened to u, v, ...
     std::vector<std::uint32_t> edges;
-    Mode mode;
 
     bool operator==(const Key& other) const = default;
   };
@@ -135,8 +101,7 @@ class LabelingCache {
     std::vector<std::uint32_t> lbl;
   };
 
-  [[nodiscard]] static Key make_key(const Cfg& cfg,
-                                    const LabelingOptions& options);
+  [[nodiscard]] static Key make_key(const Cfg& cfg);
 
   const std::size_t capacity_;
   const Hasher hasher_;

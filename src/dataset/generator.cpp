@@ -112,7 +112,9 @@ std::size_t variant_count(const DatasetConfig& config, Family family,
   const double ratio = config.variant_ratio[family_index(family)];
   const auto variants = static_cast<std::size_t>(
       std::llround(static_cast<double>(count) * ratio));
-  return std::clamp(variants, config.min_variants, count);
+  // Not std::clamp: count may fall below min_variants, and then the
+  // count wins.
+  return std::min(std::max(variants, config.min_variants), count);
 }
 
 Sample generate_variant_sample(Family family, std::uint64_t id,

@@ -1,5 +1,7 @@
 #include "features/pipeline.h"
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -29,7 +31,6 @@ void validate(const PipelineConfig& config) {
                                   std::to_string(kMaxGramLength) + "]");
     }
   }
-  cfg::validate(config.labeling);
   if (config.frontend.empty()) {
     throw std::invalid_argument("PipelineConfig: frontend name is empty");
   }
@@ -78,8 +79,8 @@ std::vector<float> SampleFeatures::pooled_combined() const {
 
 cfg::NodeLabelings FeaturePipeline::labelings_for(
     const cfg::Cfg& cfg) const {
-  if (labeling_cache_) return labeling_cache_->labels(cfg, config_.labeling);
-  return cfg::label_both(cfg, config_.labeling);
+  if (labeling_cache_) return labeling_cache_->labels(cfg);
+  return cfg::label_both(cfg);
 }
 
 GramCounts FeaturePipeline::gram_counts_for_labels(
@@ -278,25 +279,46 @@ SampleFeatures FeaturePipeline::extract(const cfg::Cfg& cfg,
   return features;
 }
 
+namespace {
+
+// The labeling block of the model stream: five 8-byte words between
+// the normalization flag and the front-end name, once the persisted
+// settings of a retired sampled-centrality labeling. Labeling is exact,
+// and every model to date carries these values: size threshold 0
+// (never sample), sample count 0, error 0.1, failure probability 0.01
+// and seed "Sote". Writing them unchanged keeps model bytes, and with
+// them the pipeline fingerprint that hashes save()'s output, identical.
+constexpr std::array<std::uint64_t, 5> kLabelingBlock = {
+    0, 0, std::bit_cast<std::uint64_t>(0.1),
+    std::bit_cast<std::uint64_t>(0.01), 0x536f7465};
+
+// Any other value names a model labeled with sampled centrality ranks,
+// which this build cannot reproduce.
+void read_labeling_block(std::istream& in) {
+  for (const std::uint64_t word : kLabelingBlock) {
+    if (io::read_scalar<std::uint64_t>(in) != word) {
+      throw core::Error(core::ErrorCode::kCorruptModel,
+                        "FeaturePipeline::load: labeling block is not the "
+                        "exact-labeling constant");
+    }
+  }
+}
+
+}  // namespace
+
 void FeaturePipeline::save(std::ostream& out) const {
   io::write_scalar(out, config_.walk.length_multiplier);
   io::write_scalar<std::uint64_t>(out, config_.walk.walks_per_labeling);
   io::write_scalar<std::uint64_t>(out, config_.top_k);
   io::write_vector<std::size_t>(out, config_.gram_sizes);
   io::write_scalar<std::uint8_t>(out, config_.l2_normalize ? 1 : 0);
-  // Labeling options are model state: they change the labels every
-  // feature is built from, and serializing them here also folds them
-  // into the pipeline fingerprint (store/fingerprint.h hashes this
-  // blob), keying the feature store by centrality mode.
-  io::write_scalar<std::uint64_t>(out,
-                                  config_.labeling.approx_centrality_threshold);
-  io::write_scalar<std::uint64_t>(out, config_.labeling.approx.pivot_count);
-  io::write_scalar(out, config_.labeling.approx.epsilon);
-  io::write_scalar(out, config_.labeling.approx.delta);
-  io::write_scalar<std::uint64_t>(out, config_.labeling.approx.seed);
-  // The frontend name is model state for the same reason: CFGs from
-  // different decoders are different feature universes, and hashing the
-  // name here keys the feature store by decoder.
+  for (const std::uint64_t word : kLabelingBlock) {
+    io::write_scalar(out, word);
+  }
+  // The frontend name is model state: CFGs from different decoders are
+  // different feature universes, and serializing the name here also
+  // hashes it into the pipeline fingerprint (store/fingerprint.h hashes
+  // this blob), keying the feature store by decoder.
   io::write_string(out, config_.frontend);
   dbl_vocab_.save(out);
   lbl_vocab_.save(out);
@@ -311,13 +333,7 @@ FeaturePipeline FeaturePipeline::load(std::istream& in) {
       static_cast<std::size_t>(io::read_scalar<std::uint64_t>(in));
   pipeline.config_.gram_sizes = io::read_vector<std::size_t>(in);
   pipeline.config_.l2_normalize = io::read_scalar<std::uint8_t>(in) != 0;
-  pipeline.config_.labeling.approx_centrality_threshold =
-      static_cast<std::size_t>(io::read_scalar<std::uint64_t>(in));
-  pipeline.config_.labeling.approx.pivot_count =
-      static_cast<std::size_t>(io::read_scalar<std::uint64_t>(in));
-  pipeline.config_.labeling.approx.epsilon = io::read_scalar<double>(in);
-  pipeline.config_.labeling.approx.delta = io::read_scalar<double>(in);
-  pipeline.config_.labeling.approx.seed = io::read_scalar<std::uint64_t>(in);
+  read_labeling_block(in);
   pipeline.config_.frontend = io::read_string(in);
   validate(pipeline.config_);
   pipeline.dbl_vocab_ = Vocabulary::load(in);

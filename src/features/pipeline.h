@@ -42,17 +42,15 @@ struct PipelineConfig {
   /// L2-normalize TF-IDF vectors. Disabling keeps each sample's
   /// in-vocabulary mass fraction, which GEA merges shift measurably.
   bool l2_normalize = true;
-  /// Labeling knobs, notably the approximate-centrality threshold for
-  /// firmware-scale CFGs (exact everywhere by default). Persisted by
-  /// save() and hashed into the pipeline fingerprint, so pipelines
-  /// that label differently never share feature-store entries.
-  cfg::LabelingOptions labeling;
+  /// Labeling is always exact and has no settings (cfg::ExactLabeling).
+  cfg::ExactLabeling labeling;
   /// Name of the binary front end (frontend::Frontend::name()) whose
   /// CFGs this pipeline was fitted on ("toy", "x86_64", ...). Persisted
   /// by save() and hashed into the pipeline fingerprint, so
-  /// feature-store and labeling-cache entries produced under one
-  /// decoder can never alias another's even when two decoders happen to
-  /// emit isomorphic CFGs.
+  /// feature-store entries produced under one decoder can never alias
+  /// another's even when two decoders happen to emit isomorphic CFGs.
+  /// (Labeling-cache entries are shape-addressed on purpose: labels
+  /// depend on the CFG alone.)
   std::string frontend = "toy";
 };
 
@@ -191,7 +189,12 @@ class FeaturePipeline {
   FeaturePipeline() = default;
 
   /// Binary (de)serialization of the config and both vocabularies.
-  /// `load` throws core::Error{kCorruptModel} on a corrupt stream.
+  /// Labeling is always exact and has no settings; the stream keeps a
+  /// reserved 40-byte labeling block at its old place, so model bytes
+  /// and the fingerprint match every model saved before. `load` throws
+  /// core::Error{kCorruptModel} on a corrupt stream, including one
+  /// whose labeling block differs from that constant (a model labeled
+  /// with sampled centrality, which this build cannot reproduce).
   void save(std::ostream& out) const;
   [[nodiscard]] static FeaturePipeline load(std::istream& in);
 

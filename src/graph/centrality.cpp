@@ -1,7 +1,6 @@
 #include "graph/centrality.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -9,11 +8,8 @@
 #include <numeric>
 #include <optional>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "math/rng.h"
 #include "runtime/thread_pool.h"
 
 namespace soteria::graph {
@@ -29,11 +25,6 @@ constexpr std::size_t kSourceChunk = 16;
 // chunks instead, which bounds the per-chunk partial buffers of a
 // parallel run at kMaxChunks rows.
 constexpr std::size_t kMaxChunks = 64;
-
-// Rounds of signature refinement feeding the pivot draw. Three rounds
-// separate nodes by their distance<=3 neighborhood structure, which is
-// plenty for CFG-shaped graphs while keeping the prepass linear.
-constexpr int kSignatureRounds = 3;
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
@@ -58,8 +49,8 @@ struct CsrView {
 // CSR snapshot of the undirected view: one flat neighbor array plus
 // per-node offsets, with each row sorted and deduplicated exactly like
 // DiGraph::undirected_neighbors (so a self-loop keeps its node in its
-// own row). One allocation pair instead of a vector-of-vectors, and
-// each BFS avoids re-deduplicating.
+// own row). One allocation pair instead of a vector-of-vectors; the
+// block decomposition walks it once.
 struct UndirectedCsr {
   std::vector<std::size_t> offsets;  // node_count + 1
   std::vector<NodeId> neighbors;
@@ -79,13 +70,6 @@ struct UndirectedCsr {
       neighbors.insert(neighbors.end(), row.begin(), row.end());
       offsets[v + 1] = neighbors.size();
     }
-  }
-
-  [[nodiscard]] CsrView view() const noexcept {
-    return {offsets.data(), neighbors.data()};
-  }
-  [[nodiscard]] std::span<const NodeId> row(NodeId v) const noexcept {
-    return view().row(v);
   }
 };
 
@@ -145,12 +129,12 @@ struct FusedScratch {
   return paths;
 }
 
-// One weighted Brandes sweep from `s`: node t stands for weights[t]
-// path endpoints (all 1 on the whole-graph CSR; a block's region
-// weights on a block CSR). delta[v] accumulates the weighted
-// continuations from v to every strictly-downstream target in the BFS
-// DAG, so weights[s] * sigma[v] * delta[v] counts the shortest paths
-// through v between the endpoints s and the targets stand for.
+// One weighted Brandes sweep from `s` over a block CSR: node t stands
+// for weights[t] path endpoints (its region weight). delta[v]
+// accumulates the weighted continuations from v to every
+// strictly-downstream target in the BFS DAG, so
+// weights[s] * sigma[v] * delta[v] counts the shortest paths through v
+// between the endpoints s and the targets stand for.
 // Predecessors of w are the CSR neighbors u with dist[u] + 1 ==
 // dist[w] — no predecessor lists. The other neighbors receive an exact
 // 0.0 instead of a branch: the test mispredicts often, and a
@@ -177,20 +161,6 @@ struct FusedScratch {
     if (w != s) betweenness[w] += source_weight * (delta[w] * sigma[w]);
   }
   return paths;
-}
-
-// Sampled-path closeness: every node reached by this pivot collects one
-// (reachable, distance) observation — valid because undirected BFS
-// distances are symmetric. Integer accumulators keep the merge exact.
-void scatter_pivot_distances(const FusedScratch& scratch, std::size_t n,
-                             std::vector<std::int64_t>& distance_sum,
-                             std::vector<std::int64_t>& reach_count) {
-  for (NodeId v = 0; v < n; ++v) {
-    if (scratch.dist[v] > 0) {
-      distance_sum[v] += scratch.dist[v];
-      ++reach_count[v];
-    }
-  }
 }
 
 // Ordered reduction over `chunks` work units. Chunk c accumulates into
@@ -584,194 +554,24 @@ void exact_scores(const UndirectedCsr& csr, std::size_t n,
   }
 }
 
-// Structural node signatures for the pivot draw: seed-folded degree,
-// refined kSignatureRounds times by hashing each node's sorted
-// multiset of neighbor signatures. A pure function of (graph content,
-// seed), so the draw is reproducible across runs and thread counts and
-// equivariant under node-id permutation whenever the signatures
-// separate the nodes (sorted neighbor values are permutation-stable).
-[[nodiscard]] std::vector<std::uint64_t> signature_priorities(
-    const UndirectedCsr& csr, std::size_t n, std::uint64_t seed) {
-  std::vector<std::uint64_t> sig(n);
-  std::vector<std::uint64_t> next(n);
-  for (NodeId v = 0; v < n; ++v) {
-    sig[v] = math::split_mix64(
-        seed ^ math::split_mix64(static_cast<std::uint64_t>(csr.row(v).size())));
-  }
-  std::vector<std::uint64_t> row_sigs;
-  for (int round = 0; round < kSignatureRounds; ++round) {
-    const std::uint64_t round_salt =
-        math::split_mix64(seed + static_cast<std::uint64_t>(round) + 1);
-    for (NodeId v = 0; v < n; ++v) {
-      row_sigs.clear();
-      for (NodeId u : csr.row(v)) row_sigs.push_back(sig[u]);
-      std::sort(row_sigs.begin(), row_sigs.end());
-      std::uint64_t h = math::split_mix64(sig[v] ^ round_salt);
-      for (std::uint64_t s : row_sigs) h = math::split_mix64(h ^ s);
-      next[v] = h;
-    }
-    sig.swap(next);
-  }
-  return sig;
-}
-
-// The r nodes with the smallest (priority, id), returned in ascending
-// node-id order (pivot identity is what matters; id order gives the
-// serial fallback cache-friendly source locality).
-[[nodiscard]] std::vector<NodeId> select_pivots(
-    const std::vector<std::uint64_t>& priorities, std::size_t r) {
-  const std::size_t n = priorities.size();
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::partial_sort(order.begin(), order.begin() + r, order.end(),
-                    [&](NodeId a, NodeId b) {
-                      if (priorities[a] != priorities[b]) {
-                        return priorities[a] < priorities[b];
-                      }
-                      return a < b;
-                    });
-  order.resize(r);
-  std::sort(order.begin(), order.end());
-  return order;
-}
-
-// Sampled-pivot estimate: unit-weight Brandes sweeps over the whole
-// graph from the pivots only. Betweenness is the ratio of
-// pivot-accumulated through-paths to pivot-accumulated pair paths (the
-// per-pivot scale factors cancel, matching the paper's
-// Delta(v)/Delta(m) normalization restricted to the sample); closeness
-// per node is estimated from the pivot distances the same sweeps
-// produce. Each chunk's partial carries its pair paths in the slot past
-// the last node.
-void approx_scores(const UndirectedCsr& csr, std::size_t n,
-                   runtime::ThreadPool* pool,
-                   const std::vector<NodeId>& pivots,
-                   CentralityScores& scores) {
-  const std::vector<double> unit(n, 1.0);
-  ScratchSlots scratch(pool, n);
-  // Integer sums: exact in any order, so per-runner partials suffice.
-  const std::size_t runners = pool == nullptr ? 1 : pool->thread_count();
-  std::vector<std::vector<std::int64_t>> distance_sum(runners);
-  std::vector<std::vector<std::int64_t>> reach_count(runners);
-  const std::size_t step = chunk_size(pivots.size());
-  double total_pair_paths = 0.0;
-
-  reduce_chunks_in_order(
-      pool, (pivots.size() + step - 1) / step,
-      [n](std::size_t) { return n + 1; },
-      [&](std::size_t slot, std::size_t c, std::span<double> partial) {
-        if (distance_sum[slot].empty()) {
-          distance_sum[slot].assign(n, 0);
-          reach_count[slot].assign(n, 0);
-        }
-        const std::size_t end = std::min(pivots.size(), (c + 1) * step);
-        for (std::size_t i = c * step; i < end; ++i) {
-          partial[n] += brandes_sweep(csr.view(), n, pivots[i], unit,
-                                      scratch[slot], partial.first(n));
-          scatter_pivot_distances(scratch[slot], n, distance_sum[slot],
-                                  reach_count[slot]);
-        }
-      },
-      [&](std::size_t, std::span<const double> partial) {
-        for (NodeId v = 0; v < n; ++v) scores.betweenness[v] += partial[v];
-        total_pair_paths += partial[n];
-      });
-
-  if (total_pair_paths > 0.0) {
-    for (double& b : scores.betweenness) b /= total_pair_paths;
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    std::int64_t distance = 0;
-    std::int64_t reached = 0;
-    for (std::size_t slot = 0; slot < runners; ++slot) {
-      if (distance_sum[slot].empty()) continue;  // runner never ran
-      distance += distance_sum[slot][v];
-      reached += reach_count[slot][v];
-    }
-    scores.closeness[v] = distance > 0 ? static_cast<double>(reached) /
-                                             static_cast<double>(distance)
-                                       : 0.0;
-  }
-}
-
-void check_unit_interval(double value, const char* name) {
-  if (!(value > 0.0) || !(value < 1.0)) {
-    throw std::invalid_argument(std::string("ApproxCentralityOptions: ") +
-                                name + " must be in (0, 1)");
-  }
-}
-
 }  // namespace
 
-void validate(const ApproxCentralityOptions& options) {
-  check_unit_interval(options.epsilon, "epsilon");
-  check_unit_interval(options.delta, "delta");
-}
-
-std::size_t riondato_pivot_count(std::size_t nodes, double epsilon,
-                                 double delta) {
-  check_unit_interval(epsilon, "epsilon");
-  check_unit_interval(delta, "delta");
-  if (nodes < 2) return 1;
-  const double count =
-      std::ceil(std::log(2.0 * static_cast<double>(nodes) / delta) /
-                (2.0 * epsilon * epsilon));
-  return count > 1.0 ? static_cast<std::size_t>(count) : 1;
-}
-
-double approx_error_bound(std::size_t nodes, std::size_t pivots,
-                          double delta) {
-  check_unit_interval(delta, "delta");
-  if (pivots == 0) {
-    throw std::invalid_argument("approx_error_bound: pivots must be > 0");
-  }
-  if (nodes < 2) return 0.0;
-  return std::sqrt(std::log(2.0 * static_cast<double>(nodes) / delta) /
-                   (2.0 * static_cast<double>(pivots)));
-}
-
-std::size_t resolved_pivot_count(std::size_t nodes,
-                                 const ApproxCentralityOptions& options) {
-  const std::size_t requested =
-      options.pivot_count != 0
-          ? options.pivot_count
-          : riondato_pivot_count(nodes, options.epsilon, options.delta);
-  return std::min(requested, nodes);
-}
-
 CentralityScores centrality_scores(const DiGraph& g,
-                                   const CentralityOptions& options) {
-  if (options.approximate) validate(options.approx);
+                                   std::size_t num_threads) {
   const std::size_t n = g.node_count();
   CentralityScores scores{std::vector<double>(n, 0.0),
                           std::vector<double>(n, 0.0)};
   if (n < 2) return scores;
 
   const UndirectedCsr csr(g);
-  const std::size_t threads = runtime::resolve_threads(options.num_threads);
+  const std::size_t threads = runtime::resolve_threads(num_threads);
   // Nested inside another region a pool would run inline anyway.
   std::optional<runtime::ThreadPool> pool;
   if (threads > 1 && n > kSourceChunk && !runtime::in_parallel_region()) {
     pool.emplace(threads);
   }
-  runtime::ThreadPool* const runners = pool ? &*pool : nullptr;
-  const std::size_t pivot_count =
-      options.approximate ? resolved_pivot_count(n, options.approx) : n;
-  if (pivot_count >= n) {
-    exact_scores(csr, n, runners, scores);
-  } else {
-    const auto priorities = signature_priorities(csr, n, options.approx.seed);
-    approx_scores(csr, n, runners, select_pivots(priorities, pivot_count),
-                  scores);
-  }
+  exact_scores(csr, n, pool ? &*pool : nullptr, scores);
   return scores;
-}
-
-CentralityScores centrality_scores(const DiGraph& g,
-                                   std::size_t num_threads) {
-  CentralityOptions options;
-  options.num_threads = num_threads;
-  return centrality_scores(g, options);
 }
 
 std::vector<double> betweenness_centrality(const DiGraph& g) {
@@ -788,35 +588,6 @@ std::vector<double> centrality_factor(const DiGraph& g,
   auto cf = std::move(scores.betweenness);
   for (std::size_t i = 0; i < cf.size(); ++i) cf[i] += scores.closeness[i];
   return cf;
-}
-
-std::vector<double> centrality_factor(const DiGraph& g,
-                                      const CentralityOptions& options) {
-  auto scores = centrality_scores(g, options);
-  auto cf = std::move(scores.betweenness);
-  for (std::size_t i = 0; i < cf.size(); ++i) cf[i] += scores.closeness[i];
-  return cf;
-}
-
-std::vector<std::uint64_t> pivot_priorities(const DiGraph& g,
-                                            std::uint64_t seed) {
-  const UndirectedCsr csr(g);
-  return signature_priorities(csr, g.node_count(), seed);
-}
-
-std::vector<NodeId> pivot_nodes(const DiGraph& g,
-                                const ApproxCentralityOptions& options) {
-  validate(options);
-  const std::size_t n = g.node_count();
-  const std::size_t pivot_count = resolved_pivot_count(n, options);
-  if (pivot_count >= n) {
-    std::vector<NodeId> all(n);
-    std::iota(all.begin(), all.end(), NodeId{0});
-    return all;
-  }
-  const UndirectedCsr csr(g);
-  return select_pivots(signature_priorities(csr, n, options.seed),
-                       pivot_count);
 }
 
 }  // namespace soteria::graph

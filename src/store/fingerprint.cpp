@@ -25,6 +25,10 @@ namespace {
 ///       (PipelineConfig::frontend) — CFGs now come from pluggable
 ///       decoders, and entries keyed under the v2 layout predate that
 ///       distinction.
+///   The labeling block inside the blob is a reserved constant now
+///   that labeling is always exact (features/pipeline.cpp); it holds
+///   the same 40 bytes every exact model wrote, so the layout and the
+///   v3 keys are unchanged.
 constexpr std::uint64_t kFingerprintVersion = 3;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;

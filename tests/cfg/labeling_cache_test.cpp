@@ -154,62 +154,6 @@ TEST(LabelingCache, CollidingHashesNeverServeWrongLabelings) {
   EXPECT_EQ(lb.lbl, expected_b.lbl);
 }
 
-TEST(LabelingCache, ExactAndApproxModesNeverAlias) {
-  // Same CFG content, different effective centrality mode -> distinct
-  // cache entries. An approximate entry must never serve an exact
-  // request (or vice versa), and two approximate configurations that
-  // differ in pivot count or seed must also miss each other — the key
-  // folds in the *normalized* mode (labeling_cache.h).
-  LabelingCache cache(8);
-  const Cfg cfg = random_cfg(7, 40);
-
-  const LabelingOptions exact;  // mode: exact
-  LabelingOptions approx;
-  approx.approx_centrality_threshold = 1;
-  approx.approx.pivot_count = 8;
-  LabelingOptions approx_more = approx;
-  approx_more.approx.pivot_count = 12;
-  LabelingOptions approx_reseeded = approx;
-  approx_reseeded.approx.seed = 99;
-
-  const auto exact_labels = cache.labels(cfg, exact);    // miss
-  const auto approx_labels = cache.labels(cfg, approx);  // miss
-  (void)cache.labels(cfg, approx_more);                  // miss
-  (void)cache.labels(cfg, approx_reseeded);              // miss
-  EXPECT_EQ(cache.stats().misses, 4U);
-  EXPECT_EQ(cache.stats().hits, 0U);
-  EXPECT_EQ(cache.size(), 4U);
-
-  // Each mode hits its own entry and never a neighbor's...
-  EXPECT_EQ(cache.labels(cfg, exact).dbl, exact_labels.dbl);
-  EXPECT_EQ(cache.labels(cfg, approx).dbl, approx_labels.dbl);
-  EXPECT_EQ(cache.stats().hits, 2U);
-  EXPECT_EQ(cache.stats().misses, 4U);
-
-  // ...and served labelings match direct computation per mode.
-  const auto expected_exact = label_both(cfg);
-  EXPECT_EQ(exact_labels.dbl, expected_exact.dbl);
-  EXPECT_EQ(exact_labels.lbl, expected_exact.lbl);
-  const auto expected_approx = label_both(cfg, approx);
-  EXPECT_EQ(approx_labels.dbl, expected_approx.dbl);
-  EXPECT_EQ(approx_labels.lbl, expected_approx.lbl);
-
-  // Options that *resolve* to exact share the exact entry: a threshold
-  // above the CFG size leaves the mode exact no matter how the approx
-  // knobs are set, so the key normalizes to all-zero mode.
-  LabelingOptions exact_by_threshold;
-  exact_by_threshold.approx_centrality_threshold = cfg.node_count() + 1;
-  exact_by_threshold.approx.seed = 123;
-  (void)cache.labels(cfg, exact_by_threshold);
-  EXPECT_EQ(cache.stats().hits, 3U);
-  EXPECT_EQ(cache.stats().misses, 4U);
-
-  // The legacy no-options entry point is the exact mode.
-  (void)cache.labels(cfg);
-  EXPECT_EQ(cache.stats().hits, 4U);
-  EXPECT_EQ(cache.stats().misses, 4U);
-}
-
 TEST(LabelingCache, ContentHashSeparatesNearMisses) {
   // Not a strict requirement (collisions are tolerated), but the FNV
   // hash should separate these obviously-different CFGs.

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "graph/generators.h"
 #include "oracles/feature_reference.h"
@@ -199,6 +202,54 @@ TEST(Pipeline, SaveLoadRoundTrips) {
   math::Rng b(9);
   EXPECT_EQ(loaded.extract(corpus[0], a).pooled_dbl,
             pipeline.extract(corpus[0], b).pooled_dbl);
+}
+
+TEST(Pipeline, LoadRejectsLabelingBlockOtherThanExact) {
+  // The stream keeps a 40-byte labeling block after the normalization
+  // flag: u64 0, u64 0, f64 0.1, f64 0.01, u64 0x536f7465. A model whose
+  // block holds anything else was labeled with sampled centrality
+  // ranks, which this build cannot reproduce.
+  math::Rng rng(10);
+  const auto pipeline =
+      FeaturePipeline::fit(small_corpus(6, rng), tiny_config(), rng);
+  std::stringstream stream;
+  pipeline.save(stream);
+  const std::string bytes = stream.str();
+  // walk multiplier, walks, top_k, gram-size count + sizes, l2 flag.
+  const std::size_t block =
+      4 * 8 + 8 * pipeline.config().gram_sizes.size() + 1;
+  ASSERT_GT(bytes.size(), block + 40);
+
+  const auto field = [&](std::size_t index) {
+    std::uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + block + 8 * index, 8);
+    return value;
+  };
+  const auto as_bits = [](double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, 8);
+    return bits;
+  };
+  EXPECT_EQ(field(0), 0U);
+  EXPECT_EQ(field(1), 0U);
+  EXPECT_EQ(field(2), as_bits(0.1));
+  EXPECT_EQ(field(3), as_bits(0.01));
+  EXPECT_EQ(field(4), 0x536f7465U);
+
+  const std::uint64_t replacements[] = {1000, 8, as_bits(0.2),
+                                        as_bits(0.05), 99};
+  for (std::size_t index = 0; index < 5; ++index) {
+    SCOPED_TRACE("field " + std::to_string(index));
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + block + 8 * index, &replacements[index], 8);
+    std::stringstream in(corrupt);
+    try {
+      (void)FeaturePipeline::load(in);
+      ADD_FAILURE() << "load accepted a non-exact labeling block";
+    } catch (const core::Error& error) {
+      EXPECT_EQ(error.code(), core::ErrorCode::kCorruptModel) << error.what();
+    }
+  }
 }
 
 TEST(Pipeline, GramCountsPoolAcrossWalks) {

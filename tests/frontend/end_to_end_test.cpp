@@ -1,9 +1,9 @@
 // End-to-end frontend integration: SoteriaSystem::analyze_image must
 // produce bit-identical verdicts to the CFG-taking path for toy
 // binaries — raw or ELF-wrapped — and decoder identity must separate
-// every persistent key space (pipeline fingerprint, tagged labeling
-// hashes) so models and caches built under one front end can never
-// serve another's.
+// the pipeline fingerprint, and with it every feature-store key, so
+// models and stores built under one front end can never serve
+// another's.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cfg/extractor.h"
-#include "cfg/labeling_cache.h"
 #include "dataset/generator.h"
 #include "features/pipeline.h"
 #include "isa/assembler.h"
@@ -201,24 +200,6 @@ TEST(FrontendFingerprint, EmptyFrontendNameIsInvalid) {
   SoteriaConfig system_config = tiny_config();
   system_config.pipeline.frontend = "sparc";
   EXPECT_THROW(validate(system_config), std::invalid_argument);
-}
-
-TEST(FrontendTaggedHash, SeparatesDecodersOnIdenticalShapes) {
-  const auto corpus = tiny_corpus();
-  const auto& cfg = corpus.front();
-
-  const auto untagged = cfg::LabelingCache::content_hash(cfg);
-  const auto toy = cfg::LabelingCache::content_hash(cfg, "toy");
-  const auto x86 = cfg::LabelingCache::content_hash(cfg, "x86_64");
-
-  EXPECT_NE(untagged, toy);
-  EXPECT_NE(untagged, x86);
-  EXPECT_NE(toy, x86);
-
-  // Deterministic, and the untagged hash stays shape-addressed (shard
-  // routing relies on it being a pure function of CFG content).
-  EXPECT_EQ(cfg::LabelingCache::content_hash(cfg, "toy"), toy);
-  EXPECT_EQ(cfg::LabelingCache::content_hash(cfg), untagged);
 }
 
 }  // namespace

@@ -58,24 +58,6 @@ TEST(CentralityThreadIdentity, ExactMatchesNaiveOracleAtEveryThreadCount) {
   }
 }
 
-TEST(CentralityThreadIdentity, ApproxBitIdenticalAcrossThreadCounts) {
-  for (const auto& shape : shapes()) {
-    SCOPED_TRACE(shape.name);
-    CentralityOptions options;
-    options.approximate = true;
-    options.approx.pivot_count = shape.graph.node_count() / 4;
-    options.num_threads = 1;
-    const auto baseline = centrality_scores(shape.graph, options);
-    for (const std::size_t threads : kThreadCounts) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      options.num_threads = threads;
-      const auto scores = centrality_scores(shape.graph, options);
-      EXPECT_EQ(scores.betweenness, baseline.betweenness);
-      EXPECT_EQ(scores.closeness, baseline.closeness);
-    }
-  }
-}
-
 TEST(CentralityThreadIdentity, CentralityFactorMatchesAtEveryThreadCount) {
   math::Rng rng(641);
   const DiGraph g = firmware_like_cfg(350, rng);
@@ -91,21 +73,12 @@ TEST(CentralityThreadIdentity, DeterministicBeyondExactIntegerRange) {
   // the accumulators round and only a thread-count-independent
   // reduction order keeps the results identical.
   const DiGraph g = diamond_chain(60);
-  CentralityOptions approx;
-  approx.approximate = true;
-  approx.approx.pivot_count = g.node_count() / 2;
-  const auto exact_serial = centrality_scores(g, 1);
-  approx.num_threads = 1;
-  const auto approx_serial = centrality_scores(g, approx);
+  const auto serial = centrality_scores(g, 1);
   for (const std::size_t threads : {1, 2, 3, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const auto exact = centrality_scores(g, threads);
-    EXPECT_EQ(exact.betweenness, exact_serial.betweenness);
-    EXPECT_EQ(exact.closeness, exact_serial.closeness);
-    approx.num_threads = threads;
-    const auto sampled = centrality_scores(g, approx);
-    EXPECT_EQ(sampled.betweenness, approx_serial.betweenness);
-    EXPECT_EQ(sampled.closeness, approx_serial.closeness);
+    const auto scores = centrality_scores(g, threads);
+    EXPECT_EQ(scores.betweenness, serial.betweenness);
+    EXPECT_EQ(scores.closeness, serial.closeness);
   }
 }
 

@@ -74,8 +74,8 @@ features::SampleFeatures extract_with(
   const features::PipelineConfig& config = pipeline.config();
   const cfg::NodeLabelings labelings =
       pipeline.labeling_cache()
-          ? pipeline.labeling_cache()->labels(cfg, config.labeling)
-          : cfg::label_both(cfg, config.labeling);
+          ? pipeline.labeling_cache()->labels(cfg)
+          : cfg::label_both(cfg);
   const auto dbl_walks =
       features::labeled_walks(cfg, labelings.dbl, config.walk, rng);
   const auto lbl_walks =

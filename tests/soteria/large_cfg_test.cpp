@@ -38,8 +38,7 @@ TEST(LargeCfg, FirmwareAboveGramLabelLimitGetsVerdict) {
   math::Rng graph_rng(20000);
   const cfg::Cfg large(graph::firmware_like_cfg(20000, graph_rng), 0);
   const auto& pipeline = system.pipeline();
-  const auto labels =
-      pipeline.labeling_cache()->labels(large, pipeline.config().labeling);
+  const auto labels = pipeline.labeling_cache()->labels(large);
   ASSERT_GT(*std::max_element(labels.dbl.begin(), labels.dbl.end()),
             features::kMaxGramLabel);
 

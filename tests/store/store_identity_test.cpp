@@ -11,21 +11,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/generator.h"
+#include "serve/service.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 #include "store/feature_store.h"
-
-#ifdef SOTERIA_HAVE_SERVE
-#include <future>
-#include <utility>
-
-#include "serve/service.h"
-#endif
 
 namespace soteria::store {
 namespace {
@@ -258,8 +254,6 @@ TEST_F(StoreIdentityFixture, CorruptedEntriesDegradeToMissesDuringAnalysis) {
   EXPECT_EQ(options.feature_store->stats().hits, cfgs.size());
 }
 
-#ifdef SOTERIA_HAVE_SERVE
-
 std::vector<core::Verdict> collect(
     std::vector<std::future<core::Verdict>>& futures) {
   std::vector<core::Verdict> verdicts;
@@ -353,8 +347,6 @@ TEST_F(StoreIdentityFixture, ServiceModelSwapMissesOnOldEntries) {
         << "post-swap request " << i;
   }
 }
-
-#endif  // SOTERIA_HAVE_SERVE
 
 }  // namespace
 }  // namespace soteria::store
