@@ -4,8 +4,8 @@
 //
 // After the google-benchmark suites, main() times the GEMM and the
 // Conv1d forward and backward kernels against their oracles (exit 1 on
-// any conv bit mismatch), prints the compiled product classifier's
-// per-op table (bench_results/perf_nn_ops.txt), then trains a small
+// any conv bit mismatch), prints the product classifier's per-layer
+// kernel table (bench_results/perf_nn_ops.txt), then trains a small
 // autoencoder and CNN with the observability registry enabled and
 // prints the per-epoch timing breakdown (also written to
 // bench_results/perf_nn_stages.txt when possible).
@@ -23,12 +23,10 @@
 
 #include "common/perf_json.h"
 #include "math/matrix.h"
-#include "nn/activations.h"
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
-#include "nn/frozen.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/pooling.h"
@@ -154,10 +152,11 @@ void BM_CnnTrainStep(benchmark::State& state) {
 BENCHMARK(BM_CnnTrainStep);
 
 // Thread sweep: one shared autoencoder, 16 chunks of 16 rows each,
-// inferred concurrently through the const Sequential::infer path (the
-// same arithmetic SoteriaSystem::analyze_batch runs per sample). The
-// sweep verifies once per thread count that chunked parallel inference
-// is bit-identical to the serial chunked loop.
+// inferred concurrently through Sequential::infer (the one inference
+// path; SoteriaSystem::analyze_batch scores every sample through it),
+// each worker on its own thread_local arena. The sweep verifies once
+// per thread count that chunked parallel inference is bit-identical to
+// the serial chunked loop.
 void BM_ParallelAutoencoderInfer(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   math::Rng rng(6);
@@ -420,10 +419,10 @@ bool emit_conv_forward_gflops(std::map<std::string, double>& json_values) {
   return identical;
 }
 
-/// Per-op cost of the compiled product classifier (cpu_scaled_config's
-/// CNN) at one walk set of 10 rows: each op, in the compiled net's order,
-/// compiled alone into a FrozenNet at its own shape and timed through
-/// infer_into, so every row is the exact kernel a verdict runs. FLOPs
+/// Per-op cost of the product classifier (cpu_scaled_config's CNN) at
+/// one walk set of 10 rows: each layer's own infer_into, in the net's
+/// order, timed directly, so every row is the exact kernel a verdict
+/// runs (Dropout, which Sequential::infer skips, has no row). FLOPs
 /// count a conv tap or dense term as a multiply and an add, and a ReLU
 /// or pool comparison as one op. Printed and written to
 /// bench_results/perf_nn_ops.txt.
@@ -435,7 +434,7 @@ void emit_classifier_op_table() {
   math::Rng rng(12);
   const nn::Sequential model = nn::build_cnn(config, rng);
 
-  std::string report = "-- compiled product classifier, per op at 10 rows --\n";
+  std::string report = "-- product classifier, per op at 10 rows --\n";
   char line[160];
   std::snprintf(line, sizeof(line), "  %-36s %8s %10s\n", "op", "us",
                 "GFLOP/s");
@@ -444,37 +443,29 @@ void emit_classifier_op_table() {
   std::size_t width = config.input_length;
   for (const auto& layer : model.layers()) {
     const std::size_t out_width = layer->output_dimension(width);
-    nn::Sequential one;
+    if (layer->identity_at_inference()) {
+      width = out_width;
+      continue;
+    }
     double flops = 0.0;
     if (const auto* conv = dynamic_cast<const nn::Conv1d*>(layer.get())) {
-      one.emplace<nn::Conv1d>(conv->in_channels(), conv->in_length(),
-                              conv->out_channels(), conv->kernel(), rng);
       flops = 2.0 * kRows * conv->out_channels() * conv->in_channels() *
               conv->kernel() * conv->out_length();
     } else if (const auto* dense =
                    dynamic_cast<const nn::Dense*>(layer.get())) {
-      one.emplace<nn::Dense>(dense->in_dim(), dense->out_dim(), rng);
       flops = 2.0 * kRows * dense->in_dim() * dense->out_dim();
     } else if (const auto* pool =
                    dynamic_cast<const nn::MaxPool1d*>(layer.get())) {
-      one.emplace<nn::MaxPool1d>(pool->channels(), pool->in_length(),
-                                 pool->window());
       flops = static_cast<double>(kRows) * out_width * (pool->window() - 1);
-    } else if (dynamic_cast<const nn::Relu*>(layer.get()) != nullptr) {
-      one.emplace<nn::Relu>();
-      flops = static_cast<double>(kRows) * out_width;
     } else {
-      width = out_width;  // dropout compiles away
-      continue;
+      flops = static_cast<double>(kRows) * out_width;  // ReLU
     }
-    const nn::FrozenNet net = nn::FrozenNet::compile(one, width);
-    nn::FrozenNet::Scratch scratch;
     math::Matrix in(kRows, width);
     in.fill_normal(rng, 0.0F, 1.0F);
     std::vector<float> out(kRows * out_width);
     const double seconds = best_seconds(
         [&] {
-          net.infer_into(in.data().data(), kRows, out.data(), scratch);
+          layer->infer_into(in.data().data(), kRows, width, out.data());
           benchmark::DoNotOptimize(out.data());
           benchmark::ClobberMemory();
         },

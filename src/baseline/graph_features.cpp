@@ -84,12 +84,12 @@ std::vector<float> GraphFeatureBaseline::features_for(
   return raw;
 }
 
-dataset::Family GraphFeatureBaseline::predict(const cfg::Cfg& cfg) {
+dataset::Family GraphFeatureBaseline::predict(const cfg::Cfg& cfg) const {
   const auto standardized = features_for(cfg);
   math::Matrix input(1, standardized.size());
   std::copy(standardized.begin(), standardized.end(),
             input.row(0).begin());
-  const auto prediction = nn::argmax_rows(model_.predict(input));
+  const auto prediction = nn::argmax_rows(model_.infer(input));
   return dataset::family_from_index(prediction.front());
 }
 

@@ -46,7 +46,7 @@ class GraphFeatureBaseline {
   [[nodiscard]] std::vector<float> features_for(const cfg::Cfg& cfg) const;
 
   /// Predicted family for one CFG.
-  [[nodiscard]] dataset::Family predict(const cfg::Cfg& cfg);
+  [[nodiscard]] dataset::Family predict(const cfg::Cfg& cfg) const;
 
   [[nodiscard]] const nn::TrainReport& train_report() const noexcept {
     return report_;

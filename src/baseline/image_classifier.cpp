@@ -67,14 +67,14 @@ ImageBaseline ImageBaseline::train(
 }
 
 dataset::Family ImageBaseline::predict(
-    std::span<const std::uint8_t> binary) {
+    std::span<const std::uint8_t> binary) const {
   if (config_.image_side == 0) {
     throw std::logic_error("ImageBaseline: not trained");
   }
   const auto image = to_image(binary, config_.image_side);
   math::Matrix input(1, image.size());
   std::copy(image.begin(), image.end(), input.row(0).begin());
-  const auto prediction = nn::argmax_rows(model_.predict(input));
+  const auto prediction = nn::argmax_rows(model_.infer(input));
   return dataset::family_from_index(prediction.front());
 }
 

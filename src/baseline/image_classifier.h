@@ -46,7 +46,7 @@ class ImageBaseline {
 
   /// Predicted family for one binary.
   [[nodiscard]] dataset::Family predict(
-      std::span<const std::uint8_t> binary);
+      std::span<const std::uint8_t> binary) const;
 
   [[nodiscard]] const nn::TrainReport& train_report() const noexcept {
     return report_;

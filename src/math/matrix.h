@@ -118,9 +118,8 @@ class Matrix {
 
 /// Raw-pointer kernel behind matmul: writes the m x n product of
 /// row-major `a` (m x k) and `b` (k x n) into `c`, overwriting it.
-/// No aliasing between `c` and the inputs. Shared with nn::FrozenNet so
-/// compiled inference runs the exact same arithmetic on preallocated
-/// scratch.
+/// No aliasing between `c` and the inputs. nn::Dense::infer_into runs
+/// it on Sequential::infer's arena buffers.
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) noexcept;
 

@@ -7,13 +7,19 @@ namespace soteria::nn {
 
 math::Matrix Relu::forward(const math::Matrix& input, bool /*training*/) {
   cached_input_ = input;
-  return infer(input);
+  math::Matrix out(input.rows(), input.cols());
+  infer_into(input.data().data(), input.rows(), input.cols(),
+             out.data().data());
+  return out;
 }
 
-math::Matrix Relu::infer(const math::Matrix& input) const {
-  math::Matrix out = input;
-  for (float& x : out.data()) x = x > 0.0F ? x : 0.0F;
-  return out;
+void Relu::infer_into(const float* in, std::size_t rows, std::size_t width,
+                      float* out) const {
+  const std::size_t count = rows * width;
+  for (std::size_t i = 0; i < count; ++i) {
+    const float x = in[i];
+    out[i] = x > 0.0F ? x : 0.0F;
+  }
 }
 
 math::Matrix Relu::backward(const math::Matrix& grad_output) {
@@ -31,15 +37,19 @@ math::Matrix Relu::backward(const math::Matrix& grad_output) {
 }
 
 math::Matrix Sigmoid::forward(const math::Matrix& input, bool /*training*/) {
-  math::Matrix out = infer(input);
+  math::Matrix out(input.rows(), input.cols());
+  infer_into(input.data().data(), input.rows(), input.cols(),
+             out.data().data());
   cached_output_ = out;
   return out;
 }
 
-math::Matrix Sigmoid::infer(const math::Matrix& input) const {
-  math::Matrix out = input;
-  for (float& x : out.data()) x = 1.0F / (1.0F + std::exp(-x));
-  return out;
+void Sigmoid::infer_into(const float* in, std::size_t rows,
+                         std::size_t width, float* out) const {
+  const std::size_t count = rows * width;
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = 1.0F / (1.0F + std::exp(-in[i]));
+  }
 }
 
 math::Matrix Sigmoid::backward(const math::Matrix& grad_output) {

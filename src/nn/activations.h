@@ -9,7 +9,8 @@ namespace soteria::nn {
 class Relu : public Layer {
  public:
   math::Matrix forward(const math::Matrix& input, bool training) override;
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const override;
+  void infer_into(const float* in, std::size_t rows, std::size_t width,
+                  float* out) const override;
   math::Matrix backward(const math::Matrix& grad_output) override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
   [[nodiscard]] std::size_t output_dimension(
@@ -25,7 +26,8 @@ class Relu : public Layer {
 class Sigmoid : public Layer {
  public:
   math::Matrix forward(const math::Matrix& input, bool training) override;
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const override;
+  void infer_into(const float* in, std::size_t rows, std::size_t width,
+                  float* out) const override;
   math::Matrix backward(const math::Matrix& grad_output) override;
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
   [[nodiscard]] std::size_t output_dimension(

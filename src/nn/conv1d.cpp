@@ -33,8 +33,12 @@ Conv1d::Conv1d(std::size_t in_channels, std::size_t in_length,
 }
 
 math::Matrix Conv1d::forward(const math::Matrix& input, bool /*training*/) {
+  const std::size_t out_width = output_dimension(input.cols());
   cached_input_ = input;
-  return infer(input);
+  math::Matrix out(input.rows(), out_width);
+  infer_into(input.data().data(), input.rows(), input.cols(),
+             out.data().data());
+  return out;
 }
 
 namespace {
@@ -342,18 +346,10 @@ void conv1d_backward_into(const float* in, const float* grad_out,
   }
 }
 
-math::Matrix Conv1d::infer(const math::Matrix& input) const {
-  const std::size_t expected = in_channels_ * in_length_;
-  if (input.cols() != expected) {
-    throw std::invalid_argument("Conv1d::forward: input width " +
-                                std::to_string(input.cols()) + " != " +
-                                std::to_string(expected));
-  }
-  math::Matrix out(input.rows(), out_channels_ * out_length(), 0.0F);
-  conv1d_infer_into(input.data().data(), out.data().data(),
-                    weights_.data().data(), bias_.data().data(), input.rows(),
-                    in_channels_, in_length_, out_channels_, kernel_);
-  return out;
+void Conv1d::infer_into(const float* in, std::size_t rows,
+                        std::size_t /*width*/, float* out) const {
+  conv1d_infer_into(in, out, weights_.data().data(), bias_.data().data(),
+                    rows, in_channels_, in_length_, out_channels_, kernel_);
 }
 
 math::Matrix Conv1d::backward(const math::Matrix& grad_output) {

@@ -13,13 +13,13 @@
 
 namespace soteria::nn {
 
-/// Raw direct-convolution kernel shared by Conv1d::forward/infer and
-/// nn::FrozenNet. `in` is rows x (in_channels*in_length) channel-major,
-/// `out` rows x (out_channels*(in_length-kernel+1)), `weights`
-/// out_channels x (in_channels*kernel), `bias` out_channels. Each
-/// output element starts from its bias and adds the nonzero-tap
-/// products w*x in ascending (channel, tap) order; zero taps are
-/// skipped. The work runs in register tiles of 4 output channels x 6
+/// Raw direct-convolution kernel behind Conv1d::infer_into (which
+/// training's forward and Sequential::infer both run). `in` is rows x
+/// (in_channels*in_length) channel-major, `out` rows x
+/// (out_channels*(in_length-kernel+1)), `weights` out_channels x
+/// (in_channels*kernel), `bias` out_channels. Each output element
+/// starts from its bias and adds the nonzero-tap products w*x in
+/// ascending (channel, tap) order; zero taps are skipped. The work runs in register tiles of 4 output channels x 6
 /// vectors of 16 positions, held across every (channel, tap) pair and
 /// stored once; a group of 4 channels without a zero weight (any
 /// trained net) runs without per-tap tests. The result is bit-identical
@@ -56,7 +56,8 @@ class Conv1d : public Layer {
          std::size_t out_channels, std::size_t kernel, math::Rng& rng);
 
   math::Matrix forward(const math::Matrix& input, bool training) override;
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const override;
+  void infer_into(const float* in, std::size_t rows, std::size_t width,
+                  float* out) const override;
   math::Matrix backward(const math::Matrix& grad_output) override;
   void collect_parameters(std::vector<ParamRef>& out) override;
   void zero_gradients() override;

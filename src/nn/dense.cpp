@@ -21,24 +21,24 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng)
 }
 
 math::Matrix Dense::forward(const math::Matrix& input, bool /*training*/) {
+  const std::size_t out_width = output_dimension(input.cols());
   cached_input_ = input;
-  return infer(input);
+  math::Matrix out(input.rows(), out_width);
+  infer_into(input.data().data(), input.rows(), input.cols(),
+             out.data().data());
+  return out;
 }
 
-math::Matrix Dense::infer(const math::Matrix& input) const {
-  if (input.cols() != in_dim_) {
-    throw std::invalid_argument("Dense::forward: input width " +
-                                std::to_string(input.cols()) + " != " +
-                                std::to_string(in_dim_));
+void Dense::infer_into(const float* in, std::size_t rows,
+                       std::size_t /*width*/, float* out) const {
+  // The blocked GEMM kernel, then the bias broadcast: bias is added
+  // after the full k-sum.
+  math::matmul_into(in, weights_.data().data(), out, rows, in_dim_, out_dim_);
+  const float* bias = bias_.data().data();
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = out + r * out_dim_;
+    for (std::size_t c = 0; c < out_dim_; ++c) row[c] += bias[c];
   }
-  // Straight into the blocked GEMM kernel (shared with nn::FrozenNet),
-  // then the bias broadcast — bias is added after the full k-sum, an
-  // order FrozenNet replicates exactly.
-  math::Matrix out(input.rows(), out_dim_, 0.0F);
-  math::matmul_into(input.data().data(), weights_.data().data(),
-                    out.data().data(), input.rows(), in_dim_, out_dim_);
-  out.add_row_vector(bias_.row(0));
-  return out;
 }
 
 math::Matrix Dense::backward(const math::Matrix& grad_output) {

@@ -15,7 +15,8 @@ class Dense : public Layer {
   Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng);
 
   math::Matrix forward(const math::Matrix& input, bool training) override;
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const override;
+  void infer_into(const float* in, std::size_t rows, std::size_t width,
+                  float* out) const override;
   math::Matrix backward(const math::Matrix& grad_output) override;
   void collect_parameters(std::vector<ParamRef>& out) override;
   void zero_gradients() override;

@@ -1,5 +1,6 @@
 #include "nn/dropout.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -24,6 +25,11 @@ math::Matrix Dropout::forward(const math::Matrix& input, bool training) {
   }
   mask_valid_ = true;
   return input.hadamard(mask_);
+}
+
+void Dropout::infer_into(const float* in, std::size_t rows,
+                         std::size_t width, float* out) const {
+  std::copy_n(in, rows * width, out);
 }
 
 math::Matrix Dropout::backward(const math::Matrix& grad_output) {

@@ -14,9 +14,12 @@ class Dropout : public Layer {
   Dropout(double rate, math::Rng& rng);
 
   math::Matrix forward(const math::Matrix& input, bool training) override;
-  /// Identity: dropout is inactive at inference.
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const override {
-    return input;
+  /// Identity: dropout is inactive at inference, so this copies `in`
+  /// (Sequential::infer skips the layer instead).
+  void infer_into(const float* in, std::size_t rows, std::size_t width,
+                  float* out) const override;
+  [[nodiscard]] bool identity_at_inference() const noexcept override {
+    return true;
   }
   math::Matrix backward(const math::Matrix& grad_output) override;
   [[nodiscard]] std::string name() const override;

@@ -1,11 +1,13 @@
 // Layer abstraction for the from-scratch neural-network substrate.
 //
 // Layers transform batches (math::Matrix, rows = samples) and implement
-// manual backpropagation: `forward` caches whatever it needs, `backward`
+// manual backpropagation: `forward` caches whatever backward needs and
+// then runs the layer's one inference kernel, `infer_into`; `backward`
 // consumes the loss gradient w.r.t. the layer output and returns the
 // gradient w.r.t. the layer input, accumulating parameter gradients
 // internally. Parameters are exposed through `ParamRef`s so optimizers
-// can update them without knowing layer internals.
+// can update them without knowing layer internals. Sequential::infer
+// walks the layers' infer_into kernels over a per-thread arena.
 #pragma once
 
 #include <cstddef>
@@ -34,15 +36,26 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Batch forward pass. `training` enables train-only behaviour
-  /// (dropout masks). Implementations cache activations for backward.
+  /// (dropout masks). Implementations cache what backward needs, then
+  /// compute the output with infer_into (MaxPool1d records its argmax
+  /// in its own loop). Throws std::invalid_argument if
+  /// output_dimension rejects the input width.
   virtual math::Matrix forward(const math::Matrix& input, bool training) = 0;
 
-  /// Inference-only forward pass: identical arithmetic to
-  /// forward(input, false) but touches no mutable state (no activation
-  /// caches, no dropout masks), so concurrent infer() calls on a shared
-  /// layer are safe. backward() must not follow an infer().
-  [[nodiscard]] virtual math::Matrix infer(const math::Matrix& input)
-      const = 0;
+  /// The layer's inference kernel: reads `rows` row-major rows of
+  /// width `width` from `in` and writes rows x output_dimension(width)
+  /// to `out`. The caller has validated `width` with output_dimension;
+  /// the kernel checks nothing and allocates nothing, and `out` must
+  /// not alias `in`. Touches no mutable state, so concurrent calls on
+  /// a shared layer are safe.
+  virtual void infer_into(const float* in, std::size_t rows,
+                          std::size_t width, float* out) const = 0;
+
+  /// True if the layer passes its input through unchanged at inference
+  /// (Dropout); Sequential::infer then skips it.
+  [[nodiscard]] virtual bool identity_at_inference() const noexcept {
+    return false;
+  }
 
   /// Batch backward pass; must follow a forward with the same batch.
   /// Accumulates parameter gradients and returns d(loss)/d(input).

@@ -21,16 +21,13 @@ MaxPool1d::MaxPool1d(std::size_t channels, std::size_t in_length,
 
 math::Matrix MaxPool1d::forward(const math::Matrix& input,
                                 bool /*training*/) {
-  const std::size_t expected = channels_ * in_length_;
-  if (input.cols() != expected) {
-    throw std::invalid_argument("MaxPool1d::forward: input width " +
-                                std::to_string(input.cols()) + " != " +
-                                std::to_string(expected));
-  }
+  const std::size_t out_width = output_dimension(input.cols());
+  // The window loop of infer_into, also recording each window's argmax
+  // for backward.
   const std::size_t out_len = out_length();
   cached_rows_ = input.rows();
   argmax_.assign(input.rows() * channels_ * out_len, 0);
-  math::Matrix out(input.rows(), channels_ * out_len, 0.0F);
+  math::Matrix out(input.rows(), out_width);
   for (std::size_t r = 0; r < input.rows(); ++r) {
     const float* in_row = input.data().data() + r * input.cols();
     float* out_row = out.data().data() + r * out.cols();
@@ -57,18 +54,14 @@ math::Matrix MaxPool1d::forward(const math::Matrix& input,
   return out;
 }
 
-math::Matrix MaxPool1d::infer(const math::Matrix& input) const {
-  const std::size_t expected = channels_ * in_length_;
-  if (input.cols() != expected) {
-    throw std::invalid_argument("MaxPool1d::forward: input width " +
-                                std::to_string(input.cols()) + " != " +
-                                std::to_string(expected));
-  }
+void MaxPool1d::infer_into(const float* in, std::size_t rows,
+                           std::size_t /*width*/, float* out) const {
+  // Each window's max, seeded with its first element and replaced only
+  // by a strictly greater one.
   const std::size_t out_len = out_length();
-  math::Matrix out(input.rows(), channels_ * out_len, 0.0F);
-  for (std::size_t r = 0; r < input.rows(); ++r) {
-    const float* in_row = input.data().data() + r * input.cols();
-    float* out_row = out.data().data() + r * out.cols();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* in_row = in + r * channels_ * in_length_;
+    float* out_row = out + r * channels_ * out_len;
     for (std::size_t c = 0; c < channels_; ++c) {
       const float* in_chan = in_row + c * in_length_;
       float* out_chan = out_row + c * out_len;
@@ -82,7 +75,6 @@ math::Matrix MaxPool1d::infer(const math::Matrix& input) const {
       }
     }
   }
-  return out;
 }
 
 math::Matrix MaxPool1d::backward(const math::Matrix& grad_output) {

@@ -18,7 +18,8 @@ class MaxPool1d : public Layer {
   MaxPool1d(std::size_t channels, std::size_t in_length, std::size_t window);
 
   math::Matrix forward(const math::Matrix& input, bool training) override;
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const override;
+  void infer_into(const float* in, std::size_t rows, std::size_t width,
+                  float* out) const override;
   math::Matrix backward(const math::Matrix& grad_output) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t output_dimension(

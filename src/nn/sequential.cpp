@@ -1,9 +1,11 @@
 #include "nn/sequential.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace soteria::nn {
 
@@ -34,11 +36,44 @@ math::Matrix Sequential::infer(const math::Matrix& input) const {
   if (layers_.empty()) {
     throw std::logic_error("Sequential::infer: no layers");
   }
-  math::Matrix activation = input;
-  for (const auto& layer : layers_) {
-    activation = layer->infer(activation);
+  // Validate the chain; find the widest layer output and the last layer
+  // that does any work (it writes straight into the result).
+  std::size_t width = input.cols();
+  std::size_t widest = 0;
+  std::size_t last = layers_.size();
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    width = layers_[i]->output_dimension(width);
+    widest = std::max(widest, width);
+    if (!layers_[i]->identity_at_inference()) last = i;
   }
-  return activation;
+  if (last == layers_.size()) return input;
+
+  const std::size_t rows = input.rows();
+  math::Matrix out(rows, width);
+  if (rows == 0) return out;
+  struct Arena {
+    std::vector<float> ping;
+    std::vector<float> pong;
+  };
+  thread_local Arena arena;
+  if (arena.ping.size() < rows * widest) {
+    arena.ping.resize(rows * widest);
+    arena.pong.resize(rows * widest);
+  }
+  const float* cur = input.data().data();
+  float* next = arena.ping.data();
+  float* spare = arena.pong.data();
+  width = input.cols();
+  for (std::size_t i = 0; i <= last; ++i) {
+    const Layer& layer = *layers_[i];
+    if (layer.identity_at_inference()) continue;
+    float* dst = i == last ? out.data().data() : next;
+    layer.infer_into(cur, rows, width, dst);
+    width = layer.output_dimension(width);
+    cur = dst;
+    std::swap(next, spare);
+  }
+  return out;
 }
 
 math::Matrix Sequential::backward(const math::Matrix& grad_output) {

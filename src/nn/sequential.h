@@ -1,4 +1,11 @@
 // Sequential container: an ordered stack of layers trained end-to-end.
+//
+// `forward`/`backward` train it; `infer` is the one inference entry
+// point. infer validates the chain on every call, then walks the
+// layers' infer_into kernels through a thread_local ping-pong arena
+// shared by every net on the thread (grow-only, sized from the widest
+// layer), writing the last layer straight into the result. Layers that
+// are the identity at inference (Dropout) cost no pass and no copy.
 #pragma once
 
 #include <iosfwd>
@@ -26,19 +33,17 @@ class Sequential {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  /// Forward through all layers. Throws std::logic_error if empty.
+  /// Forward through all layers, caching activations for backward.
+  /// Throws std::logic_error if empty.
   [[nodiscard]] math::Matrix forward(const math::Matrix& input,
                                      bool training);
 
-  /// Inference-mode forward (no dropout).
-  [[nodiscard]] math::Matrix predict(const math::Matrix& input) {
-    return forward(input, /*training=*/false);
-  }
-
-  /// Thread-safe inference: same arithmetic as predict() but touches no
+  /// Inference: bit-identical to forward(input, false), but touches no
   /// mutable layer state, so concurrent infer() calls on one model are
-  /// safe (the parallel batch engine relies on this). Throws
-  /// std::logic_error if empty.
+  /// safe (the parallel batch engine relies on this). Allocates only
+  /// the result (and the arena when it grows). Throws std::logic_error
+  /// if empty and std::invalid_argument if the layer chain rejects the
+  /// input width.
   [[nodiscard]] math::Matrix infer(const math::Matrix& input) const;
 
   /// Backward pass through all layers; returns d(loss)/d(input).
@@ -62,8 +67,7 @@ class Sequential {
   /// One line per layer, for logs and model summaries.
   [[nodiscard]] std::string summary() const;
 
-  /// Read-only layer access; FrozenNet::compile walks this to bake the
-  /// stack into a flat op list.
+  /// Read-only layer access (bench/perf_nn times each layer's kernel).
   [[nodiscard]] const std::vector<std::unique_ptr<Layer>>& layers()
       const noexcept {
     return layers_;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "io/binary_io.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "obs/trace.h"
+#include "soteria/error.h"
 
 namespace soteria::core {
 
@@ -89,13 +91,7 @@ FamilyClassifier FamilyClassifier::train(const LabeledVectors& dbl,
   classifier.lbl_model_ =
       train_one(lbl, config, training, learning_rate, rng,
                 classifier.lbl_report_, classifier.lbl_arch_);
-  classifier.compile_nets();
   return classifier;
-}
-
-void FamilyClassifier::compile_nets() {
-  dbl_net_ = nn::FrozenNet::compile(dbl_model_, dbl_arch_.input_length);
-  lbl_net_ = nn::FrozenNet::compile(lbl_model_, lbl_arch_.input_length);
 }
 
 void FamilyClassifier::save(std::ostream& out) const {
@@ -105,24 +101,34 @@ void FamilyClassifier::save(std::ostream& out) const {
   lbl_model_.save_parameters(out);
 }
 
-FamilyClassifier FamilyClassifier::load(std::istream& in) {
+FamilyClassifier FamilyClassifier::load(std::istream& in,
+                                        std::size_t dbl_length,
+                                        std::size_t lbl_length) {
   FamilyClassifier classifier;
   classifier.dbl_arch_ = load_cnn_arch(in);
   classifier.lbl_arch_ = load_cnn_arch(in);
+  if (classifier.dbl_arch_.input_length != dbl_length ||
+      classifier.lbl_arch_.input_length != lbl_length) {
+    throw Error(ErrorCode::kCorruptModel,
+                "FamilyClassifier::load: CNN input lengths " +
+                    std::to_string(classifier.dbl_arch_.input_length) + "/" +
+                    std::to_string(classifier.lbl_arch_.input_length) +
+                    " != vocabulary sizes " + std::to_string(dbl_length) +
+                    "/" + std::to_string(lbl_length));
+  }
   math::Rng scratch(0);  // weights are overwritten by load_parameters
   classifier.dbl_model_ = nn::build_cnn(classifier.dbl_arch_, scratch);
   classifier.lbl_model_ = nn::build_cnn(classifier.lbl_arch_, scratch);
   classifier.dbl_model_.load_parameters(in);
   classifier.lbl_model_.load_parameters(in);
-  classifier.compile_nets();
   return classifier;
 }
 
 void FamilyClassifier::accumulate(
-    const nn::FrozenNet& net,
+    const nn::Sequential& model,
     const std::vector<std::vector<float>>& vectors, VoteTally& tally) {
   if (vectors.empty()) return;
-  const math::Matrix probs = nn::softmax(net.infer(pack_rows(vectors)));
+  const math::Matrix probs = nn::softmax(model.infer(pack_rows(vectors)));
   for (std::size_t r = 0; r < probs.rows(); ++r) {
     const auto row = probs.row(r);
     const auto best = static_cast<std::size_t>(
@@ -168,8 +174,8 @@ std::size_t vote_margin(const std::vector<std::size_t>& votes) {
 VoteTally FamilyClassifier::tally(
     const features::SampleFeatures& features) const {
   VoteTally tally;
-  accumulate(dbl_net_, features.dbl, tally);
-  accumulate(lbl_net_, features.lbl, tally);
+  accumulate(dbl_model_, features.dbl, tally);
+  accumulate(lbl_model_, features.lbl, tally);
   return tally;
 }
 
@@ -186,25 +192,15 @@ dataset::Family FamilyClassifier::predict(
 dataset::Family FamilyClassifier::predict_dbl_only(
     const features::SampleFeatures& features) const {
   VoteTally tally;
-  accumulate(dbl_net_, features.dbl, tally);
+  accumulate(dbl_model_, features.dbl, tally);
   return tally.winner();
 }
 
 dataset::Family FamilyClassifier::predict_lbl_only(
     const features::SampleFeatures& features) const {
   VoteTally tally;
-  accumulate(lbl_net_, features.lbl, tally);
+  accumulate(lbl_model_, features.lbl, tally);
   return tally.winner();
-}
-
-std::vector<std::size_t> FamilyClassifier::predict_dbl(
-    const math::Matrix& vectors) const {
-  return nn::argmax_rows(dbl_net_.infer(vectors));
-}
-
-std::vector<std::size_t> FamilyClassifier::predict_lbl(
-    const math::Matrix& vectors) const {
-  return nn::argmax_rows(lbl_net_.infer(vectors));
 }
 
 }  // namespace soteria::core

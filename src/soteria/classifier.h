@@ -1,9 +1,8 @@
 // Family classifier (paper Section III-C, Figs. 6-7): two CNNs — one
 // over DBL feature vectors, one over LBL — with majority voting across
 // all per-walk vectors. The class with the most argmax votes wins; vote
-// ties are broken by summed softmax probability. Both CNNs are compiled
-// into nn::FrozenNets at the end of train() and load(); every
-// prediction runs through them.
+// ties are broken by summed softmax probability. Every prediction runs
+// each CNN once through Sequential::infer.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +15,6 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/cnn.h"
-#include "nn/frozen.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 
@@ -65,12 +63,6 @@ class FamilyClassifier {
   [[nodiscard]] VoteTally tally(
       const features::SampleFeatures& features) const;
 
-  /// Single-model batch predictions (rows = per-walk vectors).
-  [[nodiscard]] std::vector<std::size_t> predict_dbl(
-      const math::Matrix& vectors) const;
-  [[nodiscard]] std::vector<std::size_t> predict_lbl(
-      const math::Matrix& vectors) const;
-
   /// Single-model per-sample prediction: majority vote within one
   /// labeling only (used for the Table VII ablation columns).
   [[nodiscard]] dataset::Family predict_dbl_only(
@@ -84,29 +76,25 @@ class FamilyClassifier {
   [[nodiscard]] const nn::TrainReport& lbl_report() const noexcept {
     return lbl_report_;
   }
-  [[nodiscard]] const nn::Sequential& dbl_model() const noexcept {
-    return dbl_model_;
-  }
-  [[nodiscard]] const nn::Sequential& lbl_model() const noexcept {
-    return lbl_model_;
-  }
 
-  /// Binary (de)serialization of both CNNs. `load` throws
-  /// std::runtime_error on a corrupt stream.
+  /// Binary (de)serialization of both CNNs. `load` reads CNNs for
+  /// DBL vectors of `dbl_length` and LBL vectors of `lbl_length`
+  /// floats: it throws core::Error{kCorruptModel} when the stream's
+  /// input lengths disagree, before building either CNN, and
+  /// std::runtime_error on any other corrupt stream.
   void save(std::ostream& out) const;
-  [[nodiscard]] static FamilyClassifier load(std::istream& in);
+  [[nodiscard]] static FamilyClassifier load(std::istream& in,
+                                             std::size_t dbl_length,
+                                             std::size_t lbl_length);
 
   /// Default-constructed untrained classifier; a placeholder until
   /// assigned from train().
   FamilyClassifier() = default;
 
  private:
-  /// Compiles both models into dbl_net_/lbl_net_ (end of train/load).
-  void compile_nets();
-
-  /// Accumulates votes and probability mass from one compiled model
-  /// over a set of vectors.
-  static void accumulate(const nn::FrozenNet& net,
+  /// Accumulates votes and probability mass from one model over a set
+  /// of vectors.
+  static void accumulate(const nn::Sequential& model,
                          const std::vector<std::vector<float>>& vectors,
                          VoteTally& tally);
 
@@ -114,8 +102,6 @@ class FamilyClassifier {
   nn::CnnConfig lbl_arch_;
   nn::Sequential dbl_model_;
   nn::Sequential lbl_model_;
-  nn::FrozenNet dbl_net_;  ///< dbl_model_ compiled; points at its layers
-  nn::FrozenNet lbl_net_;
   nn::TrainReport dbl_report_;
   nn::TrainReport lbl_report_;
 };

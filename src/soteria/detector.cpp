@@ -2,12 +2,14 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "io/binary_io.h"
 #include "math/stats.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "obs/trace.h"
+#include "soteria/error.h"
 
 namespace soteria::core {
 
@@ -46,7 +48,6 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
                                           clean_features, optimizer,
                                           training, rng);
   const std::size_t dim = clean_features.cols();
-  detector.net_ = nn::FrozenNet::compile(detector.model_, dim);
 
   // Calibration split A: per-dimension residual statistics.
   const std::size_t half = calibration_features.rows() / 2;
@@ -56,7 +57,7 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
         for (std::size_t i = 0; i < half; ++i) idx[i] = i;
         return idx;
       }());
-  const math::Matrix reconstructed_a = detector.net_.infer(part_a);
+  const math::Matrix reconstructed_a = detector.model_.infer(part_a);
   detector.residual_mean_.assign(dim, 0.0);
   detector.residual_stddev_.assign(dim, 0.0);
   for (std::size_t r = 0; r < part_a.rows(); ++r) {
@@ -113,7 +114,7 @@ std::vector<double> AeDetector::scores(
     throw std::invalid_argument("AeDetector::scores: width mismatch");
   }
   const obs::Span span("detector.score");
-  const math::Matrix reconstructed = net_.infer(features);
+  const math::Matrix reconstructed = model_.infer(features);
   std::vector<double> out(features.rows(), 0.0);
   for (std::size_t r = 0; r < features.rows(); ++r) {
     double acc = 0.0;
@@ -131,7 +132,7 @@ std::vector<double> AeDetector::scores(
 
 std::vector<double> AeDetector::reconstruction_errors(
     const math::Matrix& features) const {
-  return nn::row_rmse(net_.infer(features), features);
+  return nn::row_rmse(model_.infer(features), features);
 }
 
 double AeDetector::sample_error(
@@ -169,7 +170,7 @@ void AeDetector::save(std::ostream& out) const {
   model_.save_parameters(out);
 }
 
-AeDetector AeDetector::load(std::istream& in) {
+AeDetector AeDetector::load(std::istream& in, std::size_t input_dim) {
   AeDetector detector;
   detector.arch_.input_dim =
       static_cast<std::size_t>(io::read_scalar<std::uint64_t>(in));
@@ -182,16 +183,20 @@ AeDetector AeDetector::load(std::istream& in) {
   detector.alpha_ = io::read_scalar<double>(in);
   detector.threshold_ = detector.mean_ + detector.alpha_ * detector.stddev_;
   detector.report_.epoch_losses = io::read_vector<double>(in);
+  if (detector.arch_.input_dim != input_dim) {
+    throw Error(ErrorCode::kCorruptModel,
+                "AeDetector::load: input width " +
+                    std::to_string(detector.arch_.input_dim) + " != " +
+                    std::to_string(input_dim));
+  }
+  if (detector.residual_mean_.size() != input_dim ||
+      detector.residual_stddev_.size() != input_dim) {
+    throw Error(ErrorCode::kCorruptModel,
+                "AeDetector::load: residual statistics size mismatch");
+  }
   math::Rng scratch(0);  // weights are overwritten by load_parameters
   detector.model_ = nn::build_autoencoder(detector.arch_, scratch);
   detector.model_.load_parameters(in);
-  if (detector.residual_mean_.size() != detector.arch_.input_dim ||
-      detector.residual_stddev_.size() != detector.arch_.input_dim) {
-    throw std::runtime_error(
-        "AeDetector::load: residual statistics size mismatch");
-  }
-  detector.net_ =
-      nn::FrozenNet::compile(detector.model_, detector.arch_.input_dim);
   return detector;
 }
 

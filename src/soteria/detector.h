@@ -12,9 +12,9 @@
 // samples), keeping the whole procedure blind to the test set and to
 // any adversarial data — the paper's operational requirement.
 //
-// The autoencoder is compiled into an nn::FrozenNet at the end of
-// train() and load(); every scoring call runs through it, and the
-// threshold is read live, so set_alpha() takes effect immediately.
+// Every scoring call runs the autoencoder through Sequential::infer,
+// and the threshold is read live, so set_alpha() takes effect
+// immediately.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,6 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/autoencoder.h"
-#include "nn/frozen.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 
@@ -91,16 +90,15 @@ class AeDetector {
     return report_;
   }
 
-  /// The underlying model; scoring runs through its compiled form.
-  [[nodiscard]] const nn::Sequential& model() const noexcept {
-    return model_;
-  }
-
   /// Binary (de)serialization: architecture, weights, residual
-  /// statistics, and threshold calibration. `load` throws
-  /// std::runtime_error on a corrupt stream.
+  /// statistics, and threshold calibration. `load` reads a detector
+  /// for `input_dim`-wide feature rows: it throws
+  /// core::Error{kCorruptModel} when the stream's input width or
+  /// residual tables disagree with that, before building the
+  /// autoencoder, and std::runtime_error on any other corrupt stream.
   void save(std::ostream& out) const;
-  [[nodiscard]] static AeDetector load(std::istream& in);
+  [[nodiscard]] static AeDetector load(std::istream& in,
+                                       std::size_t input_dim);
 
   /// Default-constructed untrained detector; a placeholder until
   /// assigned from train().
@@ -109,7 +107,6 @@ class AeDetector {
  private:
   nn::AutoencoderConfig arch_;  ///< architecture actually built
   nn::Sequential model_;
-  nn::FrozenNet net_;  ///< model_ compiled; points at model_'s layers
   nn::TrainReport report_;
   std::vector<double> residual_mean_;    ///< per-dimension, calibration A
   std::vector<double> residual_stddev_;  ///< per-dimension, calibration A

@@ -312,8 +312,13 @@ SoteriaSystem SoteriaSystem::load(std::istream& in) try {
     system.pipeline_.set_labeling_cache(std::make_shared<cfg::LabelingCache>(
         system.config_.labeling_cache_capacity));
   }
-  system.detector_ = AeDetector::load(in);
-  system.classifier_ = FamilyClassifier::load(in);
+  // The nets must take the widths this pipeline produces; the loaders
+  // reject a stream whose nets disagree before building them.
+  system.detector_ =
+      AeDetector::load(in, system.pipeline_.combined_dimension());
+  system.classifier_ = FamilyClassifier::load(
+      in, system.pipeline_.dbl_vocabulary().size(),
+      system.pipeline_.lbl_vocabulary().size());
   return system;
 } catch (const Error&) {
   throw;

@@ -1,0 +1,122 @@
+// The one inference path's identity contract: Sequential::infer, which
+// every detector and classifier scoring call runs through, must
+// reproduce forward(x, false) bit for bit (0 ulp: both drive the same
+// per-layer infer_into kernels in the same order) while touching no
+// layer state. System-level behaviour is pinned by the golden verdicts
+// in tests/soteria/golden_bytes_test.cpp.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+
+#include "math/rng.h"
+#include "nn/autoencoder.h"
+#include "nn/cnn.h"
+
+namespace soteria::nn {
+namespace {
+
+/// Same shape and the same bits in every element (so -0.0 vs 0.0 and
+/// NaN payloads count as differences).
+void expect_bits_equal(const math::Matrix& got, const math::Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  const auto g = got.data();
+  const auto w = want.data();
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(g[i]),
+              std::bit_cast<std::uint32_t>(w[i]))
+        << "element " << i;
+  }
+}
+
+void expect_infer_matches_forward(Sequential& model, std::size_t input_dim,
+                                  std::size_t rows, math::Rng& rng) {
+  math::Matrix in(rows, input_dim);
+  in.fill_uniform(rng, -1.5F, 1.5F);
+  const math::Matrix got = model.infer(in);
+  EXPECT_EQ(got.cols(), model.output_dimension(input_dim));
+  expect_bits_equal(got, model.forward(in, /*training=*/false));
+}
+
+CnnConfig small_cnn(std::size_t input_length) {
+  CnnConfig arch;
+  arch.input_length = input_length;
+  arch.filters = 6;
+  arch.dense_units = 24;
+  return arch;
+}
+
+AutoencoderConfig small_autoencoder(std::size_t input_dim) {
+  AutoencoderConfig arch;
+  arch.input_dim = input_dim;
+  arch.hidden_dims = {32, 40, 32};
+  return arch;
+}
+
+TEST(SequentialInferTest, CnnMatchesForwardBitwise) {
+  math::Rng rng(61);
+  const CnnConfig arch = small_cnn(60);
+  // The built model has Dropout layers; infer skips them as inference
+  // identities and must still match forward, which runs them.
+  Sequential model = build_cnn(arch, rng);
+  for (const std::size_t rows : {0U, 1U, 3U, 8U}) {
+    expect_infer_matches_forward(model, arch.input_length, rows, rng);
+  }
+}
+
+TEST(SequentialInferTest, AutoencoderMatchesForwardBitwise) {
+  math::Rng rng(62);
+  const AutoencoderConfig arch = small_autoencoder(48);
+  Sequential model = build_autoencoder(arch, rng);
+  for (const std::size_t rows : {0U, 1U, 3U, 8U}) {
+    expect_infer_matches_forward(model, arch.input_dim, rows, rng);
+  }
+}
+
+TEST(SequentialInferTest, ArenaIsReusableAcrossBatchSizes) {
+  math::Rng rng(63);
+  AutoencoderConfig arch;
+  arch.input_dim = 20;
+  arch.hidden_dims = {16};
+  Sequential model = build_autoencoder(arch, rng);
+  // Shrinking then growing the batch must not disturb results: the
+  // arena is grow-only and every buffer is fully overwritten per call.
+  for (const std::size_t rows : {6U, 1U, 9U, 2U}) {
+    expect_infer_matches_forward(model, arch.input_dim, rows, rng);
+  }
+}
+
+TEST(SequentialInferTest, NetsOfDifferentWidthsShareTheArena) {
+  // Every net on a thread scores through the same thread_local arena.
+  // Alternating a wide CNN and a narrower autoencoder (each call
+  // resizing or reusing what the other left) keeps each bit-equal to
+  // its own forward.
+  math::Rng rng(64);
+  const CnnConfig cnn_arch = small_cnn(90);
+  const AutoencoderConfig ae_arch = small_autoencoder(12);
+  Sequential cnn = build_cnn(cnn_arch, rng);
+  Sequential autoencoder = build_autoencoder(ae_arch, rng);
+  for (const std::size_t rows : {4U, 1U, 7U, 2U}) {
+    expect_infer_matches_forward(cnn, cnn_arch.input_length, rows, rng);
+    expect_infer_matches_forward(autoencoder, ae_arch.input_dim, rows + 5,
+                                 rng);
+  }
+}
+
+TEST(SequentialInferTest, InferValidatesWidthAndEmptyModel) {
+  math::Rng rng(65);
+  AutoencoderConfig arch;
+  arch.input_dim = 6;
+  arch.hidden_dims = {4};
+  const Sequential model = build_autoencoder(arch, rng);
+  EXPECT_THROW((void)model.infer(math::Matrix(1, 5)), std::invalid_argument);
+  EXPECT_THROW((void)model.infer(math::Matrix(0, 7)), std::invalid_argument);
+  EXPECT_EQ(model.infer(math::Matrix(0, 6)).rows(), 0U);
+  EXPECT_THROW((void)Sequential{}.infer(math::Matrix(1, 6)),
+               std::logic_error);
+}
+
+}  // namespace
+}  // namespace soteria::nn

@@ -25,7 +25,7 @@ TEST(Learning, AutoencoderMemorizesSmallDataset) {
   const auto report = train_regression(model, data, data, optimizer,
                                        make_train_config(150, 8), rng);
   EXPECT_LT(report.final_loss(), report.epoch_losses.front() * 0.2);
-  const auto rmse = row_rmse(model.predict(data), data);
+  const auto rmse = row_rmse(model.infer(data), data);
   for (double v : rmse) EXPECT_LT(v, 0.08);
 }
 
@@ -55,8 +55,8 @@ TEST(Learning, AutoencoderReconstructsClusterBetterThanOutliers) {
       outlier(r, 12 + c) = 0.5F;  // mass in the never-seen half
     }
   }
-  const auto clean_rmse = row_rmse(model.predict(clean), clean);
-  const auto outlier_rmse = row_rmse(model.predict(outlier), outlier);
+  const auto clean_rmse = row_rmse(model.infer(clean), clean);
+  const auto outlier_rmse = row_rmse(model.infer(outlier), outlier);
   double clean_mean = 0.0;
   double outlier_mean = 0.0;
   for (double v : clean_rmse) clean_mean += v;
@@ -90,7 +90,7 @@ TEST(Learning, CnnLearnsSpatialPatterns) {
   Adam optimizer(3e-3);
   (void)train_classifier(model, inputs, labels, optimizer,
                          make_train_config(40, 16), rng);
-  const auto predictions = argmax_rows(model.predict(inputs));
+  const auto predictions = argmax_rows(model.infer(inputs));
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     correct += predictions[i] == labels[i];

@@ -68,13 +68,13 @@ TEST(Sequential, SaveLoadRoundTripsPredictions) {
   math::Rng rng(7);
   math::Matrix input(2, 4);
   input.fill_normal(rng, 0.0F, 1.0F);
-  const auto before = model.predict(input);
+  const auto before = model.infer(input);
 
   std::stringstream stream;
   model.save_parameters(stream);
   auto fresh = two_layer(999);  // different init
   fresh.load_parameters(stream);
-  EXPECT_EQ(fresh.predict(input), before);
+  EXPECT_EQ(fresh.infer(input), before);
 }
 
 TEST(Sequential, LoadRejectsWrongArchitecture) {

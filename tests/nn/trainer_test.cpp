@@ -88,7 +88,7 @@ TEST(TrainClassifier, LearnsSeparableBlobs) {
   Adam optimizer(0.02);
   (void)train_classifier(model, inputs, labels, optimizer,
                          make_train_config(40, 16), rng);
-  const auto predictions = argmax_rows(model.predict(inputs));
+  const auto predictions = argmax_rows(model.infer(inputs));
   std::size_t correct = 0;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     correct += predictions[i] == labels[i];

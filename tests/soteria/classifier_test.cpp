@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+
+#include "soteria/error.h"
 
 namespace soteria::core {
 namespace {
@@ -104,16 +108,6 @@ TEST(FamilyClassifier, SingleLabelingPredictionsWork) {
             dataset::family_from_index(2));
 }
 
-TEST(FamilyClassifier, BatchPredictionsMatchClassCount) {
-  auto classifier = trained_classifier();
-  const auto data = make_training(2, 99);
-  const auto predictions = classifier.predict_dbl(data.features);
-  EXPECT_EQ(predictions.size(), data.features.rows());
-  for (std::size_t p : predictions) {
-    EXPECT_LT(p, dataset::kFamilyCount);
-  }
-}
-
 TEST(FamilyClassifier, TrainValidation) {
   math::Rng rng(5);
   LabeledVectors empty;
@@ -134,10 +128,28 @@ TEST(FamilyClassifier, SaveLoadRoundTripsPredictions) {
   auto classifier = trained_classifier(3);
   std::stringstream stream;
   classifier.save(stream);
-  auto loaded = FamilyClassifier::load(stream);
+  auto loaded = FamilyClassifier::load(stream, kDim, kDim);
   for (std::size_t c = 0; c < dataset::kFamilyCount; ++c) {
     const auto features = features_for_class(c, 500 + c);
     EXPECT_EQ(loaded.predict(features), classifier.predict(features));
+  }
+}
+
+TEST(FamilyClassifier, LoadRejectsOtherInputLengths) {
+  const auto classifier = trained_classifier(3);
+  std::stringstream stream;
+  classifier.save(stream);
+  const std::string bytes = stream.str();
+  for (const auto& [dbl, lbl] : {std::pair{kDim + 1, kDim},
+                                 std::pair{kDim, kDim - 1}}) {
+    std::istringstream in(bytes);
+    try {
+      (void)FamilyClassifier::load(in, dbl, lbl);
+      FAIL() << "CNNs for " << kDim << "-long vectors loaded for " << dbl
+             << "/" << lbl;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptModel);
+    }
   }
 }
 

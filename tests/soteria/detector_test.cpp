@@ -6,6 +6,8 @@
 #include <sstream>
 #include <string>
 
+#include "soteria/error.h"
+
 namespace soteria::core {
 namespace {
 
@@ -128,7 +130,7 @@ TEST(AeDetector, SaveLoadRoundTripsScores) {
   auto detector = trained_detector();
   std::stringstream stream;
   detector.save(stream);
-  auto loaded = AeDetector::load(stream);
+  auto loaded = AeDetector::load(stream, 24);
   EXPECT_DOUBLE_EQ(loaded.threshold(), detector.threshold());
   const auto probe = cluster(4, 1.0F, 11);
   EXPECT_EQ(loaded.scores(probe), detector.scores(probe));
@@ -139,7 +141,19 @@ TEST(AeDetector, SaveLoadRoundTripsScores) {
 TEST(AeDetector, LoadRejectsGarbage) {
   std::stringstream stream;
   stream.write("nonsense", 8);
-  EXPECT_THROW((void)AeDetector::load(stream), std::runtime_error);
+  EXPECT_THROW((void)AeDetector::load(stream, 24), std::runtime_error);
+}
+
+TEST(AeDetector, LoadRejectsOtherInputWidth) {
+  auto detector = trained_detector();
+  std::stringstream stream;
+  detector.save(stream);
+  try {
+    (void)AeDetector::load(stream, 25);
+    FAIL() << "a 24-wide detector loaded for 25-wide rows";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptModel);
+  }
 }
 
 // A calibration set whose rows are bit-identical produces identical

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "cfg/gea.h"
 #include "dataset/adversarial.h"
@@ -197,12 +198,13 @@ TEST_F(SystemFixture, DetectorLoadRejectsCorruptStreams) {
   system->detector().save(stream);
   const std::string bytes = stream.str();
 
+  const std::size_t width = system->pipeline().combined_dimension();
   std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW((void)AeDetector::load(truncated), std::runtime_error);
+  EXPECT_THROW((void)AeDetector::load(truncated, width), std::runtime_error);
 
   // hidden_dims length prefix at offset 8 (after input_dim).
   std::istringstream corrupted(corrupt_bytes(bytes, 8));
-  EXPECT_THROW((void)AeDetector::load(corrupted), std::runtime_error);
+  EXPECT_THROW((void)AeDetector::load(corrupted, width), std::runtime_error);
 }
 
 TEST_F(SystemFixture, ClassifierLoadRejectsCorruptStreams) {
@@ -210,13 +212,51 @@ TEST_F(SystemFixture, ClassifierLoadRejectsCorruptStreams) {
   system->classifier().save(stream);
   const std::string bytes = stream.str();
 
+  const std::size_t dbl = system->pipeline().dbl_vocabulary().size();
+  const std::size_t lbl = system->pipeline().lbl_vocabulary().size();
   std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW((void)FamilyClassifier::load(truncated), std::runtime_error);
+  EXPECT_THROW((void)FamilyClassifier::load(truncated, dbl, lbl),
+               std::runtime_error);
 
   // The DBL model's parameter stream starts after the two 56-byte
   // architecture blocks; clobbering its magic must be rejected.
   std::istringstream corrupted(corrupt_bytes(bytes, 112, 4));
-  EXPECT_THROW((void)FamilyClassifier::load(corrupted), std::runtime_error);
+  EXPECT_THROW((void)FamilyClassifier::load(corrupted, dbl, lbl),
+               std::runtime_error);
+}
+
+// A stream whose nets do not take the widths its own pipeline produces
+// could never score a sample. Splicing one system's pipeline block in
+// front of another's nets (smaller vocabularies) must fail the load
+// with a typed kCorruptModel, not load and then throw on every analyze.
+TEST_F(SystemFixture, LoadRejectsNetsOfAnotherPipeline) {
+  SoteriaConfig config = tiny_config();
+  config.seed = 17;
+  config.pipeline.top_k = 20;
+  const SoteriaSystem other = SoteriaSystem::train(data->train, config);
+  ASSERT_NE(other.pipeline().combined_dimension(),
+            system->pipeline().combined_dimension());
+
+  const auto pipeline_bytes = [](const SoteriaSystem& s) {
+    std::stringstream stream;
+    s.pipeline().save(stream);
+    return stream.str().size();
+  };
+  // System header: magic(4) + 3 doubles(24) + 2 uint64(16) = 44 bytes,
+  // then the pipeline block, then the detector and classifier blocks.
+  constexpr std::size_t kHeader = 44;
+  const std::string ours = save_system(*system);
+  const std::string theirs = save_system(other);
+  const std::string spliced =
+      ours.substr(0, kHeader + pipeline_bytes(*system)) +
+      theirs.substr(kHeader + pipeline_bytes(other));
+  std::istringstream in(spliced);
+  try {
+    (void)SoteriaSystem::load(in);
+    FAIL() << "loaded nets that cannot score this pipeline's features";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptModel) << e.what();
+  }
 }
 
 TEST(SoteriaConfigValidation, CatchesBadKnobs) {
