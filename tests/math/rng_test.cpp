@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 namespace soteria::math {
 namespace {
@@ -261,6 +264,70 @@ TEST(Rng, PermutationIsPermutation) {
   EXPECT_EQ(seen.size(), 20U);
   EXPECT_EQ(*seen.begin(), 0U);
   EXPECT_EQ(*seen.rbegin(), 19U);
+}
+
+// Known answers: the first 32 outputs of each draw the library makes
+// (dropout masks, walk steps, weight init, shuffling) for fixed seeds.
+// They pin the draw order and the distributions' mapping of engine
+// output to values, so any change to how Rng turns mt19937_64 output
+// into draws (a new distribution, a faster bernoulli) must reproduce
+// these or re-record every model golden. bernoulli masks hold draw i
+// in bit i.
+
+TEST(RngKnownAnswers, Bernoulli) {
+  const auto mask = [](std::uint64_t seed, double p) {
+    Rng rng(seed);
+    std::uint32_t bits = 0;
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      if (rng.bernoulli(p)) bits |= 1U << i;
+    }
+    return bits;
+  };
+  EXPECT_EQ(mask(101, 0.25), 0x80108318U);
+  EXPECT_EQ(mask(102, 0.5), 0xccc64169U);
+}
+
+TEST(RngKnownAnswers, Index) {
+  constexpr std::size_t kWant[32] = {
+      91, 840, 801, 114, 394, 112, 979, 749, 104, 28, 948, 45, 758,
+      888, 669, 179, 957, 595, 19, 182, 270, 53, 578, 492, 866, 833,
+      622, 483, 372, 96, 270, 64,
+  };
+  Rng rng(103);
+  for (const std::size_t want : kWant) EXPECT_EQ(rng.index(1000), want);
+}
+
+TEST(RngKnownAnswers, Uniform) {
+  // Bit patterns of uniform(-2, 3): the comparison is exact.
+  constexpr std::uint64_t kWant[32] = {
+      0x3fe75ff434eccd74ULL, 0x3ffdda20f48b4ceeULL, 0x3ff9bd1e5d235c20ULL,
+      0x3ff2a9b3b038c774ULL, 0x3fd5f4f6fae68dc0ULL, 0x40010368c2f066a0ULL,
+      0x3ff83e831680f7d0ULL, 0x40031a3fdddba5aeULL, 0x3ff28eaa7832fe18ULL,
+      0xbffef74e7021bf30ULL, 0xbff5d78cffb28546ULL, 0x3fdaab6b6d112700ULL,
+      0x3ff3d7cb40a2e8bcULL, 0x3ff34e614775cd58ULL, 0x400424dfde1051faULL,
+      0xbff64a8e035a97bcULL, 0xbff8ab5968c771fcULL, 0xbfe1a973c4cdcd88ULL,
+      0x3fee2fc82211231cULL, 0xbfeb3f480185e71cULL, 0xbfe202e57f45dd80ULL,
+      0xbfe1d9b3bf98bf94ULL, 0x3ff3dc5edade6bb2ULL, 0xbfef545ad67a1ecaULL,
+      0x3fe6b059691b4c38ULL, 0xbfead743c0c6e080ULL, 0x3fe6b4776583cd78ULL,
+      0xbfba921fe2bb9a80ULL, 0xbfe4392be4761b06ULL, 0x3fe71faae9bde8a4ULL,
+      0xbff90bd6f428effeULL, 0xbfdd216a6a4d2eb4ULL,
+  };
+  Rng rng(104);
+  for (const std::uint64_t want : kWant) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.uniform(-2.0, 3.0)), want);
+  }
+}
+
+TEST(RngKnownAnswers, Shuffle) {
+  std::vector<std::size_t> items(32);
+  for (std::size_t i = 0; i < items.size(); ++i) items[i] = i;
+  Rng rng(105);
+  rng.shuffle(items);
+  const std::vector<std::size_t> want = {
+      9, 31, 24, 7, 29, 4, 19, 23, 1, 16, 21, 6, 30, 8, 2, 11, 25, 14,
+      0, 10, 22, 26, 13, 20, 3, 27, 5, 18, 15, 17, 12, 28,
+  };
+  EXPECT_EQ(items, want);
 }
 
 }  // namespace
