@@ -5,7 +5,9 @@
 // After the google-benchmark suites, main() times the GEMM and the
 // Conv1d forward and backward kernels against their oracles (exit 1 on
 // any conv bit mismatch), prints the product classifier's per-layer
-// kernel table (bench_results/perf_nn_ops.txt), then trains a small
+// kernel table (bench_results/perf_nn_ops.txt) and the per-layer cost
+// of one 64-row training step of the product CNN and autoencoder
+// (bench_results/perf_nn_train.txt), then trains a small
 // autoencoder and CNN with the observability registry enabled and
 // prints the per-epoch timing breakdown (also written to
 // bench_results/perf_nn_stages.txt when possible).
@@ -86,7 +88,7 @@ void BM_AutoencoderForward(benchmark::State& state) {
   math::Matrix batch(64, 1000);
   batch.fill_normal(rng, 0.0F, 0.05F);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.forward(batch, false));
+    benchmark::DoNotOptimize(model.infer(batch));
   }
 }
 BENCHMARK(BM_AutoencoderForward);
@@ -101,13 +103,17 @@ void BM_AutoencoderTrainStep(benchmark::State& state) {
   const auto params = model.parameters();
   math::Matrix batch(64, 1000);
   batch.fill_normal(rng, 0.0F, 0.05F);
+  nn::TrainingWorkspace workspace(model, 1000, 64);
+  std::copy(batch.data().begin(), batch.data().end(), workspace.input());
+  std::vector<float> grad(batch.size());
   for (auto _ : state) {
     model.zero_gradients();
-    const auto out = model.forward(batch, true);
-    const auto loss = nn::mse_loss(out, batch);
-    model.backward(loss.gradient);
+    const float* out = workspace.forward(64);
+    const double loss = nn::mse_loss_into(out, batch.data().data(),
+                                          batch.size(), grad.data());
+    workspace.backward(grad.data());
     optimizer.step(params);
-    benchmark::DoNotOptimize(loss.loss);
+    benchmark::DoNotOptimize(loss);
   }
 }
 BENCHMARK(BM_AutoencoderTrainStep);
@@ -122,7 +128,7 @@ void BM_CnnForward(benchmark::State& state) {
   math::Matrix batch(32, 500);
   batch.fill_normal(rng, 0.0F, 0.05F);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.forward(batch, false));
+    benchmark::DoNotOptimize(model.infer(batch));
   }
 }
 BENCHMARK(BM_CnnForward)->Arg(16)->Arg(46);
@@ -140,13 +146,17 @@ void BM_CnnTrainStep(benchmark::State& state) {
   batch.fill_normal(rng, 0.0F, 0.05F);
   std::vector<std::size_t> labels(32);
   for (std::size_t i = 0; i < 32; ++i) labels[i] = i % 4;
+  nn::TrainingWorkspace workspace(model, 500, 32);
+  std::copy(batch.data().begin(), batch.data().end(), workspace.input());
+  std::vector<float> grad(32 * config.classes);
   for (auto _ : state) {
     model.zero_gradients();
-    const auto logits = model.forward(batch, true);
-    const auto loss = nn::softmax_cross_entropy(logits, labels);
-    model.backward(loss.gradient);
+    const float* logits = workspace.forward(32);
+    const double loss = nn::softmax_cross_entropy_into(
+        logits, config.classes, labels, grad.data());
+    workspace.backward(grad.data());
     optimizer.step(params);
-    benchmark::DoNotOptimize(loss.loss);
+    benchmark::DoNotOptimize(loss);
   }
 }
 BENCHMARK(BM_CnnTrainStep);
@@ -492,6 +502,142 @@ void emit_classifier_op_table() {
   }
 }
 
+/// Per-layer cost of one 64-row training step (forward, loss, backward,
+/// zeroing the gradients plus the Adam step) of a product net, driven
+/// one layer at a time through a TrainingWorkspace. Each row is the
+/// mean over kSteps steps after kWarmup; "step" is their sum. The
+/// input is TF-IDF-like (non-negative, ~2/3 exact zeros) and the
+/// classifier's labels cycle through the four families.
+struct TrainStepTable {
+  std::string text;
+  double step_ms = 0.0;
+};
+
+TrainStepTable time_training_step(const char* title, nn::Sequential& model,
+                                  std::size_t width, bool classifier) {
+  constexpr std::size_t kRows = 64;
+  constexpr std::size_t kWarmup = 5;
+  constexpr std::size_t kSteps = 30;
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  };
+
+  math::Rng rng(13);
+  nn::TrainingWorkspace workspace(model, width, kRows);
+  std::vector<float> batch(kRows * width);
+  for (float& x : batch) {
+    x = rng.bernoulli(0.35) ? static_cast<float>(rng.uniform(0.0, 1.0))
+                            : 0.0F;
+  }
+  std::vector<std::size_t> labels(kRows);
+  for (std::size_t i = 0; i < kRows; ++i) labels[i] = i % 4;
+  const std::size_t out_width = workspace.output_width();
+  std::vector<float> grad(kRows * out_width);
+  nn::Adam optimizer(1e-3);
+  const auto params = model.parameters();
+  const std::size_t layers = model.layer_count();
+
+  std::vector<double> forward_ms(layers, 0.0);
+  std::vector<double> backward_ms(layers, 0.0);
+  double loss_ms = 0.0;
+  double optimizer_ms = 0.0;
+  for (std::size_t step = 0; step < kWarmup + kSteps; ++step) {
+    const bool timed = step >= kWarmup;
+    // Copied in per step, outside the timed rows, as the trainer
+    // gathers each batch.
+    std::copy(batch.begin(), batch.end(), workspace.input());
+    const float* out = nullptr;
+    for (std::size_t i = 0; i < layers; ++i) {
+      const auto start = Clock::now();
+      out = workspace.forward_layer(i, kRows);
+      if (timed) forward_ms[i] += ms_since(start);
+    }
+    auto start = Clock::now();
+    const double loss =
+        classifier ? nn::softmax_cross_entropy_into(out, out_width, labels,
+                                                    grad.data())
+                   : nn::mse_loss_into(out, batch.data(), batch.size(),
+                                       grad.data());
+    benchmark::DoNotOptimize(loss);
+    if (timed) loss_ms += ms_since(start);
+    const float* g = grad.data();
+    for (std::size_t i = layers; i-- > 0;) {
+      start = Clock::now();
+      g = workspace.backward_layer(i, g);
+      if (timed) backward_ms[i] += ms_since(start);
+    }
+    start = Clock::now();
+    optimizer.step(params);
+    model.zero_gradients();
+    if (timed) optimizer_ms += ms_since(start);
+  }
+
+  TrainStepTable table;
+  char line[160];
+  table.text = std::string("-- ") + title + ", one 64-row training step --\n";
+  std::snprintf(line, sizeof(line), "  %-36s %10s %10s\n", "layer",
+                "fwd ms", "bwd ms");
+  table.text += line;
+  const auto steps = static_cast<double>(kSteps);
+  double total = 0.0;
+  for (std::size_t i = 0; i < layers; ++i) {
+    const double f = forward_ms[i] / steps;
+    const double b = backward_ms[i] / steps;
+    total += f + b;
+    std::snprintf(line, sizeof(line), "  %-36s %10.3f %10.3f\n",
+                  model.layers()[i]->name().c_str(), f, b);
+    table.text += line;
+  }
+  loss_ms /= steps;
+  optimizer_ms /= steps;
+  total += loss_ms + optimizer_ms;
+  std::snprintf(line, sizeof(line), "  %-36s %10.3f\n", "loss", loss_ms);
+  table.text += line;
+  std::snprintf(line, sizeof(line), "  %-36s %10.3f\n",
+                "Adam step + zero gradients", optimizer_ms);
+  table.text += line;
+  std::snprintf(line, sizeof(line), "  %-36s %10.3f\n", "step", total);
+  table.text += line;
+  table.step_ms = total;
+  return table;
+}
+
+/// The training-step tables of the product classifier CNN and detector
+/// autoencoder (cpu_scaled_config() shapes), printed, written to
+/// bench_results/perf_nn_train.txt and recorded as
+/// nn_train_step_{cnn,ae}_ms.
+void emit_training_step_tables(std::map<std::string, double>& json_values) {
+  const core::SoteriaConfig product = core::cpu_scaled_config();
+  math::Rng rng(14);
+  nn::CnnConfig cnn_config = product.cnn;
+  cnn_config.input_length = product.pipeline.top_k;
+  nn::Sequential cnn = nn::build_cnn(cnn_config, rng);
+  nn::AutoencoderConfig ae_config = product.autoencoder;
+  ae_config.input_dim = 2 * product.pipeline.top_k;
+  nn::Sequential autoencoder = nn::build_autoencoder(ae_config, rng);
+
+  const TrainStepTable cnn_table = time_training_step(
+      "product classifier CNN", cnn, cnn_config.input_length, true);
+  const TrainStepTable ae_table = time_training_step(
+      "product autoencoder", autoencoder, ae_config.input_dim, false);
+  json_values["nn_train_step_cnn_ms"] = cnn_table.step_ms;
+  json_values["nn_train_step_ae_ms"] = ae_table.step_ms;
+  const std::string report = cnn_table.text + ae_table.text;
+  std::printf("\n%s", report.c_str());
+
+  std::error_code ec;
+  std::filesystem::create_directories("bench_results", ec);
+  std::ofstream out("bench_results/perf_nn_train.txt");
+  if (out) {
+    out << report;
+    std::printf("training table written to bench_results/perf_nn_train.txt\n");
+  } else {
+    std::printf("bench_results/ not writable; training table not persisted\n");
+  }
+}
+
 /// Trains a small autoencoder and CNN with metrics on and exports the
 /// per-epoch spans, loss gauge, and epoch counters.
 void emit_stage_breakdown() {
@@ -554,6 +700,7 @@ int main(int argc, char** argv) {
   emit_gemm_gflops(json_values);
   const bool forward_identical = emit_conv_forward_gflops(json_values);
   const bool backward_identical = emit_conv_backward_gflops(json_values);
+  emit_training_step_tables(json_values);
   json_values["hardware_threads"] =
       static_cast<double>(runtime::hardware_threads());
   if (soteria::bench::update_perf_json("BENCH_perf.json", "perf_nn",

@@ -246,6 +246,67 @@ void matmul_at_into(const float* a, const float* b, float* c, std::size_t m,
   }
 }
 
+void matmul_bt_into(const float* a, const float* b, float* c, std::size_t m,
+                    std::size_t k, std::size_t n) noexcept {
+  // matmul_into's loop over B^T, transposed one panel (kKBlock k x
+  // kPanelCols columns of C) at a time into a stack buffer: per output
+  // cell the k-products still accumulate in ascending kk order with
+  // the same statement, so the result is bit-identical to
+  // matmul_into(a, transpose(b)) for finite inputs.
+  constexpr std::size_t kPanelCols = 64;
+  alignas(64) float panel[kKBlock * kPanelCols];
+  std::fill(c, c + m * n, 0.0F);
+  for (std::size_t jb = 0; jb < n; jb += kPanelCols) {
+    const std::size_t cols = std::min(kPanelCols, n - jb);
+    for (std::size_t kb = 0; kb < k; kb += kKBlock) {
+      const std::size_t depth = std::min(kKBlock, k - kb);
+      for (std::size_t j = 0; j < cols; ++j) {
+        const float* brow = b + (jb + j) * k + kb;
+        for (std::size_t kk = 0; kk < depth; ++kk) {
+          panel[kk * cols + j] = brow[kk];
+        }
+      }
+      std::size_t i = 0;
+      for (; i + kRowUnroll <= m; i += kRowUnroll) {
+        const float* a0 = a + (i + 0) * k + kb;
+        const float* a1 = a + (i + 1) * k + kb;
+        const float* a2 = a + (i + 2) * k + kb;
+        const float* a3 = a + (i + 3) * k + kb;
+        float* c0 = c + (i + 0) * n + jb;
+        float* c1 = c + (i + 1) * n + jb;
+        float* c2 = c + (i + 2) * n + jb;
+        float* c3 = c + (i + 3) * n + jb;
+        for (std::size_t kk = 0; kk < depth; ++kk) {
+          const float a0k = a0[kk];
+          const float a1k = a1[kk];
+          const float a2k = a2[kk];
+          const float a3k = a3[kk];
+          if (a0k == 0.0F && a1k == 0.0F && a2k == 0.0F && a3k == 0.0F) {
+            continue;
+          }
+          const float* prow = panel + kk * cols;
+          for (std::size_t j = 0; j < cols; ++j) {
+            c0[j] += a0k * prow[j];
+            c1[j] += a1k * prow[j];
+            c2[j] += a2k * prow[j];
+            c3[j] += a3k * prow[j];
+          }
+        }
+      }
+      for (; i < m; ++i) {
+        const float* arow = a + i * k + kb;
+        float* crow = c + i * n + jb;
+        for (std::size_t kk = 0; kk < depth; ++kk) {
+          const float aik = arow[kk];
+          if (aik == 0.0F) continue;
+          const float* prow = panel + kk * cols;
+          for (std::size_t j = 0; j < cols; ++j) crow[j] += aik * prow[j];
+        }
+      }
+    }
+  }
+}
+
 Matrix matmul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("matmul: inner dimensions " +
@@ -263,9 +324,10 @@ Matrix matmul_bt(const Matrix& a, const Matrix& b) {
                                 a.shape_string() + " * " + b.shape_string() +
                                 "^T");
   }
-  // Materializing the transpose lets the streaming i-k-j kernel run;
-  // the O(k*n) copy is negligible next to the O(m*k*n) product.
-  return matmul(a, b.transposed());
+  Matrix c(a.rows(), b.rows(), 0.0F);
+  matmul_bt_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),
+                 a.cols(), b.rows());
+  return c;
 }
 
 Matrix matmul_at(const Matrix& a, const Matrix& b) {

@@ -108,8 +108,8 @@ class Matrix {
 /// Throws on inner-dimension mismatch.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T (internally transposes B once so the streaming kernel
-/// applies; the copy is negligible next to the product).
+/// C = A * B^T without materializing the transpose; bit-identical to
+/// matmul(a, b.transposed()) for finite inputs.
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
 
 /// C = A^T * B without materializing the transpose. Blocked like
@@ -126,6 +126,14 @@ void matmul_into(const float* a, const float* b, float* c, std::size_t m,
 /// Raw-pointer kernel behind matmul_at: `a` is k x m, `b` is k x n,
 /// writes A^T * B (m x n) into `c`, overwriting it.
 void matmul_at_into(const float* a, const float* b, float* c, std::size_t m,
+                    std::size_t k, std::size_t n) noexcept;
+
+/// Raw-pointer kernel behind matmul_bt: `a` is m x k, `b` is n x k,
+/// writes A * B^T (m x n) into `c`, overwriting it. It transposes B a
+/// panel at a time on the stack and allocates nothing; per output cell
+/// the order is matmul_into's. nn::Dense's backward runs it for the
+/// input gradient.
+void matmul_bt_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) noexcept;
 
 /// y = M * x for a vector x (length == cols).

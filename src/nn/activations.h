@@ -5,38 +5,52 @@
 
 namespace soteria::nn {
 
-/// Rectified linear unit, elementwise max(0, x).
+/// Rectified linear unit, elementwise max(0, x); a NaN input gives 0.
+///
+/// Training runs it in place over its input, so backward reads only
+/// the layer's output: a unit passes its gradient iff its output is
+/// > 0. For an input x that is iff x > 0, at the edges too: +inf
+/// passes, while -0.0, +0.0 and NaN block (a NaN pre-activation
+/// outputs 0, so its gradient is blocked).
 class Relu : public Layer {
  public:
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out) const override;
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  [[nodiscard]] bool trains_in_place() const noexcept override {
+    return true;
+  }
+  [[nodiscard]] bool backward_reads_output() const noexcept override {
+    return true;
+  }
+  void train_backward(const float* in, const float* out,
+                      const float* grad_out, std::size_t rows,
+                      std::size_t width, float* grad_in,
+                      TrainState& state) override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
   [[nodiscard]] std::size_t output_dimension(
       std::size_t input_dim) const override {
     return input_dim;
   }
-
- private:
-  math::Matrix cached_input_;
 };
 
-/// Logistic sigmoid, elementwise 1 / (1 + e^-x).
+/// Logistic sigmoid, elementwise 1 / (1 + e^-x). Backward reads its
+/// output: d/dx = y (1 - y).
 class Sigmoid : public Layer {
  public:
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out) const override;
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  [[nodiscard]] bool backward_reads_output() const noexcept override {
+    return true;
+  }
+  void train_backward(const float* in, const float* out,
+                      const float* grad_out, std::size_t rows,
+                      std::size_t width, float* grad_in,
+                      TrainState& state) override;
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }
   [[nodiscard]] std::size_t output_dimension(
       std::size_t input_dim) const override {
     return input_dim;
   }
-
- private:
-  math::Matrix cached_output_;
 };
 
 }  // namespace soteria::nn

@@ -32,15 +32,6 @@ Conv1d::Conv1d(std::size_t in_channels, std::size_t in_length,
   weights_.fill_uniform(rng, -limit, limit);
 }
 
-math::Matrix Conv1d::forward(const math::Matrix& input, bool /*training*/) {
-  const std::size_t out_width = output_dimension(input.cols());
-  cached_input_ = input;
-  math::Matrix out(input.rows(), out_width);
-  infer_into(input.data().data(), input.rows(), input.cols(),
-             out.data().data());
-  return out;
-}
-
 namespace {
 
 // Both kernels work in lanes of one 64-byte vector: the compiler lowers
@@ -352,20 +343,13 @@ void Conv1d::infer_into(const float* in, std::size_t rows,
                     rows, in_channels_, in_length_, out_channels_, kernel_);
 }
 
-math::Matrix Conv1d::backward(const math::Matrix& grad_output) {
-  if (grad_output.rows() != cached_input_.rows() ||
-      grad_output.cols() != out_channels_ * out_length()) {
-    throw std::invalid_argument("Conv1d::backward: gradient shape " +
-                                grad_output.shape_string() +
-                                " incompatible with cached batch");
-  }
-  math::Matrix grad_input(cached_input_.rows(), cached_input_.cols());
-  conv1d_backward_into(cached_input_.data().data(),
-                       grad_output.data().data(), weights_.data().data(),
-                       grad_input.data().data(), weight_grad_.data().data(),
-                       bias_grad_.data().data(), grad_output.rows(),
-                       in_channels_, in_length_, out_channels_, kernel_);
-  return grad_input;
+void Conv1d::train_backward(const float* in, const float* /*out*/,
+                            const float* grad_out, std::size_t rows,
+                            std::size_t /*width*/, float* grad_in,
+                            TrainState& /*state*/) {
+  conv1d_backward_into(in, grad_out, weights_.data().data(), grad_in,
+                       weight_grad_.data().data(), bias_grad_.data().data(),
+                       rows, in_channels_, in_length_, out_channels_, kernel_);
 }
 
 void Conv1d::collect_parameters(std::vector<ParamRef>& out) {

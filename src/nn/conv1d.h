@@ -55,10 +55,13 @@ class Conv1d : public Layer {
   Conv1d(std::size_t in_channels, std::size_t in_length,
          std::size_t out_channels, std::size_t kernel, math::Rng& rng);
 
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out) const override;
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  /// conv1d_backward_into on the layer's input; reads no output.
+  void train_backward(const float* in, const float* out,
+                      const float* grad_out, std::size_t rows,
+                      std::size_t width, float* grad_in,
+                      TrainState& state) override;
   void collect_parameters(std::vector<ParamRef>& out) override;
   void zero_gradients() override;
   [[nodiscard]] std::size_t parameter_count() const override;
@@ -91,7 +94,6 @@ class Conv1d : public Layer {
   math::Matrix bias_;     // 1 x out_channels
   math::Matrix weight_grad_;
   math::Matrix bias_grad_;
-  math::Matrix cached_input_;
 };
 
 }  // namespace soteria::nn

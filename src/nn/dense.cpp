@@ -1,5 +1,6 @@
 #include "nn/dense.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -20,15 +21,6 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng)
   weights_.fill_uniform(rng, -limit, limit);
 }
 
-math::Matrix Dense::forward(const math::Matrix& input, bool /*training*/) {
-  const std::size_t out_width = output_dimension(input.cols());
-  cached_input_ = input;
-  math::Matrix out(input.rows(), out_width);
-  infer_into(input.data().data(), input.rows(), input.cols(),
-             out.data().data());
-  return out;
-}
-
 void Dense::infer_into(const float* in, std::size_t rows,
                        std::size_t /*width*/, float* out) const {
   // The blocked GEMM kernel, then the bias broadcast: bias is added
@@ -41,17 +33,34 @@ void Dense::infer_into(const float* in, std::size_t rows,
   }
 }
 
-math::Matrix Dense::backward(const math::Matrix& grad_output) {
-  if (grad_output.rows() != cached_input_.rows() ||
-      grad_output.cols() != out_dim_) {
-    throw std::invalid_argument("Dense::backward: gradient shape " +
-                                grad_output.shape_string() +
-                                " incompatible with cached batch");
+void Dense::reserve_training(std::size_t /*max_rows*/,
+                             std::size_t /*width*/,
+                             TrainState& state) const {
+  state.scratch.resize(in_dim_ * out_dim_);
+}
+
+void Dense::train_backward(const float* in, const float* /*out*/,
+                           const float* grad_out, std::size_t rows,
+                           std::size_t /*width*/, float* grad_in,
+                           TrainState& state) {
+  // Each gradient is summed on its own, then added to the accumulator,
+  // so accumulating over several batches rounds as one sum per batch.
+  float* product = state.scratch.data();
+  math::matmul_at_into(in, grad_out, product, in_dim_, rows, out_dim_);
+  float* weight_grad = weight_grad_.data().data();
+  for (std::size_t i = 0; i < in_dim_ * out_dim_; ++i) {
+    weight_grad[i] += product[i];
   }
-  weight_grad_ += math::matmul_at(cached_input_, grad_output);
-  const auto col_sums = grad_output.column_sums();
-  for (std::size_t c = 0; c < out_dim_; ++c) bias_grad_(0, c) += col_sums[c];
-  return math::matmul_bt(grad_output, weights_);
+  float* col_sums = product;  // the product is consumed
+  std::fill(col_sums, col_sums + out_dim_, 0.0F);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = grad_out + r * out_dim_;
+    for (std::size_t c = 0; c < out_dim_; ++c) col_sums[c] += row[c];
+  }
+  float* bias_grad = bias_grad_.data().data();
+  for (std::size_t c = 0; c < out_dim_; ++c) bias_grad[c] += col_sums[c];
+  math::matmul_bt_into(grad_out, weights_.data().data(), grad_in, rows,
+                       out_dim_, in_dim_);
 }
 
 void Dense::collect_parameters(std::vector<ParamRef>& out) {

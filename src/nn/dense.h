@@ -14,10 +14,17 @@ class Dense : public Layer {
   /// everywhere in Soteria). Throws std::invalid_argument on zero dims.
   Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng);
 
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out) const override;
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  void reserve_training(std::size_t max_rows, std::size_t width,
+                        TrainState& state) const override;
+  /// Reads the layer's input, never its output. weight_grad += X^T G
+  /// and bias_grad += the column sums of G, each computed on its own
+  /// in `state` first; d(input) = G W^T.
+  void train_backward(const float* in, const float* out,
+                      const float* grad_out, std::size_t rows,
+                      std::size_t width, float* grad_in,
+                      TrainState& state) override;
   void collect_parameters(std::vector<ParamRef>& out) override;
   void zero_gradients() override;
   [[nodiscard]] std::size_t parameter_count() const override;
@@ -41,7 +48,6 @@ class Dense : public Layer {
   math::Matrix bias_;          // 1 x out_dim
   math::Matrix weight_grad_;
   math::Matrix bias_grad_;
-  math::Matrix cached_input_;
 };
 
 }  // namespace soteria::nn

@@ -13,7 +13,6 @@ class Dropout : public Layer {
   /// given the construction seed.
   Dropout(double rate, math::Rng& rng);
 
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   /// Identity: dropout is inactive at inference, so this copies `in`
   /// (Sequential::infer skips the layer instead).
   void infer_into(const float* in, std::size_t rows, std::size_t width,
@@ -21,7 +20,17 @@ class Dropout : public Layer {
   [[nodiscard]] bool identity_at_inference() const noexcept override {
     return true;
   }
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  void reserve_training(std::size_t max_rows, std::size_t width,
+                        TrainState& state) const override;
+  /// Draws one bernoulli(rate) per element in row-major order and keeps
+  /// the element, scaled by 1 / (1 - rate), where it is false; the
+  /// keep-mask goes to `state`. At rate 0 it copies and draws nothing.
+  void train_forward(const float* in, std::size_t rows, std::size_t width,
+                     float* out, TrainState& state) override;
+  void train_backward(const float* in, const float* out,
+                      const float* grad_out, std::size_t rows,
+                      std::size_t width, float* grad_in,
+                      TrainState& state) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t output_dimension(
       std::size_t input_dim) const override {
@@ -31,10 +40,13 @@ class Dropout : public Layer {
   [[nodiscard]] double rate() const noexcept { return rate_; }
 
  private:
+  /// The mask factor of a kept element.
+  [[nodiscard]] float keep_scale() const noexcept {
+    return static_cast<float>(1.0 / (1.0 - rate_));
+  }
+
   double rate_;
   math::Rng rng_;
-  math::Matrix mask_;  // scaled keep mask from the last training forward
-  bool mask_valid_ = false;
 };
 
 }  // namespace soteria::nn

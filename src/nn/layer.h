@@ -1,16 +1,21 @@
 // Layer abstraction for the from-scratch neural-network substrate.
 //
-// Layers transform batches (math::Matrix, rows = samples) and implement
-// manual backpropagation: `forward` caches whatever backward needs and
-// then runs the layer's one inference kernel, `infer_into`; `backward`
-// consumes the loss gradient w.r.t. the layer output and returns the
-// gradient w.r.t. the layer input, accumulating parameter gradients
-// internally. Parameters are exposed through `ParamRef`s so optimizers
-// can update them without knowing layer internals. Sequential::infer
-// walks the layers' infer_into kernels over a per-thread arena.
+// Layers transform row-major batches (rows = samples) on raw buffers
+// and implement manual backpropagation. Every layer has one inference
+// kernel, `infer_into`; training runs `train_forward`, which is that
+// kernel plus whatever backward needs (Dropout's mask, MaxPool's
+// argmax), and `train_backward`, which turns the loss gradient w.r.t.
+// the layer output into the gradient w.r.t. its input and accumulates
+// parameter gradients internally. Layers hold no batch-sized state:
+// activations and backward state live in a TrainingWorkspace
+// (nn/sequential.h), one per training call. Parameters are exposed
+// through `ParamRef`s so optimizers can update them without knowing
+// layer internals. Sequential::infer walks the layers' infer_into
+// kernels over a per-thread arena.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -26,6 +31,15 @@ struct ParamRef {
   math::Matrix* grad = nullptr;
 };
 
+/// One layer's backward state in a TrainingWorkspace, sized once by
+/// Layer::reserve_training for the workspace's largest batch; a
+/// shorter batch uses a prefix. Each layer uses at most one field.
+struct TrainState {
+  std::vector<std::uint32_t> argmax;  ///< MaxPool1d: per output element
+  std::vector<std::uint8_t> keep;     ///< Dropout: per element, 1 = kept
+  std::vector<float> scratch;         ///< Dense: its A^T G product
+};
+
 /// Base class for all layers.
 class Layer {
  public:
@@ -35,19 +49,13 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Batch forward pass. `training` enables train-only behaviour
-  /// (dropout masks). Implementations cache what backward needs, then
-  /// compute the output with infer_into (MaxPool1d records its argmax
-  /// in its own loop). Throws std::invalid_argument if
-  /// output_dimension rejects the input width.
-  virtual math::Matrix forward(const math::Matrix& input, bool training) = 0;
-
   /// The layer's inference kernel: reads `rows` row-major rows of
   /// width `width` from `in` and writes rows x output_dimension(width)
   /// to `out`. The caller has validated `width` with output_dimension;
-  /// the kernel checks nothing and allocates nothing, and `out` must
-  /// not alias `in`. Touches no mutable state, so concurrent calls on
-  /// a shared layer are safe.
+  /// the kernel checks nothing and allocates nothing. `out` must not
+  /// alias `in`, except for the elementwise ReLU and Sigmoid, whose
+  /// kernels may run in place (`out == in`). Touches no mutable state,
+  /// so concurrent calls on a shared layer are safe.
   virtual void infer_into(const float* in, std::size_t rows,
                           std::size_t width, float* out) const = 0;
 
@@ -57,9 +65,45 @@ class Layer {
     return false;
   }
 
-  /// Batch backward pass; must follow a forward with the same batch.
-  /// Accumulates parameter gradients and returns d(loss)/d(input).
-  virtual math::Matrix backward(const math::Matrix& grad_output) = 0;
+  /// Sizes `state` for training batches of up to `max_rows` rows of
+  /// width `width` (already validated). Layers that need no backward
+  /// state leave it empty.
+  virtual void reserve_training(std::size_t /*max_rows*/,
+                                std::size_t /*width*/,
+                                TrainState& /*state*/) const {}
+
+  /// Training forward on raw buffers, shapes as in infer_into, with
+  /// `state` reserved for at least `rows` rows. Runs infer_into, and
+  /// records in `state` what train_backward needs. `out` may alias
+  /// `in` only where trains_in_place() holds.
+  virtual void train_forward(const float* in, std::size_t rows,
+                             std::size_t width, float* out,
+                             TrainState& /*state*/) {
+    infer_into(in, rows, width, out);
+  }
+
+  /// True if train_forward may write its output over its input (ReLU).
+  /// The workspace does so unless the previous layer's backward reads
+  /// that buffer as its output.
+  [[nodiscard]] virtual bool trains_in_place() const noexcept {
+    return false;
+  }
+
+  /// True if train_backward reads the layer's output (ReLU, Sigmoid);
+  /// the next layer must then not overwrite that output in place.
+  [[nodiscard]] virtual bool backward_reads_output() const noexcept {
+    return false;
+  }
+
+  /// Training backward; must follow train_forward on the same `in`,
+  /// `out`, `rows` and `state`. Reads d(loss)/d(output) from
+  /// `grad_out` (rows x output_dimension(width)), overwrites `grad_in`
+  /// (rows x width) with d(loss)/d(input) and adds parameter gradients
+  /// to the accumulators. `grad_in` aliases none of the other buffers.
+  virtual void train_backward(const float* in, const float* out,
+                              const float* grad_out, std::size_t rows,
+                              std::size_t width, float* grad_in,
+                              TrainState& state) = 0;
 
   /// Parameter/gradient pairs (empty for stateless layers).
   virtual void collect_parameters(std::vector<ParamRef>& out) { (void)out; }

@@ -3,8 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace soteria::nn {
+
+double mse_loss_into(const float* predictions, const float* targets,
+                     std::size_t count, float* gradient) noexcept {
+  const auto n = static_cast<double>(count);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double diff = static_cast<double>(predictions[i]) - targets[i];
+    acc += diff * diff;
+    gradient[i] = static_cast<float>(2.0 * diff / n);
+  }
+  return acc / n;
+}
 
 LossResult mse_loss(const math::Matrix& predictions,
                     const math::Matrix& targets) {
@@ -14,36 +27,62 @@ LossResult mse_loss(const math::Matrix& predictions,
                                 predictions.shape_string() + " vs " +
                                 targets.shape_string());
   }
-  const auto n = static_cast<double>(predictions.size());
   LossResult result;
   result.gradient = math::Matrix(predictions.rows(), predictions.cols());
-  double acc = 0.0;
-  const auto p = predictions.data();
-  const auto t = targets.data();
-  auto g = result.gradient.data();
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    const double diff = static_cast<double>(p[i]) - t[i];
-    acc += diff * diff;
-    g[i] = static_cast<float>(2.0 * diff / n);
-  }
-  result.loss = acc / n;
+  result.loss =
+      mse_loss_into(predictions.data().data(), targets.data().data(),
+                    predictions.size(), result.gradient.data().data());
   return result;
 }
+
+namespace {
+
+// Stable softmax of one row, in place: subtracts the row max, sums the
+// exponentials in double.
+void softmax_row(float* row, std::size_t n) {
+  const float max = *std::max_element(row, row + n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    row[i] = std::exp(row[i] - max);
+    sum += row[i];
+  }
+  const auto inv = static_cast<float>(1.0 / sum);
+  for (std::size_t i = 0; i < n; ++i) row[i] *= inv;
+}
+
+}  // namespace
 
 math::Matrix softmax(const math::Matrix& logits) {
   math::Matrix probs = logits;
   for (std::size_t r = 0; r < probs.rows(); ++r) {
-    auto row = probs.row(r);
-    const float max = *std::max_element(row.begin(), row.end());
-    double sum = 0.0;
-    for (float& x : row) {
-      x = std::exp(x - max);
-      sum += x;
-    }
-    const auto inv = static_cast<float>(1.0 / sum);
-    for (float& x : row) x *= inv;
+    softmax_row(probs.row(r).data(), probs.cols());
   }
   return probs;
+}
+
+double softmax_cross_entropy_into(const float* logits, std::size_t classes,
+                                  std::span<const std::size_t> labels,
+                                  float* gradient) {
+  const std::size_t rows = labels.size();
+  std::copy_n(logits, rows * classes, gradient);
+  const auto batch = static_cast<double>(rows);
+  double acc = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (labels[r] >= classes) {
+      throw std::invalid_argument("softmax_cross_entropy: label " +
+                                  std::to_string(labels[r]) +
+                                  " >= class count " +
+                                  std::to_string(classes));
+    }
+    float* row = gradient + r * classes;
+    softmax_row(row, classes);
+    const double p = std::max(static_cast<double>(row[labels[r]]), 1e-12);
+    acc -= std::log(p);
+    row[labels[r]] -= 1.0F;
+  }
+  const auto scale = static_cast<float>(1.0 / batch);
+  for (std::size_t i = 0; i < rows * classes; ++i) gradient[i] *= scale;
+  return acc / batch;
 }
 
 LossResult softmax_cross_entropy(const math::Matrix& logits,
@@ -55,23 +94,10 @@ LossResult softmax_cross_entropy(const math::Matrix& logits,
                                 std::to_string(logits.rows()));
   }
   LossResult result;
-  result.gradient = softmax(logits);
-  const auto batch = static_cast<double>(logits.rows());
-  double acc = 0.0;
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    if (labels[r] >= logits.cols()) {
-      throw std::invalid_argument("softmax_cross_entropy: label " +
-                                  std::to_string(labels[r]) +
-                                  " >= class count " +
-                                  std::to_string(logits.cols()));
-    }
-    const double p =
-        std::max(static_cast<double>(result.gradient(r, labels[r])), 1e-12);
-    acc -= std::log(p);
-    result.gradient(r, labels[r]) -= 1.0F;
-  }
-  result.gradient *= static_cast<float>(1.0 / batch);
-  result.loss = acc / batch;
+  result.gradient = math::Matrix(logits.rows(), logits.cols());
+  result.loss = softmax_cross_entropy_into(logits.data().data(),
+                                           logits.cols(), labels,
+                                           result.gradient.data().data());
   return result;
 }
 

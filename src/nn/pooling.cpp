@@ -1,5 +1,7 @@
 #include "nn/pooling.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -17,41 +19,6 @@ MaxPool1d::MaxPool1d(std::size_t channels, std::size_t in_length,
                                 " exceeds input length " +
                                 std::to_string(in_length));
   }
-}
-
-math::Matrix MaxPool1d::forward(const math::Matrix& input,
-                                bool /*training*/) {
-  const std::size_t out_width = output_dimension(input.cols());
-  // The window loop of infer_into, also recording each window's argmax
-  // for backward.
-  const std::size_t out_len = out_length();
-  cached_rows_ = input.rows();
-  argmax_.assign(input.rows() * channels_ * out_len, 0);
-  math::Matrix out(input.rows(), out_width);
-  for (std::size_t r = 0; r < input.rows(); ++r) {
-    const float* in_row = input.data().data() + r * input.cols();
-    float* out_row = out.data().data() + r * out.cols();
-    std::uint32_t* am_row = argmax_.data() + r * channels_ * out_len;
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const float* in_chan = in_row + c * in_length_;
-      float* out_chan = out_row + c * out_len;
-      std::uint32_t* am_chan = am_row + c * out_len;
-      for (std::size_t t = 0; t < out_len; ++t) {
-        const std::size_t start = t * window_;
-        float best = in_chan[start];
-        std::size_t best_idx = start;
-        for (std::size_t k = 1; k < window_; ++k) {
-          if (in_chan[start + k] > best) {
-            best = in_chan[start + k];
-            best_idx = start + k;
-          }
-        }
-        out_chan[t] = best;
-        am_chan[t] = static_cast<std::uint32_t>(best_idx);
-      }
-    }
-  }
-  return out;
 }
 
 void MaxPool1d::infer_into(const float* in, std::size_t rows,
@@ -77,19 +44,52 @@ void MaxPool1d::infer_into(const float* in, std::size_t rows,
   }
 }
 
-math::Matrix MaxPool1d::backward(const math::Matrix& grad_output) {
+void MaxPool1d::reserve_training(std::size_t max_rows,
+                                 std::size_t /*width*/,
+                                 TrainState& state) const {
+  state.argmax.resize(max_rows * channels_ * out_length());
+}
+
+void MaxPool1d::train_forward(const float* in, std::size_t rows,
+                              std::size_t /*width*/, float* out,
+                              TrainState& state) {
   const std::size_t out_len = out_length();
-  if (grad_output.rows() != cached_rows_ ||
-      grad_output.cols() != channels_ * out_len) {
-    throw std::invalid_argument("MaxPool1d::backward: gradient shape " +
-                                grad_output.shape_string() +
-                                " incompatible with cached batch");
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* in_row = in + r * channels_ * in_length_;
+    float* out_row = out + r * channels_ * out_len;
+    std::uint32_t* am_row = state.argmax.data() + r * channels_ * out_len;
+    for (std::size_t c = 0; c < channels_; ++c) {
+      const float* in_chan = in_row + c * in_length_;
+      float* out_chan = out_row + c * out_len;
+      std::uint32_t* am_chan = am_row + c * out_len;
+      for (std::size_t t = 0; t < out_len; ++t) {
+        const std::size_t start = t * window_;
+        float best = in_chan[start];
+        std::size_t best_idx = start;
+        for (std::size_t k = 1; k < window_; ++k) {
+          if (in_chan[start + k] > best) {
+            best = in_chan[start + k];
+            best_idx = start + k;
+          }
+        }
+        out_chan[t] = best;
+        am_chan[t] = static_cast<std::uint32_t>(best_idx);
+      }
+    }
   }
-  math::Matrix grad_input(cached_rows_, channels_ * in_length_, 0.0F);
-  for (std::size_t r = 0; r < cached_rows_; ++r) {
-    const float* go_row = grad_output.data().data() + r * grad_output.cols();
-    float* gi_row = grad_input.data().data() + r * grad_input.cols();
-    const std::uint32_t* am_row = argmax_.data() + r * channels_ * out_len;
+}
+
+void MaxPool1d::train_backward(const float* /*in*/, const float* /*out*/,
+                               const float* grad_out, std::size_t rows,
+                               std::size_t width, float* grad_in,
+                               TrainState& state) {
+  const std::size_t out_len = out_length();
+  std::fill(grad_in, grad_in + rows * width, 0.0F);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* go_row = grad_out + r * channels_ * out_len;
+    float* gi_row = grad_in + r * width;
+    const std::uint32_t* am_row =
+        state.argmax.data() + r * channels_ * out_len;
     for (std::size_t c = 0; c < channels_; ++c) {
       const float* go_chan = go_row + c * out_len;
       float* gi_chan = gi_row + c * in_length_;
@@ -99,7 +99,6 @@ math::Matrix MaxPool1d::backward(const math::Matrix& grad_output) {
       }
     }
   }
-  return grad_input;
 }
 
 std::string MaxPool1d::name() const {

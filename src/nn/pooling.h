@@ -2,8 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "nn/layer.h"
 
@@ -17,10 +15,20 @@ class MaxPool1d : public Layer {
   /// Throws std::invalid_argument on zero sizes or window > in_length.
   MaxPool1d(std::size_t channels, std::size_t in_length, std::size_t window);
 
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out) const override;
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  void reserve_training(std::size_t max_rows, std::size_t width,
+                        TrainState& state) const override;
+  /// infer_into's window loop, also recording each window's argmax
+  /// (per row, channel and output position) in `state`.
+  void train_forward(const float* in, std::size_t rows, std::size_t width,
+                     float* out, TrainState& state) override;
+  /// Routes each output gradient to its window's argmax; every other
+  /// input position (the dropped tail included) gets 0.
+  void train_backward(const float* in, const float* out,
+                      const float* grad_out, std::size_t rows,
+                      std::size_t width, float* grad_in,
+                      TrainState& state) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t output_dimension(
       std::size_t input_dim) const override;
@@ -36,8 +44,6 @@ class MaxPool1d : public Layer {
   std::size_t channels_;
   std::size_t in_length_;
   std::size_t window_;
-  std::size_t cached_rows_ = 0;
-  std::vector<std::uint32_t> argmax_;  // flat per (row, channel, out_t)
 };
 
 }  // namespace soteria::nn

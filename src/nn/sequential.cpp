@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace soteria::nn {
@@ -19,17 +20,6 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   }
   layers_.push_back(std::move(layer));
   return *this;
-}
-
-math::Matrix Sequential::forward(const math::Matrix& input, bool training) {
-  if (layers_.empty()) {
-    throw std::logic_error("Sequential::forward: no layers");
-  }
-  math::Matrix activation = input;
-  for (auto& layer : layers_) {
-    activation = layer->forward(activation, training);
-  }
-  return activation;
 }
 
 math::Matrix Sequential::infer(const math::Matrix& input) const {
@@ -74,17 +64,6 @@ math::Matrix Sequential::infer(const math::Matrix& input) const {
     std::swap(next, spare);
   }
   return out;
-}
-
-math::Matrix Sequential::backward(const math::Matrix& grad_output) {
-  if (layers_.empty()) {
-    throw std::logic_error("Sequential::backward: no layers");
-  }
-  math::Matrix grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->backward(grad);
-  }
-  return grad;
 }
 
 std::vector<ParamRef> Sequential::parameters() {
@@ -169,6 +148,84 @@ void Sequential::load_parameters(std::istream& in) {
           "Sequential::load_parameters: truncated tensor data");
     }
   }
+}
+
+TrainingWorkspace::TrainingWorkspace(Sequential& model,
+                                     std::size_t input_width,
+                                     std::size_t max_rows)
+    : max_rows_(max_rows) {
+  if (model.layer_count() == 0) {
+    throw std::logic_error("TrainingWorkspace: no layers");
+  }
+  if (max_rows == 0) {
+    throw std::invalid_argument("TrainingWorkspace: zero rows");
+  }
+  const auto& layers = model.layers();
+  widths_.push_back(input_width);
+  for (const auto& layer : layers) {
+    layers_.push_back(layer.get());
+    widths_.push_back(layer->output_dimension(widths_.back()));
+  }
+  const std::size_t widest =
+      *std::max_element(widths_.begin(), widths_.end());
+  input_.resize(max_rows * input_width);
+  grad_ping_.resize(max_rows * widest);
+  grad_pong_.resize(max_rows * widest);
+  states_.resize(layers_.size());
+  buffers_.reserve(layers_.size());
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& layer = *layers_[i];
+    layer.reserve_training(max_rows, widths_[i], states_[i]);
+    const bool in_place =
+        layer.trains_in_place() &&
+        (i == 0 || !layers_[i - 1]->backward_reads_output());
+    if (in_place) {
+      outputs_.push_back(layer_input(i));
+    } else {
+      buffers_.emplace_back(max_rows * widths_[i + 1]);
+      outputs_.push_back(buffers_.back().data());
+    }
+  }
+}
+
+const float* TrainingWorkspace::forward_layer(std::size_t i,
+                                              std::size_t rows) {
+  rows_ = rows;
+  layers_[i]->train_forward(layer_input(i), rows, widths_[i], outputs_[i],
+                            states_[i]);
+  return outputs_[i];
+}
+
+const float* TrainingWorkspace::backward_layer(std::size_t i,
+                                               const float* grad_output) {
+  // The last layer writes ping, the one before it pong, and so on, so
+  // a layer's gradient input and output never share a buffer.
+  float* grad_input = (layers_.size() - 1 - i) % 2 == 0 ? grad_ping_.data()
+                                                        : grad_pong_.data();
+  layers_[i]->train_backward(layer_input(i), outputs_[i], grad_output, rows_,
+                             widths_[i], grad_input, states_[i]);
+  return grad_input;
+}
+
+const float* TrainingWorkspace::forward(std::size_t rows) {
+  if (rows == 0 || rows > max_rows_) {
+    throw std::invalid_argument("TrainingWorkspace::forward: " +
+                                std::to_string(rows) + " rows, capacity " +
+                                std::to_string(max_rows_));
+  }
+  for (std::size_t i = 0; i < layers_.size(); ++i) forward_layer(i, rows);
+  return outputs_.back();
+}
+
+const float* TrainingWorkspace::backward(const float* grad_output) {
+  if (rows_ == 0) {
+    throw std::logic_error("TrainingWorkspace::backward: no forward yet");
+  }
+  const float* grad = grad_output;
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    grad = backward_layer(i, grad);
+  }
+  return grad;
 }
 
 }  // namespace soteria::nn

@@ -1,11 +1,18 @@
 // Sequential container: an ordered stack of layers trained end-to-end.
 //
-// `forward`/`backward` train it; `infer` is the one inference entry
+// A TrainingWorkspace trains it; `infer` is the one inference entry
 // point. infer validates the chain on every call, then walks the
 // layers' infer_into kernels through a thread_local ping-pong arena
 // shared by every net on the thread (grow-only, sized from the widest
 // layer), writing the last layer straight into the result. Layers that
 // are the identity at inference (Dropout) cost no pass and no copy.
+//
+// Training allocates once per call: a TrainingWorkspace, sized for the
+// largest batch, holds the gathered input batch, every layer's output
+// and backward state (TrainState), and two gradient buffers as wide as
+// the widest layer, which backward ping-pongs between. A ReLU writes
+// in place over the output before it (unless that layer's backward
+// reads it), so its output costs no buffer.
 #pragma once
 
 #include <iosfwd>
@@ -33,21 +40,13 @@ class Sequential {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  /// Forward through all layers, caching activations for backward.
-  /// Throws std::logic_error if empty.
-  [[nodiscard]] math::Matrix forward(const math::Matrix& input,
-                                     bool training);
-
-  /// Inference: bit-identical to forward(input, false), but touches no
-  /// mutable layer state, so concurrent infer() calls on one model are
-  /// safe (the parallel batch engine relies on this). Allocates only
-  /// the result (and the arena when it grows). Throws std::logic_error
-  /// if empty and std::invalid_argument if the layer chain rejects the
-  /// input width.
+  /// Inference: each non-identity layer's infer_into in order (the
+  /// training forward minus Dropout); touches no mutable layer state,
+  /// so concurrent infer() calls on one model are safe (the parallel
+  /// batch engine relies on this). Allocates only the result (and the
+  /// arena when it grows). Throws std::logic_error if empty and
+  /// std::invalid_argument if the layer chain rejects the input width.
   [[nodiscard]] math::Matrix infer(const math::Matrix& input) const;
-
-  /// Backward pass through all layers; returns d(loss)/d(input).
-  math::Matrix backward(const math::Matrix& grad_output);
 
   /// All parameter/gradient pairs, in stable layer order.
   [[nodiscard]] std::vector<ParamRef> parameters();
@@ -67,7 +66,8 @@ class Sequential {
   /// One line per layer, for logs and model summaries.
   [[nodiscard]] std::string summary() const;
 
-  /// Read-only layer access (bench/perf_nn times each layer's kernel).
+  /// Layer access (bench/perf_nn times each layer's kernel; a
+  /// TrainingWorkspace drives their training kernels).
   [[nodiscard]] const std::vector<std::unique_ptr<Layer>>& layers()
       const noexcept {
     return layers_;
@@ -82,6 +82,69 @@ class Sequential {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+};
+
+/// Every buffer one training call needs for `model`, allocated once.
+/// Batches of 1..max_rows rows use a prefix of each buffer. The model
+/// must outlive the workspace and keep its layers; one workspace
+/// serves one thread.
+class TrainingWorkspace {
+ public:
+  /// Throws std::logic_error if `model` is empty, std::invalid_argument
+  /// if its layer chain rejects `input_width` or `max_rows` is 0.
+  TrainingWorkspace(Sequential& model, std::size_t input_width,
+                    std::size_t max_rows);
+  // Layer outputs point into the workspace's own buffers.
+  TrainingWorkspace(const TrainingWorkspace&) = delete;
+  TrainingWorkspace& operator=(const TrainingWorkspace&) = delete;
+
+  [[nodiscard]] std::size_t input_width() const noexcept {
+    return widths_.front();
+  }
+  [[nodiscard]] std::size_t output_width() const noexcept {
+    return widths_.back();
+  }
+
+  /// The input batch: write `rows` rows here before forward(rows).
+  [[nodiscard]] float* input() noexcept { return input_.data(); }
+
+  /// Training forward over the first `rows` rows of input(); returns
+  /// the net's output (rows x output_width()), valid until the next
+  /// forward. Dropout layers draw their masks. Throws
+  /// std::invalid_argument unless 1 <= rows <= the workspace's
+  /// `max_rows`.
+  const float* forward(std::size_t rows);
+
+  /// Backward over the last forward's rows from d(loss)/d(output)
+  /// (rows x output_width()); adds every parameter gradient to its
+  /// accumulator and returns d(loss)/d(input) (rows x input_width()),
+  /// valid until the next backward. Throws std::logic_error before any
+  /// forward.
+  const float* backward(const float* grad_output);
+
+  /// Layer i's share of forward / backward, each returning what that
+  /// layer wrote: forward(rows) runs every forward_layer(i, rows) in
+  /// order, backward every backward_layer in reverse, each taking the
+  /// gradient the one after it returned (bench/perf_nn times them one
+  /// by one). These check nothing.
+  const float* forward_layer(std::size_t i, std::size_t rows);
+  const float* backward_layer(std::size_t i, const float* grad_output);
+
+ private:
+  [[nodiscard]] float* layer_input(std::size_t i) noexcept {
+    return i == 0 ? input_.data() : outputs_[i - 1];
+  }
+
+  std::vector<Layer*> layers_;
+  std::size_t max_rows_;
+  std::size_t rows_ = 0;  // the last forward's batch
+  std::vector<std::size_t> widths_;  // [0] input, [i + 1] layer i out
+  std::vector<float> input_;
+  std::vector<std::vector<float>> buffers_;  // owned layer outputs
+  std::vector<float*> outputs_;  // layer i's output (in place: its input)
+  std::vector<TrainState> states_;
+  std::vector<float> grad_ping_;
+  std::vector<float> grad_pong_;
 };
 
 }  // namespace soteria::nn

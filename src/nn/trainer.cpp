@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "nn/loss.h"
 #include "obs/trace.h"
@@ -27,13 +28,10 @@ TrainConfig make_train_config(std::size_t epochs, std::size_t batch_size) {
 namespace {
 
 // Shared epoch loop: `run_batch` maps a row-index batch to its loss.
+// The caller has validated the config and a non-empty dataset.
 template <typename BatchFn>
 TrainReport epoch_loop(std::size_t sample_count, const TrainConfig& config,
                        math::Rng& rng, BatchFn&& run_batch) {
-  validate(config);
-  if (sample_count == 0) {
-    throw std::invalid_argument("train: empty dataset");
-  }
   std::vector<std::size_t> order(sample_count);
   for (std::size_t i = 0; i < sample_count; ++i) order[i] = i;
 
@@ -62,6 +60,25 @@ TrainReport epoch_loop(std::size_t sample_count, const TrainConfig& config,
   return report;
 }
 
+// Validates the config and dataset, then returns the largest batch.
+std::size_t max_batch_rows(std::size_t sample_count,
+                           const TrainConfig& config) {
+  validate(config);
+  if (sample_count == 0) {
+    throw std::invalid_argument("train: empty dataset");
+  }
+  return std::min(config.batch_size, sample_count);
+}
+
+// Copies the selected rows of `m` into `out` (rows.size() x m.cols()).
+void gather_rows_into(const math::Matrix& m,
+                      std::span<const std::size_t> rows, float* out) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto src = m.row(rows[i]);
+    std::copy(src.begin(), src.end(), out + i * m.cols());
+  }
+}
+
 }  // namespace
 
 TrainReport train_regression(Sequential& model, const math::Matrix& inputs,
@@ -71,18 +88,30 @@ TrainReport train_regression(Sequential& model, const math::Matrix& inputs,
   if (inputs.rows() != targets.rows()) {
     throw std::invalid_argument("train_regression: row count mismatch");
   }
+  const std::size_t max_rows = max_batch_rows(inputs.rows(), config);
+  TrainingWorkspace workspace(model, inputs.cols(), max_rows);
+  if (workspace.output_width() != targets.cols()) {
+    throw std::invalid_argument("train_regression: target width " +
+                                std::to_string(targets.cols()) +
+                                " != model output width " +
+                                std::to_string(workspace.output_width()));
+  }
+  std::vector<float> batch_targets(max_rows * targets.cols());
+  std::vector<float> grad(max_rows * targets.cols());
   const auto params = model.parameters();
   return epoch_loop(
       inputs.rows(), config, rng,
       [&](std::span<const std::size_t> batch) {
-        const math::Matrix x = gather_rows(inputs, batch);
-        const math::Matrix y = gather_rows(targets, batch);
+        gather_rows_into(inputs, batch, workspace.input());
+        gather_rows_into(targets, batch, batch_targets.data());
         model.zero_gradients();
-        const math::Matrix pred = model.forward(x, /*training=*/true);
-        const LossResult loss = mse_loss(pred, y);
-        model.backward(loss.gradient);
+        const float* pred = workspace.forward(batch.size());
+        const double loss =
+            mse_loss_into(pred, batch_targets.data(),
+                          batch.size() * targets.cols(), grad.data());
+        workspace.backward(grad.data());
         optimizer.step(params);
-        return loss.loss;
+        return loss;
       });
 }
 
@@ -93,21 +122,28 @@ TrainReport train_classifier(Sequential& model, const math::Matrix& inputs,
   if (inputs.rows() != labels.size()) {
     throw std::invalid_argument("train_classifier: label count mismatch");
   }
+  const std::size_t max_rows = max_batch_rows(inputs.rows(), config);
+  TrainingWorkspace workspace(model, inputs.cols(), max_rows);
+  const std::size_t classes = workspace.output_width();
+  std::vector<std::size_t> batch_labels(max_rows);
+  std::vector<float> grad(max_rows * classes);
   const auto params = model.parameters();
   return epoch_loop(
       inputs.rows(), config, rng,
       [&](std::span<const std::size_t> batch) {
-        const math::Matrix x = gather_rows(inputs, batch);
-        std::vector<std::size_t> y(batch.size());
+        gather_rows_into(inputs, batch, workspace.input());
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          y[i] = labels[batch[i]];
+          batch_labels[i] = labels[batch[i]];
         }
         model.zero_gradients();
-        const math::Matrix logits = model.forward(x, /*training=*/true);
-        const LossResult loss = softmax_cross_entropy(logits, y);
-        model.backward(loss.gradient);
+        const float* logits = workspace.forward(batch.size());
+        const double loss = softmax_cross_entropy_into(
+            logits, classes,
+            std::span<const std::size_t>(batch_labels.data(), batch.size()),
+            grad.data());
+        workspace.backward(grad.data());
         optimizer.step(params);
-        return loss.loss;
+        return loss;
       });
 }
 
@@ -123,15 +159,13 @@ std::vector<std::size_t> argmax_rows(const math::Matrix& m) {
 
 math::Matrix gather_rows(const math::Matrix& m,
                          std::span<const std::size_t> rows) {
-  math::Matrix out(rows.size(), m.cols());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i] >= m.rows()) {
+  for (const std::size_t r : rows) {
+    if (r >= m.rows()) {
       throw std::out_of_range("gather_rows: row index out of range");
     }
-    const auto src = m.row(rows[i]);
-    auto dst = out.row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
   }
+  math::Matrix out(rows.size(), m.cols());
+  gather_rows_into(m, rows, out.data().data());
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Bitwise-identity contracts of the blocked kernels: the cache-blocked
-// GEMM (matmul / matmul_at) and the register-tiled conv1d kernel must
+// GEMM (matmul / matmul_at / matmul_bt) and the register-tiled conv1d kernel must
 // produce exactly the bytes of the preserved naive references, because
 // every per-output accumulation runs the same statements in the same
 // order. GEMM shapes straddle the block (256) and row-unroll (4)
@@ -72,6 +72,23 @@ TEST(BlockedGemmTest, MatmulAtMatchesReferenceBitwise) {
     const Matrix b = random_matrix(s[0], s[2], rng, true);
     expect_bitwise_equal(matmul_at(a, b), matmul_at_reference(a, b),
                          "matmul_at");
+  }
+}
+
+TEST(BlockedGemmTest, MatmulBtMatchesReferenceBitwise) {
+  // matmul_bt transposes B a 256 x 64 panel at a time; shapes straddle
+  // both panel edges (k > 256, n > 64), the row unroll and Dense's
+  // backward shape (64 rows, 128 -> 1952).
+  Rng rng(53);
+  const std::size_t shapes[][3] = {{1, 1, 1},    {3, 5, 7},     {4, 4, 65},
+                                   {17, 1, 9},   {5, 257, 3},   {6, 300, 130},
+                                   {64, 128, 1952}};
+  for (const auto& s : shapes) {
+    // a is m x k, b is n x k.
+    const Matrix a = random_matrix(s[0], s[1], rng, true);
+    const Matrix b = random_matrix(s[2], s[1], rng, true);
+    expect_bitwise_equal(matmul_bt(a, b),
+                         matmul_reference(a, b.transposed()), "matmul_bt");
   }
 }
 

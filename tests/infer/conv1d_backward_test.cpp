@@ -121,9 +121,15 @@ TEST(Conv1dBackwardTest, LayerBackwardMatchesReference) {
   const std::size_t out_cols = s.out_channels * layer.out_length();
   math::Matrix grad_out(s.rows, out_cols,
                         random_values(s.rows * out_cols, rng));
-  (void)layer.forward(input, true);
+  math::Matrix output(s.rows, out_cols);
+  TrainState state;
+  layer.train_forward(input.data().data(), s.rows, input.cols(),
+                      output.data().data(), state);
   layer.zero_gradients();
-  const math::Matrix grad_in = layer.backward(grad_out);
+  math::Matrix grad_in(s.rows, input.cols());
+  layer.train_backward(input.data().data(), output.data().data(),
+                       grad_out.data().data(), s.rows, input.cols(),
+                       grad_in.data().data(), state);
 
   std::vector<ParamRef> params;
   layer.collect_parameters(params);

@@ -1,14 +1,16 @@
 // The one inference path's identity contract: Sequential::infer, which
 // every detector and classifier scoring call runs through, must
-// reproduce forward(x, false) bit for bit (0 ulp: both drive the same
-// per-layer infer_into kernels in the same order) while touching no
-// layer state. System-level behaviour is pinned by the golden verdicts
-// in tests/soteria/golden_bytes_test.cpp.
+// reproduce the layer-by-layer chain (each layer's infer_into into a
+// fresh matrix, Dropout's copy included) bit for bit (0 ulp: both
+// drive the same kernels in the same order) while touching no layer
+// state. System-level behaviour is pinned by the golden verdicts in
+// tests/soteria/golden_bytes_test.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "math/rng.h"
 #include "nn/autoencoder.h"
@@ -31,13 +33,26 @@ void expect_bits_equal(const math::Matrix& got, const math::Matrix& want) {
   }
 }
 
-void expect_infer_matches_forward(Sequential& model, std::size_t input_dim,
+/// Every layer's infer_into, in order, each into a fresh matrix.
+math::Matrix layer_by_layer(const Sequential& model, const math::Matrix& in) {
+  math::Matrix activation = in;
+  for (const auto& layer : model.layers()) {
+    math::Matrix out(activation.rows(),
+                     layer->output_dimension(activation.cols()));
+    layer->infer_into(activation.data().data(), activation.rows(),
+                      activation.cols(), out.data().data());
+    activation = std::move(out);
+  }
+  return activation;
+}
+
+void expect_infer_matches_chain(Sequential& model, std::size_t input_dim,
                                   std::size_t rows, math::Rng& rng) {
   math::Matrix in(rows, input_dim);
   in.fill_uniform(rng, -1.5F, 1.5F);
   const math::Matrix got = model.infer(in);
   EXPECT_EQ(got.cols(), model.output_dimension(input_dim));
-  expect_bits_equal(got, model.forward(in, /*training=*/false));
+  expect_bits_equal(got, layer_by_layer(model, in));
 }
 
 CnnConfig small_cnn(std::size_t input_length) {
@@ -59,10 +74,10 @@ TEST(SequentialInferTest, CnnMatchesForwardBitwise) {
   math::Rng rng(61);
   const CnnConfig arch = small_cnn(60);
   // The built model has Dropout layers; infer skips them as inference
-  // identities and must still match forward, which runs them.
+  // identities and must still match the chain, which runs their copy.
   Sequential model = build_cnn(arch, rng);
   for (const std::size_t rows : {0U, 1U, 3U, 8U}) {
-    expect_infer_matches_forward(model, arch.input_length, rows, rng);
+    expect_infer_matches_chain(model, arch.input_length, rows, rng);
   }
 }
 
@@ -71,7 +86,7 @@ TEST(SequentialInferTest, AutoencoderMatchesForwardBitwise) {
   const AutoencoderConfig arch = small_autoencoder(48);
   Sequential model = build_autoencoder(arch, rng);
   for (const std::size_t rows : {0U, 1U, 3U, 8U}) {
-    expect_infer_matches_forward(model, arch.input_dim, rows, rng);
+    expect_infer_matches_chain(model, arch.input_dim, rows, rng);
   }
 }
 
@@ -84,7 +99,7 @@ TEST(SequentialInferTest, ArenaIsReusableAcrossBatchSizes) {
   // Shrinking then growing the batch must not disturb results: the
   // arena is grow-only and every buffer is fully overwritten per call.
   for (const std::size_t rows : {6U, 1U, 9U, 2U}) {
-    expect_infer_matches_forward(model, arch.input_dim, rows, rng);
+    expect_infer_matches_chain(model, arch.input_dim, rows, rng);
   }
 }
 
@@ -92,15 +107,15 @@ TEST(SequentialInferTest, NetsOfDifferentWidthsShareTheArena) {
   // Every net on a thread scores through the same thread_local arena.
   // Alternating a wide CNN and a narrower autoencoder (each call
   // resizing or reusing what the other left) keeps each bit-equal to
-  // its own forward.
+  // its own chain.
   math::Rng rng(64);
   const CnnConfig cnn_arch = small_cnn(90);
   const AutoencoderConfig ae_arch = small_autoencoder(12);
   Sequential cnn = build_cnn(cnn_arch, rng);
   Sequential autoencoder = build_autoencoder(ae_arch, rng);
   for (const std::size_t rows : {4U, 1U, 7U, 2U}) {
-    expect_infer_matches_forward(cnn, cnn_arch.input_length, rows, rng);
-    expect_infer_matches_forward(autoencoder, ae_arch.input_dim, rows + 5,
+    expect_infer_matches_chain(cnn, cnn_arch.input_length, rows, rng);
+    expect_infer_matches_chain(autoencoder, ae_arch.input_dim, rows + 5,
                                  rng);
   }
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 #include "gradient_check.h"
 #include "math/rng.h"
 #include "nn/activations.h"
@@ -13,6 +17,8 @@ namespace {
 
 using testing::check_input_gradient;
 using testing::check_parameter_gradients;
+using testing::infer;
+using testing::LayerHarness;
 
 math::Matrix random_batch(std::size_t rows, std::size_t cols,
                           std::uint64_t seed) {
@@ -30,7 +36,7 @@ TEST(Dense, ForwardIsAffine) {
   layer.weights() = math::Matrix(2, 3, {1, 2, 3, 4, 5, 6});
   layer.bias() = math::Matrix(1, 3, {10, 20, 30});
   const math::Matrix input(1, 2, {1.0F, 2.0F});
-  const auto out = layer.forward(input, false);
+  const auto out = infer(layer, input);
   EXPECT_FLOAT_EQ(out(0, 0), 1 * 1 + 2 * 4 + 10);
   EXPECT_FLOAT_EQ(out(0, 1), 1 * 2 + 2 * 5 + 20);
   EXPECT_FLOAT_EQ(out(0, 2), 1 * 3 + 2 * 6 + 30);
@@ -45,7 +51,7 @@ TEST(Dense, RejectsZeroDims) {
 TEST(Dense, RejectsWrongInputWidth) {
   math::Rng rng(1);
   Dense layer(4, 2, rng);
-  EXPECT_THROW((void)layer.forward(math::Matrix(1, 3), false),
+  EXPECT_THROW((void)infer(layer, math::Matrix(1, 3)),
                std::invalid_argument);
   EXPECT_EQ(layer.output_dimension(4), 2U);
   EXPECT_THROW((void)layer.output_dimension(5), std::invalid_argument);
@@ -67,13 +73,14 @@ TEST(Dense, GradientsAccumulateUntilZeroed) {
   math::Rng rng(6);
   Dense layer(2, 2, rng);
   const auto input = random_batch(1, 2, 7);
-  const auto out = layer.forward(input, true);
-  (void)layer.backward(out);
+  LayerHarness harness(layer);
+  const auto out = harness.forward(input);
+  (void)harness.backward(out);
   std::vector<ParamRef> params;
   layer.collect_parameters(params);
   const float first = params[0].grad->data()[0];
-  (void)layer.forward(input, true);
-  (void)layer.backward(out);
+  (void)harness.forward(input);
+  (void)harness.backward(out);
   EXPECT_NEAR(params[0].grad->data()[0], 2.0F * first, 1e-4);
   layer.zero_gradients();
   EXPECT_FLOAT_EQ(params[0].grad->data()[0], 0.0F);
@@ -91,7 +98,7 @@ TEST(Dense, ParameterCount) {
 TEST(Relu, ForwardClampsNegatives) {
   Relu relu;
   const math::Matrix in(1, 4, {-1.0F, 0.0F, 2.0F, -3.0F});
-  const auto out = relu.forward(in, false);
+  const auto out = infer(relu, in);
   EXPECT_FLOAT_EQ(out(0, 0), 0.0F);
   EXPECT_FLOAT_EQ(out(0, 2), 2.0F);
 }
@@ -99,11 +106,33 @@ TEST(Relu, ForwardClampsNegatives) {
 TEST(Relu, BackwardMasksBlockedUnits) {
   Relu relu;
   const math::Matrix in(1, 3, {-1.0F, 2.0F, 3.0F});
-  (void)relu.forward(in, true);
+  LayerHarness harness(relu);
+  (void)harness.forward(in);
   const math::Matrix grad(1, 3, {5.0F, 5.0F, 5.0F});
-  const auto gin = relu.backward(grad);
+  const auto gin = harness.backward(grad);
   EXPECT_FLOAT_EQ(gin(0, 0), 0.0F);
   EXPECT_FLOAT_EQ(gin(0, 1), 5.0F);
+}
+
+TEST(Relu, EdgeInputsGateTheGradientByTheirOutput) {
+  // Training runs ReLU in place, so backward sees only the output and
+  // passes a gradient iff the output is > 0: NaN (output 0) and -0.0
+  // block, +inf passes.
+  Relu relu;
+  EXPECT_TRUE(relu.trains_in_place());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const math::Matrix in(1, 4, {nan, -0.0F, inf, 0.0F});
+  LayerHarness harness(relu);
+  const auto out = harness.forward(in);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(out(0, 0)), 0U);  // NaN -> +0
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(out(0, 1)), 0U);  // -0 -> +0
+  EXPECT_EQ(out(0, 2), inf);
+  const auto gin = harness.backward(math::Matrix(1, 4, 3.0F));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(gin(0, 0)), 0U);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(gin(0, 1)), 0U);
+  EXPECT_EQ(gin(0, 2), 3.0F);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(gin(0, 3)), 0U);
 }
 
 TEST(Relu, GradientMatchesNumeric) {
@@ -118,7 +147,7 @@ TEST(Relu, GradientMatchesNumeric) {
 TEST(Sigmoid, ForwardRange) {
   Sigmoid sigmoid;
   const math::Matrix in(1, 3, {-100.0F, 0.0F, 100.0F});
-  const auto out = sigmoid.forward(in, false);
+  const auto out = infer(sigmoid, in);
   EXPECT_NEAR(out(0, 0), 0.0F, 1e-6);
   EXPECT_FLOAT_EQ(out(0, 1), 0.5F);
   EXPECT_NEAR(out(0, 2), 1.0F, 1e-6);
@@ -141,7 +170,7 @@ TEST(Conv1d, ForwardMatchesHandComputation) {
   params[0].value->data()[1] = 2.0F;
   params[1].value->data()[0] = 0.5F;
   const math::Matrix in(1, 4, {1.0F, 2.0F, 3.0F, 4.0F});
-  const auto out = conv.forward(in, false);
+  const auto out = infer(conv, in);
   ASSERT_EQ(out.cols(), 3U);
   EXPECT_FLOAT_EQ(out(0, 0), 1 + 4 + 0.5F);
   EXPECT_FLOAT_EQ(out(0, 1), 2 + 6 + 0.5F);
@@ -154,7 +183,7 @@ TEST(Conv1d, MultiChannelShapes) {
   EXPECT_EQ(conv.out_length(), 8U);
   EXPECT_EQ(conv.output_dimension(30), 40U);
   EXPECT_THROW((void)conv.output_dimension(29), std::invalid_argument);
-  const auto out = conv.forward(random_batch(2, 30, 12), false);
+  const auto out = infer(conv, random_batch(2, 30, 12));
   EXPECT_EQ(out.rows(), 2U);
   EXPECT_EQ(out.cols(), 40U);
 }
@@ -164,7 +193,7 @@ TEST(Conv1d, Validation) {
   EXPECT_THROW(Conv1d(0, 4, 1, 2, rng), std::invalid_argument);
   EXPECT_THROW(Conv1d(1, 4, 1, 5, rng), std::invalid_argument);
   Conv1d conv(1, 4, 1, 2, rng);
-  EXPECT_THROW((void)conv.forward(math::Matrix(1, 5), false),
+  EXPECT_THROW((void)infer(conv, math::Matrix(1, 5)),
                std::invalid_argument);
 }
 
@@ -185,7 +214,7 @@ TEST(Conv1d, ParameterGradientsMatchNumeric) {
 TEST(MaxPool1d, ForwardPicksWindowMax) {
   MaxPool1d pool(1, 6, 2);
   const math::Matrix in(1, 6, {1.0F, 5.0F, 2.0F, 2.0F, 9.0F, -1.0F});
-  const auto out = pool.forward(in, false);
+  const auto out = infer(pool, in);
   ASSERT_EQ(out.cols(), 3U);
   EXPECT_FLOAT_EQ(out(0, 0), 5.0F);
   EXPECT_FLOAT_EQ(out(0, 1), 2.0F);
@@ -196,16 +225,17 @@ TEST(MaxPool1d, DropsRemainder) {
   MaxPool1d pool(1, 5, 2);
   EXPECT_EQ(pool.out_length(), 2U);
   const math::Matrix in(1, 5, {1, 2, 3, 4, 99});
-  const auto out = pool.forward(in, false);
+  const auto out = infer(pool, in);
   EXPECT_EQ(out.cols(), 2U);  // the 99 in the tail is dropped
 }
 
 TEST(MaxPool1d, BackwardRoutesToArgmax) {
   MaxPool1d pool(1, 4, 2);
   const math::Matrix in(1, 4, {1.0F, 5.0F, 7.0F, 2.0F});
-  (void)pool.forward(in, true);
+  LayerHarness harness(pool);
+  (void)harness.forward(in);
   const math::Matrix grad(1, 2, {10.0F, 20.0F});
-  const auto gin = pool.backward(grad);
+  const auto gin = harness.backward(grad);
   EXPECT_FLOAT_EQ(gin(0, 0), 0.0F);
   EXPECT_FLOAT_EQ(gin(0, 1), 10.0F);
   EXPECT_FLOAT_EQ(gin(0, 2), 20.0F);
@@ -215,7 +245,7 @@ TEST(MaxPool1d, BackwardRoutesToArgmax) {
 TEST(MaxPool1d, MultiChannelIndependence) {
   MaxPool1d pool(2, 4, 2);
   const math::Matrix in(1, 8, {1, 9, 0, 0, 5, 1, 2, 8});
-  const auto out = pool.forward(in, false);
+  const auto out = infer(pool, in);
   ASSERT_EQ(out.cols(), 4U);
   EXPECT_FLOAT_EQ(out(0, 0), 9.0F);
   EXPECT_FLOAT_EQ(out(0, 2), 5.0F);
@@ -226,7 +256,7 @@ TEST(MaxPool1d, Validation) {
   EXPECT_THROW(MaxPool1d(0, 4, 2), std::invalid_argument);
   EXPECT_THROW(MaxPool1d(1, 4, 5), std::invalid_argument);
   MaxPool1d pool(1, 4, 2);
-  EXPECT_THROW((void)pool.forward(math::Matrix(1, 5), false),
+  EXPECT_THROW((void)infer(pool, math::Matrix(1, 5)),
                std::invalid_argument);
 }
 
@@ -236,14 +266,16 @@ TEST(Dropout, IdentityAtInference) {
   math::Rng rng(20);
   Dropout dropout(0.5, rng);
   const auto in = random_batch(2, 8, 21);
-  EXPECT_EQ(dropout.forward(in, false), in);
+  EXPECT_TRUE(dropout.identity_at_inference());
+  EXPECT_EQ(infer(dropout, in), in);
 }
 
 TEST(Dropout, TrainingZeroesAndRescales) {
   math::Rng rng(22);
   Dropout dropout(0.5, rng);
   math::Matrix in(1, 2000, 1.0F);
-  const auto out = dropout.forward(in, true);
+  LayerHarness harness(dropout);
+  const auto out = harness.forward(in);
   std::size_t zeros = 0;
   for (float x : out.data()) {
     if (x == 0.0F) {
@@ -259,9 +291,10 @@ TEST(Dropout, BackwardUsesSameMask) {
   math::Rng rng(23);
   Dropout dropout(0.5, rng);
   math::Matrix in(1, 100, 1.0F);
-  const auto out = dropout.forward(in, true);
+  LayerHarness harness(dropout);
+  const auto out = harness.forward(in);
   const math::Matrix grad(1, 100, 1.0F);
-  const auto gin = dropout.backward(grad);
+  const auto gin = harness.backward(grad);
   for (std::size_t c = 0; c < 100; ++c) {
     EXPECT_FLOAT_EQ(gin(0, c), out(0, c));  // same zero pattern & scale
   }
@@ -271,7 +304,9 @@ TEST(Dropout, ZeroRateIsIdentityEvenInTraining) {
   math::Rng rng(24);
   Dropout dropout(0.0, rng);
   const auto in = random_batch(1, 5, 25);
-  EXPECT_EQ(dropout.forward(in, true), in);
+  LayerHarness harness(dropout);
+  EXPECT_EQ(harness.forward(in), in);
+  EXPECT_EQ(harness.backward(in), in);
 }
 
 TEST(Dropout, RateValidation) {

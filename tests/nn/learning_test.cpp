@@ -3,6 +3,9 @@
 // signals the system feeds them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"
 #include "nn/loss.h"
@@ -116,20 +119,25 @@ TEST(Learning, SequentialGradientsFlowThroughWholeCnn) {
   input.fill_normal(rng, 0.0F, 0.5F);
   const std::vector<std::size_t> label{1};
 
+  TrainingWorkspace workspace(model, 20, 1);
+  std::vector<float> loss_grad(config.classes);
+  const auto loss_at = [&](const math::Matrix& x) {
+    std::copy(x.data().begin(), x.data().end(), workspace.input());
+    return softmax_cross_entropy_into(workspace.forward(1), config.classes,
+                                      label, loss_grad.data());
+  };
   model.zero_gradients();
-  const auto logits = model.forward(input, true);
-  const auto loss = softmax_cross_entropy(logits, label);
-  const auto input_grad = model.backward(loss.gradient);
+  (void)loss_at(input);
+  const float* grad = workspace.backward(loss_grad.data());
+  const math::Matrix input_grad(1, 20, std::vector<float>(grad, grad + 20));
 
   const float eps = 1e-2F;
   for (std::size_t c = 0; c < 20; c += 3) {
     const float saved = input(0, c);
     input(0, c) = saved + eps;
-    const double plus =
-        softmax_cross_entropy(model.forward(input, true), label).loss;
+    const double plus = loss_at(input);
     input(0, c) = saved - eps;
-    const double minus =
-        softmax_cross_entropy(model.forward(input, true), label).loss;
+    const double minus = loss_at(input);
     input(0, c) = saved;
     const double numeric = (plus - minus) / (2.0 * eps);
     EXPECT_NEAR(input_grad(0, c), numeric,

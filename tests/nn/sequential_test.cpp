@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/autoencoder.h"
@@ -26,16 +29,15 @@ TEST(Sequential, ForwardChainsLayers) {
   math::Rng rng(2);
   math::Matrix input(3, 4);
   input.fill_normal(rng, 0.0F, 1.0F);
-  const auto out = model.forward(input, false);
+  const auto out = model.infer(input);
   EXPECT_EQ(out.rows(), 3U);
   EXPECT_EQ(out.cols(), 2U);
 }
 
 TEST(Sequential, EmptyModelThrows) {
   Sequential model;
-  EXPECT_THROW((void)model.forward(math::Matrix(1, 1), false),
-               std::logic_error);
-  EXPECT_THROW((void)model.backward(math::Matrix(1, 1)), std::logic_error);
+  EXPECT_THROW((void)model.infer(math::Matrix(1, 1)), std::logic_error);
+  EXPECT_THROW(TrainingWorkspace(model, 1, 1), std::logic_error);
   EXPECT_THROW(model.add(nullptr), std::invalid_argument);
 }
 
@@ -93,6 +95,84 @@ TEST(Sequential, LoadRejectsGarbage) {
   stream.write("garbage!", 8);
   auto model = two_layer(10);
   EXPECT_THROW(model.load_parameters(stream), std::runtime_error);
+}
+
+// Copies `input` into the workspace and returns the training output.
+math::Matrix workspace_forward(TrainingWorkspace& workspace,
+                               const math::Matrix& input) {
+  std::copy(input.data().begin(), input.data().end(), workspace.input());
+  const float* out = workspace.forward(input.rows());
+  const std::size_t count = input.rows() * workspace.output_width();
+  return math::Matrix(input.rows(), workspace.output_width(),
+                      std::vector<float>(out, out + count));
+}
+
+TEST(TrainingWorkspace, InputGradientMatchesNumericAcrossInPlaceRules) {
+  // A leading ReLU trains in place over the input batch, the ReLU after
+  // Dense in place over Dense's output, and the ReLU after Sigmoid in
+  // its own buffer (Sigmoid's backward reads its output). The input
+  // gradient must match finite differences of sum(out^2) / 2 either way.
+  math::Rng rng(21);
+  Sequential model;
+  model.emplace<Relu>();
+  model.emplace<Dense>(4, 6, rng);
+  model.emplace<Sigmoid>();
+  model.emplace<Relu>();
+  model.emplace<Dense>(6, 5, rng);
+  model.emplace<Relu>();
+  model.emplace<Dense>(5, 2, rng);
+  TrainingWorkspace workspace(model, 4, 3);
+  math::Matrix input(3, 4);
+  input.fill_normal(rng, 0.0F, 1.0F);
+
+  const math::Matrix out = workspace_forward(workspace, input);
+  const float* grad = workspace.backward(out.data().data());
+  const std::vector<float> analytic(grad, grad + input.size());
+  const auto loss = [&] {
+    const math::Matrix y = workspace_forward(workspace, input);
+    double acc = 0.0;
+    for (const float x : y.data()) acc += 0.5 * static_cast<double>(x) * x;
+    return acc;
+  };
+  const float eps = 1e-3F;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const float saved = input.data()[i];
+    if (std::abs(saved) < 2.0F * eps) continue;  // the leading ReLU's kink
+    input.data()[i] = saved + eps;
+    const double plus = loss();
+    input.data()[i] = saved - eps;
+    const double minus = loss();
+    input.data()[i] = saved;
+    const double numeric = (plus - minus) / (2.0 * eps);
+    EXPECT_NEAR(analytic[i], numeric, 2e-2 * std::max(1.0, std::abs(numeric)))
+        << "input element " << i;
+  }
+}
+
+TEST(TrainingWorkspace, ShortBatchUsesAPrefixAndMatchesInfer) {
+  // Without dropout the training forward is the inference chain, bit
+  // for bit, whatever prefix of the workspace a batch uses.
+  auto model = two_layer(22);
+  TrainingWorkspace workspace(model, 4, 8);
+  math::Rng rng(23);
+  for (const std::size_t rows : {8U, 3U, 1U, 8U}) {
+    math::Matrix input(rows, 4);
+    input.fill_normal(rng, 0.0F, 1.0F);
+    EXPECT_EQ(workspace_forward(workspace, input), model.infer(input));
+  }
+}
+
+TEST(TrainingWorkspace, RejectsBadShapes) {
+  auto model = two_layer(24);
+  EXPECT_THROW(TrainingWorkspace(model, 5, 4), std::invalid_argument);
+  EXPECT_THROW(TrainingWorkspace(model, 4, 0), std::invalid_argument);
+  TrainingWorkspace workspace(model, 4, 4);
+  EXPECT_EQ(workspace.input_width(), 4U);
+  EXPECT_EQ(workspace.output_width(), 2U);
+  const std::vector<float> grad(8, 1.0F);
+  EXPECT_THROW((void)workspace.backward(grad.data()), std::logic_error);
+  EXPECT_THROW((void)workspace.forward(0), std::invalid_argument);
+  EXPECT_THROW((void)workspace.forward(5), std::invalid_argument);
 }
 
 TEST(Autoencoder, BuildsPaperShape) {

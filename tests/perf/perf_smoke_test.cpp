@@ -87,6 +87,21 @@ TEST(PerfSmoke, HistogramQuantilesAreOrderedAndBounded) {
   EXPECT_GE(p50, histogram.min);
 }
 
+/// The BENCH_perf.json in reach (run from the build tree or the repo
+/// root), or "" when there is none.
+std::string recorded_bench_perf() {
+  for (const char* candidate :
+       {"BENCH_perf.json", "../BENCH_perf.json", "../../BENCH_perf.json"}) {
+    std::ifstream in(candidate);
+    if (in) {
+      std::stringstream buffer;
+      buffer << in.rdbuf();
+      return buffer.str();
+    }
+  }
+  return "";
+}
+
 /// The keys perf_serve records per (workers, batch) combination.
 const char* const kServeMetrics[] = {
     "throughput_rps", "e2e_p50_ms", "e2e_p99_ms", "queue_wait_p50_ms",
@@ -117,17 +132,7 @@ TEST(PerfSmoke, RecordedServeSweepHasTheNewSchema) {
   // or the repo root), its perf_serve section must carry the sweep's
   // current key shape — stale t*_q* or w*_s*_b* (shard) keys from the
   // old sweeps mean the bench and its consumers have drifted apart.
-  std::string contents;
-  for (const char* candidate :
-       {"BENCH_perf.json", "../BENCH_perf.json", "../../BENCH_perf.json"}) {
-    std::ifstream in(candidate);
-    if (in) {
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      contents = buffer.str();
-      break;
-    }
-  }
+  const std::string contents = recorded_bench_perf();
   if (contents.empty()) {
     GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
   }
@@ -160,17 +165,7 @@ TEST(PerfSmoke, RecordedGraphSweepHasExactKeysOnly) {
   // count as provenance. Labeling has one centrality path, so keys of
   // an older sweep shape ("approx.*", "scale_free.*", "centrality.*")
   // mean the bench and its consumers have drifted apart.
-  std::string contents;
-  for (const char* candidate :
-       {"BENCH_perf.json", "../BENCH_perf.json", "../../BENCH_perf.json"}) {
-    std::ifstream in(candidate);
-    if (in) {
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      contents = buffer.str();
-      break;
-    }
-  }
+  const std::string contents = recorded_bench_perf();
   if (contents.empty()) {
     GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
   }
@@ -207,17 +202,7 @@ TEST(PerfSmoke, RecordedInferSweepHasSpeedupFloorsAndIdentity) {
   // bit identity, n-grams >= 3x, extraction >= 2x. The bench exits
   // non-zero otherwise, so a recorded document must always carry
   // passing values.
-  std::string contents;
-  for (const char* candidate :
-       {"BENCH_perf.json", "../BENCH_perf.json", "../../BENCH_perf.json"}) {
-    std::ifstream in(candidate);
-    if (in) {
-      std::stringstream buffer;
-      buffer << in.rdbuf();
-      contents = buffer.str();
-      break;
-    }
-  }
+  const std::string contents = recorded_bench_perf();
   if (contents.empty()) {
     GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
   }
@@ -243,6 +228,31 @@ TEST(PerfSmoke, RecordedInferSweepHasSpeedupFloorsAndIdentity) {
   EXPECT_GE(section.at("ngrams_speedup").as_number(), 3.0);
   ASSERT_TRUE(section.count("extract_speedup"));
   EXPECT_GE(section.at("extract_speedup").as_number(), 2.0);
+}
+
+TEST(PerfSmoke, RecordedNnSectionHasTrainingStepKeys) {
+  // When a BENCH_perf.json is reachable, its perf_nn section must carry
+  // the per-step training cost of the product CNN and autoencoder
+  // (bench/perf_nn's training-step tables) beside the kernel rates.
+  const std::string contents = recorded_bench_perf();
+  if (contents.empty()) {
+    GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
+  }
+
+  const auto parsed = obs::json::parse(contents);
+  const auto& document = parsed.as_object();
+  const auto it = document.find("perf_nn");
+  if (it == document.end()) {
+    GTEST_SKIP() << "BENCH_perf.json has no perf_nn section yet";
+  }
+  const auto& section = it->second.as_object();
+  for (const char* key :
+       {"nn_train_step_cnn_ms", "nn_train_step_ae_ms",
+        "conv1d_backward_gflops", "gemm_256_blocked_gflops",
+        "hardware_threads"}) {
+    ASSERT_TRUE(section.count(key)) << key;
+    EXPECT_GT(section.at(key).as_number(), 0.0) << key;
+  }
 }
 
 }  // namespace
