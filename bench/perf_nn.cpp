@@ -5,7 +5,8 @@
 // After the google-benchmark suites, main() times the GEMM and the
 // Conv1d forward and backward kernels against their oracles (exit 1 on
 // any conv bit mismatch), prints the product classifier's per-layer
-// kernel table (bench_results/perf_nn_ops.txt) and the per-layer cost
+// op table and whole-net Sequential::infer cost at 10 rows
+// (bench_results/perf_nn_ops.txt) and the per-layer cost
 // of one 64-row training step of the product CNN and autoencoder
 // (bench_results/perf_nn_train.txt), then trains a small
 // autoencoder and CNN with the observability registry enabled and
@@ -25,6 +26,7 @@
 
 #include "common/perf_json.h"
 #include "math/matrix.h"
+#include "nn/activations.h"
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"
 #include "nn/conv1d.h"
@@ -386,7 +388,8 @@ bool emit_conv_forward_gflops(std::map<std::string, double>& json_values) {
     const auto kernel = [&] {
       nn::conv1d_infer_into(in.data().data(), fast.data(),
                             weights.data().data(), bias.data().data(), rows,
-                            kChannels, kLength, kFilters, kKernel);
+                            kChannels, kLength, kFilters, kKernel,
+                            /*relu=*/false);
       benchmark::DoNotOptimize(fast.data());
       benchmark::ClobberMemory();
     };
@@ -430,76 +433,110 @@ bool emit_conv_forward_gflops(std::map<std::string, double>& json_values) {
 }
 
 /// Per-op cost of the product classifier (cpu_scaled_config's CNN) at
-/// one walk set of 10 rows: each layer's own infer_into, in the net's
-/// order, timed directly, so every row is the exact kernel a verdict
-/// runs (Dropout, which Sequential::infer skips, has no row). FLOPs
-/// count a conv tap or dense term as a multiply and an add, and a ReLU
-/// or pool comparison as one op. Printed and written to
-/// bench_results/perf_nn_ops.txt.
-void emit_classifier_op_table() {
+/// one walk set of 10 rows, then the whole net through
+/// Sequential::infer. Each op is the exact kernel Sequential::infer
+/// runs for it, timed directly on the output of the op before it (the
+/// first on a TF-IDF-like input: non-negative, ~2/3 exact zeros), so
+/// Dense sees the post-ReLU zeros a verdict feeds it. A Conv1d and the
+/// Relu after it are one fused op; Dropout, which infer skips, has no
+/// row. FLOPs count a conv tap or dense term as a multiply and an add,
+/// and a ReLU or pool comparison as one op. Printed and written to
+/// bench_results/perf_nn_ops.txt; returns the whole net's µs per row.
+double emit_classifier_op_table() {
   constexpr std::size_t kRows = 10;
   const core::SoteriaConfig product = core::cpu_scaled_config();
   nn::CnnConfig config = product.cnn;
   config.input_length = product.pipeline.top_k;
   math::Rng rng(12);
   const nn::Sequential model = nn::build_cnn(config, rng);
+  const auto& layers = model.layers();
 
   std::string report = "-- product classifier, per op at 10 rows --\n";
   char line[160];
   std::snprintf(line, sizeof(line), "  %-36s %8s %10s\n", "op", "us",
                 "GFLOP/s");
   report += line;
+  const auto time_us = [](auto&& run) {
+    return best_seconds(
+               [&] {
+                 run();
+                 benchmark::ClobberMemory();
+               },
+               20, 15) *
+           1e6;
+  };
+  math::Matrix input(kRows, config.input_length);
+  for (float& x : input.data()) {
+    x = rng.bernoulli(0.35) ? static_cast<float>(rng.uniform(0.0, 1.0))
+                            : 0.0F;
+  }
+  std::vector<float> in(input.data().begin(), input.data().end());
+  std::vector<float> out;
   double total_us = 0.0;
   std::size_t width = config.input_length;
-  for (const auto& layer : model.layers()) {
-    const std::size_t out_width = layer->output_dimension(width);
-    if (layer->identity_at_inference()) {
-      width = out_width;
-      continue;
-    }
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const nn::Layer& layer = *layers[i];
+    if (layer.identity_at_inference()) continue;
+    const std::size_t out_width = layer.output_dimension(width);
+    out.assign(kRows * out_width, 0.0F);
+    std::string name = layer.name();
     double flops = 0.0;
-    if (const auto* conv = dynamic_cast<const nn::Conv1d*>(layer.get())) {
+    const nn::Conv1d* fused = nullptr;  // a Conv1d run with its Relu
+    if (const auto* conv = dynamic_cast<const nn::Conv1d*>(&layer)) {
       flops = 2.0 * kRows * conv->out_channels() * conv->in_channels() *
               conv->kernel() * conv->out_length();
-    } else if (const auto* dense =
-                   dynamic_cast<const nn::Dense*>(layer.get())) {
+      if (i + 1 < layers.size() &&
+          dynamic_cast<const nn::Relu*>(layers[i + 1].get()) != nullptr) {
+        fused = conv;
+        name += " + ReLU";
+        flops += static_cast<double>(kRows) * out_width;
+        ++i;
+      }
+    } else if (const auto* dense = dynamic_cast<const nn::Dense*>(&layer)) {
       flops = 2.0 * kRows * dense->in_dim() * dense->out_dim();
     } else if (const auto* pool =
-                   dynamic_cast<const nn::MaxPool1d*>(layer.get())) {
+                   dynamic_cast<const nn::MaxPool1d*>(&layer)) {
       flops = static_cast<double>(kRows) * out_width * (pool->window() - 1);
     } else {
       flops = static_cast<double>(kRows) * out_width;  // ReLU
     }
-    math::Matrix in(kRows, width);
-    in.fill_normal(rng, 0.0F, 1.0F);
-    std::vector<float> out(kRows * out_width);
-    const double seconds = best_seconds(
-        [&] {
-          layer->infer_into(in.data().data(), kRows, width, out.data());
-          benchmark::DoNotOptimize(out.data());
-          benchmark::ClobberMemory();
-        },
-        20, 15);
-    total_us += seconds * 1e6;
+    const double us = time_us([&] {
+      if (fused != nullptr) {
+        fused->infer_relu_into(in.data(), kRows, out.data());
+      } else {
+        layer.infer_into(in.data(), kRows, width, out.data());
+      }
+    });
+    total_us += us;
     std::snprintf(line, sizeof(line), "  %-36s %8.2f %10.2f\n",
-                  layer->name().c_str(), seconds * 1e6,
-                  flops / seconds * 1e-9);
+                  name.c_str(), us, flops / us * 1e-3);
     report += line;
+    in.swap(out);
     width = out_width;
   }
-  std::snprintf(line, sizeof(line), "  %-36s %8.2f\n", "total", total_us);
+  std::snprintf(line, sizeof(line), "  %-36s %8.2f\n", "sum of ops",
+                total_us);
+  report += line;
+  const double infer_us = time_us([&] {
+    const math::Matrix logits = model.infer(input);
+    benchmark::DoNotOptimize(logits.data().data());
+  });
+  std::snprintf(line, sizeof(line), "  %-36s %8.2f  (%.2f us per row)\n",
+                "Sequential::infer, whole net", infer_us,
+                infer_us / kRows);
   report += line;
   std::printf("\n%s", report.c_str());
 
   std::error_code ec;
   std::filesystem::create_directories("bench_results", ec);
-  std::ofstream out("bench_results/perf_nn_ops.txt");
-  if (out) {
-    out << report;
+  std::ofstream file("bench_results/perf_nn_ops.txt");
+  if (file) {
+    file << report;
     std::printf("per-op table written to bench_results/perf_nn_ops.txt\n");
   } else {
     std::printf("bench_results/ not writable; per-op table not persisted\n");
   }
+  return infer_us / kRows;
 }
 
 /// Per-layer cost of one 64-row training step (forward, loss, backward,
@@ -701,13 +738,13 @@ int main(int argc, char** argv) {
   const bool forward_identical = emit_conv_forward_gflops(json_values);
   const bool backward_identical = emit_conv_backward_gflops(json_values);
   emit_training_step_tables(json_values);
+  json_values["classifier_infer_us_per_row"] = emit_classifier_op_table();
   json_values["hardware_threads"] =
       static_cast<double>(runtime::hardware_threads());
   if (soteria::bench::update_perf_json("BENCH_perf.json", "perf_nn",
                                        json_values)) {
     std::printf("kernel GFLOP/s recorded in BENCH_perf.json\n");
   }
-  emit_classifier_op_table();
   emit_stage_breakdown();
   if (!forward_identical) {
     std::fprintf(stderr,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "math/lanes.h"
 #include "math/rng.h"
 
 namespace soteria::math {
@@ -64,10 +65,6 @@ void Matrix::fill(float value) noexcept {
   for (float& x : data_) x = value;
 }
 
-void Matrix::apply(const std::function<float(float)>& f) {
-  for (float& x : data_) x = f(x);
-}
-
 Matrix& Matrix::operator+=(const Matrix& other) {
   require_same_shape(*this, other, "Matrix::operator+=");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
@@ -80,29 +77,9 @@ Matrix& Matrix::operator-=(const Matrix& other) {
   return *this;
 }
 
-Matrix Matrix::hadamard(const Matrix& other) const {
-  require_same_shape(*this, other, "Matrix::hadamard");
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    out.data_[i] = data_[i] * other.data_[i];
-  return out;
-}
-
 Matrix& Matrix::operator*=(float scalar) noexcept {
   for (float& x : data_) x *= scalar;
   return *this;
-}
-
-void Matrix::add_row_vector(std::span<const float> v) {
-  if (v.size() != cols_) {
-    throw std::invalid_argument("Matrix::add_row_vector: vector length " +
-                                std::to_string(v.size()) + " != cols " +
-                                std::to_string(cols_));
-  }
-  for (std::size_t r = 0; r < rows_; ++r) {
-    float* rowp = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) rowp[c] += v[c];
-  }
 }
 
 Matrix Matrix::transposed() const {
@@ -110,15 +87,6 @@ Matrix Matrix::transposed() const {
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
   return out;
-}
-
-std::vector<float> Matrix::column_sums() const {
-  std::vector<float> sums(cols_, 0.0F);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const float* rowp = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) sums[c] += rowp[c];
-  }
-  return sums;
 }
 
 double Matrix::frobenius_norm() const noexcept {
@@ -141,68 +109,111 @@ std::string Matrix::shape_string() const {
 
 namespace {
 
-/// k-panel height for the blocked kernels: a panel of B rows (up to
-/// kKBlock x n floats) stays hot in L2 while every row tile of A
-/// streams across it.
+/// k-panel height for the blocked kernels (matmul_at_into,
+/// matmul_bt_into): a panel of B rows (up to kKBlock x n floats) stays
+/// hot in L2 while every row tile of A streams across it.
 constexpr std::size_t kKBlock = 256;
 
 /// A-row tile height: four C rows accumulate against each B row load,
 /// quartering the B traffic per flop.
 constexpr std::size_t kRowUnroll = 4;
 
+/// Row tile of matmul_into: kTileRows rows x kTileVectors vectors of
+/// C, held in registers across all of k.
+constexpr std::size_t kTileRows = 2;
+constexpr std::size_t kTileVectors = 8;
+
+/// Rows [i, i + R) x V vectors of C's columns from j, accumulated in
+/// registers across all of k and stored once. Vector v covers columns
+/// j + v*kLanes, except the last, which ends at n when the columns run
+/// out first (n >= kLanes): it then overlaps the one before, and its
+/// recomputed columns come out with the same bits. A k is skipped only
+/// when every row of the tile has a zero there.
+template <std::size_t R, std::size_t V>
+void gemm_tile(const float* a, const float* b, float* c, std::size_t k,
+               std::size_t n, std::size_t i, std::size_t j) noexcept {
+  const std::size_t last = std::min(j + (V - 1) * simd::kLanes,
+                                    n - simd::kLanes);
+  simd::Lanes acc[R][V] = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    float ak[R];
+    bool any = false;
+    for (std::size_t r = 0; r < R; ++r) {
+      ak[r] = a[(i + r) * k + kk];
+      any |= ak[r] != 0.0F;
+    }
+    if (!any) continue;
+    const float* brow = b + kk * n;
+    for (std::size_t v = 0; v < V; ++v) {
+      simd::Lanes x;
+      simd::load(x, brow + (v + 1 < V ? j + v * simd::kLanes : last));
+      for (std::size_t r = 0; r < R; ++r) acc[r][v] += ak[r] * x;
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    float* crow = c + (i + r) * n;
+    for (std::size_t v = 0; v < V; ++v) {
+      simd::store(crow + (v + 1 < V ? j + v * simd::kLanes : last),
+                  acc[r][v]);
+    }
+  }
+}
+
+/// Every column of rows [i, i + R), n >= kLanes: full tiles, then one
+/// tile of as many vectors as the columns left need.
+template <std::size_t R>
+void gemm_rows(const float* a, const float* b, float* c, std::size_t k,
+               std::size_t n, std::size_t i) noexcept {
+  constexpr std::size_t kTileCols = kTileVectors * simd::kLanes;
+  std::size_t j = 0;
+  for (; j + kTileCols <= n; j += kTileCols) {
+    gemm_tile<R, kTileVectors>(a, b, c, k, n, i, j);
+  }
+  if (j == n) return;
+  switch ((n - j + simd::kLanes - 1) / simd::kLanes) {
+    case 1: gemm_tile<R, 1>(a, b, c, k, n, i, j); break;
+    case 2: gemm_tile<R, 2>(a, b, c, k, n, i, j); break;
+    case 3: gemm_tile<R, 3>(a, b, c, k, n, i, j); break;
+    case 4: gemm_tile<R, 4>(a, b, c, k, n, i, j); break;
+    case 5: gemm_tile<R, 5>(a, b, c, k, n, i, j); break;
+    case 6: gemm_tile<R, 6>(a, b, c, k, n, i, j); break;
+    case 7: gemm_tile<R, 7>(a, b, c, k, n, i, j); break;
+    default: gemm_tile<R, 8>(a, b, c, k, n, i, j); break;
+  }
+}
+
 }  // namespace
 
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) noexcept {
-  std::fill(c, c + m * n, 0.0F);
-  // Per output cell the k-products accumulate in ascending kk order
-  // (blocks ascending, kk ascending inside each block) with the same
-  // `crow[j] += aik * brow[j]` statement as the naive reference, so
-  // the result is bit-identical for finite inputs. Skipping all-zero
-  // A tiles is bitwise-neutral: adding a signed zero never changes a
-  // finite accumulator that is not itself -0, and the accumulators
-  // start at +0 and can never turn -0 (exact cancellation rounds to
-  // +0 in round-to-nearest).
-  for (std::size_t kb = 0; kb < k; kb += kKBlock) {
-    const std::size_t kend = std::min(kb + kKBlock, k);
-    std::size_t i = 0;
-    for (; i + kRowUnroll <= m; i += kRowUnroll) {
-      const float* a0 = a + (i + 0) * k;
-      const float* a1 = a + (i + 1) * k;
-      const float* a2 = a + (i + 2) * k;
-      const float* a3 = a + (i + 3) * k;
-      float* c0 = c + (i + 0) * n;
-      float* c1 = c + (i + 1) * n;
-      float* c2 = c + (i + 2) * n;
-      float* c3 = c + (i + 3) * n;
-      for (std::size_t kk = kb; kk < kend; ++kk) {
-        const float a0k = a0[kk];
-        const float a1k = a1[kk];
-        const float a2k = a2[kk];
-        const float a3k = a3[kk];
-        if (a0k == 0.0F && a1k == 0.0F && a2k == 0.0F && a3k == 0.0F) {
-          continue;
-        }
-        const float* brow = b + kk * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          c0[j] += a0k * brow[j];
-          c1[j] += a1k * brow[j];
-          c2[j] += a2k * brow[j];
-          c3[j] += a3k * brow[j];
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      const float* arow = a + i * k;
+  // Per output cell the k-products accumulate from +0 in ascending kk
+  // order with the reference's `acc + aik * bkj`, so the result is
+  // bit-identical to it for finite B. Adding the product of a zero
+  // A entry the reference skips (the other rows of the tile are not
+  // zero there) is bitwise-neutral: a signed zero never changes a
+  // nonzero or non-finite accumulator, and the accumulators start at +0
+  // and can never turn -0 (exact cancellation rounds to +0 in
+  // round-to-nearest).
+  if (n < simd::kLanes) {
+    // Narrower than one vector (a classifier's logits): the
+    // reference's loop.
+    std::fill(c, c + m * n, 0.0F);
+    for (std::size_t i = 0; i < m; ++i) {
       float* crow = c + i * n;
-      for (std::size_t kk = kb; kk < kend; ++kk) {
-        const float aik = arow[kk];
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float aik = a[i * k + kk];
         if (aik == 0.0F) continue;
         const float* brow = b + kk * n;
         for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
       }
     }
+    return;
   }
+  std::size_t i = 0;
+  for (; i + kTileRows <= m; i += kTileRows) {
+    gemm_rows<kTileRows>(a, b, c, k, n, i);
+  }
+  for (; i < m; ++i) gemm_rows<1>(a, b, c, k, n, i);
 }
 
 void matmul_at_into(const float* a, const float* b, float* c, std::size_t m,
@@ -340,22 +351,6 @@ Matrix matmul_at(const Matrix& a, const Matrix& b) {
   matmul_at_into(a.data().data(), b.data().data(), c.data().data(), a.cols(),
                  a.rows(), b.cols());
   return c;
-}
-
-std::vector<float> matvec(const Matrix& m, std::span<const float> x) {
-  if (x.size() != m.cols()) {
-    throw std::invalid_argument("matvec: vector length " +
-                                std::to_string(x.size()) + " != cols of " +
-                                m.shape_string());
-  }
-  std::vector<float> y(m.rows(), 0.0F);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const float* rowp = m.data().data() + r * m.cols();
-    float acc = 0.0F;
-    for (std::size_t c = 0; c < m.cols(); ++c) acc += rowp[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
 }
 
 }  // namespace soteria::math

@@ -8,7 +8,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,26 +59,15 @@ class Matrix {
   /// Sets every element to `value`.
   void fill(float value) noexcept;
 
-  /// Applies `f` to every element in place.
-  void apply(const std::function<float(float)>& f);
-
-  /// Element-wise addition / subtraction / product. Throw on shape
-  /// mismatch.
+  /// Element-wise addition / subtraction. Throw on shape mismatch.
   Matrix& operator+=(const Matrix& other);
   Matrix& operator-=(const Matrix& other);
-  [[nodiscard]] Matrix hadamard(const Matrix& other) const;
 
   /// Scalar scaling in place.
   Matrix& operator*=(float scalar) noexcept;
 
-  /// Adds `v` (length == cols()) to every row; the usual bias broadcast.
-  void add_row_vector(std::span<const float> v);
-
   /// Matrix transpose.
   [[nodiscard]] Matrix transposed() const;
-
-  /// Sum over rows -> vector of length cols().
-  [[nodiscard]] std::vector<float> column_sums() const;
 
   /// Frobenius norm.
   [[nodiscard]] double frobenius_norm() const noexcept;
@@ -101,25 +89,30 @@ class Matrix {
   std::vector<float> data_;
 };
 
-/// C = A * B. Cache-blocked, row-unrolled kernel; bit-identical to the
-/// naive i-k-j oracle (tests/oracles) for finite inputs (each output
-/// cell accumulates its k-products in the same ascending order, and
-/// both kernels share the same inner-statement shape).
-/// Throws on inner-dimension mismatch.
+/// C = A * B, through matmul_into. Throws on inner-dimension mismatch.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
 /// C = A * B^T without materializing the transpose; bit-identical to
 /// matmul(a, b.transposed()) for finite inputs.
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B without materializing the transpose. Blocked like
-/// matmul; bit-identical to the naive k-i-j oracle for finite inputs.
+/// C = A^T * B without materializing the transpose. Cache-blocked
+/// (256-deep k panels, 4-row unroll); bit-identical to the naive k-i-j
+/// oracle for finite inputs.
 [[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
 
 /// Raw-pointer kernel behind matmul: writes the m x n product of
 /// row-major `a` (m x k) and `b` (k x n) into `c`, overwriting it.
 /// No aliasing between `c` and the inputs. nn::Dense::infer_into runs
-/// it on Sequential::infer's arena buffers.
+/// it on Sequential::infer's arena buffers. Register-tiled: a tile of 2
+/// rows x 8 vectors of 16 columns of C (1 row for an odd last row,
+/// fewer vectors at the right edge, the last one overlapping the one
+/// before) stays in registers across all of k and is stored once; a k
+/// is skipped only when every row of the tile is zero there, so the
+/// post-ReLU zeros of a whole tile cost nothing. Each output cell adds
+/// its k-products in ascending k from +0, so the result is
+/// bit-identical to the naive i-k-j oracle (tests/oracles) whenever B
+/// is finite. n < 16 (a classifier's logits) runs the oracle's loop.
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) noexcept;
 
@@ -135,9 +128,5 @@ void matmul_at_into(const float* a, const float* b, float* c, std::size_t m,
 /// input gradient.
 void matmul_bt_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) noexcept;
-
-/// y = M * x for a vector x (length == cols).
-[[nodiscard]] std::vector<float> matvec(const Matrix& m,
-                                        std::span<const float> x);
 
 }  // namespace soteria::math

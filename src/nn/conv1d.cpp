@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
+
+#include "math/lanes.h"
 
 namespace soteria::nn {
 
@@ -34,23 +35,11 @@ Conv1d::Conv1d(std::size_t in_channels, std::size_t in_length,
 
 namespace {
 
-// Both kernels work in lanes of one 64-byte vector: the compiler lowers
-// each lane op to the target's widest float add or mul (one AVX-512
-// instruction, two AVX ones, four SSE ones). A lane op rounds each lane
-// on its own, so per element the arithmetic is the scalar loop's.
-constexpr std::size_t kLanes = 16;
-using Lanes = float __attribute__((vector_size(kLanes * sizeof(float))));
-
-// Vectors travel through references: passing one by value would make
-// its calling convention depend on the target ISA.
-void load(Lanes& v, const float* p) noexcept { std::memcpy(&v, p, sizeof v); }
-void store(float* p, const Lanes& v) noexcept { std::memcpy(p, &v, sizeof v); }
-
-// Every lane set to `x` itself: `Lanes{} + x` would turn a -0.0f bias
-// into +0.0f.
-void splat(Lanes& v, float x) noexcept {
-  for (std::size_t l = 0; l < kLanes; ++l) v[l] = x;
-}
+using math::simd::kLanes;
+using math::simd::Lanes;
+using math::simd::load;
+using math::simd::splat;
+using math::simd::store;
 
 struct ForwardShape {
   std::size_t in_channels;
@@ -65,8 +54,10 @@ struct ForwardShape {
 // once. Per output element: bias, then channels ascending, then taps
 // ascending, skipping zero taps -- the reference's order. kAllNonzero
 // (no weight of the O channels is zero, as in any trained net) drops
-// the per-tap zero tests, so every pair runs branch-free.
-template <std::size_t O, std::size_t N, bool kAllNonzero>
+// the per-tap zero tests, so every pair runs branch-free. kRelu stores
+// `v > 0 ? v : 0` per lane in place of each sum v: Relu's kernel, run
+// on the registers.
+template <std::size_t O, std::size_t N, bool kAllNonzero, bool kRelu>
 void forward_tile(const float* in_row, const float* weights,
                   const float* bias, const ForwardShape& s, std::size_t o,
                   std::size_t t, float* out_row) noexcept {
@@ -104,7 +95,13 @@ void forward_tile(const float* in_row, const float* weights,
   }
   for (std::size_t i = 0; i < O; ++i) {
     float* out_chan = out_row + (o + i) * s.out_len + t;
-    for (std::size_t v = 0; v < N; ++v) store(out_chan + v * kLanes, acc[i][v]);
+    for (std::size_t v = 0; v < N; ++v) {
+      if constexpr (kRelu) {
+        const Lanes zero = {};
+        acc[i][v] = acc[i][v] > zero ? acc[i][v] : zero;
+      }
+      store(out_chan + v * kLanes, acc[i][v]);
+    }
   }
 }
 
@@ -112,28 +109,29 @@ void forward_tile(const float* in_row, const float* weights,
 // kLanes: full 6-vector tiles, then single vectors, then one vector
 // that ends at out_len and overlaps the previous one (its recomputed
 // elements come out with the same bits).
-template <std::size_t O, bool kAllNonzero>
+template <std::size_t O, bool kAllNonzero, bool kRelu>
 void forward_positions(const float* in_row, const float* weights,
                        const float* bias, const ForwardShape& s,
                        std::size_t o, float* out_row) noexcept {
   constexpr std::size_t kTile = 6;
   std::size_t t = 0;
   for (; t + kTile * kLanes <= s.out_len; t += kTile * kLanes) {
-    forward_tile<O, kTile, kAllNonzero>(in_row, weights, bias, s, o, t,
-                                        out_row);
+    forward_tile<O, kTile, kAllNonzero, kRelu>(in_row, weights, bias, s, o,
+                                               t, out_row);
   }
   for (; t + kLanes <= s.out_len; t += kLanes) {
-    forward_tile<O, 1, kAllNonzero>(in_row, weights, bias, s, o, t, out_row);
+    forward_tile<O, 1, kAllNonzero, kRelu>(in_row, weights, bias, s, o, t,
+                                           out_row);
   }
   if (t < s.out_len) {
-    forward_tile<O, 1, kAllNonzero>(in_row, weights, bias, s, o,
-                                    s.out_len - kLanes, out_row);
+    forward_tile<O, 1, kAllNonzero, kRelu>(in_row, weights, bias, s, o,
+                                           s.out_len - kLanes, out_row);
   }
 }
 
 // Output channels [o, o + O) of one row. Rows shorter than one vector
-// run per element in the same order.
-template <std::size_t O>
+// run per element in the same order, the ReLU included.
+template <std::size_t O, bool kRelu>
 void forward_channels(const float* in_row, const float* weights,
                       const float* bias, const ForwardShape& s,
                       std::size_t o, float* out_row) noexcept {
@@ -149,6 +147,7 @@ void forward_channels(const float* in_row, const float* weights,
             if (wk != 0.0F) acc += wk * shifted[k];
           }
         }
+        if constexpr (kRelu) acc = acc > 0.0F ? acc : 0.0F;
         out_row[i * s.out_len + t] = acc;
       }
     }
@@ -156,9 +155,28 @@ void forward_channels(const float* in_row, const float* weights,
   }
   const float* w = weights + o * s.w_cols;
   if (std::all_of(w, w + O * s.w_cols, [](float x) { return x != 0.0F; })) {
-    forward_positions<O, true>(in_row, weights, bias, s, o, out_row);
+    forward_positions<O, true, kRelu>(in_row, weights, bias, s, o, out_row);
   } else {
-    forward_positions<O, false>(in_row, weights, bias, s, o, out_row);
+    forward_positions<O, false, kRelu>(in_row, weights, bias, s, o, out_row);
+  }
+}
+
+template <bool kRelu>
+void forward_rows(const float* in, float* out, const float* weights,
+                  const float* bias, std::size_t rows,
+                  std::size_t out_channels, const ForwardShape& s) noexcept {
+  const std::size_t in_cols = s.in_channels * s.in_length;
+  const std::size_t out_cols = out_channels * s.out_len;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* in_row = in + r * in_cols;
+    float* out_row = out + r * out_cols;
+    std::size_t o = 0;
+    for (; o + 4 <= out_channels; o += 4) {
+      forward_channels<4, kRelu>(in_row, weights, bias, s, o, out_row);
+    }
+    for (; o < out_channels; ++o) {
+      forward_channels<1, kRelu>(in_row, weights, bias, s, o, out_row);
+    }
   }
 }
 
@@ -167,21 +185,14 @@ void forward_channels(const float* in_row, const float* weights,
 void conv1d_infer_into(const float* in, float* out, const float* weights,
                        const float* bias, std::size_t rows,
                        std::size_t in_channels, std::size_t in_length,
-                       std::size_t out_channels, std::size_t kernel) noexcept {
+                       std::size_t out_channels, std::size_t kernel,
+                       bool relu) noexcept {
   const ForwardShape s{in_channels, in_length, kernel,
                        in_length - kernel + 1, in_channels * kernel};
-  const std::size_t in_cols = in_channels * in_length;
-  const std::size_t out_cols = out_channels * s.out_len;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* in_row = in + r * in_cols;
-    float* out_row = out + r * out_cols;
-    std::size_t o = 0;
-    for (; o + 4 <= out_channels; o += 4) {
-      forward_channels<4>(in_row, weights, bias, s, o, out_row);
-    }
-    for (; o < out_channels; ++o) {
-      forward_channels<1>(in_row, weights, bias, s, o, out_row);
-    }
+  if (relu) {
+    forward_rows<true>(in, out, weights, bias, rows, out_channels, s);
+  } else {
+    forward_rows<false>(in, out, weights, bias, rows, out_channels, s);
   }
 }
 
@@ -340,7 +351,15 @@ void conv1d_backward_into(const float* in, const float* grad_out,
 void Conv1d::infer_into(const float* in, std::size_t rows,
                         std::size_t /*width*/, float* out) const {
   conv1d_infer_into(in, out, weights_.data().data(), bias_.data().data(),
-                    rows, in_channels_, in_length_, out_channels_, kernel_);
+                    rows, in_channels_, in_length_, out_channels_, kernel_,
+                    /*relu=*/false);
+}
+
+void Conv1d::infer_relu_into(const float* in, std::size_t rows,
+                             float* out) const {
+  conv1d_infer_into(in, out, weights_.data().data(), bias_.data().data(),
+                    rows, in_channels_, in_length_, out_channels_, kernel_,
+                    /*relu=*/true);
 }
 
 void Conv1d::train_backward(const float* in, const float* /*out*/,

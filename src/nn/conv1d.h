@@ -19,16 +19,22 @@ namespace soteria::nn {
 /// (out_channels*(in_length-kernel+1)), `weights` out_channels x
 /// (in_channels*kernel), `bias` out_channels. Each output element
 /// starts from its bias and adds the nonzero-tap products w*x in
-/// ascending (channel, tap) order; zero taps are skipped. The work runs in register tiles of 4 output channels x 6
-/// vectors of 16 positions, held across every (channel, tap) pair and
-/// stored once; a group of 4 channels without a zero weight (any
-/// trained net) runs without per-tap tests. The result is bit-identical
-/// to the one-channel-at-a-time reference loop (tests/oracles), signed
-/// zeros and infinities included.
+/// ascending (channel, tap) order; zero taps are skipped. The work runs
+/// in register tiles of 4 output channels x 6 vectors of 16 positions,
+/// held across every (channel, tap) pair and stored once; a group of 4
+/// channels without a zero weight (any trained net) runs without
+/// per-tap tests. The result is bit-identical to the
+/// one-channel-at-a-time reference loop (tests/oracles), signed zeros
+/// and infinities included. With `relu` each sum v is stored as
+/// `v > 0 ? v : 0`, in the tile's registers (and on the per-element
+/// path of outputs shorter than 16): bit-identical to Relu::infer_into
+/// run over the output afterwards, so a NaN or -0.0f sum stores +0.0f.
+/// Training runs it with `relu` false.
 void conv1d_infer_into(const float* in, float* out, const float* weights,
                        const float* bias, std::size_t rows,
                        std::size_t in_channels, std::size_t in_length,
-                       std::size_t out_channels, std::size_t kernel) noexcept;
+                       std::size_t out_channels, std::size_t kernel,
+                       bool relu) noexcept;
 
 /// Conv1d's backward kernel on raw buffers (shapes as in
 /// conv1d_infer_into; `grad_out` has the layout of `out`). Overwrites
@@ -57,6 +63,10 @@ class Conv1d : public Layer {
 
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out) const override;
+  /// infer_into and a Relu after it in one pass: the kernel's ReLU
+  /// epilogue. Sequential::infer runs it for a Conv1d directly followed
+  /// by a Relu.
+  void infer_relu_into(const float* in, std::size_t rows, float* out) const;
   /// conv1d_backward_into on the layer's input; reads no output.
   void train_backward(const float* in, const float* out,
                       const float* grad_out, std::size_t rows,

@@ -23,8 +23,8 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng)
 
 void Dense::infer_into(const float* in, std::size_t rows,
                        std::size_t /*width*/, float* out) const {
-  // The blocked GEMM kernel, then the bias broadcast: bias is added
-  // after the full k-sum.
+  // The register-tiled GEMM kernel, then the bias broadcast: bias is
+  // added after the full k-sum.
   math::matmul_into(in, weights_.data().data(), out, rows, in_dim_, out_dim_);
   const float* bias = bias_.data().data();
   for (std::size_t r = 0; r < rows; ++r) {

@@ -11,7 +11,9 @@
 // (nn/sequential.h), one per training call. Parameters are exposed
 // through `ParamRef`s so optimizers can update them without knowing
 // layer internals. Sequential::infer walks the layers' infer_into
-// kernels over a per-thread arena.
+// kernels over a per-thread arena; the one fusion it makes is a Relu
+// directly after a Conv1d, run in the conv kernel's store
+// (Conv1d::infer_relu_into) with the bits of the two kernels in turn.
 #pragma once
 
 #include <cstddef>

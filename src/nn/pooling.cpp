@@ -32,6 +32,15 @@ void MaxPool1d::infer_into(const float* in, std::size_t rows,
     for (std::size_t c = 0; c < channels_; ++c) {
       const float* in_chan = in_row + c * in_length_;
       float* out_chan = out_row + c * out_len;
+      if (window_ == 2) {
+        // The same rule as a select, which vectorizes.
+        for (std::size_t t = 0; t < out_len; ++t) {
+          const float first = in_chan[2 * t];
+          const float second = in_chan[2 * t + 1];
+          out_chan[t] = second > first ? second : first;
+        }
+        continue;
+      }
       for (std::size_t t = 0; t < out_len; ++t) {
         const std::size_t start = t * window_;
         float best = in_chan[start];
@@ -62,6 +71,17 @@ void MaxPool1d::train_forward(const float* in, std::size_t rows,
       const float* in_chan = in_row + c * in_length_;
       float* out_chan = out_row + c * out_len;
       std::uint32_t* am_chan = am_row + c * out_len;
+      if (window_ == 2) {
+        for (std::size_t t = 0; t < out_len; ++t) {
+          const float first = in_chan[2 * t];
+          const float second = in_chan[2 * t + 1];
+          const bool take_second = second > first;
+          out_chan[t] = take_second ? second : first;
+          am_chan[t] =
+              static_cast<std::uint32_t>(2 * t + (take_second ? 1U : 0U));
+        }
+        continue;
+      }
       for (std::size_t t = 0; t < out_len; ++t) {
         const std::size_t start = t * window_;
         float best = in_chan[start];

@@ -9,7 +9,12 @@ namespace soteria::nn {
 
 /// Non-overlapping 1D max pooling (stride == window, the paper's s=m=2).
 /// A trailing remainder shorter than the window is dropped, matching
-/// Keras' MaxPooling1D.
+/// Keras' MaxPooling1D. Each window's max is seeded with its first
+/// element and replaced only by a strictly greater one, so a tie keeps
+/// the first element (and its index as the argmax) and a NaN first
+/// element stays. Window 2, the only one build_cnn makes, runs that
+/// rule as the branch-free select `second > first ? second : first`;
+/// other windows run the loop.
 class MaxPool1d : public Layer {
  public:
   /// Throws std::invalid_argument on zero sizes or window > in_length.

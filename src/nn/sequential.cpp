@@ -8,6 +8,9 @@
 #include <string>
 #include <utility>
 
+#include "nn/activations.h"
+#include "nn/conv1d.h"
+
 namespace soteria::nn {
 
 namespace {
@@ -57,8 +60,18 @@ math::Matrix Sequential::infer(const math::Matrix& input) const {
   for (std::size_t i = 0; i <= last; ++i) {
     const Layer& layer = *layers_[i];
     if (layer.identity_at_inference()) continue;
+    // A Relu directly after a Conv1d runs in the conv kernel's store.
+    const auto* conv = dynamic_cast<const Conv1d*>(&layer);
+    const bool fuse_relu =
+        conv != nullptr && i < last &&
+        dynamic_cast<const Relu*>(layers_[i + 1].get()) != nullptr;
+    if (fuse_relu) ++i;
     float* dst = i == last ? out.data().data() : next;
-    layer.infer_into(cur, rows, width, dst);
+    if (fuse_relu) {
+      conv->infer_relu_into(cur, rows, dst);
+    } else {
+      layer.infer_into(cur, rows, width, dst);
+    }
     width = layer.output_dimension(width);
     cur = dst;
     std::swap(next, spare);

@@ -5,7 +5,9 @@
 // layers' infer_into kernels through a thread_local ping-pong arena
 // shared by every net on the thread (grow-only, sized from the widest
 // layer), writing the last layer straight into the result. Layers that
-// are the identity at inference (Dropout) cost no pass and no copy.
+// are the identity at inference (Dropout) cost no pass and no copy, and
+// a Relu directly after a Conv1d runs in the conv kernel's store
+// (Conv1d::infer_relu_into, the same bits as the two kernels in turn).
 //
 // Training allocates once per call: a TrainingWorkspace, sized for the
 // largest batch, holds the gathered input batch, every layer's output
@@ -41,9 +43,10 @@ class Sequential {
   }
 
   /// Inference: each non-identity layer's infer_into in order (the
-  /// training forward minus Dropout); touches no mutable layer state,
-  /// so concurrent infer() calls on one model are safe (the parallel
-  /// batch engine relies on this). Allocates only the result (and the
+  /// training forward minus Dropout), a Conv1d and the Relu after it as
+  /// one fused kernel; bit-identical to the layer-by-layer chain.
+  /// Touches no mutable layer state, so concurrent infer() calls on one
+  /// model are safe (the parallel batch engine relies on this). Allocates only the result (and the
   /// arena when it grows). Throws std::logic_error if empty and
   /// std::invalid_argument if the layer chain rejects the input width.
   [[nodiscard]] math::Matrix infer(const math::Matrix& input) const;

@@ -81,6 +81,28 @@ TEST(SequentialInferTest, CnnMatchesForwardBitwise) {
   }
 }
 
+TEST(SequentialInferTest, ProductCnnOnReluSparseInputMatchesChainBitwise) {
+  // The product classifier's shape (16 filters, dense 128, width 500),
+  // where infer runs every Conv1d with its Relu fused into the store,
+  // on TF-IDF-like input: non-negative with about half exact zeros, so
+  // every layer sees zeros the way a verdict's walks feed it.
+  math::Rng rng(66);
+  CnnConfig arch;
+  arch.input_length = 500;
+  arch.filters = 16;
+  arch.dense_units = 128;
+  const Sequential model = build_cnn(arch, rng);
+  for (const std::size_t rows : {1U, 7U, 10U}) {
+    math::Matrix in(rows, arch.input_length);
+    for (float& x : in.data()) {
+      x = rng.bernoulli(0.5) ? static_cast<float>(rng.uniform(0.0, 1.0))
+                             : 0.0F;
+    }
+    expect_bits_equal(model.infer(in), layer_by_layer(model, in));
+    if (HasFatalFailure()) return;
+  }
+}
+
 TEST(SequentialInferTest, AutoencoderMatchesForwardBitwise) {
   math::Rng rng(62);
   const AutoencoderConfig arch = small_autoencoder(48);

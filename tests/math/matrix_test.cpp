@@ -67,30 +67,11 @@ TEST(Matrix, AddShapeMismatchThrows) {
   EXPECT_THROW(a -= b, std::invalid_argument);
 }
 
-TEST(Matrix, Hadamard) {
-  const Matrix a(1, 3, {1.0F, 2.0F, 3.0F});
-  const Matrix b(1, 3, {2.0F, 3.0F, 4.0F});
-  const Matrix c = a.hadamard(b);
-  EXPECT_FLOAT_EQ(c(0, 0), 2.0F);
-  EXPECT_FLOAT_EQ(c(0, 2), 12.0F);
-  EXPECT_THROW((void)a.hadamard(Matrix(2, 2)), std::invalid_argument);
-}
-
 TEST(Matrix, ScalarScale) {
   Matrix a(1, 2, {2.0F, -4.0F});
   a *= 0.5F;
   EXPECT_FLOAT_EQ(a(0, 0), 1.0F);
   EXPECT_FLOAT_EQ(a(0, 1), -2.0F);
-}
-
-TEST(Matrix, AddRowVectorBroadcasts) {
-  Matrix m(2, 2, {1.0F, 2.0F, 3.0F, 4.0F});
-  const std::vector<float> v{10.0F, 20.0F};
-  m.add_row_vector(v);
-  EXPECT_FLOAT_EQ(m(0, 0), 11.0F);
-  EXPECT_FLOAT_EQ(m(1, 1), 24.0F);
-  const std::vector<float> bad{1.0F};
-  EXPECT_THROW(m.add_row_vector(bad), std::invalid_argument);
 }
 
 TEST(Matrix, Transpose) {
@@ -102,23 +83,9 @@ TEST(Matrix, Transpose) {
   EXPECT_FLOAT_EQ(t(0, 1), 4.0F);
 }
 
-TEST(Matrix, ColumnSums) {
-  const Matrix m(2, 3, {1, 2, 3, 4, 5, 6});
-  const auto sums = m.column_sums();
-  ASSERT_EQ(sums.size(), 3U);
-  EXPECT_FLOAT_EQ(sums[0], 5.0F);
-  EXPECT_FLOAT_EQ(sums[2], 9.0F);
-}
-
 TEST(Matrix, FrobeniusNorm) {
   const Matrix m(1, 2, {3.0F, 4.0F});
   EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
-}
-
-TEST(Matrix, ApplyTransformsElements) {
-  Matrix m(1, 3, {1.0F, -2.0F, 3.0F});
-  m.apply([](float x) { return x * x; });
-  EXPECT_FLOAT_EQ(m(0, 1), 4.0F);
 }
 
 TEST(Matrix, FillRandomRanges) {
@@ -171,17 +138,6 @@ TEST(Matmul, BtAtThrowOnMismatch) {
                std::invalid_argument);
   EXPECT_THROW((void)matmul_at(Matrix(2, 3), Matrix(4, 5)),
                std::invalid_argument);
-}
-
-TEST(Matvec, MatchesMatmul) {
-  const Matrix m(2, 3, {1, 2, 3, 4, 5, 6});
-  const std::vector<float> x{1.0F, 0.5F, 2.0F};
-  const auto y = matvec(m, x);
-  ASSERT_EQ(y.size(), 2U);
-  EXPECT_FLOAT_EQ(y[0], 8.0F);
-  EXPECT_FLOAT_EQ(y[1], 18.5F);
-  const std::vector<float> bad{1.0F};
-  EXPECT_THROW((void)matvec(m, bad), std::invalid_argument);
 }
 
 TEST(Matrix, EqualityIsStructural) {

@@ -1,4 +1,4 @@
-// Naive GEMM loops kept as test oracles for the blocked kernels
+// Naive GEMM loops kept as test oracles for the GEMM kernels
 // (math::matmul, math::matmul_at) and as the before-side of the
 // bench/perf_nn GFLOP/s stage. Each output cell accumulates its
 // k-products in ascending order, which the blocked kernels must keep.
