@@ -2,9 +2,10 @@
 // forward/backward passes of the paper architectures (scaled) — plus a
 // thread-count sweep of concurrent const inference (Sequential::infer).
 //
-// After the google-benchmark suites, main() times the GEMM and the
-// Conv1d forward and backward kernels against their oracles (exit 1 on
-// any conv bit mismatch), prints the product classifier's per-layer
+// After the google-benchmark suites, main() times the GEMM, Dense's two
+// backward GEMMs and the Conv1d forward and backward kernels against
+// their oracles (exit 1 on any bit mismatch of a backward GEMM or a
+// conv kernel), prints the product classifier's per-layer
 // op table and whole-net Sequential::infer cost at 10 rows
 // (bench_results/perf_nn_ops.txt) and the per-layer cost
 // of one 64-row training step of the product CNN and autoencoder
@@ -63,7 +64,7 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(256)->Arg(512);
 
-// The preserved naive oracle at the same shapes, so the blocked
+// The preserved naive oracle at the same shapes, so the tiled
 // kernel's margin (and any regression of it) is visible in one run.
 void BM_MatmulReference(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -242,12 +243,12 @@ double best_gflops(double flops, Run&& run) {
   return flops / best_seconds(run, 1, 3) * 1e-9;
 }
 
-/// Hand-timed GEMM GFLOP/s for the blocked kernel and the preserved
-/// naive reference, added to the "perf_nn" section of BENCH_perf.json
-/// so kernel regressions show up independently of the end-to-end
-/// sweeps.
+/// Hand-timed GEMM GFLOP/s for math::matmul (the register-tiled
+/// matmul_into) and the preserved naive reference, added to the
+/// "perf_nn" section of BENCH_perf.json so kernel regressions show up
+/// independently of the end-to-end sweeps.
 void emit_gemm_gflops(std::map<std::string, double>& json_values) {
-  std::string report = "-- GEMM GFLOP/s (blocked vs reference) --\n";
+  std::string report = "-- GEMM GFLOP/s (register-tiled vs reference) --\n";
   for (const std::size_t n : {256U, 512U}) {
     math::Rng rng(7);
     math::Matrix a(n, n);
@@ -260,7 +261,7 @@ void emit_gemm_gflops(std::map<std::string, double>& json_values) {
       return best_gflops(flops,
                          [&] { benchmark::DoNotOptimize(kernel(a, b)); });
     };
-    const double blocked = time_gflops(
+    const double tiled = time_gflops(
         [](const math::Matrix& x, const math::Matrix& y) {
           return math::matmul(x, y);
         });
@@ -271,20 +272,97 @@ void emit_gemm_gflops(std::map<std::string, double>& json_values) {
 
     char line[120];
     std::snprintf(line, sizeof(line),
-                  "n=%zu  blocked %6.2f GFLOP/s  reference %6.2f GFLOP/s  "
+                  "n=%zu  tiled %6.2f GFLOP/s  reference %6.2f GFLOP/s  "
                   "%4.1fx\n",
-                  n, blocked, reference,
-                  reference > 0.0 ? blocked / reference : 0.0);
+                  n, tiled, reference,
+                  reference > 0.0 ? tiled / reference : 0.0);
     report += line;
 
     char key[48];
     std::snprintf(key, sizeof(key), "gemm_%zu_", n);
-    json_values[std::string(key) + "blocked_gflops"] = blocked;
+    json_values[std::string(key) + "tiled_gflops"] = tiled;
     json_values[std::string(key) + "reference_gflops"] = reference;
     json_values[std::string(key) + "speedup"] =
-        reference > 0.0 ? blocked / reference : 0.0;
+        reference > 0.0 ? tiled / reference : 0.0;
   }
   std::printf("\n%s", report.c_str());
+}
+
+/// Dense's two backward GEMMs at a 64-row batch of the classifier's
+/// hidden layer (1952 -> 128) and the autoencoder's first (1000 -> 200),
+/// each against its oracle: weight_grad += X^T G (matmul_at_into, X
+/// post-ReLU sparse) and d(input) = G W^T (matmul_bt_into). Records
+/// `dense_<in>x<out>_{at,bt}_gflops`; returns false when a kernel and
+/// its oracle disagree in any bit.
+bool emit_backward_gemm_gflops(std::map<std::string, double>& json_values) {
+  constexpr std::size_t kRows = 64;
+  std::printf(
+      "\n-- Dense backward GEMM GFLOP/s (64 rows, kernel vs reference) --\n");
+  bool identical = true;
+  for (const auto& [in_dim, out_dim] :
+       {std::pair<std::size_t, std::size_t>{1952, 128}, {1000, 200}}) {
+    math::Rng rng(8);
+    math::Matrix x(kRows, in_dim);  // the layer input
+    for (float& v : x.data()) {
+      v = rng.bernoulli(0.5) ? static_cast<float>(rng.uniform(0.0, 1.0))
+                             : 0.0F;
+    }
+    math::Matrix g(kRows, out_dim);  // the output gradient
+    math::Matrix w(in_dim, out_dim);
+    g.fill_normal(rng, 0.0F, 1.0F);
+    w.fill_normal(rng, 0.0F, 1.0F);
+    const math::Matrix wt = w.transposed();
+    const double flops = 2.0 * kRows * in_dim * out_dim;
+
+    // X^T G, added to zeros, against the k-i-j oracle.
+    math::Matrix at(in_dim, out_dim, 0.0F);
+    math::matmul_at_into(x.data().data(), g.data().data(), at.data().data(),
+                         in_dim, kRows, out_dim);
+    const bool at_same = at == oracles::matmul_at_reference(x, g);
+    const double at_kernel = best_gflops(flops, [&] {
+      math::matmul_at_into(x.data().data(), g.data().data(),
+                           at.data().data(), in_dim, kRows, out_dim);
+      benchmark::DoNotOptimize(at.data().data());
+      benchmark::ClobberMemory();
+    });
+    const double at_reference = best_gflops(flops, [&] {
+      benchmark::DoNotOptimize(oracles::matmul_at_reference(x, g));
+    });
+
+    // G W^T against the i-k-j oracle on W's transpose.
+    math::Matrix bt(kRows, in_dim);
+    math::matmul_bt_into(g.data().data(), w.data().data(), bt.data().data(),
+                         kRows, out_dim, in_dim);
+    const bool bt_same = bt == oracles::matmul_reference(g, wt);
+    const double bt_kernel = best_gflops(flops, [&] {
+      math::matmul_bt_into(g.data().data(), w.data().data(),
+                           bt.data().data(), kRows, out_dim, in_dim);
+      benchmark::DoNotOptimize(bt.data().data());
+      benchmark::ClobberMemory();
+    });
+    const double bt_reference = best_gflops(flops, [&] {
+      benchmark::DoNotOptimize(oracles::matmul_reference(g, wt));
+    });
+    identical = identical && at_same && bt_same;
+
+    const std::string shape =
+        std::to_string(in_dim) + "x" + std::to_string(out_dim);
+    const auto row = [&](const char* what, double kernel, double reference,
+                         bool same) {
+      std::printf("Dense(%zu->%zu) %s  kernel %6.2f GFLOP/s  reference "
+                  "%6.2f GFLOP/s  %4.1fx  %s\n",
+                  in_dim, out_dim, what, kernel, reference,
+                  reference > 0.0 ? kernel / reference : 0.0,
+                  same ? "bit-identical" : "MISMATCH");
+    };
+    row("X^T G", at_kernel, at_reference, at_same);
+    row("G W^T", bt_kernel, bt_reference, bt_same);
+    json_values["dense_" + shape + "_at_gflops"] = at_kernel;
+    json_values["dense_" + shape + "_at_reference_gflops"] = at_reference;
+    json_values["dense_" + shape + "_bt_gflops"] = bt_kernel;
+    json_values["dense_" + shape + "_bt_reference_gflops"] = bt_reference;
+  }
+  return identical;
 }
 
 /// Conv1d backward GFLOP/s, SIMD kernel vs the scalar oracle, at the
@@ -432,6 +510,15 @@ bool emit_conv_forward_gflops(std::map<std::string, double>& json_values) {
   return identical;
 }
 
+/// True if layer i is a Conv1d directly followed by a Relu: the pair
+/// Sequential::infer and a TrainingWorkspace run as one fused op.
+bool is_conv_relu(const nn::Sequential& model, std::size_t i) {
+  const auto& layers = model.layers();
+  return i + 1 < layers.size() &&
+         dynamic_cast<const nn::Conv1d*>(layers[i].get()) != nullptr &&
+         dynamic_cast<const nn::Relu*>(layers[i + 1].get()) != nullptr;
+}
+
 /// Per-op cost of the product classifier (cpu_scaled_config's CNN) at
 /// one walk set of 10 rows, then the whole net through
 /// Sequential::infer. Each op is the exact kernel Sequential::infer
@@ -485,8 +572,7 @@ double emit_classifier_op_table() {
     if (const auto* conv = dynamic_cast<const nn::Conv1d*>(&layer)) {
       flops = 2.0 * kRows * conv->out_channels() * conv->in_channels() *
               conv->kernel() * conv->out_length();
-      if (i + 1 < layers.size() &&
-          dynamic_cast<const nn::Relu*>(layers[i + 1].get()) != nullptr) {
+      if (is_conv_relu(model, i)) {
         fused = conv;
         name += " + ReLU";
         flops += static_cast<double>(kRows) * out_width;
@@ -542,9 +628,10 @@ double emit_classifier_op_table() {
 /// Per-layer cost of one 64-row training step (forward, loss, backward,
 /// zeroing the gradients plus the Adam step) of a product net, driven
 /// one layer at a time through a TrainingWorkspace. Each row is the
-/// mean over kSteps steps after kWarmup; "step" is their sum. The
-/// input is TF-IDF-like (non-negative, ~2/3 exact zeros) and the
-/// classifier's labels cycle through the four families.
+/// mean over kSteps steps after kWarmup; "step" is their sum. A
+/// Conv1d and the Relu it trains with are one row. The input is
+/// TF-IDF-like (non-negative, ~2/3 exact zeros) and the classifier's
+/// labels cycle through the four families.
 struct TrainStepTable {
   std::string text;
   double step_ms = 0.0;
@@ -620,11 +707,21 @@ TrainStepTable time_training_step(const char* title, nn::Sequential& model,
   const auto steps = static_cast<double>(kSteps);
   double total = 0.0;
   for (std::size_t i = 0; i < layers; ++i) {
-    const double f = forward_ms[i] / steps;
-    const double b = backward_ms[i] / steps;
+    double f = forward_ms[i] / steps;
+    double b = backward_ms[i] / steps;
+    std::string name = model.layers()[i]->name();
+    // A Conv1d and the Relu after it train as one op (the Relu's own
+    // calls return at once); one row holds both.
+    if (is_conv_relu(model, i)) {
+      name += " + ReLU";
+      f += forward_ms[i + 1] / steps;
+      b += backward_ms[i + 1] / steps;
+    } else if (i > 0 && is_conv_relu(model, i - 1)) {
+      continue;
+    }
     total += f + b;
     std::snprintf(line, sizeof(line), "  %-36s %10.3f %10.3f\n",
-                  model.layers()[i]->name().c_str(), f, b);
+                  name.c_str(), f, b);
     table.text += line;
   }
   loss_ms /= steps;
@@ -735,6 +832,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   std::map<std::string, double> json_values;
   emit_gemm_gflops(json_values);
+  const bool gemm_identical = emit_backward_gemm_gflops(json_values);
   const bool forward_identical = emit_conv_forward_gflops(json_values);
   const bool backward_identical = emit_conv_backward_gflops(json_values);
   emit_training_step_tables(json_values);
@@ -746,6 +844,10 @@ int main(int argc, char** argv) {
     std::printf("kernel GFLOP/s recorded in BENCH_perf.json\n");
   }
   emit_stage_breakdown();
+  if (!gemm_identical) {
+    std::fprintf(stderr,
+                 "perf_nn: a Dense backward GEMM differs from its oracle\n");
+  }
   if (!forward_identical) {
     std::fprintf(stderr,
                  "perf_nn: Conv1d forward kernel differs from the oracle\n");
@@ -754,5 +856,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "perf_nn: Conv1d backward kernel differs from the oracle\n");
   }
-  return forward_identical && backward_identical ? 0 : 1;
+  return gemm_identical && forward_identical && backward_identical ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "math/lanes.h"
 #include "math/rng.h"
@@ -109,77 +110,139 @@ std::string Matrix::shape_string() const {
 
 namespace {
 
-/// k-panel height for the blocked kernels (matmul_at_into,
-/// matmul_bt_into): a panel of B rows (up to kKBlock x n floats) stays
-/// hot in L2 while every row tile of A streams across it.
-constexpr std::size_t kKBlock = 256;
+using simd::kLanes;
 
-/// A-row tile height: four C rows accumulate against each B row load,
-/// quartering the B traffic per flop.
-constexpr std::size_t kRowUnroll = 4;
-
-/// Row tile of matmul_into: kTileRows rows x kTileVectors vectors of
-/// C, held in registers across all of k.
+/// Row tile of the GEMMs: kTileRows rows x kTileVectors vectors of C,
+/// held in registers across all of k and stored once.
 constexpr std::size_t kTileRows = 2;
 constexpr std::size_t kTileVectors = 8;
+constexpr std::size_t kTileCols = kTileVectors * kLanes;
+
+/// Depth of matmul_bt_into's stack panel of B^T (kPanelDepth x
+/// kTileCols floats, 128 KB).
+constexpr std::size_t kPanelDepth = 256;
+
+/// Where a tile finds its operands. kPacked: A is m x k, B k x n and
+/// C m x n, row-major and dense (matmul_into). kTransposedA: the same,
+/// but A is stored k x m, A(i, kk) = a[kk * lda + i] (matmul_at_into).
+/// kPanel: A(i, kk) = a[i * lda + kk], B(kk, j) = b[kk * n + j] and
+/// C(i, j) = c[i * ldc + j] (matmul_bt_into's panels of B^T).
+enum class Layout { kPacked, kTransposedA, kPanel };
+
+/// A's and C's row strides: kPacked's are k and n and it passes none
+/// (so matmul_into's tiles take the arguments they always took); the
+/// other layouts pass (lda, ldc).
+constexpr std::pair<std::size_t, std::size_t> row_strides(
+    std::size_t k, std::size_t n) noexcept {
+  return {k, n};
+}
+constexpr std::pair<std::size_t, std::size_t> row_strides(
+    std::size_t /*k*/, std::size_t /*n*/, std::size_t lda,
+    std::size_t ldc) noexcept {
+  return {lda, ldc};
+}
+
+/// How a tile's register sums reach C.
+enum class Store {
+  kOverwrite,  ///< C = the sum from +0 (matmul_into)
+  kAdd,        ///< C += the sum from +0 (matmul_at_into)
+  kContinue,   ///< the sum starts from C (matmul_bt_into's later panels,
+               ///< each one tile wide, so no tile overlaps another)
+};
 
 /// Rows [i, i + R) x V vectors of C's columns from j, accumulated in
 /// registers across all of k and stored once. Vector v covers columns
 /// j + v*kLanes, except the last, which ends at n when the columns run
-/// out first (n >= kLanes): it then overlaps the one before, and its
-/// recomputed columns come out with the same bits. A k is skipped only
-/// when every row of the tile has a zero there.
-template <std::size_t R, std::size_t V>
+/// out first (n >= kLanes): it then overlaps columns covered before it
+/// (by the vector before it, or by the tile before it when V is 1) and
+/// recomputes them with the same bits; kAdd adds only its new columns.
+/// A k is skipped only when every row of the tile has a zero there.
+template <std::size_t R, std::size_t V, Layout L, Store S,
+          typename... Strides>
 void gemm_tile(const float* a, const float* b, float* c, std::size_t k,
-               std::size_t n, std::size_t i, std::size_t j) noexcept {
-  const std::size_t last = std::min(j + (V - 1) * simd::kLanes,
-                                    n - simd::kLanes);
+               std::size_t n, std::size_t i, std::size_t j,
+               Strides... strides) noexcept {
+  const auto [lda, ldc] = row_strides(k, n, strides...);
+  const std::size_t last = std::min(j + (V - 1) * kLanes, n - kLanes);
   simd::Lanes acc[R][V] = {};
+  if constexpr (S == Store::kContinue) {
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t v = 0; v < V; ++v) {
+        simd::load(acc[r][v],
+                   c + (i + r) * ldc + (v + 1 < V ? j + v * kLanes : last));
+      }
+    }
+  }
   for (std::size_t kk = 0; kk < k; ++kk) {
     float ak[R];
     bool any = false;
     for (std::size_t r = 0; r < R; ++r) {
-      ak[r] = a[(i + r) * k + kk];
+      ak[r] = L == Layout::kTransposedA ? a[kk * lda + i + r]
+                                        : a[(i + r) * lda + kk];
       any |= ak[r] != 0.0F;
     }
     if (!any) continue;
     const float* brow = b + kk * n;
     for (std::size_t v = 0; v < V; ++v) {
       simd::Lanes x;
-      simd::load(x, brow + (v + 1 < V ? j + v * simd::kLanes : last));
+      simd::load(x, brow + (v + 1 < V ? j + v * kLanes : last));
       for (std::size_t r = 0; r < R; ++r) acc[r][v] += ak[r] * x;
     }
   }
   for (std::size_t r = 0; r < R; ++r) {
-    float* crow = c + (i + r) * n;
+    float* crow = c + (i + r) * ldc;
     for (std::size_t v = 0; v < V; ++v) {
-      simd::store(crow + (v + 1 < V ? j + v * simd::kLanes : last),
-                  acc[r][v]);
+      if constexpr (S == Store::kAdd) {
+        // The last vector's first `done` columns were added before it.
+        const std::size_t done = v + 1 < V ? 0 : j + v * kLanes - last;
+        float* dst = crow + (v + 1 < V ? j + v * kLanes : last);
+        if (done == 0) {
+          simd::Lanes sum;
+          simd::load(sum, dst);
+          sum += acc[r][v];
+          simd::store(dst, sum);
+        } else {
+          for (std::size_t l = done; l < kLanes; ++l) dst[l] += acc[r][v][l];
+        }
+      } else {
+        simd::store(crow + (v + 1 < V ? j + v * kLanes : last), acc[r][v]);
+      }
     }
   }
 }
 
 /// Every column of rows [i, i + R), n >= kLanes: full tiles, then one
 /// tile of as many vectors as the columns left need.
-template <std::size_t R>
+template <std::size_t R, Layout L, Store S, typename... Strides>
 void gemm_rows(const float* a, const float* b, float* c, std::size_t k,
-               std::size_t n, std::size_t i) noexcept {
-  constexpr std::size_t kTileCols = kTileVectors * simd::kLanes;
+               std::size_t n, std::size_t i, Strides... st) noexcept {
   std::size_t j = 0;
   for (; j + kTileCols <= n; j += kTileCols) {
-    gemm_tile<R, kTileVectors>(a, b, c, k, n, i, j);
+    gemm_tile<R, kTileVectors, L, S>(a, b, c, k, n, i, j, st...);
   }
   if (j == n) return;
-  switch ((n - j + simd::kLanes - 1) / simd::kLanes) {
-    case 1: gemm_tile<R, 1>(a, b, c, k, n, i, j); break;
-    case 2: gemm_tile<R, 2>(a, b, c, k, n, i, j); break;
-    case 3: gemm_tile<R, 3>(a, b, c, k, n, i, j); break;
-    case 4: gemm_tile<R, 4>(a, b, c, k, n, i, j); break;
-    case 5: gemm_tile<R, 5>(a, b, c, k, n, i, j); break;
-    case 6: gemm_tile<R, 6>(a, b, c, k, n, i, j); break;
-    case 7: gemm_tile<R, 7>(a, b, c, k, n, i, j); break;
-    default: gemm_tile<R, 8>(a, b, c, k, n, i, j); break;
+  switch ((n - j + kLanes - 1) / kLanes) {
+    case 1: gemm_tile<R, 1, L, S>(a, b, c, k, n, i, j, st...); break;
+    case 2: gemm_tile<R, 2, L, S>(a, b, c, k, n, i, j, st...); break;
+    case 3: gemm_tile<R, 3, L, S>(a, b, c, k, n, i, j, st...); break;
+    case 4: gemm_tile<R, 4, L, S>(a, b, c, k, n, i, j, st...); break;
+    case 5: gemm_tile<R, 5, L, S>(a, b, c, k, n, i, j, st...); break;
+    case 6: gemm_tile<R, 6, L, S>(a, b, c, k, n, i, j, st...); break;
+    case 7: gemm_tile<R, 7, L, S>(a, b, c, k, n, i, j, st...); break;
+    default: gemm_tile<R, 8, L, S>(a, b, c, k, n, i, j, st...); break;
   }
+}
+
+/// Rows [0, m) of C in 2-row tiles, then an odd last row (matmul_into
+/// runs the same loop itself).
+template <Layout L, Store S, typename... Strides>
+void gemm(const float* a, const float* b, float* c, std::size_t m,
+          std::size_t k, std::size_t n, Strides... st) noexcept {
+  std::size_t i = 0;
+  for (; i + kTileRows <= m; i += kTileRows) {
+    gemm_rows<kTileRows, L, S>(a, b, c, k, n, i, st...);
+  }
+  for (; i < m; ++i) gemm_rows<1, L, S>(a, b, c, k, n, i, st...);
 }
 
 }  // namespace
@@ -194,7 +257,7 @@ void matmul_into(const float* a, const float* b, float* c, std::size_t m,
   // nonzero or non-finite accumulator, and the accumulators start at +0
   // and can never turn -0 (exact cancellation rounds to +0 in
   // round-to-nearest).
-  if (n < simd::kLanes) {
+  if (n < kLanes) {
     // Narrower than one vector (a classifier's logits): the
     // reference's loop.
     std::fill(c, c + m * n, 0.0F);
@@ -211,108 +274,73 @@ void matmul_into(const float* a, const float* b, float* c, std::size_t m,
   }
   std::size_t i = 0;
   for (; i + kTileRows <= m; i += kTileRows) {
-    gemm_rows<kTileRows>(a, b, c, k, n, i);
+    gemm_rows<kTileRows, Layout::kPacked, Store::kOverwrite>(a, b, c, k, n,
+                                                             i);
   }
-  for (; i < m; ++i) gemm_rows<1>(a, b, c, k, n, i);
+  for (; i < m; ++i) {
+    gemm_rows<1, Layout::kPacked, Store::kOverwrite>(a, b, c, k, n, i);
+  }
 }
 
 void matmul_at_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) noexcept {
-  std::fill(c, c + m * n, 0.0F);
-  for (std::size_t kb = 0; kb < k; kb += kKBlock) {
-    const std::size_t kend = std::min(kb + kKBlock, k);
-    std::size_t i = 0;
-    for (; i + kRowUnroll <= m; i += kRowUnroll) {
-      float* c0 = c + (i + 0) * n;
-      float* c1 = c + (i + 1) * n;
-      float* c2 = c + (i + 2) * n;
-      float* c3 = c + (i + 3) * n;
-      for (std::size_t kk = kb; kk < kend; ++kk) {
-        const float* arow = a + kk * m;
-        const float a0k = arow[i + 0];
-        const float a1k = arow[i + 1];
-        const float a2k = arow[i + 2];
-        const float a3k = arow[i + 3];
-        if (a0k == 0.0F && a1k == 0.0F && a2k == 0.0F && a3k == 0.0F) {
-          continue;
-        }
-        const float* brow = b + kk * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          c0[j] += a0k * brow[j];
-          c1[j] += a1k * brow[j];
-          c2[j] += a2k * brow[j];
-          c3[j] += a3k * brow[j];
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      float* crow = c + i * n;
-      for (std::size_t kk = kb; kk < kend; ++kk) {
+  // matmul_into's tile with A read down its columns; each cell's sum
+  // (from +0, ascending kk, as the reference's) is added to C once.
+  if (n < kLanes) {
+    for (std::size_t i = 0; i < m; ++i) {
+      float sum[kLanes] = {};
+      for (std::size_t kk = 0; kk < k; ++kk) {
         const float aki = a[kk * m + i];
         if (aki == 0.0F) continue;
         const float* brow = b + kk * n;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += aki * brow[j];
+        for (std::size_t j = 0; j < n; ++j) sum[j] += aki * brow[j];
       }
+      float* crow = c + i * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += sum[j];
     }
+    return;
   }
+  gemm<Layout::kTransposedA, Store::kAdd>(a, b, c, m, k, n, m, n);
 }
 
 void matmul_bt_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) noexcept {
-  // matmul_into's loop over B^T, transposed one panel (kKBlock k x
-  // kPanelCols columns of C) at a time into a stack buffer: per output
-  // cell the k-products still accumulate in ascending kk order with
-  // the same statement, so the result is bit-identical to
-  // matmul_into(a, transpose(b)) for finite inputs.
-  constexpr std::size_t kPanelCols = 64;
-  alignas(64) float panel[kKBlock * kPanelCols];
-  std::fill(c, c + m * n, 0.0F);
-  for (std::size_t jb = 0; jb < n; jb += kPanelCols) {
-    const std::size_t cols = std::min(kPanelCols, n - jb);
-    for (std::size_t kb = 0; kb < k; kb += kKBlock) {
-      const std::size_t depth = std::min(kKBlock, k - kb);
-      for (std::size_t j = 0; j < cols; ++j) {
-        const float* brow = b + (jb + j) * k + kb;
-        for (std::size_t kk = 0; kk < depth; ++kk) {
-          panel[kk * cols + j] = brow[kk];
-        }
+  // matmul_into's tile over B^T, one panel of up to kTileCols columns
+  // and kPanelDepth k at a time, transposed onto the stack. A panel's
+  // first k block overwrites C and the later ones continue its sums
+  // from there, so per cell the k-products still add from +0 in
+  // ascending kk order: bit-identical to matmul_into(a, transpose(b))
+  // for finite inputs.
+  if (n < kLanes) {
+    std::fill(c, c + m * n, 0.0F);
+    for (std::size_t i = 0; i < m; ++i) {
+      float* crow = c + i * n;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float aik = a[i * k + kk];
+        if (aik == 0.0F) continue;
+        for (std::size_t j = 0; j < n; ++j) crow[j] += aik * b[j * k + kk];
       }
-      std::size_t i = 0;
-      for (; i + kRowUnroll <= m; i += kRowUnroll) {
-        const float* a0 = a + (i + 0) * k + kb;
-        const float* a1 = a + (i + 1) * k + kb;
-        const float* a2 = a + (i + 2) * k + kb;
-        const float* a3 = a + (i + 3) * k + kb;
-        float* c0 = c + (i + 0) * n + jb;
-        float* c1 = c + (i + 1) * n + jb;
-        float* c2 = c + (i + 2) * n + jb;
-        float* c3 = c + (i + 3) * n + jb;
-        for (std::size_t kk = 0; kk < depth; ++kk) {
-          const float a0k = a0[kk];
-          const float a1k = a1[kk];
-          const float a2k = a2[kk];
-          const float a3k = a3[kk];
-          if (a0k == 0.0F && a1k == 0.0F && a2k == 0.0F && a3k == 0.0F) {
-            continue;
-          }
-          const float* prow = panel + kk * cols;
-          for (std::size_t j = 0; j < cols; ++j) {
-            c0[j] += a0k * prow[j];
-            c1[j] += a1k * prow[j];
-            c2[j] += a2k * prow[j];
-            c3[j] += a3k * prow[j];
-          }
-        }
-      }
-      for (; i < m; ++i) {
-        const float* arow = a + i * k + kb;
-        float* crow = c + i * n + jb;
-        for (std::size_t kk = 0; kk < depth; ++kk) {
-          const float aik = arow[kk];
-          if (aik == 0.0F) continue;
-          const float* prow = panel + kk * cols;
-          for (std::size_t j = 0; j < cols; ++j) crow[j] += aik * prow[j];
-        }
+    }
+    return;
+  }
+  alignas(64) float panel[kPanelDepth * kTileCols];
+  for (std::size_t jb = 0; jb < n; jb += kTileCols) {
+    std::size_t cols = std::min(kTileCols, n - jb);
+    if (cols < kLanes) {
+      // Less than a vector left: one vector that ends at n, redoing
+      // columns of the panel before from +0.
+      jb = n - kLanes;
+      cols = kLanes;
+    }
+    for (std::size_t kb = 0; kb < k; kb += kPanelDepth) {
+      const std::size_t depth = std::min(kPanelDepth, k - kb);
+      simd::transpose_into(b + jb * k + kb, k, panel, cols, cols, depth);
+      if (kb == 0) {
+        gemm<Layout::kPanel, Store::kOverwrite>(a + kb, panel, c + jb, m,
+                                                depth, cols, k, n);
+      } else {
+        gemm<Layout::kPanel, Store::kContinue>(a + kb, panel, c + jb, m,
+                                               depth, cols, k, n);
       }
     }
   }
@@ -326,30 +354,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols(), 0.0F);
   matmul_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),
               a.cols(), b.cols());
-  return c;
-}
-
-Matrix matmul_bt(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.cols()) {
-    throw std::invalid_argument("matmul_bt: inner dimensions " +
-                                a.shape_string() + " * " + b.shape_string() +
-                                "^T");
-  }
-  Matrix c(a.rows(), b.rows(), 0.0F);
-  matmul_bt_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),
-                 a.cols(), b.rows());
-  return c;
-}
-
-Matrix matmul_at(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("matmul_at: inner dimensions " +
-                                a.shape_string() + "^T * " +
-                                b.shape_string());
-  }
-  Matrix c(a.cols(), b.cols(), 0.0F);
-  matmul_at_into(a.data().data(), b.data().data(), c.data().data(), a.cols(),
-                 a.rows(), b.cols());
   return c;
 }
 

@@ -92,15 +92,6 @@ class Matrix {
 /// C = A * B, through matmul_into. Throws on inner-dimension mismatch.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T without materializing the transpose; bit-identical to
-/// matmul(a, b.transposed()) for finite inputs.
-[[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
-
-/// C = A^T * B without materializing the transpose. Cache-blocked
-/// (256-deep k panels, 4-row unroll); bit-identical to the naive k-i-j
-/// oracle for finite inputs.
-[[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
-
 /// Raw-pointer kernel behind matmul: writes the m x n product of
 /// row-major `a` (m x k) and `b` (k x n) into `c`, overwriting it.
 /// No aliasing between `c` and the inputs. nn::Dense::infer_into runs
@@ -116,16 +107,22 @@ class Matrix {
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) noexcept;
 
-/// Raw-pointer kernel behind matmul_at: `a` is k x m, `b` is k x n,
-/// writes A^T * B (m x n) into `c`, overwriting it.
+/// Dense's weight-gradient kernel: `a` is k x m, `b` is k x n; adds
+/// A^T * B (m x n) to `c`. matmul_into's register tile with A read
+/// down its columns: each cell sums its k-products from +0 in ascending
+/// k, skipping a k only where the whole tile's A is zero, and the sum
+/// is added to `c` in the tile's store. Bit-identical to adding the
+/// naive k-i-j oracle's product (tests/oracles) for finite B.
 void matmul_at_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) noexcept;
 
-/// Raw-pointer kernel behind matmul_bt: `a` is m x k, `b` is n x k,
-/// writes A * B^T (m x n) into `c`, overwriting it. It transposes B a
-/// panel at a time on the stack and allocates nothing; per output cell
-/// the order is matmul_into's. nn::Dense's backward runs it for the
-/// input gradient.
+/// Dense's input-gradient kernel: `a` is m x k, `b` is n x k; writes
+/// A * B^T (m x n) into `c`, overwriting it. It transposes B in
+/// register-blocked 16 x 16 blocks onto a stack panel of up to 128
+/// columns and 256 k and runs matmul_into's tile over it (a panel past
+/// the first 256 k continues the sums from `c`); it allocates nothing.
+/// Per output cell the order is matmul_into's, so the result is
+/// bit-identical to the oracle on the transpose of B for finite inputs.
 void matmul_bt_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) noexcept;
 

@@ -6,8 +6,8 @@
 //   ConvB2: same shape on ConvB1's output
 //   CB:     Dense(512) -> ReLU -> Dropout(0.5) -> Dense(#classes)
 //
-// The final layer emits logits; pair with softmax_cross_entropy for
-// training and nn::softmax for probabilities. `filters`/`dense_units`
+// The final layer emits logits; pair with softmax_cross_entropy_into
+// for training and nn::softmax for probabilities. `filters`/`dense_units`
 // default to the paper values and can be scaled down for CPU-budget
 // runs.
 #pragma once

@@ -209,8 +209,7 @@ struct BackwardShape {
 
 // grad_in[c][j] = sum over (o ascending, k ascending) of
 // g[o][j - k] * w[o][c][k], skipping taps with j - k outside the output.
-// Used where some tap falls outside (the first kernel-1 and last
-// kernel-1 positions) and for the interior's sub-vector tail.
+// Used for inputs shorter than one vector.
 float grad_input_scalar(const float* go_row, const float* weights,
                         const BackwardShape& s, std::size_t c,
                         std::size_t j) noexcept {
@@ -225,77 +224,163 @@ float grad_input_scalar(const float* go_row, const float* weights,
   return acc;
 }
 
-// N*kLanes consecutive interior positions from j (every tap in range):
-// N vector accumulators, the same (o, k) order as grad_input_scalar.
-template <std::size_t N>
+// Input channels [c, c + C) at N*kLanes consecutive interior positions
+// from j (every tap in range): C*N vector accumulators, the same (o, k)
+// order as grad_input_scalar. Each grad_out load feeds all C channels,
+// as an input load feeds 4 output channels in forward_tile.
+template <std::size_t C, std::size_t N>
 void grad_input_tile(const float* go_row, const float* weights,
                      const BackwardShape& s, std::size_t c, std::size_t j,
-                     float* gi_chan) noexcept {
-  Lanes acc[N] = {};
+                     float* gi_row) noexcept {
+  Lanes acc[C][N] = {};
   for (std::size_t o = 0; o < s.out_channels; ++o) {
     const float* go = go_row + o * s.out_len + j;
     const float* wc = weights + o * s.w_cols + c * s.kernel;
     for (std::size_t k = 0; k < s.kernel; ++k) {
-      const float wk = wc[k];
       for (std::size_t v = 0; v < N; ++v) {
         Lanes g;
         load(g, go - k + v * kLanes);
-        acc[v] += g * wk;
+        for (std::size_t i = 0; i < C; ++i) {
+          acc[i][v] += g * wc[i * s.kernel + k];
+        }
       }
     }
   }
-  for (std::size_t v = 0; v < N; ++v) store(gi_chan + j + v * kLanes, acc[v]);
+  for (std::size_t i = 0; i < C; ++i) {
+    float* gi_chan = gi_row + (c + i) * s.in_length + j;
+    for (std::size_t v = 0; v < N; ++v) store(gi_chan + v * kLanes, acc[i][v]);
+  }
+}
+
+// Input channels [c, c + C) at the kLanes positions from j, where some
+// taps may fall outside the output: per lane, a tap whose gradient
+// position j + l - k is outside [0, out_len) leaves the sum as it was,
+// as grad_input_scalar skips it; the other taps add in its (o, k)
+// order. Reads up to kernel-1 floats beyond either end of a channel's
+// gradient row, which the staged row pads.
+template <std::size_t C>
+void grad_input_edge(const float* go_row, const float* weights,
+                     const BackwardShape& s, std::size_t c, std::size_t j,
+                     float* gi_row) noexcept {
+  Lanes lane;
+  for (std::size_t l = 0; l < kLanes; ++l) lane[l] = static_cast<float>(l);
+  const auto out_len = static_cast<float>(s.out_len);
+  Lanes acc[C] = {};
+  for (std::size_t o = 0; o < s.out_channels; ++o) {
+    const float* go = go_row + o * s.out_len + j;
+    const float* wc = weights + o * s.w_cols + c * s.kernel;
+    for (std::size_t k = 0; k < s.kernel; ++k) {
+      const Lanes t =
+          lane + (static_cast<float>(j) - static_cast<float>(k));
+      const auto inside = (t >= 0.0F) & (t < out_len);
+      Lanes g;
+      load(g, go - k);
+      for (std::size_t i = 0; i < C; ++i) {
+        const Lanes sum = acc[i] + g * wc[i * s.kernel + k];
+        acc[i] = inside ? sum : acc[i];
+      }
+    }
+  }
+  for (std::size_t i = 0; i < C; ++i) {
+    store(gi_row + (c + i) * s.in_length + j, acc[i]);
+  }
+}
+
+// Input channels [c, c + C) of one row. Positions before kernel-1 and
+// from out_len on miss a tap; they run in edge vectors, the last one
+// ending at in_length (recomputed positions come out with the same
+// bits). The interior between them runs in N-vector tiles, then single
+// vectors. Inputs shorter than one vector run per element.
+template <std::size_t C, std::size_t N>
+void grad_input_channels(const float* go_row, const float* weights,
+                         const BackwardShape& s, std::size_t c,
+                         float* gi_row) noexcept {
+  if (s.in_length < kLanes) {
+    for (std::size_t i = c; i < c + C; ++i) {
+      for (std::size_t j = 0; j < s.in_length; ++j) {
+        gi_row[i * s.in_length + j] =
+            grad_input_scalar(go_row, weights, s, i, j);
+      }
+    }
+    return;
+  }
+  // Runs an edge vector from j (pulled back to end at in_length);
+  // returns the end of what it covered.
+  const auto edge = [&](std::size_t j) {
+    const std::size_t at = std::min(j, s.in_length - kLanes);
+    grad_input_edge<C>(go_row, weights, s, c, at, gi_row);
+    return at + kLanes;
+  };
+  std::size_t j = 0;
+  while (j < s.kernel - 1) j = edge(j);
+  for (; j + N * kLanes <= s.out_len; j += N * kLanes) {
+    grad_input_tile<C, N>(go_row, weights, s, c, j, gi_row);
+  }
+  for (; j + kLanes <= s.out_len; j += kLanes) {
+    grad_input_tile<C, 1>(go_row, weights, s, c, j, gi_row);
+  }
+  while (j < s.in_length) j = edge(j);
 }
 
 void grad_input_row(const float* go_row, const float* weights,
                     const BackwardShape& s, float* gi_row) noexcept {
-  constexpr std::size_t kTile = 8;
-  // Interior positions [kernel-1, out_len) see every tap.
-  const std::size_t lo = std::min(s.kernel - 1, s.out_len);
-  const std::size_t hi = s.out_len;
-  for (std::size_t c = 0; c < s.in_channels; ++c) {
-    float* gi_chan = gi_row + c * s.in_length;
-    for (std::size_t j = 0; j < lo; ++j) {
-      gi_chan[j] = grad_input_scalar(go_row, weights, s, c, j);
-    }
-    std::size_t j = lo;
-    for (; j + kTile * kLanes <= hi; j += kTile * kLanes) {
-      grad_input_tile<kTile>(go_row, weights, s, c, j, gi_chan);
-    }
-    for (; j + kLanes <= hi; j += kLanes) {
-      grad_input_tile<1>(go_row, weights, s, c, j, gi_chan);
-    }
-    for (; j < s.in_length; ++j) {
-      gi_chan[j] = grad_input_scalar(go_row, weights, s, c, j);
-    }
+  std::size_t c = 0;
+  for (; c + 4 <= s.in_channels; c += 4) {
+    grad_input_channels<4, 6>(go_row, weights, s, c, gi_row);
+  }
+  for (; c < s.in_channels; ++c) {
+    grad_input_channels<1, 8>(go_row, weights, s, c, gi_row);
   }
 }
 
 // N weight-gradient chains, pairs p .. p+N-1 (pair p = channel
 // p / kernel, tap p % kernel), for the output-channel lanes [ob,
-// ob + kLanes). Each chain sums g[o][t] * in[c][t + k] in t order from
-// zero and is then added to weight_grad, as in the reference.
-template <std::size_t N>
+// ob + kLanes), and with kBias the bias chain beside them. Each chain
+// sums its terms (g[o][t] * in[c][t + k], or g[o][t]) in t order from
+// zero and is then added to its accumulator, as in the reference.
+template <std::size_t N, bool kBias>
 void weight_grad_chains(const float* in_row, const float* gt,
                         std::size_t o_pad, std::size_t ob,
                         const BackwardShape& s, std::size_t p,
-                        float* weight_grad) noexcept {
+                        float* weight_grad, float* bias_grad) noexcept {
   const float* src[N];
   for (std::size_t i = 0; i < N; ++i) {
     src[i] = in_row + ((p + i) / s.kernel) * s.in_length + (p + i) % s.kernel;
   }
   Lanes acc[N] = {};
+  Lanes bias_acc = {};
   for (std::size_t t = 0; t < s.out_len; ++t) {
     Lanes g;
     load(g, gt + t * o_pad + ob);
+    if constexpr (kBias) bias_acc += g;
     for (std::size_t i = 0; i < N; ++i) acc[i] += g * src[i][t];
   }
   const std::size_t lanes = std::min(kLanes, s.out_channels - ob);
+  if constexpr (kBias) {
+    for (std::size_t l = 0; l < lanes; ++l) bias_grad[ob + l] += bias_acc[l];
+  }
   for (std::size_t i = 0; i < N; ++i) {
     for (std::size_t l = 0; l < lanes; ++l) {
       weight_grad[(ob + l) * s.w_cols + p + i] += acc[i][l];
     }
   }
+}
+
+// weight_grad_chains for `count` (1..8) pairs from p.
+template <bool kBias, std::size_t N = 8>
+void weight_grad_group(std::size_t count, const float* in_row,
+                       const float* gt, std::size_t o_pad, std::size_t ob,
+                       const BackwardShape& s, std::size_t p,
+                       float* weight_grad, float* bias_grad) noexcept {
+  if constexpr (N > 1) {
+    if (count < N) {
+      weight_grad_group<kBias, N - 1>(count, in_row, gt, o_pad, ob, s, p,
+                                      weight_grad, bias_grad);
+      return;
+    }
+  }
+  weight_grad_chains<N, kBias>(in_row, gt, o_pad, ob, s, p, weight_grad,
+                               bias_grad);
 }
 
 }  // namespace
@@ -305,44 +390,47 @@ void conv1d_backward_into(const float* in, const float* grad_out,
                           float* weight_grad, float* bias_grad,
                           std::size_t rows, std::size_t in_channels,
                           std::size_t in_length, std::size_t out_channels,
-                          std::size_t kernel) {
+                          std::size_t kernel, const float* relu_out) {
   const BackwardShape s{in_channels, in_length, out_channels, kernel,
                         in_length - kernel + 1, in_channels * kernel};
   const std::size_t in_cols = in_channels * in_length;
   const std::size_t out_cols = out_channels * s.out_len;
-  // Time-major copy of one row of grad_out, output channels padded to
-  // whole lanes with zeros (the padding lanes' sums are discarded).
+  // One row's gradient, gated by `relu_out` when given, with kernel-1
+  // floats either side for the edge vectors' reads; and its time-major
+  // copy, output channels padded to whole lanes with zeros (the padding
+  // lanes' sums are discarded).
+  const std::size_t pad = kernel - 1;
+  std::vector<float> staged(pad + out_cols + pad, 0.0F);
+  float* g_row = staged.data() + pad;
   const std::size_t o_pad = (out_channels + kLanes - 1) / kLanes * kLanes;
   std::vector<float> gt(s.out_len * o_pad, 0.0F);
   for (std::size_t r = 0; r < rows; ++r) {
     const float* in_row = in + r * in_cols;
     const float* go_row = grad_out + r * out_cols;
-    grad_input_row(go_row, weights, s, grad_in + r * in_cols);
-
-    for (std::size_t o = 0; o < out_channels; ++o) {
-      for (std::size_t t = 0; t < s.out_len; ++t) {
-        gt[t * o_pad + o] = go_row[o * s.out_len + t];
+    if (relu_out != nullptr) {
+      const float* out_row = relu_out + r * out_cols;
+      for (std::size_t i = 0; i < out_cols; ++i) {
+        g_row[i] = out_row[i] > 0.0F ? go_row[i] : 0.0F;
       }
+    } else {
+      std::copy(go_row, go_row + out_cols, g_row);
     }
-    for (std::size_t ob = 0; ob < o_pad; ob += kLanes) {
-      Lanes bias_acc = {};
-      for (std::size_t t = 0; t < s.out_len; ++t) {
-        Lanes g;
-        load(g, gt.data() + t * o_pad + ob);
-        bias_acc += g;
-      }
-      const std::size_t lanes = std::min(kLanes, out_channels - ob);
-      for (std::size_t l = 0; l < lanes; ++l) bias_grad[ob + l] += bias_acc[l];
+    grad_input_row(g_row, weights, s, grad_in + r * in_cols);
+    math::simd::transpose_into(g_row, s.out_len, gt.data(), o_pad,
+                               out_channels, s.out_len);
 
-      // Eight chains in flight hide the add latency. The remainder (the
-      // first layer's single channel has only `kernel` pairs) runs one
-      // chain at a time.
-      std::size_t p = 0;
-      for (; p + 8 <= s.w_cols; p += 8) {
-        weight_grad_chains<8>(in_row, gt.data(), o_pad, ob, s, p, weight_grad);
-      }
-      for (; p < s.w_cols; ++p) {
-        weight_grad_chains<1>(in_row, gt.data(), o_pad, ob, s, p, weight_grad);
+    // Up to eight chains in flight hide the add latency; the bias
+    // chain runs with the first group.
+    for (std::size_t ob = 0; ob < o_pad; ob += kLanes) {
+      for (std::size_t p = 0; p < s.w_cols; p += 8) {
+        const std::size_t count = std::min<std::size_t>(8, s.w_cols - p);
+        if (p == 0) {
+          weight_grad_group<true>(count, in_row, gt.data(), o_pad, ob, s, p,
+                                  weight_grad, bias_grad);
+        } else {
+          weight_grad_group<false>(count, in_row, gt.data(), o_pad, ob, s, p,
+                                   weight_grad, bias_grad);
+        }
       }
     }
   }
@@ -369,6 +457,15 @@ void Conv1d::train_backward(const float* in, const float* /*out*/,
   conv1d_backward_into(in, grad_out, weights_.data().data(), grad_in,
                        weight_grad_.data().data(), bias_grad_.data().data(),
                        rows, in_channels_, in_length_, out_channels_, kernel_);
+}
+
+void Conv1d::train_backward_relu(const float* in, const float* out,
+                                 const float* grad_out, std::size_t rows,
+                                 float* grad_in) {
+  conv1d_backward_into(in, grad_out, weights_.data().data(), grad_in,
+                       weight_grad_.data().data(), bias_grad_.data().data(),
+                       rows, in_channels_, in_length_, out_channels_, kernel_,
+                       out);
 }
 
 void Conv1d::collect_parameters(std::vector<ParamRef>& out) {

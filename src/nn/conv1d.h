@@ -29,7 +29,6 @@ namespace soteria::nn {
 /// `v > 0 ? v : 0`, in the tile's registers (and on the per-element
 /// path of outputs shorter than 16): bit-identical to Relu::infer_into
 /// run over the output afterwards, so a NaN or -0.0f sum stores +0.0f.
-/// Training runs it with `relu` false.
 void conv1d_infer_into(const float* in, float* out, const float* weights,
                        const float* bias, std::size_t rows,
                        std::size_t in_channels, std::size_t in_length,
@@ -43,17 +42,26 @@ void conv1d_infer_into(const float* in, float* out, const float* weights,
 /// reference loop (tests/oracles): grad-input over output channels,
 /// then taps, ascending; each row's weight and bias gradient as one
 /// chain in time order, added to the accumulators row by row. The work
-/// runs in fixed-width lanes of independent chains (grad-input across
-/// positions, weight/bias gradients across output channels), so the
-/// result is bit-identical to the reference whenever the compiler does
-/// not contract mul+add into FMA (the library builds with
-/// -ffp-contract=off).
+/// runs in fixed-width lanes of independent chains: grad-input in
+/// register tiles of 4 input channels x 6 vectors of positions (the
+/// positions within kernel-1 of either end, which miss a tap, in
+/// vectors whose lanes skip those taps), the weight and bias gradients
+/// across output channels, from a time-major copy of each row's
+/// gradient made by in-register 16 x 16 transposes.
+/// So the result is bit-identical to the reference whenever the
+/// compiler does not contract mul+add into FMA (the library builds
+/// with -ffp-contract=off). With `relu_out` (the output of a Relu run
+/// on this convolution's output, as conv1d_infer_into's `relu` stores
+/// it) each row's gradient is first gated as Relu's backward gates it,
+/// `relu_out > 0 ? grad_out : 0`: bit-identical to Relu::train_backward
+/// followed by the ungated kernel.
 void conv1d_backward_into(const float* in, const float* grad_out,
                           const float* weights, float* grad_in,
                           float* weight_grad, float* bias_grad,
                           std::size_t rows, std::size_t in_channels,
                           std::size_t in_length, std::size_t out_channels,
-                          std::size_t kernel);
+                          std::size_t kernel,
+                          const float* relu_out = nullptr);
 
 class Conv1d : public Layer {
  public:
@@ -64,14 +72,22 @@ class Conv1d : public Layer {
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out) const override;
   /// infer_into and a Relu after it in one pass: the kernel's ReLU
-  /// epilogue. Sequential::infer runs it for a Conv1d directly followed
-  /// by a Relu.
+  /// epilogue. Sequential::infer and a TrainingWorkspace run it for a
+  /// Conv1d directly followed by a Relu.
   void infer_relu_into(const float* in, std::size_t rows, float* out) const;
   /// conv1d_backward_into on the layer's input; reads no output.
   void train_backward(const float* in, const float* out,
                       const float* grad_out, std::size_t rows,
                       std::size_t width, float* grad_in,
                       TrainState& state) override;
+  /// The backward of infer_relu_into: `out` is its output and
+  /// `grad_out` the gradient w.r.t. it; the Relu's gate runs in
+  /// conv1d_backward_into. Bit-identical to Relu::train_backward and
+  /// then train_backward. A TrainingWorkspace runs it for a Conv1d
+  /// directly followed by a Relu.
+  void train_backward_relu(const float* in, const float* out,
+                           const float* grad_out, std::size_t rows,
+                           float* grad_in);
   void collect_parameters(std::vector<ParamRef>& out) override;
   void zero_gradients() override;
   [[nodiscard]] std::size_t parameter_count() const override;

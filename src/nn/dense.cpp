@@ -33,32 +33,26 @@ void Dense::infer_into(const float* in, std::size_t rows,
   }
 }
 
-void Dense::reserve_training(std::size_t /*max_rows*/,
-                             std::size_t /*width*/,
-                             TrainState& state) const {
-  state.scratch.resize(in_dim_ * out_dim_);
-}
-
 void Dense::train_backward(const float* in, const float* /*out*/,
                            const float* grad_out, std::size_t rows,
                            std::size_t /*width*/, float* grad_in,
-                           TrainState& state) {
-  // Each gradient is summed on its own, then added to the accumulator,
-  // so accumulating over several batches rounds as one sum per batch.
-  float* product = state.scratch.data();
-  math::matmul_at_into(in, grad_out, product, in_dim_, rows, out_dim_);
-  float* weight_grad = weight_grad_.data().data();
-  for (std::size_t i = 0; i < in_dim_ * out_dim_; ++i) {
-    weight_grad[i] += product[i];
-  }
-  float* col_sums = product;  // the product is consumed
-  std::fill(col_sums, col_sums + out_dim_, 0.0F);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = grad_out + r * out_dim_;
-    for (std::size_t c = 0; c < out_dim_; ++c) col_sums[c] += row[c];
-  }
+                           TrainState& /*state*/) {
+  // Each gradient is summed from +0 on its own, then added to the
+  // accumulator, so accumulating over several batches rounds as one sum
+  // per batch.
+  math::matmul_at_into(in, grad_out, weight_grad_.data().data(), in_dim_,
+                       rows, out_dim_);
   float* bias_grad = bias_grad_.data().data();
-  for (std::size_t c = 0; c < out_dim_; ++c) bias_grad[c] += col_sums[c];
+  constexpr std::size_t kChunk = 256;
+  for (std::size_t c0 = 0; c0 < out_dim_; c0 += kChunk) {
+    const std::size_t cols = std::min(kChunk, out_dim_ - c0);
+    float col_sums[kChunk] = {};
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* row = grad_out + r * out_dim_ + c0;
+      for (std::size_t c = 0; c < cols; ++c) col_sums[c] += row[c];
+    }
+    for (std::size_t c = 0; c < cols; ++c) bias_grad[c0 + c] += col_sums[c];
+  }
   math::matmul_bt_into(grad_out, weights_.data().data(), grad_in, rows,
                        out_dim_, in_dim_);
 }

@@ -16,11 +16,10 @@ class Dense : public Layer {
 
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out) const override;
-  void reserve_training(std::size_t max_rows, std::size_t width,
-                        TrainState& state) const override;
   /// Reads the layer's input, never its output. weight_grad += X^T G
-  /// and bias_grad += the column sums of G, each computed on its own
-  /// in `state` first; d(input) = G W^T.
+  /// (math::matmul_at_into) and bias_grad += the column sums of G, each
+  /// summed from +0 before it is added; d(input) = G W^T
+  /// (math::matmul_bt_into). Uses no `state`.
   void train_backward(const float* in, const float* out,
                       const float* grad_out, std::size_t rows,
                       std::size_t width, float* grad_in,

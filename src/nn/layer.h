@@ -11,9 +11,12 @@
 // (nn/sequential.h), one per training call. Parameters are exposed
 // through `ParamRef`s so optimizers can update them without knowing
 // layer internals. Sequential::infer walks the layers' infer_into
-// kernels over a per-thread arena; the one fusion it makes is a Relu
-// directly after a Conv1d, run in the conv kernel's store
-// (Conv1d::infer_relu_into) with the bits of the two kernels in turn.
+// kernels over a per-thread arena. The one fusion it and the
+// TrainingWorkspace make is a Relu directly after a Conv1d: its forward
+// runs in the conv kernel's store (Conv1d::infer_relu_into) and, in
+// training, its backward gate in the conv's backward
+// (Conv1d::train_backward_relu), each with the bits of the two layers'
+// kernels in turn.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +42,6 @@ struct ParamRef {
 struct TrainState {
   std::vector<std::uint32_t> argmax;  ///< MaxPool1d: per output element
   std::vector<std::uint8_t> keep;     ///< Dropout: per element, 1 = kept
-  std::vector<float> scratch;         ///< Dense: its A^T G product
 };
 
 /// Base class for all layers.

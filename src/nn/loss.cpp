@@ -19,22 +19,6 @@ double mse_loss_into(const float* predictions, const float* targets,
   return acc / n;
 }
 
-LossResult mse_loss(const math::Matrix& predictions,
-                    const math::Matrix& targets) {
-  if (predictions.rows() != targets.rows() ||
-      predictions.cols() != targets.cols()) {
-    throw std::invalid_argument("mse_loss: shape mismatch " +
-                                predictions.shape_string() + " vs " +
-                                targets.shape_string());
-  }
-  LossResult result;
-  result.gradient = math::Matrix(predictions.rows(), predictions.cols());
-  result.loss =
-      mse_loss_into(predictions.data().data(), targets.data().data(),
-                    predictions.size(), result.gradient.data().data());
-  return result;
-}
-
 namespace {
 
 // Stable softmax of one row, in place: subtracts the row max, sums the
@@ -83,22 +67,6 @@ double softmax_cross_entropy_into(const float* logits, std::size_t classes,
   const auto scale = static_cast<float>(1.0 / batch);
   for (std::size_t i = 0; i < rows * classes; ++i) gradient[i] *= scale;
   return acc / batch;
-}
-
-LossResult softmax_cross_entropy(const math::Matrix& logits,
-                                 std::span<const std::size_t> labels) {
-  if (labels.size() != logits.rows()) {
-    throw std::invalid_argument("softmax_cross_entropy: " +
-                                std::to_string(labels.size()) +
-                                " labels for batch of " +
-                                std::to_string(logits.rows()));
-  }
-  LossResult result;
-  result.gradient = math::Matrix(logits.rows(), logits.cols());
-  result.loss = softmax_cross_entropy_into(logits.data().data(),
-                                           logits.cols(), labels,
-                                           result.gradient.data().data());
-  return result;
 }
 
 std::vector<double> row_rmse(const math::Matrix& predictions,

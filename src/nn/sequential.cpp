@@ -185,9 +185,17 @@ TrainingWorkspace::TrainingWorkspace(Sequential& model,
   grad_ping_.resize(max_rows * widest);
   grad_pong_.resize(max_rows * widest);
   states_.resize(layers_.size());
+  relu_convs_.assign(layers_.size(), nullptr);
   buffers_.reserve(layers_.size());
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const Layer& layer = *layers_[i];
+    // A Conv1d and the Relu after it train as one op; the Relu is in
+    // place over the conv's output, which the conv's backward never
+    // reads.
+    if (i + 1 < layers_.size() &&
+        dynamic_cast<const Relu*>(layers_[i + 1]) != nullptr) {
+      relu_convs_[i] = dynamic_cast<Conv1d*>(layers_[i]);
+    }
     layer.reserve_training(max_rows, widths_[i], states_[i]);
     const bool in_place =
         layer.trains_in_place() &&
@@ -201,22 +209,37 @@ TrainingWorkspace::TrainingWorkspace(Sequential& model,
   }
 }
 
+bool TrainingWorkspace::runs_in_conv(std::size_t i) const noexcept {
+  return i > 0 && relu_convs_[i - 1] != nullptr;
+}
+
 const float* TrainingWorkspace::forward_layer(std::size_t i,
                                               std::size_t rows) {
   rows_ = rows;
-  layers_[i]->train_forward(layer_input(i), rows, widths_[i], outputs_[i],
-                            states_[i]);
+  if (relu_convs_[i] != nullptr) {
+    relu_convs_[i]->infer_relu_into(layer_input(i), rows, outputs_[i]);
+  } else if (!runs_in_conv(i)) {
+    layers_[i]->train_forward(layer_input(i), rows, widths_[i], outputs_[i],
+                              states_[i]);
+  }
   return outputs_[i];
 }
 
 const float* TrainingWorkspace::backward_layer(std::size_t i,
                                                const float* grad_output) {
-  // The last layer writes ping, the one before it pong, and so on, so
-  // a layer's gradient input and output never share a buffer.
-  float* grad_input = (layers_.size() - 1 - i) % 2 == 0 ? grad_ping_.data()
-                                                        : grad_pong_.data();
-  layers_[i]->train_backward(layer_input(i), outputs_[i], grad_output, rows_,
-                             widths_[i], grad_input, states_[i]);
+  // A fused Relu's gate runs in its conv's backward.
+  if (runs_in_conv(i)) return grad_output;
+  // Whichever gradient buffer the layer after did not write, so a
+  // layer's gradient input and output never share a buffer.
+  float* grad_input = grad_output == grad_ping_.data() ? grad_pong_.data()
+                                                       : grad_ping_.data();
+  if (relu_convs_[i] != nullptr) {
+    relu_convs_[i]->train_backward_relu(layer_input(i), outputs_[i],
+                                        grad_output, rows_, grad_input);
+  } else {
+    layers_[i]->train_backward(layer_input(i), outputs_[i], grad_output,
+                               rows_, widths_[i], grad_input, states_[i]);
+  }
   return grad_input;
 }
 

@@ -14,7 +14,11 @@
 // and backward state (TrainState), and two gradient buffers as wide as
 // the widest layer, which backward ping-pongs between. A ReLU writes
 // in place over the output before it (unless that layer's backward
-// reads it), so its output costs no buffer.
+// reads it), so its output costs no buffer. The workspace makes the
+// same fusion as infer: a Relu directly after a Conv1d runs in the
+// conv kernel's store, and its backward gate in the conv's backward
+// (Conv1d::train_backward_relu), so the pair costs no ReLU pass either
+// way and keeps the bits of the two layers in turn.
 #pragma once
 
 #include <iosfwd>
@@ -25,6 +29,8 @@
 #include "nn/layer.h"
 
 namespace soteria::nn {
+
+class Conv1d;
 
 class Sequential {
  public:
@@ -129,7 +135,10 @@ class TrainingWorkspace {
   /// layer wrote: forward(rows) runs every forward_layer(i, rows) in
   /// order, backward every backward_layer in reverse, each taking the
   /// gradient the one after it returned (bench/perf_nn times them one
-  /// by one). These check nothing.
+  /// by one). A Relu fused into the Conv1d before it does nothing in
+  /// either: the conv's forward_layer returns the Relu's output, and
+  /// the Relu's backward_layer returns its argument, which the conv's
+  /// backward_layer gates. These check nothing.
   const float* forward_layer(std::size_t i, std::size_t rows);
   const float* backward_layer(std::size_t i, const float* grad_output);
 
@@ -137,6 +146,8 @@ class TrainingWorkspace {
   [[nodiscard]] float* layer_input(std::size_t i) noexcept {
     return i == 0 ? input_.data() : outputs_[i - 1];
   }
+  // True if layer i is a Relu that runs in the Conv1d before it.
+  [[nodiscard]] bool runs_in_conv(std::size_t i) const noexcept;
 
   std::vector<Layer*> layers_;
   std::size_t max_rows_;
@@ -146,6 +157,9 @@ class TrainingWorkspace {
   std::vector<std::vector<float>> buffers_;  // owned layer outputs
   std::vector<float*> outputs_;  // layer i's output (in place: its input)
   std::vector<TrainState> states_;
+  // Layer i if it is a Conv1d directly followed by a Relu: the pair
+  // trains as one (infer_relu_into, train_backward_relu).
+  std::vector<Conv1d*> relu_convs_;
   std::vector<float> grad_ping_;
   std::vector<float> grad_pong_;
 };

@@ -1,13 +1,14 @@
 // Bitwise-identity contracts of the SIMD kernels: the GEMMs (matmul's
-// register tile, the cache-blocked matmul_at / matmul_bt), the
-// register-tiled conv1d kernel with and without its ReLU epilogue, and
-// the branch-free window-2 max-pool must produce exactly the bytes of
-// the preserved naive references, because every output runs the same
-// operations in the same order. GEMM shapes cover every row and column
-// remainder of the 2-row x 128-column tile and k past one 256-deep
-// block, with A zero in whole tiles, whole rows and scattered entries;
-// conv shapes cover every edge of the 4-channel x 96-position tiling,
-// and signed zeros and infinities.
+// register tile, which the backward kernels matmul_at_into and
+// matmul_bt_into run too), the register-tiled conv1d kernel with and
+// without its ReLU epilogue, and the branch-free window-2 max-pool must
+// produce exactly the bytes of the preserved naive references, because
+// every output runs the same operations in the same order. GEMM shapes
+// cover every row and column remainder of the 2-row x 128-column tile
+// and k past matmul_bt_into's 256-deep panel, with A zero in whole
+// tiles, whole rows and scattered entries; conv shapes cover every edge
+// of the 4-channel x 96-position tiling, and signed zeros and
+// infinities, and the backward conv's masked edge vectors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -132,34 +133,138 @@ TEST(BlockedGemmTest, MatmulMatchesReferenceBitwise) {
   expect_matches(relu_sparse_matrix(10, 1952, rng), 128, "product shape");
 }
 
-TEST(BlockedGemmTest, MatmulAtMatchesReferenceBitwise) {
-  Rng rng(52);
-  const std::size_t shapes[][3] = {{1, 1, 1},  {5, 3, 7},   {4, 17, 4},
-                                   {64, 5, 3}, {300, 9, 33}, {257, 2, 31}};
-  for (const auto& s : shapes) {
-    // a is k x m (transposed-A product), b is k x n.
-    const Matrix a = random_matrix(s[0], s[1], rng, true);
-    const Matrix b = random_matrix(s[0], s[2], rng, true);
-    expect_bitwise_equal(matmul_at(a, b), matmul_at_reference(a, b),
-                         "matmul_at");
+/// `c` plus A^T * B through matmul_at_into (`a` is k x m, `b` k x n).
+Matrix at_into(const Matrix& a, const Matrix& b, Matrix c) {
+  matmul_at_into(a.data().data(), b.data().data(), c.data().data(),
+                 a.cols(), a.rows(), b.cols());
+  return c;
+}
+
+/// A * B^T through matmul_bt_into (`a` is m x k, `b` n x k), over a
+/// result full of garbage it must overwrite.
+Matrix bt_into(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows(), -7.0F);
+  matmul_bt_into(a.data().data(), b.data().data(), c.data().data(),
+                 a.rows(), a.cols(), b.rows());
+  return c;
+}
+
+/// Two accumulating matmul_at_into calls from a nonzero `c`, each
+/// against `c` plus the k-i-j oracle's product; `a` and `a2` are k x m.
+void expect_at_accumulates(const Matrix& a, const Matrix& a2, std::size_t n,
+                           Rng& rng, const char* label) {
+  SCOPED_TRACE(testing::Message() << label << ": m " << a.cols() << ", k "
+                                  << a.rows() << ", n " << n);
+  Matrix want = random_matrix(a.cols(), n, rng);
+  Matrix got = want;
+  for (const Matrix* lhs : {&a, &a2}) {
+    const Matrix b = random_matrix(lhs->rows(), n, rng, true);
+    got = at_into(*lhs, b, got);
+    want += matmul_at_reference(*lhs, b);
+    expect_bitwise_equal(got, want, label);
+    if (testing::Test::HasFatalFailure()) return;
   }
 }
 
+TEST(BlockedGemmTest, MatmulAtMatchesReferenceBitwise) {
+  Rng rng(52);
+  // (k, m, n): a is k x m (transposed-A product), b is k x n.
+  const std::size_t shapes[][3] = {{1, 1, 1},  {5, 3, 7},   {4, 17, 4},
+                                   {64, 5, 3}, {300, 9, 33}, {257, 2, 31}};
+  for (const auto& s : shapes) {
+    const Matrix a = random_matrix(s[0], s[1], rng, true);
+    const Matrix b = random_matrix(s[0], s[2], rng, true);
+    expect_bitwise_equal(at_into(a, b, Matrix(s[1], s[2], 0.0F)),
+                         matmul_at_reference(a, b), "matmul_at_into");
+  }
+
+  // Post-ReLU A (Dense's input): odd and even m, so a last row of C
+  // runs alone, at every column tail n = 1..145 (below one vector, a
+  // vector tail that overlaps the vector before it, or a whole tile
+  // before one that overlaps the tile).
+  for (std::size_t n = 1; n <= 145; ++n) {
+    const std::size_t m = n % 2 == 0 ? 6 : 7;
+    expect_at_accumulates(relu_sparse_matrix(11, m, rng),
+                          relu_sparse_matrix(5, m, rng), n, rng,
+                          "column tails");
+    if (HasFatalFailure()) return;
+  }
+
+  // Whole zero tiles: columns 0-1 of A (C's first 2-row tile) all +0,
+  // column 4 all -0 beside a nonzero column 5, and the odd last column
+  // 8 all +0.
+  for (const std::size_t n : {4U, 128U, 200U}) {
+    Matrix a = relu_sparse_matrix(40, 9, rng);
+    for (std::size_t kk = 0; kk < a.rows(); ++kk) {
+      a(kk, 0) = 0.0F;
+      a(kk, 1) = 0.0F;
+      a(kk, 4) = -0.0F;
+      a(kk, 8) = 0.0F;
+    }
+    expect_at_accumulates(a, relu_sparse_matrix(3, 9, rng), n, rng,
+                          "zero tiles");
+    if (HasFatalFailure()) return;
+  }
+
+  // Dense's weight-gradient shapes: the classifier's hidden layer
+  // (1952 -> 128) and the autoencoder's first (1000 -> 200), each at a
+  // 64-row batch and a 6-row last batch.
+  expect_at_accumulates(relu_sparse_matrix(64, 1952, rng),
+                        relu_sparse_matrix(6, 1952, rng), 128, rng,
+                        "Dense(1952->128)");
+  if (HasFatalFailure()) return;
+  expect_at_accumulates(relu_sparse_matrix(64, 1000, rng),
+                        relu_sparse_matrix(6, 1000, rng), 200, rng,
+                        "Dense(1000->200)");
+}
+
 TEST(BlockedGemmTest, MatmulBtMatchesReferenceBitwise) {
-  // matmul_bt transposes B a 256 x 64 panel at a time; shapes straddle
-  // both panel edges (k > 256, n > 64), the row unroll and Dense's
-  // backward shape (64 rows, 128 -> 1952).
+  // matmul_bt_into transposes B a panel of up to 128 columns x 256 k at
+  // a time; shapes straddle both panel edges (k > 256 and > 512, n >
+  // 128), odd m, and Dense's backward shape (64 rows, 128 -> 1952).
   Rng rng(53);
   const std::size_t shapes[][3] = {{1, 1, 1},    {3, 5, 7},     {4, 4, 65},
                                    {17, 1, 9},   {5, 257, 3},   {6, 300, 130},
-                                   {64, 128, 1952}};
+                                   {3, 600, 17}, {64, 128, 1952}};
+  const auto expect_matches = [&](const Matrix& a, const Matrix& b,
+                                  const char* label) {
+    SCOPED_TRACE(testing::Message() << label << ": m " << a.rows() << ", k "
+                                    << a.cols() << ", n " << b.rows());
+    expect_bitwise_equal(bt_into(a, b), matmul_reference(a, b.transposed()),
+                         label);
+  };
   for (const auto& s : shapes) {
     // a is m x k, b is n x k.
-    const Matrix a = random_matrix(s[0], s[1], rng, true);
-    const Matrix b = random_matrix(s[2], s[1], rng, true);
-    expect_bitwise_equal(matmul_bt(a, b),
-                         matmul_reference(a, b.transposed()), "matmul_bt");
+    expect_matches(random_matrix(s[0], s[1], rng, true),
+                   random_matrix(s[2], s[1], rng, true), "shapes");
+    if (HasFatalFailure()) return;
   }
+
+  // Post-ReLU-gated gradients as A, odd and even m, every column tail
+  // n = 1..145, with k past one 256-deep panel every third n.
+  for (std::size_t n = 1; n <= 145; ++n) {
+    const std::size_t k = n % 3 == 0 ? 270 : 23;
+    expect_matches(relu_sparse_matrix(n % 2 == 0 ? 4 : 5, k, rng),
+                   random_matrix(n, k, rng, true), "column tails");
+    if (HasFatalFailure()) return;
+  }
+
+  // Whole zero tiles: rows 0-1 of A all +0, row 4 all -0 beside a
+  // nonzero row 5, and the odd last row 8 all +0.
+  for (const std::size_t n : {4U, 130U, 200U}) {
+    Matrix a = relu_sparse_matrix(9, 300, rng);
+    for (const std::size_t zero_row : {0U, 1U, 8U}) {
+      for (float& x : a.row(zero_row)) x = 0.0F;
+    }
+    for (float& x : a.row(4)) x = -0.0F;
+    expect_matches(a, random_matrix(n, 300, rng), "zero tiles");
+    if (HasFatalFailure()) return;
+  }
+
+  // The autoencoder's widest input gradient: Dense(200->1000) backward
+  // (k 1000, four panels deep).
+  expect_matches(relu_sparse_matrix(64, 1000, rng),
+                 random_matrix(200, 1000, rng), "Dense(200->1000)");
 }
 
 TEST(BlockedGemmTest, ZeroMatricesStayPositiveZero) {
@@ -412,6 +517,59 @@ TEST(DirectConv1dTest, ReluEpilogueMatchesConvThenRelu) {
         copy(random_matrix(16, in_channels * 3, rng)),
         copy(random_matrix(1, 16, rng)));
     if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Conv1dBackwardEdgeTest, EdgeVectorsMatchReferenceBitwise) {
+  // Grad-input positions that miss a tap run in masked edge vectors
+  // that read past a channel's gradient row into its neighbours (or the
+  // staged row's padding). Shapes: inputs of 16-19 with outputs below
+  // one vector, kernels whose first kernel-1 positions span more than
+  // one vector, and a kernel of 1 (no edges). Gradients hold +/-inf
+  // next to every channel's ends, so a masked lane that leaked a
+  // neighbour's value would turn a finite oracle sum infinite or NaN.
+  Rng rng(57);
+  const float inf = std::numeric_limits<float>::infinity();
+  const ConvShape shapes[] = {{2, 3, 16, 5, 5},  {3, 5, 18, 7, 5},
+                              {2, 4, 19, 17, 4}, {2, 3, 60, 6, 20},
+                              {1, 2, 45, 3, 18}, {2, 5, 40, 9, 1}};
+  for (const ConvShape& s : shapes) {
+    const std::size_t out_len = s.in_length - s.kernel + 1;
+    const Matrix in = random_matrix(s.rows, s.in_channels * s.in_length, rng);
+    const Matrix weights =
+        random_matrix(s.out_channels, s.in_channels * s.kernel, rng, true);
+    Matrix grad_out = random_matrix(s.rows, s.out_channels * out_len, rng);
+    for (std::size_t r = 0; r < s.rows; ++r) {
+      for (std::size_t o = 0; o < s.out_channels; ++o) {
+        grad_out(r, o * out_len) = o % 2 == 0 ? inf : -inf;
+        grad_out(r, o * out_len + out_len - 1) = o % 2 == 0 ? -inf : inf;
+      }
+    }
+    std::vector<float> fast_gi(in.size(), -1.0F);
+    std::vector<float> fast_wg(weights.size(), 0.0F);
+    std::vector<float> fast_bg(s.out_channels, 0.0F);
+    std::vector<float> oracle_gi(in.size(), 0.0F);
+    std::vector<float> oracle_wg = fast_wg;
+    std::vector<float> oracle_bg = fast_bg;
+    nn::conv1d_backward_into(in.data().data(), grad_out.data().data(),
+                             weights.data().data(), fast_gi.data(),
+                             fast_wg.data(), fast_bg.data(), s.rows,
+                             s.in_channels, s.in_length, s.out_channels,
+                             s.kernel);
+    oracles::conv1d_backward_reference(
+        in.data().data(), grad_out.data().data(), weights.data().data(),
+        oracle_gi.data(), oracle_wg.data(), oracle_bg.data(), s.rows,
+        s.in_channels, s.in_length, s.out_channels, s.kernel);
+    SCOPED_TRACE(testing::Message()
+                 << "rows " << s.rows << ", in " << s.in_channels << "x"
+                 << s.in_length << ", out " << s.out_channels << ", kernel "
+                 << s.kernel);
+    ASSERT_EQ(0, std::memcmp(fast_gi.data(), oracle_gi.data(),
+                             fast_gi.size() * sizeof(float)));
+    ASSERT_EQ(0, std::memcmp(fast_wg.data(), oracle_wg.data(),
+                             fast_wg.size() * sizeof(float)));
+    ASSERT_EQ(0, std::memcmp(fast_bg.data(), oracle_bg.data(),
+                             fast_bg.size() * sizeof(float)));
   }
 }
 

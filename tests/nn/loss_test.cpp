@@ -3,28 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace soteria::nn {
 namespace {
 
 TEST(MseLoss, ValueAndGradient) {
-  const math::Matrix pred(1, 2, {3.0F, 5.0F});
-  const math::Matrix target(1, 2, {1.0F, 5.0F});
-  const auto result = mse_loss(pred, target);
-  EXPECT_DOUBLE_EQ(result.loss, (4.0 + 0.0) / 2.0);
-  EXPECT_FLOAT_EQ(result.gradient(0, 0), 2.0F * 2.0F / 2.0F);
-  EXPECT_FLOAT_EQ(result.gradient(0, 1), 0.0F);
+  const float pred[] = {3.0F, 5.0F};
+  const float target[] = {1.0F, 5.0F};
+  float gradient[2];
+  const double loss = mse_loss_into(pred, target, 2, gradient);
+  EXPECT_DOUBLE_EQ(loss, (4.0 + 0.0) / 2.0);
+  EXPECT_FLOAT_EQ(gradient[0], 2.0F * 2.0F / 2.0F);
+  EXPECT_FLOAT_EQ(gradient[1], 0.0F);
 }
 
 TEST(MseLoss, ZeroForPerfectPrediction) {
-  const math::Matrix m(2, 3, 1.5F);
-  const auto result = mse_loss(m, m);
-  EXPECT_DOUBLE_EQ(result.loss, 0.0);
-}
-
-TEST(MseLoss, ShapeMismatchThrows) {
-  EXPECT_THROW((void)mse_loss(math::Matrix(1, 2), math::Matrix(2, 1)),
-               std::invalid_argument);
+  const std::vector<float> m(6, 1.5F);
+  std::vector<float> gradient(6, -1.0F);
+  EXPECT_DOUBLE_EQ(mse_loss_into(m.data(), m.data(), 6, gradient.data()),
+                   0.0);
+  for (const float g : gradient) EXPECT_EQ(g, 0.0F);
 }
 
 TEST(Softmax, RowsSumToOne) {
@@ -51,40 +50,42 @@ TEST(Softmax, IsShiftInvariantAndStable) {
 
 TEST(SoftmaxCrossEntropy, KnownValue) {
   // Uniform logits over 4 classes -> loss = ln(4).
-  const math::Matrix logits(1, 4, 0.0F);
+  const float logits[4] = {};
   const std::vector<std::size_t> labels{2};
-  const auto result = softmax_cross_entropy(logits, labels);
-  EXPECT_NEAR(result.loss, std::log(4.0), 1e-6);
+  float gradient[4];
+  const double loss = softmax_cross_entropy_into(logits, 4, labels, gradient);
+  EXPECT_NEAR(loss, std::log(4.0), 1e-6);
   // Gradient: probs - onehot, / batch.
-  EXPECT_NEAR(result.gradient(0, 0), 0.25F, 1e-6);
-  EXPECT_NEAR(result.gradient(0, 2), 0.25F - 1.0F, 1e-6);
+  EXPECT_NEAR(gradient[0], 0.25F, 1e-6);
+  EXPECT_NEAR(gradient[2], 0.25F - 1.0F, 1e-6);
 }
 
 TEST(SoftmaxCrossEntropy, GradientSumsToZeroPerRow) {
-  const math::Matrix logits(2, 3, {1.0F, -2.0F, 0.5F, 3.0F, 3.0F, 0.0F});
+  const float logits[] = {1.0F, -2.0F, 0.5F, 3.0F, 3.0F, 0.0F};
   const std::vector<std::size_t> labels{0, 1};
-  const auto result = softmax_cross_entropy(logits, labels);
+  float gradient[6];
+  (void)softmax_cross_entropy_into(logits, 3, labels, gradient);
   for (std::size_t r = 0; r < 2; ++r) {
     double sum = 0.0;
-    for (std::size_t c = 0; c < 3; ++c) sum += result.gradient(r, c);
+    for (std::size_t c = 0; c < 3; ++c) sum += gradient[r * 3 + c];
     EXPECT_NEAR(sum, 0.0, 1e-6);
   }
 }
 
 TEST(SoftmaxCrossEntropy, ConfidentCorrectPredictionHasLowLoss) {
-  const math::Matrix logits(1, 2, {10.0F, -10.0F});
+  const float logits[] = {10.0F, -10.0F};
   const std::vector<std::size_t> labels{0};
-  EXPECT_LT(softmax_cross_entropy(logits, labels).loss, 1e-6);
+  float gradient[2];
+  EXPECT_LT(softmax_cross_entropy_into(logits, 2, labels, gradient), 1e-6);
 }
 
 TEST(SoftmaxCrossEntropy, Validation) {
-  const math::Matrix logits(2, 3);
-  const std::vector<std::size_t> short_labels{0};
-  EXPECT_THROW((void)softmax_cross_entropy(logits, short_labels),
-               std::invalid_argument);
+  const float logits[6] = {};
+  float gradient[6];
   const std::vector<std::size_t> bad_label{0, 3};
-  EXPECT_THROW((void)softmax_cross_entropy(logits, bad_label),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)softmax_cross_entropy_into(logits, 3, bad_label, gradient),
+      std::invalid_argument);
 }
 
 TEST(RowRmse, PerRowValues) {

@@ -1,7 +1,8 @@
 // Naive GEMM loops kept as test oracles for the GEMM kernels
-// (math::matmul, math::matmul_at) and as the before-side of the
-// bench/perf_nn GFLOP/s stage. Each output cell accumulates its
-// k-products in ascending order, which the blocked kernels must keep.
+// (math::matmul_into, matmul_at_into, and matmul_bt_into against
+// matmul_reference on B's transpose) and as the before-side of the
+// bench/perf_nn GFLOP/s stages. Each output cell accumulates its
+// k-products in ascending order, which the tiled kernels must keep.
 #pragma once
 
 #include "math/matrix.h"

@@ -235,7 +235,7 @@ TEST(PerfSmoke, RecordedNnSectionHasTrainingStepKeys) {
   // the per-step training cost of the product CNN and autoencoder
   // (bench/perf_nn's training-step tables) and the product
   // classifier's whole-net inference cost per row (its op table)
-  // beside the kernel rates.
+  // beside the kernel rates, Dense's backward GEMMs among them.
   const std::string contents = recorded_bench_perf();
   if (contents.empty()) {
     GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
@@ -250,8 +250,9 @@ TEST(PerfSmoke, RecordedNnSectionHasTrainingStepKeys) {
   const auto& section = it->second.as_object();
   for (const char* key :
        {"nn_train_step_cnn_ms", "nn_train_step_ae_ms",
-        "classifier_infer_us_per_row", "conv1d_backward_gflops", "gemm_256_blocked_gflops",
-        "hardware_threads"}) {
+        "classifier_infer_us_per_row", "conv1d_backward_gflops",
+        "gemm_256_tiled_gflops", "dense_1952x128_at_gflops",
+        "dense_1952x128_bt_gflops", "hardware_threads"}) {
     ASSERT_TRUE(section.count(key)) << key;
     EXPECT_GT(section.at(key).as_number(), 0.0) << key;
   }
