@@ -1,10 +1,10 @@
 #include "common/perf_json.h"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "obs/export.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -13,22 +13,9 @@ namespace soteria::bench {
 namespace {
 
 void write_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
+  std::string quoted;
+  obs::append_json_string(quoted, s);
+  out << quoted;
 }
 
 void write_number(std::ostream& out, double v) {

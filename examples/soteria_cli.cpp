@@ -50,6 +50,7 @@
 #include <iostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "attack/attacker.h"
@@ -422,27 +423,11 @@ volatile std::sig_atomic_t g_sighup = 0;
 
 void handle_sighup(int) { g_sighup = 1; }
 
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  return escaped;
+/// `text` as a quoted JSON string.
+std::string json_string(std::string_view text) {
+  std::string quoted;
+  obs::append_json_string(quoted, text);
+  return quoted;
 }
 
 std::vector<std::uint8_t> read_binary_file(const std::string& path) {
@@ -465,24 +450,24 @@ struct PendingRequest {
 /// consumer sees it immediately.
 void print_outcome(PendingRequest& pending) {
   const auto id = static_cast<unsigned long long>(pending.id);
-  const std::string path = json_escape(pending.path);
+  const std::string path = json_string(pending.path);
   try {
     const auto verdict = pending.verdict.get();
-    std::printf("{\"id\":%llu,\"path\":\"%s\",\"adversarial\":%s,"
+    std::printf("{\"id\":%llu,\"path\":%s,\"adversarial\":%s,"
                 "\"family\":\"%s\",\"reconstruction_error\":%.17g}\n",
                 id, path.c_str(), verdict.adversarial ? "true" : "false",
                 std::string(dataset::family_name(verdict.predicted)).c_str(),
                 verdict.reconstruction_error);
   } catch (const core::Error& e) {
-    std::printf("{\"id\":%llu,\"path\":\"%s\",\"error\":\"%s\","
-                "\"message\":\"%s\"}\n",
+    std::printf("{\"id\":%llu,\"path\":%s,\"error\":\"%s\","
+                "\"message\":%s}\n",
                 id, path.c_str(),
                 std::string(core::error_code_name(e.code())).c_str(),
-                json_escape(e.what()).c_str());
+                json_string(e.what()).c_str());
   } catch (const std::exception& e) {
-    std::printf("{\"id\":%llu,\"path\":\"%s\",\"error\":\"Internal\","
-                "\"message\":\"%s\"}\n",
-                id, path.c_str(), json_escape(e.what()).c_str());
+    std::printf("{\"id\":%llu,\"path\":%s,\"error\":\"Internal\","
+                "\"message\":%s}\n",
+                id, path.c_str(), json_string(e.what()).c_str());
   }
   std::fflush(stdout);
 }
@@ -579,17 +564,15 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
       const auto bytes = read_binary_file(line);
       cfg = decode_binary(bytes, format, arch);
     } catch (const core::Error& e) {
-      std::printf("{\"path\":\"%s\",\"error\":\"%s\",\"message\":"
-                  "\"%s\"}\n",
-                  json_escape(line).c_str(),
+      std::printf("{\"path\":%s,\"error\":\"%s\",\"message\":%s}\n",
+                  json_string(line).c_str(),
                   std::string(core::error_code_name(e.code())).c_str(),
-                  json_escape(e.what()).c_str());
+                  json_string(e.what()).c_str());
       std::fflush(stdout);
       continue;
     } catch (const std::exception& e) {
-      std::printf("{\"path\":\"%s\",\"error\":\"IoError\",\"message\":"
-                  "\"%s\"}\n",
-                  json_escape(line).c_str(), json_escape(e.what()).c_str());
+      std::printf("{\"path\":%s,\"error\":\"IoError\",\"message\":%s}\n",
+                  json_string(line).c_str(), json_string(e.what()).c_str());
       std::fflush(stdout);
       continue;
     }

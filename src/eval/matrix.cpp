@@ -6,6 +6,7 @@
 #include "attack/registry.h"
 #include "eval/table.h"
 #include "math/rng.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
@@ -14,15 +15,6 @@
 namespace soteria::eval {
 
 namespace {
-
-void append_json_string(std::string& out, const std::string& value) {
-  out.push_back('"');
-  for (char c : value) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-}
 
 std::string format_rate(double value) {
   std::ostringstream out;
@@ -90,21 +82,21 @@ std::string MatrixReport::to_json() const {
                     std::to_string(victims_per_cell) + ",\"attacks\":[";
   for (std::size_t i = 0; i < attacks.size(); ++i) {
     if (i > 0) out.push_back(',');
-    append_json_string(out, attacks[i]);
+    obs::append_json_string(out, attacks[i]);
   }
   out += "],\"defenses\":[";
   for (std::size_t i = 0; i < defenses.size(); ++i) {
     if (i > 0) out.push_back(',');
-    append_json_string(out, defenses[i]);
+    obs::append_json_string(out, defenses[i]);
   }
   out += "],\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const MatrixCell& c = cells[i];
     if (i > 0) out.push_back(',');
     out += "{\"attack\":";
-    append_json_string(out, c.attack);
+    obs::append_json_string(out, c.attack);
     out += ",\"defense\":";
-    append_json_string(out, c.defense);
+    obs::append_json_string(out, c.defense);
     out += ",\"victims\":" + std::to_string(c.victims);
     out += ",\"skipped\":" + std::to_string(c.skipped);
     out += ",\"failures\":" + std::to_string(c.failures);

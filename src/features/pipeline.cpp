@@ -12,7 +12,6 @@
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "soteria/error.h"
-#include "store/feature_store.h"
 
 namespace soteria::features {
 
@@ -46,31 +45,6 @@ std::vector<float> SampleFeatures::combined(std::size_t walk) const {
   return vec;
 }
 
-namespace {
-
-std::vector<float> mean_of(const std::vector<std::vector<float>>& vecs) {
-  if (vecs.empty()) return {};
-  std::vector<float> mean(vecs.front().size(), 0.0F);
-  for (const auto& v : vecs) {
-    for (std::size_t i = 0; i < mean.size(); ++i) mean[i] += v[i];
-  }
-  const auto inv = 1.0F / static_cast<float>(vecs.size());
-  for (float& x : mean) x *= inv;
-  return mean;
-}
-
-}  // namespace
-
-std::vector<float> SampleFeatures::mean_dbl() const { return mean_of(dbl); }
-std::vector<float> SampleFeatures::mean_lbl() const { return mean_of(lbl); }
-
-std::vector<float> SampleFeatures::mean_combined() const {
-  std::vector<float> mean = mean_dbl();
-  const auto lbl_mean = mean_lbl();
-  mean.insert(mean.end(), lbl_mean.begin(), lbl_mean.end());
-  return mean;
-}
-
 std::vector<float> SampleFeatures::pooled_combined() const {
   std::vector<float> vec = pooled_dbl;
   vec.insert(vec.end(), pooled_lbl.begin(), pooled_lbl.end());
@@ -94,17 +68,6 @@ GramCounts FeaturePipeline::gram_counts_for_labels(
     counter.count_walk(walk, config_.gram_sizes);
   }
   return counter.to_counts();
-}
-
-GramCounts FeaturePipeline::gram_counts(const cfg::Cfg& cfg,
-                                        cfg::LabelingMethod method,
-                                        math::Rng& rng) const {
-  const auto labelings = labelings_for(cfg);
-  return gram_counts_for_labels(cfg,
-                                method == cfg::LabelingMethod::kDensity
-                                    ? labelings.dbl
-                                    : labelings.lbl,
-                                rng);
 }
 
 namespace {
@@ -340,28 +303,6 @@ FeaturePipeline FeaturePipeline::load(std::istream& in) {
   pipeline.lbl_vocab_ = Vocabulary::load(in);
   pipeline.fingerprint_ = store::fingerprint_of(pipeline);
   return pipeline;
-}
-
-SampleFeatures FeaturePipeline::extract_stored(
-    const cfg::Cfg& cfg, const math::Rng& fresh_rng,
-    store::FeatureStore* store) const {
-  store::FeatureStore* target =
-      store != nullptr ? store : feature_store_.get();
-  if (target == nullptr) {
-    math::Rng rng = fresh_rng;
-    return extract(cfg, rng);
-  }
-  // The key ties the entry to the exact extraction it replaces: the
-  // CFG's content, this pipeline's fitted state, and the walk stream
-  // (fresh_rng's construction seed — which fully determines the stream
-  // only because the generator has never been advanced).
-  const store::FeatureKey key{cfg::LabelingCache::content_hash(cfg),
-                              fingerprint_.value, fresh_rng.seed()};
-  if (auto cached = target->get(key)) return *std::move(cached);
-  math::Rng rng = fresh_rng;
-  SampleFeatures features = extract(cfg, rng);
-  target->put(key, features);
-  return features;
 }
 
 }  // namespace soteria::features

@@ -28,10 +28,6 @@ namespace soteria::cfg {
 class LabelingCache;
 }  // namespace soteria::cfg
 
-namespace soteria::store {
-class FeatureStore;
-}  // namespace soteria::store
-
 namespace soteria::features {
 
 /// Pipeline hyper-parameters (paper defaults).
@@ -78,13 +74,6 @@ struct SampleFeatures {
 
   /// pooled_dbl ++ pooled_lbl: the 1x1000 detector input (paper Fig. 5).
   [[nodiscard]] std::vector<float> pooled_combined() const;
-
-  /// Mean of all per-walk combined vectors (used for PCA plots).
-  [[nodiscard]] std::vector<float> mean_combined() const;
-
-  /// Mean per-labeling vectors.
-  [[nodiscard]] std::vector<float> mean_dbl() const;
-  [[nodiscard]] std::vector<float> mean_lbl() const;
 };
 
 /// Fitted feature extractor.
@@ -116,17 +105,6 @@ class FeaturePipeline {
   [[nodiscard]] SampleFeatures extract(const cfg::Cfg& cfg,
                                        math::Rng& rng) const;
 
-  /// extract() through the persistent feature store. `fresh_rng` must be
-  /// a *fresh* (never-advanced) generator — typically a per-sample
-  /// `rng.child(i)` — because its construction seed is part of the store
-  /// key: a hit returns exactly the vectors a cold extraction with that
-  /// seed would produce, so results are bit-identical with the store on
-  /// or off. Consults `store` when non-null, else the installed
-  /// `feature_store()`; with neither, this is a plain cold extract.
-  [[nodiscard]] SampleFeatures extract_stored(
-      const cfg::Cfg& cfg, const math::Rng& fresh_rng,
-      store::FeatureStore* store = nullptr) const;
-
   [[nodiscard]] const Vocabulary& dbl_vocabulary() const noexcept {
     return dbl_vocab_;
   }
@@ -143,14 +121,8 @@ class FeaturePipeline {
     return dbl_vocab_.size() + lbl_vocab_.size();
   }
 
-  /// Raw gram counts for one labeling of one CFG (all walks pooled);
-  /// exposed for vocabulary building and the Table V analysis.
-  [[nodiscard]] GramCounts gram_counts(const cfg::Cfg& cfg,
-                                       cfg::LabelingMethod method,
-                                       math::Rng& rng) const;
-
   /// Installs (nullptr: removes) a shared cache of DBL/LBL labelings
-  /// consulted by extract/fit/gram_counts. Purely a performance knob:
+  /// consulted by extract and fit. Purely a performance knob:
   /// labeling is deterministic, so results are bit-identical with the
   /// cache on or off. Not persisted by save() — like thread counts, it
   /// describes the runtime, not the model.
@@ -161,18 +133,6 @@ class FeaturePipeline {
   [[nodiscard]] const std::shared_ptr<cfg::LabelingCache>& labeling_cache()
       const noexcept {
     return labeling_cache_;
-  }
-
-  /// Installs (nullptr: removes) the persistent feature store consulted
-  /// by extract_stored(). Like the labeling cache, this is a runtime
-  /// attachment, not model state: it is not persisted by save(), and
-  /// results are bit-identical with the store on or off.
-  void set_feature_store(std::shared_ptr<store::FeatureStore> store) noexcept {
-    feature_store_ = std::move(store);
-  }
-  [[nodiscard]] const std::shared_ptr<store::FeatureStore>& feature_store()
-      const noexcept {
-    return feature_store_;
   }
 
   /// Content fingerprint of this fitted pipeline (config + both
@@ -202,8 +162,8 @@ class FeaturePipeline {
   /// Both labelings of `cfg`, through the cache when one is installed.
   [[nodiscard]] cfg::NodeLabelings labelings_for(const cfg::Cfg& cfg) const;
 
-  /// Walks over `labels` pooled into gram counts (the per-labeling
-  /// tail of gram_counts, with the labeling already derived).
+  /// Walks over `labels` pooled into gram counts: one labeling's share
+  /// of fit().
   [[nodiscard]] GramCounts gram_counts_for_labels(
       const cfg::Cfg& cfg, const std::vector<cfg::Label>& labels,
       math::Rng& rng) const;
@@ -212,7 +172,6 @@ class FeaturePipeline {
   Vocabulary dbl_vocab_;
   Vocabulary lbl_vocab_;
   std::shared_ptr<cfg::LabelingCache> labeling_cache_;
-  std::shared_ptr<store::FeatureStore> feature_store_;
   /// Set at the end of fit()/load(); zero while unfitted.
   store::PipelineFingerprint fingerprint_;
 };

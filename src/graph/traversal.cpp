@@ -60,22 +60,4 @@ std::vector<bool> reachable_from(const DiGraph& g, NodeId source) {
   return reach;
 }
 
-bool is_weakly_connected(const DiGraph& g) {
-  if (g.node_count() <= 1) return true;
-  const auto dist = undirected_bfs_distances(g, 0);
-  for (std::size_t d : dist)
-    if (d == kUnreachable) return false;
-  return true;
-}
-
-std::size_t directed_diameter(const DiGraph& g) {
-  std::size_t diameter = 0;
-  for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto dist = bfs_distances(g, s);
-    for (std::size_t d : dist)
-      if (d != kUnreachable && d > diameter) diameter = d;
-  }
-  return diameter;
-}
-
 }  // namespace soteria::graph

@@ -33,13 +33,4 @@ inline constexpr std::size_t kUnreachable =
 [[nodiscard]] std::vector<bool> reachable_from(const DiGraph& g,
                                                NodeId source);
 
-/// True if the undirected view of the graph is connected (empty graphs
-/// count as connected).
-[[nodiscard]] bool is_weakly_connected(const DiGraph& g);
-
-/// Length of the longest shortest path between any reachable ordered
-/// pair (directed diameter over the reachable relation). 0 for graphs
-/// with < 2 nodes.
-[[nodiscard]] std::size_t directed_diameter(const DiGraph& g);
-
 }  // namespace soteria::graph

@@ -55,32 +55,4 @@ double percentile(std::span<const double> xs, double p) {
   return copy[lo] + frac * (copy[hi] - copy[lo]);
 }
 
-std::vector<std::size_t> histogram(std::span<const double> xs, double lo,
-                                   double hi, std::size_t bins) {
-  if (bins == 0) throw std::invalid_argument("stats::histogram: zero bins");
-  if (!(lo < hi))
-    throw std::invalid_argument("stats::histogram: lo must be < hi");
-  std::vector<std::size_t> counts(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : xs) {
-    auto idx = static_cast<std::int64_t>((x - lo) / width);
-    idx = std::clamp<std::int64_t>(idx, 0,
-                                   static_cast<std::int64_t>(bins) - 1);
-    ++counts[static_cast<std::size_t>(idx)];
-  }
-  return counts;
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  s.mean = mean(xs);
-  s.stddev = stddev(xs);
-  s.min = min(xs);
-  s.median = median(xs);
-  s.max = max(xs);
-  return s;
-}
-
 }  // namespace soteria::math

@@ -25,24 +25,4 @@ namespace soteria::math {
 /// empty input or p outside range.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
-/// Equal-width histogram over [lo, hi] with `bins` buckets; values
-/// outside the range are clamped into the edge buckets.
-[[nodiscard]] std::vector<std::size_t> histogram(std::span<const double> xs,
-                                                 double lo, double hi,
-                                                 std::size_t bins);
-
-/// Summary bundle used by dataset/report code.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double median = 0.0;
-  double max = 0.0;
-};
-
-/// Computes all Summary fields in one pass (plus a sort for the order
-/// statistics). Returns a zeroed Summary for empty input.
-[[nodiscard]] Summary summarize(std::span<const double> xs);
-
 }  // namespace soteria::math

@@ -1,7 +1,5 @@
 #include "nn/activations.h"
 
-#include <cmath>
-
 namespace soteria::nn {
 
 void Relu::infer_into(const float* in, std::size_t rows, std::size_t width,
@@ -20,24 +18,6 @@ void Relu::train_backward(const float* /*in*/, const float* out,
   const std::size_t count = rows * width;
   for (std::size_t i = 0; i < count; ++i) {
     grad_in[i] = out[i] > 0.0F ? grad_out[i] : 0.0F;
-  }
-}
-
-void Sigmoid::infer_into(const float* in, std::size_t rows,
-                         std::size_t width, float* out) const {
-  const std::size_t count = rows * width;
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = 1.0F / (1.0F + std::exp(-in[i]));
-  }
-}
-
-void Sigmoid::train_backward(const float* /*in*/, const float* out,
-                             const float* grad_out, std::size_t rows,
-                             std::size_t width, float* grad_in,
-                             TrainState& /*state*/) {
-  const std::size_t count = rows * width;
-  for (std::size_t i = 0; i < count; ++i) {
-    grad_in[i] = grad_out[i] * (out[i] * (1.0F - out[i]));
   }
 }
 

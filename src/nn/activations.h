@@ -1,4 +1,4 @@
-// Stateless activation layers: ReLU and Sigmoid.
+// The stateless activation layer: ReLU.
 #pragma once
 
 #include "nn/layer.h"
@@ -27,26 +27,6 @@ class Relu : public Layer {
                       std::size_t width, float* grad_in,
                       TrainState& state) override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }
-  [[nodiscard]] std::size_t output_dimension(
-      std::size_t input_dim) const override {
-    return input_dim;
-  }
-};
-
-/// Logistic sigmoid, elementwise 1 / (1 + e^-x). Backward reads its
-/// output: d/dx = y (1 - y).
-class Sigmoid : public Layer {
- public:
-  void infer_into(const float* in, std::size_t rows, std::size_t width,
-                  float* out) const override;
-  [[nodiscard]] bool backward_reads_output() const noexcept override {
-    return true;
-  }
-  void train_backward(const float* in, const float* out,
-                      const float* grad_out, std::size_t rows,
-                      std::size_t width, float* grad_in,
-                      TrainState& state) override;
-  [[nodiscard]] std::string name() const override { return "Sigmoid"; }
   [[nodiscard]] std::size_t output_dimension(
       std::size_t input_dim) const override {
     return input_dim;

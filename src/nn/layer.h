@@ -9,9 +9,9 @@
 // parameter gradients internally. Layers hold no batch-sized state:
 // activations and backward state live in a TrainingWorkspace
 // (nn/sequential.h), one per training call. Parameters are exposed
-// through `ParamRef`s so optimizers can update them without knowing
-// layer internals. Sequential::infer walks the layers' infer_into
-// kernels over a per-thread arena. The one fusion it and the
+// through `ParamRef`s so the optimizer (nn::Adam) can update them
+// without knowing layer internals. Sequential::infer walks the layers'
+// infer_into kernels over a per-thread arena. The one fusion it and the
 // TrainingWorkspace make is a Relu directly after a Conv1d: its forward
 // runs in the conv kernel's store (Conv1d::infer_relu_into) and, in
 // training, its backward gate in the conv's backward
@@ -57,9 +57,9 @@ class Layer {
   /// width `width` from `in` and writes rows x output_dimension(width)
   /// to `out`. The caller has validated `width` with output_dimension;
   /// the kernel checks nothing and allocates nothing. `out` must not
-  /// alias `in`, except for the elementwise ReLU and Sigmoid, whose
-  /// kernels may run in place (`out == in`). Touches no mutable state,
-  /// so concurrent calls on a shared layer are safe.
+  /// alias `in`, except for the elementwise ReLU, whose kernel may run
+  /// in place (`out == in`). Touches no mutable state, so concurrent
+  /// calls on a shared layer are safe.
   virtual void infer_into(const float* in, std::size_t rows,
                           std::size_t width, float* out) const = 0;
 
@@ -93,7 +93,7 @@ class Layer {
     return false;
   }
 
-  /// True if train_backward reads the layer's output (ReLU, Sigmoid);
+  /// True if train_backward reads the layer's output (ReLU);
   /// the next layer must then not overwrite that output in place.
   [[nodiscard]] virtual bool backward_reads_output() const noexcept {
     return false;

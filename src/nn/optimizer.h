@@ -1,69 +1,34 @@
-// Optimizers: SGD with momentum, and Adam.
+// Adam (Kingma & Ba) with bias correction and their default moment
+// decay rates and stabilizer: the one optimizer both of Soteria's nets
+// train with.
 //
-// An optimizer is bound to a fixed parameter list on the first step()
+// The optimizer is bound to a fixed parameter list on the first step()
 // call (state slots are allocated per tensor); subsequent steps must
 // pass the same tensors in the same order, which `Sequential` guarantees.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "nn/layer.h"
 
 namespace soteria::nn {
 
-/// Base optimizer interface.
-class Optimizer {
+class Adam {
  public:
-  virtual ~Optimizer() = default;
-  Optimizer() = default;
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  /// Throws std::invalid_argument unless `learning_rate` is positive.
+  explicit Adam(double learning_rate = 1e-3);
 
   /// Applies one update using the accumulated gradients, then leaves the
   /// gradients untouched (callers zero them per batch). Throws
   /// std::invalid_argument if the parameter list changes between calls.
-  virtual void step(std::span<const ParamRef> parameters) = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Stochastic gradient descent with classical momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double learning_rate, double momentum = 0.0);
-
-  void step(std::span<const ParamRef> parameters) override;
-  [[nodiscard]] std::string name() const override { return "SGD"; }
+  void step(std::span<const ParamRef> parameters);
 
   [[nodiscard]] double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr);
 
  private:
   double lr_;
-  double momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam : public Optimizer {
- public:
-  explicit Adam(double learning_rate = 1e-3, double beta1 = 0.9,
-                double beta2 = 0.999, double epsilon = 1e-8);
-
-  void step(std::span<const ParamRef> parameters) override;
-  [[nodiscard]] std::string name() const override { return "Adam"; }
-
-  [[nodiscard]] double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr);
-
- private:
-  double lr_;
-  double beta1_;
-  double beta2_;
-  double epsilon_;
   std::size_t timestep_ = 0;
   std::vector<std::vector<float>> first_moment_;
   std::vector<std::vector<float>> second_moment_;

@@ -117,7 +117,7 @@ std::string Sequential::summary() const {
 
 void Sequential::save_parameters(std::ostream& out) const {
   // parameters() is non-const (it hands out mutable ParamRefs for
-  // optimizers); serialization only reads them.
+  // the optimizer); serialization only reads them.
   const auto params = const_cast<Sequential*>(this)->parameters();
   out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
   const auto count = static_cast<std::uint64_t>(params.size());

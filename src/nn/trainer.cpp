@@ -83,7 +83,7 @@ void gather_rows_into(const math::Matrix& m,
 
 TrainReport train_regression(Sequential& model, const math::Matrix& inputs,
                              const math::Matrix& targets,
-                             Optimizer& optimizer, const TrainConfig& config,
+                             Adam& optimizer, const TrainConfig& config,
                              math::Rng& rng) {
   if (inputs.rows() != targets.rows()) {
     throw std::invalid_argument("train_regression: row count mismatch");
@@ -117,7 +117,7 @@ TrainReport train_regression(Sequential& model, const math::Matrix& inputs,
 
 TrainReport train_classifier(Sequential& model, const math::Matrix& inputs,
                              std::span<const std::size_t> labels,
-                             Optimizer& optimizer, const TrainConfig& config,
+                             Adam& optimizer, const TrainConfig& config,
                              math::Rng& rng) {
   if (inputs.rows() != labels.size()) {
     throw std::invalid_argument("train_classifier: label count mismatch");

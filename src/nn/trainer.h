@@ -45,14 +45,14 @@ struct TrainReport {
 /// differ or the dataset is empty.
 TrainReport train_regression(Sequential& model, const math::Matrix& inputs,
                              const math::Matrix& targets,
-                             Optimizer& optimizer, const TrainConfig& config,
+                             Adam& optimizer, const TrainConfig& config,
                              math::Rng& rng);
 
 /// Trains `model` as a classifier under softmax cross-entropy against
 /// integer labels.
 TrainReport train_classifier(Sequential& model, const math::Matrix& inputs,
                              std::span<const std::size_t> labels,
-                             Optimizer& optimizer, const TrainConfig& config,
+                             Adam& optimizer, const TrainConfig& config,
                              math::Rng& rng);
 
 /// Argmax class per row of (logit or probability) outputs.

@@ -10,6 +10,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 
@@ -28,6 +29,13 @@ namespace soteria::obs {
 /// Span timings keep their "t/..." names; non-finite numbers are
 /// emitted as null (JSON has no NaN/Inf).
 [[nodiscard]] std::string export_json(const Snapshot& snapshot);
+
+/// Appends `text` to `out` as a quoted JSON string: quotes and
+/// backslashes are backslash-escaped, newline, carriage return and tab
+/// become `\n`, `\r` and `\t`, and every other byte below 0x20 becomes
+/// `\u00XX`; other bytes are copied unchanged. Every JSON writer in the
+/// project escapes through this one function.
+void append_json_string(std::string& out, std::string_view text);
 
 /// Stream helpers (same content as the string exporters).
 void write_text(std::ostream& out, const Snapshot& snapshot);

@@ -195,6 +195,10 @@ class Parser {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
+      // RFC 8259: U+0000 through U+001F must be escaped inside strings.
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;

@@ -12,8 +12,7 @@
 // The registry is *disabled by default*: every write entry point is a
 // single relaxed atomic load away from a no-op, so instrumented hot
 // paths cost nothing measurable until observability is switched on
-// (`SoteriaConfig::collect_metrics`, `obs::set_enabled`, or the CLI's
-// `--metrics` flag).
+// with `obs::set_enabled` (which the CLI's `--metrics` flag calls).
 #pragma once
 
 #include <array>

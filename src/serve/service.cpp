@@ -44,22 +44,17 @@ AnalysisService::AnalysisService(
   }
 }
 
-AnalysisService::~AnalysisService() { shutdown(config_.shutdown_policy); }
-
-Clock::time_point AnalysisService::default_deadline() const {
-  return config_.default_deadline.count() > 0
-             ? Clock::now() + config_.default_deadline
-             : Clock::time_point::max();
-}
+AnalysisService::~AnalysisService() { shutdown(ShutdownPolicy::kDrain); }
 
 AnalysisService::Ticket AnalysisService::submit(cfg::Cfg cfg) {
   return submit_internal(std::make_shared<const cfg::Cfg>(std::move(cfg)),
-                         default_deadline(), std::nullopt);
+                         Clock::time_point::max(), std::nullopt);
 }
 
 AnalysisService::Ticket AnalysisService::submit(
     std::shared_ptr<const cfg::Cfg> cfg) {
-  return submit_internal(std::move(cfg), default_deadline(), std::nullopt);
+  return submit_internal(std::move(cfg), Clock::time_point::max(),
+                         std::nullopt);
 }
 
 AnalysisService::Ticket AnalysisService::submit(cfg::Cfg cfg,

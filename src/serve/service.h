@@ -34,7 +34,7 @@
 //    queued request; `shutdown(kCancel)` fails queued-but-unstarted
 //    requests with Error{kCancelled}; a batch already drained by a
 //    worker always runs to completion under either policy. The
-//    destructor runs the configured policy.
+//    destructor drains.
 //
 // Workers run on the existing runtime::ThreadPool: a dispatcher thread
 // opens one parallel region whose bodies are persistent worker loops,
@@ -106,22 +106,14 @@ struct ServiceConfig {
   /// Error{kInvalidArgument}.
   std::size_t max_batch = 8;
 
-  /// Deadline applied to submissions that don't carry their own;
-  /// zero = no deadline.
-  std::chrono::nanoseconds default_deadline{0};
-
-  /// Policy the destructor applies to still-queued work.
-  ShutdownPolicy shutdown_policy = ShutdownPolicy::kDrain;
-
   /// Base seed: request i draws walks from Rng(seed).child(i).
   std::uint64_t seed = 0;
 
   /// Persistent feature store shared by every worker (passed via
-  /// AnalyzeOptions on each request); nullptr defers to the store
-  /// installed on the published model's pipeline, if any. Because
-  /// entries are keyed by pipeline fingerprint, a hot-swapped model
-  /// with different fitted state naturally misses instead of reading
-  /// the old model's vectors.
+  /// AnalyzeOptions on each request); nullptr = cold extraction.
+  /// Because entries are keyed by pipeline fingerprint, a hot-swapped
+  /// model with different fitted state naturally misses instead of
+  /// reading the old model's vectors.
   std::shared_ptr<store::FeatureStore> feature_store;
 
   /// Test-only hook: invoked by the draining worker after a batch is
@@ -157,15 +149,15 @@ class AnalysisService {
   explicit AnalysisService(std::shared_ptr<const core::SoteriaSystem> system,
                            ServiceConfig config = {});
 
-  /// Runs shutdown(config().shutdown_policy) if the service is still up.
+  /// Runs shutdown(ShutdownPolicy::kDrain) if the service is still up.
   ~AnalysisService();
 
   AnalysisService(const AnalysisService&) = delete;
   AnalysisService& operator=(const AnalysisService&) = delete;
 
-  /// Non-blocking submission with the config's default deadline. The
-  /// by-value overloads copy the CFG once into shared ownership; hot
-  /// submitters should pass a shared_ptr to skip the copy entirely.
+  /// Non-blocking submission without a deadline. The by-value overloads
+  /// copy the CFG once into shared ownership; hot submitters should
+  /// pass a shared_ptr to skip the copy entirely.
   [[nodiscard]] Ticket submit(cfg::Cfg cfg);
   [[nodiscard]] Ticket submit(std::shared_ptr<const cfg::Cfg> cfg);
 
@@ -229,8 +221,6 @@ class AnalysisService {
       std::shared_ptr<const cfg::Cfg> cfg,
       std::chrono::steady_clock::time_point deadline,
       std::optional<std::uint64_t> external_id);
-  [[nodiscard]] std::chrono::steady_clock::time_point default_deadline()
-      const;
   void worker_loop();
 
   ServiceConfig config_;

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "features/pipeline.h"
 #include "nn/autoencoder.h"
@@ -42,7 +41,7 @@ struct SoteriaConfig {
   /// paper's "80% training and validation" protocol.
   double calibration_fraction = 0.15;
 
-  /// Optimizer learning rates (Adam).
+  /// Adam learning rates.
   double detector_learning_rate = 1e-3;
   double classifier_learning_rate = 1e-3;
 
@@ -71,27 +70,6 @@ struct SoteriaConfig {
   /// num_threads, not persisted by save(). Memory per entry is
   /// O(nodes + edges) of the cached CFG.
   std::size_t labeling_cache_capacity = 512;
-
-  /// Root directory of the persistent feature store (store/
-  /// feature_store.h) to install on the trained pipeline; empty (the
-  /// default) disables it. Entries are keyed by (CFG content hash,
-  /// pipeline fingerprint, walk seed), so verdicts are bit-identical
-  /// with the store on or off and retrained models miss instead of
-  /// reading stale vectors. Like num_threads, not persisted by save().
-  std::string feature_store_dir;
-
-  /// Capacity (entries) of the feature store when `feature_store_dir`
-  /// is set; 0 = unbounded. Eviction is least-recently-used.
-  std::size_t feature_store_capacity = 4096;
-
-  /// Enable the process-wide observability registry (obs/metrics.h)
-  /// before training starts: stage timings, counters, and value
-  /// distributions accumulate for later export. Off by default; when
-  /// off, every instrumentation site is a single relaxed atomic load.
-  /// The flag only ever turns collection on (never off — other code may
-  /// have enabled it), and like num_threads it is not persisted by
-  /// save().
-  bool collect_metrics = false;
 };
 
 /// Throws std::invalid_argument if any nested config or knob is invalid.

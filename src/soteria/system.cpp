@@ -14,20 +14,6 @@
 
 namespace soteria::core {
 
-math::Matrix combined_matrix(const features::SampleFeatures& features) {
-  if (features.dbl.empty() || features.lbl.empty()) {
-    throw std::invalid_argument("combined_matrix: empty feature bundle");
-  }
-  const std::size_t walks = std::min(features.dbl.size(),
-                                     features.lbl.size());
-  std::vector<std::vector<float>> rows;
-  rows.reserve(walks);
-  for (std::size_t w = 0; w < walks; ++w) {
-    rows.push_back(features.combined(w));
-  }
-  return pack_rows(rows);
-}
-
 math::Matrix pooled_matrix(const features::SampleFeatures& features) {
   if (features.pooled_dbl.empty() && features.pooled_lbl.empty()) {
     throw std::invalid_argument("pooled_matrix: empty feature bundle");
@@ -42,7 +28,6 @@ SoteriaSystem SoteriaSystem::train(
     throw std::invalid_argument("SoteriaSystem::train: empty training set");
   }
 
-  if (config.collect_metrics) obs::set_enabled(true);
   const obs::Span train_span("soteria.train");
 
   SoteriaSystem system;
@@ -159,21 +144,33 @@ SoteriaSystem SoteriaSystem::train(
     }
   });
 
-  // 5. Attach the persistent feature store (when configured) so
-  //    analyze_batch on this freshly trained system is warm-capable
-  //    immediately. Purely runtime state, like the labeling cache.
-  if (!config.feature_store_dir.empty()) {
-    system.pipeline_.set_feature_store(
-        std::make_shared<store::FeatureStore>(store::StoreConfig{
-            config.feature_store_dir, config.feature_store_capacity}));
-  }
-
   return system;
 }
 
 features::SampleFeatures SoteriaSystem::extract(const cfg::Cfg& cfg,
                                                 math::Rng& rng) const {
   return pipeline_.extract(cfg, rng);
+}
+
+features::SampleFeatures SoteriaSystem::extract_stored(
+    const cfg::Cfg& cfg, const math::Rng& fresh_rng,
+    store::FeatureStore* store) const {
+  if (store == nullptr) {
+    math::Rng rng = fresh_rng;
+    return pipeline_.extract(cfg, rng);
+  }
+  // The key ties the entry to the exact extraction it replaces: the
+  // CFG's content, the pipeline's fitted state, and the walk stream
+  // (fresh_rng's construction seed — which fully determines the stream
+  // only because the generator has never been advanced).
+  const store::FeatureKey key{cfg::LabelingCache::content_hash(cfg),
+                              pipeline_.fingerprint().value,
+                              fresh_rng.seed()};
+  if (auto cached = store->get(key)) return *std::move(cached);
+  math::Rng rng = fresh_rng;
+  features::SampleFeatures features = pipeline_.extract(cfg, rng);
+  store->put(key, features);
+  return features;
 }
 
 Verdict SoteriaSystem::analyze_features(
@@ -213,10 +210,9 @@ Verdict SoteriaSystem::analyze(const cfg::Cfg& cfg, math::Rng& rng) const {
 Verdict SoteriaSystem::analyze(const cfg::Cfg& cfg,
                                const math::Rng& fresh_rng,
                                const AnalyzeOptions& options) const {
-  if (options.collect_metrics) obs::set_enabled(true);
   const obs::Span span("soteria.analyze");
-  return analyze_features(pipeline_.extract_stored(
-      cfg, fresh_rng, options.feature_store.get()));
+  return analyze_features(
+      extract_stored(cfg, fresh_rng, options.feature_store.get()));
 }
 
 Verdict SoteriaSystem::analyze_image(std::span<const std::uint8_t> bytes,
@@ -258,7 +254,6 @@ std::vector<Verdict> SoteriaSystem::analyze_batch(
                   "SoteriaSystem::analyze_batch: null cfg");
     }
   }
-  if (options.collect_metrics) obs::set_enabled(true);
   const std::size_t threads =
       options.num_threads.value_or(config_.num_threads);
   const auto deadline = options.deadline;
@@ -269,8 +264,8 @@ std::vector<Verdict> SoteriaSystem::analyze_batch(
           throw Error(ErrorCode::kDeadlineExceeded,
                       "SoteriaSystem::analyze_batch: deadline exceeded");
         }
-        return analyze_features(pipeline_.extract_stored(
-            *cfgs[i], rngs[i], options.feature_store.get()));
+        return analyze_features(
+            extract_stored(*cfgs[i], rngs[i], options.feature_store.get()));
       });
 }
 

@@ -18,6 +18,10 @@
 #include "soteria/detector.h"
 #include "soteria/error.h"
 
+namespace soteria::store {
+class FeatureStore;
+}  // namespace soteria::store
+
 namespace soteria::core {
 
 /// The verdict for one analyzed sample.
@@ -46,15 +50,11 @@ struct AnalyzeOptions {
   /// sample). nullopt = no deadline.
   std::optional<std::chrono::steady_clock::time_point> deadline;
 
-  /// Enable the process-wide observability registry for this call (same
-  /// one-way semantics as SoteriaConfig::collect_metrics).
-  bool collect_metrics = false;
-
-  /// Persistent feature store consulted for this call, overriding the
-  /// pipeline's installed store (see SoteriaConfig::feature_store_dir);
-  /// nullptr defers to the installed one. Store hits skip extraction
-  /// but yield bit-identical verdicts: entries are keyed by (CFG
-  /// content, pipeline fingerprint, per-sample walk seed).
+  /// Persistent feature store consulted for this call; nullptr (the
+  /// default) extracts cold. The store is attached per call only, never
+  /// to the system. Store hits skip extraction but yield bit-identical
+  /// verdicts: entries are keyed by (CFG content, pipeline fingerprint,
+  /// per-sample walk seed).
   std::shared_ptr<store::FeatureStore> feature_store;
 
   /// Front end used by analyze_image to decode the binary: a name from
@@ -93,8 +93,7 @@ class SoteriaSystem {
 
   /// Extracts features (fresh walks from `rng`) and runs detector +
   /// classifier. Always a cold extraction: `rng` may be mid-stream, so
-  /// its state cannot key the feature store (and it must advance
-  /// identically whether or not a store is installed).
+  /// its state cannot key the feature store.
   [[nodiscard]] Verdict analyze(const cfg::Cfg& cfg, math::Rng& rng) const;
 
   /// Single-sample analysis with options. `fresh_rng` must be a fresh
@@ -191,16 +190,20 @@ class SoteriaSystem {
   [[nodiscard]] Verdict analyze_features(
       const features::SampleFeatures& features) const;
 
+  /// extract() through `store` when non-null, else a cold extract.
+  /// `fresh_rng` must be a *fresh* (never-advanced) generator, because
+  /// its construction seed is part of the store key: a hit returns
+  /// exactly the vectors a cold extraction with that seed would
+  /// produce, so results are bit-identical with the store on or off.
+  [[nodiscard]] features::SampleFeatures extract_stored(
+      const cfg::Cfg& cfg, const math::Rng& fresh_rng,
+      store::FeatureStore* store) const;
+
   SoteriaConfig config_;
   features::FeaturePipeline pipeline_;
   AeDetector detector_;
   FamilyClassifier classifier_;
 };
-
-/// Packs a sample's combined per-walk vectors into a matrix (one row
-/// per walk).
-[[nodiscard]] math::Matrix combined_matrix(
-    const features::SampleFeatures& features);
 
 /// Packs a sample's pooled combined vector into a 1-row matrix — the
 /// detector's input.

@@ -32,6 +32,9 @@ constexpr std::uint32_t kEntryMagic = 0x31534653;  // "SFS1"
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 constexpr std::size_t kChecksumBytes = 8;
 
+/// Entries land in `shard-<hash % kShardCount>/` under the root.
+constexpr std::uint64_t kShardCount = 16;
+
 /// Corruption guards for the decoder: no legitimate entry holds more
 /// walks or wider vectors than these.
 constexpr std::uint32_t kMaxWalkVectors = 1U << 20;
@@ -226,10 +229,6 @@ FeatureStore::FeatureStore(StoreConfig config)
     throw core::Error(core::ErrorCode::kInvalidArgument,
                       "FeatureStore: empty directory");
   }
-  if (config_.shard_count == 0 || config_.shard_count > 4096) {
-    throw core::Error(core::ErrorCode::kInvalidArgument,
-                      "FeatureStore: shard_count outside [1, 4096]");
-  }
   std::error_code ec;
   fs::create_directories(root_, ec);
   if (ec) {
@@ -244,7 +243,7 @@ std::filesystem::path FeatureStore::entry_path(
     const FeatureKey& key) const {
   const std::uint64_t mixed = math::split_mix64(
       key.content_hash ^ math::split_mix64(key.fingerprint ^ key.walk_seed));
-  const auto shard = static_cast<std::size_t>(mixed % config_.shard_count);
+  const auto shard = static_cast<std::size_t>(mixed % kShardCount);
   return root_ / ("shard-" + std::to_string(shard)) / entry_file_name(key);
 }
 
@@ -363,8 +362,9 @@ void FeatureStore::scan_and_recover() {
 
   // Oldest first, so insertion at the LRU front leaves the most
   // recently written entries the last to be evicted. Ties (and
-  // duplicate keys left by a shard_count change) resolve by path for
-  // determinism; the older duplicate is dropped.
+  // duplicate keys, e.g. a copy an outside writer placed in another
+  // shard of a shared directory) resolve by path for determinism; the
+  // older duplicate is dropped.
   std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
     if (a.mtime != b.mtime) return a.mtime < b.mtime;
     return a.path < b.path;

@@ -27,6 +27,7 @@
 //    *walk seed* is part of the key: Soteria's randomization property
 //    means features are a function of (CFG, pipeline, seed), and keying
 //    on all three keeps a store hit bit-identical to a cold extraction.
+//  * Layout. Entries land in `<root>/shard-<hash % 16>/`, one file each.
 //  * Crash safety. Writes go to a temp file in the target shard and are
 //    published with one atomic rename; a crash mid-write leaves only a
 //    temp file, which open-time recovery deletes. Entries that fail
@@ -78,10 +79,6 @@ struct StoreConfig {
 
   /// Maximum resident entries; 0 = unbounded. Eviction is LRU.
   std::size_t capacity = 4096;
-
-  /// Fan-out of the on-disk layout: entries land in
-  /// `shard-<hash % shard_count>/`. Must be in [1, 4096].
-  std::size_t shard_count = 16;
 };
 
 /// Monotonic accounting since open (quarantines during open-time

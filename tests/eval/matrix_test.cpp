@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "dataset/generator.h"
@@ -49,6 +50,21 @@ struct MatrixFixture : public ::testing::Test {
 
 dataset::Dataset* MatrixFixture::data = nullptr;
 core::SoteriaSystem* MatrixFixture::system = nullptr;
+
+TEST(MatrixReport, JsonEscapesControlCharactersInLabels) {
+  MatrixReport report;
+  report.attacks = {"line\nbreak"};
+  report.defenses = {"ctrl\x01"};
+  MatrixCell cell;
+  cell.attack = report.attacks[0];
+  cell.defense = report.defenses[0];
+  report.cells = {cell};
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find(R"("line\nbreak")"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("ctrl\u0001")"), std::string::npos) << json;
+  EXPECT_EQ(json.find('\n'), std::string::npos) << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+}
 
 TEST_F(MatrixFixture, GridShapeAndAccounting) {
   const auto attacks = small_grid_attacks();

@@ -162,21 +162,6 @@ TEST(Pipeline, RandomizationPropertyFreshWalksDiffer) {
   EXPECT_NE(f1.dbl, f2.dbl);
 }
 
-TEST(Pipeline, MeanVectorsAverageWalks) {
-  math::Rng rng(6);
-  const auto corpus = small_corpus(4, rng);
-  const auto pipeline = FeaturePipeline::fit(corpus, tiny_config(), rng);
-  const auto features = pipeline.extract(corpus[0], rng);
-  const auto mean = features.mean_dbl();
-  ASSERT_EQ(mean.size(), features.dbl[0].size());
-  for (std::size_t i = 0; i < mean.size(); ++i) {
-    float expected = 0.0F;
-    for (const auto& walk : features.dbl) expected += walk[i];
-    expected /= static_cast<float>(features.dbl.size());
-    EXPECT_NEAR(mean[i], expected, 1e-6);
-  }
-}
-
 TEST(Pipeline, PooledVectorHasUnitNormWhenEnabled) {
   math::Rng rng(7);
   const auto corpus = small_corpus(4, rng);
@@ -250,21 +235,6 @@ TEST(Pipeline, LoadRejectsLabelingBlockOtherThanExact) {
       EXPECT_EQ(error.code(), core::ErrorCode::kCorruptModel) << error.what();
     }
   }
-}
-
-TEST(Pipeline, GramCountsPoolAcrossWalks) {
-  math::Rng rng(10);
-  const auto corpus = small_corpus(4, rng);
-  const auto pipeline = FeaturePipeline::fit(corpus, tiny_config(), rng);
-  const auto counts = pipeline.gram_counts(
-      corpus[0], cfg::LabelingMethod::kDensity, rng);
-  EXPECT_FALSE(counts.empty());
-  // 3 walks of 5*|V| steps each -> total 2-,3-,4-gram occurrences.
-  const std::size_t v = corpus[0].node_count();
-  const std::size_t walk_len = 5 * v + 1;
-  const std::size_t expected =
-      3 * ((walk_len - 1) + (walk_len - 2) + (walk_len - 3));
-  EXPECT_EQ(total_occurrences(counts), expected);
 }
 
 }  // namespace

@@ -53,36 +53,5 @@ TEST(Stats, PercentileSingleElement) {
   EXPECT_DOUBLE_EQ(percentile(std::vector<double>{7.0}, 75.0), 7.0);
 }
 
-TEST(Stats, HistogramCountsAndClamps) {
-  const std::vector<double> xs{-5.0, 0.1, 0.2, 0.55, 0.9, 42.0};
-  const auto h = histogram(xs, 0.0, 1.0, 2);
-  ASSERT_EQ(h.size(), 2U);
-  EXPECT_EQ(h[0], 3U);  // -5 clamps in, 0.1, 0.2
-  EXPECT_EQ(h[1], 3U);  // 0.55, 0.9, 42 clamps in
-}
-
-TEST(Stats, HistogramValidation) {
-  const std::vector<double> xs{1.0};
-  EXPECT_THROW((void)histogram(xs, 0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW((void)histogram(xs, 1.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(Stats, SummarizeBundlesEverything) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 100.0};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 5U);
-  EXPECT_DOUBLE_EQ(s.mean, 22.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_GT(s.stddev, 0.0);
-}
-
-TEST(Stats, SummarizeEmptyIsZeroed) {
-  const Summary s = summarize(std::vector<double>{});
-  EXPECT_EQ(s.count, 0U);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
 }  // namespace
 }  // namespace soteria::math

@@ -142,22 +142,6 @@ TEST(Relu, GradientMatchesNumeric) {
   check_input_gradient(relu, in);
 }
 
-// -------------------------------------------------------------- Sigmoid
-
-TEST(Sigmoid, ForwardRange) {
-  Sigmoid sigmoid;
-  const math::Matrix in(1, 3, {-100.0F, 0.0F, 100.0F});
-  const auto out = infer(sigmoid, in);
-  EXPECT_NEAR(out(0, 0), 0.0F, 1e-6);
-  EXPECT_FLOAT_EQ(out(0, 1), 0.5F);
-  EXPECT_NEAR(out(0, 2), 1.0F, 1e-6);
-}
-
-TEST(Sigmoid, GradientMatchesNumeric) {
-  Sigmoid sigmoid;
-  check_input_gradient(sigmoid, random_batch(2, 4, 9));
-}
-
 // --------------------------------------------------------------- Conv1d
 
 TEST(Conv1d, ForwardMatchesHandComputation) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -107,16 +108,48 @@ math::Matrix workspace_forward(TrainingWorkspace& workspace,
                       std::vector<float>(out, out + count));
 }
 
+/// The input gradient of one training step run layer by layer, each
+/// layer's output and gradient in a buffer of its own: the reference
+/// for the workspace's in-place choices.
+std::vector<float> chained_input_gradient(Sequential& model,
+                                          const math::Matrix& input,
+                                          const std::vector<float>& grad_out) {
+  const auto& layers = model.layers();
+  const std::size_t rows = input.rows();
+  std::vector<std::size_t> widths{input.cols()};
+  std::vector<std::vector<float>> outputs;
+  std::vector<TrainState> states(layers.size());
+  const float* x = input.data().data();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    widths.push_back(layers[i]->output_dimension(widths[i]));
+    layers[i]->reserve_training(rows, widths[i], states[i]);
+    outputs.emplace_back(rows * widths[i + 1]);
+    layers[i]->train_forward(x, rows, widths[i], outputs[i].data(),
+                             states[i]);
+    x = outputs[i].data();
+  }
+  std::vector<float> grad = grad_out;
+  for (std::size_t i = layers.size(); i-- > 0;) {
+    std::vector<float> grad_in(rows * widths[i]);
+    const float* in = i == 0 ? input.data().data() : outputs[i - 1].data();
+    layers[i]->train_backward(in, outputs[i].data(), grad.data(), rows,
+                              widths[i], grad_in.data(), states[i]);
+    grad = std::move(grad_in);
+  }
+  return grad;
+}
+
 TEST(TrainingWorkspace, InputGradientMatchesNumericAcrossInPlaceRules) {
   // A leading ReLU trains in place over the input batch, the ReLU after
-  // Dense in place over Dense's output, and the ReLU after Sigmoid in
-  // its own buffer (Sigmoid's backward reads its output). The input
-  // gradient must match finite differences of sum(out^2) / 2 either way.
+  // Dense in place over Dense's output, and the second of two ReLUs in
+  // its own buffer (the first one's backward reads its output). The
+  // input gradient must equal the layer-by-layer chain's bit for bit
+  // and match finite differences of sum(out^2) / 2.
   math::Rng rng(21);
   Sequential model;
   model.emplace<Relu>();
   model.emplace<Dense>(4, 6, rng);
-  model.emplace<Sigmoid>();
+  model.emplace<Relu>();
   model.emplace<Relu>();
   model.emplace<Dense>(6, 5, rng);
   model.emplace<Relu>();
@@ -128,6 +161,12 @@ TEST(TrainingWorkspace, InputGradientMatchesNumericAcrossInPlaceRules) {
   const math::Matrix out = workspace_forward(workspace, input);
   const float* grad = workspace.backward(out.data().data());
   const std::vector<float> analytic(grad, grad + input.size());
+  const std::vector<float> chained = chained_input_gradient(
+      model, input, std::vector<float>(out.data().begin(), out.data().end()));
+  ASSERT_EQ(chained.size(), analytic.size());
+  EXPECT_EQ(std::memcmp(chained.data(), analytic.data(),
+                        analytic.size() * sizeof(float)),
+            0);
   const auto loss = [&] {
     const math::Matrix y = workspace_forward(workspace, input);
     double acc = 0.0;

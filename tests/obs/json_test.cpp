@@ -56,6 +56,16 @@ TEST(JsonParser, RejectsMalformedInput) {
   EXPECT_THROW((void)json::parse(R"("bad \q escape")"), std::runtime_error);
 }
 
+TEST(JsonParser, RejectsRawControlCharactersInStrings) {
+  // RFC 8259: U+0000 through U+001F must be escaped inside a string.
+  EXPECT_THROW((void)json::parse("\"a\nb\""), std::runtime_error);
+  EXPECT_THROW((void)json::parse("\"tab\there\""), std::runtime_error);
+  EXPECT_THROW((void)json::parse(std::string("\"\0\"", 3)),
+               std::runtime_error);
+  EXPECT_THROW((void)json::parse("{\"k\x1f\": 1}"), std::runtime_error);
+  EXPECT_EQ(json::parse(R"("a\nb\u001f")").as_string(), "a\nb\x1f");
+}
+
 TEST(JsonParser, TypeMismatchesThrow) {
   const auto v = json::parse("7");
   EXPECT_THROW((void)v.as_string(), std::runtime_error);

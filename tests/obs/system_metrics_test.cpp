@@ -29,7 +29,7 @@ AnalyzeOptions with_threads(std::size_t threads) {
   return options;
 }
 
-// Shared tiny experiment, trained once with collect_metrics on so one
+// Shared tiny experiment, trained once with collection on so one
 // test can assert on the training-time breakdown. The registry is
 // reset and disabled afterwards; every test manages its own window.
 struct ObsSystemFixture : public ::testing::Test {
@@ -45,7 +45,7 @@ struct ObsSystemFixture : public ::testing::Test {
 
     SoteriaConfig config = tiny_config();
     config.seed = 23;
-    config.collect_metrics = true;  // train() must switch collection on
+    obs::set_enabled(true);
     system = new SoteriaSystem(SoteriaSystem::train(data->train, config));
     train_snapshot = new obs::Snapshot(obs::registry().snapshot());
 

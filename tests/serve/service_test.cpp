@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -226,25 +227,34 @@ TEST_F(ServiceFixture, QueuedRequestExpiresBeforeWastingAWorker) {
   EXPECT_EQ(stats.completed, 1U);
 }
 
-TEST_F(ServiceFixture, DefaultDeadlineFromConfigApplies) {
-  const auto cfgs = test_cfgs(1);
-  ASSERT_FALSE(cfgs.empty());
+TEST_F(ServiceFixture, DestructorDrainsQueuedRequests) {
+  const auto cfgs = test_cfgs(3);
+  ASSERT_EQ(cfgs.size(), 3U);
 
-  ServiceConfig config;
-  config.num_threads = 1;
-  config.default_deadline = std::chrono::nanoseconds(1);
-  AnalysisService service(*model_a, config);
-  service.pause();
-  auto ticket = service.submit(cfgs[0]);
-  ASSERT_TRUE(ticket.accepted());
-  // The 1 ns budget is long gone by the time the worker resumes.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  service.resume();
-  try {
-    (void)ticket.verdict.get();
-    FAIL() << "expected Error{kDeadlineExceeded}";
-  } catch (const core::Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+  std::vector<AnalysisService::Ticket> tickets;
+  {
+    ServiceConfig config;
+    config.num_threads = 2;
+    config.seed = 37;
+    AnalysisService service(*model_a, config);
+    service.pause();  // everything is still queued at destruction
+    for (const auto& cfg : cfgs) {
+      auto ticket = service.submit(cfg);
+      ASSERT_TRUE(ticket.accepted());
+      tickets.push_back(std::move(ticket));
+    }
+  }
+
+  core::AnalyzeOptions serial;
+  serial.num_threads = 1;
+  const auto expected =
+      (*model_a)->analyze_batch(cfgs, math::Rng(37), serial);
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    ASSERT_EQ(tickets[i].verdict.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i;
+    expect_verdicts_equal(tickets[i].verdict.get(), expected[tickets[i].id],
+                          i);
   }
 }
 

@@ -60,8 +60,6 @@ features::SampleFeatures features_for_class(std::size_t class_index,
     features.dbl.push_back(class_vector(class_index, rng));
     features.lbl.push_back(class_vector(class_index, rng));
   }
-  features.pooled_dbl = features.mean_dbl();
-  features.pooled_lbl = features.mean_lbl();
   return features;
 }
 

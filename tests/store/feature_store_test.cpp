@@ -212,14 +212,6 @@ TEST_F(FeatureStoreTest, RejectsInvalidConfig) {
   } catch (const core::Error& e) {
     EXPECT_EQ(e.code(), core::ErrorCode::kInvalidArgument);
   }
-  try {
-    StoreConfig zero_shards = config();
-    zero_shards.shard_count = 0;
-    FeatureStore bad{zero_shards};
-    FAIL() << "shard_count 0 accepted";
-  } catch (const core::Error& e) {
-    EXPECT_EQ(e.code(), core::ErrorCode::kInvalidArgument);
-  }
 }
 
 TEST_F(FeatureStoreTest, PutGetRoundTripsAndCounts) {
@@ -252,6 +244,30 @@ TEST_F(FeatureStoreTest, PersistsAcrossReopen) {
   const auto hit = reopened.get(key);
   ASSERT_TRUE(hit.has_value());
   expect_features_equal(*hit, features);
+}
+
+TEST_F(FeatureStoreTest, OpenKeepsOneCopyOfADuplicatedKey) {
+  // A second copy of an entry in another shard (say, written there by
+  // another process sharing the directory) is dropped at open: one
+  // entry is indexed and served, and one file is left.
+  const FeatureKey key{60, 61, 62};
+  const auto features = make_features(4.0F);
+  { FeatureStore(config()).put(key, features); }
+  const fs::path original = only_entry_file();
+  const std::string shard = original.parent_path().filename().string();
+  ASSERT_TRUE(shard.starts_with("shard-"));
+  const fs::path other =
+      dir_ / ("shard-" + std::to_string((std::stoi(shard.substr(6)) + 1) % 16));
+  fs::create_directories(other);
+  fs::copy_file(original, other / original.filename());
+
+  FeatureStore reopened(config());
+  EXPECT_EQ(reopened.stats().entries, 1u);
+  EXPECT_EQ(reopened.stats().corrupt_entries, 0u);
+  const auto hit = reopened.get(key);
+  ASSERT_TRUE(hit.has_value());
+  expect_features_equal(*hit, features);
+  (void)only_entry_file();
 }
 
 TEST_F(FeatureStoreTest, DifferentFingerprintIsCleanMissNotCorruption) {
