@@ -267,12 +267,12 @@ TEST(Rng, PermutationIsPermutation) {
 }
 
 // Known answers: the first 32 outputs of each draw the library makes
-// (dropout masks, walk steps, weight init, shuffling) for fixed seeds.
-// They pin the draw order and the distributions' mapping of engine
-// output to values, so any change to how Rng turns mt19937_64 output
-// into draws (a new distribution, a faster bernoulli) must reproduce
-// these or re-record every model golden. bernoulli masks hold draw i
-// in bit i.
+// (dropout masks, walk steps, weight init, program sizes, shuffling)
+// for fixed seeds. They pin the draw order and the distributions'
+// mapping of engine output to values, so any change to how Rng turns
+// mt19937_64 output into draws (a new distribution, a faster
+// bernoulli) must reproduce these or re-record every model golden.
+// bernoulli masks hold draw i in bit i.
 
 TEST(RngKnownAnswers, Bernoulli) {
   const auto mask = [](std::uint64_t seed, double p) {
@@ -316,6 +316,36 @@ TEST(RngKnownAnswers, Uniform) {
   for (const std::uint64_t want : kWant) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.uniform(-2.0, 3.0)), want);
   }
+}
+
+TEST(RngKnownAnswers, Normal) {
+  // Bit patterns of normal(0.5, 2): the comparison is exact.
+  constexpr std::uint64_t kWant[32] = {
+      0x3feec888eebe507dULL, 0xbfe65d1ef0a9db6eULL, 0x400f847478f02488ULL,
+      0xc003af72aad7003fULL, 0xbff2d6b7eece1f2eULL, 0x3ff4c69427875244ULL,
+      0xbff47d1ca34247feULL, 0x3ff6aa8a68cb5b1eULL, 0xbfe8cc9a19330d5aULL,
+      0x400ce84ab25824ecULL, 0x400d91557d70bc3dULL, 0x40088a15a8287dc4ULL,
+      0x3fdc54e98179e1d8ULL, 0x4002916da6cc0b51ULL, 0x4002929d212e2952ULL,
+      0x3fd920474c8362a3ULL, 0x3fff57ae4cd74805ULL, 0x3ff3a16cd1c4492cULL,
+      0xbfcc6771f3a69620ULL, 0xbff8f2fc6e3e6a66ULL, 0xc000bff153c793cdULL,
+      0x400b7036ae9a9c3dULL, 0x3ffc7af6878838c0ULL, 0x3fe9dc570fa35cd2ULL,
+      0x3ff78500ed05825bULL, 0x3fea3b693ac3241fULL, 0x3fb3f758af739e74ULL,
+      0xbff992954dccf0a6ULL, 0x40122a7d17a9d392ULL, 0x3febd8f81d6ecfafULL,
+      0x40075d8b4a490202ULL, 0xbfe6f032af683362ULL,
+  };
+  Rng rng(106);
+  for (const std::uint64_t want : kWant) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal(0.5, 2.0)), want);
+  }
+}
+
+TEST(RngKnownAnswers, PositiveGeometric) {
+  constexpr int kWant[32] = {
+      1, 1, 6, 6, 1, 2, 1, 1, 3, 2, 1, 2, 1, 1, 13, 2,
+      1, 9, 8, 3, 2, 1, 3, 5, 3, 3, 2, 2, 1, 4, 1, 2,
+  };
+  Rng rng(107);
+  for (const int want : kWant) EXPECT_EQ(rng.positive_geometric(0.3), want);
 }
 
 TEST(RngKnownAnswers, Shuffle) {
