@@ -19,9 +19,6 @@ class Relu : public Layer {
   [[nodiscard]] bool trains_in_place() const noexcept override {
     return true;
   }
-  [[nodiscard]] bool backward_reads_output() const noexcept override {
-    return true;
-  }
   void train_backward(const float* in, const float* out,
                       const float* grad_out, std::size_t rows,
                       std::size_t width, float* grad_in,

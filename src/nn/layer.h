@@ -86,16 +86,9 @@ class Layer {
     infer_into(in, rows, width, out);
   }
 
-  /// True if train_forward may write its output over its input (ReLU).
-  /// The workspace does so unless the previous layer's backward reads
-  /// that buffer as its output.
+  /// True if train_forward may write its output over its input (ReLU);
+  /// the workspace then does so.
   [[nodiscard]] virtual bool trains_in_place() const noexcept {
-    return false;
-  }
-
-  /// True if train_backward reads the layer's output (ReLU);
-  /// the next layer must then not overwrite that output in place.
-  [[nodiscard]] virtual bool backward_reads_output() const noexcept {
     return false;
   }
 

@@ -197,10 +197,7 @@ TrainingWorkspace::TrainingWorkspace(Sequential& model,
       relu_convs_[i] = dynamic_cast<Conv1d*>(layers_[i]);
     }
     layer.reserve_training(max_rows, widths_[i], states_[i]);
-    const bool in_place =
-        layer.trains_in_place() &&
-        (i == 0 || !layers_[i - 1]->backward_reads_output());
-    if (in_place) {
+    if (layer.trains_in_place()) {
       outputs_.push_back(layer_input(i));
     } else {
       buffers_.emplace_back(max_rows * widths_[i + 1]);

@@ -13,8 +13,9 @@
 // largest batch, holds the gathered input batch, every layer's output
 // and backward state (TrainState), and two gradient buffers as wide as
 // the widest layer, which backward ping-pongs between. A ReLU writes
-// in place over the output before it (unless that layer's backward
-// reads it), so its output costs no buffer. The workspace makes the
+// in place over the output before it, so its output costs no buffer;
+// after another ReLU too, since relu(relu(x)) is relu(x) and the first
+// one's backward reads the same bits. The workspace makes the
 // same fusion as infer: a Relu directly after a Conv1d runs in the
 // conv kernel's store, and its backward gate in the conv's backward
 // (Conv1d::train_backward_relu), so the pair costs no ReLU pass either

@@ -142,9 +142,10 @@ std::vector<float> chained_input_gradient(Sequential& model,
 TEST(TrainingWorkspace, InputGradientMatchesNumericAcrossInPlaceRules) {
   // A leading ReLU trains in place over the input batch, the ReLU after
   // Dense in place over Dense's output, and the second of two ReLUs in
-  // its own buffer (the first one's backward reads its output). The
-  // input gradient must equal the layer-by-layer chain's bit for bit
-  // and match finite differences of sum(out^2) / 2.
+  // place over the first one's output (relu(relu(x)) is relu(x), so
+  // the first one's backward reads the same bits). The input gradient
+  // must equal the layer-by-layer chain's bit for bit and match finite
+  // differences of sum(out^2) / 2.
   math::Rng rng(21);
   Sequential model;
   model.emplace<Relu>();
