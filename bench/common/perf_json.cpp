@@ -4,9 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "obs/export.h"
-#include "obs/json.h"
-#include "obs/trace.h"
 
 namespace soteria::bench {
 
@@ -42,10 +41,10 @@ bool update_perf_json(const std::string& path, const std::string& section,
       std::stringstream buffer;
       buffer << in.rdbuf();
       try {
-        const auto parsed = obs::json::parse(buffer.str());
+        const auto parsed = json::parse(buffer.str());
         for (const auto& [name, body] : parsed.as_object()) {
           for (const auto& [key, value] : body.as_object()) {
-            if (value.type() == obs::json::Value::Type::kNumber) {
+            if (value.type() == json::Value::Type::kNumber) {
               document[name][key] = value.as_number();
             }
           }
@@ -80,17 +79,6 @@ bool update_perf_json(const std::string& path, const std::string& section,
   }
   out << "\n}\n";
   return out.good();
-}
-
-std::map<std::string, double> stage_means_ms(const obs::Snapshot& snapshot) {
-  std::map<std::string, double> means;
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    if (!name.starts_with(obs::kTimePrefix) || histogram.count == 0) {
-      continue;
-    }
-    means[name.substr(obs::kTimePrefix.size())] = histogram.mean() * 1e3;
-  }
-  return means;
 }
 
 }  // namespace soteria::bench

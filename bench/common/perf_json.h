@@ -1,15 +1,13 @@
 // Read-merge-write helper for the repo-root BENCH_perf.json: a flat
 // machine-readable summary of the perf benchmarks, one top-level
 // section per bench binary, each mapping a metric name to a number
-// (stage means in ms, sweep timings, ...). Benches update only their
-// own section, so running perf_features and perf_graph in either order
+// (kernel rates, sweep timings, ...). Benches update only their
+// own section, so running perf_nn and perf_graph in either order
 // converges to the same document.
 #pragma once
 
 #include <map>
 #include <string>
-
-#include "obs/metrics.h"
 
 namespace soteria::bench {
 
@@ -21,11 +19,5 @@ namespace soteria::bench {
 /// malformed existing document is replaced rather than merged.
 bool update_perf_json(const std::string& path, const std::string& section,
                       const std::map<std::string, double>& values);
-
-/// Per-stage mean latencies in milliseconds from a metrics snapshot:
-/// every span-timing histogram ("t/..." names), keyed by its full
-/// span path with the prefix stripped.
-[[nodiscard]] std::map<std::string, double> stage_means_ms(
-    const obs::Snapshot& snapshot);
 
 }  // namespace soteria::bench

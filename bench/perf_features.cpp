@@ -7,32 +7,21 @@
 //
 // Before the suites, main() checks extract against extract_reference
 // bit for bit on every CFG the extraction benchmarks time and exits 1
-// on any difference. After them, it runs a tiny end-to-end train +
-// analyze_batch with the observability registry enabled and prints the
-// per-stage timing breakdown (also written to
-// bench_results/perf_features_stages.txt when that directory exists or
-// can be created).
+// on any difference. Per-stage times at product shape come from
+// perfbench's traced runs (`perfbench/run.py --trace 1`).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <vector>
 
 #include "cfg/labeling_cache.h"
-#include "common/perf_json.h"
-#include "dataset/generator.h"
 #include "features/pipeline.h"
 #include "graph/generators.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
 #include "oracles/feature_reference.h"
 #include "runtime/thread_pool.h"
-#include "soteria/presets.h"
-#include "soteria/system.h"
 
 namespace {
 
@@ -259,53 +248,6 @@ BENCHMARK(BM_ParallelCorpusExtraction)
     ->Arg(static_cast<std::int64_t>(soteria::runtime::hardware_threads()))
     ->UseRealTime();
 
-/// End-to-end stage breakdown: generate a tiny corpus, train the full
-/// system, analyze the test split — all with metrics on — then export
-/// the timing tree covering extraction, labeling, walks, n-grams,
-/// TF-IDF, detector, and classifier stages.
-void emit_stage_breakdown() {
-  obs::registry().reset();
-  obs::set_enabled(true);
-
-  dataset::DatasetConfig data_config;
-  data_config.scale = 0.008;
-  math::Rng rng(42);
-  const auto data = dataset::generate_dataset(data_config, rng);
-  auto config = core::tiny_config();
-  const auto system = core::SoteriaSystem::train(data.train, config);
-
-  std::vector<cfg::Cfg> cfgs;
-  cfgs.reserve(data.test.size());
-  for (const auto& sample : data.test) cfgs.push_back(sample.cfg);
-  const math::Rng analyze_rng(7);
-  (void)system.analyze_batch(cfgs, analyze_rng, core::AnalyzeOptions{});
-
-  obs::set_enabled(false);
-  const auto snapshot = obs::registry().snapshot();
-  const auto report = obs::export_text(snapshot);
-  std::printf("\n-- end-to-end stage breakdown (tiny corpus) --\n%s",
-              report.c_str());
-
-  std::error_code ec;
-  std::filesystem::create_directories("bench_results", ec);
-  std::ofstream out("bench_results/perf_features_stages.txt");
-  if (out) {
-    out << report;
-    std::printf("stage breakdown written to "
-                "bench_results/perf_features_stages.txt\n");
-  } else {
-    std::printf("bench_results/ not writable; breakdown not persisted\n");
-  }
-  // Machine-readable stage means (ms per span path) for trend tracking,
-  // with the host's thread count as provenance.
-  auto values = bench::stage_means_ms(snapshot);
-  values["hardware_threads"] =
-      static_cast<double>(runtime::hardware_threads());
-  if (bench::update_perf_json("BENCH_perf.json", "perf_features", values)) {
-    std::printf("stage means recorded in BENCH_perf.json\n");
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,6 +256,5 @@ int main(int argc, char** argv) {
   if (!extraction_matches_oracle()) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  emit_stage_breakdown();
   return 0;
 }

@@ -47,7 +47,9 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iostream>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -441,33 +443,33 @@ std::vector<std::uint8_t> read_binary_file(const std::string& path) {
 }
 
 struct PendingRequest {
-  std::uint64_t id = 0;
+  std::optional<std::uint64_t> id;  // empty: the path failed to read or decode
   std::string path;
   std::future<core::Verdict> verdict;
 };
 
 /// One JSON verdict (or failure) line on stdout, flushed so a piped
-/// consumer sees it immediately.
+/// consumer sees it immediately. A path that never reached the
+/// service prints without an id.
 void print_outcome(PendingRequest& pending) {
-  const auto id = static_cast<unsigned long long>(pending.id);
-  const std::string path = json_string(pending.path);
+  std::string head = "{";
+  if (pending.id) head += "\"id\":" + std::to_string(*pending.id) + ",";
+  head += "\"path\":" + json_string(pending.path);
   try {
     const auto verdict = pending.verdict.get();
-    std::printf("{\"id\":%llu,\"path\":%s,\"adversarial\":%s,"
-                "\"family\":\"%s\",\"reconstruction_error\":%.17g}\n",
-                id, path.c_str(), verdict.adversarial ? "true" : "false",
+    std::printf("%s,\"adversarial\":%s,\"family\":\"%s\","
+                "\"reconstruction_error\":%.17g}\n",
+                head.c_str(), verdict.adversarial ? "true" : "false",
                 std::string(dataset::family_name(verdict.predicted)).c_str(),
                 verdict.reconstruction_error);
   } catch (const core::Error& e) {
-    std::printf("{\"id\":%llu,\"path\":%s,\"error\":\"%s\","
-                "\"message\":%s}\n",
-                id, path.c_str(),
+    std::printf("%s,\"error\":\"%s\",\"message\":%s}\n", head.c_str(),
                 std::string(core::error_code_name(e.code())).c_str(),
                 json_string(e.what()).c_str());
   } catch (const std::exception& e) {
-    std::printf("{\"id\":%llu,\"path\":%s,\"error\":\"Internal\","
-                "\"message\":%s}\n",
-                id, path.c_str(), json_string(e.what()).c_str());
+    std::printf("%s,\"error\":\"%s\",\"message\":%s}\n", head.c_str(),
+                pending.id ? "Internal" : "IoError",
+                json_string(e.what()).c_str());
   }
   std::fflush(stdout);
 }
@@ -563,17 +565,13 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
       // --format auto.
       const auto bytes = read_binary_file(line);
       cfg = decode_binary(bytes, format, arch);
-    } catch (const core::Error& e) {
-      std::printf("{\"path\":%s,\"error\":\"%s\",\"message\":%s}\n",
-                  json_string(line).c_str(),
-                  std::string(core::error_code_name(e.code())).c_str(),
-                  json_string(e.what()).c_str());
-      std::fflush(stdout);
-      continue;
-    } catch (const std::exception& e) {
-      std::printf("{\"path\":%s,\"error\":\"IoError\",\"message\":%s}\n",
-                  json_string(line).c_str(), json_string(e.what()).c_str());
-      std::fflush(stdout);
+    } catch (const std::exception&) {
+      // Queued as an already-failed request, so its line keeps its
+      // place among the verdicts before it.
+      std::promise<core::Verdict> failed;
+      failed.set_exception(std::current_exception());
+      pending.push_back({std::nullopt, line, failed.get_future()});
+      drain_ready();
       continue;
     }
 

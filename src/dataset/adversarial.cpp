@@ -73,15 +73,4 @@ std::vector<AdversarialExample> generate_adversarial_set(
   return aes;
 }
 
-std::vector<AdversarialExample> generate_full_adversarial_set(
-    std::span<const Sample> test, std::span<const GeaTarget> targets) {
-  std::vector<AdversarialExample> all;
-  for (const auto& target : targets) {
-    auto aes = generate_adversarial_set(test, target);
-    all.insert(all.end(), std::make_move_iterator(aes.begin()),
-               std::make_move_iterator(aes.end()));
-  }
-  return all;
-}
-
 }  // namespace soteria::dataset

@@ -57,8 +57,4 @@ struct AdversarialExample {
 [[nodiscard]] std::vector<AdversarialExample> generate_adversarial_set(
     std::span<const Sample> test, const GeaTarget& target);
 
-/// The full adversarial dataset: concatenation over all 12 targets.
-[[nodiscard]] std::vector<AdversarialExample> generate_full_adversarial_set(
-    std::span<const Sample> test, std::span<const GeaTarget> targets);
-
 }  // namespace soteria::dataset

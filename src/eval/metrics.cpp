@@ -79,19 +79,6 @@ double ConfusionMatrix::f1(std::size_t c) const {
   return 2.0 * p * r / (p + r);
 }
 
-ConfusionMatrix confusion_from(std::span<const std::size_t> truths,
-                               std::span<const std::size_t> predictions,
-                               std::size_t classes) {
-  if (truths.size() != predictions.size()) {
-    throw std::invalid_argument("confusion_from: length mismatch");
-  }
-  ConfusionMatrix cm(classes);
-  for (std::size_t i = 0; i < truths.size(); ++i) {
-    cm.record(truths[i], predictions[i]);
-  }
-  return cm;
-}
-
 double DetectionStats::detection_rate() const noexcept {
   const std::size_t aes = true_positives + false_negatives;
   if (aes == 0) return 0.0;

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,12 +44,6 @@ class ConfusionMatrix {
   std::size_t total_ = 0;
   std::vector<std::size_t> counts_;  // classes_ x classes_, row-major
 };
-
-/// Builds a confusion matrix from parallel truth/prediction arrays.
-/// Throws std::invalid_argument on length mismatch.
-[[nodiscard]] ConfusionMatrix confusion_from(
-    std::span<const std::size_t> truths,
-    std::span<const std::size_t> predictions, std::size_t classes);
 
 /// Binary detection counts (for the AE detector).
 struct DetectionStats {

@@ -24,38 +24,6 @@ DiGraph random_connected_dag_plus(std::size_t n, double p, math::Rng& rng) {
   return g;
 }
 
-DiGraph chain_graph(std::size_t n, std::size_t back_edges, math::Rng& rng) {
-  if (n == 0) throw std::invalid_argument("chain graph: n must be > 0");
-  DiGraph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  for (std::size_t i = 0; i < back_edges && n > 1; ++i) {
-    const NodeId from = 1 + rng.index(n - 1);
-    const NodeId to = rng.index(from);
-    g.add_edge(from, to);
-  }
-  return g;
-}
-
-DiGraph binary_tree(std::size_t depth) {
-  const std::size_t n = (std::size_t{1} << (depth + 1)) - 1;
-  DiGraph g(n);
-  for (NodeId v = 0; v < n; ++v) {
-    const NodeId left = 2 * v + 1;
-    const NodeId right = 2 * v + 2;
-    if (left < n) g.add_edge(v, left);
-    if (right < n) g.add_edge(v, right);
-  }
-  return g;
-}
-
-DiGraph complete_digraph(std::size_t n) {
-  DiGraph g(n);
-  for (NodeId u = 0; u < n; ++u)
-    for (NodeId v = 0; v < n; ++v)
-      if (u != v) g.add_edge(u, v);
-  return g;
-}
-
 DiGraph diamond_chain(std::size_t count) {
   DiGraph g(3 * count + 1);
   for (NodeId d = 0; d < count; ++d) {

@@ -1,9 +1,10 @@
-// Random graph generators for tests and micro-benchmarks.
+// Graph generators for benchmarks and tests.
 //
 // These produce structured directed graphs with known invariants
-// (connectivity from node 0, bounded degree) so property tests can
-// exercise labeling/walk code on shapes beyond what the ISA code
-// generator emits.
+// (connectivity from node 0, bounded degree) so benchmarks and
+// property tests can exercise labeling/walk code on shapes beyond
+// what the ISA code generator emits. Fixed test-only shapes (chains,
+// trees, complete digraphs) live in tests/graph/shapes.h.
 #pragma once
 
 #include <cstddef>
@@ -18,19 +19,6 @@ namespace soteria::graph {
 /// arborescence first.
 [[nodiscard]] DiGraph random_connected_dag_plus(std::size_t n, double p,
                                                 math::Rng& rng);
-
-/// A chain 0 -> 1 -> ... -> n-1 with optional extra back edges, useful
-/// for level-labeling tests.
-[[nodiscard]] DiGraph chain_graph(std::size_t n, std::size_t back_edges,
-                                  math::Rng& rng);
-
-/// Balanced binary in-tree rooted at node 0 (edges parent -> children),
-/// i.e. a CFG-like branching structure of the given depth.
-[[nodiscard]] DiGraph binary_tree(std::size_t depth);
-
-/// Complete directed graph on n nodes (every ordered pair, no self
-/// loops).
-[[nodiscard]] DiGraph complete_digraph(std::size_t n);
 
 /// `count` if/else diamonds in a row (3 * count + 1 nodes): each
 /// diamond is a 4-cycle in the undirected view, joined to the next at a

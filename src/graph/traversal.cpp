@@ -5,11 +5,7 @@
 
 namespace soteria::graph {
 
-namespace {
-
-template <typename NeighborFn>
-std::vector<std::size_t> bfs_impl(const DiGraph& g, NodeId source,
-                                  NeighborFn&& neighbors) {
+std::vector<std::size_t> bfs_distances(const DiGraph& g, NodeId source) {
   if (source >= g.node_count())
     throw std::out_of_range("bfs: source out of range");
   std::vector<std::size_t> dist(g.node_count(), kUnreachable);
@@ -19,7 +15,7 @@ std::vector<std::size_t> bfs_impl(const DiGraph& g, NodeId source,
   while (!queue.empty()) {
     const NodeId u = queue.front();
     queue.pop_front();
-    for (NodeId v : neighbors(u)) {
+    for (NodeId v : g.successors(u)) {
       if (dist[v] == kUnreachable) {
         dist[v] = dist[u] + 1;
         queue.push_back(v);
@@ -27,21 +23,6 @@ std::vector<std::size_t> bfs_impl(const DiGraph& g, NodeId source,
     }
   }
   return dist;
-}
-
-}  // namespace
-
-std::vector<std::size_t> bfs_distances(const DiGraph& g, NodeId source) {
-  return bfs_impl(g, source, [&g](NodeId u) {
-    return std::vector<NodeId>(g.successors(u).begin(),
-                               g.successors(u).end());
-  });
-}
-
-std::vector<std::size_t> undirected_bfs_distances(const DiGraph& g,
-                                                  NodeId source) {
-  return bfs_impl(g, source,
-                  [&g](NodeId u) { return g.undirected_neighbors(u); });
 }
 
 std::vector<std::size_t> node_levels(const DiGraph& g, NodeId entry) {

@@ -20,10 +20,6 @@ inline constexpr std::size_t kUnreachable =
 [[nodiscard]] std::vector<std::size_t> bfs_distances(const DiGraph& g,
                                                      NodeId source);
 
-/// BFS distances over the *undirected* view of the graph.
-[[nodiscard]] std::vector<std::size_t> undirected_bfs_distances(
-    const DiGraph& g, NodeId source);
-
 /// Paper's node level: 1 + (smallest number of steps from the entry),
 /// i.e. the entry node has level 1. Unreachable nodes get kUnreachable.
 [[nodiscard]] std::vector<std::size_t> node_levels(const DiGraph& g,

@@ -1,7 +1,6 @@
 #include "math/matrix.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -88,12 +87,6 @@ Matrix Matrix::transposed() const {
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
   return out;
-}
-
-double Matrix::frobenius_norm() const noexcept {
-  double acc = 0.0;
-  for (float x : data_) acc += static_cast<double>(x) * x;
-  return std::sqrt(acc);
 }
 
 void Matrix::fill_uniform(Rng& rng, float lo, float hi) {

@@ -69,9 +69,6 @@ class Matrix {
   /// Matrix transpose.
   [[nodiscard]] Matrix transposed() const;
 
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius_norm() const noexcept;
-
   /// Fills with uniform deviates in [lo, hi).
   void fill_uniform(Rng& rng, float lo, float hi);
 

@@ -5,7 +5,8 @@
 // starts with trace.h's kTimePrefix, values in seconds, printed in
 // ms), and the remaining value histograms with quantile estimates.
 // `export_json` emits one machine-readable document whose structure is
-// mirrored by the obs test suite through obs::json::parse.
+// mirrored by the obs test suite through the JSON parser in
+// bench/common/json.h.
 #pragma once
 
 #include <iosfwd>

@@ -33,7 +33,7 @@ nn::Sequential train_one(const LabeledVectors& data,
                          const nn::CnnConfig& config,
                          const nn::TrainConfig& training,
                          double learning_rate, math::Rng& rng,
-                         nn::TrainReport& report, nn::CnnConfig& arch_out) {
+                         nn::CnnConfig& arch_out) {
   if (data.features.rows() == 0) {
     throw std::invalid_argument("FamilyClassifier: empty training data");
   }
@@ -46,8 +46,8 @@ nn::Sequential train_one(const LabeledVectors& data,
   arch_out = arch;
   nn::Sequential model = nn::build_cnn(arch, rng);
   nn::Adam optimizer(learning_rate);
-  report = nn::train_classifier(model, data.features, data.labels,
-                                optimizer, training, rng);
+  nn::train_classifier(model, data.features, data.labels, optimizer, training,
+                       rng);
   return model;
 }
 
@@ -87,10 +87,10 @@ FamilyClassifier FamilyClassifier::train(const LabeledVectors& dbl,
   FamilyClassifier classifier;
   classifier.dbl_model_ =
       train_one(dbl, config, training, learning_rate, rng,
-                classifier.dbl_report_, classifier.dbl_arch_);
+                classifier.dbl_arch_);
   classifier.lbl_model_ =
       train_one(lbl, config, training, learning_rate, rng,
-                classifier.lbl_report_, classifier.lbl_arch_);
+                classifier.lbl_arch_);
   return classifier;
 }
 

@@ -70,13 +70,6 @@ class FamilyClassifier {
   [[nodiscard]] dataset::Family predict_lbl_only(
       const features::SampleFeatures& features) const;
 
-  [[nodiscard]] const nn::TrainReport& dbl_report() const noexcept {
-    return dbl_report_;
-  }
-  [[nodiscard]] const nn::TrainReport& lbl_report() const noexcept {
-    return lbl_report_;
-  }
-
   /// Binary (de)serialization of both CNNs. `load` reads CNNs for
   /// DBL vectors of `dbl_length` and LBL vectors of `lbl_length`
   /// floats: it throws core::Error{kCorruptModel} when the stream's
@@ -102,8 +95,6 @@ class FamilyClassifier {
   nn::CnnConfig lbl_arch_;
   nn::Sequential dbl_model_;
   nn::Sequential lbl_model_;
-  nn::TrainReport dbl_report_;
-  nn::TrainReport lbl_report_;
 };
 
 /// Packs per-walk vectors into a matrix (rows = vectors). Throws

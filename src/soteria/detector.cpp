@@ -144,11 +144,6 @@ double AeDetector::sample_error(
   return math::mean(sample_scores);
 }
 
-bool AeDetector::is_adversarial(
-    const math::Matrix& sample_vectors) const {
-  return sample_error(sample_vectors) > threshold_;
-}
-
 void AeDetector::set_alpha(double alpha) {
   if (alpha < 0.0) {
     throw std::invalid_argument("AeDetector::set_alpha: negative alpha");

@@ -62,10 +62,6 @@ class AeDetector {
   [[nodiscard]] double sample_error(const math::Matrix& sample_vectors)
       const;
 
-  /// True if the sample's score exceeds the threshold.
-  [[nodiscard]] bool is_adversarial(const math::Matrix& sample_vectors)
-      const;
-
   /// Per-dimension residual standardization tables (calibration A).
   [[nodiscard]] const std::vector<double>& residual_mean() const noexcept {
     return residual_mean_;

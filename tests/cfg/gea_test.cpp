@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "graph/shapes.h"
 #include "graph/traversal.h"
 #include "math/rng.h"
 #include "soteria/error.h"

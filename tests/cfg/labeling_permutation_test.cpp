@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "graph/shapes.h"
 #include "math/rng.h"
 
 namespace soteria::cfg {

@@ -62,16 +62,6 @@ TEST(ConfusionMatrix, Validation) {
   EXPECT_THROW((void)cm.precision(5), std::out_of_range);
 }
 
-TEST(ConfusionFrom, BuildsFromParallelArrays) {
-  const std::vector<std::size_t> truths{0, 1, 1, 0};
-  const std::vector<std::size_t> predictions{0, 1, 0, 0};
-  const auto cm = confusion_from(truths, predictions, 2);
-  EXPECT_DOUBLE_EQ(cm.overall_accuracy(), 0.75);
-  const std::vector<std::size_t> short_preds{0};
-  EXPECT_THROW((void)confusion_from(truths, short_preds, 2),
-               std::invalid_argument);
-}
-
 TEST(DetectionStats, Rates) {
   DetectionStats stats;
   stats.true_positives = 90;

@@ -17,6 +17,7 @@
 #include "dataset/generator.h"
 #include "graph/centrality.h"
 #include "graph/generators.h"
+#include "graph/shapes.h"
 #include "isa/mutate.h"
 #include "math/rng.h"
 #include "naive_centrality.h"

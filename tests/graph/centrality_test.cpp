@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "graph/shapes.h"
 #include "math/rng.h"
 
 namespace soteria::graph {

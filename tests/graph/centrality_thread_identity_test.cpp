@@ -19,6 +19,7 @@
 
 #include "graph/centrality.h"
 #include "graph/generators.h"
+#include "graph/shapes.h"
 #include "math/rng.h"
 
 #include "graph/naive_centrality.h"

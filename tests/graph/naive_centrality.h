@@ -98,6 +98,26 @@ inline std::vector<double> betweenness_centrality(const DiGraph& g) {
   return betweenness;
 }
 
+// BFS distances over the undirected view of the graph; kUnreachable
+// where no path exists.
+inline std::vector<std::size_t> undirected_bfs_distances(const DiGraph& g,
+                                                         NodeId source) {
+  std::vector<std::size_t> dist(g.node_count(), kUnreachable);
+  dist[source] = 0;
+  std::deque<NodeId> queue{source};
+  while (!queue.empty()) {
+    const NodeId u = queue.front();
+    queue.pop_front();
+    for (NodeId v : g.undirected_neighbors(u)) {
+      if (dist[v] == kUnreachable) {
+        dist[v] = dist[u] + 1;
+        queue.push_back(v);
+      }
+    }
+  }
+  return dist;
+}
+
 inline std::vector<double> closeness_centrality(const DiGraph& g) {
   const std::size_t n = g.node_count();
   std::vector<double> closeness(n, 0.0);

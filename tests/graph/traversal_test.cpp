@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "graph/naive_centrality.h"
+#include "graph/shapes.h"
 #include "math/rng.h"
 
 namespace soteria::graph {
@@ -34,7 +36,7 @@ TEST(Traversal, BfsRespectsDirection) {
 }
 
 TEST(Traversal, UndirectedBfsIgnoresDirection) {
-  const auto dist = undirected_bfs_distances(diamond(), 3);
+  const auto dist = naive::undirected_bfs_distances(diamond(), 3);
   EXPECT_EQ(dist[0], 2U);
   EXPECT_EQ(dist[1], 1U);
 }

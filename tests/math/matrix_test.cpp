@@ -83,11 +83,6 @@ TEST(Matrix, Transpose) {
   EXPECT_FLOAT_EQ(t(0, 1), 4.0F);
 }
 
-TEST(Matrix, FrobeniusNorm) {
-  const Matrix m(1, 2, {3.0F, 4.0F});
-  EXPECT_DOUBLE_EQ(m.frobenius_norm(), 5.0);
-}
-
 TEST(Matrix, FillRandomRanges) {
   Rng rng(1);
   Matrix m(10, 10);

@@ -1,4 +1,4 @@
-#include "obs/json.h"
+#include "common/json.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@
 
 namespace soteria::obs {
 namespace {
+
+namespace json = bench::json;
 
 TEST(JsonParser, ParsesScalars) {
   EXPECT_DOUBLE_EQ(json::parse("42").as_number(), 42.0);

@@ -53,6 +53,19 @@ TEST(HistogramData, QuantileIsClampedByMax) {
   EXPECT_LE(h.quantile(1.0), h.max + 1e-12);
 }
 
+TEST(HistogramData, QuantilesAreOrderedAndBounded) {
+  // Latency reports print p50 and p99 through quantile(); pin the
+  // properties those numbers rely on.
+  HistogramData histogram;
+  for (int i = 1; i <= 1000; ++i) histogram.record(i * 0.001);  // 1ms..1s
+  const double p50 = histogram.quantile(0.50);
+  const double p99 = histogram.quantile(0.99);
+  EXPECT_GT(p50, 0.0);
+  EXPECT_LE(p50, p99);
+  EXPECT_LE(p99, histogram.max);
+  EXPECT_GE(p50, histogram.min);
+}
+
 TEST(HistogramData, MergeAddsCountsAndWidensRange) {
   HistogramData a;
   HistogramData b;

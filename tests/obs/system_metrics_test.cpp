@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "dataset/generator.h"
 #include "obs/export.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
@@ -206,7 +206,7 @@ TEST_F(ObsSystemFixture, DisabledRegistryRecordsNothingDuringAnalysis) {
 
 TEST_F(ObsSystemFixture, ExportsRoundTripThroughJsonParser) {
   const auto snap = batch_snapshot(1);
-  const auto doc = obs::json::parse(obs::export_json(snap));
+  const auto doc = bench::json::parse(obs::export_json(snap));
 
   const auto& counters = doc.at("counters").as_object();
   ASSERT_EQ(counters.size(), snap.counters.size());

@@ -13,12 +13,11 @@
 #include <vector>
 
 #include "cfg/labeling_cache.h"
+#include "common/json.h"
 #include "features/pipeline.h"
 #include "graph/centrality.h"
 #include "graph/generators.h"
 #include "math/rng.h"
-#include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace soteria {
 namespace {
@@ -74,19 +73,6 @@ TEST(PerfSmoke, CachedExtractionWorkload) {
   EXPECT_EQ(cache->stats().evictions, 0U);
 }
 
-TEST(PerfSmoke, HistogramQuantilesAreOrderedAndBounded) {
-  // perf_serve reports its p50/p99 latencies through
-  // HistogramData::quantile; pin the properties those numbers rely on.
-  obs::HistogramData histogram;
-  for (int i = 1; i <= 1000; ++i) histogram.record(i * 0.001);  // 1ms..1s
-  const double p50 = histogram.quantile(0.50);
-  const double p99 = histogram.quantile(0.99);
-  EXPECT_GT(p50, 0.0);
-  EXPECT_LE(p50, p99);
-  EXPECT_LE(p99, histogram.max);
-  EXPECT_GE(p50, histogram.min);
-}
-
 /// The BENCH_perf.json in reach (run from the build tree or the repo
 /// root), or "" when there is none.
 std::string recorded_bench_perf() {
@@ -102,62 +88,6 @@ std::string recorded_bench_perf() {
   return "";
 }
 
-/// The keys perf_serve records per (workers, batch) combination.
-const char* const kServeMetrics[] = {
-    "throughput_rps", "e2e_p50_ms", "e2e_p99_ms", "queue_wait_p50_ms",
-    "queue_wait_p99_ms"};
-
-TEST(PerfSmoke, ServeSweepJsonSchemaParses) {
-  // A synthetic document in the exact shape perf_serve writes: the
-  // parse side of the schema must keep accepting it.
-  std::ostringstream doc;
-  doc << "{\n  \"perf_serve\": {\n    \"hardware_threads\": 8";
-  for (const char* metric : kServeMetrics) {
-    doc << ",\n    \"w1_b16_" << metric << "\": 1.5";
-  }
-  doc << "\n  }\n}\n";
-
-  const auto parsed = obs::json::parse(doc.str());
-  const auto& section = parsed.as_object().at("perf_serve").as_object();
-  EXPECT_EQ(section.at("hardware_threads").as_number(), 8.0);
-  for (const char* metric : kServeMetrics) {
-    const auto& value = section.at("w1_b16_" + std::string(metric));
-    ASSERT_EQ(value.type(), obs::json::Value::Type::kNumber) << metric;
-    EXPECT_EQ(value.as_number(), 1.5) << metric;
-  }
-}
-
-TEST(PerfSmoke, RecordedServeSweepHasTheNewSchema) {
-  // When a BENCH_perf.json is reachable (running from the build tree
-  // or the repo root), its perf_serve section must carry the sweep's
-  // current key shape — stale t*_q* or w*_s*_b* (shard) keys from the
-  // old sweeps mean the bench and its consumers have drifted apart.
-  const std::string contents = recorded_bench_perf();
-  if (contents.empty()) {
-    GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
-  }
-
-  const auto parsed = obs::json::parse(contents);
-  const auto& document = parsed.as_object();
-  const auto it = document.find("perf_serve");
-  if (it == document.end()) {
-    GTEST_SKIP() << "BENCH_perf.json has no perf_serve section yet";
-  }
-  const auto& section = it->second.as_object();
-  ASSERT_TRUE(section.count("hardware_threads"));
-  EXPECT_GE(section.at("hardware_threads").as_number(), 1.0);
-  for (const char* metric : kServeMetrics) {
-    const std::string key = "w1_b16_" + std::string(metric);
-    ASSERT_TRUE(section.count(key)) << key;
-    EXPECT_GE(section.at(key).as_number(), 0.0) << key;
-  }
-  // The rewrite replaced the section wholesale: no stale keys.
-  for (const auto& [key, value] : section) {
-    EXPECT_NE(key.rfind("t1_q", 0), 0U) << "stale key " << key;
-    EXPECT_EQ(key.find("_s"), std::string::npos) << "stale key " << key;
-  }
-}
-
 TEST(PerfSmoke, RecordedGraphSweepHasExactKeysOnly) {
   // When a BENCH_perf.json is reachable, its perf_graph section must
   // carry the exact sweep shape: "exact.*" timing keys for the
@@ -170,7 +100,7 @@ TEST(PerfSmoke, RecordedGraphSweepHasExactKeysOnly) {
     GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
   }
 
-  const auto parsed = obs::json::parse(contents);
+  const auto parsed = bench::json::parse(contents);
   const auto& document = parsed.as_object();
   const auto it = document.find("perf_graph");
   if (it == document.end()) {
@@ -207,7 +137,7 @@ TEST(PerfSmoke, RecordedInferSweepHasSpeedupFloorsAndIdentity) {
     GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
   }
 
-  const auto parsed = obs::json::parse(contents);
+  const auto parsed = bench::json::parse(contents);
   const auto& document = parsed.as_object();
   const auto it = document.find("perf_infer");
   if (it == document.end()) {
@@ -241,7 +171,7 @@ TEST(PerfSmoke, RecordedNnSectionHasTrainingStepKeys) {
     GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
   }
 
-  const auto parsed = obs::json::parse(contents);
+  const auto parsed = bench::json::parse(contents);
   const auto& document = parsed.as_object();
   const auto it = document.find("perf_nn");
   if (it == document.end()) {

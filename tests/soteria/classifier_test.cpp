@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "nn/optimizer.h"
+#include "nn/trainer.h"
 #include "soteria/error.h"
 
 namespace soteria::core {
@@ -152,10 +154,20 @@ TEST(FamilyClassifier, LoadRejectsOtherInputLengths) {
 }
 
 TEST(FamilyClassifier, TrainingLossDecreases) {
-  auto classifier = trained_classifier(4);
-  const auto& dbl_losses = classifier.dbl_report().epoch_losses;
-  ASSERT_GE(dbl_losses.size(), 2U);
-  EXPECT_LT(dbl_losses.back(), dbl_losses.front());
+  // The DBL half of trained_classifier(4), step for step: build_cnn and
+  // nn::train_classifier on one rng, as FamilyClassifier::train runs
+  // them. The per-epoch losses must fall.
+  math::Rng rng(4);
+  const auto dbl = make_training(32, 104);
+  nn::CnnConfig arch = tiny_cnn();
+  arch.input_length = kDim;
+  nn::Sequential model = nn::build_cnn(arch, rng);
+  nn::Adam optimizer(5e-3);
+  const auto report =
+      nn::train_classifier(model, dbl.features, dbl.labels, optimizer,
+                           nn::make_train_config(60, 16), rng);
+  ASSERT_GE(report.epoch_losses.size(), 2U);
+  EXPECT_LT(report.epoch_losses.back(), report.epoch_losses.front());
 }
 
 }  // namespace
