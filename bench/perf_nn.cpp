@@ -9,10 +9,7 @@
 // op table and whole-net Sequential::infer cost at 10 rows
 // (bench_results/perf_nn_ops.txt) and the per-layer cost
 // of one 64-row training step of the product CNN and autoencoder
-// (bench_results/perf_nn_train.txt), then trains a small
-// autoencoder and CNN with the observability registry enabled and
-// prints the per-epoch timing breakdown (also written to
-// bench_results/perf_nn_stages.txt when possible).
+// (bench_results/perf_nn_train.txt).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -35,10 +32,6 @@
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/pooling.h"
-#include "nn/trainer.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "oracles/conv1d_reference.h"
 #include "oracles/matmul_reference.h"
 #include "runtime/thread_pool.h"
@@ -772,57 +765,6 @@ void emit_training_step_tables(std::map<std::string, double>& json_values) {
   }
 }
 
-/// Trains a small autoencoder and CNN with metrics on and exports the
-/// per-epoch spans, loss gauge, and epoch counters.
-void emit_stage_breakdown() {
-  obs::registry().reset();
-  obs::set_enabled(true);
-
-  math::Rng rng(11);
-  {
-    const obs::Span span("perf_nn.autoencoder");
-    nn::AutoencoderConfig config;
-    config.input_dim = 200;
-    config.width_scale = 0.1;
-    auto model = nn::build_autoencoder(config, rng);
-    nn::Adam optimizer(1e-3);
-    math::Matrix batch(96, config.input_dim);
-    batch.fill_normal(rng, 0.0F, 0.05F);
-    (void)nn::train_regression(model, batch, batch, optimizer,
-                               nn::make_train_config(6, 32), rng);
-  }
-  {
-    const obs::Span span("perf_nn.cnn");
-    nn::CnnConfig config;
-    config.input_length = 200;
-    config.filters = 8;
-    config.dense_units = 32;
-    auto model = nn::build_cnn(config, rng);
-    nn::Adam optimizer(1e-3);
-    math::Matrix batch(96, config.input_length);
-    batch.fill_normal(rng, 0.0F, 0.05F);
-    std::vector<std::size_t> labels(96);
-    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i % 4;
-    (void)nn::train_classifier(model, batch, labels, optimizer,
-                               nn::make_train_config(6, 32), rng);
-  }
-
-  obs::set_enabled(false);
-  const auto report = obs::export_text(obs::registry().snapshot());
-  std::printf("\n-- training stage breakdown --\n%s", report.c_str());
-
-  std::error_code ec;
-  std::filesystem::create_directories("bench_results", ec);
-  std::ofstream out("bench_results/perf_nn_stages.txt");
-  if (out) {
-    out << report;
-    std::printf(
-        "stage breakdown written to bench_results/perf_nn_stages.txt\n");
-  } else {
-    std::printf("bench_results/ not writable; breakdown not persisted\n");
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -843,7 +785,6 @@ int main(int argc, char** argv) {
                                        json_values)) {
     std::printf("kernel GFLOP/s recorded in BENCH_perf.json\n");
   }
-  emit_stage_breakdown();
   if (!gemm_identical) {
     std::fprintf(stderr,
                  "perf_nn: a Dense backward GEMM differs from its oracle\n");

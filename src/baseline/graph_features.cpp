@@ -1,12 +1,12 @@
 #include "baseline/graph_features.h"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "soteria/error.h"
 
 namespace soteria::baseline {
 
@@ -18,8 +18,8 @@ GraphFeatureBaseline GraphFeatureBaseline::train(
     std::span<const dataset::Sample> training,
     const GraphBaselineConfig& config) {
   if (training.empty()) {
-    throw std::invalid_argument(
-        "GraphFeatureBaseline::train: empty training set");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "GraphFeatureBaseline::train: empty training set");
   }
   nn::validate(config.training);
 
@@ -75,7 +75,8 @@ GraphFeatureBaseline GraphFeatureBaseline::train(
 std::vector<float> GraphFeatureBaseline::features_for(
     const cfg::Cfg& cfg) const {
   if (feature_means_.empty()) {
-    throw std::logic_error("GraphFeatureBaseline: not trained");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "GraphFeatureBaseline: not trained");
   }
   auto raw = raw_features(cfg);
   for (std::size_t c = 0; c < raw.size(); ++c) {

@@ -36,7 +36,7 @@ class GraphFeatureBaseline {
   /// Raw (unstandardized) structural feature vector of a CFG.
   [[nodiscard]] static std::vector<float> raw_features(const cfg::Cfg& cfg);
 
-  /// Trains on the given samples. Throws std::invalid_argument on an
+  /// Trains on the given samples. Throws core::Error{kInvalidArgument} on an
   /// empty training set.
   static GraphFeatureBaseline train(
       std::span<const dataset::Sample> training,

@@ -1,21 +1,22 @@
 #include "baseline/image_classifier.h"
 
-#include <stdexcept>
-
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "nn/optimizer.h"
+#include "soteria/error.h"
 
 namespace soteria::baseline {
 
 std::vector<float> ImageBaseline::to_image(
     std::span<const std::uint8_t> binary, std::size_t side) {
   if (binary.empty()) {
-    throw std::invalid_argument("ImageBaseline::to_image: empty binary");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "ImageBaseline::to_image: empty binary");
   }
   if (side == 0) {
-    throw std::invalid_argument("ImageBaseline::to_image: zero side");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "ImageBaseline::to_image: zero side");
   }
   const std::size_t pixels = side * side;
   std::vector<float> image(pixels);
@@ -31,11 +32,13 @@ ImageBaseline ImageBaseline::train(
     std::span<const dataset::Sample> training,
     const ImageBaselineConfig& config) {
   if (training.empty()) {
-    throw std::invalid_argument("ImageBaseline::train: empty training set");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "ImageBaseline::train: empty training set");
   }
   nn::validate(config.training);
   if (config.image_side == 0 || config.hidden_units == 0) {
-    throw std::invalid_argument("ImageBaselineConfig: zero dimension");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "ImageBaselineConfig: zero dimension");
   }
 
   const std::size_t dim = config.image_side * config.image_side;
@@ -43,8 +46,8 @@ ImageBaseline ImageBaseline::train(
   std::vector<std::size_t> labels(training.size());
   for (std::size_t i = 0; i < training.size(); ++i) {
     if (training[i].binary.empty()) {
-      throw std::invalid_argument(
-          "ImageBaseline::train: sample without a binary");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "ImageBaseline::train: sample without a binary");
     }
     const auto image = to_image(training[i].binary, config.image_side);
     std::copy(image.begin(), image.end(), features.row(i).begin());
@@ -69,7 +72,8 @@ ImageBaseline ImageBaseline::train(
 dataset::Family ImageBaseline::predict(
     std::span<const std::uint8_t> binary) const {
   if (config_.image_side == 0) {
-    throw std::logic_error("ImageBaseline: not trained");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "ImageBaseline: not trained");
   }
   const auto image = to_image(binary, config_.image_side);
   math::Matrix input(1, image.size());

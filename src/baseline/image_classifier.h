@@ -33,13 +33,13 @@ struct ImageBaselineConfig {
 class ImageBaseline {
  public:
   /// Renders `binary` as a side*side grayscale vector in [0, 1] using
-  /// nearest-neighbour resampling. Throws std::invalid_argument for an
+  /// nearest-neighbour resampling. Throws core::Error{kInvalidArgument} for an
   /// empty binary or zero side.
   [[nodiscard]] static std::vector<float> to_image(
       std::span<const std::uint8_t> binary, std::size_t side);
 
   /// Trains on the given samples (uses each sample's raw binary).
-  /// Throws std::invalid_argument on an empty training set or samples
+  /// Throws core::Error{kInvalidArgument} on an empty training set or samples
   /// without binaries.
   static ImageBaseline train(std::span<const dataset::Sample> training,
                              const ImageBaselineConfig& config);

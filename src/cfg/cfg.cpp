@@ -1,7 +1,8 @@
 #include "cfg/cfg.h"
 
-#include <stdexcept>
 #include <string>
+
+#include "soteria/error.h"
 
 namespace soteria::cfg {
 
@@ -9,15 +10,17 @@ Cfg::Cfg(graph::DiGraph graph, graph::NodeId entry,
          std::vector<BasicBlock> blocks)
     : graph_(std::move(graph)), entry_(entry), blocks_(std::move(blocks)) {
   if (!graph_.empty() && entry_ >= graph_.node_count()) {
-    throw std::invalid_argument("Cfg: entry " + std::to_string(entry_) +
-                                " out of range for " +
-                                std::to_string(graph_.node_count()) +
-                                " nodes");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Cfg: entry " + std::to_string(entry_) +
+                      " out of range for " +
+                      std::to_string(graph_.node_count()) +
+                      " nodes");
   }
   if (!blocks_.empty() && blocks_.size() != graph_.node_count()) {
-    throw std::invalid_argument(
-        "Cfg: block metadata count " + std::to_string(blocks_.size()) +
-        " != node count " + std::to_string(graph_.node_count()));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Cfg: block metadata count " +
+                          std::to_string(blocks_.size()) + " != node count " +
+                          std::to_string(graph_.node_count()));
   }
 }
 

@@ -26,8 +26,8 @@ class Cfg {
   Cfg() = default;
 
   /// Builds a CFG over `graph` with entry block `entry`. Throws
-  /// std::invalid_argument if entry is out of range (unless the graph is
-  /// empty) or if `blocks` is non-empty but mismatched in size.
+  /// core::Error{kInvalidArgument} if entry is out of range (unless the graph
+  /// is empty) or if `blocks` is non-empty but mismatched in size.
   Cfg(graph::DiGraph graph, graph::NodeId entry,
       std::vector<BasicBlock> blocks = {});
 

@@ -16,8 +16,8 @@
 // invisible to every downstream feature.
 //
 // For ELF containers and other ISAs, use loader::load_image +
-// frontend::resolve_frontend directly (or SoteriaSystem::analyze_image,
-// which wires the whole path).
+// frontend::resolve_frontend, then analyze the CFG the front end
+// extracts.
 #pragma once
 
 #include <cstdint>

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 #include "graph/centrality.h"
 #include "graph/traversal.h"
 #include "obs/trace.h"
+#include "soteria/error.h"
 
 namespace soteria::cfg {
 
@@ -39,7 +39,10 @@ std::vector<NodeRank> node_ranks(const Cfg& cfg) {
 std::vector<Label> labels_from_ranks(const std::vector<NodeRank>& ranks,
                                      LabelingMethod method) {
   const std::size_t n = ranks.size();
-  if (n == 0) throw std::invalid_argument("labels_from_ranks: empty ranks");
+  if (n == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "labels_from_ranks: empty ranks");
+  }
 
   std::vector<graph::NodeId> order(n);
   std::iota(order.begin(), order.end(), graph::NodeId{0});
@@ -74,16 +77,20 @@ std::vector<Label> labels_from_ranks(const std::vector<NodeRank>& ranks,
 }
 
 std::vector<Label> label_nodes(const Cfg& cfg, LabelingMethod method) {
-  if (cfg.node_count() == 0)
-    throw std::invalid_argument("label_nodes: empty CFG");
+  if (cfg.node_count() == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "label_nodes: empty CFG");
+  }
   const obs::Span span(method == LabelingMethod::kDensity ? "cfg.label.dbl"
                                                           : "cfg.label.lbl");
   return labels_from_ranks(node_ranks(cfg), method);
 }
 
 NodeLabelings label_both(const Cfg& cfg, ExactLabeling) {
-  if (cfg.node_count() == 0)
-    throw std::invalid_argument("label_both: empty CFG");
+  if (cfg.node_count() == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "label_both: empty CFG");
+  }
   const auto ranks = node_ranks(cfg);
   NodeLabelings labelings;
   {
@@ -102,11 +109,13 @@ std::vector<graph::NodeId> nodes_by_label(const std::vector<Label>& labels) {
   std::vector<bool> seen(labels.size(), false);
   for (graph::NodeId v = 0; v < labels.size(); ++v) {
     if (labels[v] >= labels.size()) {
-      throw std::invalid_argument("nodes_by_label: label out of range");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "nodes_by_label: label out of range");
     }
     if (seen[labels[v]]) {
-      throw std::invalid_argument("nodes_by_label: duplicate label " +
-                                  std::to_string(labels[v]));
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "nodes_by_label: duplicate label " +
+                        std::to_string(labels[v]));
     }
     seen[labels[v]] = true;
     inverse[labels[v]] = v;

@@ -53,13 +53,13 @@ struct ExactLabeling {};
 
 /// Orders nodes under `method` given precomputed ranking keys — the
 /// sort-only tail of label_nodes, so both labelings can share one
-/// node_ranks computation. Throws std::invalid_argument for empty
+/// node_ranks computation. Throws core::Error{kInvalidArgument} for empty
 /// `ranks`.
 [[nodiscard]] std::vector<Label> labels_from_ranks(
     const std::vector<NodeRank>& ranks, LabelingMethod method);
 
 /// Labels all nodes under `method`. Returns labels indexed by node id:
-/// result[v] is node v's label. Throws std::invalid_argument for an
+/// result[v] is node v's label. Throws core::Error{kInvalidArgument} for an
 /// empty CFG. Unreachable nodes (possible only in unpruned CFGs) sort
 /// after all reachable ones.
 [[nodiscard]] std::vector<Label> label_nodes(const Cfg& cfg,
@@ -74,11 +74,11 @@ struct NodeLabelings {
 /// Labels all nodes under *both* schemes from one shared node_ranks
 /// computation — the graph analytics (centrality + levels) that
 /// dominate labeling cost run exactly once. Equivalent to calling
-/// label_nodes twice; throws std::invalid_argument for an empty CFG.
+/// label_nodes twice; throws core::Error{kInvalidArgument} for an empty CFG.
 [[nodiscard]] NodeLabelings label_both(const Cfg& cfg, ExactLabeling = {});
 
 /// Inverse view: node id holding each label (result[label] = node).
-/// Throws std::invalid_argument if any label is out of range or
+/// Throws core::Error{kInvalidArgument} if any label is out of range or
 /// duplicated (a valid labeling is a permutation of [0, |V|-1]).
 [[nodiscard]] std::vector<graph::NodeId> nodes_by_label(
     const std::vector<Label>& labels);

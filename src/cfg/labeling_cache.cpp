@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/metrics.h"
+#include "soteria/error.h"
 
 namespace soteria::cfg {
 
@@ -38,10 +38,12 @@ LabelingCache::LabelingCache(std::size_t capacity)
 LabelingCache::LabelingCache(std::size_t capacity, Hasher hasher)
     : capacity_(capacity), hasher_(std::move(hasher)) {
   if (capacity_ == 0) {
-    throw std::invalid_argument("LabelingCache: zero capacity");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "LabelingCache: zero capacity");
   }
   if (!hasher_) {
-    throw std::invalid_argument("LabelingCache: null hasher");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "LabelingCache: null hasher");
   }
 }
 
@@ -73,7 +75,8 @@ LabelingCache::Key LabelingCache::make_key(const Cfg& cfg) {
 
 NodeLabelings LabelingCache::labels(const Cfg& cfg, ExactLabeling) {
   if (cfg.node_count() == 0) {
-    throw std::invalid_argument("LabelingCache::labels: empty CFG");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "LabelingCache::labels: empty CFG");
   }
   if (cfg.node_count() > std::numeric_limits<std::uint32_t>::max()) {
     return label_both(cfg);  // too wide for a compact entry

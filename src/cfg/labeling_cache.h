@@ -47,7 +47,7 @@ class LabelingCache {
   using Hasher = std::function<std::uint64_t(const Cfg&)>;
 
   /// Cache holding at most `capacity` entries (LRU eviction). Throws
-  /// std::invalid_argument for zero capacity — disable caching by not
+  /// core::Error{kInvalidArgument} for zero capacity — disable caching by not
   /// constructing one (SoteriaConfig::labeling_cache_capacity = 0).
   explicit LabelingCache(std::size_t capacity);
 
@@ -56,7 +56,7 @@ class LabelingCache {
 
   /// The DBL/LBL labelings of `cfg`: served from the cache when an
   /// entry with identical content exists, computed via label_both and
-  /// inserted otherwise. Throws std::invalid_argument for an empty CFG
+  /// inserted otherwise. Throws core::Error{kInvalidArgument} for an empty CFG
   /// (nothing is cached in that case).
   [[nodiscard]] NodeLabelings labels(const Cfg& cfg, ExactLabeling = {});
 

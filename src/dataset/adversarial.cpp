@@ -1,7 +1,8 @@
 #include "dataset/adversarial.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::dataset {
 
@@ -21,9 +22,10 @@ std::vector<GeaTarget> select_targets(std::span<const Sample> samples,
     if (s.family == family) members.push_back(&s);
   }
   if (members.empty()) {
-    throw std::invalid_argument(std::string("select_targets: no samples of "
-                                            "class ") +
-                                family_name(family));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      std::string("select_targets: no samples of "
+                                  "class ") +
+                      family_name(family));
   }
   std::sort(members.begin(), members.end(),
             [](const Sample* a, const Sample* b) {

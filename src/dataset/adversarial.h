@@ -44,7 +44,7 @@ struct AdversarialExample {
 
 /// Picks the small/median/large targets of `family` from `samples`
 /// (paper: selected from the whole dataset). Throws
-/// std::invalid_argument if the class has no samples.
+/// core::Error{kInvalidArgument} if the class has no samples.
 [[nodiscard]] std::vector<GeaTarget> select_targets(
     std::span<const Sample> samples, Family family);
 

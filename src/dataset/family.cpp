@@ -1,14 +1,15 @@
 #include "dataset/family.h"
 
-#include <stdexcept>
+#include "soteria/error.h"
 
 namespace soteria::dataset {
 
 Family family_from_index(std::size_t index) {
   if (index >= kFamilyCount) {
-    throw std::invalid_argument("family_from_index: index " +
-                                std::to_string(index) + " >= " +
-                                std::to_string(kFamilyCount));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "family_from_index: index " +
+                      std::to_string(index) + " >= " +
+                      std::to_string(kFamilyCount));
   }
   return static_cast<Family>(index);
 }

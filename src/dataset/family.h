@@ -30,7 +30,7 @@ inline constexpr std::size_t kFamilyCount = 4;
   return static_cast<std::size_t>(f);
 }
 
-/// Family from a label index. Throws std::invalid_argument if out of
+/// Family from a label index. Throws core::Error{kInvalidArgument} if out of
 /// range.
 [[nodiscard]] Family family_from_index(std::size_t index);
 

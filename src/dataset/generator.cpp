@@ -3,31 +3,32 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "cfg/extractor.h"
 #include "dataset/family_profiles.h"
 #include "isa/codegen.h"
+#include "soteria/error.h"
 
 namespace soteria::dataset {
 
 void validate(const DatasetConfig& config) {
   if (!(config.scale > 0.0)) {
-    throw std::invalid_argument("DatasetConfig: scale must be positive");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "DatasetConfig: scale must be positive");
   }
   if (!(config.train_fraction > 0.0) || !(config.train_fraction < 1.0)) {
-    throw std::invalid_argument(
-        "DatasetConfig: train_fraction outside (0, 1)");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "DatasetConfig: train_fraction outside (0, 1)");
   }
   for (double ratio : config.variant_ratio) {
     if (ratio <= 0.0) {
-      throw std::invalid_argument(
-          "DatasetConfig: variant ratios must be positive");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "DatasetConfig: variant ratios must be positive");
     }
   }
   if (config.min_variants == 0) {
-    throw std::invalid_argument(
-        "DatasetConfig: min_variants must be positive");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "DatasetConfig: min_variants must be positive");
   }
   for (const auto& mutation : config.mutation) {
     isa::validate(mutation);

@@ -56,7 +56,7 @@ struct DatasetConfig {
   default_mutations();
 };
 
-/// Throws std::invalid_argument for non-positive scale or a train
+/// Throws core::Error{kInvalidArgument} for non-positive scale or a train
 /// fraction outside (0, 1).
 void validate(const DatasetConfig& config);
 

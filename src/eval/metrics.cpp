@@ -1,19 +1,21 @@
 #include "eval/metrics.h"
 
-#include <stdexcept>
+#include "soteria/error.h"
 
 namespace soteria::eval {
 
 ConfusionMatrix::ConfusionMatrix(std::size_t classes)
     : classes_(classes), counts_(classes * classes, 0) {
   if (classes == 0) {
-    throw std::invalid_argument("ConfusionMatrix: zero classes");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "ConfusionMatrix: zero classes");
   }
 }
 
 void ConfusionMatrix::record(std::size_t truth, std::size_t prediction) {
   if (truth >= classes_ || prediction >= classes_) {
-    throw std::out_of_range("ConfusionMatrix::record: label out of range");
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "ConfusionMatrix::record: label out of range");
   }
   ++counts_[truth * classes_ + prediction];
   ++total_;
@@ -22,15 +24,17 @@ void ConfusionMatrix::record(std::size_t truth, std::size_t prediction) {
 std::size_t ConfusionMatrix::count(std::size_t truth,
                                    std::size_t prediction) const {
   if (truth >= classes_ || prediction >= classes_) {
-    throw std::out_of_range("ConfusionMatrix::count: label out of range");
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "ConfusionMatrix::count: label out of range");
   }
   return counts_[truth * classes_ + prediction];
 }
 
 std::size_t ConfusionMatrix::class_total(std::size_t truth) const {
   if (truth >= classes_) {
-    throw std::out_of_range("ConfusionMatrix::class_total: label out of "
-                            "range");
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "ConfusionMatrix::class_total: label out of "
+                      "range");
   }
   std::size_t sum = 0;
   for (std::size_t p = 0; p < classes_; ++p) {
@@ -57,8 +61,9 @@ double ConfusionMatrix::overall_accuracy() const {
 
 double ConfusionMatrix::precision(std::size_t c) const {
   if (c >= classes_) {
-    throw std::out_of_range("ConfusionMatrix::precision: label out of "
-                            "range");
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "ConfusionMatrix::precision: label out of "
+                      "range");
   }
   std::size_t predicted = 0;
   for (std::size_t t = 0; t < classes_; ++t) {

@@ -12,11 +12,11 @@ namespace soteria::eval {
 /// columns = prediction.
 class ConfusionMatrix {
  public:
-  /// Throws std::invalid_argument for zero classes.
+  /// Throws core::Error{kInvalidArgument} for zero classes.
   explicit ConfusionMatrix(std::size_t classes);
 
   /// Records one (truth, prediction) observation. Throws
-  /// std::out_of_range for labels >= classes.
+  /// core::Error{kOutOfRange} for labels >= classes.
   void record(std::size_t truth, std::size_t prediction);
 
   [[nodiscard]] std::size_t classes() const noexcept { return classes_; }

@@ -1,7 +1,8 @@
 #include "eval/roc.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::eval {
 
@@ -18,7 +19,8 @@ void require_nonempty(std::span<const double> positives,
                       std::span<const double> negatives,
                       const char* what) {
   if (positives.empty() || negatives.empty()) {
-    throw std::invalid_argument(std::string(what) + ": empty score set");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      std::string(what) + ": empty score set");
   }
 }
 
@@ -35,7 +37,8 @@ std::vector<RocPoint> roc_curve(std::span<const double> positive_scores,
                                 std::size_t steps) {
   require_nonempty(positive_scores, negative_scores, "roc_curve");
   if (steps == 0) {
-    throw std::invalid_argument("roc_curve: steps must be > 0");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "roc_curve: steps must be > 0");
   }
   const auto [lo, hi] = score_range(positive_scores, negative_scores);
   std::vector<RocPoint> curve;

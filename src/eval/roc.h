@@ -17,14 +17,14 @@ struct RocPoint {
 /// Sweeps `steps`+1 evenly spaced thresholds across the combined score
 /// range. `positive_scores` are the anomaly/attack scores (higher =
 /// more anomalous), `negative_scores` the clean ones. Throws
-/// std::invalid_argument if either set is empty or steps == 0.
+/// core::Error{kInvalidArgument} if either set is empty or steps == 0.
 [[nodiscard]] std::vector<RocPoint> roc_curve(
     std::span<const double> positive_scores,
     std::span<const double> negative_scores, std::size_t steps = 50);
 
 /// Exact AUC by rank comparison (the probability that a random positive
 /// outscores a random negative; ties count half). Throws
-/// std::invalid_argument if either set is empty.
+/// core::Error{kInvalidArgument} if either set is empty.
 [[nodiscard]] double auc(std::span<const double> positive_scores,
                          std::span<const double> negative_scores);
 

@@ -2,23 +2,25 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::eval {
 
 Table::Table(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   if (headers_.empty()) {
-    throw std::invalid_argument("Table: no headers");
+    throw core::Error(core::ErrorCode::kInvalidArgument, "Table: no headers");
   }
 }
 
 void Table::add_row(std::vector<std::string> cells) {
   if (cells.size() != headers_.size()) {
-    throw std::invalid_argument("Table::add_row: expected " +
-                                std::to_string(headers_.size()) +
-                                " cells, got " +
-                                std::to_string(cells.size()));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Table::add_row: expected " +
+                      std::to_string(headers_.size()) +
+                      " cells, got " +
+                      std::to_string(cells.size()));
   }
   rows_.push_back(std::move(cells));
 }

@@ -12,10 +12,10 @@ namespace soteria::eval {
 class Table {
  public:
   /// Creates a table with the given column headers. Throws
-  /// std::invalid_argument if no headers are given.
+  /// core::Error{kInvalidArgument} if no headers are given.
   explicit Table(std::vector<std::string> headers);
 
-  /// Appends a row. Throws std::invalid_argument if the cell count does
+  /// Appends a row. Throws core::Error{kInvalidArgument} if the cell count does
   /// not match the header count.
   void add_row(std::vector<std::string> cells);
 

@@ -2,25 +2,27 @@
 
 #include <algorithm>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "math/rng.h"
+#include "soteria/error.h"
 
 namespace soteria::features {
 
 namespace {
 
 [[noreturn]] void throw_bad_size(std::size_t n) {
-  throw std::invalid_argument("count_grams: gram size " + std::to_string(n) +
-                              " outside [1, " +
-                              std::to_string(kMaxGramLength) + "]");
+  throw core::Error(core::ErrorCode::kInvalidArgument,
+                    "count_grams: gram size " + std::to_string(n) +
+                    " outside [1, " +
+                    std::to_string(kMaxGramLength) + "]");
 }
 
 [[noreturn]] void throw_bad_label(cfg::Label label) {
-  throw std::invalid_argument("count_grams: label " + std::to_string(label) +
-                              " exceeds kMaxGramLabel");
+  throw core::Error(core::ErrorCode::kInvalidArgument,
+                    "count_grams: label " + std::to_string(label) +
+                    " exceeds kMaxGramLabel");
 }
 
 /// Validates walk labels when at least one size produces windows.
@@ -98,17 +100,19 @@ inline std::size_t probe_hash(GramKey key) noexcept {
 
 GramKey pack_gram(std::span<const cfg::Label> labels) {
   if (labels.empty() || labels.size() > kMaxGramLength) {
-    throw std::invalid_argument("pack_gram: gram length " +
-                                std::to_string(labels.size()) +
-                                " outside [1, " +
-                                std::to_string(kMaxGramLength) + "]");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "pack_gram: gram length " +
+                      std::to_string(labels.size()) +
+                      " outside [1, " +
+                      std::to_string(kMaxGramLength) + "]");
   }
   GramKey key = static_cast<std::uint64_t>(labels.size()) << kGramLengthShift;
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (labels[i] > kMaxGramLabel) {
-      throw std::invalid_argument("pack_gram: label " +
-                                  std::to_string(labels[i]) +
-                                  " exceeds kMaxGramLabel");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "pack_gram: label " +
+                        std::to_string(labels[i]) +
+                        " exceeds kMaxGramLabel");
     }
     key |= static_cast<std::uint64_t>(labels[i]) << (kGramLabelBits * i);
   }
@@ -290,8 +294,9 @@ GramAutomaton GramAutomaton::build(std::span<const GramKey> grams) {
   std::vector<GramKey> proper_prefixes;
   for (GramKey key : grams) {
     if (!is_valid_key(key)) {
-      throw std::invalid_argument("GramAutomaton: invalid gram key " +
-                                  std::to_string(key));
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "GramAutomaton: invalid gram key " +
+                        std::to_string(key));
     }
     const std::size_t n = gram_length(key);
     for (std::size_t i = 0; i < n; ++i) {
@@ -335,8 +340,9 @@ GramAutomaton GramAutomaton::build(std::span<const GramKey> grams) {
       state = a.delta_[edge];
     }
     if (a.state_gram_[state] != kNoState) {
-      throw std::invalid_argument("GramAutomaton: duplicate gram key " +
-                                  gram_to_string(grams[g]));
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "GramAutomaton: duplicate gram key " +
+                        gram_to_string(grams[g]));
     }
     a.state_gram_[state] = static_cast<std::uint32_t>(g);
     a.gram_state_.push_back(state);

@@ -57,7 +57,7 @@ inline constexpr std::uint64_t kGramLengthShift =
     kGramLabelBits * kMaxGramLength;  // 56
 
 /// Packs `labels` (1..4 entries, each <= kMaxGramLabel) into a key.
-/// Throws std::invalid_argument on violation.
+/// Throws core::Error{kInvalidArgument} on violation.
 [[nodiscard]] GramKey pack_gram(std::span<const cfg::Label> labels);
 
 /// Reverses pack_gram.
@@ -67,7 +67,7 @@ inline constexpr std::uint64_t kGramLengthShift =
 [[nodiscard]] std::size_t gram_length(GramKey key) noexcept;
 
 /// Counts all grams of each size in `sizes` over one walk trace,
-/// accumulating into `counts`. Throws std::invalid_argument for a size
+/// accumulating into `counts`. Throws core::Error{kInvalidArgument} for a size
 /// of 0 or > kMaxGramLength, or for a walk label > kMaxGramLabel when
 /// at least one size produces windows. Validation is hoisted out of
 /// the window loop; the loop itself is one shift+or+mask per step.
@@ -136,7 +136,7 @@ class FlatGramCounter {
 /// Occurrences of each gram length in a `sizes` list: entry n is how
 /// many times n appears (a repeated size counts each window once per
 /// repeat; a length absent from `sizes` gets 0). Throws
-/// std::invalid_argument for a size of 0 or > kMaxGramLength.
+/// core::Error{kInvalidArgument} for a size of 0 or > kMaxGramLength.
 using GramMultiplicity = std::array<std::uint32_t, kMaxGramLength + 1>;
 [[nodiscard]] GramMultiplicity gram_multiplicity(
     std::span<const std::size_t> sizes);
@@ -177,7 +177,7 @@ class GramAutomaton {
   GramAutomaton();
 
   /// Builds over `grams` (gram i gets index i). Throws
-  /// std::invalid_argument for a key that is not a valid packed gram
+  /// core::Error{kInvalidArgument} for a key that is not a valid packed gram
   /// (0, a length outside [1, kMaxGramLength], or bits outside its
   /// label fields) or for duplicate keys.
   [[nodiscard]] static GramAutomaton build(std::span<const GramKey> grams);

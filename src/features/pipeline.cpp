@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -18,27 +17,32 @@ namespace soteria::features {
 void validate(const PipelineConfig& config) {
   validate(config.walk);
   if (config.top_k == 0) {
-    throw std::invalid_argument("PipelineConfig: top_k must be > 0");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "PipelineConfig: top_k must be > 0");
   }
   if (config.gram_sizes.empty()) {
-    throw std::invalid_argument("PipelineConfig: no gram sizes");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "PipelineConfig: no gram sizes");
   }
   for (std::size_t n : config.gram_sizes) {
     if (n == 0 || n > kMaxGramLength) {
-      throw std::invalid_argument("PipelineConfig: gram size " +
-                                  std::to_string(n) + " outside [1, " +
-                                  std::to_string(kMaxGramLength) + "]");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "PipelineConfig: gram size " +
+                        std::to_string(n) + " outside [1, " +
+                        std::to_string(kMaxGramLength) + "]");
     }
   }
   if (config.frontend.empty()) {
-    throw std::invalid_argument("PipelineConfig: frontend name is empty");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "PipelineConfig: frontend name is empty");
   }
 }
 
 std::vector<float> SampleFeatures::combined(std::size_t walk) const {
   if (walk >= dbl.size() || walk >= lbl.size()) {
-    throw std::out_of_range("SampleFeatures::combined: walk index " +
-                            std::to_string(walk));
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "SampleFeatures::combined: walk index " +
+                      std::to_string(walk));
   }
   std::vector<float> vec = dbl[walk];
   vec.insert(vec.end(), lbl[walk].begin(), lbl[walk].end());
@@ -99,7 +103,8 @@ FeaturePipeline FeaturePipeline::fit(
     std::shared_ptr<cfg::LabelingCache> labeling_cache) {
   validate(config);
   if (training.empty()) {
-    throw std::invalid_argument("FeaturePipeline::fit: empty corpus");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "FeaturePipeline::fit: empty corpus");
   }
   const obs::Span span("pipeline.fit");
   FeaturePipeline pipeline;
@@ -187,9 +192,10 @@ SampleFeatures FeaturePipeline::extract(const cfg::Cfg& cfg,
                                 std::vector<std::vector<float>>& rows,
                                 std::vector<float>& pooled_row) {
     if (labels.size() != nodes) {
-      throw std::logic_error("FeaturePipeline::extract: labeling size " +
-                             std::to_string(labels.size()) + " for " +
-                             std::to_string(nodes) + " nodes");
+      throw core::Error(core::ErrorCode::kInternal,
+                        "FeaturePipeline::extract: labeling size " +
+                        std::to_string(labels.size()) + " for " +
+                        std::to_string(nodes) + " nodes");
     }
     const GramAutomaton& automaton = vocab.automaton();
     const std::size_t dim = vocab.size();
@@ -298,7 +304,12 @@ FeaturePipeline FeaturePipeline::load(std::istream& in) {
   pipeline.config_.l2_normalize = io::read_scalar<std::uint8_t>(in) != 0;
   read_labeling_block(in);
   pipeline.config_.frontend = io::read_string(in);
-  validate(pipeline.config_);
+  try {
+    validate(pipeline.config_);
+  } catch (const core::Error& e) {
+    throw core::Error(core::ErrorCode::kCorruptModel,
+                      std::string("FeaturePipeline::load: ") + e.what());
+  }
   pipeline.dbl_vocab_ = Vocabulary::load(in);
   pipeline.lbl_vocab_ = Vocabulary::load(in);
   pipeline.fingerprint_ = store::fingerprint_of(pipeline);

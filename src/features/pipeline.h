@@ -50,7 +50,7 @@ struct PipelineConfig {
   std::string frontend = "toy";
 };
 
-/// Throws std::invalid_argument for invalid walk config, zero top_k, or
+/// Throws core::Error{kInvalidArgument} for invalid walk config, zero top_k, or
 /// unsupported gram sizes.
 void validate(const PipelineConfig& config);
 

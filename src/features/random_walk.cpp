@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "obs/trace.h"
+#include "soteria/error.h"
 
 namespace soteria::features {
 
 UndirectedView::UndirectedView(const cfg::Cfg& cfg) : entry_(cfg.entry()) {
   if (cfg.node_count() == 0) {
-    throw std::invalid_argument("UndirectedView: empty CFG");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "UndirectedView: empty CFG");
   }
   const graph::DiGraph& g = cfg.graph();
   const std::size_t n = cfg.node_count();
@@ -38,12 +39,12 @@ UndirectedView::UndirectedView(const cfg::Cfg& cfg) : entry_(cfg.entry()) {
 
 void validate(const WalkConfig& config) {
   if (!(config.length_multiplier > 0.0)) {
-    throw std::invalid_argument(
-        "WalkConfig: length_multiplier must be positive");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "WalkConfig: length_multiplier must be positive");
   }
   if (config.walks_per_labeling == 0) {
-    throw std::invalid_argument(
-        "WalkConfig: walks_per_labeling must be positive");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "WalkConfig: walks_per_labeling must be positive");
   }
 }
 
@@ -73,7 +74,8 @@ std::vector<cfg::Label> apply_labels(
   out.reserve(nodes.size());
   for (graph::NodeId v : nodes) {
     if (v >= labels.size()) {
-      throw std::out_of_range("apply_labels: node id beyond label table");
+      throw core::Error(core::ErrorCode::kOutOfRange,
+                        "apply_labels: node id beyond label table");
     }
     out.push_back(labels[v]);
   }

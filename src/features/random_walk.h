@@ -30,7 +30,7 @@ namespace soteria::features {
 class UndirectedView {
  public:
   /// Builds the two arrays in place, with no per-node allocation.
-  /// Throws std::invalid_argument for an empty CFG.
+  /// Throws core::Error{kInvalidArgument} for an empty CFG.
   explicit UndirectedView(const cfg::Cfg& cfg);
 
   [[nodiscard]] std::size_t node_count() const noexcept {
@@ -66,7 +66,7 @@ struct WalkConfig {
   std::size_t walks_per_labeling = 10;
 };
 
-/// Throws std::invalid_argument on non-positive multiplier or zero walk
+/// Throws core::Error{kInvalidArgument} on non-positive multiplier or zero walk
 /// count.
 void validate(const WalkConfig& config);
 
@@ -88,7 +88,7 @@ void validate(const WalkConfig& config);
     const std::vector<cfg::Label>& labels);
 
 /// Full per-labeling walk bundle: `walks_per_labeling` label traces of
-/// length multiplier*|V| + 1 each. Throws std::out_of_range when a
+/// length multiplier*|V| + 1 each. Throws core::Error{kOutOfRange} when a
 /// visited node has no label.
 [[nodiscard]] std::vector<std::vector<cfg::Label>> labeled_walks(
     const cfg::Cfg& cfg, const std::vector<cfg::Label>& labels,

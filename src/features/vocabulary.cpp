@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -22,10 +21,12 @@ void Vocabulary::finalize_tables() {
 Vocabulary Vocabulary::build(const std::vector<GramCounts>& corpus,
                              std::size_t top_k) {
   if (corpus.empty()) {
-    throw std::invalid_argument("Vocabulary::build: empty corpus");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Vocabulary::build: empty corpus");
   }
   if (top_k == 0) {
-    throw std::invalid_argument("Vocabulary::build: top_k must be > 0");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Vocabulary::build: top_k must be > 0");
   }
 
   std::unordered_map<GramKey, std::uint64_t> totals;
@@ -107,7 +108,7 @@ Vocabulary Vocabulary::load(std::istream& in) {
   }
   try {
     vocab.finalize_tables();
-  } catch (const std::invalid_argument& error) {
+  } catch (const core::Error& error) {
     // Duplicate or invalid gram keys can only come from a corrupt
     // stream.
     throw core::Error(core::ErrorCode::kCorruptModel,

@@ -29,7 +29,7 @@ class Vocabulary {
   /// determinism) and computes smoothed IDF:
   ///   idf(g) = ln((1 + N) / (1 + df(g))) + 1.
   /// Keeps fewer than top_k grams if the corpus has fewer distinct
-  /// grams. Throws std::invalid_argument for an empty corpus or top_k
+  /// grams. Throws core::Error{kInvalidArgument} for an empty corpus or top_k
   /// of 0.
   static Vocabulary build(const std::vector<GramCounts>& corpus,
                           std::size_t top_k);

@@ -1,16 +1,18 @@
 #include "graph/digraph.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
+
+#include "soteria/error.h"
 
 namespace soteria::graph {
 
 void DiGraph::check_node(NodeId v, const char* what) const {
   if (v >= out_.size()) {
-    throw std::out_of_range(std::string(what) + ": node " +
-                            std::to_string(v) + " >= node count " +
-                            std::to_string(out_.size()));
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      std::string(what) + ": node " +
+                      std::to_string(v) + " >= node count " +
+                      std::to_string(out_.size()));
   }
 }
 

@@ -34,7 +34,7 @@ class DiGraph {
   /// Appends a new isolated node and returns its id.
   NodeId add_node();
 
-  /// Adds edge u -> v. Throws std::out_of_range for invalid endpoints.
+  /// Adds edge u -> v. Throws core::Error{kOutOfRange} for invalid endpoints.
   /// Returns false (and changes nothing) if the edge already exists.
   bool add_edge(NodeId u, NodeId v);
 

@@ -1,13 +1,18 @@
 #include "graph/generators.h"
 
-#include <stdexcept>
+#include "soteria/error.h"
 
 namespace soteria::graph {
 
 DiGraph random_connected_dag_plus(std::size_t n, double p, math::Rng& rng) {
-  if (n == 0) throw std::invalid_argument("random graph: n must be > 0");
-  if (p < 0.0 || p > 1.0)
-    throw std::invalid_argument("random graph: p outside [0,1]");
+  if (n == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "random graph: n must be > 0");
+  }
+  if (p < 0.0 || p > 1.0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "random graph: p outside [0,1]");
+  }
   DiGraph g(n);
   // Spanning structure: each node v > 0 gets one parent among [0, v).
   for (NodeId v = 1; v < n; ++v) {
@@ -38,9 +43,14 @@ DiGraph diamond_chain(std::size_t count) {
 
 DiGraph scale_free_digraph(std::size_t n, std::size_t edges_per_node,
                            math::Rng& rng) {
-  if (n == 0) throw std::invalid_argument("scale-free graph: n must be > 0");
-  if (edges_per_node == 0)
-    throw std::invalid_argument("scale-free graph: edges_per_node must be > 0");
+  if (n == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "scale-free graph: n must be > 0");
+  }
+  if (edges_per_node == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "scale-free graph: edges_per_node must be > 0");
+  }
   DiGraph g(n);
   // Degree-proportional urn: every edge endpoint is appended, so a
   // uniform draw from the urn is a preferential-attachment draw.
@@ -59,7 +69,10 @@ DiGraph scale_free_digraph(std::size_t n, std::size_t edges_per_node,
 }
 
 DiGraph firmware_like_cfg(std::size_t n, math::Rng& rng) {
-  if (n == 0) throw std::invalid_argument("firmware cfg: n must be > 0");
+  if (n == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "firmware cfg: n must be > 0");
+  }
   DiGraph g(n);
   // Partition the id range into consecutive function bodies of
   // geometric size; record each body's entry block.

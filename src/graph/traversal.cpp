@@ -1,13 +1,15 @@
 #include "graph/traversal.h"
 
 #include <deque>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::graph {
 
 std::vector<std::size_t> bfs_distances(const DiGraph& g, NodeId source) {
-  if (source >= g.node_count())
-    throw std::out_of_range("bfs: source out of range");
+  if (source >= g.node_count()) {
+    throw core::Error(core::ErrorCode::kOutOfRange, "bfs: source out of range");
+  }
   std::vector<std::size_t> dist(g.node_count(), kUnreachable);
   std::deque<NodeId> queue;
   dist[source] = 0;

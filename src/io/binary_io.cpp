@@ -1,5 +1,7 @@
 #include "io/binary_io.h"
 
+#include <limits>
+
 namespace soteria::io {
 
 void write_string(std::ostream& out, const std::string& value) {
@@ -10,19 +12,21 @@ void write_string(std::ostream& out, const std::string& value) {
   }
 }
 
+double bytes_left(std::istream& in) {
+  const auto here = in.tellg();
+  if (here < 0 || !in.seekg(0, std::ios::end)) {
+    in.clear();
+    return std::numeric_limits<double>::infinity();
+  }
+  const auto end = in.tellg();
+  in.seekg(here);
+  return static_cast<double>(end - here);
+}
+
 std::string read_string(std::istream& in) {
-  const auto size = read_scalar<std::uint64_t>(in);
-  if (size > kMaxContainerElements) {
-    throw core::Error(core::ErrorCode::kCorruptModel,
-                      "binary_io: implausible string size");
-  }
-  std::string value(static_cast<std::size_t>(size), '\0');
-  in.read(value.data(), static_cast<std::streamsize>(size));
-  if (!in) {
-    throw core::Error(core::ErrorCode::kCorruptModel,
-                      "binary_io: truncated stream");
-  }
-  return value;
+  // Same layout as a vector of chars, so the same guarded reader.
+  const std::vector<char> chars = read_vector<char>(in);
+  return {chars.begin(), chars.end()};
 }
 
 }  // namespace soteria::io

@@ -1,12 +1,15 @@
 // Minimal binary (de)serialization helpers used for model and pipeline
 // persistence. Streams are little-endian host format with explicit
-// sizes; readers validate every length before allocating.
+// sizes; readers validate every length before allocating, and grow a
+// container only with the bytes actually read, so a corrupt length
+// cannot allocate more than the stream holds.
 //
 // Failures carry the core::Error taxonomy: write failures throw
 // Error{kIoError}; truncated or implausible input throws
-// Error{kCorruptModel}. Both are std::runtime_errors.
+// Error{kCorruptModel}.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -71,15 +74,26 @@ template <typename T>
                       "binary_io: implausible container size " +
                           std::to_string(count));
   }
-  std::vector<T> values(static_cast<std::size_t>(count));
-  in.read(reinterpret_cast<char*>(values.data()),
-          static_cast<std::streamsize>(values.size() * sizeof(T)));
-  if (!in) {
-    throw core::Error(core::ErrorCode::kCorruptModel,
-                      "binary_io: truncated stream");
+  constexpr std::size_t kChunk = (std::size_t{1} << 20) / sizeof(T);
+  std::vector<T> values;
+  while (values.size() < count) {
+    const std::size_t done = values.size();
+    values.resize(done + static_cast<std::size_t>(std::min<std::uint64_t>(
+                             count - done, kChunk)));
+    in.read(reinterpret_cast<char*>(values.data() + done),
+            static_cast<std::streamsize>((values.size() - done) * sizeof(T)));
+    if (!in) {
+      throw core::Error(core::ErrorCode::kCorruptModel,
+                        "binary_io: truncated stream");
+    }
   }
   return values;
 }
+
+/// Bytes from the read position to the end of `in`, for a loader to
+/// check a size it decoded before allocating for it; infinity when the
+/// stream cannot seek.
+[[nodiscard]] double bytes_left(std::istream& in);
 
 /// Writes / reads a length-prefixed string.
 void write_string(std::ostream& out, const std::string& value);

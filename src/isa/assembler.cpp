@@ -1,7 +1,8 @@
 #include "isa/assembler.h"
 
 #include <limits>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::isa {
 
@@ -19,8 +20,9 @@ void AsmProgram::emit(Opcode op, std::uint8_t reg, std::int16_t imm) {
 void AsmProgram::emit_branch(Opcode op, std::string label,
                              std::uint8_t reg) {
   if (!is_control_flow(op)) {
-    throw std::invalid_argument("emit_branch: " + mnemonic(op) +
-                                " is not a control-flow opcode");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "emit_branch: " + mnemonic(op) +
+                      " is not a control-flow opcode");
   }
   AsmItem item;
   item.kind = AsmItem::Kind::kLabelRef;
@@ -32,8 +34,9 @@ void AsmProgram::emit_branch(Opcode op, std::string label,
 void AsmProgram::define_label(std::string label) {
   auto [it, inserted] = defined_.emplace(label, true);
   if (!inserted) {
-    throw std::invalid_argument("define_label: duplicate label '" + label +
-                                "'");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "define_label: duplicate label '" + label +
+                      "'");
   }
   AsmItem item;
   item.kind = AsmItem::Kind::kLabelDef;
@@ -71,8 +74,9 @@ std::vector<std::uint8_t> assemble(const AsmProgram& program) {
   for (const auto& item : program.items()) {
     if (item.kind == AsmItem::Kind::kLabelDef) {
       if (!label_index.emplace(item.label, index).second) {
-        throw std::invalid_argument("assemble: duplicate label '" +
-                                    item.label + "'");
+        throw core::Error(core::ErrorCode::kInvalidArgument,
+                          "assemble: duplicate label '" +
+                          item.label + "'");
       }
     } else {
       ++index;
@@ -89,16 +93,18 @@ std::vector<std::uint8_t> assemble(const AsmProgram& program) {
     if (item.kind == AsmItem::Kind::kLabelRef) {
       const auto it = label_index.find(item.label);
       if (it == label_index.end()) {
-        throw std::invalid_argument("assemble: undefined label '" +
-                                    item.label + "'");
+        throw core::Error(core::ErrorCode::kInvalidArgument,
+                          "assemble: undefined label '" +
+                          item.label + "'");
       }
       const auto rel = static_cast<std::int64_t>(it->second) -
                        (static_cast<std::int64_t>(index) + 1);
       if (rel < std::numeric_limits<std::int16_t>::min() ||
           rel > std::numeric_limits<std::int16_t>::max()) {
-        throw std::out_of_range("assemble: branch to '" + item.label +
-                                "' overflows the 16-bit offset (" +
-                                std::to_string(rel) + ")");
+        throw core::Error(core::ErrorCode::kOutOfRange,
+                          "assemble: branch to '" + item.label +
+                          "' overflows the 16-bit offset (" +
+                          std::to_string(rel) + ")");
       }
       insn.imm = static_cast<std::int16_t>(rel);
     }

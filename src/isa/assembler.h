@@ -34,7 +34,7 @@ class AsmProgram {
   void emit_branch(Opcode op, std::string label, std::uint8_t reg = 0);
 
   /// Defines `label` at the current position. Throws
-  /// std::invalid_argument on duplicate definition.
+  /// core::Error{kInvalidArgument} on duplicate definition.
   void define_label(std::string label);
 
   /// Generates a fresh unique label with the given prefix.
@@ -57,8 +57,8 @@ class AsmProgram {
   std::size_t next_label_ = 0;
 };
 
-/// Assembles to a flat binary image. Throws std::invalid_argument for
-/// undefined or duplicate labels and std::out_of_range if a relative
+/// Assembles to a flat binary image. Throws core::Error{kInvalidArgument} for
+/// undefined or duplicate labels and core::Error{kOutOfRange} if a relative
 /// offset overflows the 16-bit immediate.
 [[nodiscard]] std::vector<std::uint8_t> assemble(const AsmProgram& program);
 

@@ -1,6 +1,6 @@
 #include "isa/codegen.h"
 
-#include <stdexcept>
+#include "soteria/error.h"
 
 namespace soteria::isa {
 
@@ -153,9 +153,10 @@ void emit_construct(GenContext& ctx, int function_count, int depth) {
 void validate(const CodeGenProfile& p) {
   auto check_range = [](int lo, int hi, const char* what) {
     if (lo < 1 || lo > hi) {
-      throw std::invalid_argument(std::string("CodeGenProfile: bad ") +
-                                  what + " range [" + std::to_string(lo) +
-                                  ", " + std::to_string(hi) + "]");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        std::string("CodeGenProfile: bad ") +
+                        what + " range [" + std::to_string(lo) +
+                        ", " + std::to_string(hi) + "]");
     }
   };
   check_range(p.min_functions, p.max_functions, "function");
@@ -164,8 +165,9 @@ void validate(const CodeGenProfile& p) {
   check_range(p.min_switch_cases, p.max_switch_cases, "switch-case");
   auto check_prob = [](double v, const char* what) {
     if (v < 0.0 || v > 1.0) {
-      throw std::invalid_argument(std::string("CodeGenProfile: ") + what +
-                                  " outside [0,1]");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        std::string("CodeGenProfile: ") + what +
+                        " outside [0,1]");
     }
   };
   check_prob(p.nest_probability, "nest_probability");
@@ -175,12 +177,13 @@ void validate(const CodeGenProfile& p) {
                        p.loop_weight + p.switch_weight;
   if (p.straight_weight < 0.0 || p.branch_weight < 0.0 ||
       p.loop_weight < 0.0 || p.switch_weight < 0.0 || total <= 0.0) {
-    throw std::invalid_argument(
-        "CodeGenProfile: construct weights must be non-negative with a "
-        "positive sum");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "CodeGenProfile: construct weights must be "
+                      "non-negative with a positive sum");
   }
   if (p.max_nesting_depth < 0) {
-    throw std::invalid_argument("CodeGenProfile: negative nesting depth");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "CodeGenProfile: negative nesting depth");
   }
 }
 

@@ -45,7 +45,7 @@ struct CodeGenProfile {
   double early_ret_probability = 0.05;
 };
 
-/// Throws std::invalid_argument if the profile is inconsistent
+/// Throws core::Error{kInvalidArgument} if the profile is inconsistent
 /// (min > max, probabilities outside [0,1], no positive construct
 /// weight).
 void validate(const CodeGenProfile& profile);

@@ -1,7 +1,8 @@
 #include "isa/isa.h"
 
 #include <array>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::isa {
 
@@ -127,10 +128,11 @@ void encode_to(const Instruction& insn, std::vector<std::uint8_t>& out) {
 
 std::optional<Instruction> decode(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kInstructionSize) {
-    throw std::invalid_argument("decode: need " +
-                                std::to_string(kInstructionSize) +
-                                " bytes, got " +
-                                std::to_string(bytes.size()));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "decode: need " +
+                      std::to_string(kInstructionSize) +
+                      " bytes, got " +
+                      std::to_string(bytes.size()));
   }
   if (!is_valid_opcode(bytes[0])) return std::nullopt;
   Instruction insn;
@@ -144,9 +146,11 @@ std::optional<Instruction> decode(std::span<const std::uint8_t> bytes) {
 
 std::vector<Instruction> disassemble(std::span<const std::uint8_t> image) {
   if (image.size() % kInstructionSize != 0) {
-    throw std::invalid_argument(
-        "disassemble: image size " + std::to_string(image.size()) +
-        " is not a multiple of " + std::to_string(kInstructionSize));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "disassemble: image size " +
+                          std::to_string(image.size()) +
+                          " is not a multiple of " +
+                          std::to_string(kInstructionSize));
   }
   std::vector<Instruction> out;
   out.reserve(image.size() / kInstructionSize);

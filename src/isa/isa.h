@@ -91,13 +91,13 @@ void encode_to(const Instruction& insn, std::vector<std::uint8_t>& out);
 
 /// Decodes the 4 bytes at `bytes`. Returns nullopt for unknown opcodes
 /// (callers treat such words as inert data). Throws
-/// std::invalid_argument if fewer than 4 bytes are supplied.
+/// core::Error{kInvalidArgument} if fewer than 4 bytes are supplied.
 [[nodiscard]] std::optional<Instruction> decode(
     std::span<const std::uint8_t> bytes);
 
 /// Decodes a whole image by linear sweep; unknown words decode to kNop
 /// with the raw value preserved in `imm` so the image round-trips in
-/// length. Throws std::invalid_argument if the image size is not a
+/// length. Throws core::Error{kInvalidArgument} if the image size is not a
 /// multiple of the instruction width.
 [[nodiscard]] std::vector<Instruction> disassemble(
     std::span<const std::uint8_t> image);

@@ -1,18 +1,20 @@
 #include "isa/mutate.h"
 
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "soteria/error.h"
 
 namespace soteria::isa {
 
 void validate(const MutationConfig& c) {
   auto check = [](int lo, int hi, const char* what) {
     if (lo < 0 || lo > hi) {
-      throw std::invalid_argument(std::string("MutationConfig: bad ") +
-                                  what + " range [" + std::to_string(lo) +
-                                  ", " + std::to_string(hi) + "]");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        std::string("MutationConfig: bad ") +
+                        what + " range [" + std::to_string(lo) +
+                        ", " + std::to_string(hi) + "]");
     }
   };
   check(c.min_imm_tweaks, c.max_imm_tweaks, "imm-tweak");
@@ -22,7 +24,8 @@ void validate(const MutationConfig& c) {
         "diamond-insertion");
   check(c.min_helper_functions, c.max_helper_functions, "helper-function");
   if (c.min_helper_ops < 1 || c.min_helper_ops > c.max_helper_ops) {
-    throw std::invalid_argument("MutationConfig: bad helper-op range");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "MutationConfig: bad helper-op range");
   }
 }
 

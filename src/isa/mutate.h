@@ -32,7 +32,7 @@ struct MutationConfig {
   int max_helper_ops = 5;
 };
 
-/// Throws std::invalid_argument on inverted ranges or negative minima.
+/// Throws core::Error{kInvalidArgument} on inverted ranges or negative minima.
 void validate(const MutationConfig& config);
 
 /// Returns a mutated copy of `program`. The result always assembles if

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::isa {
 
@@ -32,7 +33,8 @@ VmResult execute(std::span<const std::uint8_t> image,
                  const VmConfig& config) {
   const auto program = disassemble(image);  // validates size/alignment
   if (program.empty()) {
-    throw std::invalid_argument("execute: empty image");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "execute: empty image");
   }
 
   Machine machine;

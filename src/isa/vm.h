@@ -53,7 +53,7 @@ struct VmConfig {
 };
 
 /// Runs `image` from instruction 0 until halt, fault, or budget
-/// exhaustion. Throws std::invalid_argument for an empty or ragged
+/// exhaustion. Throws core::Error{kInvalidArgument} for an empty or ragged
 /// image.
 [[nodiscard]] VmResult execute(std::span<const std::uint8_t> image,
                                const VmConfig& config = {});

@@ -1,11 +1,11 @@
 #include "math/matrix.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "math/lanes.h"
 #include "math/rng.h"
+#include "soteria/error.h"
 
 namespace soteria::math {
 
@@ -13,8 +13,9 @@ namespace {
 
 void require_same_shape(const Matrix& a, const Matrix& b, const char* what) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
-    throw std::invalid_argument(std::string(what) + ": shape mismatch " +
-                                a.shape_string() + " vs " + b.shape_string());
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      std::string(what) + ": shape mismatch " +
+                      a.shape_string() + " vs " + b.shape_string());
   }
 }
 
@@ -26,17 +27,19 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, float fill)
 Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<float> values)
     : rows_(rows), cols_(cols), data_(std::move(values)) {
   if (data_.size() != rows_ * cols_) {
-    throw std::invalid_argument("Matrix: value count " +
-                                std::to_string(data_.size()) +
-                                " != rows*cols " +
-                                std::to_string(rows_ * cols_));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Matrix: value count " +
+                      std::to_string(data_.size()) +
+                      " != rows*cols " +
+                      std::to_string(rows_ * cols_));
   }
 }
 
 float& Matrix::at(std::size_t r, std::size_t c) {
   if (r >= rows_ || c >= cols_) {
-    throw std::out_of_range("Matrix::at(" + std::to_string(r) + "," +
-                            std::to_string(c) + ") on " + shape_string());
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "Matrix::at(" + std::to_string(r) + "," +
+                      std::to_string(c) + ") on " + shape_string());
   }
   return data_[r * cols_ + c];
 }
@@ -47,16 +50,18 @@ float Matrix::at(std::size_t r, std::size_t c) const {
 
 std::span<float> Matrix::row(std::size_t r) {
   if (r >= rows_) {
-    throw std::out_of_range("Matrix::row(" + std::to_string(r) + ") on " +
-                            shape_string());
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "Matrix::row(" + std::to_string(r) + ") on " +
+                      shape_string());
   }
   return std::span<float>(data_).subspan(r * cols_, cols_);
 }
 
 std::span<const float> Matrix::row(std::size_t r) const {
   if (r >= rows_) {
-    throw std::out_of_range("Matrix::row(" + std::to_string(r) + ") on " +
-                            shape_string());
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "Matrix::row(" + std::to_string(r) + ") on " +
+                      shape_string());
   }
   return std::span<const float>(data_).subspan(r * cols_, cols_);
 }
@@ -341,8 +346,9 @@ void matmul_bt_into(const float* a, const float* b, float* c, std::size_t m,
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.rows()) {
-    throw std::invalid_argument("matmul: inner dimensions " +
-                                a.shape_string() + " * " + b.shape_string());
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "matmul: inner dimensions " +
+                      a.shape_string() + " * " + b.shape_string());
   }
   Matrix c(a.rows(), b.cols(), 0.0F);
   matmul_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),

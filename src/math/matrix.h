@@ -26,7 +26,7 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, float fill = 0.0F);
 
   /// rows x cols matrix adopting `values` (row-major). Throws
-  /// std::invalid_argument if sizes disagree.
+  /// core::Error{kInvalidArgument} if sizes disagree.
   Matrix(std::size_t rows, std::size_t cols, std::vector<float> values);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
@@ -44,7 +44,7 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Checked element access; throws std::out_of_range.
+  /// Checked element access; throws core::Error{kOutOfRange}.
   [[nodiscard]] float& at(std::size_t r, std::size_t c);
   [[nodiscard]] float at(std::size_t r, std::size_t c) const;
 

@@ -1,7 +1,8 @@
 #include "math/pca.h"
 
 #include <cmath>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::math {
 
@@ -24,11 +25,18 @@ Pca Pca::fit(const Matrix& data, std::size_t k, std::size_t max_iterations,
              double tolerance) {
   const std::size_t n = data.rows();
   const std::size_t d = data.cols();
-  if (k == 0) throw std::invalid_argument("Pca::fit: k must be > 0");
-  if (k > d)
-    throw std::invalid_argument("Pca::fit: k exceeds variable count");
-  if (n < 2)
-    throw std::invalid_argument("Pca::fit: need at least 2 observations");
+  if (k == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Pca::fit: k must be > 0");
+  }
+  if (k > d) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Pca::fit: k exceeds variable count");
+  }
+  if (n < 2) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Pca::fit: need at least 2 observations");
+  }
 
   Pca pca;
   pca.means_.assign(d, 0.0F);
@@ -112,9 +120,10 @@ Pca Pca::fit(const Matrix& data, std::size_t k, std::size_t max_iterations,
 Matrix Pca::transform(const Matrix& data) const {
   const std::size_t d = means_.size();
   if (data.cols() != d) {
-    throw std::invalid_argument(
-        "Pca::transform: column count " + std::to_string(data.cols()) +
-        " != fitted dimension " + std::to_string(d));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Pca::transform: column count " +
+                          std::to_string(data.cols()) +
+                          " != fitted dimension " + std::to_string(d));
   }
   const std::size_t k = components_.rows();
   Matrix scores(data.rows(), k);

@@ -19,7 +19,7 @@ namespace soteria::math {
 class Pca {
  public:
   /// Fits `k` principal components to `data` (rows = observations,
-  /// columns = variables). Throws std::invalid_argument if `k` is 0,
+  /// columns = variables). Throws core::Error{kInvalidArgument} if `k` is 0,
   /// exceeds the number of variables, or `data` has < 2 rows.
   static Pca fit(const Matrix& data, std::size_t k,
                  std::size_t max_iterations = 300, double tolerance = 1e-7);

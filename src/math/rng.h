@@ -12,8 +12,9 @@
 #include <cstdint>
 #include <random>
 #include <span>
-#include <stdexcept>
 #include <vector>
+
+#include "soteria/error.h"
 
 namespace soteria::math {
 
@@ -54,40 +55,56 @@ class Rng {
 
   /// Uniform integer in [lo, hi] (inclusive). Throws if lo > hi.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
+    if (lo > hi) {
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Rng::uniform_int: lo > hi");
+    }
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
   /// Uniform index in [0, n). Throws if n == 0.
   [[nodiscard]] std::size_t index(std::size_t n) {
-    if (n == 0) throw std::invalid_argument("Rng::index: empty range");
+    if (n == 0) {
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Rng::index: empty range");
+    }
     return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
   }
 
   /// Uniform real in [lo, hi).
   [[nodiscard]] double uniform(double lo = 0.0, double hi = 1.0) {
-    if (!(lo < hi)) throw std::invalid_argument("Rng::uniform: lo >= hi");
+    if (!(lo < hi)) {
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Rng::uniform: lo >= hi");
+    }
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
   /// Normal deviate with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean = 0.0, double stddev = 1.0) {
-    if (stddev < 0.0) throw std::invalid_argument("Rng::normal: stddev < 0");
+    if (stddev < 0.0) {
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Rng::normal: stddev < 0");
+    }
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 
   /// Bernoulli trial with success probability p in [0, 1].
   [[nodiscard]] bool bernoulli(double p) {
-    if (p < 0.0 || p > 1.0)
-      throw std::invalid_argument("Rng::bernoulli: p outside [0,1]");
+    if (p < 0.0 || p > 1.0) {
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Rng::bernoulli: p outside [0,1]");
+    }
     return std::bernoulli_distribution(p)(engine_);
   }
 
   /// Geometric-ish positive count: 1 + Geometric(p). Handy for sizing
   /// synthetic program constructs.
   [[nodiscard]] int positive_geometric(double p) {
-    if (p <= 0.0 || p > 1.0)
-      throw std::invalid_argument("Rng::positive_geometric: p outside (0,1]");
+    if (p <= 0.0 || p > 1.0) {
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Rng::positive_geometric: p outside (0,1]");
+    }
     return 1 + std::geometric_distribution<int>(p)(engine_);
   }
 

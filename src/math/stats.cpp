@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::math {
 
@@ -22,17 +23,26 @@ double stddev(std::span<const double> xs) noexcept {
 }
 
 double min(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("stats::min: empty input");
+  if (xs.empty()) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "stats::min: empty input");
+  }
   return *std::min_element(xs.begin(), xs.end());
 }
 
 double max(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("stats::max: empty input");
+  if (xs.empty()) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "stats::max: empty input");
+  }
   return *std::max_element(xs.begin(), xs.end());
 }
 
 double median(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("stats::median: empty input");
+  if (xs.empty()) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "stats::median: empty input");
+  }
   std::vector<double> copy(xs.begin(), xs.end());
   std::sort(copy.begin(), copy.end());
   const std::size_t n = copy.size();
@@ -41,10 +51,14 @@ double median(std::span<const double> xs) {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  if (xs.empty())
-    throw std::invalid_argument("stats::percentile: empty input");
-  if (p < 0.0 || p > 100.0)
-    throw std::invalid_argument("stats::percentile: p outside [0,100]");
+  if (xs.empty()) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "stats::percentile: empty input");
+  }
+  if (p < 0.0 || p > 100.0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "stats::percentile: p outside [0,100]");
+  }
   std::vector<double> copy(xs.begin(), xs.end());
   std::sort(copy.begin(), copy.end());
   if (copy.size() == 1) return copy.front();

@@ -14,7 +14,7 @@ namespace soteria::math {
 /// Population standard deviation; 0 for ranges with < 2 elements.
 [[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
-/// Minimum / maximum. Throw std::invalid_argument on empty input.
+/// Minimum / maximum. Throw core::Error{kInvalidArgument} on empty input.
 [[nodiscard]] double min(std::span<const double> xs);
 [[nodiscard]] double max(std::span<const double> xs);
 

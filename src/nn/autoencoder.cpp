@@ -2,28 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
 void validate(const AutoencoderConfig& config) {
   if (config.input_dim == 0) {
-    throw std::invalid_argument("AutoencoderConfig: zero input dimension");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "AutoencoderConfig: zero input dimension");
   }
   if (config.hidden_dims.empty()) {
-    throw std::invalid_argument("AutoencoderConfig: no hidden layers");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "AutoencoderConfig: no hidden layers");
   }
   for (std::size_t h : config.hidden_dims) {
     if (h == 0) {
-      throw std::invalid_argument("AutoencoderConfig: zero hidden width");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "AutoencoderConfig: zero hidden width");
     }
   }
   if (!(config.width_scale > 0.0)) {
-    throw std::invalid_argument(
-        "AutoencoderConfig: width_scale must be positive");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "AutoencoderConfig: width_scale must be positive");
   }
 }
 

@@ -21,7 +21,7 @@ struct AutoencoderConfig {
   double width_scale = 1.0;
 };
 
-/// Throws std::invalid_argument on zero input dim, empty hidden stack,
+/// Throws core::Error{kInvalidArgument} on zero input dim, empty hidden stack,
 /// or non-positive scale.
 void validate(const AutoencoderConfig& config);
 

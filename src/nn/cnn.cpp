@@ -1,12 +1,11 @@
 #include "nn/cnn.h"
 
-#include <stdexcept>
-
 #include "nn/activations.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "nn/pooling.h"
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
@@ -14,25 +13,27 @@ void validate(const CnnConfig& config) {
   if (config.input_length == 0 || config.classes == 0 ||
       config.filters == 0 || config.kernel == 0 ||
       config.dense_units == 0) {
-    throw std::invalid_argument("CnnConfig: zero dimension");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "CnnConfig: zero dimension");
   }
   if (config.conv_dropout < 0.0 || config.conv_dropout >= 1.0 ||
       config.dense_dropout < 0.0 || config.dense_dropout >= 1.0) {
-    throw std::invalid_argument("CnnConfig: dropout outside [0, 1)");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "CnnConfig: dropout outside [0, 1)");
   }
   // Two blocks of (2 convs + pool-2) must leave a non-empty map.
   std::size_t len = config.input_length;
   for (int block = 0; block < 2; ++block) {
     for (int conv = 0; conv < 2; ++conv) {
       if (len < config.kernel) {
-        throw std::invalid_argument(
-            "CnnConfig: input too short for the conv stack");
+        throw core::Error(core::ErrorCode::kInvalidArgument,
+                          "CnnConfig: input too short for the conv stack");
       }
       len = len - config.kernel + 1;
     }
     if (len < 2) {
-      throw std::invalid_argument(
-          "CnnConfig: input too short for the pooling stack");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "CnnConfig: input too short for the pooling stack");
     }
     len /= 2;
   }

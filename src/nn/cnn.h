@@ -30,7 +30,7 @@ struct CnnConfig {
   double dense_dropout = 0.5;
 };
 
-/// Throws std::invalid_argument on zero sizes, kernel/pooling shapes
+/// Throws core::Error{kInvalidArgument} on zero sizes, kernel/pooling shapes
 /// that collapse the feature map, or dropout rates outside [0, 1).
 void validate(const CnnConfig& config);
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include "math/lanes.h"
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
@@ -21,12 +21,14 @@ Conv1d::Conv1d(std::size_t in_channels, std::size_t in_length,
       bias_grad_(1, out_channels, 0.0F) {
   if (in_channels == 0 || in_length == 0 || out_channels == 0 ||
       kernel == 0) {
-    throw std::invalid_argument("Conv1d: zero dimension");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Conv1d: zero dimension");
   }
   if (kernel > in_length) {
-    throw std::invalid_argument("Conv1d: kernel " + std::to_string(kernel) +
-                                " exceeds input length " +
-                                std::to_string(in_length));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Conv1d: kernel " + std::to_string(kernel) +
+                      " exceeds input length " +
+                      std::to_string(in_length));
   }
   const float limit =
       std::sqrt(6.0F / static_cast<float>(in_channels * kernel));
@@ -490,9 +492,10 @@ std::string Conv1d::name() const {
 
 std::size_t Conv1d::output_dimension(std::size_t input_dim) const {
   if (input_dim != in_channels_ * in_length_) {
-    throw std::invalid_argument("Conv1d: expected input width " +
-                                std::to_string(in_channels_ * in_length_) +
-                                ", got " + std::to_string(input_dim));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Conv1d: expected input width " +
+                      std::to_string(in_channels_ * in_length_) +
+                      ", got " + std::to_string(input_dim));
   }
   return out_channels_ * out_length();
 }

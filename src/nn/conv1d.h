@@ -65,7 +65,7 @@ void conv1d_backward_into(const float* in, const float* grad_out,
 
 class Conv1d : public Layer {
  public:
-  /// Throws std::invalid_argument on zero sizes or kernel > in_length.
+  /// Throws core::Error{kInvalidArgument} on zero sizes or kernel > in_length.
   Conv1d(std::size_t in_channels, std::size_t in_length,
          std::size_t out_channels, std::size_t kernel, math::Rng& rng);
 

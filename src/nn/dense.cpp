@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
@@ -14,7 +15,8 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng)
       weight_grad_(in_dim, out_dim, 0.0F),
       bias_grad_(1, out_dim, 0.0F) {
   if (in_dim == 0 || out_dim == 0) {
-    throw std::invalid_argument("Dense: zero dimension");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Dense: zero dimension");
   }
   const float limit =
       std::sqrt(6.0F / static_cast<float>(in_dim));  // He-uniform
@@ -78,9 +80,10 @@ std::string Dense::name() const {
 
 std::size_t Dense::output_dimension(std::size_t input_dim) const {
   if (input_dim != in_dim_) {
-    throw std::invalid_argument("Dense: expected input width " +
-                                std::to_string(in_dim_) + ", got " +
-                                std::to_string(input_dim));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Dense: expected input width " +
+                      std::to_string(in_dim_) + ", got " +
+                      std::to_string(input_dim));
   }
   return out_dim_;
 }

@@ -11,7 +11,7 @@ namespace soteria::nn {
 class Dense : public Layer {
  public:
   /// He-uniform initialization (appropriate for the ReLU stacks used
-  /// everywhere in Soteria). Throws std::invalid_argument on zero dims.
+  /// everywhere in Soteria). Throws core::Error{kInvalidArgument} on zero dims.
   Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng);
 
   void infer_into(const float* in, std::size_t rows, std::size_t width,

@@ -1,15 +1,17 @@
 #include "nn/dropout.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
+
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
 Dropout::Dropout(double rate, math::Rng& rng)
     : rate_(rate), rng_(rng.fork(0xd209u)) {
   if (rate < 0.0 || rate >= 1.0) {
-    throw std::invalid_argument("Dropout: rate outside [0, 1)");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Dropout: rate outside [0, 1)");
   }
 }
 

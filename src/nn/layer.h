@@ -116,7 +116,7 @@ class Layer {
 
   /// Output width for an input of width `input_dim`; lets containers
   /// validate architecture chains ahead of time. Throws
-  /// std::invalid_argument if the input width is incompatible.
+  /// core::Error{kInvalidArgument} if the input width is incompatible.
   [[nodiscard]] virtual std::size_t output_dimension(
       std::size_t input_dim) const = 0;
 };

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <string>
+
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
@@ -53,10 +54,11 @@ double softmax_cross_entropy_into(const float* logits, std::size_t classes,
   double acc = 0.0;
   for (std::size_t r = 0; r < rows; ++r) {
     if (labels[r] >= classes) {
-      throw std::invalid_argument("softmax_cross_entropy: label " +
-                                  std::to_string(labels[r]) +
-                                  " >= class count " +
-                                  std::to_string(classes));
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "softmax_cross_entropy: label " +
+                        std::to_string(labels[r]) +
+                        " >= class count " +
+                        std::to_string(classes));
     }
     float* row = gradient + r * classes;
     softmax_row(row, classes);
@@ -73,9 +75,10 @@ std::vector<double> row_rmse(const math::Matrix& predictions,
                              const math::Matrix& targets) {
   if (predictions.rows() != targets.rows() ||
       predictions.cols() != targets.cols()) {
-    throw std::invalid_argument("row_rmse: shape mismatch " +
-                                predictions.shape_string() + " vs " +
-                                targets.shape_string());
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "row_rmse: shape mismatch " +
+                      predictions.shape_string() + " vs " +
+                      targets.shape_string());
   }
   std::vector<double> rmse(predictions.rows(), 0.0);
   for (std::size_t r = 0; r < predictions.rows(); ++r) {

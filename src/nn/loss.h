@@ -23,7 +23,7 @@ double mse_loss_into(const float* predictions, const float* targets,
 /// Softmax + categorical cross-entropy against integer class labels:
 /// `logits` is labels.size() x `classes`; returns the mean loss and
 /// writes its gradient, (softmax - onehot) / batch (same shape), to
-/// `gradient`. Throws std::invalid_argument on a label >= `classes`.
+/// `gradient`. Throws core::Error{kInvalidArgument} on a label >= `classes`.
 double softmax_cross_entropy_into(const float* logits, std::size_t classes,
                                   std::span<const std::size_t> labels,
                                   float* gradient);

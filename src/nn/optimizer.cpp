@@ -1,8 +1,9 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
-#include <stdexcept>
 #include <string>
+
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
@@ -17,17 +18,19 @@ constexpr double kEps = 1e-8;
 
 void check_binding(std::size_t bound, std::span<const ParamRef> params) {
   if (bound != 0 && bound != params.size()) {
-    throw std::invalid_argument("Adam::step: parameter list size changed (" +
-                                std::to_string(bound) + " -> " +
-                                std::to_string(params.size()) + ")");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Adam::step: parameter list size changed (" +
+                      std::to_string(bound) + " -> " +
+                      std::to_string(params.size()) + ")");
   }
   for (const auto& p : params) {
     if (p.value == nullptr || p.grad == nullptr) {
-      throw std::invalid_argument("Adam::step: null parameter");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Adam::step: null parameter");
     }
     if (p.value->size() != p.grad->size()) {
-      throw std::invalid_argument(
-          "Adam::step: parameter/gradient size mismatch");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Adam::step: parameter/gradient size mismatch");
     }
   }
 }
@@ -36,7 +39,8 @@ void check_binding(std::size_t bound, std::span<const ParamRef> params) {
 
 Adam::Adam(double learning_rate) : lr_(learning_rate) {
   if (learning_rate <= 0.0) {
-    throw std::invalid_argument("Adam: learning rate must be positive");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Adam: learning rate must be positive");
   }
 }
 
@@ -63,7 +67,8 @@ void Adam::step(std::span<const ParamRef> parameters) {
     auto& m = first_moment_[i];
     auto& v = second_moment_[i];
     if (m.size() != value.size()) {
-      throw std::invalid_argument("Adam::step: parameter shape changed");
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "Adam::step: parameter shape changed");
     }
     for (std::size_t j = 0; j < value.size(); ++j) {
       m[j] = b1 * m[j] + (1.0F - b1) * grad[j];

@@ -17,12 +17,12 @@ namespace soteria::nn {
 
 class Adam {
  public:
-  /// Throws std::invalid_argument unless `learning_rate` is positive.
+  /// Throws core::Error{kInvalidArgument} unless `learning_rate` is positive.
   explicit Adam(double learning_rate = 1e-3);
 
   /// Applies one update using the accumulated gradients, then leaves the
   /// gradients untouched (callers zero them per batch). Throws
-  /// std::invalid_argument if the parameter list changes between calls.
+  /// core::Error{kInvalidArgument} if the parameter list changes between calls.
   void step(std::span<const ParamRef> parameters);
 
   [[nodiscard]] double learning_rate() const noexcept { return lr_; }

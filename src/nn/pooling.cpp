@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
+
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
@@ -11,13 +12,15 @@ MaxPool1d::MaxPool1d(std::size_t channels, std::size_t in_length,
                      std::size_t window)
     : channels_(channels), in_length_(in_length), window_(window) {
   if (channels == 0 || in_length == 0 || window == 0) {
-    throw std::invalid_argument("MaxPool1d: zero dimension");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "MaxPool1d: zero dimension");
   }
   if (window > in_length) {
-    throw std::invalid_argument("MaxPool1d: window " +
-                                std::to_string(window) +
-                                " exceeds input length " +
-                                std::to_string(in_length));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "MaxPool1d: window " +
+                      std::to_string(window) +
+                      " exceeds input length " +
+                      std::to_string(in_length));
   }
 }
 
@@ -128,9 +131,10 @@ std::string MaxPool1d::name() const {
 
 std::size_t MaxPool1d::output_dimension(std::size_t input_dim) const {
   if (input_dim != channels_ * in_length_) {
-    throw std::invalid_argument("MaxPool1d: expected input width " +
-                                std::to_string(channels_ * in_length_) +
-                                ", got " + std::to_string(input_dim));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "MaxPool1d: expected input width " +
+                      std::to_string(channels_ * in_length_) +
+                      ", got " + std::to_string(input_dim));
   }
   return channels_ * out_length();
 }

@@ -17,7 +17,7 @@ namespace soteria::nn {
 /// other windows run the loop.
 class MaxPool1d : public Layer {
  public:
-  /// Throws std::invalid_argument on zero sizes or window > in_length.
+  /// Throws core::Error{kInvalidArgument} on zero sizes or window > in_length.
   MaxPool1d(std::size_t channels, std::size_t in_length, std::size_t window);
 
   void infer_into(const float* in, std::size_t rows, std::size_t width,

@@ -4,12 +4,12 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "nn/activations.h"
 #include "nn/conv1d.h"
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
@@ -19,7 +19,8 @@ constexpr std::uint32_t kMagic = 0x53544e4e;  // "STNN"
 
 Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   if (layer == nullptr) {
-    throw std::invalid_argument("Sequential::add: null layer");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Sequential::add: null layer");
   }
   layers_.push_back(std::move(layer));
   return *this;
@@ -27,7 +28,8 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
 
 math::Matrix Sequential::infer(const math::Matrix& input) const {
   if (layers_.empty()) {
-    throw std::logic_error("Sequential::infer: no layers");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "Sequential::infer: no layers");
   }
   // Validate the chain; find the widest layer output and the last layer
   // that does any work (it writes straight into the result).
@@ -129,7 +131,8 @@ void Sequential::save_parameters(std::ostream& out) const {
               static_cast<std::streamsize>(size * sizeof(float)));
   }
   if (!out) {
-    throw std::runtime_error("Sequential::save_parameters: write failed");
+    throw core::Error(core::ErrorCode::kIoError,
+                      "Sequential::save_parameters: write failed");
   }
 }
 
@@ -137,28 +140,29 @@ void Sequential::load_parameters(std::istream& in) {
   std::uint32_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   if (!in || magic != kMagic) {
-    throw std::runtime_error(
-        "Sequential::load_parameters: bad magic or truncated stream");
+    throw core::Error(core::ErrorCode::kCorruptModel,
+                      "Sequential::load_parameters: bad magic or truncated "
+                      "stream");
   }
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   const auto params = parameters();
   if (!in || count != params.size()) {
-    throw std::runtime_error(
-        "Sequential::load_parameters: parameter count mismatch");
+    throw core::Error(core::ErrorCode::kCorruptModel,
+                      "Sequential::load_parameters: parameter count mismatch");
   }
   for (const auto& p : params) {
     std::uint64_t size = 0;
     in.read(reinterpret_cast<char*>(&size), sizeof(size));
     if (!in || size != p.value->size()) {
-      throw std::runtime_error(
-          "Sequential::load_parameters: tensor size mismatch");
+      throw core::Error(core::ErrorCode::kCorruptModel,
+                        "Sequential::load_parameters: tensor size mismatch");
     }
     in.read(reinterpret_cast<char*>(p.value->data().data()),
             static_cast<std::streamsize>(size * sizeof(float)));
     if (!in) {
-      throw std::runtime_error(
-          "Sequential::load_parameters: truncated tensor data");
+      throw core::Error(core::ErrorCode::kCorruptModel,
+                        "Sequential::load_parameters: truncated tensor data");
     }
   }
 }
@@ -168,10 +172,12 @@ TrainingWorkspace::TrainingWorkspace(Sequential& model,
                                      std::size_t max_rows)
     : max_rows_(max_rows) {
   if (model.layer_count() == 0) {
-    throw std::logic_error("TrainingWorkspace: no layers");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "TrainingWorkspace: no layers");
   }
   if (max_rows == 0) {
-    throw std::invalid_argument("TrainingWorkspace: zero rows");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "TrainingWorkspace: zero rows");
   }
   const auto& layers = model.layers();
   widths_.push_back(input_width);
@@ -242,9 +248,10 @@ const float* TrainingWorkspace::backward_layer(std::size_t i,
 
 const float* TrainingWorkspace::forward(std::size_t rows) {
   if (rows == 0 || rows > max_rows_) {
-    throw std::invalid_argument("TrainingWorkspace::forward: " +
-                                std::to_string(rows) + " rows, capacity " +
-                                std::to_string(max_rows_));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "TrainingWorkspace::forward: " +
+                      std::to_string(rows) + " rows, capacity " +
+                      std::to_string(max_rows_));
   }
   for (std::size_t i = 0; i < layers_.size(); ++i) forward_layer(i, rows);
   return outputs_.back();
@@ -252,7 +259,8 @@ const float* TrainingWorkspace::forward(std::size_t rows) {
 
 const float* TrainingWorkspace::backward(const float* grad_output) {
   if (rows_ == 0) {
-    throw std::logic_error("TrainingWorkspace::backward: no forward yet");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "TrainingWorkspace::backward: no forward yet");
   }
   const float* grad = grad_output;
   for (std::size_t i = layers_.size(); i-- > 0;) {

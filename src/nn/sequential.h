@@ -39,7 +39,7 @@ class Sequential {
   Sequential(Sequential&&) = default;
   Sequential& operator=(Sequential&&) = default;
 
-  /// Appends a layer (builder style). Throws std::invalid_argument on a
+  /// Appends a layer (builder style). Throws core::Error{kInvalidArgument} on a
   /// null layer.
   Sequential& add(std::unique_ptr<Layer> layer);
 
@@ -54,8 +54,8 @@ class Sequential {
   /// one fused kernel; bit-identical to the layer-by-layer chain.
   /// Touches no mutable layer state, so concurrent infer() calls on one
   /// model are safe (the parallel batch engine relies on this). Allocates only the result (and the
-  /// arena when it grows). Throws std::logic_error if empty and
-  /// std::invalid_argument if the layer chain rejects the input width.
+  /// arena when it grows). Throws core::Error{kInvalidArgument} if empty
+  /// or if the layer chain rejects the input width.
   [[nodiscard]] math::Matrix infer(const math::Matrix& input) const;
 
   /// All parameter/gradient pairs, in stable layer order.
@@ -70,7 +70,7 @@ class Sequential {
   [[nodiscard]] std::size_t parameter_count() const;
 
   /// Validates the layer chain for `input_dim`-wide inputs and returns
-  /// the output width. Throws std::invalid_argument on any mismatch.
+  /// the output width. Throws core::Error{kInvalidArgument} on any mismatch.
   [[nodiscard]] std::size_t output_dimension(std::size_t input_dim) const;
 
   /// One line per layer, for logs and model summaries.
@@ -85,8 +85,9 @@ class Sequential {
 
   /// Serializes all parameters (binary, with a magic header and per-
   /// tensor sizes). Architecture itself is not stored: load into a model
-  /// constructed with the same topology. Throws std::runtime_error on
-  /// I/O failure or size mismatch at load.
+  /// constructed with the same topology. Save throws core::Error{kIoError}
+  /// on a write failure; load throws core::Error{kCorruptModel} on a
+  /// truncated stream or a size mismatch.
   void save_parameters(std::ostream& out) const;
   void load_parameters(std::istream& in);
 
@@ -100,8 +101,8 @@ class Sequential {
 /// serves one thread.
 class TrainingWorkspace {
  public:
-  /// Throws std::logic_error if `model` is empty, std::invalid_argument
-  /// if its layer chain rejects `input_width` or `max_rows` is 0.
+  /// Throws core::Error{kInvalidArgument} if `model` is empty, its layer
+  /// chain rejects `input_width`, or `max_rows` is 0.
   TrainingWorkspace(Sequential& model, std::size_t input_width,
                     std::size_t max_rows);
   // Layer outputs point into the workspace's own buffers.
@@ -121,15 +122,15 @@ class TrainingWorkspace {
   /// Training forward over the first `rows` rows of input(); returns
   /// the net's output (rows x output_width()), valid until the next
   /// forward. Dropout layers draw their masks. Throws
-  /// std::invalid_argument unless 1 <= rows <= the workspace's
+  /// core::Error{kInvalidArgument} unless 1 <= rows <= the workspace's
   /// `max_rows`.
   const float* forward(std::size_t rows);
 
   /// Backward over the last forward's rows from d(loss)/d(output)
   /// (rows x output_width()); adds every parameter gradient to its
   /// accumulator and returns d(loss)/d(input) (rows x input_width()),
-  /// valid until the next backward. Throws std::logic_error before any
-  /// forward.
+  /// valid until the next backward. Throws core::Error{kInvalidArgument} before
+  /// any forward.
   const float* backward(const float* grad_output);
 
   /// Layer i's share of forward / backward, each returning what that

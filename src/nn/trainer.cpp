@@ -1,20 +1,22 @@
 #include "nn/trainer.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "nn/loss.h"
 #include "obs/trace.h"
+#include "soteria/error.h"
 
 namespace soteria::nn {
 
 void validate(const TrainConfig& config) {
   if (config.epochs == 0) {
-    throw std::invalid_argument("TrainConfig: epochs must be > 0");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "TrainConfig: epochs must be > 0");
   }
   if (config.batch_size == 0) {
-    throw std::invalid_argument("TrainConfig: batch size must be > 0");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "TrainConfig: batch size must be > 0");
   }
 }
 
@@ -65,7 +67,8 @@ std::size_t max_batch_rows(std::size_t sample_count,
                            const TrainConfig& config) {
   validate(config);
   if (sample_count == 0) {
-    throw std::invalid_argument("train: empty dataset");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "train: empty dataset");
   }
   return std::min(config.batch_size, sample_count);
 }
@@ -86,15 +89,17 @@ TrainReport train_regression(Sequential& model, const math::Matrix& inputs,
                              Adam& optimizer, const TrainConfig& config,
                              math::Rng& rng) {
   if (inputs.rows() != targets.rows()) {
-    throw std::invalid_argument("train_regression: row count mismatch");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "train_regression: row count mismatch");
   }
   const std::size_t max_rows = max_batch_rows(inputs.rows(), config);
   TrainingWorkspace workspace(model, inputs.cols(), max_rows);
   if (workspace.output_width() != targets.cols()) {
-    throw std::invalid_argument("train_regression: target width " +
-                                std::to_string(targets.cols()) +
-                                " != model output width " +
-                                std::to_string(workspace.output_width()));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "train_regression: target width " +
+                      std::to_string(targets.cols()) +
+                      " != model output width " +
+                      std::to_string(workspace.output_width()));
   }
   std::vector<float> batch_targets(max_rows * targets.cols());
   std::vector<float> grad(max_rows * targets.cols());
@@ -120,7 +125,8 @@ TrainReport train_classifier(Sequential& model, const math::Matrix& inputs,
                              Adam& optimizer, const TrainConfig& config,
                              math::Rng& rng) {
   if (inputs.rows() != labels.size()) {
-    throw std::invalid_argument("train_classifier: label count mismatch");
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "train_classifier: label count mismatch");
   }
   const std::size_t max_rows = max_batch_rows(inputs.rows(), config);
   TrainingWorkspace workspace(model, inputs.cols(), max_rows);
@@ -161,7 +167,8 @@ math::Matrix gather_rows(const math::Matrix& m,
                          std::span<const std::size_t> rows) {
   for (const std::size_t r : rows) {
     if (r >= m.rows()) {
-      throw std::out_of_range("gather_rows: row index out of range");
+      throw core::Error(core::ErrorCode::kOutOfRange,
+                        "gather_rows: row index out of range");
     }
   }
   math::Matrix out(rows.size(), m.cols());

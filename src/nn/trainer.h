@@ -24,7 +24,7 @@ struct TrainConfig {
   std::function<void(std::size_t, double)> on_epoch;
 };
 
-/// Throws std::invalid_argument on zero epochs/batch size.
+/// Throws core::Error{kInvalidArgument} on zero epochs/batch size.
 void validate(const TrainConfig& config);
 
 /// Convenience factory for the common (epochs, batch) case.
@@ -41,7 +41,7 @@ struct TrainReport {
 };
 
 /// Trains `model` to map inputs to targets under MSE (targets == inputs
-/// for an autoencoder). Throws std::invalid_argument if row counts
+/// for an autoencoder). Throws core::Error{kInvalidArgument} if row counts
 /// differ or the dataset is empty.
 TrainReport train_regression(Sequential& model, const math::Matrix& inputs,
                              const math::Matrix& targets,

@@ -5,10 +5,10 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 
 #include "obs/trace.h"
+#include "soteria/error.h"
 
 namespace soteria::runtime {
 
@@ -151,9 +151,10 @@ ThreadPool::ThreadPool(std::size_t threads) : impl_(new Impl) {
   const std::size_t resolved = resolve_threads(threads);
   if (resolved > kMaxThreads) {
     delete impl_;
-    throw std::invalid_argument("ThreadPool: " + std::to_string(resolved) +
-                                " threads exceeds the cap of " +
-                                std::to_string(kMaxThreads));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "ThreadPool: " + std::to_string(resolved) +
+                      " threads exceeds the cap of " +
+                      std::to_string(kMaxThreads));
   }
   impl_->workers.reserve(resolved - 1);
   for (std::size_t i = 0; i + 1 < resolved; ++i) {
@@ -206,9 +207,10 @@ void parallel_for(std::size_t num_threads, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
   const std::size_t resolved = resolve_threads(num_threads);
   if (resolved > kMaxThreads) {
-    throw std::invalid_argument("parallel_for: " + std::to_string(resolved) +
-                                " threads exceeds the cap of " +
-                                std::to_string(kMaxThreads));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "parallel_for: " + std::to_string(resolved) +
+                      " threads exceeds the cap of " +
+                      std::to_string(kMaxThreads));
   }
   if (resolved == 1 || n <= 1 || t_in_parallel_region) {
     RegionGuard guard;
@@ -224,9 +226,10 @@ void parallel_for_slots(
     const std::function<void(std::size_t, std::size_t)>& body) {
   const std::size_t resolved = resolve_threads(num_threads);
   if (resolved > kMaxThreads) {
-    throw std::invalid_argument(
-        "parallel_for_slots: " + std::to_string(resolved) +
-        " threads exceeds the cap of " + std::to_string(kMaxThreads));
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "parallel_for_slots: " + std::to_string(resolved) +
+                          " threads exceeds the cap of " +
+                          std::to_string(kMaxThreads));
   }
   if (resolved == 1 || n <= 1 || t_in_parallel_region) {
     RegionGuard guard;

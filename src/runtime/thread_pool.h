@@ -45,7 +45,7 @@ inline constexpr std::size_t kMaxThreads = 256;
 class ThreadPool {
  public:
   /// `threads` is resolved via resolve_threads (0 = hardware). Throws
-  /// std::invalid_argument above kMaxThreads.
+  /// core::Error{kInvalidArgument} above kMaxThreads.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 

@@ -1,7 +1,6 @@
 #include "soteria/classifier.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "io/binary_io.h"
@@ -14,13 +13,14 @@ namespace soteria::core {
 
 math::Matrix pack_rows(const std::vector<std::vector<float>>& vectors) {
   if (vectors.empty()) {
-    throw std::invalid_argument("pack_rows: no vectors");
+    throw Error(ErrorCode::kInvalidArgument, "pack_rows: no vectors");
   }
   const std::size_t width = vectors.front().size();
   math::Matrix m(vectors.size(), width);
   for (std::size_t r = 0; r < vectors.size(); ++r) {
     if (vectors[r].size() != width) {
-      throw std::invalid_argument("pack_rows: ragged vector widths");
+      throw Error(ErrorCode::kInvalidArgument,
+                  "pack_rows: ragged vector widths");
     }
     std::copy(vectors[r].begin(), vectors[r].end(), m.row(r).begin());
   }
@@ -35,11 +35,12 @@ nn::Sequential train_one(const LabeledVectors& data,
                          double learning_rate, math::Rng& rng,
                          nn::CnnConfig& arch_out) {
   if (data.features.rows() == 0) {
-    throw std::invalid_argument("FamilyClassifier: empty training data");
+    throw Error(ErrorCode::kInvalidArgument,
+                "FamilyClassifier: empty training data");
   }
   if (data.features.rows() != data.labels.size()) {
-    throw std::invalid_argument(
-        "FamilyClassifier: feature/label count mismatch");
+    throw Error(ErrorCode::kInvalidArgument,
+                "FamilyClassifier: feature/label count mismatch");
   }
   nn::CnnConfig arch = config;
   arch.input_length = data.features.cols();
@@ -73,6 +74,27 @@ nn::CnnConfig load_cnn_arch(std::istream& in) {
   arch.conv_dropout = io::read_scalar<double>(in);
   arch.dense_dropout = io::read_scalar<double>(in);
   return arch;
+}
+
+// Floats (weights and biases) in the CNN build_cnn makes from a
+// validated `arch`, counted in double so that a corrupt width cannot
+// overflow the count.
+double parameter_floats(const nn::CnnConfig& arch) {
+  const auto filters = static_cast<double>(arch.filters);
+  double floats = 0.0;
+  double channels = 1.0;
+  std::size_t length = arch.input_length;
+  for (int block = 0; block < 2; ++block) {
+    for (int conv = 0; conv < 2; ++conv) {
+      floats += (channels * static_cast<double>(arch.kernel) + 1.0) * filters;
+      channels = filters;
+      length = length - arch.kernel + 1;
+    }
+    length /= 2;
+  }
+  const auto dense = static_cast<double>(arch.dense_units);
+  floats += (channels * static_cast<double>(length) + 1.0) * dense;
+  return floats + (dense + 1.0) * static_cast<double>(arch.classes);
 }
 
 }  // namespace
@@ -115,6 +137,26 @@ FamilyClassifier FamilyClassifier::load(std::istream& in,
                     std::to_string(classifier.lbl_arch_.input_length) +
                     " != vocabulary sizes " + std::to_string(dbl_length) +
                     "/" + std::to_string(lbl_length));
+  }
+  for (const nn::CnnConfig* arch :
+       {&classifier.dbl_arch_, &classifier.lbl_arch_}) {
+    try {
+      nn::validate(*arch);
+    } catch (const Error& e) {
+      throw Error(ErrorCode::kCorruptModel,
+                  std::string("FamilyClassifier::load: ") + e.what());
+    }
+  }
+  // The weights of both CNNs follow as float32s. Architectures that need
+  // more of them than the stream holds are corrupt; rejecting them here
+  // keeps a corrupt width from allocating nets the stream cannot fill.
+  if ((parameter_floats(classifier.dbl_arch_) +
+       parameter_floats(classifier.lbl_arch_)) *
+          sizeof(float) >
+      io::bytes_left(in)) {
+    throw Error(ErrorCode::kCorruptModel,
+                "FamilyClassifier::load: architecture larger than the "
+                "stream");
   }
   math::Rng scratch(0);  // weights are overwritten by load_parameters
   classifier.dbl_model_ = nn::build_cnn(classifier.dbl_arch_, scratch);

@@ -43,7 +43,7 @@ struct VoteTally {
 class FamilyClassifier {
  public:
   /// Trains both CNNs. `config.input_length` is overridden per model by
-  /// the corresponding feature width. Throws std::invalid_argument on
+  /// the corresponding feature width. Throws core::Error{kInvalidArgument} on
   /// empty inputs or label/row mismatch.
   static FamilyClassifier train(const LabeledVectors& dbl,
                                 const LabeledVectors& lbl,
@@ -72,9 +72,10 @@ class FamilyClassifier {
 
   /// Binary (de)serialization of both CNNs. `load` reads CNNs for
   /// DBL vectors of `dbl_length` and LBL vectors of `lbl_length`
-  /// floats: it throws core::Error{kCorruptModel} when the stream's
-  /// input lengths disagree, before building either CNN, and
-  /// std::runtime_error on any other corrupt stream.
+  /// floats. It throws core::Error{kCorruptModel} on any corrupt
+  /// stream, and before building either CNN when the stream's input
+  /// lengths disagree or an architecture is invalid or needs more
+  /// weights than the stream holds.
   void save(std::ostream& out) const;
   [[nodiscard]] static FamilyClassifier load(std::istream& in,
                                              std::size_t dbl_length,
@@ -98,7 +99,7 @@ class FamilyClassifier {
 };
 
 /// Packs per-walk vectors into a matrix (rows = vectors). Throws
-/// std::invalid_argument on ragged input.
+/// core::Error{kInvalidArgument} on ragged input.
 [[nodiscard]] math::Matrix pack_rows(
     const std::vector<std::vector<float>>& vectors);
 

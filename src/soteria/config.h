@@ -72,7 +72,8 @@ struct SoteriaConfig {
   std::size_t labeling_cache_capacity = 512;
 };
 
-/// Throws std::invalid_argument if any nested config or knob is invalid.
+/// Throws core::Error{kInvalidArgument} if any nested config or knob is
+/// invalid.
 void validate(const SoteriaConfig& config);
 
 }  // namespace soteria::core

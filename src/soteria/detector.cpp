@@ -1,7 +1,7 @@
 #include "soteria/detector.h"
 
+#include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <string>
 
 #include "io/binary_io.h"
@@ -19,21 +19,24 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
                              const nn::TrainConfig& training, double alpha,
                              double learning_rate, math::Rng& rng) {
   if (clean_features.rows() == 0 || clean_features.cols() == 0) {
-    throw std::invalid_argument("AeDetector::train: empty feature matrix");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::train: empty feature matrix");
   }
   if (calibration_features.rows() == 0) {
-    throw std::invalid_argument("AeDetector::train: empty calibration set");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::train: empty calibration set");
   }
   if (calibration_features.cols() != clean_features.cols()) {
-    throw std::invalid_argument(
-        "AeDetector::train: calibration width mismatch");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::train: calibration width mismatch");
   }
   if (calibration_features.rows() < 4) {
-    throw std::invalid_argument(
-        "AeDetector::train: need at least 4 calibration rows");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::train: need at least 4 calibration rows");
   }
   if (alpha < 0.0) {
-    throw std::invalid_argument("AeDetector::train: negative alpha");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::train: negative alpha");
   }
   const obs::Span span("detector.train");
 
@@ -108,10 +111,12 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
 std::vector<double> AeDetector::scores(
     const math::Matrix& features) const {
   if (residual_stddev_.empty()) {
-    throw std::logic_error("AeDetector::scores: detector not calibrated");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::scores: detector not calibrated");
   }
   if (features.cols() != residual_stddev_.size()) {
-    throw std::invalid_argument("AeDetector::scores: width mismatch");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::scores: width mismatch");
   }
   const obs::Span span("detector.score");
   const math::Matrix reconstructed = model_.infer(features);
@@ -138,7 +143,8 @@ std::vector<double> AeDetector::reconstruction_errors(
 double AeDetector::sample_error(
     const math::Matrix& sample_vectors) const {
   if (sample_vectors.rows() == 0) {
-    throw std::invalid_argument("AeDetector::sample_error: empty sample");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::sample_error: empty sample");
   }
   const auto sample_scores = scores(sample_vectors);
   return math::mean(sample_scores);
@@ -146,7 +152,8 @@ double AeDetector::sample_error(
 
 void AeDetector::set_alpha(double alpha) {
   if (alpha < 0.0) {
-    throw std::invalid_argument("AeDetector::set_alpha: negative alpha");
+    throw Error(ErrorCode::kInvalidArgument,
+                "AeDetector::set_alpha: negative alpha");
   }
   alpha_ = alpha;
   threshold_ = mean_ + alpha * stddev_;
@@ -164,6 +171,26 @@ void AeDetector::save(std::ostream& out) const {
   io::write_vector<double>(out, report_.epoch_losses);
   model_.save_parameters(out);
 }
+
+namespace {
+
+// Floats (weights and biases) in the autoencoder build_autoencoder
+// makes from a validated `arch`, counted in double so that a corrupt
+// width cannot overflow the count.
+double parameter_floats(const nn::AutoencoderConfig& arch) {
+  double floats = 0.0;
+  double width = static_cast<double>(arch.input_dim);
+  for (const std::size_t hidden : arch.hidden_dims) {
+    const double scaled =
+        std::max(8.0, std::round(static_cast<double>(hidden) *
+                                 arch.width_scale));
+    floats += (width + 1.0) * scaled;
+    width = scaled;
+  }
+  return floats + (width + 1.0) * static_cast<double>(arch.input_dim);
+}
+
+}  // namespace
 
 AeDetector AeDetector::load(std::istream& in, std::size_t input_dim) {
   AeDetector detector;
@@ -188,6 +215,19 @@ AeDetector AeDetector::load(std::istream& in, std::size_t input_dim) {
       detector.residual_stddev_.size() != input_dim) {
     throw Error(ErrorCode::kCorruptModel,
                 "AeDetector::load: residual statistics size mismatch");
+  }
+  try {
+    nn::validate(detector.arch_);
+  } catch (const Error& e) {
+    throw Error(ErrorCode::kCorruptModel,
+                std::string("AeDetector::load: ") + e.what());
+  }
+  // The weights follow as float32s. An architecture that needs more of
+  // them than the stream holds is corrupt; rejecting it here keeps a
+  // corrupt width from allocating a net the stream cannot fill.
+  if (parameter_floats(detector.arch_) * sizeof(float) > io::bytes_left(in)) {
+    throw Error(ErrorCode::kCorruptModel,
+                "AeDetector::load: architecture larger than the stream");
   }
   math::Rng scratch(0);  // weights are overwritten by load_parameters
   detector.model_ = nn::build_autoencoder(detector.arch_, scratch);

@@ -38,7 +38,7 @@ class AeDetector {
   /// extractions of held-out clean samples (first half: per-dimension
   /// residual standardization; second half: score distribution).
   /// `config.input_dim` is overridden by the feature width. Throws
-  /// std::invalid_argument on empty matrices, width mismatch, or fewer
+  /// core::Error{kInvalidArgument} on empty matrices, width mismatch, or fewer
   /// than 4 calibration rows.
   static AeDetector train(const math::Matrix& clean_features,
                           const math::Matrix& calibration_features,
@@ -57,7 +57,7 @@ class AeDetector {
       const math::Matrix& features) const;
 
   /// Mean score over a sample's vectors (the detector input is one
-  /// pooled row, but batches work too). Throws std::invalid_argument on
+  /// pooled row, but batches work too). Throws core::Error{kInvalidArgument} on
   /// an empty matrix.
   [[nodiscard]] double sample_error(const math::Matrix& sample_vectors)
       const;
@@ -77,7 +77,7 @@ class AeDetector {
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
 
   /// Re-derives the threshold for a different alpha without retraining
-  /// (used by the Fig. 13 sweep). Throws std::invalid_argument for a
+  /// (used by the Fig. 13 sweep). Throws core::Error{kInvalidArgument} for a
   /// negative alpha.
   void set_alpha(double alpha);
 
@@ -88,10 +88,11 @@ class AeDetector {
 
   /// Binary (de)serialization: architecture, weights, residual
   /// statistics, and threshold calibration. `load` reads a detector
-  /// for `input_dim`-wide feature rows: it throws
-  /// core::Error{kCorruptModel} when the stream's input width or
-  /// residual tables disagree with that, before building the
-  /// autoencoder, and std::runtime_error on any other corrupt stream.
+  /// for `input_dim`-wide feature rows. It throws
+  /// core::Error{kCorruptModel} on any corrupt stream, and before
+  /// building the autoencoder when the stream's input width or residual
+  /// tables disagree with `input_dim` or its architecture is invalid or
+  /// needs more weights than the stream holds.
   void save(std::ostream& out) const;
   [[nodiscard]] static AeDetector load(std::istream& in,
                                        std::size_t input_dim);

@@ -7,7 +7,6 @@ std::string_view error_code_name(ErrorCode code) noexcept {
     case ErrorCode::kOk: return "Ok";
     case ErrorCode::kInvalidArgument: return "InvalidArgument";
     case ErrorCode::kOutOfRange: return "OutOfRange";
-    case ErrorCode::kInvalidConfig: return "InvalidConfig";
     case ErrorCode::kIoError: return "IoError";
     case ErrorCode::kCorruptModel: return "CorruptModel";
     case ErrorCode::kQueueFull: return "QueueFull";

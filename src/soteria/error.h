@@ -1,9 +1,9 @@
-// Error taxonomy for the serving / analysis / persistence paths.
-//
-// `Error` derives from std::runtime_error so existing catch sites (and
-// tests) keep working, but carries a machine-readable `ErrorCode` so a
-// service caller can distinguish a corrupt model file from queue
+// The one error type of the library: every failure a public entry point
+// reports is an `Error` with a machine-readable `ErrorCode`, so a caller
+// can tell a bad argument from a corrupt model file from queue
 // backpressure from an expired deadline without string matching.
+// `Error` derives from std::runtime_error, so `catch (const
+// std::exception&)` sites keep working.
 #pragma once
 
 #include <stdexcept>
@@ -15,9 +15,8 @@ namespace soteria::core {
 /// Machine-readable failure categories surfaced by the public API.
 enum class ErrorCode {
   kOk = 0,            ///< not an error (e.g. an accepted service ticket)
-  kInvalidArgument,   ///< caller passed a structurally invalid value
+  kInvalidArgument,   ///< invalid value or config, or an object not ready
   kOutOfRange,        ///< a value exceeded a structural limit
-  kInvalidConfig,     ///< configuration failed validation
   kIoError,           ///< file could not be opened / read / written
   kCorruptModel,      ///< persisted model stream failed validation
   kQueueFull,         ///< service queue at capacity (backpressure)

@@ -2,21 +2,20 @@
 
 #include <fstream>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "cfg/labeling_cache.h"
-#include "frontend/frontend.h"
 #include "io/binary_io.h"
-#include "loader/elf.h"
 #include "obs/trace.h"
+#include "soteria/error.h"
 #include "store/feature_store.h"
 
 namespace soteria::core {
 
 math::Matrix pooled_matrix(const features::SampleFeatures& features) {
   if (features.pooled_dbl.empty() && features.pooled_lbl.empty()) {
-    throw std::invalid_argument("pooled_matrix: empty feature bundle");
+    throw Error(ErrorCode::kInvalidArgument,
+                "pooled_matrix: empty feature bundle");
   }
   return pack_rows({features.pooled_combined()});
 }
@@ -25,7 +24,8 @@ SoteriaSystem SoteriaSystem::train(
     std::span<const dataset::Sample> training, const SoteriaConfig& config) {
   validate(config);
   if (training.empty()) {
-    throw std::invalid_argument("SoteriaSystem::train: empty training set");
+    throw Error(ErrorCode::kInvalidArgument,
+                "SoteriaSystem::train: empty training set");
   }
 
   const obs::Span train_span("soteria.train");
@@ -215,16 +215,6 @@ Verdict SoteriaSystem::analyze(const cfg::Cfg& cfg,
       extract_stored(cfg, fresh_rng, options.feature_store.get()));
 }
 
-Verdict SoteriaSystem::analyze_image(std::span<const std::uint8_t> bytes,
-                                     const math::Rng& fresh_rng,
-                                     const AnalyzeOptions& options) const {
-  const loader::Image image = loader::load_image(bytes);
-  const frontend::Frontend& fe = frontend::resolve_frontend(
-      frontend::FrontendRegistry::builtin(), image, options.frontend);
-  const cfg::Cfg cfg = fe.extract(image);
-  return analyze(cfg, fresh_rng, options);
-}
-
 std::vector<Verdict> SoteriaSystem::analyze_batch(
     std::span<const cfg::Cfg> cfgs, const math::Rng& rng,
     const AnalyzeOptions& options) const {
@@ -287,7 +277,7 @@ void SoteriaSystem::save(std::ostream& out) const {
   classifier_.save(out);
 }
 
-SoteriaSystem SoteriaSystem::load(std::istream& in) try {
+SoteriaSystem SoteriaSystem::load(std::istream& in) {
   if (io::read_scalar<std::uint32_t>(in) != kSystemMagic) {
     throw Error(ErrorCode::kCorruptModel, "SoteriaSystem::load: bad magic");
   }
@@ -315,13 +305,6 @@ SoteriaSystem SoteriaSystem::load(std::istream& in) try {
       in, system.pipeline_.dbl_vocabulary().size(),
       system.pipeline_.lbl_vocabulary().size());
   return system;
-} catch (const Error&) {
-  throw;
-} catch (const std::exception& e) {
-  // Anything a component loader still reports untyped (e.g. a config
-  // validation failure on decoded garbage) surfaces as one typed code.
-  throw Error(ErrorCode::kCorruptModel,
-              std::string("SoteriaSystem::load: ") + e.what());
 }
 
 void SoteriaSystem::save_file(const std::string& path) const {

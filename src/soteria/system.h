@@ -56,12 +56,6 @@ struct AnalyzeOptions {
   /// verdicts: entries are keyed by (CFG content, pipeline fingerprint,
   /// per-sample walk seed).
   std::shared_ptr<store::FeatureStore> feature_store;
-
-  /// Front end used by analyze_image to decode the binary: a name from
-  /// the built-in registry ("toy", "x86_64"), or empty / "auto" (the
-  /// default) for magic-byte detection. Ignored by the CFG-taking
-  /// entry points, which are already past decoding.
-  std::string frontend;
 };
 
 /// Full per-query view of what the fitted system thinks of one feature
@@ -87,7 +81,7 @@ class SoteriaSystem {
   /// training and calibration runs on `config.num_threads` threads;
   /// every sample draws from an RNG child keyed by its index, so the
   /// trained system is bit-identical at any thread count. Throws
-  /// std::invalid_argument on an empty training set or invalid config.
+  /// Error{kInvalidArgument} on an empty training set or invalid config.
   static SoteriaSystem train(std::span<const dataset::Sample> training,
                              const SoteriaConfig& config);
 
@@ -103,18 +97,6 @@ class SoteriaSystem {
   [[nodiscard]] Verdict analyze(const cfg::Cfg& cfg,
                                 const math::Rng& fresh_rng,
                                 const AnalyzeOptions& options) const;
-
-  /// Analyzes a binary image end to end: loads it (raw toy bytes or an
-  /// ELF container, via loader::load_image), resolves a front end from
-  /// the built-in registry (`options.frontend`; auto-detected by
-  /// default), extracts the CFG, and analyzes it with the options'
-  /// semantics (`fresh_rng` keys the feature store exactly as in the
-  /// CFG overload). Throws core::Error{kCorruptModel} for a malformed
-  /// ELF and core::Error{kInvalidArgument} for an image no front end
-  /// accepts.
-  [[nodiscard]] Verdict analyze_image(std::span<const std::uint8_t> bytes,
-                                      const math::Rng& fresh_rng,
-                                      const AnalyzeOptions& options = {}) const;
 
   /// Detector score, threshold, and full vote tally for one feature
   /// bundle (see FeatureScores), each CNN run once. Agrees with the
@@ -171,12 +153,12 @@ class SoteriaSystem {
 
   /// Binary (de)serialization of the whole trained system (config,
   /// vocabularies, detector, classifier). `load` throws
-  /// Error{kCorruptModel} (a std::runtime_error) on a corrupt stream.
+  /// Error{kCorruptModel} on any corrupt stream, truncated or not.
   void save(std::ostream& out) const;
   [[nodiscard]] static SoteriaSystem load(std::istream& in);
 
-  /// File-path convenience wrappers. Throw Error{kIoError} (a
-  /// std::runtime_error) when the file cannot be opened.
+  /// File-path convenience wrappers. Throw Error{kIoError} when the file
+  /// cannot be opened.
   void save_file(const std::string& path) const;
   [[nodiscard]] static SoteriaSystem load_file(const std::string& path);
 

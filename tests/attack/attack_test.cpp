@@ -4,6 +4,7 @@
 #include "attack/obfuscation.h"
 #include "cfg/extractor.h"
 #include "dataset/family_profiles.h"
+#include "expect_error.h"
 #include "isa/codegen.h"
 #include "isa/vm.h"
 #include "soteria/error.h"
@@ -58,9 +59,10 @@ TEST(BinaryGea, Validation) {
   } catch (const core::Error& e) {
     EXPECT_EQ(e.code(), core::ErrorCode::kInvalidArgument);
   }
-  EXPECT_THROW((void)binary_gea(good, {}), core::Error);
+  EXPECT_ERROR((void)binary_gea(good, {}), core::ErrorCode::kInvalidArgument);
   const std::vector<std::uint8_t> ragged{1, 2, 3};
-  EXPECT_THROW((void)binary_gea(ragged, good), core::Error);
+  EXPECT_ERROR((void)binary_gea(ragged, good),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(AppendAttack, ChangesBytesNotCfg) {
@@ -131,7 +133,8 @@ TEST(IndirectBranches, ZeroFractionIsIdentity) {
   const auto original = sample_binary(dataset::Family::kBenign, 18);
   math::Rng rng(19);
   EXPECT_EQ(indirect_branches(original, 0.0, rng), original);
-  EXPECT_THROW((void)indirect_branches(original, 1.5, rng), core::Error);
+  EXPECT_ERROR((void)indirect_branches(original, 1.5, rng),
+               core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

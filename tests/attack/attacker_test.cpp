@@ -17,6 +17,7 @@
 #include "attack/targets.h"
 #include "cfg/extractor.h"
 #include "dataset/generator.h"
+#include "expect_error.h"
 #include "isa/vm.h"
 #include "obs/metrics.h"
 #include "soteria/error.h"
@@ -263,11 +264,14 @@ TEST_F(AttackFixture, RegistryBuildsEveryAttackerAndValidates) {
     EXPECT_NE(attacker->params().find("target=Benign"),
               std::string::npos);
   }
-  EXPECT_THROW((void)make_attacker("nope", "", system), core::Error);
-  EXPECT_THROW((void)make_attacker("gea", "target=martian", system),
-               core::Error);
-  EXPECT_THROW((void)make_attacker("gea", "bogus", system), core::Error);
-  EXPECT_THROW((void)make_attacker("adaptive", "", nullptr), core::Error);
+  EXPECT_ERROR((void)make_attacker("nope", "", system),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)make_attacker("gea", "target=martian", system),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)make_attacker("gea", "bogus", system),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)make_attacker("adaptive", "", nullptr),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST_F(AttackFixture, GuidedAttackersSpendAndReportQueries) {

@@ -3,6 +3,7 @@
 #include "baseline/graph_features.h"
 #include "baseline/image_classifier.h"
 #include "dataset/generator.h"
+#include "expect_error.h"
 
 namespace soteria::baseline {
 namespace {
@@ -56,13 +57,14 @@ TEST(GraphBaseline, UntrainedThrows) {
   math::Rng rng(2);
   const auto sample =
       dataset::generate_sample(dataset::Family::kBenign, 0, rng);
-  EXPECT_THROW((void)baseline.features_for(sample.cfg), std::logic_error);
+  EXPECT_ERROR((void)baseline.features_for(sample.cfg),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(GraphBaseline, EmptyTrainingThrows) {
-  EXPECT_THROW(
+  EXPECT_ERROR(
       (void)GraphFeatureBaseline::train({}, GraphBaselineConfig{}),
-      std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(ImageBaseline, ToImageResamplesAndNormalizes) {
@@ -91,11 +93,11 @@ TEST(ImageBaseline, ToImageHandlesAnyBinarySize) {
 }
 
 TEST(ImageBaseline, ToImageValidation) {
-  EXPECT_THROW((void)ImageBaseline::to_image({}, 8),
-               std::invalid_argument);
+  EXPECT_ERROR((void)ImageBaseline::to_image({}, 8),
+               core::ErrorCode::kInvalidArgument);
   const std::vector<std::uint8_t> bytes{1};
-  EXPECT_THROW((void)ImageBaseline::to_image(bytes, 0),
-               std::invalid_argument);
+  EXPECT_ERROR((void)ImageBaseline::to_image(bytes, 0),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(ImageBaseline, AppendedBytesChangeTheImage) {
@@ -127,12 +129,13 @@ TEST(ImageBaseline, TrainsAndPredicts) {
 TEST(ImageBaseline, UntrainedThrows) {
   ImageBaseline baseline;
   const std::vector<std::uint8_t> bytes{1, 2, 3, 4};
-  EXPECT_THROW((void)baseline.predict(bytes), std::logic_error);
+  EXPECT_ERROR((void)baseline.predict(bytes),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(ImageBaseline, EmptyTrainingThrows) {
-  EXPECT_THROW((void)ImageBaseline::train({}, ImageBaselineConfig{}),
-               std::invalid_argument);
+  EXPECT_ERROR((void)ImageBaseline::train({}, ImageBaselineConfig{}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
 #include "graph/generators.h"
 #include "graph/shapes.h"
 #include "graph/traversal.h"
@@ -89,7 +90,8 @@ TEST(Gea, EmptyCfgThrows) {
   } catch (const core::Error& e) {
     EXPECT_EQ(e.code(), core::ErrorCode::kInvalidArgument);
   }
-  EXPECT_THROW((void)gea_combine(diamond_cfg(), Cfg{}), core::Error);
+  EXPECT_ERROR((void)gea_combine(diamond_cfg(), Cfg{}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Gea, MidBlockHangsLobeOffAnchor) {
@@ -156,7 +158,8 @@ TEST(Gea, MultiInjectionBuildsGuardChain) {
 }
 
 TEST(Gea, MultiInjectionRejectsEmptyTargetList) {
-  EXPECT_THROW((void)gea_combine_multi(diamond_cfg(), {}), core::Error);
+  EXPECT_ERROR((void)gea_combine_multi(diamond_cfg(), {}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Gea, LoopOnlyCfgStillJoinsExit) {
@@ -186,9 +189,9 @@ TEST(Cfg, ExitNodesFindsSinks) {
 
 TEST(Cfg, ConstructorValidation) {
   graph::DiGraph g(2);
-  EXPECT_THROW(Cfg(g, 5), std::invalid_argument);
-  EXPECT_THROW(Cfg(g, 0, std::vector<BasicBlock>(3)),
-               std::invalid_argument);
+  EXPECT_ERROR(Cfg(g, 5), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(Cfg(g, 0, std::vector<BasicBlock>(3)),
+               core::ErrorCode::kInvalidArgument);
   EXPECT_NO_THROW(Cfg(g, 1));
   EXPECT_NO_THROW(Cfg(graph::DiGraph{}, 0));  // empty graph, any entry
 }

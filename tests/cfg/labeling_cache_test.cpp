@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dataset/generator.h"
+#include "expect_error.h"
 #include "graph/generators.h"
 #include "math/rng.h"
 #include "obs/metrics.h"
@@ -35,14 +36,14 @@ core::AnalyzeOptions with_threads(std::size_t threads) {
 }
 
 TEST(LabelingCache, RejectsZeroCapacityAndNullHasher) {
-  EXPECT_THROW(LabelingCache(0), std::invalid_argument);
-  EXPECT_THROW(LabelingCache(4, LabelingCache::Hasher{}),
-               std::invalid_argument);
+  EXPECT_ERROR(LabelingCache(0), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(LabelingCache(4, LabelingCache::Hasher{}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(LabelingCache, RejectsEmptyCfg) {
   LabelingCache cache(4);
-  EXPECT_THROW((void)cache.labels(Cfg{}), std::invalid_argument);
+  EXPECT_ERROR((void)cache.labels(Cfg{}), core::ErrorCode::kInvalidArgument);
   EXPECT_EQ(cache.size(), 0U);
 }
 

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "cfg/gea.h"
+#include "expect_error.h"
 #include "graph/generators.h"
 #include "math/rng.h"
 
@@ -27,8 +28,8 @@ TEST(Labeling, MethodNames) {
 }
 
 TEST(Labeling, EmptyCfgThrows) {
-  EXPECT_THROW((void)label_nodes(Cfg{}, LabelingMethod::kDensity),
-               std::invalid_argument);
+  EXPECT_ERROR((void)label_nodes(Cfg{}, LabelingMethod::kDensity),
+               core::ErrorCode::kInvalidArgument);
 }
 
 class BothMethods : public ::testing::TestWithParam<LabelingMethod> {};
@@ -169,15 +170,17 @@ TEST(Labeling, GeaShiftsLabels) {
 
 TEST(Labeling, NodesByLabelValidatesRange) {
   std::vector<Label> bogus{0, 5};
-  EXPECT_THROW((void)nodes_by_label(bogus), std::invalid_argument);
+  EXPECT_ERROR((void)nodes_by_label(bogus), core::ErrorCode::kInvalidArgument);
 }
 
 // Regression: duplicate labels used to be silently accepted — the later
 // node overwrote the earlier one's slot, leaving a stale NodeId at the
 // label the earlier node should have held.
 TEST(Labeling, NodesByLabelRejectsDuplicates) {
-  EXPECT_THROW((void)nodes_by_label({0, 1, 1}), std::invalid_argument);
-  EXPECT_THROW((void)nodes_by_label({2, 2, 2}), std::invalid_argument);
+  EXPECT_ERROR((void)nodes_by_label({0, 1, 1}),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)nodes_by_label({2, 2, 2}),
+               core::ErrorCode::kInvalidArgument);
   // A valid permutation still inverts.
   const auto inverse = nodes_by_label({2, 0, 1});
   EXPECT_EQ(inverse, (std::vector<graph::NodeId>{1, 2, 0}));
@@ -197,7 +200,7 @@ TEST(Labeling, LabelBothMatchesPerMethodLabeling) {
 }
 
 TEST(Labeling, LabelBothThrowsOnEmptyCfg) {
-  EXPECT_THROW((void)label_both(Cfg{}), std::invalid_argument);
+  EXPECT_ERROR((void)label_both(Cfg{}), core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "dataset/adversarial.h"
 #include "dataset/family_profiles.h"
+#include "expect_error.h"
 #include "graph/traversal.h"
 
 namespace soteria::dataset {
@@ -15,7 +16,7 @@ TEST(Family, IndexRoundTrips) {
   for (Family f : all_families()) {
     EXPECT_EQ(family_from_index(family_index(f)), f);
   }
-  EXPECT_THROW((void)family_from_index(4), std::invalid_argument);
+  EXPECT_ERROR((void)family_from_index(4), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Family, NamesAreDistinct) {
@@ -28,16 +29,16 @@ TEST(DatasetConfig, Validation) {
   EXPECT_NO_THROW(validate(DatasetConfig{}));
   DatasetConfig bad_scale;
   bad_scale.scale = 0.0;
-  EXPECT_THROW(validate(bad_scale), std::invalid_argument);
+  EXPECT_ERROR(validate(bad_scale), core::ErrorCode::kInvalidArgument);
   DatasetConfig bad_fraction;
   bad_fraction.train_fraction = 1.0;
-  EXPECT_THROW(validate(bad_fraction), std::invalid_argument);
+  EXPECT_ERROR(validate(bad_fraction), core::ErrorCode::kInvalidArgument);
   DatasetConfig bad_variants;
   bad_variants.min_variants = 0;
-  EXPECT_THROW(validate(bad_variants), std::invalid_argument);
+  EXPECT_ERROR(validate(bad_variants), core::ErrorCode::kInvalidArgument);
   DatasetConfig bad_ratio;
   bad_ratio.variant_ratio[1] = 0.0;
-  EXPECT_THROW(validate(bad_ratio), std::invalid_argument);
+  EXPECT_ERROR(validate(bad_ratio), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(ScaledCount, FloorsWithMinimum) {
@@ -151,8 +152,8 @@ TEST(SelectTargets, MissingClassThrows) {
   std::vector<Sample> only_benign;
   math::Rng rng(7);
   only_benign.push_back(generate_sample(Family::kBenign, 0, rng));
-  EXPECT_THROW((void)select_targets(only_benign, Family::kMirai),
-               std::invalid_argument);
+  EXPECT_ERROR((void)select_targets(only_benign, Family::kMirai),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(AdversarialSet, ExcludesTargetClassAndCountsMatch) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dataset/generator.h"
+#include "expect_error.h"
 #include "obs/metrics.h"
 #include "soteria/error.h"
 #include "soteria/presets.h"
@@ -148,12 +149,12 @@ TEST_F(MatrixFixture, EmptySpecsAreTypedErrors) {
   } catch (const core::Error& e) {
     EXPECT_EQ(e.code(), core::ErrorCode::kInvalidArgument);
   }
-  EXPECT_THROW((void)run_matrix(*system, data->test, data->train, attacks,
+  EXPECT_ERROR((void)run_matrix(*system, data->test, data->train, attacks,
                                 no_defenses, options),
-               core::Error);
-  EXPECT_THROW((void)run_matrix(*system, no_victims, data->train, attacks,
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)run_matrix(*system, no_victims, data->train, attacks,
                                 defenses, options),
-               core::Error);
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST_F(MatrixFixture, MissingTargetFamilyCountsAsFailuresNotAbort) {

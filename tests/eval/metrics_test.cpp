@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
+
 namespace soteria::eval {
 namespace {
 
@@ -53,13 +55,13 @@ TEST(ConfusionMatrix, PrecisionRecallF1) {
 }
 
 TEST(ConfusionMatrix, Validation) {
-  EXPECT_THROW(ConfusionMatrix(0), std::invalid_argument);
+  EXPECT_ERROR(ConfusionMatrix(0), core::ErrorCode::kInvalidArgument);
   ConfusionMatrix cm(2);
-  EXPECT_THROW(cm.record(2, 0), std::out_of_range);
-  EXPECT_THROW(cm.record(0, 2), std::out_of_range);
-  EXPECT_THROW((void)cm.count(5, 0), std::out_of_range);
-  EXPECT_THROW((void)cm.class_total(5), std::out_of_range);
-  EXPECT_THROW((void)cm.precision(5), std::out_of_range);
+  EXPECT_ERROR(cm.record(2, 0), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR(cm.record(0, 2), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR((void)cm.count(5, 0), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR((void)cm.class_total(5), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR((void)cm.precision(5), core::ErrorCode::kOutOfRange);
 }
 
 TEST(DetectionStats, Rates) {

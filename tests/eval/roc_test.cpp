@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
 #include "math/rng.h"
 
 namespace soteria::eval {
@@ -55,9 +56,10 @@ TEST(Roc, AucMatchesBruteForce) {
 
 TEST(Roc, EmptyInputsThrow) {
   const std::vector<double> some{1.0};
-  EXPECT_THROW((void)auc({}, some), std::invalid_argument);
-  EXPECT_THROW((void)auc(some, {}), std::invalid_argument);
-  EXPECT_THROW((void)roc_curve(some, some, 0), std::invalid_argument);
+  EXPECT_ERROR((void)auc({}, some), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)auc(some, {}), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)roc_curve(some, some, 0),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Roc, CurveIsMonotoneInThreshold) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
+
 namespace soteria::eval {
 namespace {
 
@@ -27,9 +29,9 @@ TEST(Table, RenderWithoutTitle) {
 }
 
 TEST(Table, Validation) {
-  EXPECT_THROW(Table({}), std::invalid_argument);
+  EXPECT_ERROR(Table({}), core::ErrorCode::kInvalidArgument);
   Table table({"A", "B"});
-  EXPECT_THROW(table.add_row({"only-one"}), std::invalid_argument);
+  EXPECT_ERROR(table.add_row({"only-one"}), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Format, Percent) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
+
 namespace soteria::features {
 namespace {
 
@@ -32,12 +34,12 @@ TEST(Gram, DistinctGramsGetDistinctKeys) {
 }
 
 TEST(Gram, PackValidation) {
-  EXPECT_THROW((void)pack_gram(std::vector<cfg::Label>{}),
-               std::invalid_argument);
-  EXPECT_THROW((void)pack_gram(std::vector<cfg::Label>{1, 2, 3, 4, 5}),
-               std::invalid_argument);
-  EXPECT_THROW((void)pack_gram(std::vector<cfg::Label>{kMaxGramLabel + 1}),
-               std::invalid_argument);
+  EXPECT_ERROR((void)pack_gram(std::vector<cfg::Label>{}),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)pack_gram(std::vector<cfg::Label>{1, 2, 3, 4, 5}),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)pack_gram(std::vector<cfg::Label>{kMaxGramLabel + 1}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(CountGrams, CountsSlidingWindows) {
@@ -73,8 +75,10 @@ TEST(CountGrams, ValidatesSizes) {
   GramCounts counts;
   const std::vector<std::size_t> zero{0};
   const std::vector<std::size_t> huge{5};
-  EXPECT_THROW(count_grams(walk, zero, counts), std::invalid_argument);
-  EXPECT_THROW(count_grams(walk, huge, counts), std::invalid_argument);
+  EXPECT_ERROR(count_grams(walk, zero, counts),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(count_grams(walk, huge, counts),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(CountGrams, AccumulatesAcrossWalks) {

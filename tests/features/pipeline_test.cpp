@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "expect_error.h"
 #include "graph/generators.h"
 #include "oracles/feature_reference.h"
 #include "soteria/error.h"
@@ -35,22 +36,22 @@ TEST(PipelineConfig, Validation) {
   EXPECT_NO_THROW(validate(PipelineConfig{}));
   PipelineConfig no_topk;
   no_topk.top_k = 0;
-  EXPECT_THROW(validate(no_topk), std::invalid_argument);
+  EXPECT_ERROR(validate(no_topk), core::ErrorCode::kInvalidArgument);
   PipelineConfig no_grams;
   no_grams.gram_sizes.clear();
-  EXPECT_THROW(validate(no_grams), std::invalid_argument);
+  EXPECT_ERROR(validate(no_grams), core::ErrorCode::kInvalidArgument);
   PipelineConfig big_gram;
   big_gram.gram_sizes = {5};
-  EXPECT_THROW(validate(big_gram), std::invalid_argument);
+  EXPECT_ERROR(validate(big_gram), core::ErrorCode::kInvalidArgument);
   PipelineConfig bad_walk;
   bad_walk.walk.walks_per_labeling = 0;
-  EXPECT_THROW(validate(bad_walk), std::invalid_argument);
+  EXPECT_ERROR(validate(bad_walk), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Pipeline, FitRequiresCorpus) {
   math::Rng rng(1);
-  EXPECT_THROW((void)FeaturePipeline::fit({}, tiny_config(), rng),
-               std::invalid_argument);
+  EXPECT_ERROR((void)FeaturePipeline::fit({}, tiny_config(), rng),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Pipeline, FitRejectsLabelsPastGramLimitTyped) {
@@ -135,7 +136,7 @@ TEST(Pipeline, CombinedConcatenatesInOrder) {
     EXPECT_FLOAT_EQ(combined[features.dbl[1].size() + i],
                     features.lbl[1][i]);
   }
-  EXPECT_THROW((void)features.combined(99), std::out_of_range);
+  EXPECT_ERROR((void)features.combined(99), core::ErrorCode::kOutOfRange);
 }
 
 TEST(Pipeline, ExtractionIsDeterministicGivenRng) {

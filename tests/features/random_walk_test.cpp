@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "expect_error.h"
 #include "graph/generators.h"
 
 namespace soteria::features {
@@ -50,7 +51,7 @@ TEST(UndirectedView, RowsMatchUndirectedNeighbors) {
 }
 
 TEST(UndirectedView, EmptyCfgThrows) {
-  EXPECT_THROW(UndirectedView(cfg::Cfg{}), std::invalid_argument);
+  EXPECT_ERROR(UndirectedView(cfg::Cfg{}), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(WalkConfig, Validation) {
@@ -58,10 +59,10 @@ TEST(WalkConfig, Validation) {
   EXPECT_NO_THROW(validate(ok));
   WalkConfig bad_len;
   bad_len.length_multiplier = 0.0;
-  EXPECT_THROW(validate(bad_len), std::invalid_argument);
+  EXPECT_ERROR(validate(bad_len), core::ErrorCode::kInvalidArgument);
   WalkConfig bad_walks;
   bad_walks.walks_per_labeling = 0;
-  EXPECT_THROW(validate(bad_walks), std::invalid_argument);
+  EXPECT_ERROR(validate(bad_walks), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(RandomWalk, HasRequestedLengthAndStartsAtEntry) {
@@ -146,13 +147,12 @@ TEST(ApplyLabels, MapsThrough) {
 TEST(ApplyLabels, ThrowsOnShortTable) {
   const std::vector<graph::NodeId> nodes{0, 9};
   const std::vector<cfg::Label> labels{1, 2};
-  EXPECT_THROW((void)apply_labels(nodes, labels), std::out_of_range);
+  EXPECT_ERROR((void)apply_labels(nodes, labels), core::ErrorCode::kOutOfRange);
   // Only the entry has a label; the first step leaves it.
   const std::vector<cfg::Label> entry_only{1};
   math::Rng rng(7);
-  EXPECT_THROW((void)labeled_walks(diamond_cfg(), entry_only, WalkConfig{},
-                                   rng),
-               std::out_of_range);
+  EXPECT_ERROR((void)labeled_walks(diamond_cfg(), entry_only, WalkConfig{},
+                                   rng), core::ErrorCode::kOutOfRange);
 }
 
 TEST(LabeledWalks, ShapeMatchesConfig) {

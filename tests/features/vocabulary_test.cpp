@@ -6,6 +6,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "expect_error.h"
 #include "io/binary_io.h"
 #include "oracles/feature_reference.h"
 #include "soteria/error.h"
@@ -75,9 +76,11 @@ TEST(Vocabulary, TieBrokenByKeyForDeterminism) {
 }
 
 TEST(Vocabulary, BuildValidation) {
-  EXPECT_THROW((void)Vocabulary::build({}, 10), std::invalid_argument);
+  EXPECT_ERROR((void)Vocabulary::build({}, 10),
+               core::ErrorCode::kInvalidArgument);
   std::vector<GramCounts> corpus{make_counts({{{1, 2}, 1}})};
-  EXPECT_THROW((void)Vocabulary::build(corpus, 0), std::invalid_argument);
+  EXPECT_ERROR((void)Vocabulary::build(corpus, 0),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Vocabulary, IdfIsSmoothedLog) {
@@ -151,7 +154,7 @@ TEST(Vocabulary, SaveLoadRoundTrips) {
 TEST(Vocabulary, LoadRejectsTruncatedStream) {
   std::stringstream stream;
   stream.write("junk", 4);
-  EXPECT_THROW((void)Vocabulary::load(stream), std::runtime_error);
+  EXPECT_ERROR((void)Vocabulary::load(stream), core::ErrorCode::kCorruptModel);
 }
 
 TEST(Vocabulary, LoadRejectsDuplicateOrZeroGramKeys) {

@@ -1,19 +1,25 @@
-// End-to-end frontend integration: SoteriaSystem::analyze_image must
-// produce bit-identical verdicts to the CFG-taking path for toy
-// binaries — raw or ELF-wrapped — and decoder identity must separate
+// End-to-end frontend integration: bytes decoded through
+// loader::load_image and a resolved front end must give bit-identical
+// verdicts to the CFG-taking path for toy binaries — raw or
+// ELF-wrapped — and decoder identity must separate
 // the pipeline fingerprint, and with it every feature-store key, so
 // models and stores built under one front end can never serve
 // another's.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cfg/extractor.h"
 #include "dataset/generator.h"
+#include "expect_error.h"
 #include "features/pipeline.h"
+#include "frontend/frontend.h"
 #include "isa/assembler.h"
+#include "loader/elf.h"
 #include "loader/elf_writer.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
@@ -55,6 +61,20 @@ struct FrontendE2E : public ::testing::Test {
 dataset::Dataset* FrontendE2E::data = nullptr;
 SoteriaSystem* FrontendE2E::system = nullptr;
 
+// Bytes to verdict as the CLI and perfbench decode them: load_image
+// tells raw from ELF, `frontend` names a decoder (empty or "auto"
+// detects one), and the CFG it extracts is analyzed.
+Verdict analyze_bytes(const SoteriaSystem& system,
+                      std::span<const std::uint8_t> bytes, std::uint64_t seed,
+                      const std::string& frontend = "") {
+  const loader::Image image = loader::load_image(bytes);
+  const cfg::Cfg cfg =
+      frontend::resolve_frontend(frontend::FrontendRegistry::builtin(), image,
+                                 frontend)
+          .extract(image);
+  return system.analyze(cfg, math::Rng(seed), AnalyzeOptions{});
+}
+
 void expect_same_verdict(const Verdict& a, const Verdict& b) {
   EXPECT_EQ(a.adversarial, b.adversarial);
   EXPECT_EQ(a.reconstruction_error, b.reconstruction_error);
@@ -65,46 +85,32 @@ TEST_F(FrontendE2E, AnalyzeImageMatchesCfgAnalysis) {
   const auto& sample = binary_sample();
   const Verdict via_cfg =
       system->analyze(sample.cfg, math::Rng(123), AnalyzeOptions{});
-  const Verdict via_image = system->analyze_image(sample.binary,
-                                                  math::Rng(123));
+  const Verdict via_image = analyze_bytes(*system, sample.binary, 123);
   expect_same_verdict(via_cfg, via_image);
 }
 
 TEST_F(FrontendE2E, ElfWrappedBinaryMatchesRaw) {
   const auto& sample = binary_sample();
-  const Verdict raw = system->analyze_image(sample.binary, math::Rng(321));
+  const Verdict raw = analyze_bytes(*system, sample.binary, 321);
   for (const loader::ElfClass elf_class :
        {loader::ElfClass::kElf32, loader::ElfClass::kElf64}) {
     loader::ElfWriteOptions options;
     options.elf_class = elf_class;
     const auto elf_bytes = loader::write_elf(sample.binary, options);
-    const Verdict wrapped =
-        system->analyze_image(elf_bytes, math::Rng(321));
+    const Verdict wrapped = analyze_bytes(*system, elf_bytes, 321);
     expect_same_verdict(raw, wrapped);
   }
 }
 
 TEST_F(FrontendE2E, ExplicitFrontendSelection) {
   const auto& sample = binary_sample();
-  AnalyzeOptions toy;
-  toy.frontend = "toy";
-  const Verdict named =
-      system->analyze_image(sample.binary, math::Rng(55), toy);
-  AnalyzeOptions detect;
-  detect.frontend = "auto";
-  const Verdict detected =
-      system->analyze_image(sample.binary, math::Rng(55), detect);
+  const Verdict named = analyze_bytes(*system, sample.binary, 55, "toy");
+  const Verdict detected = analyze_bytes(*system, sample.binary, 55, "auto");
   expect_same_verdict(named, detected);
 
   // Forcing a decoder that rejects the image is a typed error.
-  AnalyzeOptions wrong;
-  wrong.frontend = "x86_64";
-  try {
-    (void)system->analyze_image(sample.binary, math::Rng(55), wrong);
-    FAIL() << "x86_64 must refuse a raw toy image";
-  } catch (const core::Error& e) {
-    EXPECT_EQ(e.code(), core::ErrorCode::kInvalidArgument);
-  }
+  EXPECT_ERROR((void)analyze_bytes(*system, sample.binary, 55, "x86_64"),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST_F(FrontendE2E, MalformedImagesAreTypedErrors) {
@@ -112,18 +118,11 @@ TEST_F(FrontendE2E, MalformedImagesAreTypedErrors) {
   const auto elf_bytes = loader::write_elf(sample.binary);
   const std::vector<std::uint8_t> truncated(elf_bytes.begin(),
                                             elf_bytes.begin() + 30);
-  try {
-    (void)system->analyze_image(truncated, math::Rng(1));
-    FAIL() << "truncated ELF";
-  } catch (const core::Error& e) {
-    EXPECT_EQ(e.code(), core::ErrorCode::kCorruptModel);
-  }
-  try {
-    (void)system->analyze_image(std::vector<std::uint8_t>{}, math::Rng(1));
-    FAIL() << "empty image";
-  } catch (const core::Error& e) {
-    EXPECT_EQ(e.code(), core::ErrorCode::kInvalidArgument);
-  }
+  EXPECT_ERROR((void)analyze_bytes(*system, truncated, 1),
+               core::ErrorCode::kCorruptModel);
+  EXPECT_ERROR(
+      (void)analyze_bytes(*system, std::vector<std::uint8_t>{}, 1),
+      core::ErrorCode::kInvalidArgument);
 }
 
 TEST_F(FrontendE2E, TrainedSystemRecordsFrontend) {
@@ -195,11 +194,11 @@ TEST(FrontendFingerprint, SaveLoadRoundTripsFrontendName) {
 TEST(FrontendFingerprint, EmptyFrontendNameIsInvalid) {
   features::PipelineConfig config;
   config.frontend.clear();
-  EXPECT_THROW(features::validate(config), std::invalid_argument);
+  EXPECT_ERROR(features::validate(config), core::ErrorCode::kInvalidArgument);
 
   SoteriaConfig system_config = tiny_config();
   system_config.pipeline.frontend = "sparc";
-  EXPECT_THROW(validate(system_config), std::invalid_argument);
+  EXPECT_ERROR(validate(system_config), core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // FrontendRegistry contract: registration rules, by-name lookup,
 // magic-byte auto-detection, and the resolve_frontend policy the CLI
-// and SoteriaSystem::analyze_image route through.
+// and perfbench decode binaries through.
 #include "frontend/frontend.h"
 
 #include <gtest/gtest.h>

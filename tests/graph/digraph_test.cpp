@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "expect_error.h"
+
 namespace soteria::graph {
 namespace {
 
@@ -61,12 +63,12 @@ TEST(DiGraph, SelfLoopAllowedAndCountsTwice) {
 
 TEST(DiGraph, InvalidEndpointsThrow) {
   DiGraph g(2);
-  EXPECT_THROW(g.add_edge(0, 2), std::out_of_range);
-  EXPECT_THROW(g.add_edge(2, 0), std::out_of_range);
-  EXPECT_THROW((void)g.has_edge(0, 5), std::out_of_range);
-  EXPECT_THROW((void)g.successors(9), std::out_of_range);
-  EXPECT_THROW((void)g.predecessors(9), std::out_of_range);
-  EXPECT_THROW((void)g.out_degree(9), std::out_of_range);
+  EXPECT_ERROR(g.add_edge(0, 2), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR(g.add_edge(2, 0), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR((void)g.has_edge(0, 5), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR((void)g.successors(9), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR((void)g.predecessors(9), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR((void)g.out_degree(9), core::ErrorCode::kOutOfRange);
 }
 
 TEST(DiGraph, UndirectedNeighborsDeduplicates) {

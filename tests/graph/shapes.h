@@ -5,10 +5,10 @@
 #pragma once
 
 #include <cstddef>
-#include <stdexcept>
 
 #include "graph/digraph.h"
 #include "math/rng.h"
+#include "soteria/error.h"
 
 namespace soteria::graph {
 
@@ -16,7 +16,10 @@ namespace soteria::graph {
 /// for level-labeling tests.
 inline DiGraph chain_graph(std::size_t n, std::size_t back_edges,
                            math::Rng& rng) {
-  if (n == 0) throw std::invalid_argument("chain graph: n must be > 0");
+  if (n == 0) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "chain graph: n must be > 0");
+  }
   DiGraph g(n);
   for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
   for (std::size_t i = 0; i < back_edges && n > 1; ++i) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
 #include "graph/generators.h"
 #include "graph/naive_centrality.h"
 #include "graph/shapes.h"
@@ -42,7 +43,7 @@ TEST(Traversal, UndirectedBfsIgnoresDirection) {
 }
 
 TEST(Traversal, BfsThrowsOnBadSource) {
-  EXPECT_THROW((void)bfs_distances(diamond(), 4), std::out_of_range);
+  EXPECT_ERROR((void)bfs_distances(diamond(), 4), core::ErrorCode::kOutOfRange);
 }
 
 TEST(Traversal, NodeLevelsAreOneBased) {
@@ -100,11 +101,11 @@ TEST(Generators, RandomGraphIsEntryConnected) {
 
 TEST(Generators, RandomGraphValidation) {
   math::Rng rng(4);
-  EXPECT_THROW((void)random_connected_dag_plus(0, 0.1, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)random_connected_dag_plus(5, 1.5, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)chain_graph(0, 0, rng), std::invalid_argument);
+  EXPECT_ERROR((void)random_connected_dag_plus(0, 0.1, rng),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)random_connected_dag_plus(5, 1.5, rng),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)chain_graph(0, 0, rng), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Generators, BinaryTreeShape) {

@@ -9,9 +9,9 @@
 
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
+#include "expect_error.h"
 #include "features/ngram.h"
 #include "math/rng.h"
 #include "oracles/feature_reference.h"
@@ -151,7 +151,8 @@ TEST(RollingCountTest, ShortWalkWithBadLabelStillProducesNothing) {
   count_grams(walk, sizes, counts);
   EXPECT_TRUE(counts.empty());
   const std::vector<std::size_t> unigrams = {1};
-  EXPECT_THROW(count_grams(walk, unigrams, counts), std::invalid_argument);
+  EXPECT_ERROR(count_grams(walk, unigrams, counts),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(FlatGramCounterTest, AccumulatesLikeReferenceAcrossWalks) {
@@ -224,14 +225,16 @@ TEST(GramAutomatonTest, DuplicateOrInvalidKeysThrow) {
   const std::vector<cfg::Label> single = {3};
   const std::vector<GramKey> duplicate = {pack_gram(pair), pack_gram(single),
                                           pack_gram(pair)};
-  EXPECT_THROW((void)GramAutomaton::build(duplicate), std::invalid_argument);
+  EXPECT_ERROR((void)GramAutomaton::build(duplicate),
+               core::ErrorCode::kInvalidArgument);
   // Zero, a length tag past kMaxGramLength, and a label bit outside a
   // 2-gram's two fields.
   for (const GramKey bad :
        {GramKey{0}, GramKey{5} << kGramLengthShift,
         pack_gram(pair) | (GramKey{1} << (2 * kGramLabelBits))}) {
     const std::vector<GramKey> keys = {pack_gram(pair), bad};
-    EXPECT_THROW((void)GramAutomaton::build(keys), std::invalid_argument)
+    EXPECT_ERROR((void)GramAutomaton::build(keys),
+                 core::ErrorCode::kInvalidArgument)
         << bad;
   }
 }

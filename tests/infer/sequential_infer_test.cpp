@@ -9,9 +9,9 @@
 
 #include <bit>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 
+#include "expect_error.h"
 #include "math/rng.h"
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"
@@ -148,11 +148,13 @@ TEST(SequentialInferTest, InferValidatesWidthAndEmptyModel) {
   arch.input_dim = 6;
   arch.hidden_dims = {4};
   const Sequential model = build_autoencoder(arch, rng);
-  EXPECT_THROW((void)model.infer(math::Matrix(1, 5)), std::invalid_argument);
-  EXPECT_THROW((void)model.infer(math::Matrix(0, 7)), std::invalid_argument);
+  EXPECT_ERROR((void)model.infer(math::Matrix(1, 5)),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)model.infer(math::Matrix(0, 7)),
+               core::ErrorCode::kInvalidArgument);
   EXPECT_EQ(model.infer(math::Matrix(0, 6)).rows(), 0U);
-  EXPECT_THROW((void)Sequential{}.infer(math::Matrix(1, 6)),
-               std::logic_error);
+  EXPECT_ERROR((void)Sequential{}.infer(math::Matrix(1, 6)),
+               core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "expect_error.h"
+
 namespace soteria::io {
 namespace {
 
@@ -20,8 +22,8 @@ TEST(BinaryIo, ScalarRoundTrips) {
 TEST(BinaryIo, ScalarTruncationThrows) {
   std::stringstream stream;
   write_scalar<std::uint16_t>(stream, 1);
-  EXPECT_THROW((void)read_scalar<std::uint64_t>(stream),
-               std::runtime_error);
+  EXPECT_ERROR((void)read_scalar<std::uint64_t>(stream),
+               core::ErrorCode::kCorruptModel);
 }
 
 TEST(BinaryIo, VectorRoundTrips) {
@@ -43,13 +45,15 @@ TEST(BinaryIo, VectorTruncationThrows) {
   std::string payload = stream.str();
   payload.resize(payload.size() - 4);
   std::stringstream truncated(payload);
-  EXPECT_THROW((void)read_vector<double>(truncated), std::runtime_error);
+  EXPECT_ERROR((void)read_vector<double>(truncated),
+               core::ErrorCode::kCorruptModel);
 }
 
 TEST(BinaryIo, ImplausibleVectorSizeRejected) {
   std::stringstream stream;
   write_scalar<std::uint64_t>(stream, kMaxContainerElements + 1);
-  EXPECT_THROW((void)read_vector<float>(stream), std::runtime_error);
+  EXPECT_ERROR((void)read_vector<float>(stream),
+               core::ErrorCode::kCorruptModel);
 }
 
 TEST(BinaryIo, StringRoundTrips) {
@@ -71,7 +75,7 @@ TEST(BinaryIo, StringTruncationThrows) {
   std::stringstream stream;
   write_scalar<std::uint64_t>(stream, 100);
   stream.write("short", 5);
-  EXPECT_THROW((void)read_string(stream), std::runtime_error);
+  EXPECT_ERROR((void)read_string(stream), core::ErrorCode::kCorruptModel);
 }
 
 }  // namespace

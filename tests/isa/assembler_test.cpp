@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
+
 namespace soteria::isa {
 namespace {
 
@@ -50,18 +52,19 @@ TEST(Assembler, LabelAtSameInstructionIsZeroMinusOne) {
 TEST(Assembler, UndefinedLabelThrows) {
   AsmProgram p;
   p.emit_branch(Opcode::kJmp, "nowhere");
-  EXPECT_THROW((void)assemble(p), std::invalid_argument);
+  EXPECT_ERROR((void)assemble(p), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Assembler, DuplicateLabelThrowsAtDefinition) {
   AsmProgram p;
   p.define_label("x");
-  EXPECT_THROW(p.define_label("x"), std::invalid_argument);
+  EXPECT_ERROR(p.define_label("x"), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Assembler, BranchWithNonControlFlowOpcodeThrows) {
   AsmProgram p;
-  EXPECT_THROW(p.emit_branch(Opcode::kAdd, "x"), std::invalid_argument);
+  EXPECT_ERROR(p.emit_branch(Opcode::kAdd, "x"),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Assembler, FreshLabelsAreUnique) {
@@ -97,7 +100,7 @@ TEST(Assembler, AppendDetectsLabelCollision) {
   a.define_label("f");
   AsmProgram b;
   b.define_label("f");
-  EXPECT_THROW(a.append(b), std::invalid_argument);
+  EXPECT_ERROR(a.append(b), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Assembler, OffsetOverflowThrows) {
@@ -106,7 +109,7 @@ TEST(Assembler, OffsetOverflowThrows) {
   for (int i = 0; i < 40000; ++i) p.emit(Opcode::kNop);
   p.define_label("far");
   p.emit(Opcode::kHalt);
-  EXPECT_THROW((void)assemble(p), std::out_of_range);
+  EXPECT_ERROR((void)assemble(p), core::ErrorCode::kOutOfRange);
 }
 
 }  // namespace

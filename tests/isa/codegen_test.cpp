@@ -4,6 +4,7 @@
 
 #include "cfg/extractor.h"
 #include "dataset/family_profiles.h"
+#include "expect_error.h"
 #include "graph/traversal.h"
 
 namespace soteria::isa {
@@ -17,26 +18,26 @@ TEST(CodeGenValidate, RejectsBadRanges) {
   CodeGenProfile p;
   p.min_functions = 5;
   p.max_functions = 2;
-  EXPECT_THROW(validate(p), std::invalid_argument);
+  EXPECT_ERROR(validate(p), core::ErrorCode::kInvalidArgument);
 
   p = CodeGenProfile{};
   p.min_constructs = 0;
-  EXPECT_THROW(validate(p), std::invalid_argument);
+  EXPECT_ERROR(validate(p), core::ErrorCode::kInvalidArgument);
 
   p = CodeGenProfile{};
   p.min_switch_cases = 9;
   p.max_switch_cases = 3;
-  EXPECT_THROW(validate(p), std::invalid_argument);
+  EXPECT_ERROR(validate(p), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(CodeGenValidate, RejectsBadProbabilities) {
   CodeGenProfile p;
   p.nest_probability = 1.5;
-  EXPECT_THROW(validate(p), std::invalid_argument);
+  EXPECT_ERROR(validate(p), core::ErrorCode::kInvalidArgument);
 
   p = CodeGenProfile{};
   p.call_probability = -0.1;
-  EXPECT_THROW(validate(p), std::invalid_argument);
+  EXPECT_ERROR(validate(p), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(CodeGenValidate, RejectsDegenerateWeights) {
@@ -45,11 +46,11 @@ TEST(CodeGenValidate, RejectsDegenerateWeights) {
   p.branch_weight = 0.0;
   p.loop_weight = 0.0;
   p.switch_weight = 0.0;
-  EXPECT_THROW(validate(p), std::invalid_argument);
+  EXPECT_ERROR(validate(p), core::ErrorCode::kInvalidArgument);
 
   p = CodeGenProfile{};
   p.loop_weight = -1.0;
-  EXPECT_THROW(validate(p), std::invalid_argument);
+  EXPECT_ERROR(validate(p), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(CodeGen, ProgramAssembles) {

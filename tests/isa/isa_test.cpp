@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
+
 namespace soteria::isa {
 namespace {
 
@@ -61,7 +63,7 @@ TEST(Isa, InvalidOpcodeDecodesToNothing) {
 
 TEST(Isa, DecodeRequiresFourBytes) {
   const std::vector<std::uint8_t> bytes{0x00, 0x00};
-  EXPECT_THROW((void)decode(bytes), std::invalid_argument);
+  EXPECT_ERROR((void)decode(bytes), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Isa, ImmediateIsLittleEndianSigned) {
@@ -95,7 +97,7 @@ TEST(Isa, DisassembleTreatsUnknownWordsAsData) {
 
 TEST(Isa, DisassembleRejectsRaggedImages) {
   const std::vector<std::uint8_t> image{0x00, 0x00, 0x00};
-  EXPECT_THROW((void)disassemble(image), std::invalid_argument);
+  EXPECT_ERROR((void)disassemble(image), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Isa, ToStringShowsAbsoluteTargets) {

@@ -4,6 +4,7 @@
 
 #include "cfg/extractor.h"
 #include "dataset/family_profiles.h"
+#include "expect_error.h"
 #include "isa/codegen.h"
 
 namespace soteria::isa {
@@ -21,13 +22,13 @@ TEST(MutationConfig, Validation) {
   MutationConfig inverted;
   inverted.min_imm_tweaks = 5;
   inverted.max_imm_tweaks = 1;
-  EXPECT_THROW(validate(inverted), std::invalid_argument);
+  EXPECT_ERROR(validate(inverted), core::ErrorCode::kInvalidArgument);
   MutationConfig negative;
   negative.min_diamond_insertions = -1;
-  EXPECT_THROW(validate(negative), std::invalid_argument);
+  EXPECT_ERROR(validate(negative), core::ErrorCode::kInvalidArgument);
   MutationConfig zero_ops;
   zero_ops.min_helper_ops = 0;
-  EXPECT_THROW(validate(zero_ops), std::invalid_argument);
+  EXPECT_ERROR(validate(zero_ops), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Mutate, ResultAlwaysAssembles) {

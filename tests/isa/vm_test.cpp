@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dataset/family_profiles.h"
+#include "expect_error.h"
 #include "isa/assembler.h"
 #include "isa/codegen.h"
 #include "isa/mutate.h"
@@ -28,8 +29,8 @@ TEST(Vm, HaltTerminatesCleanly) {
 }
 
 TEST(Vm, EmptyImageThrows) {
-  EXPECT_THROW((void)execute(std::vector<std::uint8_t>{}),
-               std::invalid_argument);
+  EXPECT_ERROR((void)execute(std::vector<std::uint8_t>{}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Vm, LoopRunsToCompletion) {

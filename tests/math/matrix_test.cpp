@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
 #include "math/rng.h"
 
 namespace soteria::math {
@@ -33,13 +34,13 @@ TEST(Matrix, ValueConstructorRowMajor) {
 }
 
 TEST(Matrix, ValueConstructorSizeMismatchThrows) {
-  EXPECT_THROW(Matrix(2, 2, {1.0F, 2.0F}), std::invalid_argument);
+  EXPECT_ERROR(Matrix(2, 2, {1.0F, 2.0F}), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Matrix, AtThrowsOutOfRange) {
   Matrix m(2, 2);
-  EXPECT_THROW((void)m.at(2, 0), std::out_of_range);
-  EXPECT_THROW((void)m.at(0, 2), std::out_of_range);
+  EXPECT_ERROR((void)m.at(2, 0), core::ErrorCode::kOutOfRange);
+  EXPECT_ERROR((void)m.at(0, 2), core::ErrorCode::kOutOfRange);
   EXPECT_NO_THROW((void)m.at(1, 1));
 }
 
@@ -48,7 +49,7 @@ TEST(Matrix, RowSpanWritesThrough) {
   auto row = m.row(1);
   row[2] = 9.0F;
   EXPECT_FLOAT_EQ(m(1, 2), 9.0F);
-  EXPECT_THROW((void)m.row(2), std::out_of_range);
+  EXPECT_ERROR((void)m.row(2), core::ErrorCode::kOutOfRange);
 }
 
 TEST(Matrix, AddSubtract) {
@@ -63,8 +64,8 @@ TEST(Matrix, AddSubtract) {
 TEST(Matrix, AddShapeMismatchThrows) {
   Matrix a(1, 3);
   const Matrix b(3, 1);
-  EXPECT_THROW(a += b, std::invalid_argument);
-  EXPECT_THROW(a -= b, std::invalid_argument);
+  EXPECT_ERROR(a += b, core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(a -= b, core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Matrix, ScalarScale) {
@@ -106,8 +107,8 @@ TEST(Matmul, MatchesHandComputedProduct) {
 }
 
 TEST(Matmul, ThrowsOnDimensionMismatch) {
-  EXPECT_THROW((void)matmul(Matrix(2, 3), Matrix(2, 3)),
-               std::invalid_argument);
+  EXPECT_ERROR((void)matmul(Matrix(2, 3), Matrix(2, 3)),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Matmul, VariantsAgreeWithExplicitTransposes) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "expect_error.h"
 #include "math/rng.h"
 
 namespace soteria::math {
@@ -85,14 +86,16 @@ TEST(Pca, TransformValidatesWidth) {
   Matrix data(50, 4);
   data.fill_normal(rng, 0.0F, 1.0F);
   const auto pca = Pca::fit(data, 2);
-  EXPECT_THROW((void)pca.transform(Matrix(3, 5)), std::invalid_argument);
+  EXPECT_ERROR((void)pca.transform(Matrix(3, 5)),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Pca, FitValidatesArguments) {
   Matrix data(10, 4, 1.0F);
-  EXPECT_THROW((void)Pca::fit(data, 0), std::invalid_argument);
-  EXPECT_THROW((void)Pca::fit(data, 5), std::invalid_argument);
-  EXPECT_THROW((void)Pca::fit(Matrix(1, 4), 2), std::invalid_argument);
+  EXPECT_ERROR((void)Pca::fit(data, 0), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)Pca::fit(data, 5), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)Pca::fit(Matrix(1, 4), 2),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Pca, DeterministicAcrossCalls) {

@@ -9,6 +9,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "expect_error.h"
+
 namespace soteria::math {
 namespace {
 
@@ -158,7 +160,7 @@ TEST(Rng, UniformIntBoundsInclusive) {
 
 TEST(Rng, UniformIntThrowsOnInvertedRange) {
   Rng rng(1);
-  EXPECT_THROW((void)rng.uniform_int(3, 2), std::invalid_argument);
+  EXPECT_ERROR((void)rng.uniform_int(3, 2), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Rng, IndexStaysInRange) {
@@ -168,7 +170,7 @@ TEST(Rng, IndexStaysInRange) {
 
 TEST(Rng, IndexThrowsOnEmptyRange) {
   Rng rng(1);
-  EXPECT_THROW((void)rng.index(0), std::invalid_argument);
+  EXPECT_ERROR((void)rng.index(0), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Rng, UniformRealRange) {
@@ -182,7 +184,7 @@ TEST(Rng, UniformRealRange) {
 
 TEST(Rng, UniformThrowsOnBadRange) {
   Rng rng(1);
-  EXPECT_THROW((void)rng.uniform(1.0, 1.0), std::invalid_argument);
+  EXPECT_ERROR((void)rng.uniform(1.0, 1.0), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Rng, NormalMoments) {
@@ -203,7 +205,7 @@ TEST(Rng, NormalMoments) {
 
 TEST(Rng, NormalThrowsOnNegativeStddev) {
   Rng rng(1);
-  EXPECT_THROW((void)rng.normal(0.0, -1.0), std::invalid_argument);
+  EXPECT_ERROR((void)rng.normal(0.0, -1.0), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Rng, BernoulliProbability) {
@@ -224,8 +226,8 @@ TEST(Rng, BernoulliExtremes) {
 
 TEST(Rng, BernoulliThrowsOutOfRange) {
   Rng rng(1);
-  EXPECT_THROW((void)rng.bernoulli(-0.1), std::invalid_argument);
-  EXPECT_THROW((void)rng.bernoulli(1.1), std::invalid_argument);
+  EXPECT_ERROR((void)rng.bernoulli(-0.1), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)rng.bernoulli(1.1), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Rng, PositiveGeometricIsPositive) {
@@ -235,8 +237,10 @@ TEST(Rng, PositiveGeometricIsPositive) {
 
 TEST(Rng, PositiveGeometricThrows) {
   Rng rng(1);
-  EXPECT_THROW((void)rng.positive_geometric(0.0), std::invalid_argument);
-  EXPECT_THROW((void)rng.positive_geometric(1.5), std::invalid_argument);
+  EXPECT_ERROR((void)rng.positive_geometric(0.0),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)rng.positive_geometric(1.5),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Rng, ChoicePicksExistingElements) {

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "expect_error.h"
+
 namespace soteria::math {
 namespace {
 
@@ -28,14 +30,17 @@ TEST(Stats, MinMax) {
   const std::vector<double> xs{3.0, -1.0, 7.0};
   EXPECT_DOUBLE_EQ(min(xs), -1.0);
   EXPECT_DOUBLE_EQ(max(xs), 7.0);
-  EXPECT_THROW((void)min(std::vector<double>{}), std::invalid_argument);
-  EXPECT_THROW((void)max(std::vector<double>{}), std::invalid_argument);
+  EXPECT_ERROR((void)min(std::vector<double>{}),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)max(std::vector<double>{}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median(std::vector<double>{3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median(std::vector<double>{4.0, 1.0, 2.0, 3.0}), 2.5);
-  EXPECT_THROW((void)median(std::vector<double>{}), std::invalid_argument);
+  EXPECT_ERROR((void)median(std::vector<double>{}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Stats, PercentileInterpolates) {
@@ -43,10 +48,10 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 10.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 40.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 25.0);
-  EXPECT_THROW((void)percentile(xs, -1.0), std::invalid_argument);
-  EXPECT_THROW((void)percentile(xs, 101.0), std::invalid_argument);
-  EXPECT_THROW((void)percentile(std::vector<double>{}, 50.0),
-               std::invalid_argument);
+  EXPECT_ERROR((void)percentile(xs, -1.0), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)percentile(xs, 101.0), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)percentile(std::vector<double>{}, 50.0),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Stats, PercentileSingleElement) {

@@ -16,7 +16,7 @@
 namespace soteria::nn::testing {
 
 /// The layer's inference kernel on a Matrix batch. Throws
-/// std::invalid_argument if the layer rejects the input width.
+/// core::Error{kInvalidArgument} if the layer rejects the input width.
 inline math::Matrix infer(const Layer& layer, const math::Matrix& input) {
   math::Matrix out(input.rows(), layer.output_dimension(input.cols()));
   layer.infer_into(input.data().data(), input.rows(), input.cols(),
@@ -31,8 +31,8 @@ class LayerHarness {
   explicit LayerHarness(Layer& layer) : layer_(layer) {}
 
   /// train_forward on `input`; runs in place (over a copy of `input`)
-  /// when the layer trains in place. Throws std::invalid_argument if
-  /// the layer rejects the input width.
+  /// when the layer trains in place. Throws core::Error{kInvalidArgument}
+  /// if the layer rejects the input width.
   math::Matrix forward(const math::Matrix& input) {
     const std::size_t out_width = layer_.output_dimension(input.cols());
     layer_.reserve_training(input.rows(), input.cols(), state_);

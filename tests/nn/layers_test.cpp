@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "expect_error.h"
 #include "gradient_check.h"
 #include "math/rng.h"
 #include "nn/activations.h"
@@ -44,17 +45,18 @@ TEST(Dense, ForwardIsAffine) {
 
 TEST(Dense, RejectsZeroDims) {
   math::Rng rng(1);
-  EXPECT_THROW(Dense(0, 3, rng), std::invalid_argument);
-  EXPECT_THROW(Dense(3, 0, rng), std::invalid_argument);
+  EXPECT_ERROR(Dense(0, 3, rng), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(Dense(3, 0, rng), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Dense, RejectsWrongInputWidth) {
   math::Rng rng(1);
   Dense layer(4, 2, rng);
-  EXPECT_THROW((void)infer(layer, math::Matrix(1, 3)),
-               std::invalid_argument);
+  EXPECT_ERROR((void)infer(layer, math::Matrix(1, 3)),
+               core::ErrorCode::kInvalidArgument);
   EXPECT_EQ(layer.output_dimension(4), 2U);
-  EXPECT_THROW((void)layer.output_dimension(5), std::invalid_argument);
+  EXPECT_ERROR((void)layer.output_dimension(5),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Dense, InputGradientMatchesNumeric) {
@@ -166,7 +168,8 @@ TEST(Conv1d, MultiChannelShapes) {
   Conv1d conv(3, 10, 5, 3, rng);
   EXPECT_EQ(conv.out_length(), 8U);
   EXPECT_EQ(conv.output_dimension(30), 40U);
-  EXPECT_THROW((void)conv.output_dimension(29), std::invalid_argument);
+  EXPECT_ERROR((void)conv.output_dimension(29),
+               core::ErrorCode::kInvalidArgument);
   const auto out = infer(conv, random_batch(2, 30, 12));
   EXPECT_EQ(out.rows(), 2U);
   EXPECT_EQ(out.cols(), 40U);
@@ -174,11 +177,11 @@ TEST(Conv1d, MultiChannelShapes) {
 
 TEST(Conv1d, Validation) {
   math::Rng rng(13);
-  EXPECT_THROW(Conv1d(0, 4, 1, 2, rng), std::invalid_argument);
-  EXPECT_THROW(Conv1d(1, 4, 1, 5, rng), std::invalid_argument);
+  EXPECT_ERROR(Conv1d(0, 4, 1, 2, rng), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(Conv1d(1, 4, 1, 5, rng), core::ErrorCode::kInvalidArgument);
   Conv1d conv(1, 4, 1, 2, rng);
-  EXPECT_THROW((void)infer(conv, math::Matrix(1, 5)),
-               std::invalid_argument);
+  EXPECT_ERROR((void)infer(conv, math::Matrix(1, 5)),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Conv1d, InputGradientMatchesNumeric) {
@@ -237,11 +240,11 @@ TEST(MaxPool1d, MultiChannelIndependence) {
 }
 
 TEST(MaxPool1d, Validation) {
-  EXPECT_THROW(MaxPool1d(0, 4, 2), std::invalid_argument);
-  EXPECT_THROW(MaxPool1d(1, 4, 5), std::invalid_argument);
+  EXPECT_ERROR(MaxPool1d(0, 4, 2), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(MaxPool1d(1, 4, 5), core::ErrorCode::kInvalidArgument);
   MaxPool1d pool(1, 4, 2);
-  EXPECT_THROW((void)infer(pool, math::Matrix(1, 5)),
-               std::invalid_argument);
+  EXPECT_ERROR((void)infer(pool, math::Matrix(1, 5)),
+               core::ErrorCode::kInvalidArgument);
 }
 
 // -------------------------------------------------------------- Dropout
@@ -295,8 +298,8 @@ TEST(Dropout, ZeroRateIsIdentityEvenInTraining) {
 
 TEST(Dropout, RateValidation) {
   math::Rng rng(26);
-  EXPECT_THROW(Dropout(-0.1, rng), std::invalid_argument);
-  EXPECT_THROW(Dropout(1.0, rng), std::invalid_argument);
+  EXPECT_ERROR(Dropout(-0.1, rng), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(Dropout(1.0, rng), core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "expect_error.h"
+
 namespace soteria::nn {
 namespace {
 
@@ -83,9 +85,9 @@ TEST(SoftmaxCrossEntropy, Validation) {
   const float logits[6] = {};
   float gradient[6];
   const std::vector<std::size_t> bad_label{0, 3};
-  EXPECT_THROW(
+  EXPECT_ERROR(
       (void)softmax_cross_entropy_into(logits, 3, bad_label, gradient),
-      std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(RowRmse, PerRowValues) {
@@ -98,8 +100,8 @@ TEST(RowRmse, PerRowValues) {
 }
 
 TEST(RowRmse, ShapeMismatchThrows) {
-  EXPECT_THROW((void)row_rmse(math::Matrix(1, 2), math::Matrix(1, 3)),
-               std::invalid_argument);
+  EXPECT_ERROR((void)row_rmse(math::Matrix(1, 2), math::Matrix(1, 3)),
+               core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

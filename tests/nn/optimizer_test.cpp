@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "expect_error.h"
+
 namespace soteria::nn {
 namespace {
 
@@ -41,8 +43,8 @@ TEST(Adam, FirstStepSizeIsLearningRate) {
 }
 
 TEST(Adam, Validation) {
-  EXPECT_THROW(Adam(0.0), std::invalid_argument);
-  EXPECT_THROW(Adam(-0.1), std::invalid_argument);
+  EXPECT_ERROR(Adam(0.0), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(Adam(-0.1), core::ErrorCode::kInvalidArgument);
   EXPECT_DOUBLE_EQ(Adam(0.25).learning_rate(), 0.25);
 }
 
@@ -52,16 +54,16 @@ TEST(Adam, RejectsChangedParameterList) {
   const std::vector<ParamRef> one{{&a, &ga}};
   adam.step(one);
   const std::vector<ParamRef> two{{&a, &ga}, {&b, &gb}};
-  EXPECT_THROW(adam.step(two), std::invalid_argument);
+  EXPECT_ERROR(adam.step(two), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Adam, RejectsNullAndMismatchedRefs) {
   Adam adam(0.1);
   math::Matrix a(1, 2), wrong_grad(1, 3);
   const std::vector<ParamRef> null_ref{{&a, nullptr}};
-  EXPECT_THROW(adam.step(null_ref), std::invalid_argument);
+  EXPECT_ERROR(adam.step(null_ref), core::ErrorCode::kInvalidArgument);
   const std::vector<ParamRef> mismatched{{&a, &wrong_grad}};
-  EXPECT_THROW(adam.step(mismatched), std::invalid_argument);
+  EXPECT_ERROR(adam.step(mismatched), core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <vector>
 
+#include "expect_error.h"
 #include "nn/activations.h"
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"
@@ -37,15 +38,18 @@ TEST(Sequential, ForwardChainsLayers) {
 
 TEST(Sequential, EmptyModelThrows) {
   Sequential model;
-  EXPECT_THROW((void)model.infer(math::Matrix(1, 1)), std::logic_error);
-  EXPECT_THROW(TrainingWorkspace(model, 1, 1), std::logic_error);
-  EXPECT_THROW(model.add(nullptr), std::invalid_argument);
+  EXPECT_ERROR((void)model.infer(math::Matrix(1, 1)),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(TrainingWorkspace(model, 1, 1),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(model.add(nullptr), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Sequential, OutputDimensionValidatesChain) {
   const auto model = two_layer(3);
   EXPECT_EQ(model.output_dimension(4), 2U);
-  EXPECT_THROW((void)model.output_dimension(5), std::invalid_argument);
+  EXPECT_ERROR((void)model.output_dimension(5),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Sequential, ParametersInStableOrder) {
@@ -88,14 +92,14 @@ TEST(Sequential, LoadRejectsWrongArchitecture) {
   math::Rng rng(9);
   Sequential other;
   other.emplace<Dense>(4, 4, rng);
-  EXPECT_THROW(other.load_parameters(stream), std::runtime_error);
+  EXPECT_ERROR(other.load_parameters(stream), core::ErrorCode::kCorruptModel);
 }
 
 TEST(Sequential, LoadRejectsGarbage) {
   std::stringstream stream;
   stream.write("garbage!", 8);
   auto model = two_layer(10);
-  EXPECT_THROW(model.load_parameters(stream), std::runtime_error);
+  EXPECT_ERROR(model.load_parameters(stream), core::ErrorCode::kCorruptModel);
 }
 
 // Copies `input` into the workspace and returns the training output.
@@ -204,15 +208,18 @@ TEST(TrainingWorkspace, ShortBatchUsesAPrefixAndMatchesInfer) {
 
 TEST(TrainingWorkspace, RejectsBadShapes) {
   auto model = two_layer(24);
-  EXPECT_THROW(TrainingWorkspace(model, 5, 4), std::invalid_argument);
-  EXPECT_THROW(TrainingWorkspace(model, 4, 0), std::invalid_argument);
+  EXPECT_ERROR(TrainingWorkspace(model, 5, 4),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR(TrainingWorkspace(model, 4, 0),
+               core::ErrorCode::kInvalidArgument);
   TrainingWorkspace workspace(model, 4, 4);
   EXPECT_EQ(workspace.input_width(), 4U);
   EXPECT_EQ(workspace.output_width(), 2U);
   const std::vector<float> grad(8, 1.0F);
-  EXPECT_THROW((void)workspace.backward(grad.data()), std::logic_error);
-  EXPECT_THROW((void)workspace.forward(0), std::invalid_argument);
-  EXPECT_THROW((void)workspace.forward(5), std::invalid_argument);
+  EXPECT_ERROR((void)workspace.backward(grad.data()),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)workspace.forward(0), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)workspace.forward(5), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Autoencoder, BuildsPaperShape) {
@@ -240,16 +247,16 @@ TEST(Autoencoder, WidthScaleShrinksHiddenLayers) {
 TEST(Autoencoder, ConfigValidation) {
   AutoencoderConfig bad;
   bad.input_dim = 0;
-  EXPECT_THROW(validate(bad), std::invalid_argument);
+  EXPECT_ERROR(validate(bad), core::ErrorCode::kInvalidArgument);
   bad = AutoencoderConfig{};
   bad.hidden_dims.clear();
-  EXPECT_THROW(validate(bad), std::invalid_argument);
+  EXPECT_ERROR(validate(bad), core::ErrorCode::kInvalidArgument);
   bad = AutoencoderConfig{};
   bad.width_scale = 0.0;
-  EXPECT_THROW(validate(bad), std::invalid_argument);
+  EXPECT_ERROR(validate(bad), core::ErrorCode::kInvalidArgument);
   bad = AutoencoderConfig{};
   bad.hidden_dims = {0};
-  EXPECT_THROW(validate(bad), std::invalid_argument);
+  EXPECT_ERROR(validate(bad), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Cnn, BuildsAndValidates) {
@@ -279,13 +286,13 @@ TEST(Cnn, PaperArchitectureShape) {
 TEST(Cnn, ConfigValidation) {
   CnnConfig bad;
   bad.input_length = 0;
-  EXPECT_THROW(validate(bad), std::invalid_argument);
+  EXPECT_ERROR(validate(bad), core::ErrorCode::kInvalidArgument);
   bad = CnnConfig{};
   bad.input_length = 8;  // too short for two conv blocks + pooling
-  EXPECT_THROW(validate(bad), std::invalid_argument);
+  EXPECT_ERROR(validate(bad), core::ErrorCode::kInvalidArgument);
   bad = CnnConfig{};
   bad.conv_dropout = 1.0;
-  EXPECT_THROW(validate(bad), std::invalid_argument);
+  EXPECT_ERROR(validate(bad), core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

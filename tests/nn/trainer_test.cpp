@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_error.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
@@ -14,10 +15,10 @@ TEST(TrainConfig, Validation) {
   EXPECT_NO_THROW(validate(TrainConfig{}));
   TrainConfig zero_epochs;
   zero_epochs.epochs = 0;
-  EXPECT_THROW(validate(zero_epochs), std::invalid_argument);
+  EXPECT_ERROR(validate(zero_epochs), core::ErrorCode::kInvalidArgument);
   TrainConfig zero_batch;
   zero_batch.batch_size = 0;
-  EXPECT_THROW(validate(zero_batch), std::invalid_argument);
+  EXPECT_ERROR(validate(zero_batch), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(TrainConfig, FactorySetsFields) {
@@ -51,10 +52,10 @@ TEST(TrainRegression, RowCountMismatchThrows) {
   Sequential model;
   model.emplace<Dense>(2, 1, rng);
   Adam optimizer(0.01);
-  EXPECT_THROW((void)train_regression(model, math::Matrix(4, 2),
+  EXPECT_ERROR((void)train_regression(model, math::Matrix(4, 2),
                                       math::Matrix(3, 1), optimizer,
                                       TrainConfig{}, rng),
-               std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(TrainRegression, EmptyDatasetThrows) {
@@ -62,10 +63,10 @@ TEST(TrainRegression, EmptyDatasetThrows) {
   Sequential model;
   model.emplace<Dense>(2, 1, rng);
   Adam optimizer(0.01);
-  EXPECT_THROW((void)train_regression(model, math::Matrix(0, 2),
+  EXPECT_ERROR((void)train_regression(model, math::Matrix(0, 2),
                                       math::Matrix(0, 1), optimizer,
                                       TrainConfig{}, rng),
-               std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(TrainClassifier, LearnsSeparableBlobs) {
@@ -123,7 +124,7 @@ TEST(GatherRows, CopiesSelectedRows) {
   EXPECT_FLOAT_EQ(gathered(0, 0), 5.0F);
   EXPECT_FLOAT_EQ(gathered(1, 1), 2.0F);
   const std::vector<std::size_t> bad{7};
-  EXPECT_THROW((void)gather_rows(m, bad), std::out_of_range);
+  EXPECT_ERROR((void)gather_rows(m, bad), core::ErrorCode::kOutOfRange);
 }
 
 }  // namespace

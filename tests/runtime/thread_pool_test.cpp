@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "expect_error.h"
+
 namespace soteria::runtime {
 namespace {
 
@@ -28,7 +30,8 @@ TEST(ResolveThreads, LiteralOtherwise) {
 }
 
 TEST(ThreadPool, RejectsAbsurdThreadCounts) {
-  EXPECT_THROW(ThreadPool pool(kMaxThreads + 1), std::invalid_argument);
+  EXPECT_ERROR(ThreadPool pool(kMaxThreads + 1),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(ThreadPool, ReportsThreadCount) {
@@ -169,9 +172,9 @@ TEST(ParallelMap, MemberVersionMatchesFree) {
 }
 
 TEST(FreeParallelFor, RejectsAbsurdThreadCounts) {
-  EXPECT_THROW(
+  EXPECT_ERROR(
       parallel_for(kMaxThreads + 1, 10, [](std::size_t) {}),
-      std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(FreeParallelFor, SingleIndexRunsInline) {

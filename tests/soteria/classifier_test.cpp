@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "expect_error.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
 #include "soteria/error.h"
@@ -69,9 +70,9 @@ TEST(PackRows, BuildsMatrixAndValidates) {
   const auto m = pack_rows({{1.0F, 2.0F}, {3.0F, 4.0F}});
   EXPECT_EQ(m.rows(), 2U);
   EXPECT_FLOAT_EQ(m(1, 0), 3.0F);
-  EXPECT_THROW((void)pack_rows({}), std::invalid_argument);
-  EXPECT_THROW((void)pack_rows({{1.0F}, {1.0F, 2.0F}}),
-               std::invalid_argument);
+  EXPECT_ERROR((void)pack_rows({}), core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)pack_rows({{1.0F}, {1.0F, 2.0F}}),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(FamilyClassifier, LearnsSyntheticClasses) {
@@ -112,16 +113,16 @@ TEST(FamilyClassifier, TrainValidation) {
   math::Rng rng(5);
   LabeledVectors empty;
   const auto good = make_training(4, 6);
-  EXPECT_THROW((void)FamilyClassifier::train(empty, good, tiny_cnn(),
+  EXPECT_ERROR((void)FamilyClassifier::train(empty, good, tiny_cnn(),
                                              nn::make_train_config(1, 4),
                                              1e-3, rng),
-               std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
   LabeledVectors mismatched = make_training(4, 7);
   mismatched.labels.pop_back();
-  EXPECT_THROW((void)FamilyClassifier::train(mismatched, good, tiny_cnn(),
+  EXPECT_ERROR((void)FamilyClassifier::train(mismatched, good, tiny_cnn(),
                                              nn::make_train_config(1, 4),
                                              1e-3, rng),
-               std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(FamilyClassifier, SaveLoadRoundTripsPredictions) {

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "expect_error.h"
 #include "soteria/error.h"
 
 namespace soteria::core {
@@ -77,46 +78,46 @@ TEST(AeDetector, SetAlphaRederivesThreshold) {
   EXPECT_DOUBLE_EQ(detector.threshold(), mean);
   detector.set_alpha(2.0);
   EXPECT_DOUBLE_EQ(detector.threshold(), mean + 2.0 * stddev);
-  EXPECT_THROW(detector.set_alpha(-0.5), std::invalid_argument);
+  EXPECT_ERROR(detector.set_alpha(-0.5), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(AeDetector, TrainValidation) {
   math::Rng rng(7);
   const auto good = cluster(16, 1.0F, 8);
   const auto calibration = cluster(8, 1.0F, 9);
-  EXPECT_THROW((void)AeDetector::train(math::Matrix{}, calibration,
+  EXPECT_ERROR((void)AeDetector::train(math::Matrix{}, calibration,
                                        tiny_arch(),
                                        nn::make_train_config(1, 4), 1.0,
                                        1e-2, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)AeDetector::train(good, math::Matrix(8, 3),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)AeDetector::train(good, math::Matrix(8, 3),
                                        tiny_arch(),
                                        nn::make_train_config(1, 4), 1.0,
                                        1e-2, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)AeDetector::train(good, cluster(2, 1.0F, 10),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)AeDetector::train(good, cluster(2, 1.0F, 10),
                                        tiny_arch(),
                                        nn::make_train_config(1, 4), 1.0,
                                        1e-2, rng),
-               std::invalid_argument);
-  EXPECT_THROW((void)AeDetector::train(good, calibration, tiny_arch(),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)AeDetector::train(good, calibration, tiny_arch(),
                                        nn::make_train_config(1, 4), -1.0,
                                        1e-2, rng),
-               std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(AeDetector, ScoresValidateWidth) {
   auto detector = trained_detector();
-  EXPECT_THROW((void)detector.scores(math::Matrix(2, 7)),
-               std::invalid_argument);
-  EXPECT_THROW((void)detector.sample_error(math::Matrix(0, 24)),
-               std::invalid_argument);
+  EXPECT_ERROR((void)detector.scores(math::Matrix(2, 7)),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)detector.sample_error(math::Matrix(0, 24)),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(AeDetector, UntrainedDetectorThrows) {
   AeDetector detector;
-  EXPECT_THROW((void)detector.scores(math::Matrix(1, 4)),
-               std::logic_error);
+  EXPECT_ERROR((void)detector.scores(math::Matrix(1, 4)),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(AeDetector, TrainingLossDecreases) {
@@ -141,7 +142,8 @@ TEST(AeDetector, SaveLoadRoundTripsScores) {
 TEST(AeDetector, LoadRejectsGarbage) {
   std::stringstream stream;
   stream.write("nonsense", 8);
-  EXPECT_THROW((void)AeDetector::load(stream, 24), std::runtime_error);
+  EXPECT_ERROR((void)AeDetector::load(stream, 24),
+               core::ErrorCode::kCorruptModel);
 }
 
 TEST(AeDetector, LoadRejectsOtherInputWidth) {
@@ -185,24 +187,23 @@ TEST(AeDetector, DegenerateCalibrationYieldsMeanThreshold) {
 TEST(AeDetector, EmptyCalibrationSetIsRejected) {
   math::Rng rng(14);
   const auto train = cluster(16, 1.0F, 15);
-  EXPECT_THROW(
+  EXPECT_ERROR(
       {
         try {
           (void)AeDetector::train(train, math::Matrix(0, 24), tiny_arch(),
                                   nn::make_train_config(1, 4), 1.0, 1e-2,
                                   rng);
-        } catch (const std::invalid_argument& e) {
+        } catch (const core::Error& e) {
           EXPECT_NE(std::string(e.what()).find("empty calibration set"),
                     std::string::npos);
           throw;
         }
-      },
-      std::invalid_argument);
+      }, core::ErrorCode::kInvalidArgument);
   // A default-constructed (0 x 0) matrix hits the same guard.
-  EXPECT_THROW((void)AeDetector::train(train, math::Matrix{}, tiny_arch(),
+  EXPECT_ERROR((void)AeDetector::train(train, math::Matrix{}, tiny_arch(),
                                        nn::make_train_config(1, 4), 1.0,
                                        1e-2, rng),
-               std::invalid_argument);
+               core::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "cfg/gea.h"
 #include "dataset/adversarial.h"
 #include "dataset/generator.h"
+#include "expect_error.h"
 #include "soteria/presets.h"
 
 namespace soteria::core {
@@ -153,7 +154,7 @@ TEST_F(SystemFixture, LoadRejectsBadMagic) {
   std::string bytes = save_system(*system);
   bytes[0] = static_cast<char>(~bytes[0]);
   std::istringstream in(bytes);
-  EXPECT_THROW((void)SoteriaSystem::load(in), std::runtime_error);
+  EXPECT_ERROR((void)SoteriaSystem::load(in), core::ErrorCode::kCorruptModel);
 }
 
 TEST_F(SystemFixture, LoadRejectsTruncatedStreams) {
@@ -163,7 +164,7 @@ TEST_F(SystemFixture, LoadRejectsTruncatedStreams) {
        {std::size_t{0}, std::size_t{3}, bytes.size() / 4, bytes.size() / 2,
         3 * bytes.size() / 4, bytes.size() - 1}) {
     std::istringstream in(bytes.substr(0, cut));
-    EXPECT_THROW((void)SoteriaSystem::load(in), std::runtime_error)
+    EXPECT_ERROR((void)SoteriaSystem::load(in), core::ErrorCode::kCorruptModel)
         << "truncated to " << cut << " of " << bytes.size() << " bytes";
   }
 }
@@ -174,7 +175,7 @@ TEST_F(SystemFixture, LoadRejectsImplausibleContainerSize) {
   // sits 24 bytes in (length_multiplier + walks + top_k).
   const std::string bytes = save_system(*system);
   std::istringstream in(corrupt_bytes(bytes, 44 + 24));
-  EXPECT_THROW((void)SoteriaSystem::load(in), std::runtime_error);
+  EXPECT_ERROR((void)SoteriaSystem::load(in), core::ErrorCode::kCorruptModel);
 }
 
 TEST_F(SystemFixture, PipelineLoadRejectsCorruptStreams) {
@@ -183,14 +184,14 @@ TEST_F(SystemFixture, PipelineLoadRejectsCorruptStreams) {
   const std::string bytes = stream.str();
 
   std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW((void)features::FeaturePipeline::load(truncated),
-               std::runtime_error);
+  EXPECT_ERROR((void)features::FeaturePipeline::load(truncated),
+               core::ErrorCode::kCorruptModel);
 
   // gram_sizes length prefix at offset 24 (after length_multiplier,
   // walks_per_labeling, top_k).
   std::istringstream corrupted(corrupt_bytes(bytes, 24));
-  EXPECT_THROW((void)features::FeaturePipeline::load(corrupted),
-               std::runtime_error);
+  EXPECT_ERROR((void)features::FeaturePipeline::load(corrupted),
+               core::ErrorCode::kCorruptModel);
 }
 
 TEST_F(SystemFixture, DetectorLoadRejectsCorruptStreams) {
@@ -200,11 +201,13 @@ TEST_F(SystemFixture, DetectorLoadRejectsCorruptStreams) {
 
   const std::size_t width = system->pipeline().combined_dimension();
   std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW((void)AeDetector::load(truncated, width), std::runtime_error);
+  EXPECT_ERROR((void)AeDetector::load(truncated, width),
+               core::ErrorCode::kCorruptModel);
 
   // hidden_dims length prefix at offset 8 (after input_dim).
   std::istringstream corrupted(corrupt_bytes(bytes, 8));
-  EXPECT_THROW((void)AeDetector::load(corrupted, width), std::runtime_error);
+  EXPECT_ERROR((void)AeDetector::load(corrupted, width),
+               core::ErrorCode::kCorruptModel);
 }
 
 TEST_F(SystemFixture, ClassifierLoadRejectsCorruptStreams) {
@@ -215,14 +218,14 @@ TEST_F(SystemFixture, ClassifierLoadRejectsCorruptStreams) {
   const std::size_t dbl = system->pipeline().dbl_vocabulary().size();
   const std::size_t lbl = system->pipeline().lbl_vocabulary().size();
   std::istringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_THROW((void)FamilyClassifier::load(truncated, dbl, lbl),
-               std::runtime_error);
+  EXPECT_ERROR((void)FamilyClassifier::load(truncated, dbl, lbl),
+               core::ErrorCode::kCorruptModel);
 
   // The DBL model's parameter stream starts after the two 56-byte
   // architecture blocks; clobbering its magic must be rejected.
   std::istringstream corrupted(corrupt_bytes(bytes, 112, 4));
-  EXPECT_THROW((void)FamilyClassifier::load(corrupted, dbl, lbl),
-               std::runtime_error);
+  EXPECT_ERROR((void)FamilyClassifier::load(corrupted, dbl, lbl),
+               core::ErrorCode::kCorruptModel);
 }
 
 // A stream whose nets do not take the widths its own pipeline produces
@@ -259,33 +262,70 @@ TEST_F(SystemFixture, LoadRejectsNetsOfAnotherPipeline) {
   }
 }
 
+// Hostile model bytes. Each stream a one-byte flip or a truncation
+// makes of a saved model either loads or fails with exactly
+// Error{kCorruptModel}: no other exception type escapes, and a flipped
+// length or width never makes the loader allocate more than the stream
+// holds. Every truncation must fail, since the stream ends with weights.
+// Every third byte: 3 is coprime with the 4- and 8-byte fields, so each
+// of them, at any offset, takes at least one flip and one cut.
+TEST_F(SystemFixture, LoadSurvivesByteFlipsAndTruncation) {
+  const std::string bytes = save_system(*system);
+  const auto load_outcome = [](const std::string& stream_bytes) {
+    std::istringstream in(stream_bytes);
+    try {
+      (void)SoteriaSystem::load(in);
+      return std::string("loaded");
+    } catch (const Error& e) {
+      return std::string(error_code_name(e.code()));
+    } catch (const std::exception& e) {
+      return std::string("untyped: ") + e.what();
+    }
+  };
+  std::size_t loaded = 0;
+  for (std::size_t i = 0; i < bytes.size(); i += 3) {
+    std::string flipped = bytes;
+    flipped[i] = static_cast<char>(~flipped[i]);
+    const std::string outcome = load_outcome(flipped);
+    if (outcome == "loaded") {
+      ++loaded;
+    } else {
+      EXPECT_EQ(outcome, "CorruptModel") << "byte " << i << " flipped";
+    }
+    EXPECT_EQ(load_outcome(bytes.substr(0, i)), "CorruptModel")
+        << "truncated to " << i << " bytes";
+  }
+  // Most flips land in weights and load as another model.
+  EXPECT_GT(loaded, 0U);
+}
+
 TEST(SoteriaConfigValidation, CatchesBadKnobs) {
   SoteriaConfig config = tiny_config();
   EXPECT_NO_THROW(validate(config));
   config.detector_alpha = -1.0;
-  EXPECT_THROW(validate(config), std::invalid_argument);
+  EXPECT_ERROR(validate(config), core::ErrorCode::kInvalidArgument);
 
   config = tiny_config();
   config.classifier_learning_rate = 0.0;
-  EXPECT_THROW(validate(config), std::invalid_argument);
+  EXPECT_ERROR(validate(config), core::ErrorCode::kInvalidArgument);
 
   config = tiny_config();
   config.training_vectors_per_sample =
       config.pipeline.walk.walks_per_labeling + 1;
-  EXPECT_THROW(validate(config), std::invalid_argument);
+  EXPECT_ERROR(validate(config), core::ErrorCode::kInvalidArgument);
 
   config = tiny_config();
   config.calibration_fraction = 0.0;
-  EXPECT_THROW(validate(config), std::invalid_argument);
+  EXPECT_ERROR(validate(config), core::ErrorCode::kInvalidArgument);
 
   config = tiny_config();
   config.num_threads = runtime::kMaxThreads + 1;
-  EXPECT_THROW(validate(config), std::invalid_argument);
+  EXPECT_ERROR(validate(config), core::ErrorCode::kInvalidArgument);
 }
 
 TEST(SoteriaSystemTrain, RejectsEmptyTrainingSet) {
-  EXPECT_THROW((void)SoteriaSystem::train({}, tiny_config()),
-               std::invalid_argument);
+  EXPECT_ERROR((void)SoteriaSystem::train({}, tiny_config()),
+               core::ErrorCode::kInvalidArgument);
 }
 
 TEST(Presets, AllValidate) {
@@ -312,7 +352,7 @@ TEST(Presets, PaperConfigMatchesPublication) {
 
 TEST(PooledMatrix, ValidatesBundle) {
   features::SampleFeatures empty;
-  EXPECT_THROW((void)pooled_matrix(empty), std::invalid_argument);
+  EXPECT_ERROR((void)pooled_matrix(empty), core::ErrorCode::kInvalidArgument);
   features::SampleFeatures ok;
   ok.pooled_dbl = {1.0F, 2.0F};
   ok.pooled_lbl = {3.0F};
