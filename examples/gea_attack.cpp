@@ -83,13 +83,13 @@ int main(int argc, char** argv) {
   std::printf("\n--- GEA combination (Fig. 1c / Fig. 4b,d) ---\n");
   print_labeling(gea.combined, "combined CFG");
   std::printf("shared entry = node %zu, shared exit = node %zu\n",
-              gea.shared_entry, gea.shared_exit);
+              gea.combined.entry(), gea.shared_exit);
   std::printf("original blocks now live at ids %zu..%zu, target blocks at "
               "%zu..%zu\n",
               gea.original_offset,
               gea.original_offset + malware_cfg.node_count() - 1,
-              gea.target_offset,
-              gea.target_offset + benign_cfg.node_count() - 1);
+              gea.target_offsets[0],
+              gea.target_offsets[0] + benign_cfg.node_count() - 1);
 
   // Show the label perturbation: how many of the original sample's
   // blocks kept their DBL label after the merge?

@@ -11,7 +11,6 @@ namespace soteria::attack {
 namespace {
 
 constexpr std::uint8_t kGuardRegister = 15;
-constexpr std::size_t kGuardCount = 3;
 
 void require_image(std::span<const std::uint8_t> image, const char* what) {
   if (image.empty() || image.size() % isa::kInstructionSize != 0) {
@@ -109,38 +108,10 @@ bool reads_imm_register(isa::Opcode op) noexcept {
 
 }  // namespace
 
-BinaryGeaResult binary_gea(std::span<const std::uint8_t> original,
-                           std::span<const std::uint8_t> target) {
-  require_image(original, "binary_gea (original)");
-  require_image(target, "binary_gea (target)");
-
-  const std::size_t original_count =
-      original.size() / isa::kInstructionSize;
-  // Guard: r15 = 0; cmpi r15, 1; jz +original_count (into the target).
-  // r15 != 1, so the jump is never taken and the original side runs —
-  // yet both sides are statically reachable from the entry block.
-  const std::int16_t jump = checked_offset(
-      static_cast<long long>(original_count), "binary_gea");
-
-  BinaryGeaResult result;
-  result.guard_instructions = kGuardCount;
-  result.guard_index = 0;
-  result.original_offset = kGuardCount;
-  result.target_offset = kGuardCount + original_count;
-
-  result.image.reserve(kGuardCount * isa::kInstructionSize +
-                       original.size() + target.size());
-  emit_guard(result.image, jump);
-  result.image.insert(result.image.end(), original.begin(),
-                      original.end());
-  result.image.insert(result.image.end(), target.begin(), target.end());
-  return result;
-}
-
-BinaryGeaResult binary_gea_at(std::span<const std::uint8_t> original,
-                              std::span<const std::uint8_t> target,
-                              std::size_t insert_instruction,
-                              std::uint8_t guard_register) {
+std::vector<std::uint8_t> binary_gea_at(
+    std::span<const std::uint8_t> original,
+    std::span<const std::uint8_t> target, std::size_t insert_instruction,
+    std::uint8_t guard_register) {
   require_image(original, "binary_gea_at (original)");
   require_image(target, "binary_gea_at (target)");
   if (guard_register >= isa::kRegisterCount) {
@@ -201,69 +172,54 @@ BinaryGeaResult binary_gea_at(std::span<const std::uint8_t> original,
       static_cast<long long>(count) - static_cast<long long>(p),
       "binary_gea_at");
 
-  BinaryGeaResult result;
-  result.guard_instructions = kGuardCount;
-  result.guard_index = p;
-  result.original_offset = 0;
-  result.target_offset = count + kGuardCount;
-
   const std::size_t split = p * isa::kInstructionSize;
-  result.image.reserve(patched.size() +
-                       kGuardCount * isa::kInstructionSize + target.size());
-  result.image.insert(result.image.end(), patched.begin(),
-                      patched.begin() + static_cast<std::ptrdiff_t>(split));
-  emit_guard(result.image, jump, guard_register);
-  result.image.insert(result.image.end(),
-                      patched.begin() + static_cast<std::ptrdiff_t>(split),
-                      patched.end());
-  result.image.insert(result.image.end(), target.begin(), target.end());
-  return result;
+  std::vector<std::uint8_t> image;
+  image.reserve(patched.size() +
+                kGuardInstructions * isa::kInstructionSize + target.size());
+  image.insert(image.end(), patched.begin(),
+               patched.begin() + static_cast<std::ptrdiff_t>(split));
+  emit_guard(image, jump, guard_register);
+  image.insert(image.end(),
+               patched.begin() + static_cast<std::ptrdiff_t>(split),
+               patched.end());
+  image.insert(image.end(), target.begin(), target.end());
+  return image;
 }
 
-MultiBinaryGeaResult binary_gea_multi(
+std::vector<std::uint8_t> binary_gea_chain(
     std::span<const std::uint8_t> original,
     std::span<const std::vector<std::uint8_t>> targets) {
-  require_image(original, "binary_gea_multi (original)");
+  require_image(original, "binary_gea_chain (original)");
   if (targets.empty()) {
     throw core::Error(core::ErrorCode::kInvalidArgument,
-                      "binary_gea_multi: no targets");
+                      "binary_gea_chain: no targets");
   }
   for (const auto& t : targets) {
-    require_image(t, "binary_gea_multi (target)");
+    require_image(t, "binary_gea_chain (target)");
   }
 
-  const std::size_t k = targets.size();
-  const std::size_t original_count =
-      original.size() / isa::kInstructionSize;
+  // Layout (instruction indices): k guards of kGuardInstructions, the
+  // original, then the targets in order. Guard i's jz (at index 3i+2)
+  // jumps into target i; fall-through reaches guard i+1 and finally the
+  // original. The guards write r15 = 0 and compare it with 1, so no jump
+  // is ever taken — yet every lobe is statically reachable.
+  const std::size_t guards = kGuardInstructions * targets.size();
+  std::size_t target_start =
+      guards + original.size() / isa::kInstructionSize;
+  std::size_t total_bytes = guards * isa::kInstructionSize + original.size();
+  for (const auto& t : targets) total_bytes += t.size();
 
-  MultiBinaryGeaResult result;
-  result.guard_instructions = kGuardCount * k;
-  result.original_offset = result.guard_instructions;
-  result.target_offsets.reserve(k);
-  std::size_t cursor = result.guard_instructions + original_count;
-  std::size_t total_bytes =
-      result.guard_instructions * isa::kInstructionSize + original.size();
-  for (const auto& t : targets) {
-    result.target_offsets.push_back(cursor);
-    cursor += t.size() / isa::kInstructionSize;
-    total_bytes += t.size();
+  std::vector<std::uint8_t> image;
+  image.reserve(total_bytes);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const long long jump = static_cast<long long>(target_start) -
+                           static_cast<long long>(kGuardInstructions * (i + 1));
+    emit_guard(image, checked_offset(jump, "binary_gea_chain"));
+    target_start += targets[i].size() / isa::kInstructionSize;
   }
-
-  result.image.reserve(total_bytes);
-  // Guard chain: guard i's jz (at index 3i+2) jumps into target i;
-  // fall-through reaches guard i+1 and finally the original.
-  for (std::size_t i = 0; i < k; ++i) {
-    const long long jump =
-        static_cast<long long>(result.target_offsets[i]) -
-        (static_cast<long long>(kGuardCount * i) + kGuardCount);
-    emit_guard(result.image, checked_offset(jump, "binary_gea_multi"));
-  }
-  result.image.insert(result.image.end(), original.begin(),
-                      original.end());
-  for (const auto& t : targets) {
-    result.image.insert(result.image.end(), t.begin(), t.end());
-  }
-  return result;
+  image.insert(image.end(), original.begin(), original.end());
+  for (const auto& t : targets) image.insert(image.end(), t.begin(), t.end());
+  return image;
 }
 
 std::vector<GuardPoint> safe_guard_points(

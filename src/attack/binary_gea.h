@@ -1,27 +1,25 @@
 // Code-level attacks against CFG-based classifiers.
 //
-// * binary_gea: the GEA attack realized at the binary level — a guard
-//   block branches to either the original program or the injected
-//   target, with both rejoined at a shared halt. The guard condition is
-//   constant-false for the injected side, so the original behaviour is
-//   preserved (a *practical* AE per Section II-A: reachable in the CFG,
-//   executable, undamaged). Unlike cfg::gea_combine (which merges
-//   graphs), this produces an actual runnable image whose *extracted*
-//   CFG has the shared-entry/shared-exit GEA shape.
+// * binary_gea_chain: the GEA attack realized at the binary level — a
+//   guard block branches to either the original program or the
+//   injected target, with both rejoined at a shared halt. The guard
+//   condition is constant-false for the injected side, so the original
+//   behaviour is preserved (a *practical* AE per Section II-A: reachable
+//   in the CFG, executable, undamaged). Unlike cfg::gea_chain (which
+//   merges graphs), this produces an actual runnable image whose
+//   *extracted* CFG has the shared-entry/shared-exit GEA shape. Several
+//   targets sit behind a chain of guards, one never-taken conditional
+//   branch each; one target is the classic GEA.
 //
-//   The attack is parameterized across the spectrum of the GEA source
-//   paper and the explainability-guided follow-up:
-//     - binary_gea_multi injects several targets behind a guard chain
-//       (one never-taken conditional branch per target);
-//     - binary_gea_at plants the guard at an interior instruction
-//       boundary, relocating every control-flow immediate that crosses
-//       the insertion point so the original still executes bit-for-bit;
-//       safe_guard_points enumerates the boundaries where a guard is
-//       semantically transparent, together with a register whose
-//       clobbering is provably invisible there (never written in the
-//       image, or locally dead) — deep boundaries matter because the
-//       further from the entry the lobe attaches, the less the labeling
-//       ranks and walk statistics move.
+// * binary_gea_at: the guard planted at an interior instruction
+//   boundary, relocating every control-flow immediate that crosses the
+//   insertion point so the original still executes bit-for-bit (the
+//   explainability-guided follow-up's placement). safe_guard_points
+//   enumerates the boundaries where a guard is semantically transparent,
+//   together with a register whose clobbering is provably invisible
+//   there (never written in the image, or locally dead) — deep
+//   boundaries matter because the further from the entry the lobe
+//   attaches, the less the labeling ranks and walk statistics move.
 //
 // * append_attack: the binary-level *impractical* AE — benign bytes
 //   appended past the halt. It changes byte-level representations
@@ -37,60 +35,36 @@
 
 namespace soteria::attack {
 
-/// Result of a binary-level GEA combination.
-struct BinaryGeaResult {
-  std::vector<std::uint8_t> image;  ///< runnable combined binary
-  std::size_t guard_instructions = 0;   ///< guard size (instructions)
-  std::size_t guard_index = 0;          ///< instruction index of the guard
-  std::size_t original_offset = 0;      ///< instruction index of original
-  std::size_t target_offset = 0;        ///< instruction index of target
-};
+/// Instructions in one guard: `mov rG, 0; cmpi rG, 1; jz <lobe>`.
+inline constexpr std::size_t kGuardInstructions = 3;
 
-/// Result of a multi-injection combination.
-struct MultiBinaryGeaResult {
-  std::vector<std::uint8_t> image;      ///< runnable combined binary
-  std::size_t guard_instructions = 0;   ///< prologue size (3 per target)
-  std::size_t original_offset = 0;      ///< instruction index of original
-  std::vector<std::size_t> target_offsets;  ///< one per injected target
-};
-
-/// Combines `original` with `target` at the code level. Control flow:
-/// a guard compares a register against an impossible constant and
-/// conditionally jumps into the (relocated) target; fall-through enters
-/// the (relocated) original. Each program's halts are preserved, so
-/// whichever side runs terminates the process exactly like the original
-/// did. Throws core::Error{kInvalidArgument} for empty or ragged images
-/// and core::Error{kOutOfRange} if the combined image exceeds branch
+/// Injects every image of `targets` behind a guard chain at the entry
+/// and returns the runnable combined image. Guard i compares a register
+/// against an impossible constant and conditionally jumps into
+/// (relocated) target i; fall-through reaches guard i+1 and finally the
+/// original. Each program's halts are preserved, so whichever side runs
+/// terminates the process exactly like the original did. Throws
+/// core::Error{kInvalidArgument} for empty or ragged images or an empty
+/// target list and core::Error{kOutOfRange} when any branch exceeds
 /// reach.
-[[nodiscard]] BinaryGeaResult binary_gea(
+[[nodiscard]] std::vector<std::uint8_t> binary_gea_chain(
     std::span<const std::uint8_t> original,
-    std::span<const std::uint8_t> target);
+    std::span<const std::vector<std::uint8_t>> targets);
 
 /// Plants the guard at instruction boundary `insert_instruction` of
-/// `original` (0 = entry, reproducing binary_gea's prologue placement)
-/// instead of the entry. Every control-flow immediate of the original
+/// `original` instead of the entry and appends the injected target past
+/// the original's end. Every control-flow immediate of the original
 /// whose source or target crosses the boundary is relocated, and
 /// branches *to* the boundary enter the (transparent) guard first, so
 /// the original's execution is preserved whenever the boundary is safe
-/// (see safe_guard_points, which also chooses `guard_register`). The
-/// injected target is appended past the original's end. Throws
+/// (see safe_guard_points, which also chooses `guard_register`). Throws
 /// core::Error{kInvalidArgument} for empty or ragged images or an
 /// invalid register and core::Error{kOutOfRange} for a boundary at or
 /// past the original's end or a relocation that exceeds branch reach.
-[[nodiscard]] BinaryGeaResult binary_gea_at(
+[[nodiscard]] std::vector<std::uint8_t> binary_gea_at(
     std::span<const std::uint8_t> original,
     std::span<const std::uint8_t> target, std::size_t insert_instruction,
     std::uint8_t guard_register = 15);
-
-/// Injects every image of `targets` behind a guard chain at the entry:
-/// guard i's never-taken branch jumps into target i, and fall-through
-/// reaches guard i+1 (finally the original). Throws
-/// core::Error{kInvalidArgument} for empty/ragged inputs or an empty
-/// target list and core::Error{kOutOfRange} when any branch exceeds
-/// reach.
-[[nodiscard]] MultiBinaryGeaResult binary_gea_multi(
-    std::span<const std::uint8_t> original,
-    std::span<const std::vector<std::uint8_t>> targets);
 
 /// A provably transparent interior guard placement: the instruction
 /// boundary plus the register the guard may clobber there.

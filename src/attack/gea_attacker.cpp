@@ -2,24 +2,29 @@
 
 #include <string>
 
-#include "attack/binary_gea.h"
-#include "attack/targets.h"
-#include "cfg/extractor.h"
 #include "soteria/error.h"
 
 namespace soteria::attack {
 
 namespace {
 
-/// True when every involved sample carries a binary, i.e. the attack
-/// can be realized at the code level.
-bool all_have_binaries(const dataset::Sample& sample,
-                       std::span<const dataset::Sample* const> targets) {
-  if (sample.binary.empty()) return false;
-  for (const dataset::Sample* t : targets) {
-    if (t->binary.empty()) return false;
+/// A random interior placement at the level the GEA will be realized:
+/// a safe guard point of the victim's binary (the entry chain when there
+/// is none), or any node of its CFG.
+Placement random_interior(const dataset::Sample& victim,
+                          std::span<const Payload> payloads,
+                          math::Rng& rng) {
+  Placement placement;
+  if (binary_level(victim, payloads)) {
+    const auto points = safe_guard_points(victim.binary);
+    if (points.empty()) return placement;
+    placement.point = points[rng.index(points.size())];
+  } else {
+    placement.anchor =
+        static_cast<graph::NodeId>(rng.index(victim.cfg.node_count()));
   }
-  return true;
+  placement.interior = true;
+  return placement;
 }
 
 }  // namespace
@@ -48,78 +53,24 @@ AttackResult GeaAttacker::do_generate(
   // Draw the injected targets: bucket `target_size` first, additional
   // injections from the following buckets (wrapping), so a 3-injection
   // attack embeds one sample of every size.
-  std::vector<const dataset::Sample*> targets;
-  targets.reserve(options_.injections);
+  const auto by_size =
+      dataset::family_by_size(corpus, options_.target_family);
+  std::vector<Payload> payloads;
+  payloads.reserve(options_.injections);
   for (std::size_t i = 0; i < options_.injections; ++i) {
     const auto size = static_cast<dataset::TargetSize>(
         (static_cast<std::size_t>(options_.target_size) + i) %
         dataset::kTargetSizeCount);
-    targets.push_back(
-        &select_target(corpus, options_.target_family, size));
+    payloads.push_back({&dataset::size_bucket(by_size, size)});
   }
 
-  AttackResult result;
-  result.target_family = options_.target_family;
-  result.detail = "targets=";
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (i > 0) result.detail += '+';
-    result.detail += std::to_string(targets[i]->id);
-  }
-
-  if (all_have_binaries(sample, targets)) {
-    // Code-level realization: the AE is a runnable image and its CFG is
-    // re-extracted from the bytes, exactly like a defender would.
-    if (options_.injections > 1) {
-      std::vector<std::vector<std::uint8_t>> images;
-      images.reserve(targets.size());
-      for (const dataset::Sample* t : targets) images.push_back(t->binary);
-      result.binary = binary_gea_multi(sample.binary, images).image;
-      result.detail += ",insert=entry-chain";
-    } else if (options_.insertion == cfg::InsertionPoint::kMidBlock) {
-      const auto points = safe_guard_points(sample.binary);
-      if (points.empty()) {
-        result.binary =
-            binary_gea(sample.binary, targets.front()->binary).image;
-        result.detail += ",insert=entry(no-safe-mid)";
-      } else {
-        const GuardPoint point = points[rng.index(points.size())];
-        result.binary =
-            binary_gea_at(sample.binary, targets.front()->binary,
-                          point.boundary, point.guard_register)
-                .image;
-        result.detail += ",insert=mid@" + std::to_string(point.boundary);
-      }
-    } else {
-      result.binary =
-          binary_gea(sample.binary, targets.front()->binary).image;
-      result.detail += ",insert=entry";
-    }
-    result.cfg = cfg::extract(result.binary);
-    return result;
-  }
-
-  // Graph-level fallback (e.g. victims that are themselves synthetic
-  // CFG-only AEs).
-  if (options_.injections > 1) {
-    std::vector<cfg::Cfg> cfgs;
-    cfgs.reserve(targets.size());
-    for (const dataset::Sample* t : targets) cfgs.push_back(t->cfg);
-    result.cfg = cfg::gea_combine_multi(sample.cfg, cfgs).combined;
-    result.detail += ",insert=entry-chain(graph)";
-  } else {
-    cfg::GeaOptions gea;
-    gea.insertion = options_.insertion;
-    if (gea.insertion == cfg::InsertionPoint::kMidBlock) {
-      gea.anchor = static_cast<graph::NodeId>(
-          rng.index(sample.cfg.node_count()));
-      result.detail += ",anchor=" + std::to_string(gea.anchor);
-    }
-    result.cfg =
-        cfg::gea_combine(sample.cfg, targets.front()->cfg, gea).combined;
-    result.detail += std::string(",insert=") +
-                     cfg::insertion_point_name(gea.insertion) + "(graph)";
-  }
-  return result;
+  // kMidBlock applies to single injections only.
+  const Placement placement =
+      options_.insertion == cfg::InsertionPoint::kMidBlock &&
+              payloads.size() == 1
+          ? random_interior(sample, payloads, rng)
+          : Placement{};
+  return realize_gea(sample, payloads, placement, options_.target_family);
 }
 
 }  // namespace soteria::attack

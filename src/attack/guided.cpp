@@ -1,16 +1,11 @@
 #include "attack/guided.h"
 
-#include <limits>
+#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "attack/binary_gea.h"
-#include "attack/oracle.h"
-#include "attack/targets.h"
-#include "cfg/extractor.h"
-#include "cfg/gea.h"
 #include "isa/isa.h"
-#include "soteria/error.h"
+#include "obs/metrics.h"
 
 namespace soteria::attack {
 
@@ -41,136 +36,62 @@ long long target_margin(const core::FeatureScores& scores,
   return static_cast<long long>(scores.votes[target_index]) - best_other;
 }
 
-/// Entry-guard GEA of `sample` with one target, at whichever level the
-/// inputs support.
-AttackResult entry_candidate(const dataset::Sample& sample,
-                             const dataset::Sample& target,
-                             dataset::Family target_family) {
-  AttackResult result;
-  result.target_family = target_family;
-  if (!sample.binary.empty() && !target.binary.empty()) {
-    result.binary = binary_gea(sample.binary, target.binary).image;
-    result.cfg = cfg::extract(result.binary);
-    result.detail =
-        "target=" + std::to_string(target.id) + ",insert=entry";
-  } else {
-    result.cfg = cfg::gea_combine(sample.cfg, target.cfg).combined;
-    result.detail =
-        "target=" + std::to_string(target.id) + ",insert=entry(graph)";
+/// Scores `cfg` through the fitted system with a copy of `fresh_rng`
+/// and counts the query: the attacker's gray-box window into the
+/// defense, whose cost the robustness matrix reports.
+core::FeatureScores query(const core::SoteriaSystem& system,
+                          const cfg::Cfg& cfg, math::Rng fresh_rng,
+                          std::size_t& queries) {
+  ++queries;
+  obs::registry().counter_add("attack.queries");
+  return system.score_features(system.extract(cfg, fresh_rng));
+}
+
+/// Up to `count` members of a family_by_size() ordering spread evenly
+/// across it, both extremes included when count >= 2.
+std::vector<const dataset::Sample*> spread(
+    const std::vector<const dataset::Sample*>& by_size, std::size_t count) {
+  if (by_size.size() <= count) return by_size;
+  std::vector<const dataset::Sample*> picked;
+  picked.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t index =
+        count == 1 ? 0 : i * (by_size.size() - 1) / (count - 1);
+    picked.push_back(by_size[index]);
   }
-  return result;
+  picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
+  return picked;
 }
 
-/// Mid-block GEA at a safe guard point (binary-level inputs only).
-AttackResult mid_candidate(const dataset::Sample& sample,
-                           const dataset::Sample& target,
-                           dataset::Family target_family,
-                           const GuardPoint& point) {
-  AttackResult result;
-  result.target_family = target_family;
-  result.binary = binary_gea_at(sample.binary, target.binary,
-                                point.boundary, point.guard_register)
-                      .image;
-  result.cfg = cfg::extract(result.binary);
-  result.detail = "target=" + std::to_string(target.id) + ",insert=mid@" +
-                  std::to_string(point.boundary);
-  return result;
+/// One candidate injection before it is realized.
+struct Spec {
+  std::vector<Payload> payloads;
+  Placement placement;
+};
+
+Placement at_point(const GuardPoint& point) {
+  Placement placement;
+  placement.interior = true;
+  placement.point = point;
+  return placement;
 }
 
-/// First `instructions` of the target, halt-terminated. The injected
-/// lobe is never executed, so truncation cannot damage the victim; it
-/// just bounds how far the pooled features move.
-std::vector<std::uint8_t> trimmed_payload(const dataset::Sample& target,
-                                          std::size_t instructions) {
-  std::vector<std::uint8_t> payload(
-      target.binary.begin(),
-      target.binary.begin() +
-          static_cast<std::ptrdiff_t>(instructions * isa::kInstructionSize));
-  isa::encode_to(isa::Instruction{isa::Opcode::kHalt, 0, 0}, payload);
-  return payload;
-}
-
-/// Trimmed injection behind the entry guard (binary level).
-AttackResult trim_candidate(const dataset::Sample& sample,
-                            const dataset::Sample& target,
-                            dataset::Family target_family,
-                            std::size_t instructions) {
-  AttackResult result;
-  result.target_family = target_family;
-  result.binary =
-      binary_gea(sample.binary, trimmed_payload(target, instructions)).image;
-  result.cfg = cfg::extract(result.binary);
-  result.detail = "target=" + std::to_string(target.id) + ",trim=" +
-                  std::to_string(instructions) + ",insert=entry";
-  return result;
-}
-
-/// Trimmed injection at an interior guard point — the detector-aware
-/// sweet spot. A tiny lobe hung off a deep boundary adds nodes that
-/// rank *last* under both labelings (lowest density, deepest level), so
-/// almost every existing label — and with it almost every walk n-gram —
-/// survives; the deeper the attachment, the smaller the walk mass that
-/// ever reaches the lobe. This is the knob that gets candidates back
-/// under the detector threshold.
-AttackResult trim_mid_candidate(const dataset::Sample& sample,
-                                const dataset::Sample& target,
-                                dataset::Family target_family,
-                                const GuardPoint& point,
-                                std::size_t instructions) {
-  AttackResult result;
-  result.target_family = target_family;
-  result.binary =
-      binary_gea_at(sample.binary, trimmed_payload(target, instructions),
-                    point.boundary, point.guard_register)
-          .image;
-  result.cfg = cfg::extract(result.binary);
-  result.detail = "target=" + std::to_string(target.id) + ",trim=" +
-                  std::to_string(instructions) + ",insert=mid@" +
-                  std::to_string(point.boundary);
-  return result;
-}
-
-/// Guard-chain multi-injection of the given targets (binary level).
-AttackResult chain_candidate(
+/// The candidate pool shared by both guided strategies, in the order
+/// that keys each candidate's scoring generator. `include_chains` adds
+/// the adaptive attacker's multi-injection candidate.
+std::vector<Spec> candidate_specs(
     const dataset::Sample& sample,
-    std::span<const dataset::Sample* const> targets,
-    dataset::Family target_family) {
-  AttackResult result;
-  result.target_family = target_family;
-  std::vector<std::vector<std::uint8_t>> images;
-  images.reserve(targets.size());
-  result.detail = "targets=";
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    images.push_back(targets[i]->binary);
-    if (i > 0) result.detail += '+';
-    result.detail += std::to_string(targets[i]->id);
-  }
-  result.binary = binary_gea_multi(sample.binary, images).image;
-  result.cfg = cfg::extract(result.binary);
-  result.detail += ",insert=entry-chain";
-  return result;
-}
+    const std::vector<const dataset::Sample*>& pool,
+    const GuidedOptions& options, bool include_chains) {
+  std::vector<Spec> specs;
+  // One entry injection per pool target, at whichever level it carries.
+  for (const dataset::Sample* target : pool) specs.push_back({{{target}}, {}});
 
-/// Builds and scores the candidate pool shared by both guided
-/// strategies. `include_chains` adds the adaptive attacker's
-/// multi-injection candidates. Candidate i is scored with
-/// `rng.child(i)`, so the pool is deterministic for a fixed seed.
-std::vector<Candidate> score_candidates(
-    const dataset::Sample& sample, std::span<const dataset::Sample> corpus,
-    const GuidedOptions& options, const core::SoteriaSystem& system,
-    bool include_chains, std::size_t& queries, math::Rng& rng) {
-  const auto pool =
-      spread_targets(corpus, options.target_family,
-                     options.candidates == 0 ? 1 : options.candidates);
+  const dataset::Sample* smallest = pool.front();
+  const Payload whole{smallest};
+  if (!binary_level(sample, std::span(&whole, 1))) return specs;
 
-  std::vector<AttackResult> built;
-  for (const dataset::Sample* target : pool) {
-    built.push_back(entry_candidate(sample, *target, options.target_family));
-  }
-  const bool binary_level =
-      !sample.binary.empty() && !pool.front()->binary.empty();
-  std::vector<GuardPoint> points;
-  if (binary_level) points = safe_guard_points(sample.binary);
+  const std::vector<GuardPoint> points = safe_guard_points(sample.binary);
   if (options.mid_points > 0 && !points.empty()) {
     // Interior boundaries, evenly spread, paired with the smallest
     // target (the least feature distortion per injected lobe).
@@ -178,61 +99,60 @@ std::vector<Candidate> score_candidates(
     for (std::size_t i = 0; i < take; ++i) {
       const std::size_t index =
           take == 1 ? 0 : i * (points.size() - 1) / (take - 1);
-      built.push_back(mid_candidate(sample, *pool.front(),
-                                    options.target_family, points[index]));
+      specs.push_back({{whole}, at_point(points[index])});
     }
   }
-  if (binary_level) {
-    // Trimmed payloads of the smallest target: progressively less
-    // injected material, progressively less feature distortion. The
-    // deep interior placements are the detector-evading candidates;
-    // the entry placements keep a foot in classifier-flipping space.
-    const std::size_t target_instructions =
-        pool.front()->binary.size() / isa::kInstructionSize;
-    for (const std::size_t trim : {1ULL, 2ULL, 4ULL, 8ULL}) {
-      if (trim >= target_instructions) break;
-      if (!points.empty()) {
-        built.push_back(trim_mid_candidate(sample, *pool.front(),
-                                           options.target_family,
-                                           points.back(), trim));
-        if (points.size() >= 2) {
-          built.push_back(trim_mid_candidate(
-              sample, *pool.front(), options.target_family,
-              points[points.size() / 2], trim));
-        }
-      }
-    }
-    for (const std::size_t trim : {4ULL, 16ULL}) {
-      if (trim >= target_instructions) break;
-      built.push_back(trim_candidate(sample, *pool.front(),
-                                     options.target_family, trim));
+  // Trimmed payloads of the smallest target: progressively less
+  // injected material, progressively less feature distortion. A tiny
+  // lobe hung off a deep boundary adds nodes that rank *last* under
+  // both labelings (lowest density, deepest level), so almost every
+  // existing label — and with it almost every walk n-gram — survives;
+  // these deep interior placements are the detector-evading
+  // candidates, while the entry placements keep a foot in
+  // classifier-flipping space.
+  const std::size_t target_instructions =
+      smallest->binary.size() / isa::kInstructionSize;
+  for (const std::size_t trim : {1ULL, 2ULL, 4ULL, 8ULL}) {
+    if (trim >= target_instructions) break;
+    if (points.empty()) continue;
+    specs.push_back({{{smallest, trim}}, at_point(points.back())});
+    if (points.size() >= 2) {
+      specs.push_back(
+          {{{smallest, trim}}, at_point(points[points.size() / 2])});
     }
   }
-  if (include_chains && binary_level && pool.size() >= 2) {
-    // Two chains: the two smallest targets, and (when available) the
-    // full small/medium/large spread.
-    std::vector<const dataset::Sample*> chain(pool.begin(),
-                                              pool.begin() + 2);
-    bool have_binaries = true;
-    for (const dataset::Sample* t : chain) {
-      have_binaries = have_binaries && !t->binary.empty();
-    }
-    if (have_binaries) {
-      built.push_back(
-          chain_candidate(sample, chain, options.target_family));
-    }
+  for (const std::size_t trim : {4ULL, 16ULL}) {
+    if (trim >= target_instructions) break;
+    specs.push_back({{{smallest, trim}}, {}});
   }
+  // The two smallest targets behind one guard chain.
+  if (include_chains && pool.size() >= 2 && !pool[1]->binary.empty()) {
+    specs.push_back({{{pool[0]}, {pool[1]}}, {}});
+  }
+  return specs;
+}
+
+/// Builds, realizes and scores the candidate pool shared by both
+/// guided strategies. Candidate i is scored with `rng.child(i)`, so the
+/// pool is deterministic for a fixed seed.
+std::vector<Candidate> score_candidates(
+    const dataset::Sample& sample, std::span<const dataset::Sample> corpus,
+    const GuidedOptions& options, const core::SoteriaSystem& system,
+    bool include_chains, std::size_t& queries, math::Rng& rng) {
+  const auto pool =
+      spread(dataset::family_by_size(corpus, options.target_family),
+             options.candidates == 0 ? 1 : options.candidates);
+  const auto specs = candidate_specs(sample, pool, options, include_chains);
 
   std::vector<Candidate> candidates;
-  candidates.reserve(built.size());
-  QueryOracle oracle(system);
-  for (std::size_t i = 0; i < built.size(); ++i) {
+  candidates.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
     Candidate c;
-    c.scores = oracle.score(built[i].cfg, rng.child(i));
-    c.result = std::move(built[i]);
+    c.result = realize_gea(sample, specs[i].payloads, specs[i].placement,
+                           options.target_family);
+    c.scores = query(system, c.result.cfg, rng.child(i), queries);
     candidates.push_back(std::move(c));
   }
-  queries += oracle.queries();
   return candidates;
 }
 
@@ -240,7 +160,6 @@ std::vector<Candidate> score_candidates(
 AttackResult finish(Candidate&& best, std::size_t queries) {
   AttackResult result = std::move(best.result);
   result.queries = queries;
-  result.detail += ",score=" + std::to_string(best.scores.detector_score);
   return result;
 }
 
@@ -308,21 +227,18 @@ AttackResult AdaptiveAttacker::do_generate(
   // walk seed and keep the *worse* of the two scores — a candidate must
   // clear the threshold twice to count as alive, which is what makes
   // the evasion hold up against the verdict's own fresh walks.
-  {
-    QueryOracle oracle(*system_);
-    std::size_t rescored = 0;
-    for (std::size_t i = 0;
-         i < candidates.size() && rescored < kRescoreLimit; ++i) {
-      if (candidates[i].scores.adversarial) continue;
-      ++rescored;
-      const core::FeatureScores again = oracle.score(
-          candidates[i].result.cfg, rng.child(candidates.size() + i));
-      if (again.detector_score > candidates[i].scores.detector_score) {
-        candidates[i].scores.detector_score = again.detector_score;
-        candidates[i].scores.adversarial = again.adversarial;
-      }
+  std::size_t rescored = 0;
+  for (std::size_t i = 0;
+       i < candidates.size() && rescored < kRescoreLimit; ++i) {
+    if (candidates[i].scores.adversarial) continue;
+    ++rescored;
+    const core::FeatureScores again =
+        query(*system_, candidates[i].result.cfg,
+              rng.child(candidates.size() + i), queries);
+    if (again.detector_score > candidates[i].scores.detector_score) {
+      candidates[i].scores.detector_score = again.detector_score;
+      candidates[i].scores.adversarial = again.adversarial;
     }
-    queries += oracle.queries();
   }
 
   // Detector-aware: surviving the AE detector (score <= Th) dominates

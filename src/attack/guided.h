@@ -1,9 +1,10 @@
 // Oracle-guided attackers (gray-box threat model).
 //
 // Both strategies build a pool of candidate GEA injections for the
-// victim — different target samples, insertion points, and (adaptive)
-// multi-injection chains — score every candidate through a counted
-// QueryOracle against the *fitted* defense, and keep the best one:
+// victim — different target samples of the one target family,
+// insertion points, trimmed lobes, and (adaptive) a multi-injection
+// chain — realize each through realize_gea, score it with one counted
+// query against the *fitted* defense, and keep the best one:
 //
 // * ScoreGuidedAttacker ("score") optimizes the classifier objective:
 //   among candidates the classifier assigns to the target family, it
@@ -34,7 +35,7 @@ namespace soteria::attack {
 struct GuidedOptions {
   dataset::Family target_family = dataset::Family::kBenign;
   /// Size of the injection-target candidate pool (evenly spread over
-  /// the family's size range; see spread_targets).
+  /// the family's dataset::family_by_size() ordering).
   std::size_t candidates = 6;
   /// Interior insertion boundaries tried per victim (binary-level
   /// victims only; 0 disables mid-block candidates).

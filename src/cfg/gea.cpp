@@ -24,42 +24,17 @@ std::vector<graph::NodeId> exits_or_deepest(const Cfg& c) {
   return {deepest};
 }
 
+/// Joins the exits of `c`, merged into `g` at `offset`, to `exit`.
+void join_exits(graph::DiGraph& g, const Cfg& c, graph::NodeId offset,
+                graph::NodeId exit) {
+  for (graph::NodeId v : exits_or_deepest(c)) g.add_edge(offset + v, exit);
+}
+
 void require_nonempty(const Cfg& c, const char* what) {
   if (c.node_count() == 0) {
     throw core::Error(core::ErrorCode::kInvalidArgument,
-                      std::string("gea_combine: empty ") + what + " CFG");
+                      std::string("gea: empty ") + what + " CFG");
   }
-}
-
-GeaResult combine_mid_block(const Cfg& original, const Cfg& target,
-                            graph::NodeId anchor) {
-  if (anchor >= original.node_count()) {
-    throw core::Error(core::ErrorCode::kOutOfRange,
-                      "gea_combine: anchor " + std::to_string(anchor) +
-                          " out of range for an original of " +
-                          std::to_string(original.node_count()) + " nodes");
-  }
-
-  graph::DiGraph g;
-  const graph::NodeId original_offset = g.merge_disjoint(original.graph());
-  const graph::NodeId target_offset = g.merge_disjoint(target.graph());
-  const graph::NodeId shared_exit = g.add_node();
-
-  g.add_edge(original_offset + anchor, target_offset + target.entry());
-  for (graph::NodeId v : exits_or_deepest(original)) {
-    g.add_edge(original_offset + v, shared_exit);
-  }
-  for (graph::NodeId v : exits_or_deepest(target)) {
-    g.add_edge(target_offset + v, shared_exit);
-  }
-
-  GeaResult result;
-  result.shared_entry = original_offset + original.entry();
-  result.shared_exit = shared_exit;
-  result.original_offset = original_offset;
-  result.target_offset = target_offset;
-  result.combined = Cfg(std::move(g), result.shared_entry);
-  return result;
 }
 
 }  // namespace
@@ -72,55 +47,16 @@ const char* insertion_point_name(InsertionPoint p) noexcept {
   return "unknown";
 }
 
-GeaResult gea_combine(const Cfg& original, const Cfg& target) {
-  require_nonempty(original, "original");
-  require_nonempty(target, "target");
-
-  graph::DiGraph g;
-  const graph::NodeId shared_entry = g.add_node();
-  const graph::NodeId original_offset = g.merge_disjoint(original.graph());
-  const graph::NodeId target_offset = g.merge_disjoint(target.graph());
-  const graph::NodeId shared_exit = g.add_node();
-
-  g.add_edge(shared_entry, original_offset + original.entry());
-  g.add_edge(shared_entry, target_offset + target.entry());
-  for (graph::NodeId v : exits_or_deepest(original)) {
-    g.add_edge(original_offset + v, shared_exit);
-  }
-  for (graph::NodeId v : exits_or_deepest(target)) {
-    g.add_edge(target_offset + v, shared_exit);
-  }
-
-  GeaResult result;
-  result.shared_entry = shared_entry;
-  result.shared_exit = shared_exit;
-  result.original_offset = original_offset;
-  result.target_offset = target_offset;
-  result.combined = Cfg(std::move(g), shared_entry);
-  return result;
-}
-
-GeaResult gea_combine(const Cfg& original, const Cfg& target,
-                      const GeaOptions& options) {
-  if (options.insertion == InsertionPoint::kMidBlock) {
-    require_nonempty(original, "original");
-    require_nonempty(target, "target");
-    return combine_mid_block(original, target, options.anchor);
-  }
-  return gea_combine(original, target);
-}
-
-MultiGeaResult gea_combine_multi(const Cfg& original,
-                                 std::span<const Cfg> targets) {
+GeaResult gea_chain(const Cfg& original, std::span<const Cfg> targets) {
   require_nonempty(original, "original");
   if (targets.empty()) {
     throw core::Error(core::ErrorCode::kInvalidArgument,
-                      "gea_combine_multi: no targets");
+                      "gea_chain: no targets");
   }
   for (const Cfg& t : targets) require_nonempty(t, "target");
 
   graph::DiGraph g;
-  MultiGeaResult result;
+  GeaResult result;
   result.guards.reserve(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
     result.guards.push_back(g.add_node());
@@ -132,27 +68,54 @@ MultiGeaResult gea_combine_multi(const Cfg& original,
   }
   result.shared_exit = g.add_node();
 
-  // Guard chain: guard i branches into target i, falls through to the
-  // next guard (or, after the last one, into the original).
+  // Guard chain: guard i falls through to the next guard (or, after the
+  // last one, into the original) and branches into target i.
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    g.add_edge(result.guards[i],
-               result.target_offsets[i] + targets[i].entry());
     const graph::NodeId next =
         i + 1 < targets.size()
             ? result.guards[i + 1]
             : result.original_offset + original.entry();
     g.add_edge(result.guards[i], next);
+    g.add_edge(result.guards[i],
+               result.target_offsets[i] + targets[i].entry());
   }
-  for (graph::NodeId v : exits_or_deepest(original)) {
-    g.add_edge(result.original_offset + v, result.shared_exit);
-  }
+  join_exits(g, original, result.original_offset, result.shared_exit);
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    for (graph::NodeId v : exits_or_deepest(targets[i])) {
-      g.add_edge(result.target_offsets[i] + v, result.shared_exit);
-    }
+    join_exits(g, targets[i], result.target_offsets[i], result.shared_exit);
   }
 
   result.combined = Cfg(std::move(g), result.guards.front());
+  return result;
+}
+
+GeaResult gea_combine(const Cfg& original, const Cfg& target) {
+  return gea_chain(original, std::span(&target, 1));
+}
+
+GeaResult gea_attach(const Cfg& original, const Cfg& target,
+                     graph::NodeId anchor) {
+  require_nonempty(original, "original");
+  require_nonempty(target, "target");
+  if (anchor >= original.node_count()) {
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "gea_attach: anchor " + std::to_string(anchor) +
+                          " out of range for an original of " +
+                          std::to_string(original.node_count()) + " nodes");
+  }
+
+  graph::DiGraph g;
+  GeaResult result;
+  result.original_offset = g.merge_disjoint(original.graph());
+  result.target_offsets = {g.merge_disjoint(target.graph())};
+  result.shared_exit = g.add_node();
+
+  g.add_edge(result.original_offset + anchor,
+             result.target_offsets[0] + target.entry());
+  join_exits(g, original, result.original_offset, result.shared_exit);
+  join_exits(g, target, result.target_offsets[0], result.shared_exit);
+
+  result.combined =
+      Cfg(std::move(g), result.original_offset + original.entry());
   return result;
 }
 

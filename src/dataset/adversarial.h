@@ -42,6 +42,18 @@ struct AdversarialExample {
   TargetSize target_size = TargetSize::kSmall;
 };
 
+/// The members of `family` in `samples` by ascending CFG node count
+/// (ties by sample id): the one ordering every size-bucket pick and the
+/// guided attackers' spread pool read. Pointers into `samples`. Throws
+/// core::Error{kInvalidArgument} if the class has no samples.
+[[nodiscard]] std::vector<const Sample*> family_by_size(
+    std::span<const Sample> samples, Family family);
+
+/// The `size` bucket of a non-empty family_by_size() ordering: its
+/// first, median (index n/2) or last member.
+[[nodiscard]] const Sample& size_bucket(
+    std::span<const Sample* const> by_size, TargetSize size);
+
 /// Picks the small/median/large targets of `family` from `samples`
 /// (paper: selected from the whole dataset). Throws
 /// core::Error{kInvalidArgument} if the class has no samples.

@@ -21,26 +21,26 @@ std::vector<std::uint8_t> sample_binary(dataset::Family family,
 TEST(BinaryGea, CombinedImageStillExecutesOriginalBehaviour) {
   const auto original = sample_binary(dataset::Family::kMirai, 1);
   const auto target = sample_binary(dataset::Family::kBenign, 2);
-  const auto combined = binary_gea(original, target);
+  const auto combined = binary_gea_chain(original, std::span(&target, 1));
 
   const auto original_run = isa::execute(original);
-  const auto combined_run = isa::execute(combined.image);
+  const auto combined_run = isa::execute(combined);
   ASSERT_EQ(original_run.status, isa::VmStatus::kHalted);
   ASSERT_EQ(combined_run.status, isa::VmStatus::kHalted);
   // Guard adds exactly its own steps; the original side runs unchanged.
   EXPECT_EQ(combined_run.steps,
-            original_run.steps + combined.guard_instructions);
+            original_run.steps + kGuardInstructions);
   EXPECT_EQ(combined_run.syscalls, original_run.syscalls);
 }
 
 TEST(BinaryGea, ExtractedCfgHasSharedEntryShape) {
   const auto original = sample_binary(dataset::Family::kGafgyt, 3);
   const auto target = sample_binary(dataset::Family::kBenign, 4);
-  const auto combined = binary_gea(original, target);
+  const auto combined = binary_gea_chain(original, std::span(&target, 1));
 
   const auto original_cfg = cfg::extract(original);
   const auto target_cfg = cfg::extract(target);
-  const auto combined_cfg = cfg::extract(combined.image);
+  const auto combined_cfg = cfg::extract(combined);
 
   // Both lobes are statically reachable: the combined CFG must be at
   // least as large as the two parts combined (the guard may merge into
@@ -54,14 +54,18 @@ TEST(BinaryGea, ExtractedCfgHasSharedEntryShape) {
 TEST(BinaryGea, Validation) {
   const auto good = sample_binary(dataset::Family::kBenign, 5);
   try {
-    (void)binary_gea({}, good);
+    (void)binary_gea_chain({}, std::span(&good, 1));
     FAIL() << "expected core::Error";
   } catch (const core::Error& e) {
     EXPECT_EQ(e.code(), core::ErrorCode::kInvalidArgument);
   }
-  EXPECT_ERROR((void)binary_gea(good, {}), core::ErrorCode::kInvalidArgument);
+  const std::vector<std::uint8_t> empty;
+  EXPECT_ERROR((void)binary_gea_chain(good, std::span(&empty, 1)),
+               core::ErrorCode::kInvalidArgument);
+  EXPECT_ERROR((void)binary_gea_chain(good, {}),
+               core::ErrorCode::kInvalidArgument);
   const std::vector<std::uint8_t> ragged{1, 2, 3};
-  EXPECT_ERROR((void)binary_gea(ragged, good),
+  EXPECT_ERROR((void)binary_gea_chain(ragged, std::span(&good, 1)),
                core::ErrorCode::kInvalidArgument);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "expect_error.h"
 #include "graph/generators.h"
 #include "graph/shapes.h"
@@ -34,10 +38,11 @@ TEST(Gea, CombinedSizeIsSumPlusTwo) {
 TEST(Gea, SharedEntryBranchesToBothEntries) {
   const auto result = gea_combine(diamond_cfg(), chain_cfg(3));
   const auto& g = result.combined.graph();
-  EXPECT_EQ(g.out_degree(result.shared_entry), 2U);
-  EXPECT_TRUE(g.has_edge(result.shared_entry, result.original_offset + 0));
-  EXPECT_TRUE(g.has_edge(result.shared_entry, result.target_offset + 0));
-  EXPECT_EQ(result.combined.entry(), result.shared_entry);
+  const graph::NodeId entry = result.combined.entry();
+  EXPECT_EQ(g.out_degree(entry), 2U);
+  EXPECT_TRUE(g.has_edge(entry, result.original_offset + 0));
+  EXPECT_TRUE(g.has_edge(entry, result.target_offsets[0] + 0));
+  EXPECT_EQ(result.guards, std::vector<graph::NodeId>{entry});
 }
 
 TEST(Gea, SharedExitJoinsBothExits) {
@@ -46,7 +51,7 @@ TEST(Gea, SharedExitJoinsBothExits) {
   EXPECT_EQ(g.out_degree(result.shared_exit), 0U);
   // diamond exit = node 3; chain exit = node 2.
   EXPECT_TRUE(g.has_edge(result.original_offset + 3, result.shared_exit));
-  EXPECT_TRUE(g.has_edge(result.target_offset + 2, result.shared_exit));
+  EXPECT_TRUE(g.has_edge(result.target_offsets[0] + 2, result.shared_exit));
 }
 
 TEST(Gea, LobesKeepTheirInternalEdges) {
@@ -60,15 +65,16 @@ TEST(Gea, LobesKeepTheirInternalEdges) {
   }
   for (const auto& [u, v] : target.graph().edges()) {
     EXPECT_TRUE(
-        g.has_edge(result.target_offset + u, result.target_offset + v));
+        g.has_edge(result.target_offsets[0] + u, result.target_offsets[0] + v));
   }
   // No cross-lobe edges except through shared entry/exit.
   for (const auto& [u, v] : g.edges()) {
     const bool u_original = u >= result.original_offset &&
                             u < result.original_offset +
                                     original.node_count();
-    const bool v_target = v >= result.target_offset &&
-                          v < result.target_offset + target.node_count();
+    const bool v_target =
+        v >= result.target_offsets[0] &&
+        v < result.target_offsets[0] + target.node_count();
     EXPECT_FALSE(u_original && v_target);
   }
 }
@@ -97,49 +103,51 @@ TEST(Gea, EmptyCfgThrows) {
 TEST(Gea, MidBlockHangsLobeOffAnchor) {
   const Cfg original = diamond_cfg();
   const Cfg target = chain_cfg(3);
-  GeaOptions options;
-  options.insertion = InsertionPoint::kMidBlock;
-  options.anchor = 1;
-  const auto result = gea_combine(original, target, options);
+  const auto result = gea_attach(original, target, 1);
   const auto& g = result.combined.graph();
   // original + target + shared exit only (no new shared entry).
   EXPECT_EQ(result.combined.node_count(), 4U + 3U + 1U);
+  EXPECT_TRUE(result.guards.empty());
   EXPECT_EQ(result.combined.entry(), result.original_offset + 0);
   EXPECT_TRUE(g.has_edge(result.original_offset + 1,
-                         result.target_offset + 0));
+                         result.target_offsets[0] + 0));
   EXPECT_TRUE(g.has_edge(result.original_offset + 3, result.shared_exit));
-  EXPECT_TRUE(g.has_edge(result.target_offset + 2, result.shared_exit));
+  EXPECT_TRUE(g.has_edge(result.target_offsets[0] + 2, result.shared_exit));
   // Everything stays reachable from the original entry.
   const auto reach = graph::reachable_from(g, result.combined.entry());
   for (bool r : reach) EXPECT_TRUE(r);
 }
 
 TEST(Gea, MidBlockAnchorOutOfRangeThrows) {
-  GeaOptions options;
-  options.insertion = InsertionPoint::kMidBlock;
-  options.anchor = 99;
   try {
-    (void)gea_combine(diamond_cfg(), chain_cfg(3), options);
+    (void)gea_attach(diamond_cfg(), chain_cfg(3), 99);
     FAIL() << "expected core::Error";
   } catch (const core::Error& e) {
     EXPECT_EQ(e.code(), core::ErrorCode::kOutOfRange);
   }
 }
 
-TEST(Gea, EntryGuardOptionsMatchTwoArgOverload) {
-  const auto plain = gea_combine(diamond_cfg(), chain_cfg(3));
-  const auto opt = gea_combine(diamond_cfg(), chain_cfg(3), GeaOptions{});
-  EXPECT_EQ(plain.combined.node_count(), opt.combined.node_count());
-  EXPECT_EQ(plain.combined.edge_count(), opt.combined.edge_count());
-  EXPECT_EQ(plain.shared_entry, opt.shared_entry);
-  EXPECT_EQ(plain.shared_exit, opt.shared_exit);
+// The one-target chain is the classic GEA down to the edge order: the
+// shared entry's successors are the original's entry, then the
+// target's, and every lobe's exits follow the lobes' own edges.
+TEST(Gea, OneTargetChainKeepsTheClassicEdgeOrder) {
+  const auto result = gea_combine(diamond_cfg(), chain_cfg(3));
+  const auto& g = result.combined.graph();
+  // 0 = shared entry, 1..4 = diamond, 5..7 = chain, 8 = shared exit.
+  const std::vector<std::pair<graph::NodeId, graph::NodeId>> want = {
+      {0, 1}, {0, 5}, {1, 2}, {1, 3}, {2, 4}, {3, 4},
+      {4, 8}, {5, 6}, {6, 7}, {7, 8}};
+  EXPECT_EQ(g.edges(), want);
+  const std::vector<graph::NodeId> entry_successors = {1, 5};
+  EXPECT_TRUE(std::equal(g.successors(0).begin(), g.successors(0).end(),
+                         entry_successors.begin(), entry_successors.end()));
 }
 
 TEST(Gea, MultiInjectionBuildsGuardChain) {
   const Cfg original = diamond_cfg();
   const std::vector<Cfg> targets = {chain_cfg(3), chain_cfg(2),
                                     chain_cfg(5)};
-  const auto result = gea_combine_multi(original, targets);
+  const auto result = gea_chain(original, targets);
   const auto& g = result.combined.graph();
   ASSERT_EQ(result.guards.size(), 3U);
   ASSERT_EQ(result.target_offsets.size(), 3U);
@@ -158,7 +166,7 @@ TEST(Gea, MultiInjectionBuildsGuardChain) {
 }
 
 TEST(Gea, MultiInjectionRejectsEmptyTargetList) {
-  EXPECT_ERROR((void)gea_combine_multi(diamond_cfg(), {}),
+  EXPECT_ERROR((void)gea_chain(diamond_cfg(), {}),
                core::ErrorCode::kInvalidArgument);
 }
 
