@@ -38,11 +38,14 @@
 // extraction through a persistent feature store at <dir> (verdicts are
 // bit-identical with the store on or off). Any command accepts
 // --metrics (human-readable per-stage breakdown on stdout after the
-// run) and/or --metrics-json (same data as one JSON document).
+// run) and/or --metrics-json (same data as one JSON document). A flag
+// the command does not take, a flag without its value, an extra
+// positional token or a malformed number exits 2 with the usage text.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -53,6 +56,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "attack/attacker.h"
@@ -107,6 +111,22 @@ int usage() {
                "                          name (toy, x86_64); default\n"
                "                          auto-detects\n");
   return 2;
+}
+
+/// Parses all of `text` into `out`. False for an empty or partial
+/// token, a sign on an unsigned type, a value out of range, or a
+/// non-finite double; `out` is then unchanged.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  out = value;
+  return true;
 }
 
 /// Decodes one binary into a CFG under the --format/--arch policy:
@@ -477,38 +497,38 @@ void print_outcome(PendingRequest& pending) {
 int cmd_serve(const char* model_path, int argc, char** argv) {
   serve::ServiceConfig config;
   std::string swap_path;
+  std::string store_dir;
   std::string format = "auto";
   std::string arch;
   for (int i = 0; i < argc; ++i) {
-    const auto flag_value = [&](const char* flag) -> const char* {
-      if (std::strcmp(argv[i], flag) != 0) return nullptr;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "serve: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (const char* v = flag_value("--queue-depth")) {
-      config.queue_depth = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value("--threads")) {
-      config.num_threads = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value("--batch")) {
-      config.max_batch = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value("--seed")) {
-      config.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = flag_value("--swap-model")) {
+    const std::string_view flag = argv[i];
+    if (i + 1 >= argc) return usage();
+    const char* v = argv[++i];
+    bool ok = true;
+    if (flag == "--queue-depth") {
+      ok = parse_number(v, config.queue_depth);
+    } else if (flag == "--threads") {
+      ok = parse_number(v, config.num_threads);
+    } else if (flag == "--batch") {
+      ok = parse_number(v, config.max_batch);
+    } else if (flag == "--seed") {
+      ok = parse_number(v, config.seed);
+    } else if (flag == "--swap-model") {
       swap_path = v;
-    } else if (const char* v = flag_value("--store")) {
-      config.feature_store = std::make_shared<store::FeatureStore>(
-          store::StoreConfig{std::string(v)});
-    } else if (const char* v = flag_value("--format")) {
+    } else if (flag == "--store") {
+      store_dir = v;
+    } else if (flag == "--format") {
       format = v;
-    } else if (const char* v = flag_value("--arch")) {
+    } else if (flag == "--arch") {
       arch = v;
     } else {
-      std::fprintf(stderr, "serve: unknown flag %s\n", argv[i]);
-      return 2;
+      ok = false;
     }
+    if (!ok) return usage();
+  }
+  if (!store_dir.empty()) {
+    config.feature_store = std::make_shared<store::FeatureStore>(
+        store::StoreConfig{store_dir});
   }
 
   auto model = std::make_shared<const core::SoteriaSystem>(
@@ -618,46 +638,51 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
 
 int dispatch(int argc, char** argv) {
   if (argc < 3) return usage();
-  const char* command = argv[1];
+  const std::string_view command = argv[1];
   const char* path = argv[2];
   try {
-    if (std::strcmp(command, "train") == 0 ||
-        std::strcmp(command, "corpus") == 0) {
-      const bool is_corpus = std::strcmp(command, "corpus") == 0;
+    if (command == "train" || command == "corpus") {
+      const bool is_corpus = command == "corpus";
       double scale = 0.02;
       std::uint64_t seed = 42;
       std::string format;
       int positional = 0;
       for (int i = 3; i < argc; ++i) {
-        if (is_corpus && std::strcmp(argv[i], "--format") == 0) {
-          if (i + 1 >= argc) return usage();
+        const std::string_view arg = argv[i];
+        if (is_corpus && arg == "--format" && i + 1 < argc) {
           format = argv[++i];
-        } else if (positional == 0) {
-          scale = std::strtod(argv[i], nullptr);
-          ++positional;
-        } else if (positional == 1) {
-          seed = std::strtoull(argv[i], nullptr, 10);
-          ++positional;
-        } else {
-          return usage();
+          continue;
         }
+        const bool ok = positional == 0   ? parse_number(arg, scale)
+                        : positional == 1 ? parse_number(arg, seed)
+                                          : false;
+        if (!ok) return usage();
+        ++positional;
       }
       return is_corpus ? cmd_corpus(path, scale, seed, format)
                        : cmd_train(path, scale, seed);
     }
-    if (std::strcmp(command, "serve") == 0) {
+    if (command == "serve") {
       return cmd_serve(path, argc - 3, argv + 3);
     }
-    if (std::strcmp(command, "store") == 0) {
-      if (argc < 4) return usage();
-      const std::size_t capacity =
-          argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
+    if (command == "store") {
+      std::size_t capacity = 0;
+      if (argc < 4 || argc > 5 ||
+          (argc == 5 && !parse_number(argv[4], capacity))) {
+        return usage();
+      }
       return cmd_store(argv[2], argv[3], capacity);
     }
-    // Positional [seed] optionally followed by flags (--store/--format/
+    // Positional [seed] plus the command's flags: --store/--format/
     // --arch for analyze, --attack/--params for attack, --threads/
-    // --victims/--out for eval-matrix).
+    // --victims/--out for eval-matrix, --data-scale/--data-seed for
+    // both of the latter.
+    const bool analyze = command == "analyze";
+    const bool attack = command == "attack";
+    const bool matrix = command == "eval-matrix";
+    if (!analyze && !attack && !matrix) return usage();
     std::uint64_t seed = 42;
+    bool seeded = false;
     std::string store_dir;
     std::string format;
     std::string arch;
@@ -669,56 +694,51 @@ int dispatch(int argc, char** argv) {
     double data_scale = 0.02;
     std::uint64_t data_seed = 42;
     for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--store") == 0) {
-        if (i + 1 >= argc) return usage();
-        store_dir = argv[++i];
-      } else if (std::strcmp(argv[i], "--format") == 0) {
-        if (i + 1 >= argc) return usage();
-        format = argv[++i];
-      } else if (std::strcmp(argv[i], "--arch") == 0) {
-        if (i + 1 >= argc) return usage();
-        arch = argv[++i];
-      } else if (std::strcmp(argv[i], "--attack") == 0) {
-        if (i + 1 >= argc) return usage();
-        attack_name = argv[++i];
-      } else if (std::strcmp(argv[i], "--params") == 0) {
-        if (i + 1 >= argc) return usage();
-        attack_params = argv[++i];
-      } else if (std::strcmp(argv[i], "--out") == 0) {
-        if (i + 1 >= argc) return usage();
-        out_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--threads") == 0) {
-        if (i + 1 >= argc) return usage();
-        threads = std::strtoull(argv[++i], nullptr, 10);
-      } else if (std::strcmp(argv[i], "--victims") == 0) {
-        if (i + 1 >= argc) return usage();
-        victims = std::strtoull(argv[++i], nullptr, 10);
-      } else if (std::strcmp(argv[i], "--data-scale") == 0) {
-        if (i + 1 >= argc) return usage();
-        data_scale = std::strtod(argv[++i], nullptr);
-      } else if (std::strcmp(argv[i], "--data-seed") == 0) {
-        if (i + 1 >= argc) return usage();
-        data_seed = std::strtoull(argv[++i], nullptr, 10);
-      } else {
-        seed = std::strtoull(argv[i], nullptr, 10);
+      const std::string_view arg = argv[i];
+      if (!arg.starts_with("--")) {
+        if (seeded || !parse_number(arg, seed)) return usage();
+        seeded = true;
+        continue;
       }
+      if (i + 1 >= argc) return usage();
+      const char* v = argv[++i];
+      bool ok = true;
+      if (analyze && arg == "--store") {
+        store_dir = v;
+      } else if (analyze && arg == "--format") {
+        format = v;
+      } else if (analyze && arg == "--arch") {
+        arch = v;
+      } else if (attack && arg == "--attack") {
+        attack_name = v;
+      } else if (attack && arg == "--params") {
+        attack_params = v;
+      } else if (matrix && arg == "--out") {
+        out_path = v;
+      } else if (matrix && arg == "--threads") {
+        ok = parse_number(v, threads);
+      } else if (matrix && arg == "--victims") {
+        ok = parse_number(v, victims);
+      } else if (!analyze && arg == "--data-scale") {
+        ok = parse_number(v, data_scale);
+      } else if (!analyze && arg == "--data-seed") {
+        ok = parse_number(v, data_seed);
+      } else {
+        ok = false;
+      }
+      if (!ok) return usage();
     }
-    if (std::strcmp(command, "analyze") == 0) {
-      return cmd_analyze(path, seed, store_dir, format, arch);
-    }
-    if (std::strcmp(command, "attack") == 0) {
+    if (analyze) return cmd_analyze(path, seed, store_dir, format, arch);
+    if (attack) {
       return cmd_attack(path, seed, data_scale, data_seed, attack_name,
                         attack_params);
     }
-    if (std::strcmp(command, "eval-matrix") == 0) {
-      return cmd_eval_matrix(path, seed, data_scale, data_seed, threads,
-                             victims, out_path);
-    }
+    return cmd_eval_matrix(path, seed, data_scale, data_seed, threads,
+                           victims, out_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
 
 }  // namespace
