@@ -76,8 +76,9 @@ std::vector<std::uint8_t> write_elf(std::span<const std::uint8_t> code,
 
   Writer w(options.big_endian);
   // e_ident.
-  w.raw(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>("\x7f" "ELF"), 4));
+  for (const char magic : {'\x7f', 'E', 'L', 'F'}) {
+    w.u8(static_cast<std::uint8_t>(magic));
+  }
   w.u8(elf64 ? 2 : 1);                   // EI_CLASS
   w.u8(options.big_endian ? 2 : 1);      // EI_DATA
   w.u8(1);                               // EI_VERSION

@@ -103,7 +103,12 @@ void Matrix::fill_normal(Rng& rng, float mean, float stddev) {
 }
 
 std::string Matrix::shape_string() const {
-  return "[" + std::to_string(rows_) + "x" + std::to_string(cols_) + "]";
+  std::string shape = "[";
+  shape += std::to_string(rows_);
+  shape += 'x';
+  shape += std::to_string(cols_);
+  shape += ']';
+  return shape;
 }
 
 namespace {

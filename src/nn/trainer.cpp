@@ -41,7 +41,7 @@ TrainReport epoch_loop(std::size_t sample_count, const TrainConfig& config,
   report.epoch_losses.reserve(config.epochs);
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
     const obs::Span epoch_span("nn.epoch");
-    if (config.shuffle) rng.shuffle(order);
+    rng.shuffle(order);
     double loss_sum = 0.0;
     std::size_t batches = 0;
     for (std::size_t start = 0; start < sample_count;
@@ -57,7 +57,6 @@ TrainReport epoch_loop(std::size_t sample_count, const TrainConfig& config,
     report.epoch_losses.push_back(epoch_loss);
     obs::registry().counter_add("soteria.nn.epochs");
     obs::registry().gauge_set("soteria.nn.loss", epoch_loss);
-    if (config.on_epoch) config.on_epoch(epoch, epoch_loss);
   }
   return report;
 }

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -16,12 +15,10 @@
 namespace soteria::nn {
 
 /// Training hyper-parameters (paper: 100 epochs, batch 128).
+/// Rows are reshuffled every epoch.
 struct TrainConfig {
   std::size_t epochs = 100;
   std::size_t batch_size = 128;
-  bool shuffle = true;
-  /// Invoked after every epoch with (epoch, mean loss); may be empty.
-  std::function<void(std::size_t, double)> on_epoch;
 };
 
 /// Throws core::Error{kInvalidArgument} on zero epochs/batch size.

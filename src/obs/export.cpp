@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 #include <string_view>
 
@@ -213,14 +212,6 @@ std::string export_json(const Snapshot& snapshot) {
   }
   out += "}}";
   return out;
-}
-
-void write_text(std::ostream& out, const Snapshot& snapshot) {
-  out << export_text(snapshot);
-}
-
-void write_json(std::ostream& out, const Snapshot& snapshot) {
-  out << export_json(snapshot);
 }
 
 }  // namespace soteria::obs

@@ -9,7 +9,6 @@
 // bench/common/json.h.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -37,9 +36,5 @@ namespace soteria::obs {
 /// `\u00XX`; other bytes are copied unchanged. Every JSON writer in the
 /// project escapes through this one function.
 void append_json_string(std::string& out, std::string_view text);
-
-/// Stream helpers (same content as the string exporters).
-void write_text(std::ostream& out, const Snapshot& snapshot);
-void write_json(std::ostream& out, const Snapshot& snapshot);
 
 }  // namespace soteria::obs

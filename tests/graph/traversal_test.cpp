@@ -84,7 +84,9 @@ TEST(Generators, ChainGraphBackEdgesStayBackward) {
   math::Rng rng(2);
   const auto g = chain_graph(10, 5, rng);
   for (const auto& [u, v] : g.edges()) {
-    if (v != u + 1) EXPECT_LT(v, u);
+    if (v != u + 1) {
+      EXPECT_LT(v, u);
+    }
   }
 }
 

@@ -25,7 +25,6 @@ TEST(TrainConfig, FactorySetsFields) {
   const auto config = make_train_config(7, 13);
   EXPECT_EQ(config.epochs, 7U);
   EXPECT_EQ(config.batch_size, 13U);
-  EXPECT_TRUE(config.shuffle);
 }
 
 TEST(TrainRegression, LossDecreasesOnLinearTask) {
@@ -95,20 +94,6 @@ TEST(TrainClassifier, LearnsSeparableBlobs) {
     correct += predictions[i] == labels[i];
   }
   EXPECT_GT(correct, labels.size() * 95 / 100);
-}
-
-TEST(TrainClassifier, OnEpochCallbackFires) {
-  math::Rng rng(5);
-  Sequential model;
-  model.emplace<Dense>(2, 2, rng);
-  Adam optimizer(0.01);
-  math::Matrix inputs(8, 2, 0.5F);
-  const std::vector<std::size_t> labels(8, 0);
-  std::size_t calls = 0;
-  TrainConfig config = make_train_config(5, 4);
-  config.on_epoch = [&calls](std::size_t, double) { ++calls; };
-  (void)train_classifier(model, inputs, labels, optimizer, config, rng);
-  EXPECT_EQ(calls, 5U);
 }
 
 TEST(ArgmaxRows, PicksPerRowMaximum) {
