@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cfg/labeling_cache.h"
 #include "dataset/generator.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
@@ -155,6 +156,21 @@ TEST_F(GoldenBytesFixture, ExtractMatchesCommittedHash) {
     append(features.pooled_lbl);
   }
   EXPECT_EQ(fnv1a64(floats), kGoldenFeatureHash);
+}
+
+TEST_F(GoldenBytesFixture, StoreKeyHashesMatchCommittedValues) {
+  // Two of a feature-store key's three parts: the CFG content hash
+  // (also the labeling cache's key) and the pipeline fingerprint. A
+  // change to either value makes every existing store miss.
+  graph::DiGraph diamond(4);
+  diamond.add_edge(0, 1);
+  diamond.add_edge(0, 2);
+  diamond.add_edge(1, 3);
+  diamond.add_edge(2, 3);
+  EXPECT_EQ(cfg::LabelingCache::content_hash(cfg::Cfg(diamond, 0)),
+            0x97f855f01e7e1f01ULL);
+  EXPECT_EQ(system->pipeline().fingerprint().value,
+            0xef21c28ba3d961efULL);
 }
 
 TEST_F(GoldenBytesFixture, ScoreFeaturesAgreesWithAnalyze) {
