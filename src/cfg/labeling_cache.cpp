@@ -3,22 +3,13 @@
 #include <algorithm>
 #include <limits>
 
+#include "io/binary_io.h"
 #include "obs/metrics.h"
 #include "soteria/error.h"
 
 namespace soteria::cfg {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t value) noexcept {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (value >> (8 * byte)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
 
 /// Labels are ranks below the node count, which fits 32 bits here.
 std::vector<std::uint32_t> narrow(const std::vector<Label>& labels) {
@@ -48,12 +39,16 @@ LabelingCache::LabelingCache(std::size_t capacity, Hasher hasher)
 }
 
 std::uint64_t LabelingCache::content_hash(const Cfg& cfg) {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(cfg.entry()));
-  fnv_mix(h, static_cast<std::uint64_t>(cfg.node_count()));
+  // Each value as its 8 little-endian (host) bytes.
+  std::uint64_t h = io::kFnv1aBasis;
+  const auto mix = [&h](std::uint64_t value) {
+    h = io::fnv1a(&value, sizeof(value), h);
+  };
+  mix(cfg.entry());
+  mix(cfg.node_count());
   for (const auto& [u, v] : cfg.graph().edges()) {
-    fnv_mix(h, static_cast<std::uint64_t>(u));
-    fnv_mix(h, static_cast<std::uint64_t>(v));
+    mix(u);
+    mix(v);
   }
   return h;
 }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -23,6 +24,23 @@ namespace soteria::io {
 
 /// Hard cap on any single deserialized container, as a corruption guard.
 inline constexpr std::uint64_t kMaxContainerElements = 1ULL << 32;
+
+/// FNV-1a-64 offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a-64 of `size` bytes at `data`, continuing from `hash`. The one
+/// hash behind feature-store entry checksums, pipeline fingerprints and
+/// CFG content hashes; a change to it makes every existing store miss.
+[[nodiscard]] inline std::uint64_t fnv1a(
+    const void* data, std::size_t size,
+    std::uint64_t hash = kFnv1aBasis) noexcept {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 /// Writes a trivially copyable scalar.
 template <typename T>

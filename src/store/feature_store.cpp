@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/binary_io.h"
 #include "math/rng.h"
 #include "obs/metrics.h"
 #include "soteria/error.h"
@@ -39,18 +40,6 @@ constexpr std::uint64_t kShardCount = 16;
 /// walks or wider vectors than these.
 constexpr std::uint32_t kMaxWalkVectors = 1U << 20;
 constexpr std::uint32_t kMaxVectorDimension = 1U << 24;
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ULL;
-
-std::uint64_t fnv1a(const char* data, std::size_t size) noexcept {
-  std::uint64_t hash = kFnvOffset;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 template <typename T>
 void append_scalar(std::string& out, T value) {
@@ -185,7 +174,7 @@ std::string FeatureStore::encode_entry(
   append_scalar<std::uint64_t>(out, key.walk_seed);
   append_scalar<std::uint64_t>(out, payload.size());
   out += payload;
-  append_scalar<std::uint64_t>(out, fnv1a(payload.data(), payload.size()));
+  append_scalar<std::uint64_t>(out, io::fnv1a(payload.data(), payload.size()));
   return out;
 }
 
@@ -213,7 +202,7 @@ std::optional<features::SampleFeatures> FeatureStore::decode_entry(
   std::uint64_t checksum = 0;
   Cursor trailer(bytes, kHeaderBytes + payload_size, bytes.size());
   if (!trailer.read(checksum) ||
-      checksum != fnv1a(bytes.data() + kHeaderBytes, payload_size)) {
+      checksum != io::fnv1a(bytes.data() + kHeaderBytes, payload_size)) {
     return std::nullopt;
   }
 

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "features/pipeline.h"
+#include "io/binary_io.h"
 
 namespace soteria::store {
 
@@ -31,18 +32,6 @@ namespace {
 ///   v3 keys are unchanged.
 constexpr std::uint64_t kFingerprintVersion = 3;
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x00000100000001b3ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, const char* data,
-                    std::size_t size) noexcept {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
 }  // namespace
 
 PipelineFingerprint fingerprint_of(
@@ -54,12 +43,9 @@ PipelineFingerprint fingerprint_of(
   pipeline.save(bytes);
   const std::string blob = bytes.str();
 
-  std::uint64_t hash = kFnvOffset;
   const std::uint64_t version = kFingerprintVersion;
-  hash = fnv1a(hash, reinterpret_cast<const char*>(&version),
-               sizeof(version));
-  hash = fnv1a(hash, blob.data(), blob.size());
-  return PipelineFingerprint{hash};
+  const std::uint64_t hash = io::fnv1a(&version, sizeof(version));
+  return PipelineFingerprint{io::fnv1a(blob.data(), blob.size(), hash)};
 }
 
 }  // namespace soteria::store
