@@ -73,7 +73,4 @@ class Span {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Alias matching the "scoped timer" vocabulary used across the benches.
-using ScopedTimer = Span;
-
 }  // namespace soteria::obs

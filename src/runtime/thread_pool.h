@@ -77,16 +77,6 @@ class ThreadPool {
       std::size_t n,
       const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// parallel_for that collects fn(i) into a vector by index. The
-  /// result type must be default-constructible.
-  template <typename F>
-  [[nodiscard]] auto parallel_map(std::size_t n, F&& fn)
-      -> std::vector<std::invoke_result_t<F&, std::size_t>> {
-    std::vector<std::invoke_result_t<F&, std::size_t>> out(n);
-    parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
-
  private:
   struct Impl;
   Impl* impl_;

@@ -160,17 +160,6 @@ TEST(ParallelMap, CollectsResultsByIndex) {
   }
 }
 
-TEST(ParallelMap, MemberVersionMatchesFree) {
-  ThreadPool pool(3);
-  const auto member = pool.parallel_map(50, [](std::size_t i) {
-    return static_cast<double>(i) * 0.5;
-  });
-  const auto free_fn = parallel_map(3, 50, [](std::size_t i) {
-    return static_cast<double>(i) * 0.5;
-  });
-  EXPECT_EQ(member, free_fn);
-}
-
 TEST(FreeParallelFor, RejectsAbsurdThreadCounts) {
   EXPECT_ERROR(
       parallel_for(kMaxThreads + 1, 10, [](std::size_t) {}),
