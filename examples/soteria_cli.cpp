@@ -30,9 +30,10 @@
 //       control line `!swap <path>` hot-swaps the model, as does
 //       SIGHUP when --swap-model is given.
 //   soteria_cli store <stats|compact|verify|clear> <dir> [capacity]
-//       Maintain a persistent feature store directory: print stats,
-//       evict down to [capacity] entries, re-validate every entry
-//       (quarantining corrupt ones), or delete all entries.
+//       Maintain an existing feature store directory (a missing <dir>
+//       is an IoError): print stats, evict down to [capacity] entries,
+//       re-validate every entry (quarantining corrupt ones), or delete
+//       all entries.
 //
 // `analyze` and `serve` accept --store <dir> to route feature
 // extraction through a persistent feature store at <dir> (verdicts are
@@ -404,6 +405,18 @@ void print_store_stats(const store::FeatureStore& fstore) {
 }
 
 int cmd_store(const char* action, const char* dir, std::size_t capacity) {
+  const std::string_view verb = action;
+  if (verb != "stats" && verb != "compact" && verb != "verify" &&
+      verb != "clear") {
+    std::fprintf(stderr, "store: unknown action %s\n", action);
+    return 2;
+  }
+  // Opening a store creates its directory; maintenance must not, or a
+  // mistyped path would read as an empty store.
+  if (!std::filesystem::is_directory(dir)) {
+    throw core::Error(core::ErrorCode::kIoError,
+                      std::string("store: no store directory at ") + dir);
+  }
   // Maintenance opens default to unbounded capacity so `stats`/`verify`
   // never evict; `compact <dir> <capacity>` bounds explicitly.
   store::StoreConfig config;
@@ -411,11 +424,11 @@ int cmd_store(const char* action, const char* dir, std::size_t capacity) {
   config.capacity = capacity;
   store::FeatureStore fstore(config);
 
-  if (std::strcmp(action, "stats") == 0) {
+  if (verb == "stats") {
     print_store_stats(fstore);
     return 0;
   }
-  if (std::strcmp(action, "compact") == 0) {
+  if (verb == "compact") {
     // Opening with a bound already evicts down to it; count that
     // open-time work together with anything compact() still finds.
     const std::size_t evicted =
@@ -424,21 +437,17 @@ int cmd_store(const char* action, const char* dir, std::size_t capacity) {
     print_store_stats(fstore);
     return 0;
   }
-  if (std::strcmp(action, "verify") == 0) {
+  if (verb == "verify") {
     const auto report = fstore.verify();
     std::printf("checked %zu entries, quarantined %zu\n", report.checked,
                 report.quarantined);
     print_store_stats(fstore);
     return 0;
   }
-  if (std::strcmp(action, "clear") == 0) {
-    const std::size_t entries = fstore.stats().entries;
-    fstore.clear();
-    std::printf("cleared %zu entries\n", entries);
-    return 0;
-  }
-  std::fprintf(stderr, "store: unknown action %s\n", action);
-  return 2;
+  const std::size_t entries = fstore.stats().entries;
+  fstore.clear();
+  std::printf("cleared %zu entries\n", entries);
+  return 0;
 }
 
 volatile std::sig_atomic_t g_sighup = 0;
@@ -460,6 +469,15 @@ std::vector<std::uint8_t> read_binary_file(const std::string& path) {
   }
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+/// A trained system loaded from `path`, ready to publish to the
+/// service. Loading completes before any swap, so a failed load never
+/// touches the published model.
+std::shared_ptr<const core::SoteriaSystem> load_shared(
+    const std::string& path) {
+  return std::make_shared<const core::SoteriaSystem>(
+      core::SoteriaSystem::load_file(path));
 }
 
 struct PendingRequest {
@@ -531,9 +549,7 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
         store::StoreConfig{store_dir});
   }
 
-  auto model = std::make_shared<const core::SoteriaSystem>(
-      core::SoteriaSystem::load_file(model_path));
-  serve::AnalysisService service(std::move(model), config);
+  serve::AnalysisService service(load_shared(model_path), config);
   std::fprintf(stderr,
                "serving %s: %zu workers, queue depth %zu, micro-batch %zu "
                "(paths on stdin, `!swap <path>` to hot-swap)\n",
@@ -559,7 +575,7 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
     if (g_sighup != 0) {
       g_sighup = 0;
       try {
-        (void)service.swap_model_file(swap_path);
+        service.swap_model(load_shared(swap_path));
         std::fprintf(stderr, "SIGHUP: model swapped from %s\n",
                      swap_path.c_str());
       } catch (const std::exception& e) {
@@ -570,7 +586,7 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
     if (line.rfind("!swap ", 0) == 0) {
       const std::string path = line.substr(6);
       try {
-        (void)service.swap_model_file(path);
+        service.swap_model(load_shared(path));
         std::fprintf(stderr, "model swapped from %s\n", path.c_str());
       } catch (const std::exception& e) {
         std::fprintf(stderr, "swap failed: %s\n", e.what());
@@ -578,13 +594,14 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
       continue;
     }
 
-    cfg::Cfg cfg;
+    std::shared_ptr<const cfg::Cfg> cfg;
     try {
       // Container + decoder resolution per file: a directory of raw
       // toy binaries and ELF-wrapped ones serves uniformly under
       // --format auto.
       const auto bytes = read_binary_file(line);
-      cfg = decode_binary(bytes, format, arch);
+      cfg = std::make_shared<const cfg::Cfg>(
+          decode_binary(bytes, format, arch));
     } catch (const std::exception&) {
       // Queued as an already-failed request, so its line keeps its
       // place among the verdicts before it.

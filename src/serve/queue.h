@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -54,7 +53,7 @@ class BoundedMpmcQueue {
   BoundedMpmcQueue(const BoundedMpmcQueue&) = delete;
   BoundedMpmcQueue& operator=(const BoundedMpmcQueue&) = delete;
 
-  /// Non-blocking enqueue. Rejects (kFull) at exactly `capacity()`
+  /// Non-blocking enqueue. Rejects (kFull) at exactly `capacity`
   /// queued items; never rejects below it.
   [[nodiscard]] PushStatus try_push(T value) {
     {
@@ -68,25 +67,12 @@ class BoundedMpmcQueue {
   }
 
   /// Blocks until an item is available (and the queue is not paused) or
-  /// the queue is closed and drained — then returns nullopt, the
-  /// consumer's signal to exit.
-  [[nodiscard]] std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    consumers_.wait(lock, [&] {
-      return (!paused_ && !items_.empty()) || (closed_ && items_.empty());
-    });
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    T value = std::move(items_.front());
-    items_.pop_front();
-    return value;
-  }
-
-  /// Blocks like pop(), then drains up to `max_items` queued items in
-  /// one lock hold — the micro-batching primitive: a consumer that
-  /// takes N items per wakeup costs one lock round-trip per *batch*
-  /// instead of one per request. Returns items in FIFO order; an empty
-  /// vector means the queue is closed and drained (the consumer's exit
-  /// signal). `max_items` of 0 is treated as 1.
+  /// the queue is closed and drained, then takes up to `max_items`
+  /// queued items in one lock hold — the micro-batching primitive: a
+  /// consumer that takes N items per wakeup costs one lock round-trip
+  /// per *batch* instead of one per request. Returns items in FIFO
+  /// order; an empty vector means the queue is closed and drained (the
+  /// consumer's exit signal). `max_items` of 0 is treated as 1.
   [[nodiscard]] std::vector<T> pop_batch(std::size_t max_items) {
     std::vector<T> batch;
     std::unique_lock<std::mutex> lock(mutex_);
@@ -103,8 +89,9 @@ class BoundedMpmcQueue {
     return batch;
   }
 
-  /// Holds consumers (pop blocks even when items are queued). Producers
-  /// are unaffected: the queue keeps filling until capacity rejects.
+  /// Holds consumers (pop_batch blocks even when items are queued).
+  /// Producers are unaffected: the queue keeps filling until capacity
+  /// rejects.
   void pause() {
     std::lock_guard<std::mutex> lock(mutex_);
     paused_ = true;
@@ -120,7 +107,7 @@ class BoundedMpmcQueue {
   }
 
   /// Permanently stops producers; implies resume() so consumers can
-  /// drain the remaining items and observe the nullopt sentinel.
+  /// drain the remaining items and observe the empty-batch sentinel.
   void close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -144,11 +131,6 @@ class BoundedMpmcQueue {
   [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();
-  }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
   }
 
  private:

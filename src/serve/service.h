@@ -15,12 +15,13 @@
 //    bit-identical to a serial `analyze_batch` over the same CFGs in
 //    submission order, at any worker count or micro-batch size.
 //  * Micro-batching. A worker drains up to `max_batch` queued requests
-//    in one queue-lock hold and analyzes them as one
-//    `SoteriaSystem::analyze_batch` call, so the per-request cost of
-//    lock round-trips, gauge reads, and model pinning is amortized
-//    across the batch while the labeling cache and feature store do
-//    the per-sample work. Because every sample carries its own
-//    `child(id)` generator, batch composition never affects verdicts.
+//    in one queue-lock hold and pins the model once for them, so the
+//    lock round-trip, gauge reads and model pinning are paid once per
+//    batch. It then analyzes each request with its own
+//    `SoteriaSystem::analyze` call; a request that throws fails alone,
+//    with its own exception, and its batchmates are unaffected.
+//    Because every request carries its own `child(id)` generator,
+//    batch composition never affects verdicts.
 //  * Deadlines. A request whose deadline passes while it waits in the
 //    queue is expired at drain time (Error{kDeadlineExceeded}) before
 //    it wastes a worker on inference — including requests drained into
@@ -36,15 +37,13 @@
 //    worker always runs to completion under either policy. The
 //    destructor drains.
 //
-// Workers run on the existing runtime::ThreadPool: a dispatcher thread
-// opens one parallel region whose bodies are persistent worker loops,
-// so the pool's span-context propagation and lifecycle management are
-// reused as-is.
+// Workers are `worker_count()` threads the service owns: started by the
+// constructor, joined by shutdown.
 //
 // Observability (when the obs registry is enabled): gauge
 // `serve.queue.depth`; counters `serve.requests.{accepted,rejected,
 // expired,completed,cancelled,failed}` and `serve.model.swaps`;
-// histograms `t/serve.batch` (batch inference latency),
+// histograms `t/serve.batch` (inference time of one drained batch),
 // `serve.batch.size` (requests per drained batch),
 // `serve.request.e2e` (submit-to-verdict seconds), and
 // `serve.queue.wait` (time spent queued, seconds).
@@ -58,13 +57,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "cfg/cfg.h"
 #include "math/rng.h"
-#include "runtime/thread_pool.h"
 #include "serve/queue.h"
 #include "soteria/error.h"
 #include "soteria/system.h"
@@ -101,7 +98,7 @@ struct ServiceConfig {
   std::size_t num_threads = 0;
 
   /// Micro-batch bound: a worker drains up to this many queued requests
-  /// per wakeup and analyzes them as one batch. 1 disables batching;
+  /// per wakeup and runs them on one pinned model. 1 disables batching;
   /// verdicts are bit-identical at any setting. Zero is rejected with
   /// Error{kInvalidArgument}.
   std::size_t max_batch = 8;
@@ -142,10 +139,10 @@ class AnalysisService {
  public:
   using Ticket = ::soteria::serve::Ticket;
 
-  /// Starts `config.num_threads` workers immediately. Throws
-  /// core::Error{kInvalidArgument} for a null system or a zero
-  /// max_batch; queue and thread validation errors propagate from the
-  /// underlying components.
+  /// Validates, then starts `config.num_threads` worker threads. Throws
+  /// core::Error{kInvalidArgument} for a null system, a zero max_batch,
+  /// a zero queue_depth, or a thread count that resolves above
+  /// runtime::kMaxThreads; no thread starts before validation passes.
   explicit AnalysisService(std::shared_ptr<const core::SoteriaSystem> system,
                            ServiceConfig config = {});
 
@@ -155,17 +152,12 @@ class AnalysisService {
   AnalysisService(const AnalysisService&) = delete;
   AnalysisService& operator=(const AnalysisService&) = delete;
 
-  /// Non-blocking submission without a deadline. The by-value overloads
-  /// copy the CFG once into shared ownership; hot submitters should
-  /// pass a shared_ptr to skip the copy entirely.
-  [[nodiscard]] Ticket submit(cfg::Cfg cfg);
-  [[nodiscard]] Ticket submit(std::shared_ptr<const cfg::Cfg> cfg);
-
-  /// Non-blocking submission with an explicit absolute deadline.
-  [[nodiscard]] Ticket submit(cfg::Cfg cfg,
-                              std::chrono::steady_clock::time_point deadline);
-  [[nodiscard]] Ticket submit(std::shared_ptr<const cfg::Cfg> cfg,
-                              std::chrono::steady_clock::time_point deadline);
+  /// Non-blocking submission with an absolute deadline (the default
+  /// never expires). Throws core::Error{kInvalidArgument} for a null cfg.
+  [[nodiscard]] Ticket submit(
+      std::shared_ptr<const cfg::Cfg> cfg,
+      std::chrono::steady_clock::time_point deadline =
+          std::chrono::steady_clock::time_point::max());
 
   /// Submission under a caller-allocated request id (walks are drawn
   /// from Rng(seed).child(id)), for callers that choose the ids — e.g.
@@ -179,13 +171,10 @@ class AnalysisService {
       std::chrono::steady_clock::time_point deadline, std::uint64_t id);
 
   /// Atomically publishes `system` to subsequent batches. Throws
-  /// core::Error{kInvalidArgument} for null.
+  /// core::Error{kInvalidArgument} for null. To swap in a model file,
+  /// load it first (`SoteriaSystem::load_file`): a failed load then
+  /// never touches the published model.
   void swap_model(std::shared_ptr<const core::SoteriaSystem> system);
-
-  /// Loads a trained system from `path` (core::Error{kIoError} /
-  /// {kCorruptModel} on failure) and publishes it. Returns the new model.
-  std::shared_ptr<const core::SoteriaSystem> swap_model_file(
-      const std::string& path);
 
   /// The currently published model.
   [[nodiscard]] std::shared_ptr<const core::SoteriaSystem> model() const;
@@ -253,8 +242,7 @@ class AnalysisService {
   std::atomic<std::uint64_t> swaps_{0};
   std::atomic<std::uint64_t> batches_{0};
 
-  runtime::ThreadPool pool_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace soteria::serve

@@ -117,14 +117,12 @@ class SoteriaSystem {
       std::span<const cfg::Cfg> cfgs, const math::Rng& rng,
       const AnalyzeOptions& options = {}) const;
 
-  /// Micro-batch entry point: analyzes `*cfgs[i]` with the *fresh*
-  /// generator `rngs[i]` (one per sample; typically `base.child(id)`).
-  /// This is the hot path the serving layer drains request batches
-  /// into — pointer-based so queued requests are analyzed without
-  /// copying their CFGs, and explicitly seeded per sample so a batch
-  /// assembled from any interleaving of request ids reproduces the
-  /// serial analyze_batch verdict for each id exactly. The span-based
-  /// overload above delegates here with `rngs[i] = rng.child(i)`.
+  /// Analyzes `*cfgs[i]` with the *fresh* generator `rngs[i]` (one per
+  /// sample; typically `base.child(id)`), without copying the CFGs.
+  /// Each sample is seeded explicitly, so a batch assembled from any
+  /// interleaving of ids reproduces the serial analyze_batch verdict
+  /// for each id exactly. The span-based overload above delegates here
+  /// with `rngs[i] = rng.child(i)`.
   /// Throws Error{kInvalidArgument} on size mismatch or a null CFG.
   [[nodiscard]] std::vector<Verdict> analyze_batch(
       std::span<const cfg::Cfg* const> cfgs,

@@ -1,8 +1,10 @@
 # Every `soteria_cli` command rejects an argument it cannot use: an
 # unknown flag, a flag without its value, an extra positional token or
 # a malformed number exits 2 with the usage text on stderr, before any
-# model is loaded or any file is written. Well-formed numbers still
-# parse (the `store` commands at the end succeed).
+# model is loaded or any file is written. Store maintenance on a
+# missing directory exits 1 and creates nothing; well-formed numbers
+# still parse (the `store` commands at the end succeed on an existing
+# store directory).
 #
 #   cmake -DCLI=<soteria_cli> -DWORK_DIR=<scratch dir> -P bad_args.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -54,6 +56,20 @@ foreach(path "${model}" "${WORK_DIR}/corpus" "${WORK_DIR}/store")
   endif()
 endforeach()
 
+foreach(action stats compact verify clear)
+  execute_process(COMMAND "${CLI}" store ${action} "${WORK_DIR}/store"
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "soteria_cli store ${action} on a missing directory\n"
+                        "exited with ${rc}, want 1\nstderr:\n${err}")
+  endif()
+  if(EXISTS "${WORK_DIR}/store")
+    message(FATAL_ERROR "soteria_cli store ${action} created a missing "
+                        "store directory")
+  endif()
+endforeach()
+
+file(MAKE_DIRECTORY "${WORK_DIR}/store")
 foreach(case "store stats ${WORK_DIR}/store"
              "store compact ${WORK_DIR}/store 12")
   separate_arguments(args UNIX_COMMAND "${case}")

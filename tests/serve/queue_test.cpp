@@ -35,7 +35,7 @@ TEST(BoundedMpmcQueue, RejectsAtExactCapacity) {
   EXPECT_EQ(queue.try_push(4), PushStatus::kFull);
   EXPECT_EQ(queue.size(), 4U);
   // Freeing one slot re-admits exactly one item.
-  EXPECT_EQ(queue.pop().value(), 0);
+  EXPECT_EQ(queue.pop_batch(1), std::vector<int>{0});
   EXPECT_EQ(queue.try_push(4), PushStatus::kAccepted);
   EXPECT_EQ(queue.try_push(5), PushStatus::kFull);
 }
@@ -43,7 +43,9 @@ TEST(BoundedMpmcQueue, RejectsAtExactCapacity) {
 TEST(BoundedMpmcQueue, DeliversFifo) {
   BoundedMpmcQueue<int> queue(8);
   for (int i = 0; i < 5; ++i) ASSERT_EQ(queue.try_push(i), PushStatus::kAccepted);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(queue.pop().value(), i);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(queue.pop_batch(1), std::vector<int>{i});
+  }
 }
 
 TEST(BoundedMpmcQueue, CloseStopsProducersAndDrainsConsumers) {
@@ -51,12 +53,11 @@ TEST(BoundedMpmcQueue, CloseStopsProducersAndDrainsConsumers) {
   ASSERT_EQ(queue.try_push(1), PushStatus::kAccepted);
   ASSERT_EQ(queue.try_push(2), PushStatus::kAccepted);
   queue.close();
-  EXPECT_TRUE(queue.closed());
   EXPECT_EQ(queue.try_push(3), PushStatus::kClosed);
   // Consumers still see the queued items, then the exit sentinel.
-  EXPECT_EQ(queue.pop().value(), 1);
-  EXPECT_EQ(queue.pop().value(), 2);
-  EXPECT_EQ(queue.pop(), std::nullopt);
+  EXPECT_EQ(queue.pop_batch(1), std::vector<int>{1});
+  EXPECT_EQ(queue.pop_batch(1), std::vector<int>{2});
+  EXPECT_TRUE(queue.pop_batch(1).empty());
 }
 
 TEST(BoundedMpmcQueue, TakeAllEmptiesAtomically) {
@@ -66,7 +67,7 @@ TEST(BoundedMpmcQueue, TakeAllEmptiesAtomically) {
   EXPECT_EQ(taken, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(queue.size(), 0U);
   queue.close();
-  EXPECT_EQ(queue.pop(), std::nullopt);
+  EXPECT_TRUE(queue.pop_batch(1).empty());
 }
 
 TEST(BoundedMpmcQueue, PauseHoldsConsumersUntilResume) {
@@ -76,9 +77,7 @@ TEST(BoundedMpmcQueue, PauseHoldsConsumersUntilResume) {
 
   std::atomic<bool> popped{false};
   std::thread consumer([&] {
-    const auto item = queue.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, 7);
+    EXPECT_EQ(queue.pop_batch(1), std::vector<int>{7});
     popped.store(true);
   });
   // The consumer must not make progress while paused (a bounded wait —
@@ -104,9 +103,10 @@ TEST(BoundedMpmcQueue, ConcurrentProducersAndConsumersLoseNothing) {
   consumers.reserve(kConsumers);
   for (int c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&] {
-      while (auto item = queue.pop()) {
+      for (auto items = queue.pop_batch(1); !items.empty();
+           items = queue.pop_batch(1)) {
         std::lock_guard<std::mutex> lock(sink_mutex);
-        sink.push_back(*item);
+        sink.push_back(items.front());
       }
     });
   }

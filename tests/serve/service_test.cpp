@@ -16,6 +16,7 @@
 
 #include "dataset/generator.h"
 #include "obs/metrics.h"
+#include "runtime/thread_pool.h"
 #include "serve/service.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
@@ -28,6 +29,11 @@ using Clock = std::chrono::steady_clock;
 
 /// Expired before it was ever queued — deterministic deadline expiry.
 constexpr auto kAlreadyExpired = Clock::time_point::min();
+
+/// A shared copy of `cfg`, the form AnalysisService::submit takes.
+std::shared_ptr<const cfg::Cfg> shared(const cfg::Cfg& cfg) {
+  return std::make_shared<const cfg::Cfg>(cfg);
+}
 
 // Training dominates suite wall-clock, so two tiny systems (different
 // seeds => different weights and thresholds) are trained once and
@@ -95,6 +101,18 @@ TEST_F(ServiceFixture, NullSystemIsRejected) {
   }
 }
 
+TEST_F(ServiceFixture, ThreadCountAboveCapIsRejected) {
+  // Rejected before any worker starts.
+  ServiceConfig config;
+  config.num_threads = runtime::kMaxThreads + 1;
+  try {
+    AnalysisService service(*model_a, config);
+    FAIL() << "expected core::Error";
+  } catch (const core::Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+}
+
 TEST_F(ServiceFixture, VerdictStreamBitIdenticalToSerialAnalyzeBatch) {
   const auto cfgs = test_cfgs(10);
   ASSERT_FALSE(cfgs.empty());
@@ -108,7 +126,7 @@ TEST_F(ServiceFixture, VerdictStreamBitIdenticalToSerialAnalyzeBatch) {
   std::vector<AnalysisService::Ticket> tickets;
   tickets.reserve(cfgs.size());
   for (const auto& cfg : cfgs) {
-    auto ticket = service.submit(cfg);
+    auto ticket = service.submit(shared(cfg));
     ASSERT_TRUE(ticket.accepted());
     tickets.push_back(std::move(ticket));
   }
@@ -149,7 +167,7 @@ TEST_F(ServiceFixture, VerdictsInvariantAcrossWorkerCounts) {
     AnalysisService service(*model_a, config);
     std::vector<AnalysisService::Ticket> tickets;
     for (const auto& cfg : cfgs) {
-      auto ticket = service.submit(cfg);
+      auto ticket = service.submit(shared(cfg));
       ASSERT_TRUE(ticket.accepted());
       tickets.push_back(std::move(ticket));
     }
@@ -175,12 +193,12 @@ TEST_F(ServiceFixture, BackpressureRejectsAtExactCapacity) {
 
   std::vector<AnalysisService::Ticket> accepted;
   for (int i = 0; i < 3; ++i) {
-    auto ticket = service.submit(cfgs[0]);
+    auto ticket = service.submit(shared(cfgs[0]));
     ASSERT_TRUE(ticket.accepted()) << i;
     accepted.push_back(std::move(ticket));
   }
   // Submission queue_depth + 1 is rejected immediately — not blocked.
-  auto rejected = service.submit(cfgs[0]);
+  auto rejected = service.submit(shared(cfgs[0]));
   EXPECT_FALSE(rejected.accepted());
   EXPECT_EQ(rejected.status, ErrorCode::kQueueFull);
   EXPECT_FALSE(rejected.verdict.valid());
@@ -193,7 +211,7 @@ TEST_F(ServiceFixture, BackpressureRejectsAtExactCapacity) {
   EXPECT_EQ(service.stats().completed, 3U);
 
   // The rejected submission did not burn an id: accepted ids stay dense.
-  auto next = service.submit(cfgs[0]);
+  auto next = service.submit(shared(cfgs[0]));
   ASSERT_TRUE(next.accepted());
   EXPECT_EQ(next.id, 3U);
   EXPECT_NO_THROW((void)next.verdict.get());
@@ -208,8 +226,8 @@ TEST_F(ServiceFixture, QueuedRequestExpiresBeforeWastingAWorker) {
   AnalysisService service(*model_a, config);
   service.pause();
 
-  auto doomed = service.submit(cfgs[0], kAlreadyExpired);
-  auto healthy = service.submit(cfgs[0]);
+  auto doomed = service.submit(shared(cfgs[0]), kAlreadyExpired);
+  auto healthy = service.submit(shared(cfgs[0]));
   ASSERT_TRUE(doomed.accepted());
   ASSERT_TRUE(healthy.accepted());
   service.resume();
@@ -239,7 +257,7 @@ TEST_F(ServiceFixture, DestructorDrainsQueuedRequests) {
     AnalysisService service(*model_a, config);
     service.pause();  // everything is still queued at destruction
     for (const auto& cfg : cfgs) {
-      auto ticket = service.submit(cfg);
+      auto ticket = service.submit(shared(cfg));
       ASSERT_TRUE(ticket.accepted());
       tickets.push_back(std::move(ticket));
     }
@@ -268,7 +286,7 @@ TEST_F(ServiceFixture, DrainShutdownFinishesQueuedRequests) {
   service.pause();
   std::vector<AnalysisService::Ticket> tickets;
   for (const auto& cfg : cfgs) {
-    auto ticket = service.submit(cfg);
+    auto ticket = service.submit(shared(cfg));
     ASSERT_TRUE(ticket.accepted());
     tickets.push_back(std::move(ticket));
   }
@@ -281,7 +299,7 @@ TEST_F(ServiceFixture, DrainShutdownFinishesQueuedRequests) {
   EXPECT_EQ(stats.cancelled, 0U);
 
   // Post-shutdown submissions are typed rejections, not hangs.
-  auto late = service.submit(cfgs[0]);
+  auto late = service.submit(shared(cfgs[0]));
   EXPECT_EQ(late.status, ErrorCode::kShuttingDown);
   EXPECT_EQ(service.stats().rejected, 1U);
 }
@@ -296,7 +314,7 @@ TEST_F(ServiceFixture, CancelShutdownFailsQueuedRequests) {
   service.pause();
   std::vector<AnalysisService::Ticket> tickets;
   for (const auto& cfg : cfgs) {
-    auto ticket = service.submit(cfg);
+    auto ticket = service.submit(shared(cfg));
     ASSERT_TRUE(ticket.accepted());
     tickets.push_back(std::move(ticket));
   }
@@ -324,7 +342,7 @@ TEST_F(ServiceFixture, HotSwapPublishesToSubsequentRequests) {
   config.seed = 40;
   AnalysisService service(*model_a, config);
 
-  auto before = service.submit(cfgs[0]);
+  auto before = service.submit(shared(cfgs[0]));
   ASSERT_TRUE(before.accepted());
   const auto verdict_before = before.verdict.get();
 
@@ -332,7 +350,7 @@ TEST_F(ServiceFixture, HotSwapPublishesToSubsequentRequests) {
   EXPECT_EQ(service.model().get(), model_b->get());
   EXPECT_EQ(service.stats().swaps, 1U);
 
-  auto after = service.submit(cfgs[0]);
+  auto after = service.submit(shared(cfgs[0]));
   ASSERT_TRUE(after.accepted());
   const auto verdict_after = after.verdict.get();
 
@@ -388,7 +406,7 @@ TEST_F(ServiceFixture, ConcurrentSubmissionAndSwapStaysDeterministic) {
     submitters.emplace_back([&] {
       for (std::size_t i = 0; i < cfgs.size(); ++i) {
         for (;;) {
-          auto ticket = service.submit(cfgs[i]);
+          auto ticket = service.submit(shared(cfgs[i]));
           if (ticket.accepted()) {
             std::lock_guard<std::mutex> lock(results_mutex);
             submitted.emplace_back(i, std::move(ticket));
@@ -439,7 +457,7 @@ TEST_F(ServiceFixture, ServeMetricsAreRecorded) {
     AnalysisService service(*model_a, config);
     std::vector<AnalysisService::Ticket> tickets;
     for (const auto& cfg : cfgs) {
-      auto ticket = service.submit(cfg);
+      auto ticket = service.submit(shared(cfg));
       ASSERT_TRUE(ticket.accepted());
       tickets.push_back(std::move(ticket));
     }
@@ -482,12 +500,14 @@ TEST_F(ServiceFixture, LoadPathsCarryTypedErrorCodes) {
     EXPECT_EQ(e.code(), ErrorCode::kCorruptModel);
   }
 
-  // A failed swap_model_file leaves the published model untouched.
+  // Swapping in a model file loads it first, so a failed load leaves
+  // the published model untouched.
   ServiceConfig config;
   config.num_threads = 1;
   AnalysisService service(*model_a, config);
   try {
-    (void)service.swap_model_file("/nonexistent/model.bin");
+    service.swap_model(std::make_shared<const core::SoteriaSystem>(
+        core::SoteriaSystem::load_file("/nonexistent/model.bin")));
     FAIL() << "expected Error{kIoError}";
   } catch (const core::Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kIoError);

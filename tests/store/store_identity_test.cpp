@@ -28,6 +28,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A shared copy of `cfg`, the form AnalysisService::submit takes.
+std::shared_ptr<const cfg::Cfg> shared(const cfg::Cfg& cfg) {
+  return std::make_shared<const cfg::Cfg>(cfg);
+}
+
 void expect_verdicts_equal(const std::vector<core::Verdict>& actual,
                            const std::vector<core::Verdict>& expected,
                            const char* what) {
@@ -277,7 +282,7 @@ TEST_F(StoreIdentityFixture, ServiceVerdictsBitIdenticalColdAndWarm) {
         *model_a, config);
     std::vector<std::future<core::Verdict>> futures;
     for (const auto& cfg : cfgs) {
-      auto ticket = service.submit(cfg);
+      auto ticket = service.submit(shared(cfg));
       ASSERT_TRUE(ticket.accepted());
       futures.push_back(std::move(ticket.verdict));
     }
@@ -307,7 +312,7 @@ TEST_F(StoreIdentityFixture, ServiceModelSwapMissesOnOldEntries) {
   // First half under model A (populating A-fingerprint entries).
   std::vector<std::future<core::Verdict>> first_half;
   for (std::size_t i = 0; i < cfgs.size() / 2; ++i) {
-    auto ticket = service.submit(cfgs[i]);
+    auto ticket = service.submit(shared(cfgs[i]));
     ASSERT_TRUE(ticket.accepted());
     first_half.push_back(std::move(ticket.verdict));
   }
@@ -321,7 +326,7 @@ TEST_F(StoreIdentityFixture, ServiceModelSwapMissesOnOldEntries) {
   const auto misses_before = config.feature_store->stats().misses;
   std::vector<std::future<core::Verdict>> second_half;
   for (std::size_t i = 0; i < cfgs.size() / 2; ++i) {
-    auto ticket = service.submit(cfgs[i]);
+    auto ticket = service.submit(shared(cfgs[i]));
     ASSERT_TRUE(ticket.accepted());
     second_half.push_back(std::move(ticket.verdict));
   }
