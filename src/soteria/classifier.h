@@ -1,8 +1,9 @@
 // Family classifier (paper Section III-C, Figs. 6-7): two CNNs — one
 // over DBL feature vectors, one over LBL — with majority voting across
 // all per-walk vectors. The class with the most argmax votes wins; vote
-// ties are broken by summed softmax probability. Every prediction runs
-// each CNN once through Sequential::infer.
+// ties are broken by summed softmax probability. `tally` runs each CNN
+// once over all its vectors through Sequential::infer; `predict` stops
+// counting once the winner is fixed and returns the same class.
 #pragma once
 
 #include <cstddef>
@@ -51,15 +52,19 @@ class FamilyClassifier {
                                 const nn::TrainConfig& training,
                                 double learning_rate, math::Rng& rng);
 
-  /// Majority-vote prediction over a sample's full feature bundle:
-  /// `tally(features).winner()`, recorded in the observability
-  /// registry. Const and safe for concurrent callers.
+  /// Majority-vote prediction over a sample's feature bundle, equal to
+  /// `tally(features).winner()` for every input. Runs the DBL CNN over
+  /// all DBL vectors, then the LBL CNN over LBL vectors two at a time,
+  /// and stops once the leader's votes exceed the runner-up's plus the
+  /// vectors left: no class can then catch it, and the probability-mass
+  /// tie-break is never reached. Records the rows it ran as
+  /// `soteria.classifier.rows`. Const and safe for concurrent callers.
   [[nodiscard]] dataset::Family predict(
       const features::SampleFeatures& features) const;
 
-  /// Runs both CNNs once over every DBL and LBL vector and tallies
-  /// votes and probability mass. Const and safe for concurrent
-  /// callers; does not touch the observability registry.
+  /// The full count: runs both CNNs once over every DBL and LBL vector
+  /// and tallies votes and probability mass. Const and safe for
+  /// concurrent callers; does not touch the observability registry.
   [[nodiscard]] VoteTally tally(
       const features::SampleFeatures& features) const;
 
@@ -86,10 +91,11 @@ class FamilyClassifier {
   FamilyClassifier() = default;
 
  private:
-  /// Accumulates votes and probability mass from one model over a set
-  /// of vectors.
+  /// Accumulates votes and probability mass from one model over a run
+  /// of vectors, in order. A vector's votes do not depend on the run it
+  /// is counted in.
   static void accumulate(const nn::Sequential& model,
-                         const std::vector<std::vector<float>>& vectors,
+                         std::span<const std::vector<float>> vectors,
                          VoteTally& tally);
 
   nn::CnnConfig dbl_arch_;  ///< architectures actually built

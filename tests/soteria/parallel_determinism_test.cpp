@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "dataset/generator.h"
 #include "features/pipeline.h"
+#include "obs/metrics.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 
@@ -196,6 +198,54 @@ TEST_F(ParallelDeterminismFixture, AnalyzeBatchExpiredDeadlineThrows) {
     EXPECT_EQ(relaxed[i].reconstruction_error,
               baseline[i].reconstruction_error);
   }
+}
+
+TEST_F(ParallelDeterminismFixture, ClassifierPredictMatchesSerialOnFourThreads) {
+  // Four threads predict on one shared classifier, each through its own
+  // inference arena and each stopping its vote early where the bundle
+  // allows; every class must equal the serial one, and every call
+  // records the rows it ran.
+  const auto cfgs = test_cfgs(24);
+  ASSERT_FALSE(cfgs.empty());
+  const FamilyClassifier& classifier = serial->classifier();
+  const math::Rng base(45);
+  std::vector<features::SampleFeatures> bundles;
+  std::vector<dataset::Family> expected;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    math::Rng rng = base.child(i);
+    bundles.push_back(serial->pipeline().extract(cfgs[i], rng));
+    expected.push_back(classifier.predict(bundles.back()));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::vector<dataset::Family>> results(
+      kThreads, std::vector<dataset::Family>(bundles.size()));
+  obs::registry().reset();
+  obs::set_enabled(true);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at a different bundle, so the threads
+      // predict different bundles at the same time.
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t j = 0; j < bundles.size(); ++j) {
+          const std::size_t i = (j + t * 5) % bundles.size();
+          results[t][i] = classifier.predict(bundles[i]);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  obs::set_enabled(false);
+  const auto snapshot = obs::registry().snapshot();
+  obs::registry().reset();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(results[t], expected) << "thread " << t;
+  }
+  EXPECT_EQ(snapshot.histograms.at("soteria.classifier.rows").count,
+            kThreads * kRounds * bundles.size());
 }
 
 }  // namespace
