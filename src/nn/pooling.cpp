@@ -107,7 +107,6 @@ void MaxPool1d::train_backward(const float* /*in*/, const float* /*out*/,
                                std::size_t width, float* grad_in,
                                TrainState& state) {
   const std::size_t out_len = out_length();
-  std::fill(grad_in, grad_in + rows * width, 0.0F);
   for (std::size_t r = 0; r < rows; ++r) {
     const float* go_row = grad_out + r * channels_ * out_len;
     float* gi_row = grad_in + r * width;
@@ -117,6 +116,21 @@ void MaxPool1d::train_backward(const float* /*in*/, const float* /*out*/,
       const float* go_chan = go_row + c * out_len;
       float* gi_chan = gi_row + c * in_length_;
       const std::uint32_t* am_chan = am_row + c * out_len;
+      if (window_ == 2) {
+        // Each input pair written once with a select: the gradient to
+        // the argmax slot, +0 to the other. `0.0F + g` keeps the bits
+        // of the zero-fill and add below, where a -0 gradient lands
+        // as +0.
+        for (std::size_t t = 0; t < out_len; ++t) {
+          const float g = 0.0F + go_chan[t];
+          const bool take_second = (am_chan[t] & 1U) != 0;
+          gi_chan[2 * t] = take_second ? 0.0F : g;
+          gi_chan[2 * t + 1] = take_second ? g : 0.0F;
+        }
+        std::fill(gi_chan + 2 * out_len, gi_chan + in_length_, 0.0F);
+        continue;
+      }
+      std::fill(gi_chan, gi_chan + in_length_, 0.0F);
       for (std::size_t t = 0; t < out_len; ++t) {
         gi_chan[am_chan[t]] += go_chan[t];
       }

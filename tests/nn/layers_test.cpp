@@ -229,6 +229,27 @@ TEST(MaxPool1d, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gin(0, 3), 0.0F);
 }
 
+TEST(MaxPool1d, WindowTwoBackwardWritesEveryInputOnce) {
+  // Two channels of odd length 7 (the last element has no window), a
+  // tie (the first element wins) and -0 output gradients: the argmax
+  // slot gets 0 + g, so -0 lands as +0, and every other input +0.
+  MaxPool1d pool(2, 7, 2);
+  const math::Matrix in(1, 14, {1, 5, 7, 2, 3, 3, 9,     //
+                                -1, -2, 0, 4, 6, 1, 8});
+  LayerHarness harness(pool);
+  (void)harness.forward(in);
+  const math::Matrix grad(1, 6, {-0.0F, 2, 3, 4, -0.0F, 6});
+  const auto gin = harness.backward(grad);
+  const std::vector<float> expected = {0, 0, 2, 0, 3, 0, 0,  //
+                                       4, 0, 0, 0, 6, 0, 0};
+  ASSERT_EQ(gin.cols(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(gin(0, i)),
+              std::bit_cast<std::uint32_t>(expected[i]))
+        << i;
+  }
+}
+
 TEST(MaxPool1d, MultiChannelIndependence) {
   MaxPool1d pool(2, 4, 2);
   const math::Matrix in(1, 8, {1, 9, 0, 0, 5, 1, 2, 8});
