@@ -128,10 +128,12 @@ TEST(PerfSmoke, RecordedInferSweepHasSpeedupFloorsAndIdentity) {
   // When a BENCH_perf.json is reachable, its perf_infer section must
   // carry the sweep shape: the n-gram and whole-extraction oracle vs
   // library pairs, per-sample analyze_batch latency at 1/2/4 threads
-  // with the host's thread count, and the gates the bench enforces —
-  // bit identity, n-grams >= 3x, extraction >= 2x. The bench exits
-  // non-zero otherwise, so a recorded document must always carry
-  // passing values.
+  // with the host's thread count, the classifier vote's per-verdict
+  // predict and full-tally times with predict's mean rows, and the
+  // gates the bench enforces — bit identity (equal vote classes too),
+  // n-grams >= 3x, extraction >= 2x. The bench exits non-zero
+  // otherwise, so a recorded document must always carry passing
+  // values.
   const std::string contents = recorded_bench_perf();
   if (contents.empty()) {
     GTEST_SKIP() << "no BENCH_perf.json in reach; bench not yet run here";
@@ -148,7 +150,8 @@ TEST(PerfSmoke, RecordedInferSweepHasSpeedupFloorsAndIdentity) {
        {"ngrams_reference_ms", "ngrams_flat_ms", "extract_reference_ms",
         "extract_fused_ms", "analyze_batch_t1_ms_per_sample",
         "analyze_batch_t2_ms_per_sample", "analyze_batch_t4_ms_per_sample",
-        "hardware_threads"}) {
+        "classifier_predict_ms", "classifier_tally_ms",
+        "classifier_rows_mean", "hardware_threads"}) {
     ASSERT_TRUE(section.count(key)) << key;
     EXPECT_GT(section.at(key).as_number(), 0.0) << key;
   }
