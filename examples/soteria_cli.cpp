@@ -21,26 +21,19 @@
 //       Write a fresh test corpus as raw firmware binaries into <dir>
 //       and print one path per line (pipe into `serve`).
 //   soteria_cli serve <model-path> [--queue-depth N] [--threads T]
-//                     [--batch B] [--seed S]
-//                     [--swap-model <path>] [--store <dir>]
+//                     [--batch B] [--seed S] [--swap-model <path>]
 //       Run the async analysis service: read firmware binary paths from
 //       stdin (one per line), stream one JSON verdict per line to
 //       stdout in submission order. --batch bounds the per-worker
 //       micro-batch. Verdicts are bit-identical at every setting. The
 //       control line `!swap <path>` hot-swaps the model, as does
 //       SIGHUP when --swap-model is given.
-//   soteria_cli store <stats|compact|verify|clear> <dir> [capacity]
-//       Maintain an existing feature store directory (a missing <dir>
-//       is an IoError): print stats, evict down to [capacity] entries,
-//       re-validate every entry (quarantining corrupt ones), or delete
-//       all entries.
 //
-// `analyze` and `serve` accept --store <dir> to route feature
-// extraction through a persistent feature store at <dir> (verdicts are
-// bit-identical with the store on or off). Any command accepts
-// --metrics (human-readable per-stage breakdown on stdout after the
-// run) and/or --metrics-json (same data as one JSON document). A flag
-// the command does not take, a flag without its value, an extra
+// `analyze` and `serve` extract every sample's features afresh (the
+// feature store is a library option, not a CLI one). Any command
+// accepts --metrics (human-readable per-stage breakdown on stdout after
+// the run) and/or --metrics-json (same data as one JSON document). A
+// flag the command does not take, a flag without its value, an extra
 // positional token or a malformed number exits 2 with the usage text.
 #include <charconv>
 #include <chrono>
@@ -77,7 +70,6 @@
 #include "soteria/error.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
-#include "store/feature_store.h"
 
 namespace {
 
@@ -87,7 +79,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: soteria_cli train   <model-path> [scale] [seed]\n"
                "       soteria_cli analyze <model-path> [seed]"
-               " [--store <dir>] [--format auto|toy|elf] [--arch <name>]\n"
+               " [--format auto|toy|elf] [--arch <name>]\n"
                "       soteria_cli attack  <model-path> [seed]"
                " [--attack gea|score|adaptive] [--params k=v,...]"
                " [--data-scale S] [--data-seed N]\n"
@@ -98,10 +90,8 @@ int usage() {
                " [--format toy|elf]\n"
                "       soteria_cli serve   <model-path> [--queue-depth N]"
                " [--threads T] [--batch B] [--seed S]"
-               " [--swap-model <path>] [--store <dir>]"
+               " [--swap-model <path>]"
                " [--format auto|toy|elf] [--arch <name>]\n"
-               "       soteria_cli store   <stats|compact|verify|clear>"
-               " <dir> [capacity]\n"
                "options: --metrics        print per-stage metrics report\n"
                "         --metrics-json   print metrics as JSON\n"
                "         --format         binary container: auto-detect,\n"
@@ -176,16 +166,10 @@ int cmd_train(const char* path, double scale, std::uint64_t seed) {
 }
 
 int cmd_analyze(const char* path, std::uint64_t seed,
-                const std::string& store_dir, const std::string& format,
-                const std::string& arch) {
+                const std::string& format, const std::string& arch) {
   const auto system = core::SoteriaSystem::load_file(path);
   const auto data = make_corpus(0.01, seed + 1);
 
-  core::AnalyzeOptions options;
-  if (!store_dir.empty()) {
-    options.feature_store = std::make_shared<store::FeatureStore>(
-        store::StoreConfig{store_dir});
-  }
   std::vector<cfg::Cfg> cfgs;
   cfgs.reserve(data.test.size());
   if (format.empty()) {
@@ -209,8 +193,7 @@ int cmd_analyze(const char* path, std::uint64_t seed,
       }
     }
   }
-  const auto verdicts =
-      system.analyze_batch(cfgs, math::Rng(seed ^ 0xa11ce), options);
+  const auto verdicts = system.analyze_batch(cfgs, math::Rng(seed ^ 0xa11ce));
 
   eval::ConfusionMatrix confusion(dataset::kFamilyCount);
   std::size_t flagged = 0;
@@ -224,14 +207,6 @@ int cmd_analyze(const char* path, std::uint64_t seed,
   }
   std::printf("analyzed %zu fresh samples: %zu flagged as adversarial\n",
               data.test.size(), flagged);
-  if (options.feature_store) {
-    const auto stats = options.feature_store->stats();
-    std::fprintf(stderr,
-                 "feature store: %llu hits, %llu misses, %llu writes\n",
-                 static_cast<unsigned long long>(stats.hits),
-                 static_cast<unsigned long long>(stats.misses),
-                 static_cast<unsigned long long>(stats.writes));
-  }
   std::printf("classification accuracy over passed samples: %.2f%%\n",
               100.0 * confusion.overall_accuracy());
   for (auto family : dataset::all_families()) {
@@ -385,71 +360,6 @@ int cmd_corpus(const char* dir, double scale, std::uint64_t seed,
   return 0;
 }
 
-void print_store_stats(const store::FeatureStore& fstore) {
-  const auto stats = fstore.stats();
-  std::printf("entries:         %zu\n", stats.entries);
-  std::printf("resident bytes:  %llu\n",
-              static_cast<unsigned long long>(stats.bytes));
-  std::printf("hits:            %llu\n",
-              static_cast<unsigned long long>(stats.hits));
-  std::printf("misses:          %llu\n",
-              static_cast<unsigned long long>(stats.misses));
-  std::printf("writes:          %llu\n",
-              static_cast<unsigned long long>(stats.writes));
-  std::printf("evictions:       %llu\n",
-              static_cast<unsigned long long>(stats.evictions));
-  std::printf("corrupt entries: %llu\n",
-              static_cast<unsigned long long>(stats.corrupt_entries));
-  std::printf("write failures:  %llu\n",
-              static_cast<unsigned long long>(stats.write_failures));
-}
-
-int cmd_store(const char* action, const char* dir, std::size_t capacity) {
-  const std::string_view verb = action;
-  if (verb != "stats" && verb != "compact" && verb != "verify" &&
-      verb != "clear") {
-    std::fprintf(stderr, "store: unknown action %s\n", action);
-    return 2;
-  }
-  // Opening a store creates its directory; maintenance must not, or a
-  // mistyped path would read as an empty store.
-  if (!std::filesystem::is_directory(dir)) {
-    throw core::Error(core::ErrorCode::kIoError,
-                      std::string("store: no store directory at ") + dir);
-  }
-  // Maintenance opens default to unbounded capacity so `stats`/`verify`
-  // never evict; `compact <dir> <capacity>` bounds explicitly.
-  store::StoreConfig config;
-  config.directory = dir;
-  config.capacity = capacity;
-  store::FeatureStore fstore(config);
-
-  if (verb == "stats") {
-    print_store_stats(fstore);
-    return 0;
-  }
-  if (verb == "compact") {
-    // Opening with a bound already evicts down to it; count that
-    // open-time work together with anything compact() still finds.
-    const std::size_t evicted =
-        fstore.stats().evictions + fstore.compact();
-    std::printf("evicted %zu entries\n", evicted);
-    print_store_stats(fstore);
-    return 0;
-  }
-  if (verb == "verify") {
-    const auto report = fstore.verify();
-    std::printf("checked %zu entries, quarantined %zu\n", report.checked,
-                report.quarantined);
-    print_store_stats(fstore);
-    return 0;
-  }
-  const std::size_t entries = fstore.stats().entries;
-  fstore.clear();
-  std::printf("cleared %zu entries\n", entries);
-  return 0;
-}
-
 volatile std::sig_atomic_t g_sighup = 0;
 
 void handle_sighup(int) { g_sighup = 1; }
@@ -515,7 +425,6 @@ void print_outcome(PendingRequest& pending) {
 int cmd_serve(const char* model_path, int argc, char** argv) {
   serve::ServiceConfig config;
   std::string swap_path;
-  std::string store_dir;
   std::string format = "auto";
   std::string arch;
   for (int i = 0; i < argc; ++i) {
@@ -533,8 +442,6 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
       ok = parse_number(v, config.seed);
     } else if (flag == "--swap-model") {
       swap_path = v;
-    } else if (flag == "--store") {
-      store_dir = v;
     } else if (flag == "--format") {
       format = v;
     } else if (flag == "--arch") {
@@ -543,10 +450,6 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
       ok = false;
     }
     if (!ok) return usage();
-  }
-  if (!store_dir.empty()) {
-    config.feature_store = std::make_shared<store::FeatureStore>(
-        store::StoreConfig{store_dir});
   }
 
   serve::AnalysisService service(load_shared(model_path), config);
@@ -682,16 +585,8 @@ int dispatch(int argc, char** argv) {
     if (command == "serve") {
       return cmd_serve(path, argc - 3, argv + 3);
     }
-    if (command == "store") {
-      std::size_t capacity = 0;
-      if (argc < 4 || argc > 5 ||
-          (argc == 5 && !parse_number(argv[4], capacity))) {
-        return usage();
-      }
-      return cmd_store(argv[2], argv[3], capacity);
-    }
-    // Positional [seed] plus the command's flags: --store/--format/
-    // --arch for analyze, --attack/--params for attack, --threads/
+    // Positional [seed] plus the command's flags: --format/--arch for
+    // analyze, --attack/--params for attack, --threads/
     // --victims/--out for eval-matrix, --data-scale/--data-seed for
     // both of the latter.
     const bool analyze = command == "analyze";
@@ -700,7 +595,6 @@ int dispatch(int argc, char** argv) {
     if (!analyze && !attack && !matrix) return usage();
     std::uint64_t seed = 42;
     bool seeded = false;
-    std::string store_dir;
     std::string format;
     std::string arch;
     std::string attack_name = "gea";
@@ -720,9 +614,7 @@ int dispatch(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       const char* v = argv[++i];
       bool ok = true;
-      if (analyze && arg == "--store") {
-        store_dir = v;
-      } else if (analyze && arg == "--format") {
+      if (analyze && arg == "--format") {
         format = v;
       } else if (analyze && arg == "--arch") {
         arch = v;
@@ -745,7 +637,7 @@ int dispatch(int argc, char** argv) {
       }
       if (!ok) return usage();
     }
-    if (analyze) return cmd_analyze(path, seed, store_dir, format, arch);
+    if (analyze) return cmd_analyze(path, seed, format, arch);
     if (attack) {
       return cmd_attack(path, seed, data_scale, data_seed, attack_name,
                         attack_params);

@@ -417,7 +417,9 @@ void conv1d_backward_into(const float* in, const float* grad_out,
     } else {
       std::copy(go_row, go_row + out_cols, g_row);
     }
-    grad_input_row(g_row, weights, s, grad_in + r * in_cols);
+    if (grad_in != nullptr) {
+      grad_input_row(g_row, weights, s, grad_in + r * in_cols);
+    }
     math::simd::transpose_into(g_row, s.out_len, gt.data(), o_pad,
                                out_channels, s.out_len);
 

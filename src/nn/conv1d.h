@@ -37,17 +37,17 @@ void conv1d_infer_into(const float* in, float* out, const float* weights,
 
 /// Conv1d's backward kernel on raw buffers (shapes as in
 /// conv1d_infer_into; `grad_out` has the layout of `out`). Overwrites
-/// `grad_in` and accumulates into `weight_grad` and `bias_grad`. Every
-/// output float adds the same terms in the same order as the scalar
-/// reference loop (tests/oracles): grad-input over output channels,
-/// then taps, ascending; each row's weight and bias gradient as one
-/// chain in time order, added to the accumulators row by row. The work
-/// runs in fixed-width lanes of independent chains: grad-input in
-/// register tiles of 4 input channels x 6 vectors of positions (the
-/// positions within kernel-1 of either end, which miss a tap, in
-/// vectors whose lanes skip those taps), the weight and bias gradients
-/// across output channels, from a time-major copy of each row's
-/// gradient made by in-register 16 x 16 transposes.
+/// `grad_in` (unless it is null) and accumulates into `weight_grad` and
+/// `bias_grad`. Every output float adds the same terms in the same
+/// order as the scalar reference loop (tests/oracles): grad-input over
+/// output channels, then taps, ascending; each row's weight and bias
+/// gradient as one chain in time order, added to the accumulators row
+/// by row. The work runs in fixed-width lanes of independent chains:
+/// grad-input in register tiles of 4 input channels x 6 vectors of
+/// positions (the positions within kernel-1 of either end, which miss a
+/// tap, in vectors whose lanes skip those taps), the weight and bias
+/// gradients across output channels, from a time-major copy of each
+/// row's gradient made by in-register 16 x 16 transposes.
 /// So the result is bit-identical to the reference whenever the
 /// compiler does not contract mul+add into FMA (the library builds
 /// with -ffp-contract=off). With `relu_out` (the output of a Relu run

@@ -55,8 +55,10 @@ void Dense::train_backward(const float* in, const float* /*out*/,
     }
     for (std::size_t c = 0; c < cols; ++c) bias_grad[c0 + c] += col_sums[c];
   }
-  math::matmul_bt_into(grad_out, weights_.data().data(), grad_in, rows,
-                       out_dim_, in_dim_);
+  if (grad_in != nullptr) {
+    math::matmul_bt_into(grad_out, weights_.data().data(), grad_in, rows,
+                         out_dim_, in_dim_);
+  }
 }
 
 void Dense::collect_parameters(std::vector<ParamRef>& out) {

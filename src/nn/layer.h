@@ -97,6 +97,9 @@ class Layer {
   /// `grad_out` (rows x output_dimension(width)), overwrites `grad_in`
   /// (rows x width) with d(loss)/d(input) and adds parameter gradients
   /// to the accumulators. `grad_in` aliases none of the other buffers.
+  /// A layer with parameters also takes a null `grad_in` and then only
+  /// adds its parameter gradients (a net's first layer: nothing reads
+  /// its input gradient).
   virtual void train_backward(const float* in, const float* out,
                               const float* grad_out, std::size_t rows,
                               std::size_t width, float* grad_in,

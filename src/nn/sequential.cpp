@@ -232,10 +232,17 @@ const float* TrainingWorkspace::backward_layer(std::size_t i,
                                                const float* grad_output) {
   // A fused Relu's gate runs in its conv's backward.
   if (runs_in_conv(i)) return grad_output;
-  // Whichever gradient buffer the layer after did not write, so a
-  // layer's gradient input and output never share a buffer.
-  float* grad_input = grad_output == grad_ping_.data() ? grad_pong_.data()
-                                                       : grad_ping_.data();
+  // Nothing reads the input gradient of layer 0: it runs for its
+  // parameter gradients only, and not at all without parameters.
+  // Otherwise whichever gradient buffer the layer after did not write,
+  // so a layer's gradient input and output never share a buffer.
+  float* grad_input = nullptr;
+  if (i > 0) {
+    grad_input = grad_output == grad_ping_.data() ? grad_pong_.data()
+                                                  : grad_ping_.data();
+  } else if (layers_[0]->parameter_count() == 0) {
+    return nullptr;
+  }
   if (relu_convs_[i] != nullptr) {
     relu_convs_[i]->train_backward_relu(layer_input(i), outputs_[i],
                                         grad_output, rows_, grad_input);
@@ -257,7 +264,7 @@ const float* TrainingWorkspace::forward(std::size_t rows) {
   return outputs_.back();
 }
 
-const float* TrainingWorkspace::backward(const float* grad_output) {
+void TrainingWorkspace::backward(const float* grad_output) {
   if (rows_ == 0) {
     throw core::Error(core::ErrorCode::kInvalidArgument,
                       "TrainingWorkspace::backward: no forward yet");
@@ -266,7 +273,6 @@ const float* TrainingWorkspace::backward(const float* grad_output) {
   for (std::size_t i = layers_.size(); i-- > 0;) {
     grad = backward_layer(i, grad);
   }
-  return grad;
 }
 
 }  // namespace soteria::nn

@@ -128,10 +128,10 @@ class TrainingWorkspace {
 
   /// Backward over the last forward's rows from d(loss)/d(output)
   /// (rows x output_width()); adds every parameter gradient to its
-  /// accumulator and returns d(loss)/d(input) (rows x input_width()),
-  /// valid until the next backward. Throws core::Error{kInvalidArgument} before
-  /// any forward.
-  const float* backward(const float* grad_output);
+  /// accumulator. The net's input gradient is not computed: training
+  /// never reads it. Throws core::Error{kInvalidArgument} before any
+  /// forward.
+  void backward(const float* grad_output);
 
   /// Layer i's share of forward / backward, each returning what that
   /// layer wrote: forward(rows) runs every forward_layer(i, rows) in
@@ -140,7 +140,9 @@ class TrainingWorkspace {
   /// by one). A Relu fused into the Conv1d before it does nothing in
   /// either: the conv's forward_layer returns the Relu's output, and
   /// the Relu's backward_layer returns its argument, which the conv's
-  /// backward_layer gates. These check nothing.
+  /// backward_layer gates. Layer 0 writes no input gradient: its
+  /// backward_layer adds its parameter gradients, if it has any, and
+  /// returns nullptr. These check nothing.
   const float* forward_layer(std::size_t i, std::size_t rows);
   const float* backward_layer(std::size_t i, const float* grad_output);
 

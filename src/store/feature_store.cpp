@@ -135,12 +135,15 @@ std::string entry_file_name(const FeatureKey& key) {
          hex64(key.walk_seed) + ".sfe";
 }
 
+/// The whole file at `path` in one sized read; false if it cannot be
+/// opened, sized or read.
 bool read_file(const fs::path& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return in.good() || in.eof();
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) return false;
+  out.resize(static_cast<std::size_t>(size));
+  return static_cast<bool>(in.read(out.data(), size));
 }
 
 /// Seconds-resolution steady timestamp pair for the t/store.* records.
@@ -213,8 +216,8 @@ std::optional<features::SampleFeatures> FeatureStore::decode_entry(
 }
 
 FeatureStore::FeatureStore(StoreConfig config)
-    : config_(std::move(config)), root_(config_.directory) {
-  if (config_.directory.empty()) {
+    : root_(std::move(config.directory)) {
+  if (root_.empty()) {
     throw core::Error(core::ErrorCode::kInvalidArgument,
                       "FeatureStore: empty directory");
   }
@@ -265,11 +268,9 @@ void FeatureStore::forget_entry(const FeatureKey& key,
   stats_.entries = index_.size();
 }
 
-std::vector<std::filesystem::path> FeatureStore::evict_to_locked(
-    std::size_t limit) {
+std::vector<std::filesystem::path> FeatureStore::evict_locked() {
   std::vector<fs::path> victims;
-  if (limit == 0) return victims;  // 0 = unbounded
-  while (lru_.size() > limit) {
+  while (lru_.size() > kCapacity) {
     IndexEntry& oldest = lru_.back();
     victims.push_back(oldest.path);
     stats_.bytes -= oldest.bytes;
@@ -309,8 +310,7 @@ void FeatureStore::scan_and_recover() {
       }
 
       // Header-only validation here (magic, version, size arithmetic);
-      // the payload checksum is verified on every get() and by a full
-      // verify() sweep.
+      // the payload checksum is verified on every get().
       std::error_code size_ec;
       const auto file_size = fs::file_size(path, size_ec);
       std::string header(kHeaderBytes, '\0');
@@ -374,7 +374,7 @@ void FeatureStore::scan_and_recover() {
       stats_.bytes += entry.bytes;
     }
     stats_.entries = index_.size();
-    const auto evicted = evict_to_locked(config_.capacity);
+    const auto evicted = evict_locked();
     victims.insert(victims.end(), evicted.begin(), evicted.end());
   }
   for (const auto& path : victims) fs::remove(path, ec);
@@ -503,7 +503,7 @@ void FeatureStore::put(const FeatureKey& key,
     stats_.bytes += bytes.size();
     stats_.entries = index_.size();
     ++stats_.writes;
-    victims = evict_to_locked(config_.capacity);
+    victims = evict_locked();
   }
   registry.counter_add("soteria.store.writes");
   if (!victims.empty()) {
@@ -511,62 +511,6 @@ void FeatureStore::put(const FeatureKey& key,
     for (const auto& victim : victims) fs::remove(victim, ec);
   }
   finish();
-}
-
-std::size_t FeatureStore::compact() {
-  std::vector<fs::path> victims;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    victims = evict_to_locked(config_.capacity);
-  }
-  if (!victims.empty()) {
-    obs::registry().counter_add("soteria.store.evictions", victims.size());
-    std::error_code ec;
-    for (const auto& victim : victims) fs::remove(victim, ec);
-  }
-  return victims.size();
-}
-
-VerifyReport FeatureStore::verify() {
-  std::vector<std::pair<FeatureKey, fs::path>> resident;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    resident.reserve(lru_.size());
-    for (const auto& entry : lru_) {
-      resident.emplace_back(entry.key, entry.path);
-    }
-  }
-
-  VerifyReport report;
-  for (const auto& [key, path] : resident) {
-    ++report.checked;
-    std::string bytes;
-    if (!read_file(path, bytes)) {
-      forget_entry(key, path);  // vanished (evicted concurrently): a miss
-      continue;
-    }
-    if (!decode_entry(bytes, &key).has_value()) {
-      forget_entry(key, path);
-      quarantine_file(path);
-      ++report.quarantined;
-    }
-  }
-  return report;
-}
-
-void FeatureStore::clear() {
-  std::vector<fs::path> victims;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    victims.reserve(lru_.size());
-    for (const auto& entry : lru_) victims.push_back(entry.path);
-    lru_.clear();
-    index_.clear();
-    stats_.entries = 0;
-    stats_.bytes = 0;
-  }
-  std::error_code ec;
-  for (const auto& victim : victims) fs::remove(victim, ec);
 }
 
 StoreStats FeatureStore::stats() const {

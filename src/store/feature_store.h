@@ -15,8 +15,9 @@
 // a CSR walk) is no longer the dominant cost: in traced perfbench runs
 // on a 4-thread Xeon VM a store hit cost 0.20-0.28 ms per sample and a
 // re-extraction with cached labels 0.30-0.32 ms, while every miss pays
-// a 0.43-0.51 ms write. Whether the store should hold labelings
-// instead of feature bundles is an open question (ROADMAP.md).
+// a 0.43-0.51 ms write. A cold scan ran about a third slower with the
+// store on, so it is a library API only (soteria_cli has no store
+// command or flag), kept while the benchmark harness still opens one.
 //
 // Key design points:
 //
@@ -33,9 +34,9 @@
 //    temp file, which open-time recovery deletes. Entries that fail
 //    validation (bad magic/version, key mismatch, truncation, checksum)
 //    are moved to `<root>/quarantine/` — never served, never fatal.
-//  * Bounded capacity. At most `capacity` entries are kept (0 =
-//    unbounded); `put` evicts least-recently-used entries past the
-//    bound and `compact()` re-applies the bound on demand.
+//  * Bounded capacity. At most `FeatureStore::kCapacity` entries are
+//    kept; `put` evicts least-recently-used entries past the bound and
+//    open-time recovery applies it to what it finds on disk.
 //  * Thread safety. One mutex guards the in-memory index; entry
 //    serialization, file reads, and file writes happen outside the
 //    lock, so concurrent misses and writes on different keys don't
@@ -76,9 +77,6 @@ struct FeatureKey {
 struct StoreConfig {
   /// Root directory; created (with parents) if absent.
   std::string directory;
-
-  /// Maximum resident entries; 0 = unbounded. Eviction is LRU.
-  std::size_t capacity = 4096;
 };
 
 /// Monotonic accounting since open (quarantines during open-time
@@ -94,14 +92,11 @@ struct StoreStats {
   std::uint64_t bytes = 0;  ///< resident payload bytes right now
 };
 
-/// Outcome of a `verify()` sweep.
-struct VerifyReport {
-  std::size_t checked = 0;
-  std::size_t quarantined = 0;
-};
-
 class FeatureStore {
  public:
+  /// Maximum resident entries; eviction is LRU.
+  static constexpr std::size_t kCapacity = 4096;
+
   /// Opens (or creates) the store at `config.directory` and recovers:
   /// leftover temp files are deleted, entries whose header fails
   /// validation are quarantined, the rest are indexed (LRU order =
@@ -126,22 +121,7 @@ class FeatureStore {
   /// analysis.
   void put(const FeatureKey& key, const features::SampleFeatures& features);
 
-  /// Re-applies the capacity bound (useful after shrinking `capacity`
-  /// out-of-band or sharing a directory with a larger writer). Returns
-  /// the number of entries evicted.
-  std::size_t compact();
-
-  /// Reads and fully validates every resident entry, quarantining the
-  /// ones that fail. Safe to run concurrently with get/put.
-  VerifyReport verify();
-
-  /// Removes every resident entry (quarantined files are kept).
-  void clear();
-
   [[nodiscard]] StoreStats stats() const;
-  [[nodiscard]] const StoreConfig& config() const noexcept {
-    return config_;
-  }
 
   /// Serializes an entry to its on-disk byte layout / parses one back.
   /// Exposed for the format tests; `decode_entry` returns nullopt for
@@ -170,13 +150,11 @@ class FeatureStore {
   /// Drops `key` from the index if it still resolves to `path`.
   void forget_entry(const FeatureKey& key,
                     const std::filesystem::path& path);
-  /// Unlinks LRU entries past `limit`; call with `mutex_` held, files
+  /// Unlinks LRU entries past kCapacity; call with `mutex_` held, files
   /// are collected and deleted by the caller outside the lock.
-  [[nodiscard]] std::vector<std::filesystem::path> evict_to_locked(
-      std::size_t limit);
+  [[nodiscard]] std::vector<std::filesystem::path> evict_locked();
   void scan_and_recover();
 
-  StoreConfig config_;
   std::filesystem::path root_;
 
   mutable std::mutex mutex_;

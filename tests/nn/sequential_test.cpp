@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -112,12 +113,21 @@ math::Matrix workspace_forward(TrainingWorkspace& workspace,
                       std::vector<float>(out, out + count));
 }
 
-/// The input gradient of one training step run layer by layer, each
-/// layer's output and gradient in a buffer of its own: the reference
-/// for the workspace's in-place choices.
-std::vector<float> chained_input_gradient(Sequential& model,
-                                          const math::Matrix& input,
-                                          const std::vector<float>& grad_out) {
+/// Every parameter gradient `model` holds, one vector per parameter.
+std::vector<std::vector<float>> parameter_gradients(Sequential& model) {
+  std::vector<std::vector<float>> grads;
+  for (const auto& p : model.parameters()) {
+    grads.emplace_back(p.grad->data().begin(), p.grad->data().end());
+  }
+  return grads;
+}
+
+/// The parameter gradients of one training step run layer by layer,
+/// each layer's output and gradient in a buffer of its own: the
+/// reference for the workspace's in-place choices.
+std::vector<std::vector<float>> chained_parameter_gradients(
+    Sequential& model, const math::Matrix& input,
+    const std::vector<float>& grad_out) {
   const auto& layers = model.layers();
   const std::size_t rows = input.rows();
   std::vector<std::size_t> widths{input.cols()};
@@ -132,6 +142,7 @@ std::vector<float> chained_input_gradient(Sequential& model,
                              states[i]);
     x = outputs[i].data();
   }
+  model.zero_gradients();
   std::vector<float> grad = grad_out;
   for (std::size_t i = layers.size(); i-- > 0;) {
     std::vector<float> grad_in(rows * widths[i]);
@@ -140,16 +151,16 @@ std::vector<float> chained_input_gradient(Sequential& model,
                               widths[i], grad_in.data(), states[i]);
     grad = std::move(grad_in);
   }
-  return grad;
+  return parameter_gradients(model);
 }
 
-TEST(TrainingWorkspace, InputGradientMatchesNumericAcrossInPlaceRules) {
+TEST(TrainingWorkspace, ParameterGradientsMatchNumericAcrossInPlaceRules) {
   // A leading ReLU trains in place over the input batch, the ReLU after
   // Dense in place over Dense's output, and the second of two ReLUs in
   // place over the first one's output (relu(relu(x)) is relu(x), so
-  // the first one's backward reads the same bits). The input gradient
-  // must equal the layer-by-layer chain's bit for bit and match finite
-  // differences of sum(out^2) / 2.
+  // the first one's backward reads the same bits). Every parameter
+  // gradient must equal the layer-by-layer chain's bit for bit and
+  // match finite differences of sum(out^2) / 2.
   math::Rng rng(21);
   Sequential model;
   model.emplace<Relu>();
@@ -163,33 +174,42 @@ TEST(TrainingWorkspace, InputGradientMatchesNumericAcrossInPlaceRules) {
   math::Matrix input(3, 4);
   input.fill_normal(rng, 0.0F, 1.0F);
 
+  model.zero_gradients();
   const math::Matrix out = workspace_forward(workspace, input);
-  const float* grad = workspace.backward(out.data().data());
-  const std::vector<float> analytic(grad, grad + input.size());
-  const std::vector<float> chained = chained_input_gradient(
+  workspace.backward(out.data().data());
+  const auto analytic = parameter_gradients(model);
+  const auto chained = chained_parameter_gradients(
       model, input, std::vector<float>(out.data().begin(), out.data().end()));
   ASSERT_EQ(chained.size(), analytic.size());
-  EXPECT_EQ(std::memcmp(chained.data(), analytic.data(),
-                        analytic.size() * sizeof(float)),
-            0);
+  for (std::size_t p = 0; p < analytic.size(); ++p) {
+    ASSERT_EQ(chained[p].size(), analytic[p].size());
+    EXPECT_EQ(std::memcmp(chained[p].data(), analytic[p].data(),
+                          analytic[p].size() * sizeof(float)),
+              0)
+        << "parameter " << p;
+  }
   const auto loss = [&] {
     const math::Matrix y = workspace_forward(workspace, input);
     double acc = 0.0;
     for (const float x : y.data()) acc += 0.5 * static_cast<double>(x) * x;
     return acc;
   };
+  const auto params = model.parameters();
   const float eps = 1e-3F;
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const float saved = input.data()[i];
-    if (std::abs(saved) < 2.0F * eps) continue;  // the leading ReLU's kink
-    input.data()[i] = saved + eps;
-    const double plus = loss();
-    input.data()[i] = saved - eps;
-    const double minus = loss();
-    input.data()[i] = saved;
-    const double numeric = (plus - minus) / (2.0 * eps);
-    EXPECT_NEAR(analytic[i], numeric, 2e-2 * std::max(1.0, std::abs(numeric)))
-        << "input element " << i;
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    const std::span<float> values = params[p].value->data();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const float saved = values[i];
+      values[i] = saved + eps;
+      const double plus = loss();
+      values[i] = saved - eps;
+      const double minus = loss();
+      values[i] = saved;
+      const double numeric = (plus - minus) / (2.0 * eps);
+      EXPECT_NEAR(analytic[p][i], numeric,
+                  2e-2 * std::max(1.0, std::abs(numeric)))
+          << "parameter " << p << " element " << i;
+    }
   }
 }
 
@@ -216,7 +236,7 @@ TEST(TrainingWorkspace, RejectsBadShapes) {
   EXPECT_EQ(workspace.input_width(), 4U);
   EXPECT_EQ(workspace.output_width(), 2U);
   const std::vector<float> grad(8, 1.0F);
-  EXPECT_ERROR((void)workspace.backward(grad.data()),
+  EXPECT_ERROR(workspace.backward(grad.data()),
                core::ErrorCode::kInvalidArgument);
   EXPECT_ERROR((void)workspace.forward(0), core::ErrorCode::kInvalidArgument);
   EXPECT_ERROR((void)workspace.forward(5), core::ErrorCode::kInvalidArgument);

@@ -3,11 +3,12 @@
 // flipped checksum bytes, tampered key fields each quarantine + count +
 // miss — never throw), open-time recovery (temp-file cleanup, corrupt
 // quarantine, LRU rebuild), capacity-bounded eviction, persistence
-// across reopen, and thread safety of concurrent get/put/compact.
+// across reopen, and thread safety of concurrent get/put.
 // Carries the `store` ctest label; the sanitize builds run it under
 // TSan.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -59,11 +60,31 @@ struct FeatureStoreTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
-  [[nodiscard]] StoreConfig config(std::size_t capacity = 0) const {
-    StoreConfig store_config;
-    store_config.directory = dir_.string();
-    store_config.capacity = capacity;
-    return store_config;
+  [[nodiscard]] StoreConfig config() const {
+    return StoreConfig{dir_.string()};
+  }
+
+  /// Writes entry files for keys {first + i, 0, 0}, i < count, straight
+  /// into one shard, entry i stamped i seconds after an hour ago, so
+  /// open indexes them least recently used first, in key order. Fills
+  /// a directory up to the capacity bound without one put per entry.
+  void write_entry_files(std::uint64_t first, std::size_t count) const {
+    const fs::path shard = dir_ / "shard-0";
+    fs::create_directories(shard);
+    const auto stamp =
+        fs::file_time_type::clock::now() - std::chrono::hours(1);
+    for (std::size_t i = 0; i < count; ++i) {
+      const FeatureKey key{first + i, 0, 0};
+      const fs::path path =
+          shard / ("entry-" + std::to_string(key.content_hash) + ".sfe");
+      {
+        const std::string bytes =
+            FeatureStore::encode_entry(key, make_features(1.0F));
+        std::ofstream out(path, std::ios::binary);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      }
+      fs::last_write_time(path, stamp + std::chrono::seconds(i));
+    }
   }
 
   /// The single entry file below `dir_` (fails the test unless exactly
@@ -402,19 +423,23 @@ TEST_F(FeatureStoreTest, OpenRecoversFromCrashArtifacts) {
   EXPECT_FALSE(reopened.get(broken).has_value());
 }
 
-// --- Eviction / compaction / maintenance ----------------------------
+// --- Eviction -------------------------------------------------------
 
 TEST_F(FeatureStoreTest, CapacityBoundEvictsLeastRecentlyUsed) {
-  FeatureStore store(config(2));
-  const FeatureKey a{61, 0, 0};
-  const FeatureKey b{62, 0, 0};
+  // A full store: a and b are the two least recently used entries.
+  constexpr std::size_t kFull = FeatureStore::kCapacity;
+  write_entry_files(1000, kFull);
+  const FeatureKey a{1000, 0, 0};
+  const FeatureKey b{1001, 0, 0};
   const FeatureKey c{63, 0, 0};
-  store.put(a, make_features(1.0F));
-  store.put(b, make_features(2.0F));
+  FeatureStore store(config());
+  EXPECT_EQ(store.stats().entries, kFull);
+  EXPECT_EQ(store.stats().evictions, 0u);
+
   EXPECT_TRUE(store.get(a).has_value());  // a is now MRU, b is LRU
   store.put(c, make_features(3.0F));      // evicts b
 
-  EXPECT_EQ(store.stats().entries, 2u);
+  EXPECT_EQ(store.stats().entries, kFull);
   EXPECT_EQ(store.stats().evictions, 1u);
   EXPECT_FALSE(store.get(b).has_value());
   EXPECT_TRUE(store.get(a).has_value());
@@ -422,106 +447,65 @@ TEST_F(FeatureStoreTest, CapacityBoundEvictsLeastRecentlyUsed) {
 }
 
 TEST_F(FeatureStoreTest, ReopenAppliesCapacityBound) {
-  {
-    FeatureStore store(config());
-    for (std::uint64_t i = 0; i < 5; ++i) {
-      store.put(FeatureKey{i, 0, 0}, make_features(1.0F));
-    }
-    EXPECT_EQ(store.compact(), 0u);  // capacity 0 = unbounded
-  }
-  FeatureStore bounded(config(2));
-  EXPECT_EQ(bounded.stats().entries, 2u);
+  // Three entries past the bound (say, left by a writer sharing the
+  // directory): open evicts the three least recently used.
+  write_entry_files(0, FeatureStore::kCapacity + 3);
+  FeatureStore bounded(config());
+  EXPECT_EQ(bounded.stats().entries, FeatureStore::kCapacity);
   EXPECT_EQ(bounded.stats().evictions, 3u);
-}
-
-TEST_F(FeatureStoreTest, VerifySweepsTamperedEntries) {
-  FeatureStore store(config());
-  store.put(FeatureKey{71, 0, 0}, make_features(1.0F));
-  store.put(FeatureKey{72, 0, 0}, make_features(2.0F));
-  store.put(FeatureKey{73, 0, 0}, make_features(3.0F));
-
-  // Flip one payload byte in one entry; verify() must find exactly it.
-  fs::path victim;
-  for (const auto& item : fs::recursive_directory_iterator(dir_)) {
-    if (item.is_regular_file()) victim = item.path();
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(bounded.get(FeatureKey{i, 0, 0}).has_value()) << i;
   }
-  ASSERT_FALSE(victim.empty());
-  std::fstream file(victim,
-                    std::ios::binary | std::ios::in | std::ios::out);
-  file.seekp(45);  // inside the payload
-  file.put('\x55');
-  file.close();
-
-  const auto report = store.verify();
-  EXPECT_EQ(report.checked, 3u);
-  EXPECT_EQ(report.quarantined, 1u);
-  EXPECT_EQ(store.stats().entries, 2u);
-  EXPECT_EQ(store.stats().corrupt_entries, 1u);
-  EXPECT_EQ(quarantine_count(), 1u);
-
-  const auto clean = store.verify();
-  EXPECT_EQ(clean.checked, 2u);
-  EXPECT_EQ(clean.quarantined, 0u);
-}
-
-TEST_F(FeatureStoreTest, ClearRemovesEntriesButKeepsQuarantine) {
-  FeatureStore store(config());
-  const FeatureKey key{81, 0, 0};
-  store.put(key, make_features(1.0F));
-  store.put(FeatureKey{82, 0, 0}, make_features(2.0F));
-
-  const fs::path entry = dir_ / "quarantine" / "seeded";
-  fs::create_directories(entry.parent_path());
-  std::ofstream(entry, std::ios::binary) << "kept";
-
-  store.clear();
-  EXPECT_EQ(store.stats().entries, 0u);
-  EXPECT_FALSE(store.get(key).has_value());
-  EXPECT_TRUE(fs::exists(entry));
+  EXPECT_TRUE(bounded.get(FeatureKey{3, 0, 0}).has_value());
 }
 
 // --- Concurrency ----------------------------------------------------
 
-TEST_F(FeatureStoreTest, ConcurrentGetPutCompactIsSafe) {
-  FeatureStore store(config(16));
+TEST_F(FeatureStoreTest, ConcurrentGetPutIsSafe) {
+  // Four entries short of the bound, so the 24 keys' first puts evict
+  // (the older filler entries) while other threads get and put.
+  write_entry_files(1000, FeatureStore::kCapacity - 4);
+  FeatureStore store(config());
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 120;
+  constexpr std::uint64_t kKeys = 24;
 
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&store, t] {
       for (int op = 0; op < kOpsPerThread; ++op) {
-        const auto id = static_cast<std::uint64_t>(op % 24);
+        const auto id = static_cast<std::uint64_t>(op) % kKeys;
         const FeatureKey key{id, 1, 2};
-        switch ((op + t) % 3) {
-          case 0:
-            store.put(key, make_features(static_cast<float>(id)));
-            break;
-          case 1: {
-            // A hit must carry the exact vectors some put stored for
-            // this key (every writer of key `id` writes the same data).
-            const auto hit = store.get(key);
-            if (hit.has_value()) {
-              expect_features_equal(*hit,
-                                    make_features(static_cast<float>(id)));
-            }
-            break;
+        if ((op + t) % 3 == 0) {
+          store.put(key, make_features(static_cast<float>(id)));
+        } else {
+          // A hit must carry the exact vectors some put stored for
+          // this key (every writer of key `id` writes the same data).
+          const auto hit = store.get(key);
+          if (hit.has_value()) {
+            expect_features_equal(*hit,
+                                  make_features(static_cast<float>(id)));
           }
-          default:
-            (void)store.compact();
-            break;
         }
       }
     });
   }
   for (auto& worker : workers) worker.join();
 
+  // Every key was put by some thread; only filler entries, all older,
+  // were evicted.
   const auto stats = store.stats();
-  EXPECT_LE(stats.entries, 16u);
+  EXPECT_EQ(stats.entries, FeatureStore::kCapacity);
+  EXPECT_EQ(stats.evictions, kKeys - 4);
   EXPECT_EQ(stats.corrupt_entries, 0u);
   EXPECT_EQ(stats.write_failures, 0u);
-  EXPECT_EQ(store.verify().quarantined, 0u);
+  for (std::uint64_t id = 0; id < kKeys; ++id) {
+    const auto hit = store.get(FeatureKey{id, 1, 2});
+    ASSERT_TRUE(hit.has_value()) << id;
+    expect_features_equal(*hit, make_features(static_cast<float>(id)));
+  }
+  EXPECT_EQ(quarantine_count(), 0u);
 }
 
 }  // namespace
