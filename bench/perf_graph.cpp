@@ -1,19 +1,14 @@
-// Micro-benchmarks for the graph substrate: BFS, centrality, labeling,
-// whole-graph properties, and CFG extraction across graph sizes.
-//
-// After the google-benchmark suites, main() runs the centrality
-// scaling sweep: exact centrality on firmware-shaped CFGs at n in
-// {1000, 10000, 50000}, each x threads {1,2,4,8}. Firmware CFGs split
-// into many small biconnected blocks, which the exact path composes
-// block by block. Every cell re-checks the determinism contract before
-// its timing is trusted: a parallel run must be bit-identical to t=1.
-// Any violation makes the process exit non-zero. The table, headed by a
-// provenance line (compiler, build kind, hardware threads), goes to
-// stdout and bench_results/perf_centrality.txt; cell timings land in
-// the repo-root BENCH_perf.json (section "perf_graph") under
+// The centrality scaling sweep: exact centrality on firmware-shaped
+// CFGs at n in {1000, 10000, 50000}, each x threads {1,2,4,8}.
+// Firmware CFGs split into many small biconnected blocks, which the
+// exact path composes block by block. Every cell re-checks the
+// determinism contract before its timing is trusted: a parallel run
+// must be bit-identical to t=1. Any violation makes the process exit
+// non-zero. The table, headed by a provenance line (compiler, build
+// kind, hardware threads), goes to stdout and
+// bench_results/perf_centrality.txt; cell timings land in the
+// repo-root BENCH_perf.json (section "perf_graph") under
 // "exact.n<N>.t<T>.ms" keys, with "hardware_threads".
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -23,100 +18,14 @@
 #include <string>
 #include <vector>
 
-#include "cfg/extractor.h"
-#include "cfg/gea.h"
-#include "cfg/labeling.h"
 #include "common/perf_json.h"
-#include "dataset/family_profiles.h"
 #include "graph/centrality.h"
 #include "graph/generators.h"
-#include "graph/properties.h"
-#include "graph/traversal.h"
-#include "isa/codegen.h"
 #include "runtime/thread_pool.h"
 
 namespace {
 
 using namespace soteria;
-
-graph::DiGraph make_graph(std::size_t n) {
-  math::Rng rng(42);
-  return graph::random_connected_dag_plus(n, 4.0 / static_cast<double>(n),
-                                          rng);
-}
-
-void BM_BfsDistances(benchmark::State& state) {
-  const auto g = make_graph(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::bfs_distances(g, 0));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_BfsDistances)->Arg(32)->Arg(128)->Arg(512)->Complexity();
-
-void BM_BetweennessCentrality(benchmark::State& state) {
-  const auto g = make_graph(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::betweenness_centrality(g));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_BetweennessCentrality)->Arg(32)->Arg(128)->Arg(512)
-    ->Complexity();
-
-void BM_ClosenessCentrality(benchmark::State& state) {
-  const auto g = make_graph(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::closeness_centrality(g));
-  }
-}
-BENCHMARK(BM_ClosenessCentrality)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_GraphProperties(benchmark::State& state) {
-  const auto g = make_graph(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::graph_properties(g));
-  }
-}
-BENCHMARK(BM_GraphProperties)->Arg(32)->Arg(128);
-
-void BM_LabelNodes(benchmark::State& state) {
-  const cfg::Cfg cfg(make_graph(static_cast<std::size_t>(state.range(0))),
-                     0);
-  const auto method = state.range(1) == 0 ? cfg::LabelingMethod::kDensity
-                                          : cfg::LabelingMethod::kLevel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cfg::label_nodes(cfg, method));
-  }
-}
-BENCHMARK(BM_LabelNodes)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({256, 0})
-    ->Args({256, 1});
-
-void BM_CfgExtraction(benchmark::State& state) {
-  math::Rng rng(7);
-  const auto binary =
-      isa::generate_binary(dataset::profile_for(dataset::Family::kMirai),
-                           rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cfg::extract(binary));
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations() * binary.size()));
-}
-BENCHMARK(BM_CfgExtraction);
-
-void BM_GeaCombine(benchmark::State& state) {
-  math::Rng rng(8);
-  const cfg::Cfg a(make_graph(128), 0);
-  const cfg::Cfg b(make_graph(64), 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cfg::gea_combine(a, b));
-  }
-}
-BENCHMARK(BM_GeaCombine);
 
 /// Firmware-shaped sweep graph (fixed seed: every cell and every run
 /// times the identical graph).
@@ -211,10 +120,4 @@ constexpr const char* kBuildKind = "debug (assertions on)";
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return run_centrality_sweep() ? 0 : 1;
-}
+int main() { return run_centrality_sweep() ? 0 : 1; }

@@ -21,13 +21,13 @@
 //       Write a fresh test corpus as raw firmware binaries into <dir>
 //       and print one path per line (pipe into `serve`).
 //   soteria_cli serve <model-path> [--queue-depth N] [--threads T]
-//                     [--batch B] [--seed S] [--swap-model <path>]
+//                     [--batch B] [--seed S]
 //       Run the async analysis service: read firmware binary paths from
 //       stdin (one per line), stream one JSON verdict per line to
 //       stdout in submission order. --batch bounds the per-worker
 //       micro-batch. Verdicts are bit-identical at every setting. The
-//       control line `!swap <path>` hot-swaps the model, as does
-//       SIGHUP when --swap-model is given.
+//       control line `!swap <path>` hot-swaps the model; a failed swap
+//       keeps serving the current one.
 //
 // `analyze` and `serve` extract every sample's features afresh (the
 // feature store is a library option, not a CLI one). Any command
@@ -38,7 +38,6 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -90,7 +89,6 @@ int usage() {
                " [--format toy|elf]\n"
                "       soteria_cli serve   <model-path> [--queue-depth N]"
                " [--threads T] [--batch B] [--seed S]"
-               " [--swap-model <path>]"
                " [--format auto|toy|elf] [--arch <name>]\n"
                "options: --metrics        print per-stage metrics report\n"
                "         --metrics-json   print metrics as JSON\n"
@@ -360,10 +358,6 @@ int cmd_corpus(const char* dir, double scale, std::uint64_t seed,
   return 0;
 }
 
-volatile std::sig_atomic_t g_sighup = 0;
-
-void handle_sighup(int) { g_sighup = 1; }
-
 /// `text` as a quoted JSON string.
 std::string json_string(std::string_view text) {
   std::string quoted;
@@ -424,7 +418,6 @@ void print_outcome(PendingRequest& pending) {
 
 int cmd_serve(const char* model_path, int argc, char** argv) {
   serve::ServiceConfig config;
-  std::string swap_path;
   std::string format = "auto";
   std::string arch;
   for (int i = 0; i < argc; ++i) {
@@ -440,8 +433,6 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
       ok = parse_number(v, config.max_batch);
     } else if (flag == "--seed") {
       ok = parse_number(v, config.seed);
-    } else if (flag == "--swap-model") {
-      swap_path = v;
     } else if (flag == "--format") {
       format = v;
     } else if (flag == "--arch") {
@@ -458,7 +449,6 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
                "(paths on stdin, `!swap <path>` to hot-swap)\n",
                model_path, service.worker_count(), config.queue_depth,
                config.max_batch);
-  if (!swap_path.empty()) std::signal(SIGHUP, handle_sighup);
 
   std::deque<PendingRequest> pending;
   // Print any finished requests at the head of the line; completion is
@@ -475,16 +465,6 @@ int cmd_serve(const char* model_path, int argc, char** argv) {
 
   std::string line;
   while (std::getline(std::cin, line)) {
-    if (g_sighup != 0) {
-      g_sighup = 0;
-      try {
-        service.swap_model(load_shared(swap_path));
-        std::fprintf(stderr, "SIGHUP: model swapped from %s\n",
-                     swap_path.c_str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "SIGHUP: swap failed: %s\n", e.what());
-      }
-    }
     if (line.empty()) continue;
     if (line.rfind("!swap ", 0) == 0) {
       const std::string path = line.substr(6);

@@ -574,20 +574,4 @@ CentralityScores centrality_scores(const DiGraph& g,
   return scores;
 }
 
-std::vector<double> betweenness_centrality(const DiGraph& g) {
-  return std::move(centrality_scores(g).betweenness);
-}
-
-std::vector<double> closeness_centrality(const DiGraph& g) {
-  return std::move(centrality_scores(g).closeness);
-}
-
-std::vector<double> centrality_factor(const DiGraph& g,
-                                      std::size_t num_threads) {
-  auto scores = centrality_scores(g, num_threads);
-  auto cf = std::move(scores.betweenness);
-  for (std::size_t i = 0; i < cf.size(); ++i) cf[i] += scores.closeness[i];
-  return cf;
-}
-
 }  // namespace soteria::graph

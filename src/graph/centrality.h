@@ -65,21 +65,4 @@ struct CentralityScores {
 [[nodiscard]] CentralityScores centrality_scores(const DiGraph& g,
                                                  std::size_t num_threads = 1);
 
-/// Normalized betweenness centrality over the undirected view:
-/// B(v) = (# shortest paths through v) / (total # shortest paths between
-/// distinct pairs), matching the paper's Delta(v)/Delta(m) definition.
-/// Returns one value per node; all zeros for graphs with < 3 nodes.
-[[nodiscard]] std::vector<double> betweenness_centrality(const DiGraph& g);
-
-/// Closeness centrality over the undirected view:
-/// C(v) = (reachable_count) / (sum of distances to reachable nodes),
-/// 0 for isolated nodes. Higher = more central (the reciprocal of the
-/// paper's "average shortest path" phrasing, oriented so that larger CF
-/// means more central, as the paper's labeling examples require).
-[[nodiscard]] std::vector<double> closeness_centrality(const DiGraph& g);
-
-/// CF(v) = betweenness(v) + closeness(v), from one fused pass.
-[[nodiscard]] std::vector<double> centrality_factor(
-    const DiGraph& g, std::size_t num_threads = 1);
-
 }  // namespace soteria::graph

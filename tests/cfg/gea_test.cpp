@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "expect_error.h"
-#include "graph/generators.h"
 #include "graph/shapes.h"
 #include "graph/traversal.h"
 #include "math/rng.h"

@@ -15,6 +15,7 @@
 #include "dataset/generator.h"
 #include "expect_error.h"
 #include "graph/generators.h"
+#include "graph/shapes.h"
 #include "math/rng.h"
 #include "obs/metrics.h"
 #include "soteria/presets.h"

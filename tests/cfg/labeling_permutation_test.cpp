@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/generators.h"
 #include "graph/shapes.h"
 #include "math/rng.h"
 

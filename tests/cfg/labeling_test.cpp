@@ -7,7 +7,7 @@
 
 #include "cfg/gea.h"
 #include "expect_error.h"
-#include "graph/generators.h"
+#include "graph/shapes.h"
 #include "math/rng.h"
 
 namespace soteria::cfg {

@@ -4,7 +4,8 @@
 # stderr, before any model is loaded or any file is written. The
 # feature store is not part of the CLI: `store`, and `--store` on
 # `analyze` and `serve`, are rejected the same way and create no store
-# directory.
+# directory. Neither is `serve --swap-model`: the in-band `!swap <path>`
+# line is the one hot-swap trigger.
 #
 #   cmake -DCLI=<soteria_cli> -DWORK_DIR=<scratch dir> -P bad_args.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -33,7 +34,8 @@ set(cases
     "corpus ${WORK_DIR}/corpus 0.01 seven"
     "store stats ${WORK_DIR}/store"
     "analyze ${model} --store ${WORK_DIR}/store"
-    "serve ${model} --store ${WORK_DIR}/store")
+    "serve ${model} --store ${WORK_DIR}/store"
+    "serve ${model} --swap-model ${model}")
 
 foreach(case IN LISTS cases)
   separate_arguments(args UNIX_COMMAND "${case}")

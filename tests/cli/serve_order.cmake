@@ -3,6 +3,10 @@
 # smallest model, writes a corpus, puts a missing path at line K of the
 # path list and checks, over five runs, that line K of stdout is that
 # path's error line and every other line is a verdict in id order.
+# One more run carries the control lines `!swap <model>` and
+# `!swap <missing>` mid-stream: a swap consumes no id and a failed one
+# keeps serving, so its stdout must be byte-identical to the first
+# run's.
 #
 #   cmake -DCLI=<soteria_cli> -DWORK_DIR=<scratch dir> -P serve_order.cmake
 set(K 20)
@@ -62,5 +66,30 @@ foreach(run RANGE 1 ${RUNS})
   if(NOT line_number EQUAL want_lines)
     message(FATAL_ERROR "run ${run}: ${line_number} stdout lines, want "
                         "${want_lines}")
+  endif()
+  if(run EQUAL 1)
+    set(plain "${out}")
+  endif()
+endforeach()
+
+list(INSERT paths 25 "!swap ${missing}")
+list(INSERT paths 10 "!swap ${WORK_DIR}/model.bin")
+list(JOIN paths "\n" input)
+file(WRITE "${WORK_DIR}/swaps.txt" "${input}\n")
+execute_process(COMMAND "${CLI}" serve "${WORK_DIR}/model.bin"
+                INPUT_FILE "${WORK_DIR}/swaps.txt"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "swap run: serve exited with ${rc}\n${err}")
+endif()
+string(STRIP "${out}" out)
+if(NOT out STREQUAL plain)
+  message(FATAL_ERROR "swap run: stdout differs from the plain run:\n"
+                      "${out}\nwant\n${plain}")
+endif()
+foreach(want "model swapped from ${WORK_DIR}/model.bin" "swap failed: ")
+  string(FIND "${err}" "${want}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "swap run: stderr lacks \"${want}\":\n${err}")
   endif()
 endforeach()

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "expect_error.h"
-#include "graph/generators.h"
+#include "graph/shapes.h"
 #include "oracles/feature_reference.h"
 #include "soteria/error.h"
 

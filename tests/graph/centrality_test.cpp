@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/generators.h"
+#include "cfg/labeling.h"
 #include "graph/shapes.h"
 #include "math/rng.h"
 
@@ -18,7 +18,7 @@ DiGraph path3() {
 }
 
 TEST(Betweenness, PathCenterCarriesAllPaths) {
-  const auto b = betweenness_centrality(path3());
+  const auto b = centrality_scores(path3()).betweenness;
   // Exactly one shortest path (0-2) passes through node 1, out of the
   // three pair paths {0-1, 0-2, 1-2} -> 1/3 under the paper's
   // Delta(v)/Delta(m) normalization.
@@ -30,7 +30,7 @@ TEST(Betweenness, PathCenterCarriesAllPaths) {
 TEST(Betweenness, StarHubDominates) {
   DiGraph g(5);  // hub 0 with 4 spokes
   for (NodeId v = 1; v < 5; ++v) g.add_edge(0, v);
-  const auto b = betweenness_centrality(g);
+  const auto b = centrality_scores(g).betweenness;
   EXPECT_GT(b[0], 0.0);
   for (NodeId v = 1; v < 5; ++v) EXPECT_DOUBLE_EQ(b[v], 0.0);
   // Star with 4 spokes: pair paths = 4 (hub-spoke) + 6 (spoke-spoke),
@@ -39,12 +39,14 @@ TEST(Betweenness, StarHubDominates) {
 }
 
 TEST(Betweenness, TinyGraphsAreZero) {
-  EXPECT_TRUE(betweenness_centrality(DiGraph(0)).empty());
-  const auto one = betweenness_centrality(DiGraph(1));
+  EXPECT_TRUE(centrality_scores(DiGraph(0)).betweenness.empty());
+  const auto one = centrality_scores(DiGraph(1)).betweenness;
   EXPECT_DOUBLE_EQ(one[0], 0.0);
   DiGraph two(2);
   two.add_edge(0, 1);
-  for (double v : betweenness_centrality(two)) EXPECT_DOUBLE_EQ(v, 0.0);
+  for (double v : centrality_scores(two).betweenness) {
+    EXPECT_DOUBLE_EQ(v, 0.0);
+  }
 }
 
 TEST(Betweenness, SymmetricNodesTie) {
@@ -54,13 +56,13 @@ TEST(Betweenness, SymmetricNodesTie) {
   g.add_edge(0, 2);
   g.add_edge(1, 3);
   g.add_edge(2, 3);
-  const auto b = betweenness_centrality(g);
+  const auto b = centrality_scores(g).betweenness;
   EXPECT_DOUBLE_EQ(b[1], b[2]);
   EXPECT_GT(b[1], 0.0);
 }
 
 TEST(Closeness, PathCenterIsClosest) {
-  const auto c = closeness_centrality(path3());
+  const auto c = centrality_scores(path3()).closeness;
   // center: distances {1,1} -> 2/2 = 1.0; ends: {1,2} -> 2/3.
   EXPECT_NEAR(c[1], 1.0, 1e-9);
   EXPECT_NEAR(c[0], 2.0 / 3.0, 1e-9);
@@ -70,30 +72,37 @@ TEST(Closeness, PathCenterIsClosest) {
 TEST(Closeness, IsolatedNodeIsZero) {
   DiGraph g(3);
   g.add_edge(0, 1);
-  const auto c = closeness_centrality(g);
+  const auto c = centrality_scores(g).closeness;
   EXPECT_DOUBLE_EQ(c[2], 0.0);
   EXPECT_GT(c[0], 0.0);
 }
 
 TEST(Closeness, SingleNodeGraph) {
-  const auto c = closeness_centrality(DiGraph(1));
+  const auto c = centrality_scores(DiGraph(1)).closeness;
   EXPECT_DOUBLE_EQ(c[0], 0.0);
+}
+
+// The centrality factor is the labeling's density tie-break key,
+// cfg::NodeRank::centrality_factor.
+std::vector<double> centrality_factor(const DiGraph& g) {
+  std::vector<double> cf;
+  for (const auto& rank : cfg::node_ranks(cfg::Cfg(g, 0))) {
+    cf.push_back(rank.centrality_factor);
+  }
+  return cf;
 }
 
 TEST(CentralityFactor, IsSumOfBoth) {
   const auto g = path3();
   const auto cf = centrality_factor(g);
-  const auto b = betweenness_centrality(g);
-  const auto c = closeness_centrality(g);
+  const auto scores = centrality_scores(g);
   for (NodeId v = 0; v < 3; ++v) {
-    EXPECT_DOUBLE_EQ(cf[v], b[v] + c[v]);
+    EXPECT_DOUBLE_EQ(cf[v], scores.betweenness[v] + scores.closeness[v]);
   }
 }
 
 TEST(CentralityFactor, HigherForStructuralHubs) {
-  math::Rng rng(1);
-  const auto tree = binary_tree(3);
-  const auto cf = centrality_factor(tree);
+  const auto cf = centrality_factor(binary_tree(3));
   // The root and internal nodes outrank the leaves.
   EXPECT_GT(cf[1], cf[7]);
   EXPECT_GT(cf[0], cf[14]);
@@ -104,7 +113,7 @@ TEST(Betweenness, AgreesWithBruteForceOnRandomGraphs) {
   math::Rng rng(7);
   for (int trial = 0; trial < 3; ++trial) {
     const auto g = random_connected_dag_plus(8, 0.15, rng);
-    const auto fast = betweenness_centrality(g);
+    const auto fast = centrality_scores(g).betweenness;
 
     // Floyd-Warshall distances + path counts over the undirected view.
     const std::size_t n = g.node_count();

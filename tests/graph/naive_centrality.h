@@ -138,8 +138,6 @@ inline std::vector<double> closeness_centrality(const DiGraph& g) {
 }
 
 inline std::vector<double> centrality_factor(const DiGraph& g) {
-  // Qualified: ADL on DiGraph would otherwise also find the fused
-  // soteria::graph overloads and make the calls ambiguous.
   auto cf = naive::betweenness_centrality(g);
   const auto close = naive::closeness_centrality(g);
   for (std::size_t i = 0; i < cf.size(); ++i) cf[i] += close[i];

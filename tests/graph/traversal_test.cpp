@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "expect_error.h"
-#include "graph/generators.h"
 #include "graph/naive_centrality.h"
 #include "graph/shapes.h"
 #include "math/rng.h"

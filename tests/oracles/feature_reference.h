@@ -1,9 +1,8 @@
 // The map-based feature extraction that FeaturePipeline::extract's
 // walk -> automaton -> dense count -> TF-IDF path replaced, kept as its
-// oracle (tests) and as the before-side of bench/perf_infer and
-// bench/perf_features: every window is packed with pack_gram into an
-// unordered_map, and TF-IDF looks each counted gram up in the
-// vocabulary. Packed keys stop at kMaxGramLabel, so a second, wide-key
+// oracle (tests) and as the before-side of bench/perf_infer: every
+// window is packed with pack_gram into an unordered_map, and TF-IDF
+// looks each counted gram up in the vocabulary. Packed keys stop at kMaxGramLabel, so a second, wide-key
 // oracle keys each window by its label tuple and covers CFGs whose
 // labels go past that limit.
 #pragma once

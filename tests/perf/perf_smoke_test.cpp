@@ -16,7 +16,7 @@
 #include "common/json.h"
 #include "features/pipeline.h"
 #include "graph/centrality.h"
-#include "graph/generators.h"
+#include "graph/shapes.h"
 #include "math/rng.h"
 
 namespace soteria {
